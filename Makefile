@@ -1,14 +1,18 @@
 GO ?= go
 
-.PHONY: all build test race vet fuzz overload soak churn bench bench-smoke benchcmp check clean
+.PHONY: all build test race vet fuzz overload soak churn bench bench-smoke benchcmp bench-e2e bench-e2e-compare check clean
 
 all: check
 
 build:
 	$(GO) build ./...
 
+# The nested benchmark/ module compiles against internal/comm, internal/wal
+# and the root API, but the root module's ./... does not descend into it.
 test:
 	$(GO) test ./...
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # Race-check the concurrency-heavy packages: the actor runtime, the fabric
 # and the virtual clock (plus the fault machinery, the DMS caches, the
@@ -76,14 +80,30 @@ benchcmp:
 	@test -n "$(OLD)" && test -n "$(NEW)" || { echo "usage: make benchcmp OLD=old.txt NEW=new.txt"; exit 1; }
 	@awk -f scripts/benchcmp.awk $(OLD) $(NEW)
 
+# Real-clock end-to-end benchmark over loopback TCP (benchmark/README.md): all
+# four workloads, appended as one report to benchmark/out/$(E2E_OUT).json.
+E2E_OUT ?= run
+bench-e2e:
+	$(GO) run -C benchmark . -out out/$(E2E_OUT).json
+
+# Judge report B against report A by the bounds in BENCHMARK.json:
+#   make bench-e2e-compare A=benchmark/out/a.json B=benchmark/out/b.json
+bench-e2e-compare:
+	@test -n "$(A)" && test -n "$(B)" || { echo "usage: make bench-e2e-compare A=a.json B=b.json"; exit 1; }
+	$(GO) run -C benchmark . -compare $(abspath $(A)) $(abspath $(B))
+
 # Short fuzz pass over the message codec (incl. fault-plan-mutated frames
-# and coalesced batch frames), the memo-key float canonicalizer, and the WAL
-# frame parser (torn/corrupt tails must truncate, never crash or mis-parse).
+# and coalesced batch frames), the memo-key float canonicalizer, the WAL
+# frame parser (torn/corrupt tails must truncate, never crash or mis-parse)
+# and the WAL checkpoint reader (malformed disk input is rejected or absorbed,
+# never a panic; the minimizer is capped so the short pass spends its time
+# executing).
 fuzz:
 	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzDecodeMutated -fuzztime=10s
 	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzDecodeBatchMutated -fuzztime=10s
 	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzCanonicalFloat -fuzztime=10s
 	$(GO) test ./internal/wal/ -run=^$$ -fuzz=FuzzWALReplay -fuzztime=10s
+	$(GO) test . -run=^$$ -fuzz=FuzzCheckpointLoad -fuzztime=10s -fuzzminimizetime=1s
 
 check: vet build test race churn bench-smoke
 

@@ -114,6 +114,8 @@ func inspectWAL(dir string, verbose bool) error {
 	fmt.Printf("%s: control-plane WAL\n", dir)
 	if rec.Checkpoint != nil {
 		fmt.Printf("  checkpoint %d bytes of compacted state\n", len(rec.Checkpoint))
+	} else if rec.CheckpointBad {
+		fmt.Printf("  checkpoint UNREADABLE: failed its CRC framing (recovery ignores it and replays records only)\n")
 	} else {
 		fmt.Printf("  checkpoint none (recovery replays records only)\n")
 	}

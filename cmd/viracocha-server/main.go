@@ -19,38 +19,7 @@ import (
 
 	"viracocha"
 	"viracocha/internal/dataset"
-	"viracocha/internal/wal"
 )
-
-// restoreSnapshot loads a session snapshot if one exists at path. A corrupt
-// or truncated snapshot is logged and skipped — the server starts fresh
-// rather than refusing to boot over an artifact of its own earlier crash.
-// Only a real I/O error (permissions, a directory at the path) is returned.
-func restoreSnapshot(sys *viracocha.System, path string, logf func(format string, args ...any)) (bool, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	if err := sys.RestoreSessions(data); err != nil {
-		logf("session snapshot %s unusable, starting fresh: %v", path, err)
-		return false, nil
-	}
-	return true, nil
-}
-
-// writeSnapshot cuts and writes the session snapshot atomically (same-dir
-// temp file + fsync + rename), so a crash mid-write leaves the previous
-// snapshot intact instead of a torn file the next boot would trip over.
-func writeSnapshot(sys *viracocha.System, path string) error {
-	data, err := sys.SnapshotSessions()
-	if err != nil {
-		return err
-	}
-	return wal.WriteFileAtomic(path, data, 0o644)
-}
 
 // faultList collects repeatable -fault flags.
 type faultList []string
@@ -60,39 +29,38 @@ func (f *faultList) Set(v string) error { *f = append(*f, v); return nil }
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":7447", "listen address")
-		workers   = flag.Int("workers", 8, "worker pool size")
-		datasets  = flag.String("dataset", "engine", "comma-separated data sets to host (engine, propfan, tiny)")
-		scale     = flag.Int("scale", 2, "synthetic grid scale")
-		dir       = flag.String("dir", "", "serve pre-generated block files from this directory instead of on-demand synthesis")
-		prefetch  = flag.String("prefetch", "obl", "system prefetcher: none, obl, onmiss, markov")
-		latency   = flag.Duration("storage-latency", 2*time.Millisecond, "simulated storage latency")
-		bandwidth = flag.Float64("storage-bandwidth", 0, "simulated storage bandwidth B/s (0 = unlimited)")
-		heartbeat = flag.Duration("heartbeat", 0, "worker heartbeat interval (0 = default 250ms)")
-		failAfter = flag.Duration("fail-after", 0, "declare a silent worker dead after this (0 = default 2s)")
-		retries   = flag.Int("retries", -1, "per-request recovery retry budget (-1 = default 2)")
-		redistrib = flag.Bool("redistribute", false, "block-granular recovery: journal per-rank progress and re-issue only a dead rank's unfinished blocks (requests override with redistribute=0/1)")
+		addr       = flag.String("addr", ":7447", "listen address")
+		workers    = flag.Int("workers", 8, "worker pool size")
+		datasets   = flag.String("dataset", "engine", "comma-separated data sets to host (engine, propfan, tiny)")
+		scale      = flag.Int("scale", 2, "synthetic grid scale")
+		dir        = flag.String("dir", "", "serve pre-generated block files from this directory instead of on-demand synthesis")
+		prefetch   = flag.String("prefetch", "obl", "system prefetcher: none, obl, onmiss, markov")
+		latency    = flag.Duration("storage-latency", 2*time.Millisecond, "simulated storage latency")
+		bandwidth  = flag.Float64("storage-bandwidth", 0, "simulated storage bandwidth B/s (0 = unlimited)")
+		heartbeat  = flag.Duration("heartbeat", 0, "worker heartbeat interval (0 = default 250ms)")
+		failAfter  = flag.Duration("fail-after", 0, "declare a silent worker dead after this (0 = default 2s)")
+		retries    = flag.Int("retries", -1, "per-request recovery retry budget (-1 = default 2)")
+		redistrib  = flag.Bool("redistribute", false, "block-granular recovery: journal per-rank progress and re-issue only a dead rank's unfinished blocks (requests override with redistribute=0/1)")
 		stragglerF = flag.Float64("straggler-factor", 0, "speculatively re-run a rank whose completed-block count times this factor trails the group median (0 = off; needs -redistribute)")
 		rejoin     = flag.Bool("rejoin", false, "self-healing membership: reboot crashed workers under a new epoch and re-admit them to the pool (also required for the roll RPC)")
 		standby    = flag.Int("standby", 0, "warm standby workers kept out of dispatch and promoted when a live rank dies (needs -rejoin for the dead rank to come back as the new standby)")
 		quarantine = flag.Float64("quarantine", 0, "quarantine a rejoining worker whose decayed crash score is at least this (0 = off); flappers sit out an escalating hold-down before probation")
 		quarHold   = flag.Duration("quarantine-hold", 0, "base quarantine hold-down, doubled per repeat offense (0 = default 4x fail-after)")
-		maxQueue  = flag.Int("max-queue", 256, "max queued requests before rejecting with overloaded (0 = unlimited)")
-		quota     = flag.Int("session-quota", 32, "max in-flight requests per client session (0 = unlimited)")
-		memBudget = flag.Int64("mem-budget", 0, "DMS byte budget across all cache tiers (0 = unlimited)")
-		window    = flag.Int("stream-window", 32, "unacked partial packets per stream before the producer parks (0 = no flow control)")
-		slowAfter = flag.Duration("slow-consumer-after", 5*time.Second, "cancel a request parked on stream credit this long (0 = park forever)")
-		useIndex  = flag.Bool("index", false, "enable min/max acceleration indexes: cache per-(block, field) brick indexes, lambda2 fields and BSP trees as derived DMS entities (requests override with index=0/1)")
-		memo      = flag.Bool("memo", false, "enable cross-session result memoization: identical requests are served from a content-addressed result cache, and concurrent identical requests coalesce onto one multicast extraction (requests override with memo=0/1)")
-		statsFile = flag.String("stats", "", "write a JSON stats report (admission, budget, memo, per-request records) to this file on graceful shutdown")
-		coalesce  = flag.Int("coalesce", 0, "coalesce streamed partials into comm frames of about this many bytes (0 = off; requests override with coalesce=N)")
-		coalDelay = flag.Duration("coalesce-delay", 0, "flush a coalesced frame once its oldest packet is this old, regardless of size (0 = no age bound)")
-		lease     = flag.Duration("lease", 30*time.Second, "durable-session lease: how long a disconnected client's session (and its in-flight streams) survives awaiting resume")
-		drainTmo  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown: how long in-flight requests get to finish after SIGTERM (or a remote drain) before exiting anyway")
-		snapshot  = flag.String("snapshot", "", "session snapshot file: restored on start when present, written on graceful shutdown so a restarted server honors client resumes")
-		walDir    = flag.String("wal", "", "control-plane write-ahead log directory: admissions, leases, streamed frames and journal progress are logged continuously, so even a hard-killed (SIGKILL, power-cut) server restarts with exact client resume; supersedes -snapshot")
-		fsyncPol  = flag.String("fsync", "always", "WAL fsync policy: always (every acknowledged record durable), interval (bounded loss window), off (the OS decides)")
-		faultSpec faultList
+		maxQueue   = flag.Int("max-queue", 256, "max queued requests before rejecting with overloaded (0 = unlimited)")
+		quota      = flag.Int("session-quota", 32, "max in-flight requests per client session (0 = unlimited)")
+		memBudget  = flag.Int64("mem-budget", 0, "DMS byte budget across all cache tiers (0 = unlimited)")
+		window     = flag.Int("stream-window", 32, "unacked partial packets per stream before the producer parks (0 = no flow control)")
+		slowAfter  = flag.Duration("slow-consumer-after", 5*time.Second, "cancel a request parked on stream credit this long (0 = park forever)")
+		useIndex   = flag.Bool("index", false, "enable min/max acceleration indexes: cache per-(block, field) brick indexes, lambda2 fields and BSP trees as derived DMS entities (requests override with index=0/1)")
+		memo       = flag.Bool("memo", false, "enable cross-session result memoization: identical requests are served from a content-addressed result cache, and concurrent identical requests coalesce onto one multicast extraction (requests override with memo=0/1)")
+		statsFile  = flag.String("stats", "", "write a JSON stats report (admission, budget, memo, per-request records) to this file on graceful shutdown")
+		coalesce   = flag.Int("coalesce", 0, "coalesce streamed partials into comm frames of about this many bytes (0 = off; requests override with coalesce=N)")
+		coalDelay  = flag.Duration("coalesce-delay", 0, "flush a coalesced frame once its oldest packet is this old, regardless of size (0 = no age bound)")
+		lease      = flag.Duration("lease", 30*time.Second, "durable-session lease: how long a disconnected client's session (and its in-flight streams) survives awaiting resume")
+		drainTmo   = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown: how long in-flight requests get to finish after SIGTERM (or a remote drain) before exiting anyway")
+		walDir     = flag.String("wal", "", "control-plane write-ahead log directory: admissions, leases, streamed frames and journal progress are logged continuously, so a bounced or even hard-killed (SIGKILL, power-cut) server restarts with exact client resume; add -fsync off when only graceful bounces need to survive")
+		fsyncPol   = flag.String("fsync", "always", "WAL fsync policy: always (every acknowledged record durable), interval (bounded loss window), off (the OS decides)")
+		faultSpec  faultList
 	)
 	flag.Var(&faultSpec, "fault", "inject a fault rule (repeatable): crash:NODE@DUR, recover:NODE@DUR, flap:NODE:PERIOD, drop:FROM>TO:KIND:PROB, dup:..., delay:FROM>TO:KIND:DUR, read:DATASET:STEP:BLOCK:N, corrupt:DATASET:STEP:BLOCK:N, slow:ENDPOINT@DUR, lag:NODE:FACTOR, discon:SESSION:AFTER_MSGS, hang:SESSION")
 	flag.Parse()
@@ -168,15 +136,6 @@ func main() {
 		fmt.Printf("hosting data set %q (scale %d)\n", name, *scale)
 	}
 
-	if *snapshot != "" && *walDir == "" {
-		restored, err := restoreSnapshot(sys, *snapshot, log.Printf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if restored {
-			fmt.Printf("restored %d durable sessions from %s\n", sys.SessionCount(), *snapshot)
-		}
-	}
 	if *walDir != "" {
 		if err := sys.RecoverWAL(); err != nil {
 			log.Fatal(err)
@@ -192,7 +151,7 @@ func main() {
 
 	// SIGTERM/SIGINT → graceful shutdown: reject new requests with a
 	// retry-after, let in-flight ones finish (bounded by -drain-timeout),
-	// snapshot the durable sessions, and exit.
+	// checkpoint and close the WAL, and exit.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	go func() {
@@ -208,15 +167,11 @@ func main() {
 				fmt.Printf("stats report written to %s\n", *statsFile)
 			}
 		}
-		if *snapshot != "" {
-			if err := writeSnapshot(sys, *snapshot); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("session snapshot written to %s (%d sessions)\n", *snapshot, sys.SessionCount())
-		}
 		if *walDir != "" {
 			if err := sys.CloseWAL(); err != nil {
 				fmt.Println(err)
+			} else {
+				fmt.Printf("WAL checkpointed and closed (%d durable sessions)\n", sys.SessionCount())
 			}
 		}
 		sys.DisconnectClients()

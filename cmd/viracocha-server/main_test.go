@@ -1,107 +1,101 @@
 package main
 
 import (
-	"fmt"
+	"encoding/binary"
+	"hash/crc32"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"viracocha"
 )
 
-// TestWriteSnapshotAtomic verifies the snapshot lands via rename: the target
-// holds a complete snapshot and no temp files are left behind.
-func TestWriteSnapshotAtomic(t *testing.T) {
+// bootWAL builds a System the way main does for -wal DIR and recovers it.
+func bootWAL(t *testing.T, dir string) *viracocha.System {
+	t.Helper()
+	sys := viracocha.New(viracocha.Options{Workers: 1, WALDir: dir, WALFsync: "off"})
+	if _, err := sys.AddDataset("tiny", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RecoverWAL(); err != nil {
+		t.Fatalf("RecoverWAL: %v", err)
+	}
+	return sys
+}
+
+// killedWALDir runs one durable session against a WAL-backed server and
+// hard-kills it: the directory is left holding the (empty) boot checkpoint
+// and, in the tail records alone, the session and its finished request.
+func killedWALDir(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
-	path := filepath.Join(dir, "sessions.json")
-	sys := viracocha.New(viracocha.Options{Workers: 1})
-	if err := writeSnapshot(sys, path); err != nil {
-		t.Fatalf("writeSnapshot: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read back: %v", err)
-	}
-	fresh := viracocha.New(viracocha.Options{Workers: 1})
-	if err := fresh.RestoreSessions(data); err != nil {
-		t.Fatalf("written snapshot does not restore: %v", err)
-	}
-	ents, err := os.ReadDir(dir)
+	sys := bootWAL(t, dir)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range ents {
-		if strings.Contains(e.Name(), ".tmp-") {
-			t.Fatalf("temp file left behind: %s", e.Name())
+	go sys.Serve(ln)
+	rc, err := viracocha.DialResume(ln.Addr().String(), 2, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.Run("cutplane", viracocha.Params(
+		"dataset", "tiny", "workers", "1", "pz", "0.5", "nz", "1"), nil); err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	sys.Kill()
+	rc.Close() // after the kill: the goodbye that would purge the session goes nowhere
+	return dir
+}
+
+// checkBootsFromTail recovers dir and asserts the damaged checkpoint was
+// reported and skipped while the tail records still rebuilt the session.
+func checkBootsFromTail(t *testing.T, dir string) {
+	t.Helper()
+	sys := bootWAL(t, dir)
+	defer sys.Kill()
+	if n := sys.SessionCount(); n != 1 {
+		t.Fatalf("sessions rebuilt from the tail records = %d, want 1", n)
+	}
+	for _, ev := range sys.Trace() {
+		if ev.Actor == "wal" && strings.Contains(ev.Msg, "checkpoint") && strings.Contains(ev.Msg, "records only") {
+			return
 		}
 	}
+	t.Fatalf("damaged checkpoint not reported in the trace: %v", sys.Trace())
 }
 
-// TestRestoreSnapshotCorrupt verifies a corrupt snapshot is tolerated: the
-// failure is logged and the server starts fresh instead of dying.
-func TestRestoreSnapshotCorrupt(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sessions.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+// TestRecoverWALCorruptCheckpoint verifies the server boots over a checkpoint
+// it cannot read — here a well-framed one in a foreign (the pre-record-batch
+// JSON) layout — instead of refusing to start over an artifact of its own
+// earlier life.
+func TestRecoverWALCorruptCheckpoint(t *testing.T) {
+	dir := killedWALDir(t)
+	payload := []byte(`{"counter":1,"leases":{"sess-1":0},"sessions":{}}`)
+	framed := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	framed = append(framed, payload...)
+	framed = binary.LittleEndian.AppendUint32(framed, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint"), framed, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sys := viracocha.New(viracocha.Options{Workers: 1})
-	var logged []string
-	logf := func(format string, args ...any) {
-		logged = append(logged, fmt.Sprintf(format, args...))
-	}
-	restored, err := restoreSnapshot(sys, path, logf)
-	if err != nil {
-		t.Fatalf("corrupt snapshot should be tolerated, got error: %v", err)
-	}
-	if restored {
-		t.Fatal("corrupt snapshot reported as restored")
-	}
-	if len(logged) == 0 || !strings.Contains(logged[0], "starting fresh") {
-		t.Fatalf("corruption not logged: %v", logged)
-	}
-	if n := sys.SessionCount(); n != 0 {
-		t.Fatalf("fresh start expected, got %d sessions", n)
-	}
+	checkBootsFromTail(t, dir)
 }
 
-// TestRestoreSnapshotTruncated verifies a half-written (truncated) snapshot is
+// TestRecoverWALTruncatedCheckpoint verifies a half-written checkpoint is
 // tolerated the same way.
-func TestRestoreSnapshotTruncated(t *testing.T) {
-	good := viracocha.New(viracocha.Options{Workers: 1})
-	data, err := good.SnapshotSessions()
+func TestRecoverWALTruncatedCheckpoint(t *testing.T) {
+	dir := killedWALDir(t)
+	path := filepath.Join(dir, "checkpoint")
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "sessions.json")
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sys := viracocha.New(viracocha.Options{Workers: 1})
-	var logged []string
-	logf := func(format string, args ...any) {
-		logged = append(logged, fmt.Sprintf(format, args...))
-	}
-	restored, err := restoreSnapshot(sys, path, logf)
-	if err != nil {
-		t.Fatalf("truncated snapshot should be tolerated, got error: %v", err)
-	}
-	if restored {
-		t.Fatal("truncated snapshot reported as restored")
-	}
-	if len(logged) == 0 {
-		t.Fatal("truncation not logged")
-	}
-}
-
-// TestRestoreSnapshotMissing verifies a missing snapshot is a clean first
-// boot, not an error.
-func TestRestoreSnapshotMissing(t *testing.T) {
-	sys := viracocha.New(viracocha.Options{Workers: 1})
-	restored, err := restoreSnapshot(sys, filepath.Join(t.TempDir(), "nope.json"), func(string, ...any) {
-		t.Fatal("nothing should be logged for a missing snapshot")
-	})
-	if err != nil || restored {
-		t.Fatalf("missing snapshot: restored=%v err=%v", restored, err)
-	}
+	checkBootsFromTail(t, dir)
 }

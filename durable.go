@@ -1,7 +1,6 @@
 package viracocha
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -15,14 +14,15 @@ import (
 )
 
 // defaultDrainTimeout bounds a graceful shutdown when Options.DrainTimeout
-// is unset: in-flight requests get this long to finish before the snapshot
-// is cut anyway.
+// is unset: in-flight requests get this long to finish before the shutdown
+// proceeds anyway.
 const defaultDrainTimeout = 10 * time.Second
 
 // sessionBridge is the durable TCP↔fabric bridge: it owns the lease
-// registry, routes fabric replies to connections, retains each durable
-// request's outbound frames for replay, and re-attaches reconnecting clients
-// to their live sessions. One bridge serves every listener of a System.
+// registry, routes fabric replies to connections, appends each durable
+// request's outbound frames to its stream log for replay, and re-attaches
+// reconnecting clients to their live sessions. One bridge serves every
+// listener of a System.
 //
 // Stream-credit invariant: every partial frame a producer emits consumed one
 // flow-control credit, and exactly one credit must return per frame — from
@@ -60,10 +60,11 @@ type liveSession struct {
 type liveReq struct {
 	sess      *liveSession
 	clientReq uint64
-	runtimeID uint64 // 0 after a restore: no live runtime request behind it
-	sseq      int    // per-request stream sequence stamped on outbound frames
-	frames    []comm.Message
-	final     bool
+	runtimeID uint64 // 0 after a recovery found the stream final: nothing live behind it
+	// log holds the stream sequence stamped on outbound frames, the final
+	// flag and — durable sessions only — the frames retained for replay. With
+	// a WAL it is the very log the sink checkpoints and recovery rebuilds.
+	log       *streamLog
 	unacked   map[int]int // rank → frames sent on a live conn, not yet acked
 	selfAcked int         // highest sseq the bridge credited on the client's behalf
 }
@@ -129,10 +130,11 @@ func (b *sessionBridge) dispatch() {
 	}
 }
 
-// deliver stamps, retains and forwards one fabric reply. The send itself
-// happens outside the bridge lock (a slow peer must not stall every other
-// session); the connection-generation counter fences the cleanup if the
-// connection died in between.
+// deliver stamps, logs and forwards one fabric reply. A durable frame is
+// encoded once: the same bytes go to the stream log, the WAL and the socket.
+// The send itself happens outside the bridge lock (a slow peer must not stall
+// every other session); the connection-generation counter fences the cleanup
+// if the connection died in between.
 func (b *sessionBridge) deliver(m comm.Message) {
 	rt := b.sys.Runtime
 	inj := rt.FaultInjector()
@@ -144,7 +146,6 @@ func (b *sessionBridge) deliver(m comm.Message) {
 	}
 	if m.Final {
 		delete(b.routes, m.ReqID)
-		lr.final = true
 	}
 	sess := lr.sess
 	out := m
@@ -153,11 +154,18 @@ func (b *sessionBridge) deliver(m comm.Message) {
 	for k, v := range m.Params {
 		out.Params[k] = v
 	}
-	lr.sseq++
-	out.Params["sseq"] = strconv.Itoa(lr.sseq)
+	// Only the bridge, under its lock, advances a live log's head.
+	sseq := lr.log.head() + 1
+	out.Params["sseq"] = strconv.Itoa(sseq)
+	f := logFrame{sseq: sseq, final: out.Final}
 	if sess.durable {
-		lr.frames = append(lr.frames, out)
-		b.sys.wal.Frame(sess.id, lr.clientReq, out)
+		f = newLogFrame(out, comm.Encode(out))
+	}
+	// Log before the WAL append: a checkpoint may then fold the frame in ahead
+	// of its record, never prune the record of a frame it missed.
+	lr.log.append(f)
+	if sess.durable {
+		b.sys.wal.Frame(sess.id, lr.clientReq, f.wire)
 	}
 	isPartial := out.Kind == "partial"
 	rank := out.IntParam("rank", 0)
@@ -167,7 +175,7 @@ func (b *sessionBridge) deliver(m comm.Message) {
 		if isPartial && lr.runtimeID != 0 {
 			rt.AckStream(lr.runtimeID, rank)
 		}
-		lr.selfAcked = lr.sseq
+		lr.selfAcked = sseq
 	}
 	if sess.conn == nil {
 		credit()
@@ -199,7 +207,12 @@ func (b *sessionBridge) deliver(m comm.Message) {
 	}
 	conn, gen := sess.conn, sess.connGen
 	b.mu.Unlock()
-	err := conn.Send(out)
+	var err error
+	if f.wire != nil {
+		err = conn.SendEncoded(f.wire)
+	} else {
+		err = conn.Send(out)
+	}
 	if err == nil {
 		return
 	}
@@ -211,15 +224,10 @@ func (b *sessionBridge) deliver(m comm.Message) {
 		// one that just failed (its unacked increment happened above).
 		b.detachLocked(sess, "send failed: "+err.Error())
 	}
-	durable := sess.durable
 	b.mu.Unlock()
+	// Closing unblocks the reader goroutine, whose cleanup purges an
+	// ephemeral session.
 	conn.Close()
-	if !durable {
-		// Ephemeral contract: a dead connection purges the session. The
-		// reader goroutine's defer normally does this; closing above made
-		// sure it unblocks.
-		return
-	}
 }
 
 // detachLocked severs a session from its connection without purging it:
@@ -241,7 +249,7 @@ func (b *sessionBridge) detachLocked(sess *liveSession, why string) {
 			}
 			delete(lr.unacked, rank)
 		}
-		lr.selfAcked = lr.sseq
+		lr.selfAcked = lr.log.head()
 	}
 	if sess.durable {
 		b.reg.Touch(sess.id)
@@ -457,7 +465,7 @@ func (b *sessionBridge) attach(conn *comm.Conn, hello comm.Message) (*liveSessio
 	}
 	// Replay past the client's watermarks, then attach. The session stays
 	// detached while replaying, so concurrent deliveries self-ack and land
-	// in the retention buffer; the loop re-checks for frames that arrived
+	// in the stream log; the loop re-checks for frames that arrived
 	// mid-replay before finally wiring the connection in — this keeps each
 	// request's frames strictly ordered on the wire.
 	marks := map[uint64]int{}
@@ -472,7 +480,7 @@ func (b *sessionBridge) attach(conn *comm.Conn, hello comm.Message) (*liveSessio
 	}
 	replayed := 0
 	for {
-		var pending []comm.Message
+		var pending [][]byte
 		b.mu.Lock()
 		ids := make([]uint64, 0, len(sess.reqs))
 		for cr := range sess.reqs {
@@ -481,12 +489,8 @@ func (b *sessionBridge) attach(conn *comm.Conn, hello comm.Message) (*liveSessio
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, cr := range ids {
 			lr := sess.reqs[cr]
-			for _, f := range lr.frames {
-				if f.IntParam("sseq", 0) > marks[cr] {
-					pending = append(pending, f)
-					marks[cr] = f.IntParam("sseq", 0)
-				}
-			}
+			pending = append(pending, lr.log.after(marks[cr])...)
+			marks[cr] = lr.log.head()
 		}
 		if len(pending) == 0 {
 			sess.conn = conn
@@ -501,12 +505,26 @@ func (b *sessionBridge) attach(conn *comm.Conn, hello comm.Message) (*liveSessio
 		}
 		b.mu.Unlock()
 		for _, f := range pending {
-			if err := conn.Send(f); err != nil {
+			if err := conn.SendEncoded(f); err != nil {
 				return nil, 0 // peer died mid-replay; session stays detached
 			}
 			replayed++
 		}
 	}
+}
+
+// routed is a client command as the scheduler sees it: under its runtime
+// request ID, addressed back to this bridge and the session's admission name.
+func (b *sessionBridge) routed(cmd comm.Message, rid uint64, admission string) comm.Message {
+	fwd := cmd
+	fwd.ReqID = rid
+	fwd.Params = make(map[string]string, len(cmd.Params)+2)
+	for k, v := range cmd.Params {
+		fwd.Params[k] = v
+	}
+	fwd.Params["client"] = b.name
+	fwd.Params["session"] = admission
+	return fwd
 }
 
 // handleFrame services one client frame; false means the connection should
@@ -528,26 +546,19 @@ func (b *sessionBridge) handleFrame(sess *liveSession, conn *comm.Conn, m comm.M
 			sess:      sess,
 			clientReq: m.ReqID,
 			runtimeID: rid,
+			log:       &streamLog{},
 			unacked:   map[int]int{},
 		}
 		sess.reqs[m.ReqID] = lr
 		b.routes[rid] = lr
 		if sess.durable {
-			b.sys.wal.Admit(sess.id, m.ReqID, rid, m)
+			b.sys.wal.Admit(sess.id, m.ReqID, rid, m, lr.log)
 		}
 		b.mu.Unlock()
-		fwd := m
-		fwd.ReqID = rid
-		fwd.Params = make(map[string]string, len(m.Params)+2)
-		for k, v := range m.Params {
-			fwd.Params[k] = v
-		}
-		fwd.Params["client"] = b.name
-		fwd.Params["session"] = sess.admission
 		// The TCP reader is not a clock actor, but under the real clock Send
 		// only costs a (tiny) real sleep.
-		if err := b.ep.Send("scheduler", fwd); err != nil {
-			// Route the failure through deliver so it is stamped, retained
+		if err := b.ep.Send("scheduler", b.routed(m, rid, sess.admission)); err != nil {
+			// Route the failure through deliver so it is stamped, logged
 			// and replayable like any other terminal frame.
 			b.deliver(comm.Message{
 				Kind: "error", ReqID: rid, Final: true,
@@ -573,12 +584,7 @@ func (b *sessionBridge) handleFrame(sess *liveSession, conn *comm.Conn, m comm.M
 			} else if lr.unacked[rank] > 0 {
 				lr.unacked[rank]--
 			}
-			// Acked frames left of the watermark can never be replayed again
-			// (resume marks are monotonic): trim the retention buffer.
-			for len(lr.frames) > 0 && lr.frames[0].Kind == "partial" && lr.frames[0].IntParam("sseq", 0) <= sseq {
-				lr.frames[0] = comm.Message{}
-				lr.frames = lr.frames[1:]
-			}
+			lr.log.trim(sseq)
 		}
 		rid := lr.runtimeID
 		b.mu.Unlock()
@@ -587,9 +593,9 @@ func (b *sessionBridge) handleFrame(sess *liveSession, conn *comm.Conn, m comm.M
 		}
 	case "done":
 		// The client has fully consumed this request's stream: retire its
-		// retention state.
+		// log.
 		b.mu.Lock()
-		if lr := sess.reqs[m.ReqID]; lr != nil && lr.final {
+		if lr := sess.reqs[m.ReqID]; lr != nil && lr.log.final() {
 			delete(sess.reqs, m.ReqID)
 			if lr.runtimeID != 0 {
 				delete(b.routes, lr.runtimeID)
@@ -638,125 +644,8 @@ func (b *sessionBridge) handleFrame(sess *liveSession, conn *comm.Conn, m comm.M
 	return true
 }
 
-// bridgeSnapshot is the crash-consistent session state written on drain:
-// leases, per-session admission identity, and every durable request's
-// retained frames (wire-encoded; JSON base64s them).
-type bridgeSnapshot struct {
-	Leases   session.RegistrySnapshot `json:"leases"`
-	Sessions []savedSession           `json:"sessions"`
-}
-
-type savedSession struct {
-	ID        string     `json:"id"`
-	Epoch     int        `json:"epoch"`
-	Admission string     `json:"admission"`
-	Reqs      []savedReq `json:"reqs"`
-}
-
-type savedReq struct {
-	ClientReq uint64   `json:"client_req"`
-	Sseq      int      `json:"sseq"`
-	Final     bool     `json:"final"`
-	Frames    [][]byte `json:"frames"`
-}
-
-// snapshot serializes every durable session. Cut it after a drain so no
-// producer is still appending frames mid-encode.
-func (b *sessionBridge) snapshot() ([]byte, error) {
-	snap := bridgeSnapshot{Leases: b.reg.Snapshot()}
-	b.mu.Lock()
-	ids := make([]string, 0, len(b.sessions))
-	for id, sess := range b.sessions {
-		if sess.durable {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		sess := b.sessions[id]
-		sv := savedSession{ID: sess.id, Epoch: sess.epoch, Admission: sess.admission}
-		crs := make([]uint64, 0, len(sess.reqs))
-		for cr := range sess.reqs {
-			crs = append(crs, cr)
-		}
-		sort.Slice(crs, func(i, j int) bool { return crs[i] < crs[j] })
-		for _, cr := range crs {
-			lr := sess.reqs[cr]
-			sr := savedReq{ClientReq: cr, Sseq: lr.sseq, Final: lr.final}
-			for _, f := range lr.frames {
-				sr.Frames = append(sr.Frames, comm.Encode(f))
-			}
-			sv.Reqs = append(sv.Reqs, sr)
-		}
-		snap.Sessions = append(snap.Sessions, sv)
-	}
-	b.mu.Unlock()
-	return json.MarshalIndent(snap, "", " ")
-}
-
-// restore rebuilds session state from a snapshot on a freshly-started
-// system. Requests that were still unfinished when the snapshot was cut get
-// a synthesized terminal error (their computation died with the old
-// process), so a resuming client unblocks with a clear "resubmit" verdict
-// instead of waiting for frames that will never come.
-func (b *sessionBridge) restore(data []byte) error {
-	var snap bridgeSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("viracocha: corrupt session snapshot: %w", err)
-	}
-	reg := session.RestoreRegistry(b.sys.Clock, b.reg.TTL(), snap.Leases)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.reg = reg
-	for _, sv := range snap.Sessions {
-		sess := &liveSession{
-			id:        sv.ID,
-			epoch:     sv.Epoch,
-			admission: sv.Admission,
-			durable:   true,
-			reqs:      map[uint64]*liveReq{},
-		}
-		for _, sr := range sv.Reqs {
-			lr := &liveReq{
-				sess:      sess,
-				clientReq: sr.ClientReq,
-				sseq:      sr.Sseq,
-				final:     sr.Final,
-				unacked:   map[int]int{},
-			}
-			for _, raw := range sr.Frames {
-				f, err := comm.Decode(raw)
-				if err != nil {
-					return fmt.Errorf("viracocha: corrupt frame in session snapshot: %w", err)
-				}
-				lr.frames = append(lr.frames, f)
-			}
-			if !lr.final {
-				lr.sseq++
-				lr.final = true
-				lr.frames = append(lr.frames, comm.Message{
-					Kind:  "error",
-					ReqID: lr.clientReq,
-					Final: true,
-					Params: map[string]string{
-						"error": "core: server restarted before the request completed; resubmit",
-						"sseq":  strconv.Itoa(lr.sseq),
-						// An effectively-infinite attempt so the verdict is
-						// never dropped as stale next to replayed frames.
-						"attempt": strconv.Itoa(1 << 30),
-					},
-				})
-			}
-			lr.selfAcked = lr.sseq // no live flow state to credit after a restart
-			sess.reqs[lr.clientReq] = lr
-		}
-		b.sessions[sess.id] = sess
-	}
-	return nil
-}
-
 // bridge lazily builds the System's singleton session bridge (shared by
-// every listener, and by RestoreSessions before the first Serve).
+// every listener, and by RecoverWAL before the first Serve).
 func (s *System) bridge() *sessionBridge {
 	s.bmu.Lock()
 	defer s.bmu.Unlock()
@@ -771,9 +660,9 @@ func (s *System) bridge() *sessionBridge {
 // and Drain blocks until they finish or timeout elapses (0 means the
 // Options.DrainTimeout default). Wire it to SIGTERM for graceful shutdown;
 // remote admins can trigger it through RemoteClient.Drain. A non-nil error
-// means the deadline passed with work still in flight — the session snapshot
-// is still safe to cut (unfinished requests are terminally failed on
-// restore).
+// means the deadline passed with work still in flight — CloseWAL is still
+// safe to call: a restart on the same WAL directory re-admits the unfinished
+// requests and their clients resume mid-stream.
 func (s *System) Drain(timeout time.Duration) error {
 	if _, ok := s.Clock.(*vclock.Real); !ok {
 		return fmt.Errorf("viracocha: Drain requires a real-clock system")
@@ -823,21 +712,10 @@ func (s *System) Roll(timeout time.Duration) error {
 	return s.Runtime.Roll(timeout)
 }
 
-// SnapshotSessions serializes the durable-session state (leases, retained
-// frames) for crash-consistent handoff across a restart. Cut it after Drain
-// so no producer is appending frames mid-encode; feed it to RestoreSessions
-// on the next process before Serve.
-func (s *System) SnapshotSessions() ([]byte, error) { return s.bridge().snapshot() }
-
-// RestoreSessions rebuilds durable sessions from a SnapshotSessions blob, so
-// a bounced server honors resume handshakes from clients that outlived it.
-// Call it on a fresh System before Serve.
-func (s *System) RestoreSessions(data []byte) error { return s.bridge().restore(data) }
-
 // DisconnectClients severs every client connection: durable sessions detach
 // (still resumable within their lease — typically against the restarted
 // process), ephemeral ones are purged. Part of a graceful shutdown, after
-// Drain and SnapshotSessions.
+// Drain and CloseWAL.
 func (s *System) DisconnectClients() {
 	b := s.bridge()
 	b.mu.Lock()

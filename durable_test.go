@@ -2,7 +2,6 @@ package viracocha
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -271,13 +270,25 @@ func TestDrainGracefulTCP(t *testing.T) {
 	}
 }
 
-// TestServerRestartResumeFromSnapshot: drain → snapshot → stop → new process
-// restores the snapshot and rebinds the same port → the surviving client's
-// next request transparently reconnects and resumes its old session (same
-// ID, bumped epoch). An impostor session is denied.
-func TestServerRestartResumeFromSnapshot(t *testing.T) {
-	opts := Options{Workers: 2, SessionLease: 5 * time.Second}
-	sys1, ln1 := serveSystem(t, opts, "tiny", 1)
+// TestServerRestartResumeFromWAL: drain → CloseWAL (final checkpoint) → stop
+// → new process recovers the same WAL directory and rebinds the same port →
+// the surviving client's next request transparently reconnects and resumes
+// its old session (same ID, bumped epoch). An impostor session is denied.
+func TestServerRestartResumeFromWAL(t *testing.T) {
+	opts := Options{Workers: 2, SessionLease: 5 * time.Second, WALDir: t.TempDir(), WALFsync: "off"}
+	bootWAL := func(addr string) (*System, net.Listener) {
+		sys := New(opts)
+		if _, err := sys.AddDataset("tiny", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.RecoverWAL(); err != nil {
+			t.Fatalf("RecoverWAL: %v", err)
+		}
+		ln := listenRetry(t, addr)
+		go sys.Serve(ln)
+		return sys, ln
+	}
+	sys1, ln1 := bootWAL("")
 	addr := ln1.Addr().String()
 
 	rc, err := DialResume(addr, 8, 20*time.Millisecond)
@@ -298,34 +309,15 @@ func TestServerRestartResumeFromSnapshot(t *testing.T) {
 	if err := sys1.Drain(2 * time.Second); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	snap, err := sys1.SnapshotSessions()
-	if err != nil {
-		t.Fatal(err)
+	if err := sys1.CloseWAL(); err != nil {
+		t.Fatalf("CloseWAL: %v", err)
 	}
 	sys1.DisconnectClients()
 	ln1.Close()
 
-	// Second process: restore, rebind the same address.
-	sys2 := New(opts)
-	if _, err := sys2.AddDataset("tiny", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys2.RestoreSessions(snap); err != nil {
-		t.Fatal(err)
-	}
-	var ln2 net.Listener
-	for i := 0; ; i++ {
-		ln2, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		if i > 50 {
-			t.Fatalf("rebind %s: %v", addr, err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	// Second process: recover, rebind the same address.
+	sys2, ln2 := bootWAL(addr)
 	defer ln2.Close()
-	go sys2.Serve(ln2)
 
 	// The client's next request rides the automatic reconnect + resume.
 	m, err := rc.Run("cutplane", Params(
@@ -370,45 +362,6 @@ func TestServerRestartResumeFromSnapshot(t *testing.T) {
 	stale.mu.Unlock()
 	if err := stale.handshake(nil); !errors.Is(err, ErrResumeDenied) {
 		t.Fatalf("stale-epoch resume error = %v, want ErrResumeDenied", err)
-	}
-}
-
-// TestRestoreFailsUnfinishedRequests: a snapshot cut with a request still in
-// flight restores it as terminally failed, so a resuming client gets a clear
-// "resubmit" error instead of waiting forever.
-func TestRestoreFailsUnfinishedRequests(t *testing.T) {
-	raw := []byte(`{
-	 "leases": {"counter": 1, "leases": [{"id": "sess-1", "epoch": 2, "remaining_ns": 30000000000}]},
-	 "sessions": [{"id": "sess-1", "epoch": 2, "admission": "tcp-bridge1/s2",
-	   "reqs": [{"client_req": 7, "sseq": 3, "final": false, "frames": []}]}]
-	}`)
-	if !json.Valid(raw) {
-		t.Fatal("test snapshot is not valid JSON")
-	}
-	sys := New(Options{Workers: 1})
-	if err := sys.RestoreSessions(raw); err != nil {
-		t.Fatal(err)
-	}
-	b := sys.bridge()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	sess := b.sessions["sess-1"]
-	if sess == nil {
-		t.Fatal("session not restored")
-	}
-	lr := sess.reqs[7]
-	if lr == nil {
-		t.Fatal("request not restored")
-	}
-	if !lr.final {
-		t.Fatal("unfinished request not finalized on restore")
-	}
-	last := lr.frames[len(lr.frames)-1]
-	if last.Kind != "error" || !last.Final || !strings.Contains(last.Params["error"], "restarted") {
-		t.Fatalf("synthesized terminal frame = %+v", last)
-	}
-	if got := last.IntParam("sseq", 0); got != 4 {
-		t.Fatalf("synthesized frame sseq = %d, want 4", got)
 	}
 }
 

@@ -39,14 +39,19 @@ func (c *Conn) SetWriteTimeout(d time.Duration) {
 // Send writes one framed message, honoring the write timeout when one is
 // set. After a timeout the connection is poisoned (a frame may be partially
 // written) and must be discarded, like after any other send error.
-func (c *Conn) Send(m Message) error {
+func (c *Conn) Send(m Message) error { return c.SendEncoded(Encode(m)) }
+
+// SendEncoded is Send for a message the caller already serialized with
+// Encode: a sender that keeps the wire bytes (the durable bridge's stream
+// log) pays for one encoding, not one per destination.
+func (c *Conn) SendEncoded(data []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.wto > 0 {
 		c.c.SetWriteDeadline(time.Now().Add(c.wto))
 		defer c.c.SetWriteDeadline(time.Time{})
 	}
-	err := WriteFrame(c.c, m)
+	err := writeEncoded(c.c, data)
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		return fmt.Errorf("%w (after %v)", ErrWriteTimeout, c.wto)

@@ -217,8 +217,10 @@ func Decode(data []byte) (Message, error) {
 }
 
 // WriteFrame writes one length-prefixed message to w (the TCP transport).
-func WriteFrame(w io.Writer, m Message) error {
-	data := Encode(m)
+func WriteFrame(w io.Writer, m Message) error { return writeEncoded(w, Encode(m)) }
+
+// writeEncoded writes one length-prefixed frame of already-encoded bytes.
+func writeEncoded(w io.Writer, data []byte) error {
 	var lenBuf [4]byte
 	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(data)))
 	if _, err := w.Write(lenBuf[:]); err != nil {

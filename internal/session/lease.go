@@ -145,48 +145,16 @@ func (r *Registry) Len() int {
 	return len(r.leases)
 }
 
-// LeaseRecord is one lease in a snapshot, with the expiry converted to a
-// remaining duration so a restore on a fresh clock (which restarts at zero)
-// grants the same grace the bounced server owed.
-type LeaseRecord struct {
-	ID          string `json:"id"`
-	Epoch       int    `json:"epoch"`
-	RemainingNS int64  `json:"remaining_ns"`
-}
-
-// RegistrySnapshot is the serializable state of a registry.
-type RegistrySnapshot struct {
-	Counter uint64        `json:"counter"`
-	Leases  []LeaseRecord `json:"leases"`
-}
-
-// Snapshot captures every unexpired lease for a crash-consistent drain
-// snapshot. Expired leases are dropped here rather than carried across the
-// restart.
-func (r *Registry) Snapshot() RegistrySnapshot {
+// Restore loads leases recovered from the write-ahead log into a fresh
+// registry: counter continues the ID sequence so recovered and new session
+// IDs never collide, and every lease resumes at its recorded epoch with a
+// full TTL (the restart itself may have eaten most of the old one).
+func (r *Registry) Restore(counter uint64, epochs map[string]int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := r.clock.Now()
-	snap := RegistrySnapshot{Counter: r.counter}
-	for _, l := range r.leases {
-		if rem := l.Expiry - now; rem > 0 {
-			snap.Leases = append(snap.Leases, LeaseRecord{ID: l.ID, Epoch: l.Epoch, RemainingNS: int64(rem)})
-		}
+	r.counter = counter
+	expiry := r.clock.Now() + r.ttl
+	for id, epoch := range epochs {
+		r.leases[id] = &Lease{ID: id, Epoch: epoch, Expiry: expiry}
 	}
-	sort.Slice(snap.Leases, func(i, j int) bool { return snap.Leases[i].ID < snap.Leases[j].ID })
-	return snap
-}
-
-// RestoreRegistry rebuilds a registry from a snapshot on a (possibly fresh)
-// clock: counters continue where they left off so restored and new session
-// IDs never collide, and each lease resumes with the remaining grace it had
-// when the snapshot was cut.
-func RestoreRegistry(c vclock.Clock, ttl time.Duration, snap RegistrySnapshot) *Registry {
-	r := NewRegistry(c, ttl)
-	r.counter = snap.Counter
-	now := c.Now()
-	for _, rec := range snap.Leases {
-		r.leases[rec.ID] = &Lease{ID: rec.ID, Epoch: rec.Epoch, Expiry: now + time.Duration(rec.RemainingNS)}
-	}
-	return r
 }

@@ -138,40 +138,25 @@ func TestLeaseRenewalRace(t *testing.T) {
 	wg.Wait()
 }
 
-func TestRegistrySnapshotRestore(t *testing.T) {
+func TestRegistryRestore(t *testing.T) {
 	runVirtual(t, func(v *vclock.Virtual) {
+		v.Sleep(600 * time.Millisecond) // a restore mid-life: expiry counts from now
 		r := NewRegistry(v, time.Second)
-		live := r.Issue()
-		lr, err := r.Resume(live.ID, 0)
+		r.Restore(7, map[string]int{"sess-3": 2})
+		if _, err := r.Resume("sess-3", 1); !errors.Is(err, ErrStaleEpoch) {
+			t.Fatalf("resume at a pre-restore epoch = %v, want ErrStaleEpoch", err)
+		}
+		v.Sleep(900 * time.Millisecond) // inside the full TTL the restore granted
+		got, err := r.Resume("sess-3", 2)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("resume of a restored lease: %v", err)
 		}
-		dead := r.Issue()
-		v.Sleep(600 * time.Millisecond)
-		r.Touch(live.ID)
-		v.Sleep(600 * time.Millisecond) // dead expired, live has 400ms left
-
-		snap := r.Snapshot()
-		if len(snap.Leases) != 1 || snap.Leases[0].ID != live.ID {
-			t.Fatalf("snapshot leases = %+v, want only %s", snap.Leases, live.ID)
+		if got.Epoch != 3 {
+			t.Fatalf("epoch after resume = %d, want 3", got.Epoch)
 		}
-		if snap.Leases[0].Epoch != lr.Epoch {
-			t.Fatalf("snapshot epoch = %d, want %d", snap.Leases[0].Epoch, lr.Epoch)
+		// New IDs continue past the recovered counter.
+		if fresh := r.Issue(); fresh.ID != "sess-8" {
+			t.Fatalf("restored registry issued %s, want sess-8", fresh.ID)
 		}
-
-		// Restore on a fresh clock: the lease keeps its epoch and remaining
-		// grace, and new IDs continue past the old counter.
-		v2 := vclock.NewVirtual()
-		v2.Go(func() {
-			r2 := RestoreRegistry(v2, time.Second, snap)
-			if _, err := r2.Resume(live.ID, lr.Epoch); err != nil {
-				t.Errorf("resume from snapshot: %v", err)
-			}
-			fresh := r2.Issue()
-			if fresh.ID == live.ID || fresh.ID == dead.ID {
-				t.Errorf("restored registry reissued ID %s", fresh.ID)
-			}
-		})
-		v2.Wait()
 	})
 }

@@ -388,8 +388,10 @@ func (l *Log) Kill() {
 // Recovered is the result of reading a WAL directory back.
 type Recovered struct {
 	// Checkpoint is the compacted state from the checkpoint file, nil if
-	// none (or if the checkpoint itself failed its CRC).
-	Checkpoint []byte
+	// none. CheckpointBad reports a checkpoint file that was present but
+	// failed its framing or CRC and was ignored.
+	Checkpoint    []byte
+	CheckpointBad bool
 	// Records are the tail records appended after the checkpoint, in
 	// order, stopping at the first torn or corrupt frame.
 	Records [][]byte
@@ -412,6 +414,8 @@ func Recover(dir string) (*Recovered, error) {
 		recs, _, ok := parseFrames(data)
 		if ok && len(recs) == 1 {
 			out.Checkpoint = recs[0]
+		} else {
+			out.CheckpointBad = true
 		}
 		// A torn checkpoint is ignored wholesale: the atomic write means
 		// it can only be damaged by disk corruption, and half a
@@ -434,8 +438,11 @@ func Recover(dir string) (*Recovered, error) {
 			out.TornPath = s.path
 			out.TornOffset = good
 			// Truncate the garbage so a reopened log never appends
-			// records after an unreadable gap.
-			os.Truncate(s.path, good)
+			// records after an unreadable gap: the next recovery would stop
+			// at the gap and silently drop everything appended past it.
+			if err := os.Truncate(s.path, good); err != nil {
+				return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
+			}
 			break
 		}
 	}

@@ -156,6 +156,68 @@ func TestTornTail(t *testing.T) {
 	}
 }
 
+// TestTornTailTruncateFails: when the torn tail cannot be cut off (here a
+// read-only segment), Recover must say so instead of returning a directory
+// whose next Open would append after garbage.
+func TestTornTailTruncateFails(t *testing.T) {
+	if os.Geteuid() == 0 {
+		t.Skip("root ignores file permissions: cannot make Truncate fail")
+	}
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, "keep", "doomed")
+	l.Close()
+	segs, _ := listSegments(dir)
+	last := segs[len(segs)-1].path
+	data, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(last, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(last, 0o444); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(dir); err == nil {
+		t.Fatal("Recover swallowed the failed truncate of a torn tail")
+	}
+}
+
+// TestCheckpointBadReported: a checkpoint file that fails its framing is
+// ignored, and the caller is told so.
+func TestCheckpointBadReported(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint([]byte("state")); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, "tail")
+	l.Close()
+	if rec, err := Recover(dir); err != nil || rec.CheckpointBad || string(rec.Checkpoint) != "state" {
+		t.Fatalf("clean checkpoint: %+v, %v", rec, err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, checkpointName), []byte("sta"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.CheckpointBad || rec.Checkpoint != nil {
+		t.Fatalf("damaged checkpoint not reported: bad=%v checkpoint=%q", rec.CheckpointBad, rec.Checkpoint)
+	}
+	if got := recordStrings(rec); !equalStrings(got, []string{"tail"}) {
+		t.Fatalf("records = %q", got)
+	}
+}
+
 // TestCorruptMiddle flips a payload byte mid-log: recovery must stop at the
 // bad frame rather than resynchronize past it.
 func TestCorruptMiddle(t *testing.T) {

@@ -59,9 +59,9 @@ func (s *System) Serve(ln net.Listener) error {
 // the server replays exactly the frames the client missed, and the request
 // completes with a result byte-identical to an uninterrupted run.
 //
-// The same machinery rides out a server crash, not just a dropped link:
-// when the server runs with a control-plane WAL (-wal), a hard-killed
-// process restarts with the session, its admitted requests and their
+// The same machinery rides out a server restart, not just a dropped link:
+// when the server runs with a control-plane WAL (-wal), a gracefully bounced
+// or hard-killed process restarts with the session, its admitted requests and their
 // journal progress intact, re-dispatches only the unfinished blocks, and
 // this client's ordinary reconnect loop lands on the new process none the
 // wiser — the resume handshake and block-tagged deduplication below need no

@@ -2,24 +2,27 @@ package viracocha
 
 // Control-plane crash durability, root side. The walSink below is the glue
 // between the runtime's event streams and internal/wal: every durable-session
-// admission, lease transition, retained outbound frame, dispatch, journal
-// span/mark and memo store is (a) applied to an in-memory mirror of the
-// recoverable state and (b) appended to the write-ahead log — in that order,
-// under one sink lock, so the mirror is at all times exactly what a replay of
-// the log would rebuild. Checkpointing then never has to chase the scheduler
-// or the bridge across their own locks: it serializes the mirror and lets
-// internal/wal prune the segments the checkpoint folds in.
+// admission, lease transition, dispatch, journal span/mark and memo store is
+// (a) applied to the in-memory recoverable state and (b) appended to the
+// write-ahead log — in that order, under one sink lock, so the state is at all
+// times exactly what a replay of the log would rebuild. Outbound frames skip
+// (a): the bridge already appended them to the request's streamLog, which the
+// state shares rather than mirrors. A checkpoint is that state compacted into
+// the records that rebuild it, read back through the same applyLocked as the
+// tail, so checkpointing never chases the scheduler or the bridge across
+// their own locks.
 //
 // Lock order: bridge.mu or scheduler.mu may be held when a sink method is
-// called, and the sink only takes its own mu — never the other direction.
+// called; the sink takes its own mu and, below it, a streamLog's leaf mu —
+// never the other direction.
 //
-// Mirror mutations are idempotent and monotonic (frames are filtered by
-// sseq, epochs and attempts only move forward, marks are unioned) because a
-// crash between the checkpoint rename and the segment prune makes recovery
+// Replay is idempotent and monotonic (frames at or below a log's head are
+// dropped, epochs and attempts only move forward, marks are unioned) because
+// a crash between the checkpoint rename and the segment prune makes recovery
 // replay pre-checkpoint records on top of the checkpointed state.
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -27,60 +30,53 @@ import (
 	"sync"
 
 	"viracocha/internal/comm"
-	"viracocha/internal/session"
 	"viracocha/internal/wal"
 )
 
 // walState is the recoverable control-plane state: what a restarted server
-// needs to honor resume handshakes and finish interrupted work. It is both
-// the live mirror and the checkpoint's JSON schema.
+// needs to honor resume handshakes and finish interrupted work.
 type walState struct {
 	// Counter continues the lease registry's ID sequence across restarts.
-	Counter uint64 `json:"counter"`
-	// Leases maps lease ID → highest issued epoch.
-	Leases map[string]int `json:"leases"`
+	Counter uint64
 	// Sessions maps lease ID → durable session state.
-	Sessions map[string]*walSession `json:"sessions"`
+	Sessions map[string]*walSession
 	// Memo maps memo key → stored result entry.
-	Memo map[string]*walMemo `json:"memo"`
+	Memo map[string]*walMemo
 }
 
 type walSession struct {
-	Epoch     int                `json:"epoch"`
-	Admission string             `json:"admission"`
-	Reqs      map[uint64]*walReq `json:"reqs"` // client request ID → request
+	Epoch     int // highest issued lease epoch
+	Admission string
+	Reqs      map[uint64]*walReq // client request ID → request
 }
 
 type walReq struct {
-	ClientReq uint64 `json:"client_req"`
 	// RuntimeID is the scheduler-side request ID of the current incarnation;
 	// recovery rebinds it before the first post-restart checkpoint.
-	RuntimeID uint64 `json:"runtime_id"`
+	RuntimeID uint64
 	// Cmd is the wire-encoded original client command, replayed verbatim
 	// (plus routing params) when recovery re-admits the request.
-	Cmd  []byte `json:"cmd"`
-	Sseq int    `json:"sseq"`
-	// Final means the terminal frame was produced: nothing to re-admit, the
-	// retained frames alone can serve any resume.
-	Final  bool     `json:"final"`
-	Frames [][]byte `json:"frames"` // wire-encoded stamped outbound frames
+	Cmd []byte
+	// log is the request's stream log — the bridge's own, not a copy. A final
+	// log means nothing to re-admit: its retained frames serve any resume.
+	log *streamLog
 	// Attempt/Want/Spans/Done piggyback the scheduler's dispatch and block
 	// journal so recovery can re-dispatch only the not-yet-streamed items.
-	Attempt int              `json:"attempt"`
-	Want    int              `json:"want"`
-	Spans   map[int]*walSpan `json:"spans,omitempty"` // rank → declared span
-	Done    map[int]int      `json:"done,omitempty"`  // item → bframes streamed
+	Attempt int
+	Want    int
+	Spans   map[int]*walSpan // rank → declared span
+	Done    map[int]int      // item → bframes streamed
 }
 
 type walSpan struct {
-	Items    []int `json:"items"`
-	Streamed bool  `json:"streamed"`
+	Items    []int
+	Streamed bool
 }
 
 type walMemo struct {
-	Dataset string `json:"dataset"`
-	Step    int    `json:"step"`
-	Log     []byte `json:"log"` // comm.EncodeBatch of the canonical replay log
+	Dataset string
+	Step    int
+	Log     []byte // comm.EncodeBatch of the canonical replay log
 }
 
 // walSseqGap is added to every restored request's stream sequence. Under a
@@ -93,7 +89,6 @@ const walSseqGap = 1 << 20
 
 func newWALState() *walState {
 	return &walState{
-		Leases:   map[string]int{},
 		Sessions: map[string]*walSession{},
 		Memo:     map[string]*walMemo{},
 	}
@@ -115,12 +110,16 @@ type walSink struct {
 	segBytes int64
 	warn     func(format string, args ...any) // trace adapter, may be nil
 
-	mu        sync.Mutex
-	log       *wal.Log // nil until RecoverWAL opens the directory
-	state     *walState
-	byRuntime map[uint64]*walReq // scheduler request ID → mirror entry
-	bytes     int64              // appended since the last checkpoint
-	every     int64              // checkpoint threshold
+	mu    sync.Mutex
+	log   *wal.Log // nil until RecoverWAL opens the directory
+	state *walState
+	// byRuntime indexes the durable requests by scheduler request ID, for the
+	// scheduler-side hooks. The bridge's routes map has the same keys but
+	// resolves to the liveReq — delivery state of every session kind, guarded
+	// by bridge.mu, which a hook firing under scheduler.mu must not take.
+	byRuntime map[uint64]*walReq
+	bytes     int64 // appended since the last checkpoint
+	every     int64 // checkpoint threshold
 	closed    bool
 	err       error // first append/checkpoint failure; logging is best-effort after
 }
@@ -145,8 +144,11 @@ func (w *walSink) warnf(format string, args ...any) {
 	}
 }
 
-// record applies one record to the mirror and appends it to the log.
+// record applies one record to the state and appends it to the log.
 func (w *walSink) record(m comm.Message) {
+	if w == nil {
+		return
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.applyLocked(m)
@@ -181,21 +183,47 @@ func (w *walSink) appendLocked(m comm.Message) {
 	}
 }
 
-// checkpointLocked compacts the mirror into the checkpoint file and lets the
+// checkpointLocked compacts the state into the checkpoint file and lets the
 // log prune every folded-in segment.
 func (w *walSink) checkpointLocked() error {
 	if w.log == nil || w.closed {
 		return nil
 	}
-	data, err := json.Marshal(w.state)
-	if err != nil {
-		return err
-	}
-	if err := w.log.Checkpoint(data); err != nil {
+	if err := w.log.Checkpoint(comm.EncodeBatch(w.checkpointRecordsLocked())); err != nil {
 		return err
 	}
 	w.bytes = 0
 	return nil
+}
+
+// checkpointRecordsLocked is the state as the records that rebuild it, each
+// request's own records kept together: admission, journal, retained frames,
+// then the stream log's seal. The leading wcheckpoint record marks the format
+// and carries the one fact no other record does.
+func (w *walSink) checkpointRecordsLocked() []comm.Message {
+	st := w.state
+	recs := []comm.Message{{Kind: "wcheckpoint", Params: map[string]string{
+		"counter": strconv.FormatUint(st.Counter, 10),
+	}}}
+	for sid, sess := range st.Sessions {
+		recs = append(recs, leaseRecord("issue", sid, sess.Epoch, sess.Admission))
+		for cr, r := range sess.Reqs {
+			recs = append(recs,
+				admitRecord(sid, cr, r.RuntimeID, r.Cmd),
+				dispatchRecord(r.RuntimeID, r.Attempt, r.Want))
+			for rank, sp := range r.Spans {
+				recs = append(recs, spanRecord(r.RuntimeID, r.Attempt, rank, sp.Items, sp.Streamed))
+			}
+			for item, bframes := range r.Done {
+				recs = append(recs, markRecord(r.RuntimeID, r.Attempt, item, bframes))
+			}
+			recs = append(recs, r.log.records(sid, cr)...)
+		}
+	}
+	for key, e := range st.Memo {
+		recs = append(recs, memoRecord(key, e.Dataset, e.Step, e.Log))
+	}
+	return recs
 }
 
 func (w *walSink) noteErrLocked(op string, err error) {
@@ -241,64 +269,98 @@ func (w *walSink) close() error {
 	return err
 }
 
+// ---- records (shared by the live hooks and the checkpoint) ----
+
+func leaseRecord(op, id string, epoch int, admission string) comm.Message {
+	return comm.Message{Kind: "wlease", Params: map[string]string{
+		"op": op, "id": id, "epoch": strconv.Itoa(epoch), "admission": admission,
+	}}
+}
+
+func admitRecord(sessID string, clientReq, runtimeID uint64, cmd []byte) comm.Message {
+	return comm.Message{Kind: "wadmit", ReqID: clientReq, Params: map[string]string{
+		"sess": sessID, "rid": strconv.FormatUint(runtimeID, 10),
+	}, Payload: cmd}
+}
+
+func dispatchRecord(reqID uint64, attempt, want int) comm.Message {
+	return comm.Message{Kind: "wdispatch", ReqID: reqID, Params: map[string]string{
+		"attempt": strconv.Itoa(attempt), "want": strconv.Itoa(want),
+	}}
+}
+
+func spanRecord(reqID uint64, attempt, rank int, items []int, streamed bool) comm.Message {
+	st := "0"
+	if streamed {
+		st = "1"
+	}
+	return comm.Message{Kind: "wspan", ReqID: reqID, Params: map[string]string{
+		"attempt": strconv.Itoa(attempt), "rank": strconv.Itoa(rank),
+		"span": comm.EncodeIntList(items), "streamed": st,
+	}}
+}
+
+func markRecord(reqID uint64, attempt, item, bframes int) comm.Message {
+	return comm.Message{Kind: "wmark", ReqID: reqID, Params: map[string]string{
+		"attempt": strconv.Itoa(attempt),
+		"item":    strconv.Itoa(item), "bframes": strconv.Itoa(bframes),
+	}}
+}
+
+func memoRecord(key, dataset string, step int, log []byte) comm.Message {
+	return comm.Message{Kind: "wmemo", Params: map[string]string{
+		"key": key, "dataset": dataset, "step": strconv.Itoa(step),
+	}, Payload: log}
+}
+
 // ---- bridge-side hooks (called with bridge.mu held or not — sink.mu only) ----
 
 // LeaseIssue records a fresh durable session lease and its admission name.
 func (w *walSink) LeaseIssue(id string, epoch int, admission string) {
-	if w == nil {
-		return
-	}
-	w.record(comm.Message{Kind: "wlease", Params: map[string]string{
-		"op": "issue", "id": id, "epoch": strconv.Itoa(epoch), "admission": admission,
-	}})
+	w.record(leaseRecord("issue", id, epoch, admission))
 }
 
 // LeaseResume records an epoch bump from a resume handshake.
 func (w *walSink) LeaseResume(id string, epoch int) {
-	if w == nil {
-		return
-	}
-	w.record(comm.Message{Kind: "wlease", Params: map[string]string{
-		"op": "resume", "id": id, "epoch": strconv.Itoa(epoch),
-	}})
+	w.record(leaseRecord("resume", id, epoch, ""))
 }
 
-// LeaseDrop records a purge: the session and its requests leave the mirror.
+// LeaseDrop records a purge: the session and its requests leave the state.
 func (w *walSink) LeaseDrop(id string) {
-	if w == nil {
-		return
-	}
-	w.record(comm.Message{Kind: "wlease", Params: map[string]string{
-		"op": "drop", "id": id,
-	}})
+	w.record(leaseRecord("drop", id, 0, ""))
 }
 
-// Admit records a durable request's admission: the original client command
-// plus the scheduler-side request ID the bridge routed it under.
-func (w *walSink) Admit(sessID string, clientReq, runtimeID uint64, cmd comm.Message) {
+// Admit records a durable request's admission: the original client command,
+// the scheduler-side request ID the bridge routed it under, and the stream
+// log the bridge will append its frames to — from here on the state's too.
+func (w *walSink) Admit(sessID string, clientReq, runtimeID uint64, cmd comm.Message, log *streamLog) {
 	if w == nil {
 		return
 	}
-	w.record(comm.Message{Kind: "wadmit", ReqID: clientReq, Params: map[string]string{
-		"sess": sessID, "rid": strconv.FormatUint(runtimeID, 10),
-	}, Payload: comm.Encode(cmd)})
+	m := admitRecord(sessID, clientReq, runtimeID, comm.Encode(cmd))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.applyLocked(m)
+	if r := w.reqOf(m); r != nil {
+		r.log = log
+	}
+	w.appendLocked(m)
 }
 
-// Frame records one stamped outbound frame retained for replay.
-func (w *walSink) Frame(sessID string, clientReq uint64, f comm.Message) {
+// Frame persists one stamped outbound frame. The bridge appended it to the
+// shared stream log before calling, so a checkpoint racing this append
+// already folds the frame in and replay drops the record as a duplicate.
+func (w *walSink) Frame(sessID string, clientReq uint64, wire []byte) {
 	if w == nil {
 		return
 	}
-	w.record(comm.Message{Kind: "wframe", ReqID: clientReq, Params: map[string]string{
-		"sess": sessID,
-	}, Payload: comm.Encode(f)})
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.appendLocked(frameRecord(sessID, clientReq, wire))
 }
 
 // Retire records that the client fully consumed a finished request.
 func (w *walSink) Retire(sessID string, clientReq uint64) {
-	if w == nil {
-		return
-	}
 	w.record(comm.Message{Kind: "wretire", ReqID: clientReq, Params: map[string]string{
 		"sess": sessID,
 	}})
@@ -306,10 +368,10 @@ func (w *walSink) Retire(sessID string, clientReq uint64) {
 
 // ---- scheduler-side hooks (core.WALSink; called under scheduler.mu) ----
 
-// Dispatch records that a request started (or restarted) an attempt with a
-// group of want ranks. Non-durable requests — anything the bridge never
-// admitted — are not in byRuntime and stay out of the log.
-func (w *walSink) Dispatch(reqID uint64, attempt, want int) {
+// journal records one scheduler-side event of a durable request. Non-durable
+// requests — anything the bridge never admitted — are not in byRuntime and
+// stay out of the log, without their record ever being built.
+func (w *walSink) journal(reqID uint64, rec func() comm.Message) {
 	if w == nil {
 		return
 	}
@@ -318,87 +380,54 @@ func (w *walSink) Dispatch(reqID uint64, attempt, want int) {
 	if w.byRuntime[reqID] == nil {
 		return
 	}
-	m := comm.Message{Kind: "wdispatch", ReqID: reqID, Params: map[string]string{
-		"attempt": strconv.Itoa(attempt), "want": strconv.Itoa(want),
-	}}
+	m := rec()
 	w.applyLocked(m)
 	w.appendLocked(m)
 }
 
+// Dispatch records that a request started (or restarted) an attempt with a
+// group of want ranks.
+func (w *walSink) Dispatch(reqID uint64, attempt, want int) {
+	w.journal(reqID, func() comm.Message { return dispatchRecord(reqID, attempt, want) })
+}
+
 // JournalSpan records one rank's declared work span.
 func (w *walSink) JournalSpan(reqID uint64, attempt, rank int, items []int, streamed bool) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.byRuntime[reqID] == nil {
-		return
-	}
-	st := "0"
-	if streamed {
-		st = "1"
-	}
-	m := comm.Message{Kind: "wspan", ReqID: reqID, Params: map[string]string{
-		"attempt": strconv.Itoa(attempt), "rank": strconv.Itoa(rank),
-		"span": comm.EncodeIntList(items), "streamed": st,
-	}}
-	w.applyLocked(m)
-	w.appendLocked(m)
+	w.journal(reqID, func() comm.Message { return spanRecord(reqID, attempt, rank, items, streamed) })
 }
 
 // JournalMark records one completed span item and how many block-tagged
 // frames its executor streamed for it.
 func (w *walSink) JournalMark(reqID uint64, attempt, rank, item, bframes int) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.byRuntime[reqID] == nil {
-		return
-	}
-	m := comm.Message{Kind: "wmark", ReqID: reqID, Params: map[string]string{
-		"attempt": strconv.Itoa(attempt), "rank": strconv.Itoa(rank),
-		"item": strconv.Itoa(item), "bframes": strconv.Itoa(bframes),
-	}}
-	w.applyLocked(m)
-	w.appendLocked(m)
+	w.journal(reqID, func() comm.Message { return markRecord(reqID, attempt, item, bframes) })
 }
 
 // MemoStore records a completed memo entity's canonical replay log.
 func (w *walSink) MemoStore(key, dataset string, step int, log []comm.Message) {
-	if w == nil {
-		return
-	}
-	w.record(comm.Message{Kind: "wmemo", Params: map[string]string{
-		"key": key, "dataset": dataset, "step": strconv.Itoa(step),
-	}, Payload: comm.EncodeBatch(log)})
+	w.record(memoRecord(key, dataset, step, comm.EncodeBatch(log)))
 }
 
 // MemoInvalidate records a dependency invalidation of memo entries.
 func (w *walSink) MemoInvalidate(dataset string, step int) {
-	if w == nil {
-		return
-	}
 	w.record(comm.Message{Kind: "wmemoinval", Params: map[string]string{
 		"dataset": dataset, "step": strconv.Itoa(step),
 	}})
 }
 
-// ---- mirror application (shared by the live path and recovery replay) ----
+// ---- state application (shared by the live path and recovery replay) ----
 
 func (w *walSink) applyLocked(m comm.Message) {
 	st := w.state
 	switch m.Kind {
+	case "wcheckpoint":
+		if n, err := strconv.ParseUint(m.Params["counter"], 10, 64); err == nil && n > st.Counter {
+			st.Counter = n
+		}
 	case "wlease":
 		id := m.Params["id"]
 		epoch := m.IntParam("epoch", 0)
 		switch m.Params["op"] {
 		case "issue":
-			if old, ok := st.Leases[id]; !ok || epoch > old {
-				st.Leases[id] = epoch
-			}
 			sess := st.sessionFor(id)
 			if adm := m.Params["admission"]; adm != "" {
 				sess.Admission = adm
@@ -412,9 +441,6 @@ func (w *walSink) applyLocked(m comm.Message) {
 				st.Counter = n
 			}
 		case "resume":
-			if old, ok := st.Leases[id]; ok && epoch > old {
-				st.Leases[id] = epoch
-			}
 			if sess := st.Sessions[id]; sess != nil && epoch > sess.Epoch {
 				sess.Epoch = epoch
 			}
@@ -424,7 +450,6 @@ func (w *walSink) applyLocked(m comm.Message) {
 					delete(w.byRuntime, r.RuntimeID)
 				}
 			}
-			delete(st.Leases, id)
 			delete(st.Sessions, id)
 		}
 	case "wadmit":
@@ -434,7 +459,7 @@ func (w *walSink) applyLocked(m comm.Message) {
 		}
 		r := sess.Reqs[m.ReqID]
 		if r == nil {
-			r = &walReq{ClientReq: m.ReqID, Cmd: m.Payload}
+			r = &walReq{Cmd: m.Payload, log: &streamLog{}}
 			sess.Reqs[m.ReqID] = r
 		}
 		if rid, err := strconv.ParseUint(m.Params["rid"], 10, 64); err == nil && rid != 0 {
@@ -445,24 +470,15 @@ func (w *walSink) applyLocked(m comm.Message) {
 			w.byRuntime[rid] = r
 		}
 	case "wframe":
-		r := w.reqOf(m)
-		if r == nil {
-			return
+		// Replay only: the live path's frames reach the log through the bridge.
+		if r := w.reqOf(m); r != nil {
+			if f, err := comm.Decode(m.Payload); err == nil {
+				r.log.append(newLogFrame(f, m.Payload))
+			}
 		}
-		f, err := comm.Decode(m.Payload)
-		if err != nil {
-			return
-		}
-		sseq := f.IntParam("sseq", 0)
-		if sseq <= r.Sseq && len(r.Frames) > 0 {
-			return // a checkpoint already folded this frame in
-		}
-		if sseq > r.Sseq {
-			r.Sseq = sseq
-		}
-		r.Frames = append(r.Frames, m.Payload)
-		if f.Final {
-			r.Final = true
+	case "wstream":
+		if r := w.reqOf(m); r != nil {
+			r.log.restore(m)
 		}
 	case "wretire":
 		sess := st.Sessions[m.Params["sess"]]
@@ -517,8 +533,8 @@ func (w *walSink) applyLocked(m comm.Message) {
 		if r.Done == nil {
 			r.Done = map[int]int{}
 		}
-		if bf := m.IntParam("bframes", -1); bf > r.Done[item] || !hasKey(r.Done, item) {
-			r.Done[item] = bf
+		if old, ok := r.Done[item]; !ok || m.IntParam("bframes", -1) > old {
+			r.Done[item] = m.IntParam("bframes", -1)
 		}
 	case "wmemo":
 		key := m.Params["key"]
@@ -548,8 +564,6 @@ func (w *walSink) reqOf(m comm.Message) *walReq {
 	return sess.Reqs[m.ReqID]
 }
 
-func hasKey(m map[int]int, k int) bool { _, ok := m[k]; return ok }
-
 // unionInts merges two item lists into a sorted, deduplicated one.
 func unionInts(a, b []int) []int {
 	seen := make(map[int]bool, len(a)+len(b))
@@ -569,19 +583,26 @@ func unionInts(a, b []int) []int {
 
 // ---- recovery ----
 
-// load rebuilds the mirror from a recovered checkpoint plus tail records.
+// load rebuilds the state from a recovered checkpoint plus tail records. A
+// checkpoint is all-or-nothing (DecodeBatch CRC-checks every record before
+// any is applied); one that does not parse as this format's record batch —
+// an older layout included — is skipped and the tail replayed alone.
 func (w *walSink) load(rec *wal.Recovered) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.state = newWALState()
 	w.byRuntime = map[uint64]*walReq{}
 	if rec.Checkpoint != nil {
-		st := newWALState()
-		if err := json.Unmarshal(rec.Checkpoint, st); err == nil {
-			w.state = st
-			w.normalizeLocked()
-		} else {
+		recs, err := comm.DecodeBatch(rec.Checkpoint)
+		if err == nil && (len(recs) == 0 || recs[0].Kind != "wcheckpoint") {
+			err = errors.New("not a checkpoint record batch")
+		}
+		if err != nil {
 			w.warnf("wal checkpoint unreadable, replaying records only: %v", err)
+			recs = nil
+		}
+		for _, m := range recs {
+			w.applyLocked(m)
 		}
 	}
 	for _, raw := range rec.Records {
@@ -593,83 +614,13 @@ func (w *walSink) load(rec *wal.Recovered) {
 	}
 }
 
-// normalizeLocked repairs nil maps from JSON decoding and rebuilds the
-// runtime-ID index.
-func (w *walSink) normalizeLocked() {
-	st := w.state
-	if st.Leases == nil {
-		st.Leases = map[string]int{}
-	}
-	if st.Sessions == nil {
-		st.Sessions = map[string]*walSession{}
-	}
-	if st.Memo == nil {
-		st.Memo = map[string]*walMemo{}
-	}
-	for _, sess := range st.Sessions {
-		if sess.Reqs == nil {
-			sess.Reqs = map[uint64]*walReq{}
-		}
-		for _, r := range sess.Reqs {
-			if r.RuntimeID != 0 {
-				w.byRuntime[r.RuntimeID] = r
-			}
-		}
-	}
-}
-
-// walPlan is one request crash recovery must re-admit.
+// walPlan is one request crash recovery must re-admit: the routed command,
+// the attempt to run it under and — when hasSpan — the only items to run.
 type walPlan struct {
-	sessID    string
-	admission string
-	clientReq uint64
-	cmd       []byte
-	span      []int
-	hasSpan   bool
-	attempt   int
-	rid       uint64 // assigned at re-admission time
-}
-
-// plans computes the re-admission set: every non-final request, with — when
-// the journals prove full coverage — exactly the items not yet streamed.
-func (w *walSink) plans() []walPlan {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var out []walPlan
-	sids := make([]string, 0, len(w.state.Sessions))
-	for id := range w.state.Sessions {
-		sids = append(sids, id)
-	}
-	sort.Strings(sids)
-	for _, sid := range sids {
-		sess := w.state.Sessions[sid]
-		crs := make([]uint64, 0, len(sess.Reqs))
-		for cr := range sess.Reqs {
-			crs = append(crs, cr)
-		}
-		sort.Slice(crs, func(i, j int) bool { return crs[i] < crs[j] })
-		for _, cr := range crs {
-			r := sess.Reqs[cr]
-			if r.Final {
-				continue // finished: retained frames alone serve any resume
-			}
-			p := walPlan{sessID: sid, admission: sess.Admission, clientReq: cr,
-				cmd: r.Cmd, attempt: r.Attempt}
-			if span, ok := unfinishedSpan(r); ok {
-				// The journal covers the whole work set: re-dispatch only the
-				// blocks not provably streamed; the attempt continues so the
-				// client keeps its already-received frames.
-				p.span, p.hasSpan = span, true
-			} else if r.Sseq > 0 {
-				// No trustworthy journal but frames already went out: restart
-				// the whole request one attempt up so the client discards the
-				// old attempt's frames wholesale and reassembles from scratch.
-				p.attempt = r.Attempt + 1
-			}
-			out = append(out, p)
-		}
-	}
-	return out
+	cmd     comm.Message
+	span    []int
+	hasSpan bool
+	attempt int
 }
 
 // unfinishedSpan reports the journal-proven not-yet-streamed items of a
@@ -688,50 +639,18 @@ func unfinishedSpan(r *walReq) ([]int, bool) {
 		}
 		all = unionInts(all, sp.Items)
 	}
-	// A completed item is replayable from retained frames only when every
-	// block-tagged frame it streamed survived in the log (the wmark's bframes
-	// count says how many there were).
-	counts := map[int]int{}
-	for _, raw := range r.Frames {
-		f, err := comm.Decode(raw)
-		if err != nil {
-			continue
-		}
-		if f.IntParam("attempt", -1) != r.Attempt {
-			continue
-		}
-		if blk := f.IntParam("block", -1); blk >= 0 {
-			counts[blk]++
-		}
-	}
+	// A completed item needs no recompute only when every block-tagged frame
+	// it streamed reached the log (the wmark's bframes count says how many
+	// there were): the client either acknowledged it or is owed its replay.
+	logged := r.log.loggedUnder(r.Attempt)
 	var miss []int
 	for _, it := range all {
 		bf, done := r.Done[it]
-		if !done || bf < 0 || counts[it] < bf {
+		if !done || bf < 0 || logged[it] < bf {
 			miss = append(miss, it)
 		}
 	}
 	return miss, true
-}
-
-// rebind points a mirror request at its post-restart scheduler request ID, so
-// the new incarnation's dispatch/span/mark records land on the same entry.
-func (w *walSink) rebind(sessID string, clientReq, rid uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	sess := w.state.Sessions[sessID]
-	if sess == nil {
-		return
-	}
-	r := sess.Reqs[clientReq]
-	if r == nil {
-		return
-	}
-	if r.RuntimeID != 0 {
-		delete(w.byRuntime, r.RuntimeID)
-	}
-	r.RuntimeID = rid
-	w.byRuntime[rid] = r
 }
 
 // open attaches the write side of the WAL directory and cuts an immediate
@@ -749,66 +668,86 @@ func (w *walSink) open(policy wal.Policy, hooks wal.FaultHooks) error {
 	return w.checkpointLocked()
 }
 
-// restoreWAL rebuilds the bridge's lease registry, sessions and retention
-// buffers from the recovered mirror. Runtime request IDs are rebound later,
-// one recovered plan at a time.
-func (b *sessionBridge) restoreWAL(w *walSink) {
-	w.mu.Lock()
-	st := w.state
-	snap := session.RegistrySnapshot{Counter: st.Counter}
-	ttl := b.reg.TTL()
-	lids := make([]string, 0, len(st.Leases))
-	for id := range st.Leases {
-		lids = append(lids, id)
-	}
-	sort.Strings(lids)
-	for _, id := range lids {
-		snap.Leases = append(snap.Leases, session.LeaseRecord{
-			ID: id, Epoch: st.Leases[id], RemainingNS: ttl.Nanoseconds(),
-		})
-	}
-	type restored struct {
-		id   string
-		sess *walSession
-	}
-	var all []restored
-	for id, sess := range st.Sessions {
-		all = append(all, restored{id, sess})
-	}
-	w.mu.Unlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
-	reg := session.RestoreRegistry(b.sys.Clock, ttl, snap)
+// restoreWAL rebuilds the bridge from the recovered state in one walk: the
+// lease registry (full-TTL leases), the sessions, and each request's liveReq
+// around the same stream log the state holds. Every unfinished request is
+// bound to a fresh runtime ID, routed, and returned as a re-admission plan
+// carrying — when the journals prove full coverage — exactly the items not
+// yet streamed.
+func (b *sessionBridge) restoreWAL(w *walSink) []walPlan {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.reg = reg
-	for _, rs := range all {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	epochs := map[string]int{}
+	sids := make([]string, 0, len(w.state.Sessions))
+	for id := range w.state.Sessions {
+		sids = append(sids, id)
+	}
+	sort.Strings(sids)
+	var plans []walPlan
+	for _, sid := range sids {
+		ws := w.state.Sessions[sid]
+		epochs[sid] = ws.Epoch
 		sess := &liveSession{
-			id:        rs.id,
-			epoch:     rs.sess.Epoch,
-			admission: rs.sess.Admission,
+			id:        sid,
+			epoch:     ws.Epoch,
+			admission: ws.Admission,
 			durable:   true,
 			reqs:      map[uint64]*liveReq{},
 		}
-		for cr, wr := range rs.sess.Reqs {
+		b.sessions[sid] = sess
+		crs := make([]uint64, 0, len(ws.Reqs))
+		for cr := range ws.Reqs {
+			crs = append(crs, cr)
+		}
+		sort.Slice(crs, func(i, j int) bool { return crs[i] < crs[j] })
+		for _, cr := range crs {
+			wr := ws.Reqs[cr]
+			sent := wr.log.head() > 0
+			wr.log.skip(walSseqGap)
 			lr := &liveReq{
 				sess:      sess,
 				clientReq: cr,
-				sseq:      wr.Sseq + walSseqGap,
-				final:     wr.Final,
+				log:       wr.log,
 				unacked:   map[int]int{},
-				selfAcked: wr.Sseq + walSseqGap, // no live flow state to credit after a restart
-			}
-			for _, raw := range wr.Frames {
-				f, err := comm.Decode(raw)
-				if err != nil {
-					continue
-				}
-				lr.frames = append(lr.frames, f)
+				selfAcked: wr.log.head(), // no live flow state to credit after a restart
 			}
 			sess.reqs[cr] = lr
+			// The old process's runtime ID means nothing to this one.
+			delete(w.byRuntime, wr.RuntimeID)
+			wr.RuntimeID = 0
+			if wr.log.final() {
+				continue
+			}
+			cmd, err := comm.Decode(wr.Cmd)
+			if err != nil {
+				w.warnf("session %s req %d: corrupt admitted command dropped: %v", sid, cr, err)
+				continue
+			}
+			rid := b.sys.Runtime.NextReqID()
+			p := walPlan{cmd: b.routed(cmd, rid, ws.Admission), attempt: wr.Attempt}
+			if span, ok := unfinishedSpan(wr); ok {
+				// The journal covers the whole work set: re-dispatch only the
+				// blocks not provably streamed; the attempt continues so the
+				// client keeps its already-received frames.
+				p.span, p.hasSpan = span, true
+			} else if sent {
+				// No trustworthy journal but frames already went out: restart
+				// the whole request one attempt up so the client discards the
+				// old attempt's frames wholesale and reassembles from scratch.
+				p.attempt++
+			}
+			// Bind before the post-recovery checkpoint records the binding, so
+			// the new incarnation's dispatch/span/mark records land on wr.
+			lr.runtimeID, wr.RuntimeID = rid, rid
+			b.routes[rid] = lr
+			w.byRuntime[rid] = wr
+			plans = append(plans, p)
 		}
-		b.sessions[sess.id] = sess
 	}
+	b.reg.Restore(w.state.Counter, epochs)
+	return plans
 }
 
 // RecoverWAL restores control-plane state from the WAL directory and starts
@@ -838,75 +777,39 @@ func (s *System) RecoverWAL() error {
 		rt.Trace.Eventf(rt.Clock.Now(), "wal",
 			"torn tail in %s at offset %d: truncated, replaying %d records", rec.TornPath, rec.TornOffset, len(rec.Records))
 	}
+	if rec.CheckpointBad {
+		rt.Trace.Eventf(rt.Clock.Now(), "wal",
+			"checkpoint failed its CRC framing: ignored, replaying %d records only", len(rec.Records))
+	}
 	w := s.wal
 	w.load(rec)
 	b := s.bridge()
-	b.restoreWAL(w)
-	// Rebind every unfinished request to a fresh runtime ID and route it,
-	// before the post-recovery checkpoint records the new bindings.
-	plans := w.plans()
-	admitted := plans[:0]
-	for _, p := range plans {
-		b.mu.Lock()
-		sess := b.sessions[p.sessID]
-		var lr *liveReq
-		if sess != nil {
-			lr = sess.reqs[p.clientReq]
-		}
-		if lr == nil {
-			b.mu.Unlock()
-			continue
-		}
-		p.rid = rt.NextReqID()
-		lr.runtimeID = p.rid
-		b.routes[p.rid] = lr
-		b.mu.Unlock()
-		w.rebind(p.sessID, p.clientReq, p.rid)
-		admitted = append(admitted, p)
-	}
+	admitted := b.restoreWAL(w)
 	if err := w.open(policy, rt.FaultInjector()); err != nil {
 		return err
 	}
 	// Re-seed the memo cache before workers start so the first request after
 	// a restart can already hit.
 	w.mu.Lock()
-	memos := make(map[string]*walMemo, len(w.state.Memo))
-	for k, e := range w.state.Memo {
-		memos[k] = e
-	}
-	w.mu.Unlock()
-	for key, e := range memos {
+	memos := len(w.state.Memo)
+	for key, e := range w.state.Memo {
 		msgs, err := comm.DecodeBatch(e.Log)
 		if err != nil {
-			rt.Trace.Eventf(rt.Clock.Now(), "wal", "memo %s: corrupt replay log dropped: %v", key, err)
+			w.warnf("memo %s: corrupt replay log dropped: %v", key, err)
 			continue
 		}
 		rt.Sched.RestoreMemo(key, e.Dataset, e.Step, msgs)
 	}
+	w.mu.Unlock()
 	s.Start()
 	b.start()
 	for _, p := range admitted {
-		cmd, err := comm.Decode(p.cmd)
-		if err != nil {
-			rt.Trace.Eventf(rt.Clock.Now(), "wal",
-				"session %s req %d: corrupt admitted command dropped: %v", p.sessID, p.clientReq, err)
-			continue
-		}
-		fwd := cmd
-		fwd.ReqID = p.rid
-		fwd.Params = make(map[string]string, len(cmd.Params)+2)
-		for k, v := range cmd.Params {
-			fwd.Params[k] = v
-		}
-		fwd.Params["client"] = b.name
-		fwd.Params["session"] = p.admission
-		if !rt.Sched.AdmitRecovered(fwd, p.span, p.hasSpan, p.attempt) {
-			rt.Trace.Eventf(rt.Clock.Now(), "wal",
-				"session %s req %d: re-admission rejected", p.sessID, p.clientReq)
+		if !rt.Sched.AdmitRecovered(p.cmd, p.span, p.hasSpan, p.attempt) {
+			w.warnf("req %d of %s: re-admission rejected", p.cmd.ReqID, p.cmd.Params["session"])
 		}
 	}
 	rt.Trace.Eventf(rt.Clock.Now(), "wal",
-		"recovered: %d sessions, %d requests re-admitted, %d memo entries", len(b.sessions), len(admitted), len(memos))
+		"recovered: %d sessions, %d requests re-admitted, %d memo entries", len(b.sessions), len(admitted), memos)
 	return nil
 }
 
