@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fuzz overload soak churn bench bench-smoke benchcmp bench-e2e bench-e2e-compare check clean
+.PHONY: all build test race vet fuzz overload soak churn bench bench-smoke benchcmp bench-e2e bench-e2e-compare size check clean
 
 all: check
 
@@ -57,7 +57,7 @@ vet:
 # Kernel micro-benchmarks (real wall time, not virtual) plus the recorded
 # session pairs: the extraction, mesh and codec hot paths, the min/max-index
 # iso slider sweep, the gradient-index vortex threshold sweep, the
-# coalesced-frame packet counters and the N-session slider-storm memoization
+# streamed-packet counters and the N-session slider-storm memoization
 # pairs. Writes the raw output to BENCH_6.txt and a JSON digest to
 # BENCH_6.json for the perf trajectory.
 KERNEL_BENCH ?= MarchingTetrahedra|ExtractRangeReuse|MeshWeld|MeshEncodeBinary|MeshAppend$$|ComputeNormals|Lambda2Field|BlockEncodeDecode|SliderSweep|VortexSweep|StreamedFrames|SliderStorm
@@ -93,7 +93,7 @@ bench-e2e-compare:
 	$(GO) run -C benchmark . -compare $(abspath $(A)) $(abspath $(B))
 
 # Short fuzz pass over the message codec (incl. fault-plan-mutated frames
-# and coalesced batch frames), the memo-key float canonicalizer, the WAL
+# and the message batches of WAL checkpoints), the memo-key float canonicalizer, the WAL
 # frame parser (torn/corrupt tails must truncate, never crash or mis-parse)
 # and the WAL checkpoint reader (malformed disk input is rejected or absorbed,
 # never a panic; the minimizer is capped so the short pass spends its time
@@ -104,6 +104,12 @@ fuzz:
 	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzCanonicalFloat -fuzztime=10s
 	$(GO) test ./internal/wal/ -run=^$$ -fuzz=FuzzWALReplay -fuzztime=10s
 	$(GO) test . -run=^$$ -fuzz=FuzzCheckpointLoad -fuzztime=10s -fuzzminimizetime=1s
+
+# Code size as simplicity PRs report it, before and after: non-test Go lines
+# outside benchmark/ (tracked files) and the server's flag definitions.
+size:
+	@echo "non-test Go lines: $$(git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l)"
+	@echo "server flags: $$(grep -cE 'flag\.(Bool|Int|Int64|Float64|String|Duration|Var)\(' cmd/viracocha-server/main.go)"
 
 check: vet build test race churn bench-smoke
 

@@ -219,11 +219,10 @@ func BenchmarkVortexSweepWarmIndexed(b *testing.B) { benchSliderSweepSession(b, 
 func BenchmarkVortexSweepColdFull(b *testing.B)    { benchSliderSweepSession(b, 2, 1) }
 func BenchmarkVortexSweepColdIndexed(b *testing.B) { benchSliderSweepSession(b, 3, 1) }
 
-// benchStreamedFrames is the packets-per-request comm counter: one streamed
-// vortex request at fan-out 4, reporting how many logical packets the stream
-// carried and how many fabric messages carried them. With coalescing the
-// frames/req figure must drop while packets/req stays fixed.
-func benchStreamedFrames(b *testing.B, coalesce string) {
+// BenchmarkStreamedFramesRaw is the packets-per-request comm counter: one
+// streamed vortex request at fan-out 4, reporting how many packets the stream
+// carried and how many fabric messages carried them (one per packet).
+func BenchmarkStreamedFramesRaw(b *testing.B) {
 	var frames, packets float64
 	for i := 0; i < b.N; i++ {
 		e := bench.NewEnv(bench.EnvConfig{DS: dataset.Engine().WithScale(2), Workers: 4, Prefetcher: "obl"})
@@ -231,7 +230,7 @@ func benchStreamedFrames(b *testing.B, coalesce string) {
 		e.Session(func(cl *core.Client) {
 			res, err := cl.Run("vortex.streamed", bench.Params(
 				"dataset", "engine", "workers", "4", "lambda2", "-1000",
-				"cellbatch", "32", "coalesce", coalesce))
+				"cellbatch", "32"))
 			if err != nil {
 				b.Error(err)
 				return
@@ -248,9 +247,6 @@ func benchStreamedFrames(b *testing.B, coalesce string) {
 	b.ReportMetric(frames, "frames/req")
 	b.ReportMetric(packets, "packets/req")
 }
-
-func BenchmarkStreamedFramesRaw(b *testing.B)       { benchStreamedFrames(b, "0") }
-func BenchmarkStreamedFramesCoalesced(b *testing.B) { benchStreamedFrames(b, "65536") }
 
 // benchSliderStorm is the N-session slider storm: N concurrent viewers all
 // land on the same isovalue. With memoization off every session pays its own

@@ -54,8 +54,6 @@ func main() {
 		useIndex   = flag.Bool("index", false, "enable min/max acceleration indexes: cache per-(block, field) brick indexes, lambda2 fields and BSP trees as derived DMS entities (requests override with index=0/1)")
 		memo       = flag.Bool("memo", false, "enable cross-session result memoization: identical requests are served from a content-addressed result cache, and concurrent identical requests coalesce onto one multicast extraction (requests override with memo=0/1)")
 		statsFile  = flag.String("stats", "", "write a JSON stats report (admission, budget, memo, per-request records) to this file on graceful shutdown")
-		coalesce   = flag.Int("coalesce", 0, "coalesce streamed partials into comm frames of about this many bytes (0 = off; requests override with coalesce=N)")
-		coalDelay  = flag.Duration("coalesce-delay", 0, "flush a coalesced frame once its oldest packet is this old, regardless of size (0 = no age bound)")
 		lease      = flag.Duration("lease", 30*time.Second, "durable-session lease: how long a disconnected client's session (and its in-flight streams) survives awaiting resume")
 		drainTmo   = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown: how long in-flight requests get to finish after SIGTERM (or a remote drain) before exiting anyway")
 		walDir     = flag.String("wal", "", "control-plane write-ahead log directory: admissions, leases, streamed frames and journal progress are logged continuously, so a bounced or even hard-killed (SIGKILL, power-cut) server restarts with exact client resume; add -fsync off when only graceful bounces need to survive")
@@ -72,8 +70,6 @@ func main() {
 		StorageBandwidth: *bandwidth,
 		UseIndex:         *useIndex,
 		Memo:             *memo,
-		CoalesceBytes:    *coalesce,
-		CoalesceDelay:    *coalDelay,
 		SessionLease:     *lease,
 		DrainTimeout:     *drainTmo,
 		WALDir:           *walDir,

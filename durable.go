@@ -109,23 +109,6 @@ func (b *sessionBridge) dispatch() {
 		if !ok {
 			return
 		}
-		if m.Kind == comm.FrameKind {
-			// A coalesced frame off the fabric: unpack it here so the durable
-			// session machinery (per-partial sseq stamps, replay buffers,
-			// credit returns) works on individual packets, exactly as without
-			// coalescing. The TCP leg forwards the packets one by one — the
-			// fabric fan-in was the expensive hop the frame batched.
-			subs, err := comm.DecodeBatch(m.Payload)
-			if err != nil {
-				b.sys.Runtime.Trace.Eventf(b.sys.Runtime.Clock.Now(), "bridge",
-					"req %d: corrupt coalesced frame dropped: %v", m.ReqID, err)
-				continue
-			}
-			for _, sm := range subs {
-				b.deliver(sm)
-			}
-			continue
-		}
 		b.deliver(m)
 	}
 }

@@ -50,7 +50,7 @@ func corruptibleBatch() []byte {
 		{
 			Kind: "partial", Command: "vortex.streamed", ReqID: 12, Seq: 1,
 			Params:  map[string]string{"worker": "w1", "rank": "1", "attempt": "0"},
-			Payload: []byte("packet one of a coalesced frame"),
+			Payload: []byte("packet one of a batch"),
 		},
 		{
 			Kind: "partial", Command: "vortex.streamed", ReqID: 12, Seq: 2,
@@ -61,10 +61,10 @@ func corruptibleBatch() []byte {
 }
 
 // TestDecodeBatchSurvivesMutatedFrames replays seeded fault-plan mutations
-// over a valid coalesced frame: DecodeBatch must never panic, and any batch
-// it accepts must consist of messages that individually round-trip — a link
-// fault can cost the whole frame but can never smuggle a corrupt packet
-// through the per-message CRC.
+// over a valid batch (the WAL checkpoint / wmemo record encoding):
+// DecodeBatch must never panic, and any batch it accepts must consist of
+// messages that individually round-trip — corruption can cost the whole batch
+// but can never smuggle a corrupt message through the per-message CRC.
 func TestDecodeBatchSurvivesMutatedFrames(t *testing.T) {
 	base := corruptibleBatch()
 	for seed := uint64(0); seed < 512; seed++ {
@@ -86,8 +86,8 @@ func TestDecodeBatchSurvivesMutatedFrames(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBatchMutated lets the fuzzer drive mutations over a coalesced
-// frame directly.
+// FuzzDecodeBatchMutated lets the fuzzer drive mutations over a batch
+// directly.
 func FuzzDecodeBatchMutated(f *testing.F) {
 	f.Add(uint64(1), 1)
 	f.Add(uint64(42), 4)

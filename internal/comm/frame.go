@@ -5,19 +5,11 @@ import (
 	"fmt"
 )
 
-// FrameKind is the Kind of a coalesced comm frame: one fabric message whose
-// payload carries several complete encoded messages back to back. Streaming
-// producers batch small partial-result packets into frames so the per-message
-// fabric charge (latency, inbound-link serialization) is paid once per frame
-// instead of once per packet; consumers unpack the frame and process each
-// sub-message exactly as if it had arrived on its own.
-const FrameKind = "frame"
-
-// EncodeBatch packs the messages into a frame payload: each sub-message's
+// EncodeBatch packs the messages into one batch payload — the encoding of a
+// WAL checkpoint and of a memo-store ("wmemo") record: each sub-message's
 // full wire encoding (magic, header, trailing CRC32-C) prefixed with its
 // 32-bit little-endian length. Every sub-message's bytes are exactly its
-// individual Encode output, so coalescing changes only how many fabric
-// messages carry the stream, never the byte-level content a consumer decodes.
+// individual Encode output.
 func EncodeBatch(msgs []Message) []byte {
 	encs := make([][]byte, len(msgs))
 	total := 0
@@ -35,10 +27,10 @@ func EncodeBatch(msgs []Message) []byte {
 	return buf
 }
 
-// DecodeBatch unpacks a frame payload into its sub-messages. Each one is
-// decoded — and CRC-checked — independently, so a frame either yields exactly
-// the packets that were coalesced into it or an error; there is no partial
-// acceptance of a corrupted frame.
+// DecodeBatch unpacks a batch payload into its sub-messages. Each one is
+// decoded — and CRC-checked — independently, so a batch either yields exactly
+// the messages that were packed into it or an error; there is no partial
+// acceptance of a corrupted batch.
 func DecodeBatch(payload []byte) ([]Message, error) {
 	var out []Message
 	for len(payload) > 0 {

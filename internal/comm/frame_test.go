@@ -26,9 +26,9 @@ func batchMessages() []Message {
 	}
 }
 
-// TestBatchRoundTrip: a coalesced frame must yield exactly the messages that
-// went in, and each sub-message's bytes must equal its individual encoding —
-// coalescing batches fabric messages, never alters payload content.
+// TestBatchRoundTrip: a batch (WAL checkpoint, wmemo record) must yield
+// exactly the messages that went in, and each sub-message's bytes must equal
+// its individual encoding.
 func TestBatchRoundTrip(t *testing.T) {
 	msgs := batchMessages()
 	payload := EncodeBatch(msgs)

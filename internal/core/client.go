@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -112,145 +111,34 @@ func (c *Client) Submit(command string, params map[string]string) (uint64, error
 // partials. Messages for other in-flight requests are stashed, so several
 // Submits can be collected in any order.
 //
-// Collect is attempt-aware: after a failover re-runs part (or all) of a
-// request, re-streamed packets are deduplicated by (rank, sequence) and a
-// superseded attempt's output is discarded wholesale, so the assembled
-// geometry matches a fault-free run.
-//
-// Block-tagged partials (journaled recovery mode) are deduplicated by
-// (block, bseq) instead — a redistributed span restarts the producer's
-// sequence numbers, so only the block identity is stable — and assembled
-// into Merged in canonical (block, bseq) order at finalization, so the
-// merged geometry is byte-identical across recovery timelines.
+// Streamed packets go through a StreamAssembler, so re-streamed, duplicated
+// and superseded-attempt packets are discarded and the assembled geometry
+// matches a fault-free run byte for byte.
 func (c *Client) Collect(reqID uint64) (*RunResult, error) {
-	res := &RunResult{ReqID: reqID, Merged: &mesh.Mesh{}, SubmittedAt: c.rt.Clock.Now()}
-	defer func() { c.done[reqID] = true }()
-	attempt := 0
-	type packetKey struct{ rank, seq int }
-	type blockKey struct{ block, bseq int }
-	seen := map[packetKey]bool{}
-	tagged := map[blockKey]*mesh.Mesh{}
-	assembleTagged := func() {
-		if len(tagged) == 0 {
-			return
-		}
-		keys := make([]blockKey, 0, len(tagged))
-		for k := range tagged {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].block != keys[j].block {
-				return keys[i].block < keys[j].block
-			}
-			return keys[i].bseq < keys[j].bseq
-		})
-		for _, k := range keys {
-			res.Merged.Append(tagged[k])
-		}
-	}
-	var handle func(sm stamped) (done bool, err error)
-	handle = func(sm stamped) (done bool, err error) {
+	asm := NewStreamAssembler()
+	res := &RunResult{ReqID: reqID, Merged: asm.Merged, SubmittedAt: c.rt.Clock.Now()}
+	defer func() {
+		c.done[reqID] = true
+		res.Partials, res.Duplicates, res.Err = asm.Partials, asm.Duplicates, asm.Err
+	}()
+	handle := func(sm stamped) (done bool, err error) {
 		m := sm.msg
-		if m.Kind == comm.FrameKind {
-			// A coalesced frame: unpack and consume each sub-message as if it
-			// had arrived on its own (same arrival stamp — the frame is one
-			// fabric delivery). Each unpacked partial is acked individually,
-			// so the producer's flow window drains exactly as without
-			// coalescing.
-			subs, derr := comm.DecodeBatch(m.Payload)
-			if derr != nil {
-				return false, fmt.Errorf("core: corrupt frame: %w", derr)
-			}
-			for _, sub := range subs {
-				done, err = handle(stamped{msg: sub, at: sm.at})
-				if done || err != nil {
-					return done, err
-				}
-			}
-			return false, nil
-		}
 		if m.Kind == "partial" {
 			// Consuming a partial — even a duplicate or one from a stale
 			// attempt — returns its stream credit to the producer. The
 			// fault plan can model a slow consumer here.
 			c.ackPartial(m)
 		}
-		att := m.IntParam("attempt", attempt)
-		if att < attempt {
-			if m.Kind == "partial" {
-				res.Duplicates++
-			}
-			return false, nil // superseded attempt: drop silently
+		part, ok, err := asm.Add(m)
+		if !ok || err != nil {
+			return false, err
 		}
-		if att > attempt {
-			// A restarted request re-delivers from scratch: discard the
-			// dead attempt's output.
-			attempt = att
-			res.Duplicates += res.Partials
-			res.Partials = 0
+		if asm.Attempt != res.Attempt {
+			// A restarted request re-delivers from scratch.
+			res.Attempt = asm.Attempt
 			res.Packets = nil
-			res.Merged = &mesh.Mesh{}
-			seen = map[packetKey]bool{}
-			tagged = map[blockKey]*mesh.Mesh{}
 		}
-		switch m.Kind {
-		case "partial":
-			if bv, ok := m.Params["block"]; ok {
-				block, cerr := strconv.Atoi(bv)
-				if cerr != nil {
-					return false, fmt.Errorf("core: bad block tag %q", bv)
-				}
-				key := blockKey{block: block, bseq: m.IntParam("bseq", 0)}
-				if _, dup := tagged[key]; dup {
-					res.Duplicates++
-					return false, nil
-				}
-				part, derr := mesh.DecodeBinary(m.Payload)
-				if derr != nil {
-					return false, fmt.Errorf("core: corrupt partial: %w", derr)
-				}
-				if res.Partials == 0 && res.FirstAt == 0 {
-					res.FirstAt = sm.at
-				}
-				tagged[key] = part
-				res.Partials++
-				res.Packets = append(res.Packets, part)
-				return false, nil
-			}
-			key := packetKey{rank: m.IntParam("rank", 0), seq: m.Seq}
-			if seen[key] {
-				res.Duplicates++
-				return false, nil
-			}
-			seen[key] = true
-			part, derr := mesh.DecodeBinary(m.Payload)
-			if derr != nil {
-				return false, fmt.Errorf("core: corrupt partial: %w", derr)
-			}
-			if res.Partials == 0 && res.FirstAt == 0 {
-				res.FirstAt = sm.at
-			}
-			res.Partials++
-			res.Packets = append(res.Packets, part)
-			res.Merged.Append(part)
-			return false, nil
-		case "result":
-			final, derr := mesh.DecodeBinary(m.Payload)
-			if derr != nil {
-				return true, fmt.Errorf("core: corrupt result: %w", derr)
-			}
-			if res.FirstAt == 0 && final.NumTriangles() > 0 {
-				res.FirstAt = sm.at
-			}
-			assembleTagged()
-			res.Merged.Append(final)
-			res.FinalAt = sm.at
-			res.Attempt = attempt
-			if res.FirstAt == 0 {
-				res.FirstAt = sm.at
-			}
-			return true, nil
-		case "progress":
+		if m.Kind == "progress" {
 			res.Progress = append(res.Progress, ProgressReport{
 				Worker: m.Params["worker"],
 				Done:   m.IntParam("done", 0),
@@ -258,32 +146,17 @@ func (c *Client) Collect(reqID uint64) (*RunResult, error) {
 				At:     sm.at,
 			})
 			return false, nil
-		case "error":
-			switch {
-			case m.Params["deadline"] == "1":
-				res.Err = ErrDeadline
-			case m.Params["overloaded"] == "1":
-				res.Err = &OverloadedError{
-					Reason:     m.Params["error"],
-					RetryAfter: time.Duration(m.IntParam("retry_after_ms", 0)) * time.Millisecond,
-				}
-			case m.Params["draining"] == "1":
-				res.Err = &DrainingError{
-					Reason:     m.Params["error"],
-					RetryAfter: time.Duration(m.IntParam("retry_after_ms", 0)) * time.Millisecond,
-				}
-			default:
-				res.Err = fmt.Errorf("core: remote error: %s", m.Params["error"])
-			}
-			assembleTagged()
-			res.FinalAt = sm.at
-			res.Attempt = attempt
-			if res.FirstAt == 0 {
-				res.FirstAt = sm.at
-			}
-			return true, nil
 		}
-		return false, nil
+		if part != nil {
+			res.Packets = append(res.Packets, part)
+		}
+		if asm.Done {
+			res.FinalAt = sm.at
+		}
+		if res.FirstAt == 0 && (part != nil || asm.Done) {
+			res.FirstAt = sm.at
+		}
+		return asm.Done, nil
 	}
 	// Drain anything already stashed for this request.
 	if queued, ok := c.stash[reqID]; ok {
@@ -294,7 +167,7 @@ func (c *Client) Collect(reqID uint64) (*RunResult, error) {
 				return res, err
 			}
 			if done {
-				return res, res.Err
+				return res, asm.Err
 			}
 		}
 	}
@@ -315,7 +188,7 @@ func (c *Client) Collect(reqID uint64) (*RunResult, error) {
 			return res, err
 		}
 		if done {
-			return res, res.Err
+			return res, asm.Err
 		}
 	}
 }

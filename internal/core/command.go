@@ -57,17 +57,10 @@ type Ctx struct {
 	probes   Probes
 	seq      int
 	streams  int
-	frames   int // fabric messages used to deliver the streamed packets
-	attempt  int // recovery attempt this execution belongs to
-	uncached int // demand loads served without a cache hit (degraded path)
+	frames   int         // fabric messages used to deliver the streamed packets
+	attempt  int         // recovery attempt this execution belongs to
+	uncached int         // demand loads served without a cache hit (degraded path)
 	blockSeq map[int]int // per-block packet counter for block-tagged streaming
-
-	// Frame coalescer state: encoded partial packets awaiting their flush
-	// boundary, their summed wire size, and the clock time the oldest was
-	// queued (for the CoalesceDelay age bound).
-	frameBuf   []comm.Message
-	frameBytes int64
-	frameBorn  time.Duration
 }
 
 // ErrCancelled is returned by commands that observed a client cancellation
@@ -331,7 +324,6 @@ func (c *Ctx) StreamBlock(item int, m *mesh.Mesh) error {
 
 func (c *Ctx) streamPartial(m *mesh.Mesh, block, bseq int, tagged bool) error {
 	c.worker.checkCrashed()
-	coalesce := int64(c.IntParam("coalesce", c.rt.cfg.CoalesceBytes))
 	// Backpressure: take a stream credit before sending. A producer whose
 	// window is exhausted parks here until the client acks a packet; one
 	// that stays parked past the slow-consumer deadline cancels the whole
@@ -339,15 +331,6 @@ func (c *Ctx) streamPartial(m *mesh.Mesh, block, bseq int, tagged bool) error {
 	// woken like a cancelled one so it cannot park through the verdict.
 	window := c.IntParam("stream_window", c.rt.cfg.Overload.StreamWindow)
 	if window > 0 {
-		// Flush before a full window parks us: every missing credit is a
-		// packet the client has not acked, and the client cannot ack packets
-		// still sitting in the local frame buffer.
-		if coalesce > 0 && len(c.frameBuf) > 0 &&
-			c.rt.flow.outstanding(c.Req.ReqID, c.Rank) >= window {
-			if err := c.FlushStream(); err != nil {
-				return err
-			}
-		}
 		err := c.rt.flow.Acquire(c.Req.ReqID, c.Rank, window,
 			c.rt.cfg.Overload.SlowConsumerAfter,
 			func() bool { return c.Cancelled() || c.Superseded() })
@@ -384,61 +367,6 @@ func (c *Ctx) streamPartial(m *mesh.Mesh, block, bseq int, tagged bool) error {
 		msg.Params["block"] = strconv.Itoa(block)
 		msg.Params["bseq"] = strconv.Itoa(bseq)
 	}
-	if coalesce <= 0 {
-		return c.sendStream(msg)
-	}
-	now := c.rt.Clock.Now()
-	if len(c.frameBuf) == 0 {
-		c.frameBorn = now
-	}
-	c.frameBuf = append(c.frameBuf, msg)
-	c.frameBytes += msg.WireSize()
-	delay := time.Duration(c.IntParam("coalesce_delay_ms",
-		int(c.rt.cfg.CoalesceDelay/time.Millisecond))) * time.Millisecond
-	if c.frameBytes >= coalesce || (delay > 0 && now-c.frameBorn >= delay) {
-		return c.FlushStream()
-	}
-	return nil
-}
-
-// FlushStream ships any buffered partial packets as one coalesced comm
-// frame. Safe to call when coalescing is off or nothing is buffered (a
-// no-op). Flush boundaries beyond size and age live at the callers: a full
-// stream window (streamPartial), a journaled block completion (BlockDone —
-// the watermark asserts the block's packets went out), and the command's end
-// (worker.execute, before any gather or final result).
-func (c *Ctx) FlushStream() error {
-	if len(c.frameBuf) == 0 {
-		return nil
-	}
-	buf := c.frameBuf
-	if len(buf) == 1 {
-		// A lone packet gains nothing from the frame envelope: send it bare.
-		c.frameBuf = c.frameBuf[:0]
-		c.frameBytes = 0
-		return c.sendStream(buf[0])
-	}
-	msg := comm.Message{
-		Kind:    comm.FrameKind,
-		Command: c.Req.Command,
-		ReqID:   c.Req.ReqID,
-		Params: map[string]string{
-			"worker":  c.worker.node,
-			"rank":    strconv.Itoa(c.Rank),
-			"attempt": strconv.Itoa(c.attempt),
-			"count":   strconv.Itoa(len(buf)),
-		},
-		Payload: comm.EncodeBatch(buf),
-	}
-	c.frameBuf = c.frameBuf[:0]
-	c.frameBytes = 0
-	return c.sendStream(msg)
-}
-
-// sendStream performs the fabric send of one streaming message (a bare
-// partial or a coalesced frame), accounting send time and the fabric-message
-// count.
-func (c *Ctx) sendStream(msg comm.Message) error {
 	c.frames++
 	start := c.rt.Clock.Now()
 	err := c.ep.Send(c.ClientEndpoint(), msg)
@@ -630,14 +558,6 @@ func (c *Ctx) BlockDone(item int) {
 		return
 	}
 	c.worker.checkCrashed()
-	// Journal exactness: the watermark asserts the block's streamed packets
-	// were delivered, so buffered frames must reach the wire first — a crash
-	// after the mark must not have the block's geometry still sitting in the
-	// coalescer.
-	if err := c.FlushStream(); err != nil {
-		c.rt.Trace.Eventf(c.rt.Clock.Now(), "worker:"+c.worker.node,
-			"req %d: frame flush before watermark failed: %v", c.Req.ReqID, err)
-	}
 	c.worker.markDone(c.epoch, item)
 	msg := comm.Message{
 		Kind:    "wmark",

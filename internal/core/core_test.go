@@ -104,6 +104,42 @@ func newTestRuntime(t *testing.T, v vclock.Clock, workers int) *Runtime {
 	return rt
 }
 
+// TestFinishedTableIsBounded: a long-lived scheduler keeps only the newest
+// maxFinished request records and counts the ones it evicted.
+func TestFinishedTableIsBounded(t *testing.T) {
+	v := vclock.NewVirtual()
+	rt := newTestRuntime(t, v, 1)
+	const total = 3 * maxFinished
+	var last uint64
+	v.Go(func() {
+		cl := NewClient(rt)
+		for i := 0; i < total; i++ {
+			res, err := cl.Run("test.echo", map[string]string{"dataset": "tiny", "workers": "1"})
+			if err != nil {
+				t.Error(err)
+				break
+			}
+			last = res.ReqID
+		}
+		rt.Shutdown()
+	})
+	v.Wait()
+	if n := rt.Sched.FinishedCount(); n != maxFinished {
+		t.Fatalf("retained %d records, want %d", n, maxFinished)
+	}
+	if d := rt.Sched.FinishedDropped(); d != total-maxFinished {
+		t.Fatalf("dropped %d records, want %d", d, total-maxFinished)
+	}
+	all := rt.Sched.AllStats()
+	if len(all) != maxFinished || all[len(all)-1].ReqID != last || all[0].ReqID != last-maxFinished+1 {
+		t.Fatalf("AllStats holds %d records [%d..%d], want the newest %d ending at %d",
+			len(all), all[0].ReqID, all[len(all)-1].ReqID, maxFinished, last)
+	}
+	if _, ok := rt.Sched.Stats(1); ok {
+		t.Fatal("the oldest record survived eviction")
+	}
+}
+
 func TestEchoGatherMerges(t *testing.T) {
 	v := vclock.NewVirtual()
 	rt := newTestRuntime(t, v, 4)

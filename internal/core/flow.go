@@ -95,21 +95,6 @@ func (f *flowControl) Acquire(reqID uint64, rank, window int, deadline time.Dura
 	}
 }
 
-// outstanding reports the unacknowledged packet count of (reqID, rank); 0
-// when the stream has no window state yet. The frame coalescer uses it to
-// flush buffered packets before a full window would park the producer —
-// parking on credits held by packets the client never received would be a
-// self-deadlock.
-func (f *flowControl) outstanding(reqID uint64, rank int) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	sc := f.streams[flowKey{reqID: reqID, rank: rank}]
-	if sc == nil {
-		return 0
-	}
-	return sc.outstanding
-}
-
 // Ack returns one credit to (reqID, rank) and wakes parked producers. An ack
 // for an unknown or fully-credited stream is a no-op.
 func (f *flowControl) Ack(reqID uint64, rank int) {

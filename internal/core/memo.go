@@ -33,7 +33,7 @@ import (
 //     credit window against its own request ID.
 //
 // Completed logs are canonicalized (duplicate and stale-attempt packets
-// dropped, exactly mirroring the client's dedupe) and stored as derived DMS
+// dropped by the clients' own StreamAssembler rule) and stored as derived DMS
 // entities in a scheduler-owned cache charged against the server-wide memory
 // budget: memo results are evicted first under pressure, like every other
 // derived entity, and byte-accounted exactly.
@@ -404,28 +404,19 @@ func (mt *memoTable) registerSub(e *memoEntry, sub *memoSub, hit bool) {
 
 // runMemoRelay is the producer's client stand-in: it receives the extraction
 // stream, acks every partial's flow credit immediately (the producer is never
-// paced by any subscriber) and appends the packets — coalesced frames
-// decoded, so subscribers can be paced per packet — to the entry log. It
-// exits on the stream's final packet.
+// paced by any subscriber) and appends the packets to the entry log. It exits
+// on the stream's final packet.
 func (s *Scheduler) runMemoRelay(e *memoEntry, ep *comm.Endpoint) {
 	for {
 		m, ok := ep.Recv()
 		if !ok {
 			break
 		}
-		final := false
-		if m.Kind == comm.FrameKind {
-			parts, err := comm.DecodeBatch(m.Payload)
-			if err != nil {
-				continue
-			}
-			for _, p := range parts {
-				final = s.relayOne(e, p) || final
-			}
-		} else {
-			final = s.relayOne(e, m)
+		if m.Kind == "partial" {
+			s.rt.flow.Ack(e.prodID, m.IntParam("rank", 0))
 		}
-		if final {
+		e.append(m)
+		if m.Final {
 			break
 		}
 	}
@@ -433,19 +424,11 @@ func (s *Scheduler) runMemoRelay(e *memoEntry, ep *comm.Endpoint) {
 	s.memoProducerDone(e)
 }
 
-func (s *Scheduler) relayOne(e *memoEntry, m comm.Message) bool {
-	if m.Kind == "partial" {
-		s.rt.flow.Ack(e.prodID, m.IntParam("rank", 0))
-	}
-	e.append(m)
-	return m.Final
-}
-
 // memoProducerDone retires a finished producer: the raw relay log is
-// canonicalized (stale-attempt and duplicate packets dropped, mirroring the
-// client-side dedupe, so a replay is byte-identical to what the original
-// requester assembled) and stored as a derived DMS entity — unless the run
-// failed, was invalidated mid-flight, or the budget refuses the bytes.
+// canonicalized (stale-attempt and duplicate packets dropped, so a replay is
+// byte-identical to what the original requester assembled) and stored as a
+// derived DMS entity — unless the run failed, was invalidated mid-flight, or
+// the budget refuses the bytes.
 // Holding mt.mu across the removal and the store keeps invalidation atomic:
 // an entry is always either in-flight (doomable) or cached (removable).
 func (s *Scheduler) memoProducerDone(e *memoEntry) {
@@ -486,43 +469,21 @@ func (s *Scheduler) memoProducerDone(e *memoEntry) {
 }
 
 // canonicalMemoLog reduces a raw relay log to the canonical replay stream:
-// only packets of the final attempt survive (a full restart re-streams
-// everything under a bumped attempt), block-tagged partials dedupe by
-// (block, bseq) and untagged ones by (rank, seq) — first arrival wins,
-// exactly as the client's Collect dedupes — and the wire size is summed for
-// byte-exact budget accounting.
+// exactly the packets a client's StreamAssembler would admit (final attempt
+// only, first arrival of each packet), in arrival order, with the wire size
+// summed for byte-exact budget accounting.
 func canonicalMemoLog(log []comm.Message) ([]comm.Message, int64) {
-	finalAtt := 0
-	if n := len(log); n > 0 {
-		finalAtt = log[n-1].IntParam("attempt", 0)
-	}
-	type pkey struct{ a, b int }
-	tagged := map[pkey]bool{}
-	untagged := map[pkey]bool{}
+	asm := NewStreamAssembler()
 	out := make([]comm.Message, 0, len(log))
 	var size int64
+	attempt := 0
 	for _, m := range log {
-		if m.IntParam("attempt", finalAtt) != finalAtt {
+		if _, ok, err := asm.admit(m); !ok || err != nil {
 			continue
 		}
-		if m.Kind == "partial" {
-			if bv, ok := m.Params["block"]; ok {
-				b, err := strconv.Atoi(bv)
-				if err != nil {
-					continue
-				}
-				k := pkey{b, m.IntParam("bseq", 0)}
-				if tagged[k] {
-					continue
-				}
-				tagged[k] = true
-			} else {
-				k := pkey{m.IntParam("rank", 0), m.Seq}
-				if untagged[k] {
-					continue
-				}
-				untagged[k] = true
-			}
+		if asm.Attempt != attempt {
+			attempt = asm.Attempt
+			out, size = out[:0], 0
 		}
 		out = append(out, m)
 		size += m.WireSize()
@@ -624,7 +585,7 @@ func (s *Scheduler) memoSubDone(e *memoEntry, sub *memoSub, streams, frames int,
 		st.Errors = 1
 	}
 	s.mu.Lock()
-	s.finished[sub.subID] = st
+	s.recordFinishedLocked(st)
 	s.releaseSessionLocked(sub.sess)
 	if d := now - sub.at; d >= 0 {
 		s.svcSum += d
@@ -793,8 +754,9 @@ func (s *Scheduler) InvalidateMemo(dataset string, step int) int {
 	return n
 }
 
-// AllStats returns every finished request's record, ordered by request ID:
-// client-facing subscriber records and internal producer records alike.
+// AllStats returns every retained finished-request record, ordered by
+// request ID: client-facing subscriber records and internal producer records
+// alike.
 func (s *Scheduler) AllStats() []RequestStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -120,22 +120,6 @@ type Config struct {
 	// every subscriber. Requests override with the "memo" parameter. Off by
 	// default so every request keeps its independent-extraction semantics.
 	Memo bool
-	// CoalesceBytes turns streamed-partial frame coalescing on: a producer
-	// buffers encoded partial packets and ships them as one comm frame once
-	// the buffered wire bytes reach this threshold (or a flush boundary —
-	// CoalesceDelay, a journaled block completion, a full stream window, the
-	// command's end — arrives first). Each packet still takes its own flow
-	// credit and is acked individually by the consumer, so backpressure
-	// windows stay exact; only the per-message fabric charge is batched.
-	// <= 0 disables coalescing. Requests override with the "coalesce"
-	// parameter (a byte threshold, 0 to force off).
-	CoalesceBytes int
-	// CoalesceDelay bounds how long a buffered packet may age before the
-	// frame is flushed regardless of size (checked when the next packet is
-	// queued and at every flush boundary). <= 0 means no age bound: frames
-	// flush on size and boundaries only. Requests override with the
-	// "coalesce_delay_ms" parameter.
-	CoalesceDelay time.Duration
 	// FT configures heartbeats, failure detection and retry policy.
 	FT FTConfig
 	// Overload configures admission control and streaming backpressure; the

@@ -24,7 +24,7 @@ type RequestStats struct {
 	End      time.Duration // last worker reported done
 	Probes   Probes        // summed over the group
 	Streams  int           // partial packets streamed to the client
-	Frames   int           // fabric messages that carried them (== Streams without coalescing)
+	Frames   int           // fabric messages that carried them (always == Streams)
 	Errors   int
 	// Retries counts recovery dispatches (single-rank failovers and full
 	// restarts) performed for this request.
@@ -142,21 +142,25 @@ type Scheduler struct {
 	// cordonPending marks busy workers whose cordon (rolling restart) waits
 	// for the in-flight rank to drain.
 	cordonPending map[string]bool
-	pending    msgRing
-	active     map[uint64]*activeReq
+	pending       msgRing
+	active        map[uint64]*activeReq
 	// recovered annotates re-admitted requests (crash recovery) with their
 	// restored attempt and, when the journal survived, the span of items
 	// still owed to the client; consumed at dispatch.
-	recovered  map[uint64]*recoveredPlan
-	finished   map[uint64]RequestStats
-	redisQ     []redispatch
-	sessions   map[string]int // in-flight (queued + active) requests per session
-	svcSum     time.Duration  // summed service time of finished requests
-	svcCount   int64
-	overload   OverloadCounters
-	rejecting  bool // drain mode: in-flight requests finish, new ones bounce
-	draining   bool
-	stopped    bool
+	recovered map[uint64]*recoveredPlan
+	// finished holds the newest maxFinished request records, finishedOrder
+	// their IDs oldest first; finishedDropped counts the records evicted.
+	finished        map[uint64]RequestStats
+	finishedOrder   []uint64
+	finishedDropped int64
+	redisQ          []redispatch
+	sessions        map[string]int // in-flight (queued + active) requests per session
+	svcSum          time.Duration  // summed service time of finished requests
+	svcCount        int64
+	overload        OverloadCounters
+	rejecting       bool // drain mode: in-flight requests finish, new ones bounce
+	draining        bool
+	stopped         bool
 
 	// memo is the cross-session result-memoization table (see memo.go); it
 	// is always present, but consulted only for memo-enabled requests.
@@ -530,14 +534,14 @@ func (s *Scheduler) dispatchLocked(sends *[]outMsg) {
 			s.pending.pop()
 			s.releaseSessionLocked(sessionOf(req))
 			now := s.rt.Clock.Now()
-			s.finished[req.ReqID] = RequestStats{
+			s.recordFinishedLocked(RequestStats{
 				ReqID:    req.ReqID,
 				Command:  req.Command,
 				Received: now,
 				Started:  now,
 				End:      now,
 				Errors:   1,
-			}
+			})
 			s.rt.Trace.Eventf(now, "scheduler", "req %d rejected: no live workers", req.ReqID)
 			to := req.Params["client"]
 			if to == "" {
@@ -960,12 +964,28 @@ func parseNanos(v string) int64 {
 	return n
 }
 
+// maxFinished bounds the finished-request table, so a server that runs for
+// weeks keeps the newest records instead of all of them.
+const maxFinished = 8192
+
+// recordFinishedLocked files a finished request's record, evicting the
+// oldest one once the table is full.
+func (s *Scheduler) recordFinishedLocked(st RequestStats) {
+	if len(s.finishedOrder) == maxFinished {
+		delete(s.finished, s.finishedOrder[0])
+		s.finishedOrder = s.finishedOrder[1:]
+		s.finishedDropped++
+	}
+	s.finished[st.ReqID] = st
+	s.finishedOrder = append(s.finishedOrder, st.ReqID)
+}
+
 // finishLocked retires a request: records its end time, moves it to the
 // finished table, releases its session quota slot and stream-credit state,
 // and feeds the service-rate estimate behind retry-after hints.
 func (s *Scheduler) finishLocked(reqID uint64, ar *activeReq) {
 	ar.stats.End = s.rt.Clock.Now()
-	s.finished[reqID] = ar.stats
+	s.recordFinishedLocked(ar.stats)
 	delete(s.active, reqID)
 	s.releaseSessionLocked(ar.sess)
 	if d := ar.stats.End - ar.stats.Started; d >= 0 {
@@ -1586,7 +1606,8 @@ func (s *Scheduler) maybeFinish() bool {
 	return true
 }
 
-// Stats returns the record of a finished request.
+// Stats returns the record of a finished request, while it is among the
+// newest maxFinished.
 func (s *Scheduler) Stats(reqID uint64) (RequestStats, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1610,11 +1631,19 @@ func (s *Scheduler) Draining() bool {
 	return s.rejecting
 }
 
-// FinishedCount reports how many requests have completed.
+// FinishedCount reports how many finished-request records are retained.
 func (s *Scheduler) FinishedCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.finished)
+}
+
+// FinishedDropped reports how many finished-request records were evicted
+// to keep the table bounded.
+func (s *Scheduler) FinishedDropped() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.finishedDropped
 }
 
 // LiveWorkers reports the dispatch strength: workers currently schedulable

@@ -393,11 +393,6 @@ func (w *Worker) execute(ep *comm.Endpoint, epoch int, start comm.Message) {
 	default:
 		partial, runErr = cmd.Run(ctx)
 	}
-	// Drain the frame coalescer before any gather or result: the client must
-	// hold every streamed packet before the request can finalize.
-	if ferr := ctx.FlushStream(); ferr != nil && runErr == nil {
-		runErr = ferr
-	}
 	if partial == nil {
 		partial = &mesh.Mesh{}
 	}

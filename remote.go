@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"viracocha/internal/comm"
 	"viracocha/internal/core"
-	"viracocha/internal/mesh"
 	"viracocha/internal/vclock"
 )
 
@@ -479,32 +477,8 @@ func (rc *RemoteClient) runOnce(command string, params map[string]string, onPart
 			return nil, err
 		}
 	}
-	merged := &mesh.Mesh{}
-	attempt := 0
+	asm := core.NewStreamAssembler()
 	mark := 0 // highest stream sequence received; the resume watermark
-	type packetKey struct{ rank, seq int }
-	type blockKey struct{ block, bseq int }
-	seen := map[packetKey]bool{}
-	// Block-tagged partials (server running block-granular recovery) are
-	// deduplicated by (block, bseq) — a redistributed span restarts the
-	// producer's sequence numbers — and merged in canonical block order at
-	// the end, so the result is byte-identical across recovery timelines.
-	tagged := map[blockKey]*mesh.Mesh{}
-	mergeTagged := func() {
-		keys := make([]blockKey, 0, len(tagged))
-		for k := range tagged {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].block != keys[j].block {
-				return keys[i].block < keys[j].block
-			}
-			return keys[i].bseq < keys[j].bseq
-		})
-		for _, k := range keys {
-			merged.Append(tagged[k])
-		}
-	}
 	// sendDone tells the server the stream was fully consumed, so it can
 	// retire the request's replay buffer (durable sessions; best-effort).
 	sendDone := func() {
@@ -540,18 +514,7 @@ func (rc *RemoteClient) runOnce(command string, params map[string]string, onPart
 		if s := m.IntParam("sseq", 0); s > mark {
 			mark = s
 		}
-		att := m.IntParam("attempt", attempt)
-		if att < attempt {
-			continue // superseded recovery attempt
-		}
-		if att > attempt {
-			attempt = att
-			merged = &mesh.Mesh{}
-			seen = map[packetKey]bool{}
-			tagged = map[blockKey]*mesh.Mesh{}
-		}
-		switch m.Kind {
-		case "partial":
+		if m.Kind == "partial" {
 			// Return the stream credit before anything else: even discarded
 			// duplicates were consumed off the wire. The echoed sseq lets the
 			// server tell a fresh frame's ack from a replayed frame's (whose
@@ -563,62 +526,17 @@ func (rc *RemoteClient) runOnce(command string, params map[string]string, onPart
 					"sseq": strconv.Itoa(m.IntParam("sseq", 0)),
 				},
 			})
-			if bv, ok := m.Params["block"]; ok {
-				block, cerr := strconv.Atoi(bv)
-				if cerr != nil {
-					return nil, fmt.Errorf("viracocha: bad block tag %q", bv)
-				}
-				key := blockKey{block: block, bseq: m.IntParam("bseq", 0)}
-				if _, dup := tagged[key]; dup {
-					continue
-				}
-				part, err := mesh.DecodeBinary(m.Payload)
-				if err != nil {
-					return nil, fmt.Errorf("viracocha: corrupt partial: %w", err)
-				}
-				tagged[key] = part
-				if onPartial != nil {
-					onPartial(m.Seq, part)
-				}
-				continue
-			}
-			key := packetKey{rank: m.IntParam("rank", 0), seq: m.Seq}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			part, err := mesh.DecodeBinary(m.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("viracocha: corrupt partial: %w", err)
-			}
-			if onPartial != nil {
-				onPartial(m.Seq, part)
-			}
-			merged.Append(part)
-		case "result":
-			final, err := mesh.DecodeBinary(m.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("viracocha: corrupt result: %w", err)
-			}
-			mergeTagged()
-			merged.Append(final)
+		}
+		part, _, err := asm.Add(m)
+		if err != nil {
+			return nil, err
+		}
+		if part != nil && onPartial != nil {
+			onPartial(m.Seq, part)
+		}
+		if asm.Done {
 			sendDone()
-			return merged, nil
-		case "error":
-			sendDone()
-			switch {
-			case m.Params["overloaded"] == "1":
-				return merged, &core.OverloadedError{
-					Reason:     m.Params["error"],
-					RetryAfter: time.Duration(m.IntParam("retry_after_ms", 0)) * time.Millisecond,
-				}
-			case m.Params["draining"] == "1":
-				return merged, &core.DrainingError{
-					Reason:     m.Params["error"],
-					RetryAfter: time.Duration(m.IntParam("retry_after_ms", 0)) * time.Millisecond,
-				}
-			}
-			return merged, fmt.Errorf("viracocha: remote error: %s", m.Params["error"])
+			return asm.Merged, asm.Err
 		}
 	}
 }

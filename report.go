@@ -13,7 +13,7 @@ const StatsReportMarker = "v1"
 // StatsReport is the server's operational snapshot, written on graceful
 // shutdown (the server's -stats flag) or on demand. It bundles the counters
 // an operator reads after a run: admission control, the DMS memory budget,
-// result memoization, and every finished request's timing record.
+// result memoization, and the retained finished requests' timing records.
 type StatsReport struct {
 	// Marker is always StatsReportMarker; its JSON key doubles as the file
 	// format signature.
@@ -22,16 +22,20 @@ type StatsReport struct {
 	Budget   BudgetStats      `json:"budget"`
 	Memo     MemoStats        `json:"memo"`
 	Requests []RequestStats   `json:"requests"`
+	// RequestsDropped counts the older finished-request records the scheduler
+	// evicted to keep its table bounded (it retains the newest 8192).
+	RequestsDropped int64 `json:"requests_dropped"`
 }
 
 // StatsReport snapshots the system's counters and finished requests.
 func (s *System) StatsReport() StatsReport {
 	return StatsReport{
-		Marker:   StatsReportMarker,
-		Overload: s.OverloadStats(),
-		Budget:   s.DMSBudget(),
-		Memo:     s.MemoStats(),
-		Requests: s.AllStats(),
+		Marker:          StatsReportMarker,
+		Overload:        s.OverloadStats(),
+		Budget:          s.DMSBudget(),
+		Memo:            s.MemoStats(),
+		Requests:        s.AllStats(),
+		RequestsDropped: s.Runtime.Sched.FinishedDropped(),
 	}
 }
 

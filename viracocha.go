@@ -112,17 +112,6 @@ type Options struct {
 	// trees as derived DMS entities and skip provably inactive regions.
 	// Requests override per call with the "index" parameter.
 	UseIndex bool
-	// CoalesceBytes turns streamed-partial frame coalescing on: producers
-	// batch small partial packets into one comm frame until the buffered
-	// wire bytes reach this threshold (or a flush boundary arrives first).
-	// Payload bytes, delivery order and flow-control windows are unchanged;
-	// only the per-message fabric charge is batched. <= 0 disables.
-	// Requests override with the "coalesce" parameter.
-	CoalesceBytes int
-	// CoalesceDelay bounds how long a buffered packet may age before its
-	// frame is flushed regardless of size; <= 0 means no age bound.
-	// Requests override with the "coalesce_delay_ms" parameter.
-	CoalesceDelay time.Duration
 	// Memo turns cross-session result memoization on: identical requests
 	// (canonicalized, so "0.5" and "0.50" collide) are served from a
 	// content-addressed result cache, and concurrent identical requests
@@ -201,8 +190,6 @@ func New(opts Options) *System {
 	}
 	cfg.UseIndex = opts.UseIndex
 	cfg.Memo = opts.Memo
-	cfg.CoalesceBytes = opts.CoalesceBytes
-	cfg.CoalesceDelay = opts.CoalesceDelay
 	if opts.FT != nil {
 		cfg.FT = *opts.FT
 	}
@@ -393,8 +380,8 @@ func (s *System) InvalidateStep(dataset string, step int) int {
 	return s.Runtime.DMS.InvalidateStep(dataset, step)
 }
 
-// AllStats returns every finished request's server-side record, ordered by
-// request ID — client-facing records and internal memo-producer records
+// AllStats returns the retained finished requests' server-side records (the
+// scheduler keeps the newest 8192), ordered by request ID — client-facing records and internal memo-producer records
 // alike. Call it after the session (or a Drain) so the reports have drained.
 func (s *System) AllStats() []RequestStats { return s.Runtime.Sched.AllStats() }
 
