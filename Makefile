@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fuzz overload soak churn bench bench-smoke benchcmp bench-e2e bench-e2e-compare size check clean
+.PHONY: all build test race vet fuzz overload soak churn bench bench-smoke benchcmp bench-e2e bench-e2e-compare size flags check clean
 
 all: check
 
@@ -111,7 +111,12 @@ size:
 	@echo "non-test Go lines: $$(git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l)"
 	@echo "server flags: $$(grep -cE 'flag\.(Bool|Int|Int64|Float64|String|Duration|Var)\(' cmd/viracocha-server/main.go)"
 
-check: vet build test race churn bench-smoke
+# The server's flag definitions, README's flag table and every server command
+# line in README.md and the verify skill name the same flags.
+flags:
+	@sh scripts/checkflags.sh
+
+check: vet flags build test race churn bench-smoke
 
 clean:
 	$(GO) clean ./...

@@ -35,8 +35,7 @@ func main() {
 		scale      = flag.Int("scale", 2, "synthetic grid scale")
 		dir        = flag.String("dir", "", "serve pre-generated block files from this directory instead of on-demand synthesis")
 		prefetch   = flag.String("prefetch", "obl", "system prefetcher: none, obl, onmiss, markov")
-		latency    = flag.Duration("storage-latency", 2*time.Millisecond, "simulated storage latency")
-		bandwidth  = flag.Float64("storage-bandwidth", 0, "simulated storage bandwidth B/s (0 = unlimited)")
+		latency    = flag.Duration("storage-latency", 0, "sleep this long per block read: paces requests so fault drills (-fault, kill/restart, drain) can land mid-request; 0 = reads cost what the files take")
 		heartbeat  = flag.Duration("heartbeat", 0, "worker heartbeat interval (0 = default 250ms)")
 		failAfter  = flag.Duration("fail-after", 0, "declare a silent worker dead after this (0 = default 2s)")
 		retries    = flag.Int("retries", -1, "per-request recovery retry budget (-1 = default 2)")
@@ -51,7 +50,6 @@ func main() {
 		memBudget  = flag.Int64("mem-budget", 0, "DMS byte budget across all cache tiers (0 = unlimited)")
 		window     = flag.Int("stream-window", 32, "unacked partial packets per stream before the producer parks (0 = no flow control)")
 		slowAfter  = flag.Duration("slow-consumer-after", 5*time.Second, "cancel a request parked on stream credit this long (0 = park forever)")
-		useIndex   = flag.Bool("index", false, "enable min/max acceleration indexes: cache per-(block, field) brick indexes, lambda2 fields and BSP trees as derived DMS entities (requests override with index=0/1)")
 		memo       = flag.Bool("memo", false, "enable cross-session result memoization: identical requests are served from a content-addressed result cache, and concurrent identical requests coalesce onto one multicast extraction (requests override with memo=0/1)")
 		statsFile  = flag.String("stats", "", "write a JSON stats report (admission, budget, memo, per-request records) to this file on graceful shutdown")
 		lease      = flag.Duration("lease", 30*time.Second, "durable-session lease: how long a disconnected client's session (and its in-flight streams) survives awaiting resume")
@@ -64,16 +62,14 @@ func main() {
 	flag.Parse()
 
 	opts := viracocha.Options{
-		Workers:          *workers,
-		Prefetcher:       *prefetch,
-		StorageLatency:   *latency,
-		StorageBandwidth: *bandwidth,
-		UseIndex:         *useIndex,
-		Memo:             *memo,
-		SessionLease:     *lease,
-		DrainTimeout:     *drainTmo,
-		WALDir:           *walDir,
-		WALFsync:         *fsyncPol,
+		Workers:        *workers,
+		Prefetcher:     *prefetch,
+		StorageLatency: *latency,
+		Memo:           *memo,
+		SessionLease:   *lease,
+		DrainTimeout:   *drainTmo,
+		WALDir:         *walDir,
+		WALFsync:       *fsyncPol,
 	}
 	if *heartbeat > 0 || *failAfter > 0 || *retries >= 0 || *redistrib || *stragglerF > 0 ||
 		*rejoin || *standby > 0 || *quarantine > 0 {

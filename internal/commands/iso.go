@@ -72,6 +72,9 @@ func (IsoDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	step := ctx.StepParam()
 	doPrefetch := ctx.IntParam("prefetch", 1) != 0
 	useIndex := ctx.IndexEnabled()
+	if useIndex {
+		ctx.RideAlong(field, false)
+	}
 	blocks := ctx.SpanBlocks(nil, false)
 	out := &mesh.Mesh{}
 	for i, blk := range blocks {
@@ -80,11 +83,7 @@ func (IsoDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		}
 		if doPrefetch && i+1 < len(blocks) {
 			next := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blocks[i+1]}
-			if useIndex {
-				ctx.PrefetchIndexed(next, field)
-			} else {
-				ctx.Prefetch(next)
-			}
+			ctx.Prefetch(next)
 		}
 		bid := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk}
 		if useIndex {
@@ -141,6 +140,9 @@ func (ViewerIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		Z: ctx.FloatParam("ez", 0),
 	}
 	useIndex := ctx.IndexEnabled()
+	if useIndex {
+		ctx.RideAlong(field, false)
+	}
 	journaled := ctx.Journaling()
 	order, releaseOrder := frontToBackOrder(ctx, step, eye)
 	pending := mesh.Acquire()
@@ -181,11 +183,7 @@ func (ViewerIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		if doPrefetch && i+1 < len(blocks) {
 			// OBL-style code prefetch of the next block in view order.
 			next := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blocks[i+1]}
-			if useIndex {
-				ctx.PrefetchIndexed(next, field)
-			} else {
-				ctx.Prefetch(next)
-			}
+			ctx.Prefetch(next)
 		}
 		bid := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk}
 		if useIndex {

@@ -89,6 +89,9 @@ func (VortexDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	step := ctx.StepParam()
 	doPrefetch := ctx.IntParam("prefetch", 1) != 0
 	useIndex := ctx.IndexEnabled()
+	if useIndex {
+		ctx.RideAlong("", true) // the vortex-skip index lands with each prefetched block
+	}
 	blocks := ctx.SpanBlocks(nil, false)
 	out := &mesh.Mesh{}
 	for i, blk := range blocks {
@@ -97,12 +100,7 @@ func (VortexDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		}
 		if doPrefetch && i+1 < len(blocks) {
 			next := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blocks[i+1]}
-			if useIndex {
-				// Ride-along: the vortex-skip index lands with the block.
-				ctx.PrefetchGradIndexed(next)
-			} else {
-				ctx.Prefetch(next)
-			}
+			ctx.Prefetch(next)
 		}
 		bid := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk}
 		if useIndex {
@@ -176,6 +174,9 @@ func (StreamedVortex) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	batch := ctx.IntParam("cellbatch", 256)
 	doPrefetch := ctx.IntParam("prefetch", 1) != 0
 	useIndex := ctx.IndexEnabled()
+	if useIndex {
+		ctx.RideAlong("", true) // the vortex-skip index lands with each prefetched block
+	}
 	blocks := ctx.SpanBlocks(nil, true)
 	for i, blk := range blocks {
 		if err := ctx.Interrupted(); err != nil {
@@ -183,11 +184,7 @@ func (StreamedVortex) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		}
 		if doPrefetch && i+1 < len(blocks) {
 			next := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blocks[i+1]}
-			if useIndex {
-				ctx.PrefetchGradIndexed(next)
-			} else {
-				ctx.Prefetch(next)
-			}
+			ctx.Prefetch(next)
 		}
 		bid := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk}
 		// The lazy scan cannot afford to compute the full λ2 field just to

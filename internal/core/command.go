@@ -182,33 +182,26 @@ func (c *Ctx) LoadRaw(id grid.BlockID) (*grid.Block, error) {
 // Prefetch issues an explicit (code) prefetch through the DMS.
 func (c *Ctx) Prefetch(id grid.BlockID) { c.proxy.Prefetch(id) }
 
-// IndexEnabled reports whether the min/max acceleration-index path is on for
-// this request: the "index" parameter overrides the server-wide default
-// (Config.UseIndex, the -index flag).
+// IndexEnabled decides this request's extraction path: the "index" parameter
+// if given (the ablation harness and reference runs pin it); else the paper's
+// un-indexed algorithm under the virtual clock, and under the real clock the
+// indexed path — bit-identical, faster on resident data — unless the shared
+// DMS budget is at the pressure where prefetches are shed: there the derived
+// entities would only evict the blocks the request is about to read.
 func (c *Ctx) IndexEnabled() bool {
 	def := 0
-	if c.rt.cfg.UseIndex {
+	if isReal(c.rt.Clock) && !c.proxy.UnderPressure() {
 		def = 1
 	}
 	return c.IntParam("index", def) != 0
 }
 
-// PrefetchIndexed is Prefetch with index ride-along: when the speculatively
-// loaded block lands in the cache, its min/max index over field is built and
-// cached too, so the demand request that follows finds both hot.
-func (c *Ctx) PrefetchIndexed(id grid.BlockID, field string) {
-	c.worker.setIndexField(field)
-	c.proxy.Prefetch(id)
-}
-
-// PrefetchGradIndexed is Prefetch with vortex-skip ride-along: when the
-// speculatively loaded block lands in the cache, its gradient-magnitude
-// index is built and cached too, so the vortex command that follows can
-// test the λ2 bound before computing anything.
-func (c *Ctx) PrefetchGradIndexed(id grid.BlockID) {
-	c.worker.setGradIndex(true)
-	c.proxy.Prefetch(id)
-}
+// RideAlong makes the blocks prefetched on this worker from here on — by the
+// command or by the system prefetcher — land with an index built beside
+// them: the min/max index over field, and/or the vortex-skip gradient index.
+// The demand query that follows then finds block and index both hot. It
+// holds until the next request starts on the worker.
+func (c *Ctx) RideAlong(field string, grad bool) { c.worker.setRideAlong(field, grad) }
 
 // CachedMinMax returns the min/max index for (id, field) when some proxy
 // already holds it — local tiers first, then a peer transfer (the index is

@@ -107,12 +107,6 @@ type Config struct {
 	// means no system prefetching. It is called once per worker so policies
 	// that learn (Markov) can be shared or per-node as the caller decides.
 	PrefetcherFor func(node string) prefetch.Prefetcher
-	// UseIndex turns the min/max acceleration-index path on by default:
-	// commands build per-(block, field) brick indexes, cache them (plus λ2
-	// fields and BSP trees) as derived DMS entities, and skip provably
-	// inactive bricks and blocks. Requests override with the "index"
-	// parameter. Off by default so baseline measurements stay comparable.
-	UseIndex bool
 	// Memo turns cross-session result memoization on by default: identical
 	// requests (canonical key over command + result-shaping parameters) are
 	// served from a scheduler-side result cache, and identical concurrent
@@ -145,6 +139,26 @@ func DefaultConfig(workers int) Config {
 		Cost:         DefaultCostModel(),
 		FT:           DefaultFTConfig(),
 	}
+}
+
+// ConfigFor is DefaultConfig with the prices the clock kind calls for: the
+// compute and read prices advance the virtual clock; under the real clock the
+// work takes its own time and they are zero. The fabric price stays under
+// both — its per-message sleep is where the extraction goroutines yield to
+// the bridge and the socket on a small host (DESIGN.md §1).
+func ConfigFor(c vclock.Clock, workers int) Config {
+	cfg := DefaultConfig(workers)
+	if isReal(c) {
+		cfg.Cost = ZeroCostModel()
+		cfg.DMS.Prices = dms.Prices{}
+	}
+	return cfg
+}
+
+// isReal reports whether c is the wall clock.
+func isReal(c vclock.Clock) bool {
+	_, ok := c.(*vclock.Real)
+	return ok
 }
 
 // Runtime owns the clock, the fabric, the DMS, the scheduler and the worker

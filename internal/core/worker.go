@@ -44,11 +44,10 @@ type Worker struct {
 	standby bool
 	busy    bool // executing a command (reported in heartbeats)
 	// pfIndexField, when non-empty, is the scalar field whose min/max index
-	// rides along with prefetched blocks (set by Ctx.PrefetchIndexed).
+	// rides along with prefetched blocks; pfGradIndex does the same for the
+	// vortex-skip gradient index (setRideAlong).
 	pfIndexField string
-	// pfGradIndex, when set, builds the vortex-skip gradient index as a
-	// prefetch ride-along (set by Ctx.PrefetchGradIndexed).
-	pfGradIndex bool
+	pfGradIndex  bool
 	// Journal-mode watermark state, published by the executing Ctx and
 	// piggybacked on heartbeats: the request/rank/attempt being executed and
 	// the cumulative set of completed span items. Heartbeat re-delivery makes
@@ -93,19 +92,12 @@ func (w *Worker) endpoint() *comm.Endpoint {
 	return w.ep
 }
 
-// setIndexField remembers the field whose min/max index should be built for
-// blocks that land via prefetch (Ctx.PrefetchIndexed).
-func (w *Worker) setIndexField(field string) {
+// setRideAlong says what to build beside blocks that land via prefetch from
+// now on (Ctx.RideAlong); execute clears it, so the ride-along follows the
+// request on the worker, not the last request that ever asked for one.
+func (w *Worker) setRideAlong(field string, grad bool) {
 	w.mu.Lock()
-	w.pfIndexField = field
-	w.mu.Unlock()
-}
-
-// setGradIndex remembers whether the vortex-skip gradient index should be
-// built for blocks that land via prefetch (Ctx.PrefetchGradIndexed).
-func (w *Worker) setGradIndex(on bool) {
-	w.mu.Lock()
-	w.pfGradIndex = on
+	w.pfIndexField, w.pfGradIndex = field, grad
 	w.mu.Unlock()
 }
 
@@ -356,6 +348,7 @@ func (w *Worker) execute(ep *comm.Endpoint, epoch int, start comm.Message) {
 	w.setBusy(epoch, true)
 	defer w.setBusy(epoch, false)
 	defer w.clearJournal(epoch)
+	w.setRideAlong("", false)
 
 	reqID := start.ReqID
 	rank := start.IntParam("rank", 0)

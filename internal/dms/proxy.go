@@ -199,24 +199,30 @@ func (p *Proxy) systemPrefetch(id grid.BlockID) {
 	}
 }
 
+// UnderPressure reports whether the shared memory budget is at or above the
+// shed threshold, past which anything beyond the demand blocks themselves —
+// prefetches here, derived entities in the core layer — only evicts what
+// requests are about to read. Always false without a budget.
+func (p *Proxy) UnderPressure() bool {
+	shedAt := p.PrefetchShedAt
+	if shedAt <= 0 {
+		shedAt = 0.9
+	}
+	return p.Budget.Pressure() >= shedAt
+}
+
 // Prefetch starts an asynchronous load of id into the cache (both the
 // system prefetcher and command code prefetches use it). It returns
 // immediately; a later Get overlaps with or waits on the load.
 func (p *Proxy) Prefetch(id grid.BlockID) {
 	// Load shedding: under memory pressure, speculation is the first thing
 	// to go — the budget's headroom is kept for demand loads.
-	if p.Budget != nil {
-		shedAt := p.PrefetchShedAt
-		if shedAt <= 0 {
-			shedAt = 0.9
-		}
-		if p.Budget.Pressure() >= shedAt {
-			p.mu.Lock()
-			p.stats.PrefetchShed++
-			p.mu.Unlock()
-			p.Budget.NoteShed()
-			return
-		}
+	if p.UnderPressure() {
+		p.mu.Lock()
+		p.stats.PrefetchShed++
+		p.mu.Unlock()
+		p.Budget.NoteShed()
+		return
 	}
 	item := p.resolve(BlockItem(id))
 	if _, ok := p.Cache.Peek(item); ok {

@@ -12,14 +12,11 @@ import (
 	"viracocha/internal/vclock"
 )
 
-// Config parameterizes the DMS for one runtime.
-type Config struct {
-	// L1Bytes and L2Bytes are the per-proxy primary and secondary cache
-	// capacities; L2Bytes 0 disables the secondary cache.
-	L1Bytes int64
-	L2Bytes int64
-	// PolicyName selects the replacement policy: "lru", "lfu" or "fbr".
-	PolicyName string
+// Prices are the modelled costs of the DMS read path: what the paper's
+// machine paid in communication and local-disk time where this process pays
+// a function call. They are charged to the virtual clock; the zero value is
+// a real-clock runtime's, where reading costs what the storage device takes.
+type Prices struct {
 	// DecideCost is the round trip for asking the server which loading
 	// strategy to use (charged per load).
 	DecideCost time.Duration
@@ -32,6 +29,30 @@ type Config struct {
 	// LocalDiskBandwidth models the node-local disk that backs the
 	// secondary cache tier (spill/promote cost).
 	LocalDiskBandwidth float64
+}
+
+// PaperPrices returns the prices used by the experiments: interconnect and
+// local-disk parameters resembling the paper's SMP node.
+func PaperPrices() Prices {
+	return Prices{
+		DecideCost:         200 * time.Microsecond,
+		NameCost:           200 * time.Microsecond,
+		PeerLatency:        100 * time.Microsecond,
+		PeerBandwidth:      400e6,
+		LocalDiskBandwidth: 80e6,
+	}
+}
+
+// Config parameterizes the DMS for one runtime.
+type Config struct {
+	// L1Bytes and L2Bytes are the per-proxy primary and secondary cache
+	// capacities; L2Bytes 0 disables the secondary cache.
+	L1Bytes int64
+	L2Bytes int64
+	// PolicyName selects the replacement policy: "lru", "lfu" or "fbr".
+	PolicyName string
+	// Prices are the modelled read-path costs (zero value = unpriced).
+	Prices
 	// DisablePeer turns the cooperative peer-transfer source off (used by
 	// the loading-strategy ablation).
 	DisablePeer bool
@@ -45,19 +66,15 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration used by the experiments: 256 MB
-// primary cache, 1 GB secondary cache with FBR replacement, and
-// interconnect parameters resembling the paper's SMP node.
+// primary cache, 1 GB secondary cache with FBR replacement, and the paper's
+// prices.
 func DefaultConfig() Config {
 	return Config{
-		L1Bytes:            256 << 20,
-		L2Bytes:            1 << 30,
-		PolicyName:         "fbr",
-		DecideCost:         200 * time.Microsecond,
-		NameCost:           200 * time.Microsecond,
-		PeerLatency:        100 * time.Microsecond,
-		PeerBandwidth:      400e6,
-		LocalDiskBandwidth: 80e6,
-		PrefetchShedAt:     0.9,
+		L1Bytes:        256 << 20,
+		L2Bytes:        1 << 30,
+		PolicyName:     "fbr",
+		Prices:         PaperPrices(),
+		PrefetchShedAt: 0.9,
 	}
 }
 

@@ -32,10 +32,9 @@ import (
 //
 // Now reports elapsed time since the clock started. Sleep parks the calling
 // actor for d; under the virtual clock this is also how compute or transfer
-// cost is charged (see Charge). Go spawns a new actor. NewWaiter creates a
-// one-shot parking primitive integrated with the clock's bookkeeping. Wait
-// blocks the (unregistered) caller until every actor spawned with Go has
-// returned.
+// cost is charged. Go spawns a new actor. NewWaiter creates a one-shot
+// parking primitive integrated with the clock's bookkeeping. Wait blocks the
+// (unregistered) caller until every actor spawned with Go has returned.
 type Clock interface {
 	Now() time.Duration
 	Sleep(d time.Duration)
@@ -43,11 +42,6 @@ type Clock interface {
 	NewWaiter() *Waiter
 	Wait()
 }
-
-// Charge records d of virtual work on behalf of the calling actor. It is an
-// alias for Sleep that reads better in cost-model code: charging 3ms of
-// simulated triangulation cost is not "sleeping".
-func Charge(c Clock, d time.Duration) { c.Sleep(d) }
 
 // Virtual is a deterministic discrete-event clock. Time advances to the
 // earliest pending wake-up whenever all registered actors are parked. If all

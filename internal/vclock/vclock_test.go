@@ -485,15 +485,6 @@ func TestNestedGo(t *testing.T) {
 	}
 }
 
-func TestChargeAlias(t *testing.T) {
-	v := NewVirtual()
-	v.Go(func() { Charge(v, 7*time.Second) })
-	v.Wait()
-	if v.Now() != 7*time.Second {
-		t.Fatalf("Now = %v, want 7s", v.Now())
-	}
-}
-
 func TestSemaphorePriorityOrdering(t *testing.T) {
 	// One permit held; one low and one high waiter queue up. On release the
 	// high-priority waiter must win even though the low one queued first.

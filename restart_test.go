@@ -52,22 +52,6 @@ func listenRetry(t *testing.T, addr string) net.Listener {
 	}
 }
 
-// walMarks counts the per-block completion marks the WAL mirror has absorbed
-// — the kill trigger for the restart tests: once at least one mark is
-// durable, a recovery must re-issue strictly fewer blocks than a fresh run.
-func walMarks(sys *System) int {
-	w := sys.wal
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := 0
-	for _, sess := range w.state.Sessions {
-		for _, r := range sess.Reqs {
-			n += len(r.Done)
-		}
-	}
-	return n
-}
-
 type runResult struct {
 	m   *Mesh
 	err error
@@ -84,23 +68,80 @@ func startStreamRun(rc *RemoteClient) chan runResult {
 	return done
 }
 
-// awaitMarks blocks until the WAL mirror holds at least want block marks,
-// failing the test if the run finishes first (the kill would land too late to
-// prove anything) or nothing shows up in time.
-func awaitMarks(t *testing.T, sys *System, done chan runResult, want int) {
+// killInWindow hard-kills sys mid-run, at a point the restart assertions can
+// rely on: the WAL mirror holds at least want block marks and not yet all of
+// the step's. With journaled set, the journal — read the way recovery will
+// read it — must also prove some but not all blocks unfinished, which needs
+// every rank to have declared its span (one that has not makes recovery
+// distrust the journal and restart the request whole: a legal timeline, but
+// not the one a BlocksRecomputed assertion is about). The log is frozen under
+// the same lock holds that observed the window — atKill, if given, runs under
+// it first — so what recovery finds is what was observed, however the pacing
+// sleeps and this goroutine happen to be scheduled. A run that finishes, or
+// journals its last block, before the window was seen fails here by name
+// rather than in an assertion downstream.
+func killInWindow(t *testing.T, sys *System, ln net.Listener, done chan runResult, want int, journaled bool, atKill func(w *walSink)) {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for walMarks(sys) < want {
+	d, err := dataset.ByName("engine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := d.WithScale(1).Blocks
+	b, w := sys.bridge(), sys.wal
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(time.Millisecond) {
 		select {
 		case r := <-done:
 			t.Fatalf("run finished before the kill (err=%v) — raise StorageLatency to pace it", r.err)
 		default:
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no journal progress: %d marks after 15s, want %d", walMarks(sys), want)
+		b.mu.Lock() // stream logs grow under the bridge's lock; it orders before the WAL's
+		w.mu.Lock()
+		marks, unfinished := 0, 0
+		for _, sess := range w.state.Sessions {
+			for _, r := range sess.Reqs {
+				marks += len(r.Done)
+				if miss, trusted := unfinishedSpan(r); trusted {
+					unfinished += len(miss)
+				}
+			}
 		}
-		time.Sleep(time.Millisecond)
+		if marks >= want && marks < total && (!journaled || unfinished > 0 && unfinished < total) {
+			if atKill != nil {
+				atKill(w)
+			}
+			w.closed = true // nothing after this instant reaches the disk
+			w.mu.Unlock()
+			b.mu.Unlock()
+			break
+		}
+		w.mu.Unlock()
+		b.mu.Unlock()
+		if marks >= total {
+			t.Fatalf("kill window missed: all %d blocks journaled before the window was observed — raise StorageLatency to pace the run", total)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no kill window in 15s: %d marks (want %d), %d blocks provably unfinished", marks, want, unfinished)
+		}
 	}
+	ln.Close()
+	sys.Kill()
+}
+
+// blocksRecomputed reports the most blocks any request of sys re-issued. It
+// drains first: the client has its final before the ranks' completion reports
+// reach the scheduler, and a request's record is filed only once they all have.
+func blocksRecomputed(t *testing.T, sys *System) int {
+	t.Helper()
+	if err := sys.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	recomputed := 0
+	for _, st := range sys.AllStats() {
+		if st.BlocksRecomputed > recomputed {
+			recomputed = st.BlocksRecomputed
+		}
+	}
+	return recomputed
 }
 
 // TestHardKillRestartResume is the tentpole scenario: a streamed extraction
@@ -128,11 +169,9 @@ func TestHardKillRestartResume(t *testing.T) {
 	defer rc.Close()
 	done := startStreamRun(rc)
 
-	// Wait until at least two blocks are durably journaled, then pull the
-	// plug with no warning.
-	awaitMarks(t, sys1, done, 2)
-	ln1.Close()
-	sys1.Kill()
+	// Once at least two blocks are durably journaled, pull the plug with no
+	// warning.
+	killInWindow(t, sys1, ln1, done, 2, true, nil)
 
 	// Second process: same WAL directory, same address.
 	sys2, ln2 := serveWALSystem(t, opts, addr)
@@ -161,12 +200,7 @@ func TestHardKillRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := d.WithScale(1).Blocks
-	recomputed := 0
-	for _, st := range sys2.AllStats() {
-		if st.BlocksRecomputed > recomputed {
-			recomputed = st.BlocksRecomputed
-		}
-	}
+	recomputed := blocksRecomputed(t, sys2)
 	if recomputed <= 0 || recomputed >= total {
 		t.Fatalf("BlocksRecomputed = %d, want in (0, %d): recovery should re-issue only the journal-unfinished blocks", recomputed, total)
 	}
@@ -292,9 +326,7 @@ func TestRestartSoak(t *testing.T) {
 			defer rc.Close()
 			done := startStreamRun(rc)
 
-			awaitMarks(t, sys1, done, 2+round%4) // seed-dependent kill point
-			ln1.Close()
-			sys1.Kill()
+			killInWindow(t, sys1, ln1, done, 2+round%4, false, nil) // seed-dependent kill point
 
 			sys2, ln2 := serveWALSystem(t, opts, addr)
 			defer ln2.Close()

@@ -231,7 +231,6 @@ func TestCheckpointAfterAcksThenHardKill(t *testing.T) {
 	defer rc.Close()
 	done := startStreamRun(rc)
 
-	awaitMarks(t, sys1, done, 2)
 	acked := 0
 	for deadline := time.Now().Add(15 * time.Second); acked < 2; {
 		stamped, retained := streamProgress(sys1)
@@ -240,14 +239,10 @@ func TestCheckpointAfterAcksThenHardKill(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	sys1.wal.mu.Lock()
-	err = sys1.wal.checkpointLocked()
-	sys1.wal.mu.Unlock()
+	killInWindow(t, sys1, ln1, done, 2, true, func(w *walSink) { err = w.checkpointLocked() })
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	ln1.Close()
-	sys1.Kill()
 
 	rec, err := wal.Recover(opts.WALDir)
 	if err != nil {
@@ -289,12 +284,7 @@ func TestCheckpointAfterAcksThenHardKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := d.WithScale(1).Blocks
-	recomputed := 0
-	for _, st := range sys2.AllStats() {
-		if st.BlocksRecomputed > recomputed {
-			recomputed = st.BlocksRecomputed
-		}
-	}
+	recomputed := blocksRecomputed(t, sys2)
 	if recomputed <= 0 || recomputed >= total {
 		t.Fatalf("BlocksRecomputed = %d, want in (0, %d): trimmed blocks must still count as delivered", recomputed, total)
 	}

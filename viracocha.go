@@ -101,17 +101,13 @@ type Options struct {
 	// "none" (default), "obl", "onmiss", "markov".
 	Prefetcher string
 	// StorageLatency and StorageBandwidth model the storage device backing
-	// registered data sets; zero means instantaneous (real-clock default).
+	// registered data sets; zero means reads cost what the backend takes.
+	// Tests and examples pace real-clock requests with them.
 	StorageLatency   time.Duration
 	StorageBandwidth float64
 	// ChargePaperBytes makes the storage device charge each data set's
 	// paper-scale block size instead of the synthetic block's real size.
 	ChargePaperBytes bool
-	// UseIndex turns the min/max acceleration-index path on by default:
-	// commands cache per-(block, field) brick indexes, λ2 fields and BSP
-	// trees as derived DMS entities and skip provably inactive regions.
-	// Requests override per call with the "index" parameter.
-	UseIndex bool
 	// Memo turns cross-session result memoization on: identical requests
 	// (canonicalized, so "0.5" and "0.50" collide) are served from a
 	// content-addressed result cache, and concurrent identical requests
@@ -182,13 +178,7 @@ func New(opts Options) *System {
 	} else {
 		clk = vclock.NewReal()
 	}
-	cfg := core.DefaultConfig(opts.Workers)
-	if opts.VirtualTime {
-		cfg.Cost = core.DefaultCostModel()
-	} else {
-		cfg.Cost = core.ZeroCostModel()
-	}
-	cfg.UseIndex = opts.UseIndex
+	cfg := core.ConfigFor(clk, opts.Workers)
 	cfg.Memo = opts.Memo
 	if opts.FT != nil {
 		cfg.FT = *opts.FT
