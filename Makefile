@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fuzz overload soak churn bench bench-smoke benchcmp bench-e2e bench-e2e-compare size flags check clean
+.PHONY: all build test race vet fuzz overload soak churn bench bench-smoke benchcmp bench-e2e bench-e2e-compare profile-delivery alloc-guard size flags check clean
 
 all: check
 
@@ -92,6 +92,29 @@ bench-e2e-compare:
 	@test -n "$(A)" && test -n "$(B)" || { echo "usage: make bench-e2e-compare A=a.json B=b.json"; exit 1; }
 	$(GO) run -C benchmark . -compare $(abspath $(A)) $(abspath $(B))
 
+# Where the delivery path allocates (ROADMAP item 3a): the two loopback
+# delivery benchmarks of delivery_test.go — an iso_slider_warm request and a
+# shared_view_memo hit, real clock, TCP — under a 4 KiB-sampled memory profile,
+# printed as the top 20 sites by bytes and by objects. The binary and profiles
+# stay in PROFILE_DIR. results/delivery-alloc-top20.txt is this target's output
+# on the parent commit and on the change, one after the other.
+PROFILE_DIR ?= /tmp/viracocha-profile
+profile-delivery:
+	@mkdir -p $(PROFILE_DIR)
+	@for b in Iso MemoHit; do \
+		$(GO) test -run '^$$' -bench "DeliveryLoopback$$b$$" -benchtime 300x -benchmem -memprofilerate 4096 \
+			-memprofile $(PROFILE_DIR)/$$b.mem -o $(PROFILE_DIR)/viracocha.test . | grep '^Benchmark' || exit 1; \
+		for index in alloc_space alloc_objects; do \
+			$(GO) tool pprof -sample_index=$$index -top -nodecount=20 $(PROFILE_DIR)/viracocha.test $(PROFILE_DIR)/$$b.mem 2>/dev/null \
+				| grep -v '^\(File\|Time\|Build ID\):' || exit 1; \
+		done; \
+	done
+
+# The allocation guard CI runs: at most six bytes allocated per byte delivered
+# over a 47-partial loopback stream (the parent commit of the guard took 10.8).
+alloc-guard:
+	$(GO) test -count=1 -run 'TestDeliveryAllocationGuard' -v .
+
 # Short fuzz pass over the message codec (incl. fault-plan-mutated frames
 # and the message batches of WAL checkpoints), the memo-key float canonicalizer, the WAL
 # frame parser (torn/corrupt tails must truncate, never crash or mis-parse)
@@ -102,6 +125,8 @@ fuzz:
 	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzDecodeMutated -fuzztime=10s
 	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzDecodeBatchMutated -fuzztime=10s
 	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzCanonicalFloat -fuzztime=10s
+	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzFrameIsEncode -fuzztime=10s
+	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzParamParsing -fuzztime=10s
 	$(GO) test ./internal/wal/ -run=^$$ -fuzz=FuzzWALReplay -fuzztime=10s
 	$(GO) test . -run=^$$ -fuzz=FuzzCheckpointLoad -fuzztime=10s -fuzzminimizetime=1s
 

@@ -39,7 +39,7 @@ type sessionBridge struct {
 	mu       sync.Mutex
 	sessions map[string]*liveSession // session ID → state
 	routes   map[uint64]*liveReq     // runtime reqID → request
-	started  bool
+	stop     chan struct{}           // non-nil while started; closed when dispatch ends
 }
 
 // liveSession is one client session: durable sessions survive their
@@ -84,16 +84,17 @@ func newSessionBridge(sys *System, reg *session.Registry) *sessionBridge {
 // start spawns the dispatcher actor and the lease sweeper (idempotent).
 func (b *sessionBridge) start() {
 	b.mu.Lock()
-	if b.started {
+	if b.stop != nil {
 		b.mu.Unlock()
 		return
 	}
-	b.started = true
+	stop := make(chan struct{})
+	b.stop = stop
 	b.mu.Unlock()
 	b.sys.Clock.Go(b.dispatch)
 	// The sweeper is a plain goroutine on wall time: Serve guarantees a real
 	// clock, and a ticker goroutine must not count as a virtual-clock actor.
-	go b.sweep()
+	go b.sweep(stop)
 }
 
 // dispatch routes fabric messages to client connections until the runtime
@@ -101,7 +102,8 @@ func (b *sessionBridge) start() {
 func (b *sessionBridge) dispatch() {
 	defer func() {
 		b.mu.Lock()
-		b.started = false
+		close(b.stop)
+		b.stop = nil
 		b.mu.Unlock()
 	}()
 	for {
@@ -113,11 +115,12 @@ func (b *sessionBridge) dispatch() {
 	}
 }
 
-// deliver stamps, logs and forwards one fabric reply. A durable frame is
-// encoded once: the same bytes go to the stream log, the WAL and the socket.
-// The send itself happens outside the bridge lock (a slow peer must not stall
-// every other session); the connection-generation counter fences the cleanup
-// if the connection died in between.
+// deliver stamps, logs and forwards one fabric reply. The frame is built once,
+// around the worker's payload, never copying it: those parts are what a
+// durable session's stream log retains, what the WAL appends and what the
+// socket sends. The send itself happens outside the bridge lock (a slow peer
+// must not stall every other session); the connection-generation counter
+// fences the cleanup if the connection died in between.
 func (b *sessionBridge) deliver(m comm.Message) {
 	rt := b.sys.Runtime
 	inj := rt.FaultInjector()
@@ -133,22 +136,19 @@ func (b *sessionBridge) deliver(m comm.Message) {
 	sess := lr.sess
 	out := m
 	out.ReqID = lr.clientReq
-	out.Params = make(map[string]string, len(m.Params)+1)
-	for k, v := range m.Params {
-		out.Params[k] = v
-	}
 	// Only the bridge, under its lock, advances a live log's head.
 	sseq := lr.log.head() + 1
-	out.Params["sseq"] = strconv.Itoa(sseq)
-	f := logFrame{sseq: sseq, final: out.Final}
+	wire := comm.StampFrame(out, "sseq", strconv.Itoa(sseq))
+	f := newLogFrame(m, nil)
+	f.sseq = sseq
 	if sess.durable {
-		f = newLogFrame(out, comm.Encode(out))
+		f.wire, f.payload, f.sum = wire.Head, wire.Payload, wire.Sum
 	}
 	// Log before the WAL append: a checkpoint may then fold the frame in ahead
 	// of its record, never prune the record of a frame it missed.
 	lr.log.append(f)
 	if sess.durable {
-		b.sys.wal.Frame(sess.id, lr.clientReq, f.wire)
+		b.sys.wal.Frame(sess.id, lr.clientReq, wire)
 	}
 	isPartial := out.Kind == "partial"
 	rank := out.IntParam("rank", 0)
@@ -190,12 +190,7 @@ func (b *sessionBridge) deliver(m comm.Message) {
 	}
 	conn, gen := sess.conn, sess.connGen
 	b.mu.Unlock()
-	var err error
-	if f.wire != nil {
-		err = conn.SendEncoded(f.wire)
-	} else {
-		err = conn.Send(out)
-	}
+	err := conn.SendFrame(wire)
 	if err == nil {
 		return
 	}
@@ -266,21 +261,22 @@ func (b *sessionBridge) purge(sess *liveSession) {
 	})
 }
 
-// sweep purges durable sessions whose lease expired while detached, and
-// keeps attached sessions' leases renewed.
-func (b *sessionBridge) sweep() {
+// sweep purges durable sessions whose lease expired while detached and keeps
+// attached ones renewed, until stop closes (not a tick later: it holds the system).
+func (b *sessionBridge) sweep(stop <-chan struct{}) {
 	every := b.reg.TTL() / 4
 	if every < 5*time.Millisecond {
 		every = 5 * time.Millisecond
 	}
 	t := time.NewTicker(every)
 	defer t.Stop()
-	for range t.C {
-		b.mu.Lock()
-		if !b.started {
-			b.mu.Unlock()
+	for {
+		select {
+		case <-stop:
 			return
+		case <-t.C:
 		}
+		b.mu.Lock()
 		var attached []string
 		for id, sess := range b.sessions {
 			if sess.durable && sess.conn != nil {
@@ -463,7 +459,7 @@ func (b *sessionBridge) attach(conn *comm.Conn, hello comm.Message) (*liveSessio
 	}
 	replayed := 0
 	for {
-		var pending [][]byte
+		var pending []comm.Frame
 		b.mu.Lock()
 		ids := make([]uint64, 0, len(sess.reqs))
 		for cr := range sess.reqs {
@@ -488,7 +484,7 @@ func (b *sessionBridge) attach(conn *comm.Conn, hello comm.Message) (*liveSessio
 		}
 		b.mu.Unlock()
 		for _, f := range pending {
-			if err := conn.SendEncoded(f); err != nil {
+			if err := conn.SendFrame(f); err != nil {
 				return nil, 0 // peer died mid-replay; session stays detached
 			}
 			replayed++

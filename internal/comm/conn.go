@@ -19,8 +19,9 @@ var ErrWriteTimeout = errors.New("comm: write timeout: peer not draining")
 // serialized; reads are expected from a single goroutine.
 type Conn struct {
 	c   net.Conn
-	wmu sync.Mutex
+	wmu sync.Mutex // guards wto and fw
 	wto time.Duration
+	fw  frameWriter
 }
 
 // NewConn wraps an established connection.
@@ -39,19 +40,21 @@ func (c *Conn) SetWriteTimeout(d time.Duration) {
 // Send writes one framed message, honoring the write timeout when one is
 // set. After a timeout the connection is poisoned (a frame may be partially
 // written) and must be discarded, like after any other send error.
-func (c *Conn) Send(m Message) error { return c.SendEncoded(Encode(m)) }
+func (c *Conn) Send(m Message) error { return c.SendFrame(NewFrame(m)) }
 
-// SendEncoded is Send for a message the caller already serialized with
-// Encode: a sender that keeps the wire bytes (the durable bridge's stream
-// log) pays for one encoding, not one per destination.
-func (c *Conn) SendEncoded(data []byte) error {
+// SendFrame is Send for a message already encoded with NewFrame: a sender that
+// keeps the frame (the bridge's stream log) encodes once and copies nothing.
+func (c *Conn) SendFrame(f Frame) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.wto > 0 {
 		c.c.SetWriteDeadline(time.Now().Add(c.wto))
 		defer c.c.SetWriteDeadline(time.Time{})
 	}
-	err := writeEncoded(c.c, data)
+	err := c.fw.write(c.c, f)
+	if err == nil {
+		return nil
+	}
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		return fmt.Errorf("%w (after %v)", ErrWriteTimeout, c.wto)

@@ -11,18 +11,14 @@ import (
 // 32-bit little-endian length. Every sub-message's bytes are exactly its
 // individual Encode output.
 func EncodeBatch(msgs []Message) []byte {
-	encs := make([][]byte, len(msgs))
 	total := 0
 	for i := range msgs {
-		encs[i] = Encode(msgs[i])
-		total += 4 + len(encs[i])
+		total += 4 + int(msgs[i].WireSize())
 	}
 	buf := make([]byte, 0, total)
-	var s [4]byte
-	for _, e := range encs {
-		binary.LittleEndian.PutUint32(s[:], uint32(len(e)))
-		buf = append(buf, s[:]...)
-		buf = append(buf, e...)
+	for i := range msgs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(msgs[i].WireSize()))
+		buf = appendEncoded(buf, msgs[i])
 	}
 	return buf
 }
@@ -30,7 +26,8 @@ func EncodeBatch(msgs []Message) []byte {
 // DecodeBatch unpacks a batch payload into its sub-messages. Each one is
 // decoded — and CRC-checked — independently, so a batch either yields exactly
 // the messages that were packed into it or an error; there is no partial
-// acceptance of a corrupted batch.
+// acceptance of a corrupted batch. The sub-messages' payloads alias payload
+// (see Decode).
 func DecodeBatch(payload []byte) ([]Message, error) {
 	var out []Message
 	for len(payload) > 0 {

@@ -14,7 +14,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
+	"net"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -72,189 +73,216 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // contents: the frame was corrupted in flight or at rest.
 var ErrChecksum = errors.New("comm: frame checksum mismatch")
 
-// Encode serializes the message to the wire format.
-func Encode(m Message) []byte {
-	buf := make([]byte, 0, m.WireSize())
-	var s [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(s[:4], v)
-		buf = append(buf, s[:4]...)
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(s[:], v)
-		buf = append(buf, s[:]...)
-	}
+// Encode serializes the message to the wire format: the three parts of
+// NewFrame in one buffer.
+func Encode(m Message) []byte { return appendEncoded(make([]byte, 0, m.WireSize()), m) }
+
+func appendEncoded(buf []byte, m Message) []byte {
+	at := len(buf)
+	buf = append(AppendHead(buf, m, len(m.Payload), "", ""), m.Payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[at:], castagnoli))
+}
+
+// AppendHead appends what Encode writes ahead of the payload bytes — magic
+// through the payload length — for a payload of plen bytes held elsewhere. A
+// non-empty key stamps the parameter key=val in (over any value m has for it)
+// without a second Params map.
+func AppendHead(buf []byte, m Message, plen int, key, val string) []byte {
+	le := binary.LittleEndian
 	putStr := func(x string) {
-		put32(uint32(len(x)))
-		buf = append(buf, x...)
+		buf = append(le.AppendUint32(buf, uint32(len(x))), x...)
 	}
-	put32(frameMagic)
+	buf = le.AppendUint32(buf, frameMagic)
 	putStr(m.Kind)
 	putStr(m.Command)
-	put64(m.ReqID)
-	put32(uint32(int32(m.Seq)))
+	buf = le.AppendUint64(buf, m.ReqID)
+	buf = le.AppendUint32(buf, uint32(int32(m.Seq)))
+	buf = append(buf, 0)
 	if m.Final {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		buf[len(buf)-1] = 1
 	}
-	keys := make([]string, 0, len(m.Params))
+	var scratch [16]string // keeps the sort off the heap for the runtime's messages
+	keys := scratch[:0]
 	for k := range m.Params {
-		keys = append(keys, k)
+		if k != key {
+			keys = append(keys, k)
+		}
 	}
-	sort.Strings(keys)
-	put32(uint32(len(keys)))
+	if key != "" {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	buf = le.AppendUint32(buf, uint32(len(keys)))
 	for _, k := range keys {
 		putStr(k)
-		putStr(m.Params[k])
+		if k == key {
+			putStr(val)
+		} else {
+			putStr(m.Params[k])
+		}
 	}
-	put32(uint32(len(m.Payload)))
-	buf = append(buf, m.Payload...)
-	put32(crc32.Checksum(buf, castagnoli))
-	return buf
+	return le.AppendUint32(buf, uint32(plen))
+}
+
+// Frame is a message's wire encoding in three parts, so that a payload goes
+// from the actor that produced it to the socket, the stream log and the WAL
+// without being copied: Head + Payload + Sum is byte for byte Encode's output.
+type Frame struct {
+	Head    []byte // magic through the payload length
+	Payload []byte // the message's payload, aliased
+	Sum     []byte // CRC32-C over Head and Payload; shares Head's allocation
+}
+
+// NewFrame encodes m around its payload.
+func NewFrame(m Message) Frame { return StampFrame(m, "", "") }
+
+// StampFrame is NewFrame with key=val stamped in as by AppendHead.
+func StampFrame(m Message, key, val string) Frame {
+	n := int(m.WireSize()) - len(m.Payload) + 8 + len(key) + len(val) // room for the stamp
+	head := AppendHead(make([]byte, 0, n), m, len(m.Payload), key, val)
+	buf := binary.LittleEndian.AppendUint32(head, Checksum(head, m.Payload))
+	return Frame{Head: buf[:len(head)], Payload: m.Payload, Sum: buf[len(head):]}
+}
+
+// Len is the encoded size: what the length prefix in front of a frame says.
+func (f Frame) Len() int { return len(f.Head) + len(f.Payload) + len(f.Sum) }
+
+// Checksum is the frame CRC32-C over the concatenation of parts.
+func Checksum(parts ...[]byte) (sum uint32) {
+	for _, p := range parts {
+		sum = crc32.Update(sum, castagnoli, p)
+	}
+	return sum
 }
 
 // Decode parses the wire format produced by Encode, first verifying the
 // trailing CRC32-C so corruption is detected before any field is trusted.
+// The returned Payload aliases data — a received frame's buffer is its payload.
+// The caller must not write to data while the message is in use, and the
+// message keeps all of data reachable.
 func Decode(data []byte) (Message, error) {
 	var m Message
 	if len(data) < 8 {
 		return m, errors.New("comm: truncated message")
 	}
 	body := data[:len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, castagnoli) != want {
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
 		return m, ErrChecksum
 	}
-	data = body
-	off := 0
-	get32 := func() (uint32, error) {
-		if off+4 > len(data) {
-			return 0, errors.New("comm: truncated message")
-		}
-		v := binary.LittleEndian.Uint32(data[off:])
-		off += 4
-		return v, nil
-	}
-	get64 := func() (uint64, error) {
-		if off+8 > len(data) {
-			return 0, errors.New("comm: truncated message")
-		}
-		v := binary.LittleEndian.Uint64(data[off:])
-		off += 8
-		return v, nil
-	}
-	getStr := func() (string, error) {
-		n, err := get32()
-		if err != nil {
-			return "", err
-		}
-		if n > maxFrame || off+int(n) > len(data) {
-			return "", errors.New("comm: truncated or oversized string")
-		}
-		v := string(data[off : off+int(n)])
-		off += int(n)
-		return v, nil
-	}
-	magic, err := get32()
-	if err != nil {
-		return m, err
-	}
-	if magic != frameMagic {
+	c := cursor{data: body}
+	if magic := c.u32(); magic != frameMagic {
 		return m, fmt.Errorf("comm: bad magic %#x", magic)
 	}
-	if m.Kind, err = getStr(); err != nil {
-		return m, err
+	m.Kind, m.Command = c.str(), c.str()
+	m.ReqID = uint64(c.u32()) | uint64(c.u32())<<32
+	m.Seq = int(int32(c.u32()))
+	if b := c.take(1); b != nil {
+		m.Final = b[0] == 1
 	}
-	if m.Command, err = getStr(); err != nil {
-		return m, err
-	}
-	if m.ReqID, err = get64(); err != nil {
-		return m, err
-	}
-	seq, err := get32()
-	if err != nil {
-		return m, err
-	}
-	m.Seq = int(int32(seq))
-	if off >= len(data) {
-		return m, errors.New("comm: truncated message")
-	}
-	m.Final = data[off] == 1
-	off++
-	np, err := get32()
-	if err != nil {
-		return m, err
-	}
+	np := c.u32()
 	if np > 1<<16 {
 		return m, fmt.Errorf("comm: implausible param count %d", np)
 	}
 	if np > 0 {
 		m.Params = make(map[string]string, np)
-		for i := uint32(0); i < np; i++ {
-			k, err := getStr()
-			if err != nil {
-				return m, err
-			}
-			v, err := getStr()
-			if err != nil {
-				return m, err
-			}
-			m.Params[k] = v
+		for i := uint32(0); i < np && !c.short; i++ {
+			k := c.str()
+			m.Params[k] = c.str()
 		}
 	}
-	plen, err := get32()
-	if err != nil {
-		return m, err
+	plen := c.u32()
+	if c.short {
+		return m, errors.New("comm: truncated message")
 	}
-	if plen > maxFrame || off+int(plen) != len(data) {
+	if int(plen) != len(c.data) {
 		return m, errors.New("comm: payload length mismatch")
 	}
 	if plen > 0 {
-		m.Payload = append([]byte(nil), data[off:off+int(plen)]...)
+		m.Payload = c.data[:plen:plen]
 	}
 	return m, nil
 }
 
-// WriteFrame writes one length-prefixed message to w (the TCP transport).
-func WriteFrame(w io.Writer, m Message) error { return writeEncoded(w, Encode(m)) }
+// cursor reads an encoded message's fields in order. A read past the end
+// latches short and yields zero values from then on.
+type cursor struct {
+	data  []byte
+	short bool
+}
 
-// writeEncoded writes one length-prefixed frame of already-encoded bytes.
-func writeEncoded(w io.Writer, data []byte) error {
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(data)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
+func (c *cursor) take(n int) []byte {
+	if n < 0 || n > len(c.data) {
+		c.short, c.data = true, nil
+		return nil
 	}
-	_, err := w.Write(data)
+	b := c.data[:n]
+	c.data = c.data[n:]
+	return b
+}
+
+func (c *cursor) u32() uint32 {
+	if b := c.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (c *cursor) str() string { return string(c.take(int(c.u32()))) }
+
+// frameWriter is the one way a frame reaches a writer: length prefix and parts
+// in a single vectored write (writev on a TCP connection, consecutive Writes on
+// a plain io.Writer), out of scratch a long-lived owner (Conn) reuses.
+type frameWriter struct {
+	pre [4]byte
+	arr [4][]byte
+	vec net.Buffers
+}
+
+func (fw *frameWriter) write(w io.Writer, f Frame) error {
+	binary.LittleEndian.PutUint32(fw.pre[:], uint32(f.Len()))
+	fw.vec = append(fw.arr[:0], fw.pre[:], f.Head, f.Payload, f.Sum)
+	_, err := fw.vec.WriteTo(w)
+	fw.arr = [4][]byte{} // the payload is the caller's; do not keep it alive
 	return err
 }
 
-// ReadFrame reads one length-prefixed message from r.
+// WriteFrame writes one length-prefixed message to w (the TCP transport).
+func WriteFrame(w io.Writer, m Message) error {
+	var fw frameWriter
+	return fw.write(w, NewFrame(m))
+}
+
+// frameExact is the most ReadFrame allocates on a length prefix's word alone.
+const frameExact = 1 << 20
+
+// ReadFrame reads one length-prefixed message from r. The buffer it reads
+// into becomes the message's payload (see Decode).
 func ReadFrame(r io.Reader) (Message, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return Message{}, err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	n := int(binary.LittleEndian.Uint32(lenBuf[:]))
 	if n > maxFrame {
 		return Message{}, fmt.Errorf("comm: frame length %d exceeds limit", n)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return Message{}, err
+	var data []byte
+	for len(data) < n {
+		// A hostile prefix reserves frameExact, then only what was sent to back it.
+		got := len(data)
+		size := got + min(n-got, max(got, frameExact))
+		data = append(make([]byte, 0, size), data...)[:size]
+		if _, err := io.ReadFull(r, data[got:]); err != nil {
+			return Message{}, err
+		}
 	}
 	return Decode(data)
 }
 
 // FloatParam parses a float parameter with a default.
 func (m *Message) FloatParam(key string, def float64) float64 {
-	v, ok := m.Params[key]
-	if !ok {
-		return def
-	}
-	var f float64
-	if _, err := fmt.Sscanf(v, "%g", &f); err != nil || math.IsNaN(f) {
+	f := parsed(m.Params[key], def, "%g", func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
+	if math.IsNaN(f) {
 		return def
 	}
 	return f
@@ -262,15 +290,25 @@ func (m *Message) FloatParam(key string, def float64) float64 {
 
 // IntParam parses an integer parameter with a default.
 func (m *Message) IntParam(key string, def int) int {
-	v, ok := m.Params[key]
-	if !ok {
+	return parsed(m.Params[key], def, "%d", strconv.Atoi)
+}
+
+// parsed reads a parameter value with strconv — all the runtime writes itself,
+// at no allocation — and gives what that rejects the fmt.Sscanf reading it
+// always had (leading space skipped, trailing text ignored). Empty is def.
+func parsed[T int | float64](v string, def T, verb string, parse func(string) (T, error)) T {
+	if v == "" {
 		return def
 	}
-	var i int
-	if _, err := fmt.Sscanf(v, "%d", &i); err != nil {
-		return def
+	x, err := parse(v)
+	if err != nil {
+		var scanned T // escapes into Sscanf: declared on the slow path only
+		if _, err := fmt.Sscanf(v, verb, &scanned); err != nil {
+			return def
+		}
+		x = scanned
 	}
-	return i
+	return x
 }
 
 // EncodeIntList renders an integer list as a compact comma-separated param

@@ -34,7 +34,8 @@ var ErrDown = errors.New("comm: endpoint down")
 // Network is the in-process message-passing fabric between scheduler and
 // workers (the paper's MPI layer). Every send charges the sender the link
 // latency plus transfer time for the message's wire size, so gather and
-// streaming overheads appear in the experiment timings.
+// streaming overheads appear in the experiment timings. A fabric with no link
+// price (the real clock's) hands messages straight over, SendPaced's aside.
 type Network struct {
 	Clock     vclock.Clock
 	Latency   time.Duration
@@ -52,6 +53,9 @@ type Network struct {
 type NetworkStats struct {
 	Messages int64
 	Bytes    int64
+	// Priced counts the messages whose sender slept a link price or a pace
+	// for them: all of them on a priced fabric, the paced ones on a free one.
+	Priced int64
 	// Dropped counts messages lost to injected link faults or dead
 	// destination nodes; Duplicated counts injected duplicate deliveries.
 	Dropped    int64
@@ -106,12 +110,13 @@ func (n *Network) Stats() NetworkStats {
 	return n.stats
 }
 
-func (n *Network) transferCost(size int64) time.Duration {
-	d := n.Latency
-	if n.Bandwidth > 0 {
-		d += time.Duration(float64(size) / n.Bandwidth * float64(time.Second))
+// LinkCost is the modelled price of moving size bytes over a link of the
+// given latency and bandwidth (bytes/s; <= 0 means infinite).
+func LinkCost(latency time.Duration, bandwidth float64, size int64) time.Duration {
+	if bandwidth > 0 {
+		latency += time.Duration(float64(size) / bandwidth * float64(time.Second))
 	}
-	return d
+	return latency
 }
 
 // Endpoint is one node's mailbox on the fabric. Each endpoint has a single
@@ -133,13 +138,22 @@ func (e *Endpoint) Name() string { return e.name }
 // created eagerly at startup); sending to a closed endpoint charges the
 // link, silently discards the message and returns ErrDown — the fabric
 // cannot tell a crashed node from a slow one any faster than that.
-func (e *Endpoint) Send(to string, m Message) error {
+func (e *Endpoint) Send(to string, m Message) error { return e.SendPaced(to, m, 0) }
+
+// SendPaced is Send with pace added to the link cost and slept the same way,
+// holding the destination's inbound link.
+func (e *Endpoint) SendPaced(to string, m Message, pace time.Duration) error {
+	size := m.WireSize()
+	price := LinkCost(e.net.Latency, e.net.Bandwidth, size) + pace
 	e.net.mu.Lock()
 	dst, ok := e.net.nodes[to]
 	faults := e.net.Faults
 	if ok {
 		e.net.stats.Messages++
-		e.net.stats.Bytes += m.WireSize()
+		e.net.stats.Bytes += size
+		if price > 0 {
+			e.net.stats.Priced++
+		}
 	}
 	e.net.mu.Unlock()
 	if !ok {
@@ -149,9 +163,11 @@ func (e *Endpoint) Send(to string, m Message) error {
 	if faults != nil {
 		f = faults.OnSend(e.name, to, m)
 	}
-	dst.inLink.Acquire()
-	e.net.Clock.Sleep(e.net.transferCost(m.WireSize()) + f.ExtraDelay)
-	dst.inLink.Release()
+	if wait := price + f.ExtraDelay; wait > 0 {
+		dst.inLink.Acquire()
+		e.net.Clock.Sleep(wait)
+		dst.inLink.Release()
+	}
 	if f.Drop {
 		e.net.countDrop()
 		return nil // lost in transit: the sender cannot know

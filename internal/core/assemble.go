@@ -21,12 +21,14 @@ import (
 // lower attempt is dropped. Within an attempt, block-tagged partials (journal
 // mode) dedupe by (block, bseq) — a redistributed span restarts the
 // producer's sequence numbers, so only the block identity is stable — and
-// untagged ones by (rank, seq); first arrival wins. Untagged geometry joins
-// Merged in arrival order; tagged geometry joins in canonical (block, bseq)
-// order when the final message arrives, ahead of the result package, so the
-// merged mesh is byte-identical across recovery timelines.
+// untagged ones by (rank, seq); first arrival wins. The decoded packets are
+// kept as they arrive and merged once, at the exact size, when the final
+// message does: untagged geometry in arrival order, then tagged geometry in
+// canonical (block, bseq) order, then the result package — so the merged mesh
+// is byte-identical across recovery timelines.
 type StreamAssembler struct {
-	// Merged is the geometry assembled so far; the pointer never changes.
+	// Merged is the assembled geometry, filled in when Done latches; the
+	// pointer never changes.
 	Merged *mesh.Mesh
 	// Partials counts the streamed packets assembled under the current
 	// attempt; Duplicates the discarded ones (re-streamed after a rank retry,
@@ -39,8 +41,9 @@ type StreamAssembler struct {
 	Done bool
 	Err  error
 
-	seen   map[packetKey]bool
-	tagged []taggedPart
+	seen     map[packetKey]bool
+	untagged []*mesh.Mesh
+	tagged   []taggedPart
 }
 
 // packetKey identifies a partial within one attempt: (block, bseq) when
@@ -74,9 +77,8 @@ func (a *StreamAssembler) admit(m comm.Message) (key packetKey, ok bool, err err
 		a.Attempt = att
 		a.Duplicates += a.Partials
 		a.Partials = 0
-		a.Merged.Reset()
 		a.seen = map[packetKey]bool{}
-		a.tagged = nil
+		a.untagged, a.tagged = nil, nil
 	}
 	if m.Kind != "partial" {
 		return key, true, nil
@@ -115,25 +117,24 @@ func (a *StreamAssembler) Add(m comm.Message) (part *mesh.Mesh, ok bool, err err
 		if key.tagged {
 			a.tagged = append(a.tagged, taggedPart{key, part})
 		} else {
-			a.Merged.Append(part)
+			a.untagged = append(a.untagged, part)
 		}
 	case "result":
 		final, derr := mesh.DecodeBinary(m.Payload)
 		if derr != nil {
 			return nil, false, fmt.Errorf("core: corrupt result: %w", derr)
 		}
-		a.finish()
-		a.Merged.Append(final)
+		a.finish(final)
 	case "error":
 		a.Err = streamError(m)
-		a.finish()
+		a.finish(nil)
 	}
 	return part, true, nil
 }
 
-// finish appends the tagged geometry in canonical order: a failed request
-// still hands back every block that was delivered.
-func (a *StreamAssembler) finish() {
+// finish merges everything delivered — tagged geometry in canonical order, the
+// result package (nil on an error final) last — so a failed request keeps it too.
+func (a *StreamAssembler) finish(final *mesh.Mesh) {
 	sort.Slice(a.tagged, func(i, j int) bool {
 		ki, kj := a.tagged[i].key, a.tagged[j].key
 		if ki.a != kj.a {
@@ -141,9 +142,12 @@ func (a *StreamAssembler) finish() {
 		}
 		return ki.b < kj.b
 	})
+	parts := a.untagged
 	for _, t := range a.tagged {
-		a.Merged.Append(t.part)
+		parts = append(parts, t.part)
 	}
+	a.Merged.AppendAll(append(parts, final))
+	a.untagged, a.tagged = nil, nil
 	a.Done = true
 }
 

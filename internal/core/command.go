@@ -361,8 +361,10 @@ func (c *Ctx) streamPartial(m *mesh.Mesh, block, bseq int, tagged bool) error {
 		msg.Params["bseq"] = strconv.Itoa(bseq)
 	}
 	c.frames++
+	// A real-clock runtime's pacing yield; zero where the fabric prices msg.
+	pace := comm.LinkCost(c.rt.cfg.PaceLatency, c.rt.cfg.PaceBandwidth, msg.WireSize())
 	start := c.rt.Clock.Now()
-	err := c.ep.Send(c.ClientEndpoint(), msg)
+	err := c.ep.SendPaced(c.ClientEndpoint(), msg, pace)
 	c.probes.Send += c.rt.Clock.Now() - start
 	c.worker.checkCrashed()
 	return err

@@ -99,6 +99,10 @@ type Config struct {
 	// Net models the scheduler/worker/client interconnect.
 	NetLatency   time.Duration
 	NetBandwidth float64
+	// Pace is what a rank sleeps, on top of the fabric price, for each partial
+	// it streams: set only where the fabric is free (ConfigFor).
+	PaceLatency   time.Duration
+	PaceBandwidth float64
 	// DMS configures the data management system.
 	DMS dms.Config
 	// Cost converts real work counts into charged virtual time.
@@ -141,16 +145,19 @@ func DefaultConfig(workers int) Config {
 	}
 }
 
-// ConfigFor is DefaultConfig with the prices the clock kind calls for: the
-// compute and read prices advance the virtual clock; under the real clock the
-// work takes its own time and they are zero. The fabric price stays under
-// both — its per-message sleep is where the extraction goroutines yield to
-// the bridge and the socket on a small host (DESIGN.md §1).
+// ConfigFor is DefaultConfig with the prices the clock kind calls for: they
+// advance the virtual clock; under the real clock the work takes its own time
+// and compute, reads and the fabric are free. The one thing the fabric price
+// did there besides modelling — park a CPU-bound rank once per streamed
+// partial, which is when the bridge, the socket and a co-located client run —
+// stays as the pacing yield of Ctx.streamPartial (DESIGN.md §1).
 func ConfigFor(c vclock.Clock, workers int) Config {
 	cfg := DefaultConfig(workers)
 	if isReal(c) {
 		cfg.Cost = ZeroCostModel()
 		cfg.DMS.Prices = dms.Prices{}
+		cfg.PaceLatency, cfg.PaceBandwidth = cfg.NetLatency, cfg.NetBandwidth
+		cfg.NetLatency, cfg.NetBandwidth = 0, 0
 	}
 	return cfg
 }
@@ -217,14 +224,14 @@ func NewRuntime(c vclock.Clock, cfg Config) *Runtime {
 		cfg.Workers = 1
 	}
 	rt := &Runtime{
-		Clock:     c,
-		Net:       comm.NewNetwork(c, cfg.NetLatency, cfg.NetBandwidth),
-		Cost:      cfg.Cost,
-		Datasets:  map[string]*dataset.Desc{},
-		Trace:     trace.NewLog(4096),
-		cfg:       cfg,
-		faults:    cfg.Faults,
-		flow:      newFlowControl(c),
+		Clock:      c,
+		Net:        comm.NewNetwork(c, cfg.NetLatency, cfg.NetBandwidth),
+		Cost:       cfg.Cost,
+		Datasets:   map[string]*dataset.Desc{},
+		Trace:      trace.NewLog(4096),
+		cfg:        cfg,
+		faults:     cfg.Faults,
+		flow:       newFlowControl(c),
 		registry:   map[string]Command{},
 		devices:    map[string]*storage.Device{},
 		dynamic:    map[uint64]*dynQueue{},

@@ -116,6 +116,30 @@ func (m *Mesh) Append(other *Mesh) {
 	}
 }
 
+// AppendAll is the fold of Append over parts — the same mesh bit for bit —
+// with each array first moved into one allocation of its final size (cap ==
+// len), where the bare fold regrows it part after part.
+func (m *Mesh) AppendAll(parts []*Mesh) {
+	var nPos, nNrm, nVal, nIdx int
+	for _, p := range parts {
+		if p != nil && p.NumVertices() > 0 {
+			nPos, nIdx = nPos+len(p.Positions), nIdx+len(p.Indices)
+			nNrm, nVal = nNrm+len(p.Normals), nVal+len(p.Values)
+		}
+	}
+	if nPos == 0 {
+		return
+	}
+	m.Positions, m.Indices = sized(m.Positions, nPos), sized(m.Indices, nIdx)
+	m.Normals, m.Values = sized(m.Normals, nNrm), sized(m.Values, nVal)
+	for _, p := range parts {
+		m.Append(p)
+	}
+}
+
+// sized moves s into an allocation with room for exactly n more elements.
+func sized[T any](s []T, n int) []T { return append(make([]T, 0, len(s)+n), s...) }
+
 // Bounds returns the axis-aligned bounding box of the mesh vertices.
 func (m *Mesh) Bounds() grid.AABB {
 	box := grid.EmptyAABB()

@@ -411,3 +411,84 @@ func TestAcquireReleaseRoundTrip(t *testing.T) {
 	}
 	Release(nil) // must not panic
 }
+
+// randomPart is a random mesh for the AppendAll property: nil or vertex-less
+// now and then, normals and values each present or absent.
+func randomPart(rng *rand.Rand) *Mesh {
+	switch rng.Intn(8) {
+	case 0:
+		return nil
+	case 1:
+		return &Mesh{}
+	}
+	m := &Mesh{}
+	nv := 1 + rng.Intn(12)
+	for i := 0; i < nv; i++ {
+		m.AddVertex(mathx.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()})
+	}
+	for i := rng.Intn(10); i > 0; i-- {
+		m.AddTriangle(uint32(rng.Intn(nv)), uint32(rng.Intn(nv)), uint32(rng.Intn(nv)))
+	}
+	if rng.Intn(3) > 0 {
+		m.ComputeNormals()
+	}
+	if rng.Intn(3) > 0 {
+		for i := 0; i < nv; i++ {
+			m.Values = append(m.Values, rng.Float32())
+		}
+	}
+	return m
+}
+
+// TestAppendAllEqualsAppendFold: AppendAll is the fold of Append bit for bit
+// — including every way the fold drops an attribute that some part lacks, nil
+// and vertex-less parts, and a receiver that already holds geometry — and
+// leaves each array exactly as long as it allocated it.
+func TestAppendAllEqualsAppendFold(t *testing.T) {
+	same := func(a, b []float32) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		fold, all := &Mesh{}, &Mesh{}
+		if rng.Intn(2) == 0 { // a non-empty receiver, spare capacity included
+			for _, m := range []*Mesh{fold, all} {
+				r := randomPart(rand.New(rand.NewSource(seed + 1)))
+				m.Append(r)
+				m.Append(r)
+			}
+		}
+		parts := make([]*Mesh, rng.Intn(7))
+		grows := false
+		for i := range parts {
+			parts[i] = randomPart(rng)
+			grows = grows || parts[i] != nil && parts[i].NumVertices() > 0
+		}
+		for _, p := range parts {
+			fold.Append(p)
+		}
+		all.AppendAll(parts)
+		if !same(all.Positions, fold.Positions) || !same(all.Normals, fold.Normals) ||
+			!same(all.Values, fold.Values) || !bytes.Equal(all.EncodeBinary(), fold.EncodeBinary()) {
+			t.Logf("seed %d: AppendAll differs from the fold of Append", seed)
+			return false
+		}
+		if grows && (cap(all.Positions) != len(all.Positions) || cap(all.Normals) != len(all.Normals) ||
+			cap(all.Values) != len(all.Values) || cap(all.Indices) != len(all.Indices)) {
+			t.Logf("seed %d: an array has spare capacity after AppendAll", seed)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}

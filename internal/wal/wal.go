@@ -32,6 +32,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -114,6 +115,8 @@ const (
 	// maxRecord bounds a single record so a corrupt length prefix cannot
 	// drive recovery into allocating gigabytes.
 	maxRecord = 1 << 28
+	// maxStage is the largest staging buffer the log keeps between appends.
+	maxStage = 1 << 20
 
 	checkpointName = "checkpoint"
 	segmentPrefix  = "wal-"
@@ -144,6 +147,7 @@ type Log struct {
 	lastSync time.Time
 	closed   bool
 	torn     bool
+	stage    []byte // a record is framed here before its one write; reused
 }
 
 // Open creates or reopens the write side of a WAL directory. Existing
@@ -225,21 +229,31 @@ func (l *Log) openSegmentLocked(seq int) error {
 	return nil
 }
 
-// frame wraps a payload in the on-disk record framing.
-func frame(rec []byte) []byte {
-	buf := make([]byte, 4+len(rec)+4)
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(rec)))
-	copy(buf[4:], rec)
-	binary.LittleEndian.PutUint32(buf[4+len(rec):], crc32.Checksum(rec, crcTable))
-	return buf
+// appendFrame appends the on-disk framing of the record whose bytes are the
+// concatenation of parts, n in all, to dst.
+func appendFrame(dst []byte, n int, parts ...[]byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(slices.Grow(dst, 4+n+4), uint32(n))
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[len(dst)-n:], crcTable))
 }
 
 // Append writes one record, rotating and flushing per policy. The record is
 // durable on return only under PolicyAlways (and then only if no error came
 // back); under the other policies the loss window is the policy's.
-func (l *Log) Append(rec []byte) error {
-	if len(rec) > maxRecord {
-		return fmt.Errorf("wal: record of %d bytes exceeds limit", len(rec))
+func (l *Log) Append(rec []byte) error { return l.AppendParts(rec) }
+
+// AppendParts is Append for a record the caller holds in pieces (a head, a
+// payload it shares with a socket, a checksum): their concatenation is framed
+// in the log's staging buffer and written once.
+func (l *Log) AppendParts(parts ...[]byte) error {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > maxRecord {
+		return fmt.Errorf("wal: record of %d bytes exceeds limit", n)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -254,12 +268,15 @@ func (l *Log) Append(rec []byte) error {
 			return err
 		}
 	}
-	buf := frame(rec)
+	buf := appendFrame(l.stage[:0], n, parts...)
+	if cap(buf) <= maxStage {
+		l.stage = buf
+	}
 	if l.opts.Hooks != nil && l.opts.Hooks.OnWALAppend(l.path) {
 		// Tear mid-record: header plus half the payload hits the disk,
 		// then the "process" dies. The log refuses further appends so
 		// the torn tail stays exactly as the crash left it.
-		l.f.Write(buf[:4+len(rec)/2])
+		l.f.Write(buf[:4+n/2])
 		l.f.Sync()
 		l.torn = true
 		return ErrTorn
@@ -322,7 +339,7 @@ func (l *Log) Checkpoint(state []byte) error {
 		// checkpoint would un-lose records the crash is supposed to lose.
 		return ErrTorn
 	}
-	if err := WriteFileAtomic(filepath.Join(l.dir, checkpointName), frame(state), 0o644); err != nil {
+	if err := WriteFileAtomic(filepath.Join(l.dir, checkpointName), appendFrame(nil, len(state), state), 0o644); err != nil {
 		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
 	sealed := l.seq

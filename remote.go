@@ -518,14 +518,10 @@ func (rc *RemoteClient) runOnce(command string, params map[string]string, onPart
 			// Return the stream credit before anything else: even discarded
 			// duplicates were consumed off the wire. The echoed sseq lets the
 			// server tell a fresh frame's ack from a replayed frame's (whose
-			// credit it already returned itself).
-			rc.send(comm.Message{
-				Kind: "ack", ReqID: reqID,
-				Params: map[string]string{
-					"rank": strconv.Itoa(m.IntParam("rank", 0)),
-					"sseq": strconv.Itoa(m.IntParam("sseq", 0)),
-				},
-			})
+			// credit it already returned itself). Both go back as they came.
+			rc.send(comm.Message{Kind: "ack", ReqID: reqID, Params: map[string]string{
+				"rank": m.Params["rank"], "sseq": m.Params["sseq"],
+			}})
 		}
 		part, _, err := asm.Add(m)
 		if err != nil {

@@ -7,12 +7,14 @@ import (
 
 	"viracocha/internal/core"
 	"viracocha/internal/dms"
+	"viracocha/internal/vclock"
 )
 
-// TestPricesFollowClockKind: the modelled compute and read prices exist to
-// advance the virtual clock; a real-clock system charges none of them, and a
-// virtual one charges exactly what the recorded experiments were run with.
-// The fabric price is the same under both (ROADMAP item 3).
+// TestPricesFollowClockKind: the modelled compute, read and fabric prices
+// exist to advance the virtual clock; a real-clock system charges none of
+// them, and a virtual one charges exactly what the recorded experiments were
+// run with. What a real-clock system keeps is one pacing yield, at the price
+// the link had: a rank streaming a partial.
 func TestPricesFollowClockKind(t *testing.T) {
 	realRT := New(Options{}).Runtime
 	if realRT.Cost != (core.CostModel{}) {
@@ -47,10 +49,82 @@ func TestPricesFollowClockKind(t *testing.T) {
 		t.Errorf("virtual clock: read prices = %+v, want %+v", virtRT.DMS.Config.Prices, wantRead)
 	}
 
-	for name, rt := range map[string]*core.Runtime{"real": realRT, "virtual": virtRT} {
-		if rt.Net.Latency != 50*time.Microsecond || rt.Net.Bandwidth != 1e9 {
-			t.Errorf("%s clock: fabric price = %v + bytes/%v, want 50µs + bytes/1e9", name, rt.Net.Latency, rt.Net.Bandwidth)
+	if virtRT.Net.Latency != 50*time.Microsecond || virtRT.Net.Bandwidth != 1e9 {
+		t.Errorf("virtual clock: fabric price = %v + bytes/%v, want 50µs + bytes/1e9", virtRT.Net.Latency, virtRT.Net.Bandwidth)
+	}
+	if realRT.Net.Latency != 0 || realRT.Net.Bandwidth != 0 {
+		t.Errorf("real clock: fabric price = %v + bytes/%v, want none", realRT.Net.Latency, realRT.Net.Bandwidth)
+	}
+	realCfg, virtCfg := core.ConfigFor(vclock.NewReal(), 2), core.ConfigFor(vclock.NewVirtual(), 2)
+	if realCfg.PaceLatency != 50*time.Microsecond || realCfg.PaceBandwidth != 1e9 {
+		t.Errorf("real clock: stream pace = %v + bytes/%v, want 50µs + bytes/1e9", realCfg.PaceLatency, realCfg.PaceBandwidth)
+	}
+	if virtCfg.PaceLatency != 0 || virtCfg.PaceBandwidth != 0 {
+		t.Errorf("virtual clock: stream pace = %v + bytes/%v on top of a priced fabric, want none", virtCfg.PaceLatency, virtCfg.PaceBandwidth)
+	}
+}
+
+// rankStreams is how many partials the ranks of sys streamed themselves:
+// records of real work groups, not the memo's synthetic subscriber records.
+func rankStreams(sys *System) int64 {
+	var n int64
+	for _, st := range sys.AllStats() {
+		if st.Workers > 0 {
+			n += int64(st.Streams)
 		}
+	}
+	return n
+}
+
+// TestFabricChargesWhoTheClockSays counts, on the fabric itself, who paid:
+// under the virtual clock every message; under the real clock exactly the
+// partials the ranks streamed — not the commands and starts ahead of them,
+// not the journal marks, gathers and finals around them, and not one message
+// of the memo forwarder's replays.
+func TestFabricChargesWhoTheClockSays(t *testing.T) {
+	virt := New(Options{Workers: 2, VirtualTime: true})
+	if _, err := virt.AddDataset("engine", 1); err != nil {
+		t.Fatal(err)
+	}
+	virt.Session(func(c *Client) {
+		if _, err := c.Run("iso.viewer", streamParams()); err != nil {
+			t.Error(err)
+		}
+	})
+	if st := virt.Runtime.Net.Stats(); st.Messages == 0 || st.Priced != st.Messages {
+		t.Errorf("virtual clock: %d of %d fabric messages were priced, want all", st.Priced, st.Messages)
+	}
+
+	sys, ln := serveSystem(t, Options{Workers: 2}, "engine", 1)
+	defer ln.Close()
+	rc, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	memo := streamParams()
+	memo["memo"] = "1"
+	var streamed [3]int // a direct run, a memo miss (relayed and forwarded), a memo hit (replayed)
+	for i, p := range []map[string]string{streamParams(), memo, memo} {
+		if _, err := rc.Run("iso.viewer", p, func(int, *Mesh) { streamed[i]++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rc.Drain(); err != nil { // returns once every rank's wdone has filed its record
+		t.Fatal(err)
+	}
+	if ms := sys.MemoStats(); ms.Hits != 1 || ms.Misses != 1 {
+		t.Fatalf("memo hits/misses = %d/%d, want 1/1: the replay path was not exercised", ms.Hits, ms.Misses)
+	}
+	st, byRanks := sys.Runtime.Net.Stats(), rankStreams(sys)
+	if byRanks != int64(streamed[0]+streamed[1]) || streamed[2] != streamed[1] || byRanks == 0 {
+		t.Fatalf("ranks streamed %d partials, the client received %v", byRanks, streamed)
+	}
+	if st.Priced != byRanks {
+		t.Errorf("real clock: %d fabric messages were paced, want the %d partials the ranks streamed", st.Priced, byRanks)
+	}
+	if free := st.Messages - st.Priced; free < int64(streamed[1]+streamed[2]) {
+		t.Errorf("real clock: only %d messages went free, fewer than the %d partials the memo forwarded", free, streamed[1]+streamed[2])
 	}
 }
 

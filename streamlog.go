@@ -1,6 +1,7 @@
 package viracocha
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 
@@ -16,7 +17,10 @@ type logFrame struct {
 	attempt int  // -1 when the frame carries none
 	partial bool // a streamed partial: trimmed once acknowledged
 	final   bool
-	wire    []byte // comm.Encode of the stamped frame; nil on ephemeral sessions
+	// wire, payload and sum concatenate to comm.Encode of the stamped frame:
+	// the parts as the bridge framed them (payload is the worker's buffer), or
+	// all in wire when read back from the WAL; nil on ephemeral sessions.
+	wire, payload, sum []byte
 }
 
 // newLogFrame reads a stamped frame's log facts off the message it encodes.
@@ -93,13 +97,13 @@ func (l *streamLog) append(f logFrame) {
 
 // after returns the retained frames past mark, oldest first: the replay a
 // resume handshake is owed.
-func (l *streamLog) after(mark int) [][]byte {
+func (l *streamLog) after(mark int) []comm.Frame {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out [][]byte
+	var out []comm.Frame
 	for _, f := range l.frames {
 		if f.sseq > mark {
-			out = append(out, f.wire)
+			out = append(out, comm.Frame{Head: f.wire, Payload: f.payload, Sum: f.sum})
 		}
 	}
 	return out
@@ -149,7 +153,7 @@ func (l *streamLog) records(sessID string, clientReq uint64) []comm.Message {
 	defer l.mu.Unlock()
 	recs := make([]comm.Message, 0, len(l.frames)+1)
 	for _, f := range l.frames {
-		recs = append(recs, frameRecord(sessID, clientReq, f.wire))
+		recs = append(recs, frameRecord(sessID, clientReq, slices.Concat(f.wire, f.payload, f.sum)))
 	}
 	blocks := make([]int, 0, len(l.logged))
 	counts := make([]int, 0, len(l.logged))

@@ -22,6 +22,7 @@ package viracocha
 // replay pre-checkpoint records on top of the checkpointed state.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -118,8 +119,9 @@ type walSink struct {
 	// resolves to the liveReq — delivery state of every session kind, guarded
 	// by bridge.mu, which a hook firing under scheduler.mu must not take.
 	byRuntime map[uint64]*walReq
-	bytes     int64 // appended since the last checkpoint
-	every     int64 // checkpoint threshold
+	bytes     int64  // appended since the last checkpoint
+	every     int64  // checkpoint threshold
+	head      []byte // scratch for a wframe record's head (Frame)
 	closed    bool
 	err       error // first append/checkpoint failure; logging is best-effort after
 }
@@ -160,11 +162,16 @@ func (w *walSink) appendLocked(m comm.Message) {
 		return
 	}
 	data := comm.Encode(m)
-	if err := w.log.Append(data); err != nil {
+	w.appendedLocked(m.Kind, len(data), w.log.Append(data))
+}
+
+// appendedLocked follows up an append of n bytes: barrier, count, checkpoint.
+func (w *walSink) appendedLocked(kind string, n int, err error) {
+	if err != nil {
 		w.noteErrLocked("append", err)
 		return
 	}
-	switch m.Kind {
+	switch kind {
 	case "wlease", "wadmit":
 		// Admission barrier: leases and admissions are rare and load-bearing
 		// — losing one denies the client's resume outright — so they are
@@ -175,7 +182,7 @@ func (w *walSink) appendLocked(m comm.Message) {
 			w.noteErrLocked("sync", err)
 		}
 	}
-	w.bytes += int64(len(data)) + 8
+	w.bytes += int64(n) + 8
 	if w.bytes >= w.every {
 		if err := w.checkpointLocked(); err != nil {
 			w.noteErrLocked("checkpoint", err)
@@ -350,13 +357,22 @@ func (w *walSink) Admit(sessID string, clientReq, runtimeID uint64, cmd comm.Mes
 // Frame persists one stamped outbound frame. The bridge appended it to the
 // shared stream log before calling, so a checkpoint racing this append
 // already folds the frame in and replay drops the record as a duplicate.
-func (w *walSink) Frame(sessID string, clientReq uint64, wire []byte) {
+// The record is frameRecord's byte for byte, never assembled here: its head in
+// the sink's scratch, the frame's parts as its payload, the log staging both.
+func (w *walSink) Frame(sessID string, clientReq uint64, f comm.Frame) {
 	if w == nil {
 		return
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.appendLocked(frameRecord(sessID, clientReq, wire))
+	if w.log == nil || w.closed {
+		return
+	}
+	w.head = comm.AppendHead(w.head[:0], comm.Message{Kind: "wframe", ReqID: clientReq}, f.Len(), "sess", sessID)
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], comm.Checksum(w.head, f.Head, f.Payload, f.Sum))
+	err := w.log.AppendParts(w.head, f.Head, f.Payload, f.Sum, sum[:])
+	w.appendedLocked("wframe", len(w.head)+f.Len()+len(sum), err)
 }
 
 // Retire records that the client fully consumed a finished request.
