@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fuzz overload soak churn bench bench-smoke benchcmp bench-e2e bench-e2e-compare profile-delivery alloc-guard size flags check clean
+.PHONY: all build test race vet fuzz overload soak churn bench bench-smoke benchcmp bench-e2e bench-e2e-compare profile-delivery alloc-guard size flags callers example-smoke check clean
 
 all: check
 
@@ -141,7 +141,19 @@ size:
 flags:
 	@sh scripts/checkflags.sh
 
-check: vet flags build test race churn bench-smoke
+# Everything left has a caller: no func or method outside benchmark/ is named
+# only by its own definition (and so reached by its own unit tests at most),
+# except the names scripts/callers.sh exempts with a reason each.
+callers:
+	@sh scripts/callers.sh
+
+# The surviving TCP example is the smoke test of the served path: in-process
+# server with the server's settings, a streamed view-dependent isosurface, a
+# frame per packet. It writes its PPM frames into a scratch directory.
+example-smoke:
+	@d=$$(mktemp -d) && $(GO) build -o $$d/streamingiso ./examples/streamingiso && (cd $$d && ./streamingiso); s=$$?; rm -rf $$d; exit $$s
+
+check: vet flags callers build test race churn bench-smoke example-smoke
 
 clean:
 	$(GO) clean ./...

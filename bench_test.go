@@ -122,7 +122,7 @@ func BenchmarkVirtualClockHandoff(b *testing.B) {
 		q := vclock.NewQueue[int](v)
 		v.Go(func() {
 			for j := 0; j < 100; j++ {
-				q.Push(j)
+				q.PushOpen(j)
 			}
 			q.Close()
 		})

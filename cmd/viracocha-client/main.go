@@ -39,7 +39,7 @@ func main() {
 		olRetry = flag.Int("overload-retries", 3, "resubmissions after a server overloaded (or draining) rejection, honoring its retry-after hint (0 = fail fast)")
 		resume  = flag.Bool("resume", false, "durable session: reconnect automatically on connection loss and resume in-flight streams exactly where they stopped")
 		drain   = flag.Bool("drain", false, "admin: ask the server to drain (graceful shutdown) and wait for the acknowledgement instead of running a command")
-		roll    = flag.Bool("roll", false, "admin: ask the server for a rolling worker restart (needs its -rejoin) and wait for the acknowledgement instead of running a command")
+		roll    = flag.Bool("roll", false, "admin: ask the server for a rolling worker restart and wait for the acknowledgement instead of running a command")
 		ps      paramList
 	)
 	flag.Var(&ps, "p", "command parameter key=value (repeatable; redistribute=0/1 overrides the server's block-granular recovery default per request)")

@@ -34,22 +34,15 @@ func main() {
 		datasets   = flag.String("dataset", "engine", "comma-separated data sets to host (engine, propfan, tiny)")
 		scale      = flag.Int("scale", 2, "synthetic grid scale")
 		dir        = flag.String("dir", "", "serve pre-generated block files from this directory instead of on-demand synthesis")
-		prefetch   = flag.String("prefetch", "obl", "system prefetcher: none, obl, onmiss, markov")
 		latency    = flag.Duration("storage-latency", 0, "sleep this long per block read: paces requests so fault drills (-fault, kill/restart, drain) can land mid-request; 0 = reads cost what the files take")
 		heartbeat  = flag.Duration("heartbeat", 0, "worker heartbeat interval (0 = default 250ms)")
 		failAfter  = flag.Duration("fail-after", 0, "declare a silent worker dead after this (0 = default 2s)")
 		retries    = flag.Int("retries", -1, "per-request recovery retry budget (-1 = default 2)")
 		redistrib  = flag.Bool("redistribute", false, "block-granular recovery: journal per-rank progress and re-issue only a dead rank's unfinished blocks (requests override with redistribute=0/1)")
 		stragglerF = flag.Float64("straggler-factor", 0, "speculatively re-run a rank whose completed-block count times this factor trails the group median (0 = off; needs -redistribute)")
-		rejoin     = flag.Bool("rejoin", false, "self-healing membership: reboot crashed workers under a new epoch and re-admit them to the pool (also required for the roll RPC)")
-		standby    = flag.Int("standby", 0, "warm standby workers kept out of dispatch and promoted when a live rank dies (needs -rejoin for the dead rank to come back as the new standby)")
+		standby    = flag.Int("standby", 0, "warm standby workers kept out of dispatch and promoted when a live rank dies (a dead rank that is rebooted — a recover:/flap: fault rule, the roll RPC — comes back as the new standby)")
 		quarantine = flag.Float64("quarantine", 0, "quarantine a rejoining worker whose decayed crash score is at least this (0 = off); flappers sit out an escalating hold-down before probation")
-		quarHold   = flag.Duration("quarantine-hold", 0, "base quarantine hold-down, doubled per repeat offense (0 = default 4x fail-after)")
-		maxQueue   = flag.Int("max-queue", 256, "max queued requests before rejecting with overloaded (0 = unlimited)")
-		quota      = flag.Int("session-quota", 32, "max in-flight requests per client session (0 = unlimited)")
 		memBudget  = flag.Int64("mem-budget", 0, "DMS byte budget across all cache tiers (0 = unlimited)")
-		window     = flag.Int("stream-window", 32, "unacked partial packets per stream before the producer parks (0 = no flow control)")
-		slowAfter  = flag.Duration("slow-consumer-after", 5*time.Second, "cancel a request parked on stream credit this long (0 = park forever)")
 		memo       = flag.Bool("memo", false, "enable cross-session result memoization: identical requests are served from a content-addressed result cache, and concurrent identical requests coalesce onto one multicast extraction (requests override with memo=0/1)")
 		statsFile  = flag.String("stats", "", "write a JSON stats report (admission, budget, memo, per-request records) to this file on graceful shutdown")
 		lease      = flag.Duration("lease", 30*time.Second, "durable-session lease: how long a disconnected client's session (and its in-flight streams) survives awaiting resume")
@@ -63,7 +56,7 @@ func main() {
 
 	opts := viracocha.Options{
 		Workers:        *workers,
-		Prefetcher:     *prefetch,
+		Prefetcher:     "obl",
 		StorageLatency: *latency,
 		Memo:           *memo,
 		SessionLease:   *lease,
@@ -71,33 +64,24 @@ func main() {
 		WALDir:         *walDir,
 		WALFsync:       *fsyncPol,
 	}
-	if *heartbeat > 0 || *failAfter > 0 || *retries >= 0 || *redistrib || *stragglerF > 0 ||
-		*rejoin || *standby > 0 || *quarantine > 0 {
-		ft := viracocha.DefaultFTConfig()
-		if *heartbeat > 0 {
-			ft.HeartbeatEvery = *heartbeat
-		}
-		if *failAfter > 0 {
-			ft.FailAfter = *failAfter
-		}
-		if *retries >= 0 {
-			ft.MaxRetries = *retries
-		}
-		ft.Redistribute = *redistrib
-		ft.StragglerFactor = *stragglerF
-		ft.Rejoin = *rejoin
-		ft.Standby = *standby
-		ft.QuarantineAfter = *quarantine
-		ft.QuarantineHold = *quarHold
-		opts.FT = &ft
+	ft := viracocha.DefaultFTConfig()
+	if *heartbeat > 0 {
+		ft.HeartbeatEvery = *heartbeat
 	}
-	opts.Overload = &viracocha.OverloadConfig{
-		MaxQueue:          *maxQueue,
-		SessionQuota:      *quota,
-		MemBudget:         *memBudget,
-		StreamWindow:      *window,
-		SlowConsumerAfter: *slowAfter,
+	if *failAfter > 0 {
+		ft.FailAfter = *failAfter
 	}
+	if *retries >= 0 {
+		ft.MaxRetries = *retries
+	}
+	ft.Redistribute = *redistrib
+	ft.StragglerFactor = *stragglerF
+	ft.Standby = *standby
+	ft.QuarantineAfter = *quarantine
+	opts.FT = &ft
+	ov := viracocha.DefaultOverloadConfig()
+	ov.MemBudget = *memBudget
+	opts.Overload = &ov
 	if len(faultSpec) > 0 {
 		plan := &viracocha.FaultPlan{Seed: 1}
 		for _, spec := range faultSpec {

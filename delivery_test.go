@@ -113,7 +113,7 @@ func BenchmarkDeliveryLoopbackMemoHit(b *testing.B) { benchDelivery(b, true) }
 // whole, which is how it was written before the parts existed.
 func TestWALFrameRecordBytes(t *testing.T) {
 	dir := t.TempDir()
-	w := newWALSink(dir, 0)
+	w := newWALSink(dir)
 	if err := w.open(wal.PolicyOff, nil); err != nil {
 		t.Fatal(err)
 	}

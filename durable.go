@@ -672,7 +672,7 @@ func (s *System) Drain(timeout time.Duration) error {
 // Roll restarts the worker pool one node at a time — cordon, drain, kill,
 // reboot, rejoin — with every in-flight and subsequent request completing
 // normally (a rolling restart for in-place upgrades and leak hygiene). It
-// requires Options.FT.Rejoin and blocks until the whole pool has been cycled
+// blocks until the whole pool has been cycled
 // or a node misses its per-node timeout (0 means the Options.DrainTimeout
 // default). Remote admins can trigger it through RemoteClient.Roll.
 func (s *System) Roll(timeout time.Duration) error {

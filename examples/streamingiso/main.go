@@ -18,13 +18,15 @@ import (
 )
 
 func main() {
-	// Back end: like the paper's HPC side, with simulated storage costs so
-	// streaming visibly outpaces the full computation.
+	// Back end: what viracocha-server runs (OBL prefetching, the overload
+	// defaults), plus a per-read storage latency so streaming visibly outpaces
+	// the full computation.
+	overload := viracocha.DefaultOverloadConfig()
 	sys := viracocha.New(viracocha.Options{
-		Workers:          4,
-		Prefetcher:       "obl",
-		StorageLatency:   3 * time.Millisecond,
-		StorageBandwidth: 200e6,
+		Workers:        4,
+		Prefetcher:     "obl",
+		StorageLatency: 3 * time.Millisecond,
+		Overload:       &overload,
 	})
 	if _, err := sys.AddDataset("engine", 2); err != nil {
 		log.Fatal(err)

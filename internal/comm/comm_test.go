@@ -165,7 +165,7 @@ func TestFrameRoundTripOverBuffer(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{sampleMessage(), {Kind: "ack"}, {Kind: "result", Final: true}}
 	for _, m := range msgs {
-		if err := WriteFrame(&buf, m); err != nil {
+		if err := new(frameWriter).write(&buf, NewFrame(m)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -246,12 +246,6 @@ func (fw *frameWriter) write(w io.Writer, f Frame) error {
 	return err
 }
 
-// WriteFrame writes one length-prefixed message to w (the TCP transport).
-func WriteFrame(w io.Writer, m Message) error {
-	var fw frameWriter
-	return fw.write(w, NewFrame(m))
-}
-
 // frameExact is the most ReadFrame allocates on a length prefix's word alone.
 const frameExact = 1 << 20
 

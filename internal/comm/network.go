@@ -198,14 +198,6 @@ func (e *Endpoint) Recv() (Message, bool) {
 	return e.inbox.Pop()
 }
 
-// TryRecv returns a queued message without blocking.
-func (e *Endpoint) TryRecv() (Message, bool) {
-	return e.inbox.TryPop()
-}
-
-// Pending reports the number of queued messages.
-func (e *Endpoint) Pending() int { return e.inbox.Len() }
-
 // Close shuts the inbox; pending messages can still be drained.
 func (e *Endpoint) Close() { e.inbox.Close() }
 

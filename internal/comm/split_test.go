@@ -173,7 +173,7 @@ func TestSendFrameByteStream(t *testing.T) {
 func TestReadFrameEarnsLargeBuffers(t *testing.T) {
 	big := Message{Kind: "result", Payload: bytes.Repeat([]byte{0xab, 0xcd, 0xef}, frameExact)}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, big); err != nil {
+	if err := new(frameWriter).write(&buf, NewFrame(big)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFrame(&buf)
@@ -322,8 +322,8 @@ func TestFreeFabricPacesOnly(t *testing.T) {
 			a.Send("b", Message{Kind: "result"})
 		})
 		v.Wait()
-		if st := n.Stats(); st.Messages != 3 || st.Priced != tc.priced || b.Pending() != 3 {
-			t.Errorf("%s fabric: %d messages, %d priced, %d delivered; want 3, %d, 3", tc.name, st.Messages, st.Priced, b.Pending(), tc.priced)
+		if st := n.Stats(); st.Messages != 3 || st.Priced != tc.priced || b.inbox.Len() != 3 {
+			t.Errorf("%s fabric: %d messages, %d priced, %d delivered; want 3, %d, 3", tc.name, st.Messages, st.Priced, b.inbox.Len(), tc.priced)
 		}
 		if v.Now() != tc.elapsed {
 			t.Errorf("%s fabric: senders slept %v in all, want %v", tc.name, v.Now(), tc.elapsed)

@@ -63,16 +63,6 @@ func (IsoTimeSeries) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	return nil, nil // every step was streamed
 }
 
-// StepOfPacket recovers the 0-based series index of a streamed packet from
-// its within-worker sequence number (packets are streamed once per step in
-// order).
-func StepOfPacket(seq int) int {
-	if seq < 1 {
-		return 0
-	}
-	return seq - 1
-}
-
 // Streamlines integrates steady streamlines through the frozen field of a
 // single time step — the instantaneous companion of the pathline commands,
 // useful when the user inspects one snapshot of an unsteady flow.

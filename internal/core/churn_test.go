@@ -66,9 +66,7 @@ func TestRejoinAfterCrashRestoresPool(t *testing.T) {
 	plan := (&faults.Plan{Seed: 5}).
 		CrashAt("w1", 500*time.Millisecond).
 		RecoverAt("w1", 1500*time.Millisecond)
-	rt := newFaultRuntime(t, v, 3, plan, func(cfg *Config) {
-		cfg.FT.Rejoin = true
-	})
+	rt := newFaultRuntime(t, v, 3, plan, nil)
 	var res *RunResult
 	var err error
 	var liveDuringOutage, liveAfterRejoin int
@@ -131,44 +129,6 @@ func TestRejoinAfterCrashRestoresPool(t *testing.T) {
 	}
 }
 
-// TestRejoinOffByDefaultKeepsFailStop pins the legacy semantics: without
-// FT.Rejoin a planned recovery is refused — dead is forever, the pool stays
-// shrunk, and no new incarnation ever spawns.
-func TestRejoinOffByDefaultKeepsFailStop(t *testing.T) {
-	v := vclock.NewVirtual()
-	plan := (&faults.Plan{Seed: 5}).
-		CrashAt("w1", 500*time.Millisecond).
-		RecoverAt("w1", 1500*time.Millisecond)
-	rt := newFaultRuntime(t, v, 3, plan, nil) // fastFT: Rejoin stays false
-	var res *RunResult
-	var err error
-	var live int
-	v.Go(func() {
-		cl := NewClient(rt)
-		sleepUntil(v, 2500*time.Millisecond) // well past the planned recovery
-		live = rt.Sched.LiveWorkers()
-		res, err = cl.Run("test.echo", map[string]string{"dataset": "tiny", "workers": "3"})
-		rt.Shutdown()
-	})
-	v.Wait()
-	if live != 2 {
-		t.Fatalf("live workers = %d, want 2 (fail-stop: no rejoin)", live)
-	}
-	if err != nil {
-		t.Fatalf("degraded request failed: %v", err)
-	}
-	st, _ := rt.Sched.Stats(res.ReqID)
-	if !st.Degraded || st.Workers != 2 {
-		t.Fatalf("stats = %+v, want Degraded=true Workers=2", st)
-	}
-	if got := rt.Workers[1].Epoch(); got != 1 {
-		t.Fatalf("w1 epoch = %d, want 1 (never respawned)", got)
-	}
-	if traceContains(rt, "rebooted") {
-		t.Fatal("worker respawned despite FT.Rejoin off")
-	}
-}
-
 // TestEpochFencingDropsStaleFrames drives two explicit crash → declareDead →
 // revive cycles and checks the fencing seams: LiveWorkers stays consistent
 // through each cycle, a wdone or heartbeat stamped with a fenced epoch is
@@ -179,7 +139,6 @@ func TestEpochFencingDropsStaleFrames(t *testing.T) {
 		// No heartbeats: liveness transitions are driven explicitly below,
 		// so lastSeen comparisons are deterministic.
 		cfg.FT = FTConfig{
-			Rejoin:       true,
 			MaxRetries:   2,
 			RetryBackoff: 10 * time.Millisecond,
 			MaxBackoff:   time.Second,
@@ -268,7 +227,6 @@ func TestFlappingWorkerQuarantined(t *testing.T) {
 	v := vclock.NewVirtual()
 	plan := (&faults.Plan{Seed: 13}).Flap("w2", 600*time.Millisecond)
 	rt := newFaultRuntime(t, v, 3, plan, func(cfg *Config) {
-		cfg.FT.Rejoin = true
 		cfg.FT.QuarantineAfter = 1.5
 		cfg.FT.HealthHalfLife = 60 * time.Second // slow decay: crashes accumulate
 	})
@@ -322,7 +280,6 @@ func TestQuarantineReleaseOnProbation(t *testing.T) {
 		CrashAt("w1", 500*time.Millisecond).
 		RecoverAt("w1", 1200*time.Millisecond)
 	rt := newFaultRuntime(t, v, 3, plan, func(cfg *Config) {
-		cfg.FT.Rejoin = true
 		cfg.FT.QuarantineAfter = 0.5 // a single crash is enough to quarantine
 		cfg.FT.QuarantineHold = 300 * time.Millisecond
 		cfg.FT.HealthHalfLife = 60 * time.Second
@@ -368,7 +325,6 @@ func TestStandbyPromotionRestoresStrength(t *testing.T) {
 		CrashAt("w1", 500*time.Millisecond).
 		RecoverAt("w1", 1500*time.Millisecond)
 	rt := newFaultRuntime(t, v, 3, plan, func(cfg *Config) {
-		cfg.FT.Rejoin = true
 		cfg.FT.Standby = 1
 	})
 	var res *RunResult
@@ -421,15 +377,13 @@ func TestStandbyPromotionRestoresStrength(t *testing.T) {
 // and requires the result to be byte-identical to a roll-free run.
 func TestRollingRestart(t *testing.T) {
 	params := map[string]string{"workers": "3", "items": "6"}
-	mut := func(cfg *Config) { cfg.FT.Rejoin = true }
-
-	ref, rerr, _, _, _ := runSpanScenario(t, 3, nil, mut, "test.spanstream", params)
+	ref, rerr, _, _, _ := runSpanScenario(t, 3, nil, nil, "test.spanstream", params)
 	if rerr != nil {
 		t.Fatalf("reference run failed: %v", rerr)
 	}
 
 	v := vclock.NewVirtual()
-	rt := newFaultRuntime(t, v, 3, nil, mut)
+	rt := newFaultRuntime(t, v, 3, nil, nil)
 	var res *RunResult
 	var rollErr error
 	v.Go(func() {
@@ -513,7 +467,6 @@ func TestChurnSoak(t *testing.T) {
 				flapper = 1 + (victim % (workers - 1))
 			}
 			mut := func(cfg *Config) {
-				cfg.FT.Rejoin = true
 				cfg.FT.Standby = 1
 				cfg.FT.QuarantineAfter = 1.5
 				cfg.FT.HealthHalfLife = 60 * time.Second

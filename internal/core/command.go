@@ -105,9 +105,6 @@ func (c *Ctx) Journaling() bool { return c.IntParam("journal", 0) != 0 }
 // Proxy returns this worker's DMS proxy.
 func (c *Ctx) Proxy() *dms.Proxy { return c.proxy }
 
-// Clock exposes the runtime clock for commands that price custom work.
-func (c *Ctx) Clock() interface{ Now() time.Duration } { return c.rt.Clock }
-
 // Charge prices d of computation to this worker (virtual time) and adds it
 // to the compute probe. Like every Ctx method that parks the actor, it is a
 // crash point: a worker that fail-stopped mid-charge never returns. An
@@ -400,9 +397,6 @@ func (c *Ctx) Progress(done, total int) {
 	}
 	c.probes.Send += c.rt.Clock.Now() - start
 }
-
-// Streams reports how many partial packets this worker has streamed.
-func (c *Ctx) Streams() int { return c.streams }
 
 // AssignedBlocks splits the block list of one time step round-robin across
 // the group: block b goes to rank b mod GroupSize. order, when non-nil,

@@ -454,12 +454,12 @@ func TestMultipleClientsConcurrently(t *testing.T) {
 	v := vclock.NewVirtual()
 	rt := newTestRuntime(t, v, 4)
 	results := make([]*RunResult, 2)
-	g := vclock.NewGroup(v)
-	g.Add(2)
+	var done [2]*vclock.Gate
 	for i := 0; i < 2; i++ {
 		i := i
+		done[i] = vclock.NewGate(v)
 		v.Go(func() {
-			defer g.Done()
+			defer done[i].Open()
 			cl := NewClient(rt)
 			res, err := cl.Run("test.stream", map[string]string{
 				"dataset": "tiny", "workers": "2", "packets": strconv.Itoa(i + 2)})
@@ -471,7 +471,8 @@ func TestMultipleClientsConcurrently(t *testing.T) {
 		})
 	}
 	v.Go(func() {
-		g.Wait()
+		done[0].Wait()
+		done[1].Wait()
 		rt.Shutdown()
 	})
 	v.Wait()

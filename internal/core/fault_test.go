@@ -171,6 +171,29 @@ func TestCrashRecoveryIsDeterministic(t *testing.T) {
 	}
 }
 
+func TestFirstRequestArrivesBeforeFirstHeartbeat(t *testing.T) {
+	// The runtime's heartbeat loops are already sleeping when the driver spawns
+	// the client; however long the driver dawdles in wall time, the request
+	// is received before the first beat — a fault plan's "crash at 1s" is then
+	// a second into the request, not hours before it.
+	v := vclock.NewVirtual()
+	rt := newFaultRuntime(t, v, 4, nil, nil)
+	time.Sleep(20 * time.Millisecond)
+	var res *RunResult
+	v.Go(func() {
+		res, _ = NewClient(rt).Run("test.crunch", map[string]string{"dataset": "tiny", "workers": "4"})
+		rt.Shutdown()
+	})
+	v.Wait()
+	st, ok := rt.Sched.Stats(res.ReqID)
+	if !ok {
+		t.Fatalf("no stats recorded for req %d", res.ReqID)
+	}
+	if st.Received >= fastFT().HeartbeatEvery {
+		t.Fatalf("first request received at %v, want under one heartbeat (%v)", st.Received, fastFT().HeartbeatEvery)
+	}
+}
+
 func TestCrashWithRetriesDisabledFailsCleanly(t *testing.T) {
 	res, err, st, end := runCrashScenario(t, map[string]string{"retries": "0"})
 	if err == nil {

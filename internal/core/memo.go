@@ -283,6 +283,19 @@ func (s *Scheduler) memoAdmit(m comm.Message) bool {
 		at:      s.rt.Clock.Now(),
 	}
 
+	// Identical extraction already running: attach as a subscriber. The
+	// forwarder replays the already-relayed prefix from the log and streams
+	// the rest live. Asked before the cache, because memoProducerDone moves a
+	// key from in-flight to cached in one critical section: a key that is not
+	// in flight here has either never run or is already stored — the other
+	// order lets a request that follows its twin's final packet miss both.
+	if e := mt.attach(key, sub); e != nil {
+		s.rt.Trace.Eventf(s.rt.Clock.Now(), "memo",
+			"req %d: attached to in-flight %s (producer req %d)", sub.subID, key, e.prodID)
+		s.rt.Clock.Go(func() { s.runMemoForwarder(e, sub) })
+		return false
+	}
+
 	// Completed result in the cache: replay it wholesale through a
 	// per-request entry over the stored log.
 	if ent := mt.lookup(key); ent != nil {
@@ -291,16 +304,6 @@ func (s *Scheduler) memoAdmit(m comm.Message) bool {
 		mt.registerSub(e, sub, true)
 		s.rt.Trace.Eventf(s.rt.Clock.Now(), "memo",
 			"req %d: hit %s, replaying cached result (%d packets)", sub.subID, key, len(ent.log))
-		s.rt.Clock.Go(func() { s.runMemoForwarder(e, sub) })
-		return false
-	}
-
-	// Identical extraction already running: attach as a subscriber. The
-	// forwarder replays the already-relayed prefix from the log and streams
-	// the rest live.
-	if e := mt.attach(key, sub); e != nil {
-		s.rt.Trace.Eventf(s.rt.Clock.Now(), "memo",
-			"req %d: attached to in-flight %s (producer req %d)", sub.subID, key, e.prodID)
 		s.rt.Clock.Go(func() { s.runMemoForwarder(e, sub) })
 		return false
 	}

@@ -55,10 +55,6 @@ type FTConfig struct {
 	// re-issued to an idle worker; the first completion wins and the loser is
 	// superseded. <= 1 disables speculation.
 	StragglerFactor float64
-	// Rejoin lets previously-dead workers register again via the join
-	// handshake (with epoch fencing of their old incarnation). Off preserves
-	// the legacy fail-stop semantics: dead is forever.
-	Rejoin bool
 	// QuarantineAfter is the decayed crash-score threshold at which a
 	// rejoining node is quarantined (admitted but not scheduled) instead of
 	// readmitted; <= 0 disables quarantine. Each crash charges 1 to the
@@ -74,8 +70,8 @@ type FTConfig struct {
 	// Standby is the number of extra reserve workers the runtime creates
 	// beyond Config.Workers: they run and heartbeat but are only promoted
 	// into the dispatch pool when a scheduled worker dies (restoring
-	// LiveWorkers to target strength). Requires Rejoin-style membership to
-	// be useful but works independently.
+	// LiveWorkers to target strength). The dead rank becomes the new standby
+	// if something reboots it (a recover:/flap: fault rule, the roll RPC).
 	Standby int
 }
 
@@ -503,14 +499,15 @@ func (rt *Runtime) noteStopping() {
 }
 
 // reviveWorker reboots a dead worker as a fresh incarnation (see
-// Worker.respawn) and reports whether it did. Refused when membership is
-// static (FT.Rejoin off — dead is forever), when the worker is not actually
-// dead, or when the runtime is already shutting down (a late incarnation
-// would outlive the scheduler's shutdown broadcast and hang the clock).
+// Worker.respawn) and reports whether it did. Nothing reboots a worker
+// unasked — a recover:/flap: fault rule or Roll is the request; without one,
+// dead is forever. Refused when the worker is not actually dead, or when the
+// runtime is already shutting down (a late incarnation would outlive the
+// scheduler's shutdown broadcast and hang the clock).
 func (rt *Runtime) reviveWorker(w *Worker) bool {
 	rt.stopMu.Lock()
 	defer rt.stopMu.Unlock()
-	if !rt.cfg.FT.Rejoin || rt.stopping || !w.dead.Load() || w.stopped.Load() {
+	if rt.stopping || !w.dead.Load() || w.stopped.Load() {
 		return false
 	}
 	w.respawn()
@@ -521,13 +518,9 @@ func (rt *Runtime) reviveWorker(w *Worker) bool {
 // work), wait for its in-flight execution to drain and its journal marks to
 // flush (the wdone path), kill it, reboot it, and wait for the rejoin before
 // moving on — a rolling restart with all requests completing normally.
-// timeout bounds each node's drain+rejoin; requires FT.Rejoin. Must run in a
-// context where fabric sends are legal (an actor, or any goroutine under the
-// real clock).
+// timeout bounds each node's drain+rejoin. Must run in a context where fabric
+// sends are legal (an actor, or any goroutine under the real clock).
 func (rt *Runtime) Roll(timeout time.Duration) error {
-	if !rt.cfg.FT.Rejoin {
-		return fmt.Errorf("core: roll needs FT.Rejoin enabled")
-	}
 	poll := rt.cfg.FT.HeartbeatEvery
 	if poll <= 0 {
 		poll = 10 * time.Millisecond

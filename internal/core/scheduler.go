@@ -764,15 +764,14 @@ func (s *Scheduler) promoteStandbyLocked() {
 // new incarnation's epoch; accepting it fences every frame of older
 // incarnations. A crash-prone node is quarantined instead of readmitted; a
 // healthy one re-enters the pool (or the standby reserve when the pool is at
-// strength). With static membership (FT.Rejoin off) joins are ignored —
-// dead is forever, the legacy fail-stop semantics.
+// strength).
 func (s *Scheduler) noteJoin(m comm.Message) {
 	node := m.Params["worker"]
 	epoch := m.IntParam("wepoch", 0)
 	var sends []outMsg
 	s.mu.Lock()
 	st, known := s.state[node]
-	if !known || !s.rt.cfg.FT.Rejoin || epoch <= s.epochs[node] {
+	if !known || epoch <= s.epochs[node] {
 		s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
 			"join from %s (epoch %d) ignored", node, epoch)
 		s.mu.Unlock()

@@ -68,9 +68,6 @@ func newWorker(rt *Runtime, node string, pf prefetch.Prefetcher) *Worker {
 	}
 }
 
-// Node reports the worker's node name.
-func (w *Worker) Node() string { return w.node }
-
 // Epoch reports the worker's current incarnation number.
 func (w *Worker) Epoch() int {
 	w.mu.Lock()

@@ -334,10 +334,6 @@ func (t *Tiered) insertL1(id ItemID, item Entity, prefetched bool) bool {
 	return ok
 }
 
-// Budget returns the shared memory budget (nil = unlimited). Both tiers are
-// wired to the same budget, so the primary's is representative.
-func (t *Tiered) Budget() *Budget { return t.L1.Budget }
-
 // Peek checks both tiers without side effects.
 func (t *Tiered) Peek(id ItemID) (Entity, bool) {
 	if e, ok := t.L1.Peek(id); ok {

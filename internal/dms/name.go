@@ -121,13 +121,6 @@ func (s *NameServer) Lookup(id ItemID) (ItemName, bool) {
 	return n, ok
 }
 
-// Count reports the number of registered names.
-func (s *NameServer) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ids)
-}
-
 // IDsMatching returns the IDs of every registered name accepted by match,
 // in ascending ID order. It powers invalidation sweeps: the name space is
 // the only complete inventory of what may be cached anywhere.

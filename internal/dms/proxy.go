@@ -66,8 +66,6 @@ type Proxy struct {
 	NameCost time.Duration
 	// Coordinator, when set, deduplicates fetches across proxies.
 	Coordinator Coordinator
-	// StatsUnit records the demand request stream (§4.2).
-	StatsUnit *StatsUnit
 	// Budget is the server-wide memory budget (nil = unlimited); the
 	// prefetcher consults it to shed speculation before demand loads feel
 	// the pressure.
@@ -107,7 +105,6 @@ func NewProxy(node string, c vclock.Clock, cache *Tiered, res *Resolver, sel *lo
 		Resolver:   res,
 		Loader:     sel,
 		Prefetcher: pf,
-		StatsUnit:  NewStatsUnit(0),
 		inflight:   map[ItemID]*vclock.Gate{},
 	}
 }
@@ -136,7 +133,6 @@ func (p *Proxy) Get(id grid.BlockID) (*grid.Block, error) {
 	for {
 		if e, ok := p.Cache.Get(item); ok {
 			b := e.(*grid.Block) // a BlockItem name always caches a block
-			p.StatsUnit.Record(id, false, p.Clock.Now())
 			p.Prefetcher.Record(id, false)
 			if p.OnDemand != nil {
 				p.OnDemand(id)
@@ -181,7 +177,6 @@ func (p *Proxy) Get(id grid.BlockID) (*grid.Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.StatsUnit.Record(id, true, p.Clock.Now())
 		p.Prefetcher.Record(id, true)
 		if p.OnDemand != nil {
 			p.OnDemand(id)

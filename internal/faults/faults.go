@@ -104,7 +104,7 @@ type Plan struct {
 	// write-deadline path deterministically.
 	Hangs map[string]bool
 	// Recovers maps worker node names to the virtual time at which a crashed
-	// node reboots and rejoins the scheduler (requires FTConfig.Rejoin).
+	// node reboots and rejoins the scheduler.
 	Recovers map[string]time.Duration
 	// Flaps maps worker node names to a crash/rejoin half-period: the node
 	// crashes after every PERIOD of uptime and reboots PERIOD later, over and

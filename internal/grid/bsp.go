@@ -7,11 +7,10 @@ import "viracocha/internal/mathx"
 // per block, prunes subtrees that cannot contain the iso-value ("empty
 // regions"), and traverses leaves front-to-back from the viewer (paper §6.3).
 type BSPTree struct {
-	Block  *Block
-	Field  string
-	root   *bspNode
-	leaves int
-	nodes  int
+	Block *Block
+	Field string
+	root  *bspNode
+	nodes int
 }
 
 type bspNode struct {
@@ -36,9 +35,6 @@ func BuildBSP(b *Block, field string) *BSPTree {
 	return t
 }
 
-// Leaves reports the number of leaf nodes.
-func (t *BSPTree) Leaves() int { return t.leaves }
-
 // SizeBytes reports the approximate in-memory size of the tree for DMS
 // cache accounting: traversal state only, not the block it was built from.
 func (t *BSPTree) SizeBytes() int64 {
@@ -61,7 +57,6 @@ func (t *BSPTree) build(lo, hi [3]int) *bspNode {
 	n.bounds, n.smin, n.smax = t.rangeStats(lo, hi)
 	cells := (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2])
 	if cells <= LeafCells {
-		t.leaves++
 		return n
 	}
 	// Split the axis with the largest physical extent of the node bounds,

@@ -414,9 +414,6 @@ func TestBSPPrunesEmptyRegions(t *testing.T) {
 func TestBSPFrontToBackLeafOrder(t *testing.T) {
 	b := uniformBlock(BlockID{"d", 0, 0}, 33, 5, 5, mathx.Vec3{}, mathx.Vec3{X: 8, Y: 1, Z: 1})
 	tree := BuildBSP(b, "pressure")
-	if tree.Leaves() < 2 {
-		t.Skip("block too small to split")
-	}
 	eye := mathx.Vec3{X: -100, Y: 0.5, Z: 0.5}
 	var centers []float64
 	tree.VisitFrontToBack(eye, 3, func(r CellRange) bool {

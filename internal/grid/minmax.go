@@ -103,9 +103,6 @@ func (f *ScalarField) SizeBytes() int64 { return int64(len(f.Vals))*4 + 32 }
 // DerivedEntity marks the field as derived (re-computable) data.
 func (f *ScalarField) DerivedEntity() {}
 
-// Bricks reports the number of bricks in the index.
-func (x *MinMaxIndex) Bricks() int { return x.BI * x.BJ * x.BK }
-
 // SizeBytes reports the in-memory payload of the index for DMS cache
 // accounting: two float32 per brick plus the fixed header.
 func (x *MinMaxIndex) SizeBytes() int64 {

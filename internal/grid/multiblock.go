@@ -43,12 +43,6 @@ func (m *MultiBlock) ensureBounds() {
 	m.boundsV = true
 }
 
-// BlockBounds returns the cached bounding box of block i.
-func (m *MultiBlock) BlockBounds(i int) AABB {
-	m.ensureBounds()
-	return m.bounds[i]
-}
-
 // Locate finds the block and cell containing physical point p. hintBlock
 // (when ≥ 0) and hintLoc warm-start the search with the previous position of
 // a moving particle, the common case in pathline integration. The returned

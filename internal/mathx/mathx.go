@@ -50,11 +50,6 @@ func (a Vec3) Lerp(b Vec3, t float64) Vec3 {
 // Mat3 is a 3×3 matrix in row-major order: M[r][c].
 type Mat3 [3][3]float64
 
-// Identity3 returns the 3×3 identity matrix.
-func Identity3() Mat3 {
-	return Mat3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-}
-
 // Add returns m + n.
 func (m Mat3) Add(n Mat3) Mat3 {
 	var r Mat3

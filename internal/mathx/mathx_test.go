@@ -61,10 +61,11 @@ func clampComp(x float64) float64 {
 
 func TestMatMulIdentity(t *testing.T) {
 	m := Mat3{{1, 2, 3}, {4, 5, 6}, {7, 8, 10}}
-	if got := m.Mul(Identity3()); got != m {
+	id := Mat3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
+	if got := m.Mul(id); got != m {
 		t.Errorf("m·I = %v, want %v", got, m)
 	}
-	if got := Identity3().Mul(m); got != m {
+	if got := id.Mul(m); got != m {
 		t.Errorf("I·m = %v, want %v", got, m)
 	}
 }

@@ -394,25 +394,3 @@ func DecodeBinary(data []byte) (*Mesh, error) {
 func (m *Mesh) SizeBytes() int64 {
 	return int64(16 + 4*(len(m.Positions)+len(m.Normals)+len(m.Values)+len(m.Indices)))
 }
-
-// Decimate reduces the mesh to at most target triangles by vertex
-// clustering: the weld tolerance is doubled until the budget holds (or the
-// mesh collapses to nothing at a safety bound). It is the cheap
-// level-of-detail reduction a client can apply to streamed packets, and
-// complements the multi-resolution extraction path (paper §5.3). It
-// returns the final triangle count.
-func (m *Mesh) Decimate(target int) int {
-	if target <= 0 || m.NumTriangles() <= target {
-		return m.NumTriangles()
-	}
-	cell := m.Bounds().Diagonal() / 512
-	if cell <= 0 {
-		cell = 1e-9
-	}
-	var wb WeldBuffer // one map + remap for all iterations
-	for iter := 0; iter < 24 && m.NumTriangles() > target; iter++ {
-		m.WeldInto(cell, &wb)
-		cell *= 2
-	}
-	return m.NumTriangles()
-}

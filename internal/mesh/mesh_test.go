@@ -253,46 +253,6 @@ func TestNormalsAreUnitOrZero(t *testing.T) {
 	}
 }
 
-func TestDecimateHitsBudget(t *testing.T) {
-	// A dense grid of triangles over the unit square.
-	m := &Mesh{}
-	const n = 24
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			x0, y0 := float64(i)/n, float64(j)/n
-			x1, y1 := float64(i+1)/n, float64(j+1)/n
-			a := m.AddVertex(mathx.Vec3{X: x0, Y: y0})
-			b := m.AddVertex(mathx.Vec3{X: x1, Y: y0})
-			c := m.AddVertex(mathx.Vec3{X: x1, Y: y1})
-			d := m.AddVertex(mathx.Vec3{X: x0, Y: y1})
-			m.AddTriangle(a, b, c)
-			m.AddTriangle(a, c, d)
-		}
-	}
-	before := m.NumTriangles()
-	got := m.Decimate(before / 8)
-	if got > before/8 {
-		t.Fatalf("Decimate left %d triangles, budget %d", got, before/8)
-	}
-	if got == 0 {
-		t.Fatal("Decimate destroyed the mesh")
-	}
-	// The decimated mesh still roughly covers the square.
-	if m.Area() < 0.5 {
-		t.Fatalf("area collapsed to %v", m.Area())
-	}
-}
-
-func TestDecimateNoopWhenUnderBudget(t *testing.T) {
-	m := quad()
-	if got := m.Decimate(100); got != 2 {
-		t.Fatalf("Decimate changed a small mesh: %d", got)
-	}
-	if got := m.Decimate(0); got != 2 {
-		t.Fatalf("Decimate(0) should be a no-op: %d", got)
-	}
-}
-
 // soup returns a triangle-soup mesh with many duplicated vertices (each
 // lattice quad emits its own four corners).
 func soup(n int) *Mesh {

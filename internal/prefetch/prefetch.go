@@ -256,11 +256,3 @@ func (m *Markov) bestSuccessorLocked(ctx string) (grid.BlockID, int, int) {
 	}
 	return best, bestN, total
 }
-
-// Learned reports the number of contexts with at least one observed
-// successor, a measure of training progress.
-func (m *Markov) Learned() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.counts)
-}

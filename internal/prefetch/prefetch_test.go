@@ -78,9 +78,6 @@ func TestMarkovLearnsNonSequentialPattern(t *testing.T) {
 			t.Fatalf("Suggest(%d) = %v, want block %d", cur, got, want)
 		}
 	}
-	if p.Learned() < 3 {
-		t.Fatalf("Learned = %d", p.Learned())
-	}
 }
 
 func TestMarkovFallsBackToOBLDuringLearning(t *testing.T) {

@@ -31,13 +31,6 @@ func NewImage(w, h int) *Image {
 	return img
 }
 
-// Fill sets every pixel to the given color without touching the z-buffer.
-func (im *Image) Fill(r, g, b uint8) {
-	for i := 0; i < len(im.pix); i += 3 {
-		im.pix[i], im.pix[i+1], im.pix[i+2] = r, g, b
-	}
-}
-
 // set writes a pixel if it wins the depth test.
 func (im *Image) set(x, y int, z float64, r, g, b uint8) {
 	if x < 0 || x >= im.W || y < 0 || y >= im.H {

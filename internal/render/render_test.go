@@ -71,7 +71,6 @@ func TestDepthTest(t *testing.T) {
 
 func TestWritePPM(t *testing.T) {
 	im := NewImage(4, 2)
-	im.Fill(10, 20, 30)
 	var buf bytes.Buffer
 	if err := im.WritePPM(&buf); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
-// Package session records and replays interactive exploration sessions: the
+// Package session scripts and replays interactive exploration sessions: the
 // trial-and-error loop of §1.1 in which a user repeatedly issues extraction
 // commands with adjusted parameters, judges the result, and moves on.
-// Scripts are JSON so they can be captured once and replayed against
+// Scripts are JSON so they can be written once and replayed against
 // different system configurations — the closest a headless reproduction can
 // get to the user studies the paper defers to future work, and the basis of
 // the interaction experiment in the bench harness.
@@ -69,41 +69,6 @@ type StepResult struct {
 	// Partials counts streamed packets.
 	Partials int
 	Err      error
-}
-
-// Recorder accumulates a script from live interactions.
-type Recorder struct {
-	script Script
-	clock  vclock.Clock
-	lastAt time.Duration
-}
-
-// NewRecorder starts a recording named name on the given clock.
-func NewRecorder(name string, c vclock.Clock) *Recorder {
-	return &Recorder{script: Script{Name: name}, clock: c, lastAt: c.Now()}
-}
-
-// Note records one interaction; the think time is the clock time elapsed
-// since the previous Note (or the recorder's creation).
-func (r *Recorder) Note(label, command string, params map[string]string) {
-	now := r.clock.Now()
-	p := map[string]string{}
-	for k, v := range params {
-		p[k] = v
-	}
-	r.script.Steps = append(r.script.Steps, Step{
-		Label:   label,
-		Command: command,
-		Params:  p,
-		Think:   now - r.lastAt,
-	})
-	r.lastAt = now
-}
-
-// Script returns the recording so far.
-func (r *Recorder) Script() *Script {
-	s := r.script
-	return &s
 }
 
 // Replay runs the script through the client, sleeping the recorded think

@@ -121,30 +121,6 @@ func TestReplayContinuesPastErrors(t *testing.T) {
 	}
 }
 
-func TestRecorderCapturesThinkTimes(t *testing.T) {
-	v := vclock.NewVirtual()
-	var script *Script
-	v.Go(func() {
-		rec := NewRecorder("live", v)
-		v.Sleep(3 * time.Second)
-		rec.Note("a", "iso.dataman", map[string]string{"iso": "1"})
-		v.Sleep(4 * time.Second)
-		rec.Note("b", "iso.dataman", map[string]string{"iso": "2"})
-		script = rec.Script()
-	})
-	v.Wait()
-	if len(script.Steps) != 2 {
-		t.Fatalf("steps = %d", len(script.Steps))
-	}
-	if script.Steps[0].Think != 3*time.Second || script.Steps[1].Think != 4*time.Second {
-		t.Fatalf("think times = %v, %v", script.Steps[0].Think, script.Steps[1].Think)
-	}
-	// Params must be copied, not aliased.
-	if &script.Steps[0].Params == nil {
-		t.Fatal("params missing")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	results := []StepResult{
 		{FirstFeedback: 1 * time.Second, Total: 5 * time.Second},

@@ -18,22 +18,9 @@ type Queue[T any] struct {
 // NewQueue returns an empty queue bound to c.
 func NewQueue[T any](c Clock) *Queue[T] { return &Queue[T]{c: c} }
 
-// Push appends v and wakes one parked consumer, if any. Push on a closed
-// queue panics: it indicates a protocol violation in the caller.
-func (q *Queue[T]) Push(v T) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		panic("vclock: push on closed queue")
-	}
-	q.items = append(q.items, v)
-	q.wakeOneLocked()
-	q.mu.Unlock()
-}
-
-// PushOpen appends v like Push, but a closed queue drops the item and
-// reports false instead of panicking. The communication layer uses it to
-// model messages sent to a node that has crashed or shut down: on a real
+// PushOpen appends v and wakes one parked consumer, if any. A closed queue
+// drops the item and reports false: the communication layer uses that to
+// model messages sent to a node that has crashed or shut down — on a real
 // fabric such packets vanish at the dead NIC rather than crashing the
 // sender.
 func (q *Queue[T]) PushOpen(v T) bool {
@@ -90,25 +77,6 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	}
 }
 
-// TryPop removes and returns the oldest item without parking. ok is false
-// when the queue is currently empty (whether or not it is closed).
-func (q *Queue[T]) TryPop() (v T, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head >= len(q.items) {
-		return v, false
-	}
-	v = q.items[q.head]
-	var zero T
-	q.items[q.head] = zero
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return v, true
-}
-
 // Len reports the number of items currently queued.
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
@@ -162,59 +130,6 @@ func (g *Gate) Open() {
 		g.waiters = nil
 	}
 	g.mu.Unlock()
-}
-
-// Opened reports whether Open has been called.
-func (g *Gate) Opened() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.open
-}
-
-// Group is the clock-aware analogue of sync.WaitGroup: Wait parks the actor
-// until the counter reaches zero.
-type Group struct {
-	c       Clock
-	mu      sync.Mutex
-	n       int
-	waiters []*Waiter
-}
-
-// NewGroup returns a group with a zero counter bound to c.
-func NewGroup(c Clock) *Group { return &Group{c: c} }
-
-// Add adds delta (which may be negative) to the counter. The counter must
-// not go negative.
-func (g *Group) Add(delta int) {
-	g.mu.Lock()
-	g.n += delta
-	if g.n < 0 {
-		g.mu.Unlock()
-		panic("vclock: negative Group counter")
-	}
-	if g.n == 0 {
-		for _, w := range g.waiters {
-			w.Wake()
-		}
-		g.waiters = nil
-	}
-	g.mu.Unlock()
-}
-
-// Done decrements the counter by one.
-func (g *Group) Done() { g.Add(-1) }
-
-// Wait parks the calling actor until the counter is zero.
-func (g *Group) Wait() {
-	g.mu.Lock()
-	if g.n == 0 {
-		g.mu.Unlock()
-		return
-	}
-	w := g.c.NewWaiter()
-	g.waiters = append(g.waiters, w)
-	g.mu.Unlock()
-	w.Wait()
 }
 
 // Semaphore is a counting semaphore whose Acquire parks through the clock.

@@ -1,6 +1,7 @@
 // Package vclock provides a pluggable notion of time for the Viracocha
 // runtime: a real clock backed by package time, and a deterministic virtual
-// clock that advances only when every registered actor is blocked.
+// clock that advances only when every registered actor is blocked and a
+// driver is waiting on it.
 //
 // The virtual clock is the substrate that makes the paper's scaling
 // experiments reproducible on any host: worker goroutines charge the compute
@@ -16,7 +17,7 @@
 //     Clock.Go (directly or transitively).
 //   - Actors must not block on bare channels or mutexes for unbounded time;
 //     cross-actor blocking goes through the clock-aware primitives in this
-//     package (Waiter, Queue, Gate, Group, Semaphore), which inform the
+//     package (Waiter, Queue, Gate, Semaphore), which inform the
 //     clock that the actor is parked.
 //   - Short critical sections guarded by sync.Mutex are fine: the clock only
 //     needs to know about indefinite blocking.
@@ -44,10 +45,13 @@ type Clock interface {
 }
 
 // Virtual is a deterministic discrete-event clock. Time advances to the
-// earliest pending wake-up whenever all registered actors are parked. If all
-// actors are parked and none has a wake-up time, the system cannot make
-// progress and Virtual panics with a diagnostic, since that is a genuine
-// deadlock in the simulated system.
+// earliest pending wake-up whenever all registered actors are parked and a
+// driver — the goroutine outside the simulation that assembles it — is blocked
+// in Wait: until then the driver may still be spawning actors, and time that
+// ran ahead of them would make "crash w1 at 1s" fire before the request it is
+// aimed at exists. If all actors are parked and none has a wake-up time, the
+// system cannot make progress and Virtual panics with a diagnostic, since that
+// is a genuine deadlock in the simulated system.
 type Virtual struct {
 	// OnDeadlock, when set, is invoked instead of panicking when the
 	// watchdog confirms a deadlock (tests use it to observe the condition).
@@ -58,6 +62,7 @@ type Virtual struct {
 	live     int // actors spawned and not yet exited
 	running  int // live actors not currently parked
 	waiting  int // actors parked with no wake-up time (Waiter.Wait)
+	drivers  int // non-actor goroutines blocked in Wait
 	sleepers sleepHeap
 	seq      int64
 	stateGen uint64        // bumped on every liveness-relevant transition
@@ -67,8 +72,10 @@ type Virtual struct {
 
 // watchdogDelay is how long (wall time) an all-parked state must persist
 // before it is declared a deadlock. The grace period exists because a
-// virtual system legitimately passes through all-parked states while actors
-// are still being spawned or external code is about to inject work.
+// virtual system legitimately passes through all-parked, no-sleeper states
+// while its driver is still spawning actors or external code is about to
+// inject work. (States with a sleeper need no grace: time holds still until
+// the driver calls Wait.)
 const watchdogDelay = 250 * time.Millisecond
 
 // NewVirtual returns a virtual clock at time zero with no actors.
@@ -102,7 +109,9 @@ func (v *Virtual) Sleep(d time.Duration) {
 
 // Go registers and starts a new actor. It may be called from inside or
 // outside another actor. The actor is counted as running until it parks via
-// Sleep or a Waiter, and as live until fn returns.
+// Sleep or a Waiter, and as live until fn returns. Actors a driver spawns
+// before it calls Wait all start at the same virtual instant, however long the
+// driver takes between them.
 func (v *Virtual) Go(fn func()) {
 	v.mu.Lock()
 	v.stateGen++
@@ -140,24 +149,31 @@ func (v *Virtual) exit() {
 }
 
 // Wait blocks the caller (which must NOT be an actor) until all actors have
-// exited. It is safe to call Wait concurrently from several goroutines.
+// exited. Virtual time advances only while at least one caller is blocked
+// here. It is safe to call Wait concurrently from several goroutines.
 func (v *Virtual) Wait() {
 	v.mu.Lock()
-	ch := v.allDone
-	live := v.live
-	v.mu.Unlock()
-	if live == 0 {
+	if v.live == 0 {
+		v.mu.Unlock()
 		return
 	}
+	ch := v.allDone
+	v.drivers++
+	v.maybeAdvanceLocked()
+	v.mu.Unlock()
 	<-ch
+	v.mu.Lock()
+	v.drivers--
+	v.mu.Unlock()
 }
 
 // NewWaiter returns a one-shot parking primitive tied to this clock.
 func (v *Virtual) NewWaiter() *Waiter { return &Waiter{v: v, ch: make(chan struct{})} }
 
-// maybeAdvanceLocked advances virtual time if no actor is runnable. All
-// sleepers sharing the earliest wake-up time are released together. An
-// all-parked state with no pending wake-up arms the deadlock watchdog.
+// maybeAdvanceLocked advances virtual time if no actor is runnable and a
+// driver is blocked in Wait. All sleepers sharing the earliest wake-up time
+// are released together. An all-parked state with no pending wake-up arms the
+// deadlock watchdog.
 func (v *Virtual) maybeAdvanceLocked() {
 	if v.running > 0 {
 		return
@@ -167,6 +183,9 @@ func (v *Virtual) maybeAdvanceLocked() {
 			v.watching = true
 			go v.watchdog(v.stateGen)
 		}
+		return
+	}
+	if v.drivers == 0 {
 		return
 	}
 	v.stateGen++

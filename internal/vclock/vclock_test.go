@@ -196,12 +196,37 @@ func TestWatchdogToleratesStartupIdle(t *testing.T) {
 	// Consumer parks; inject work well inside the grace period.
 	time.Sleep(watchdogDelay / 5)
 	v.Go(func() {
-		q.Push(1)
+		q.PushOpen(1)
 		q.Close()
 	})
 	v.Wait()
 	// Give any armed watchdog time to (wrongly) fire before the test ends.
 	time.Sleep(watchdogDelay + 100*time.Millisecond)
+}
+
+func TestVirtualHoldsStillUntilDriverWaits(t *testing.T) {
+	// A periodic actor (a heartbeat loop) must not run the clock forward while
+	// the driver — not an actor — is still between spawning it and spawning the
+	// scenario: the scenario starts at virtual time zero however long that
+	// takes in wall time.
+	v := NewVirtual()
+	var stopped atomic.Bool
+	v.Go(func() {
+		for !stopped.Load() {
+			v.Sleep(250 * time.Millisecond)
+		}
+	})
+	time.Sleep(20 * time.Millisecond)
+	var start time.Duration
+	v.Go(func() {
+		start = v.Now()
+		v.Sleep(time.Second)
+		stopped.Store(true)
+	})
+	v.Wait()
+	if start != 0 {
+		t.Fatalf("scenario started at %v, want 0: the clock free-ran before Wait", start)
+	}
 }
 
 func TestQueueFIFO(t *testing.T) {
@@ -210,7 +235,7 @@ func TestQueueFIFO(t *testing.T) {
 	var got []int
 	v.Go(func() {
 		for i := 0; i < 100; i++ {
-			q.Push(i)
+			q.PushOpen(i)
 		}
 		q.Close()
 	})
@@ -242,7 +267,7 @@ func TestQueuePipelineTiming(t *testing.T) {
 	v.Go(func() {
 		for i := 0; i < 3; i++ {
 			v.Sleep(time.Second)
-			q.Push(i)
+			q.PushOpen(i)
 		}
 		q.Close()
 	})
@@ -259,22 +284,6 @@ func TestQueuePipelineTiming(t *testing.T) {
 	v.Wait()
 	if end != 7*time.Second {
 		t.Fatalf("consumer end = %v, want 7s", end)
-	}
-}
-
-func TestQueueTryPop(t *testing.T) {
-	v := NewVirtual()
-	q := NewQueue[string](v)
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop on empty queue reported ok")
-	}
-	q.Push("a")
-	q.Push("b")
-	if x, ok := q.TryPop(); !ok || x != "a" {
-		t.Fatalf("TryPop = %q,%v, want a,true", x, ok)
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", q.Len())
 	}
 }
 
@@ -295,7 +304,7 @@ func TestQueueManyConsumers(t *testing.T) {
 	}
 	v.Go(func() {
 		for i := 0; i < 12; i++ {
-			q.Push(i)
+			q.PushOpen(i)
 		}
 		q.Close()
 	})
@@ -333,40 +342,7 @@ func TestGate(t *testing.T) {
 	if len(order) != 4 || order[0] != "open" {
 		t.Fatalf("order = %v", order)
 	}
-	if !g.Opened() {
-		t.Fatal("gate should report opened")
-	}
 	g.Wait() // after open: returns immediately
-}
-
-func TestGroupBarrier(t *testing.T) {
-	v := NewVirtual()
-	g := NewGroup(v)
-	g.Add(3)
-	durations := []time.Duration{2 * time.Second, 5 * time.Second, 3 * time.Second}
-	for _, d := range durations {
-		d := d
-		v.Go(func() {
-			v.Sleep(d)
-			g.Done()
-		})
-	}
-	var joined time.Duration
-	v.Go(func() {
-		g.Wait()
-		joined = v.Now()
-	})
-	v.Wait()
-	if joined != 5*time.Second {
-		t.Fatalf("barrier released at %v, want 5s", joined)
-	}
-}
-
-func TestGroupWaitOnZero(t *testing.T) {
-	v := NewVirtual()
-	g := NewGroup(v)
-	v.Go(func() { g.Wait() }) // returns immediately; no deadlock
-	v.Wait()
 }
 
 func TestSemaphoreSerializesResource(t *testing.T) {
@@ -423,11 +399,10 @@ func TestRealQueueAndGroup(t *testing.T) {
 	// The same primitives must work under the real clock.
 	r := NewReal()
 	q := NewQueue[int](r)
-	g := NewGroup(r)
-	g.Add(1)
+	g := NewGate(r)
 	var sum int
 	r.Go(func() {
-		defer g.Done()
+		defer g.Open()
 		for {
 			x, ok := q.Pop()
 			if !ok {
@@ -438,7 +413,7 @@ func TestRealQueueAndGroup(t *testing.T) {
 	})
 	r.Go(func() {
 		for i := 1; i <= 10; i++ {
-			q.Push(i)
+			q.PushOpen(i)
 		}
 		q.Close()
 	})
@@ -470,10 +445,9 @@ func TestNestedGo(t *testing.T) {
 	var inner time.Duration
 	v.Go(func() {
 		v.Sleep(time.Second)
-		g := NewGroup(v)
-		g.Add(1)
+		g := NewGate(v)
 		v.Go(func() {
-			defer g.Done()
+			defer g.Open()
 			v.Sleep(2 * time.Second)
 			inner = v.Now()
 		})

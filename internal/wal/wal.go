@@ -110,7 +110,9 @@ type Options struct {
 }
 
 const (
-	defaultSegmentBytes = 4 << 20
+	// DefaultSegmentBytes is the rotation size when Options.SegmentBytes is
+	// unset; the control-plane sink checkpoints at the same cadence.
+	DefaultSegmentBytes = 4 << 20
 	defaultSyncInterval = 100 * time.Millisecond
 	// maxRecord bounds a single record so a corrupt length prefix cannot
 	// drive recovery into allocating gigabytes.
@@ -156,7 +158,7 @@ type Log struct {
 // and new records never interleave in one file.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
+		opts.SegmentBytes = DefaultSegmentBytes
 	}
 	if opts.Interval <= 0 {
 		opts.Interval = defaultSyncInterval
@@ -178,9 +180,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	return l, nil
 }
-
-// Dir reports the log's directory.
-func (l *Log) Dir() string { return l.dir }
 
 func segmentName(seq int) string {
 	return fmt.Sprintf("%s%08d%s", segmentPrefix, seq, segmentSuffix)
@@ -356,14 +355,6 @@ func (l *Log) Checkpoint(state []byte) error {
 		}
 	}
 	return nil
-}
-
-// Size reports the bytes written to the active segment (tests and the
-// checkpoint trigger use it; rotation is handled internally).
-func (l *Log) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
 }
 
 // Close flushes per policy and closes the active segment. A closed log

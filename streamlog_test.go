@@ -25,7 +25,7 @@ func stampedFrame(kind string, sseq, block, attempt int, final bool) logFrame {
 
 // loadedSink replays a checkpoint plus tail records into a fresh sink.
 func loadedSink(checkpoint []byte, tail ...comm.Message) *walSink {
-	w := newWALSink("", 0)
+	w := newWALSink("")
 	rec := &wal.Recovered{Checkpoint: checkpoint}
 	for _, m := range tail {
 		rec.Records = append(rec.Records, comm.Encode(m))
@@ -39,7 +39,7 @@ func loadedSink(checkpoint []byte, tail ...comm.Message) *walSink {
 // rebuilds exactly that state — including what the retained frames alone
 // cannot: the head, and the per-block counts of frames trimmed since.
 func TestCheckpointRoundTripsTrimmedLog(t *testing.T) {
-	w := newWALSink("", 0)
+	w := newWALSink("")
 	w.LeaseIssue("sess-3", 0, "tcp-bridge1/s2")
 	w.LeaseResume("sess-3", 1)
 	log := &streamLog{}
@@ -149,7 +149,7 @@ func TestCheckpointRejectsMalformed(t *testing.T) {
 		"oversize length": {0xff, 0xff, 0xff, 0x7f, 1, 2, 3},
 	} {
 		var warned bool
-		w := newWALSink("", 0)
+		w := newWALSink("")
 		w.warn = func(string, ...any) { warned = true }
 		w.load(&wal.Recovered{Checkpoint: data})
 		if !warned || len(w.state.Sessions) != 0 {

@@ -20,7 +20,6 @@ import (
 	"viracocha/internal/dataset"
 	"viracocha/internal/dms"
 	"viracocha/internal/faults"
-	"viracocha/internal/grid"
 	"viracocha/internal/mesh"
 	"viracocha/internal/prefetch"
 	"viracocha/internal/storage"
@@ -100,14 +99,10 @@ type Options struct {
 	// Prefetcher selects the system prefetch policy for worker proxies:
 	// "none" (default), "obl", "onmiss", "markov".
 	Prefetcher string
-	// StorageLatency and StorageBandwidth model the storage device backing
-	// registered data sets; zero means reads cost what the backend takes.
-	// Tests and examples pace real-clock requests with them.
-	StorageLatency   time.Duration
-	StorageBandwidth float64
-	// ChargePaperBytes makes the storage device charge each data set's
-	// paper-scale block size instead of the synthetic block's real size.
-	ChargePaperBytes bool
+	// StorageLatency is slept per block read on the device backing registered
+	// data sets; zero means reads cost what the backend takes. It paces
+	// real-clock requests so fault drills can land mid-request.
+	StorageLatency time.Duration
 	// Memo turns cross-session result memoization on: identical requests
 	// (canonicalized, so "0.5" and "0.50" collide) are served from a
 	// content-addressed result cache, and concurrent identical requests
@@ -122,7 +117,8 @@ type Options struct {
 	FT *FTConfig
 	// Overload enables admission control, streaming backpressure and the
 	// DMS memory budget; nil keeps all of it disabled (the zero
-	// OverloadConfig).
+	// OverloadConfig) — which is what in-process virtual-time runs want and
+	// what nothing that serves TCP runs: see New.
 	Overload *OverloadConfig
 	// Faults injects a deterministic failure scenario — per-link message
 	// drop/duplication/delay, worker crashes at given virtual times,
@@ -147,10 +143,6 @@ type Options struct {
 	// acknowledged record ever lost), "interval" (bounded loss window) or
 	// "off" (the OS decides).
 	WALFsync string
-	// WALSegmentBytes overrides the log's segment-rotation size, which is
-	// also the compaction cadence (a checkpoint is cut about once per
-	// segment). Zero means the 4 MiB default.
-	WALSegmentBytes int64
 }
 
 // System is one Viracocha instance: scheduler, workers, DMS and data sets.
@@ -168,6 +160,13 @@ type System struct {
 
 // New assembles a system with the paper's command set registered. Register
 // data sets, then call Start.
+//
+// A system that will Serve should be given Overload: viracocha-server, the
+// end-to-end benchmark and examples/streamingiso all pass
+// DefaultOverloadConfig() (with the server's -mem-budget on top), so the
+// admission queue, session quota, stream window and slow-consumer deadline
+// are part of the path every measured or documented TCP request takes. The
+// nil default leaves them off.
 func New(opts Options) *System {
 	if opts.Workers < 1 {
 		opts.Workers = 4
@@ -190,7 +189,7 @@ func New(opts Options) *System {
 	cfg.Faults = faults.New(opts.Faults)
 	var sink *walSink
 	if opts.WALDir != "" {
-		sink = newWALSink(opts.WALDir, opts.WALSegmentBytes)
+		sink = newWALSink(opts.WALDir)
 		cfg.WAL = sink
 	}
 	rt := core.NewRuntime(clk, cfg)
@@ -218,14 +217,8 @@ func (s *System) AddDataset(name string, scale int) (*DatasetDesc, error) {
 	s.registerPrefetcher(d)
 	s.Runtime.RegisterDataset(d)
 	dev := storage.NewDevice("store:"+d.Name, &storage.GenBackend{Desc: d}, s.Clock,
-		s.opts.StorageLatency, s.opts.StorageBandwidth, 2)
-	var bytesFor func(grid.BlockID) int64
-	if s.opts.ChargePaperBytes {
-		paper := d.PaperBlockBytes
-		bytesFor = func(grid.BlockID) int64 { return paper }
-		dev.ChargeBytes = bytesFor
-	}
-	s.Runtime.RegisterDevice(dev, bytesFor)
+		s.opts.StorageLatency, 0, 2)
+	s.Runtime.RegisterDevice(dev, nil)
 	return d, nil
 }
 
@@ -239,7 +232,7 @@ func (s *System) AddDatasetDir(desc *DatasetDesc, dir string) error {
 	s.registerPrefetcher(desc)
 	s.Runtime.RegisterDataset(desc)
 	dev := storage.NewDevice("dir:"+desc.Name, &storage.DirBackend{Root: dir}, s.Clock,
-		s.opts.StorageLatency, s.opts.StorageBandwidth, 2)
+		s.opts.StorageLatency, 0, 2)
 	s.Runtime.RegisterDevice(dev, nil)
 	return nil
 }
@@ -280,7 +273,9 @@ func (s *System) Start() {
 
 // Session runs fn as the client actor and shuts the system down when fn
 // returns; it blocks until every actor has exited. It is the standard way
-// to drive an in-process system.
+// to drive an in-process system. Under VirtualTime the clock advances only
+// while Session is blocked here, so fn starts at virtual time zero even though
+// Start's heartbeat loops are already sleeping.
 func (s *System) Session(fn func(c *Client)) {
 	if !s.started {
 		s.Start()
@@ -329,10 +324,6 @@ func (c *Client) Collect(reqID uint64) (*RunResult, error) {
 // "discard immediately" interaction); Collect still returns, with a
 // cancellation error.
 func (c *Client) Cancel(reqID uint64) error { return c.inner.Cancel(reqID) }
-
-// Inner exposes the underlying core client for subsystems that operate on
-// it directly (e.g. session replay).
-func (c *Client) Inner() *core.Client { return c.inner }
 
 // Stats returns the server-side record of a finished request. Call it after
 // the Session (or after the request's Run returned and a subsequent request

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"viracocha/internal/core"
 	"viracocha/internal/dataset"
@@ -34,7 +35,7 @@ func TestSessionQuickstart(t *testing.T) {
 }
 
 func TestVirtualTimeSession(t *testing.T) {
-	sys := New(Options{Workers: 2, VirtualTime: true, StorageBandwidth: 1e6, ChargePaperBytes: true})
+	sys := New(Options{Workers: 2, VirtualTime: true, StorageLatency: time.Millisecond})
 	if _, err := sys.AddDataset("tiny", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +47,25 @@ func TestVirtualTimeSession(t *testing.T) {
 	if !ok {
 		t.Fatal("stats missing")
 	}
-	// Charged paper bytes (64 KB/block) over 1 MB/s: reads must appear in
-	// virtual time.
+	// A millisecond per block read: reads must appear in virtual time.
 	if st.Probes.Read <= 0 {
 		t.Fatalf("virtual read time = %v, want > 0", st.Probes.Read)
+	}
+}
+
+func TestVirtualSessionStartsAtZero(t *testing.T) {
+	// Default FT: heartbeat loops sleep from Start on. They must not run the
+	// virtual clock ahead of a client the driver has not spawned yet.
+	sys := New(Options{Workers: 2, VirtualTime: true})
+	if _, err := sys.AddDataset("tiny", 1); err != nil {
+		t.Fatal(err)
+	}
+	sys.Start()
+	time.Sleep(20 * time.Millisecond)
+	start := time.Duration(-1)
+	sys.Session(func(c *Client) { start = sys.Clock.Now() })
+	if start != 0 {
+		t.Fatalf("client actor started at virtual %v, want 0", start)
 	}
 }
 

@@ -107,9 +107,8 @@ func (st *walState) sessionFor(id string) *walSession {
 // walSink implements core.WALSink plus the bridge-side hooks. All methods are
 // safe on a nil receiver (a WAL-less system) and after kill() (a dead one).
 type walSink struct {
-	dir      string
-	segBytes int64
-	warn     func(format string, args ...any) // trace adapter, may be nil
+	dir  string
+	warn func(format string, args ...any) // trace adapter, may be nil
 
 	mu    sync.Mutex
 	log   *wal.Log // nil until RecoverWAL opens the directory
@@ -120,23 +119,16 @@ type walSink struct {
 	// by bridge.mu, which a hook firing under scheduler.mu must not take.
 	byRuntime map[uint64]*walReq
 	bytes     int64  // appended since the last checkpoint
-	every     int64  // checkpoint threshold
 	head      []byte // scratch for a wframe record's head (Frame)
 	closed    bool
 	err       error // first append/checkpoint failure; logging is best-effort after
 }
 
-func newWALSink(dir string, segBytes int64) *walSink {
-	every := segBytes
-	if every <= 0 {
-		every = 4 << 20
-	}
+func newWALSink(dir string) *walSink {
 	return &walSink{
 		dir:       dir,
-		segBytes:  segBytes,
 		state:     newWALState(),
 		byRuntime: map[uint64]*walReq{},
-		every:     every,
 	}
 }
 
@@ -183,7 +175,7 @@ func (w *walSink) appendedLocked(kind string, n int, err error) {
 		}
 	}
 	w.bytes += int64(n) + 8
-	if w.bytes >= w.every {
+	if w.bytes >= wal.DefaultSegmentBytes { // a checkpoint about once per segment
 		if err := w.checkpointLocked(); err != nil {
 			w.noteErrLocked("checkpoint", err)
 		}
@@ -672,9 +664,7 @@ func unfinishedSpan(r *walReq) ([]int, bool) {
 // open attaches the write side of the WAL directory and cuts an immediate
 // checkpoint, so recovery replay is never needed twice for the same records.
 func (w *walSink) open(policy wal.Policy, hooks wal.FaultHooks) error {
-	l, err := wal.Open(w.dir, wal.Options{
-		Policy: policy, SegmentBytes: w.segBytes, Hooks: hooks,
-	})
+	l, err := wal.Open(w.dir, wal.Options{Policy: policy, Hooks: hooks})
 	if err != nil {
 		return err
 	}
