@@ -27,6 +27,25 @@ type faultList []string
 func (f *faultList) String() string     { return strings.Join(*f, ",") }
 func (f *faultList) Set(v string) error { *f = append(*f, v); return nil }
 
+// parseFaults builds the fault plan of the -fault rules (nil for none). It
+// refuses lag: — the rule stretches modelled compute charges, and the server's
+// real clock charges none, so it would arm and do nothing.
+func parseFaults(specs []string) (*viracocha.FaultPlan, error) {
+	if len(specs) == 0 {
+		return nil, nil
+	}
+	plan := &viracocha.FaultPlan{Seed: 1}
+	for _, spec := range specs {
+		if strings.HasPrefix(spec, "lag:") {
+			return nil, fmt.Errorf("fault rule %q: lag: only acts under the virtual clock; the server runs the real clock", spec)
+		}
+		if err := plan.ParseRule(spec); err != nil {
+			return nil, err
+		}
+	}
+	return plan, nil
+}
+
 func main() {
 	var (
 		addr       = flag.String("addr", ":7447", "listen address")
@@ -35,11 +54,9 @@ func main() {
 		scale      = flag.Int("scale", 2, "synthetic grid scale")
 		dir        = flag.String("dir", "", "serve pre-generated block files from this directory instead of on-demand synthesis")
 		latency    = flag.Duration("storage-latency", 0, "sleep this long per block read: paces requests so fault drills (-fault, kill/restart, drain) can land mid-request; 0 = reads cost what the files take")
-		heartbeat  = flag.Duration("heartbeat", 0, "worker heartbeat interval (0 = default 250ms)")
-		failAfter  = flag.Duration("fail-after", 0, "declare a silent worker dead after this (0 = default 2s)")
+		failAfter  = flag.Duration("fail-after", 0, "declare a silent worker dead after this; workers heartbeat every eighth of it (0 = default 2s, heartbeat 250ms)")
 		retries    = flag.Int("retries", -1, "per-request recovery retry budget (-1 = default 2)")
 		redistrib  = flag.Bool("redistribute", false, "block-granular recovery: journal per-rank progress and re-issue only a dead rank's unfinished blocks (requests override with redistribute=0/1)")
-		stragglerF = flag.Float64("straggler-factor", 0, "speculatively re-run a rank whose completed-block count times this factor trails the group median (0 = off; needs -redistribute)")
 		standby    = flag.Int("standby", 0, "warm standby workers kept out of dispatch and promoted when a live rank dies (a dead rank that is rebooted — a recover:/flap: fault rule, the roll RPC — comes back as the new standby)")
 		quarantine = flag.Float64("quarantine", 0, "quarantine a rejoining worker whose decayed crash score is at least this (0 = off); flappers sit out an escalating hold-down before probation")
 		memBudget  = flag.Int64("mem-budget", 0, "DMS byte budget across all cache tiers (0 = unlimited)")
@@ -51,7 +68,7 @@ func main() {
 		fsyncPol   = flag.String("fsync", "always", "WAL fsync policy: always (every acknowledged record durable), interval (bounded loss window), off (the OS decides)")
 		faultSpec  faultList
 	)
-	flag.Var(&faultSpec, "fault", "inject a fault rule (repeatable): crash:NODE@DUR, recover:NODE@DUR, flap:NODE:PERIOD, drop:FROM>TO:KIND:PROB, dup:..., delay:FROM>TO:KIND:DUR, read:DATASET:STEP:BLOCK:N, corrupt:DATASET:STEP:BLOCK:N, slow:ENDPOINT@DUR, lag:NODE:FACTOR, discon:SESSION:AFTER_MSGS, hang:SESSION")
+	flag.Var(&faultSpec, "fault", "inject a fault rule (repeatable): crash:NODE@DUR, recover:NODE@DUR, flap:NODE:PERIOD, drop:FROM>TO:KIND:PROB, dup:..., delay:FROM>TO:KIND:DUR, read:DATASET:STEP:BLOCK:N, corrupt:DATASET:STEP:BLOCK:N, slow:ENDPOINT@DUR, discon:SESSION:AFTER_MSGS, hang:SESSION")
 	flag.Parse()
 
 	opts := viracocha.Options{
@@ -65,30 +82,27 @@ func main() {
 		WALFsync:       *fsyncPol,
 	}
 	ft := viracocha.DefaultFTConfig()
-	if *heartbeat > 0 {
-		ft.HeartbeatEvery = *heartbeat
-	}
 	if *failAfter > 0 {
+		// The defaults' ratio (250ms heartbeat, 2s failure window): the
+		// detector tolerates seven lost beats whatever the window.
 		ft.FailAfter = *failAfter
+		ft.HeartbeatEvery = *failAfter / 8
 	}
 	if *retries >= 0 {
 		ft.MaxRetries = *retries
 	}
 	ft.Redistribute = *redistrib
-	ft.StragglerFactor = *stragglerF
 	ft.Standby = *standby
 	ft.QuarantineAfter = *quarantine
 	opts.FT = &ft
 	ov := viracocha.DefaultOverloadConfig()
 	ov.MemBudget = *memBudget
 	opts.Overload = &ov
-	if len(faultSpec) > 0 {
-		plan := &viracocha.FaultPlan{Seed: 1}
-		for _, spec := range faultSpec {
-			if err := plan.ParseRule(spec); err != nil {
-				log.Fatal(err)
-			}
-		}
+	plan, err := parseFaults(faultSpec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if plan != nil {
 		opts.Faults = plan
 		fmt.Printf("fault injection armed: %d rules\n", len(faultSpec))
 	}

@@ -99,3 +99,15 @@ func TestRecoverWALTruncatedCheckpoint(t *testing.T) {
 	}
 	checkBootsFromTail(t, dir)
 }
+
+// TestParseFaultsRefusesLag verifies the server refuses the one rule that
+// cannot act on its real clock, naming the rule, while real-clock rules parse.
+func TestParseFaultsRefusesLag(t *testing.T) {
+	if _, err := parseFaults([]string{"crash:w1@1s", "lag:w1:4"}); err == nil || !strings.Contains(err.Error(), "lag:w1:4") {
+		t.Fatalf("lag: rule: err = %v, want a refusal naming the rule", err)
+	}
+	plan, err := parseFaults([]string{"crash:w1@1s", "drop:w1>scheduler:wdone:1"})
+	if err != nil || plan == nil {
+		t.Fatalf("crash: + drop: = %v, %v; want a plan", plan, err)
+	}
+}

@@ -68,30 +68,16 @@ type Ctx struct {
 // order to continue the investigation at another point").
 var ErrCancelled = errors.New("core: request cancelled by client")
 
-// ErrSuperseded is returned by commands whose execution lost a straggler
-// speculation race: another worker finished the same span first, so this
-// run's remaining output is worthless.
-var ErrSuperseded = errors.New("core: execution superseded by speculative copy")
-
 // Cancelled reports whether the client cancelled this request. Commands
 // poll it at natural boundaries (per block, per batch) and return
 // ErrCancelled to stop early.
 func (c *Ctx) Cancelled() bool { return c.rt.isCancelled(c.Req.ReqID) }
 
-// Superseded reports whether this execution lost a speculation race (the
-// scheduler accepted another worker's completion of the same rank).
-func (c *Ctx) Superseded() bool {
-	return c.rt.isSuperseded(c.Req.ReqID, c.Rank, c.worker.node)
-}
-
-// Interrupted is the per-item poll for commands: it returns ErrCancelled or
-// ErrSuperseded when this execution should stop early, nil otherwise.
+// Interrupted is the per-item poll for commands: it returns ErrCancelled
+// when the client cancelled this request, nil otherwise.
 func (c *Ctx) Interrupted() error {
 	if c.Cancelled() {
 		return ErrCancelled
-	}
-	if c.Superseded() {
-		return ErrSuperseded
 	}
 	return nil
 }
@@ -296,10 +282,10 @@ func (c *Ctx) StreamPartial(m *mesh.Mesh) error {
 
 // StreamBlock ships one block's partial result with a (block, bseq) tag, the
 // block-granular streaming path of journal mode: the client dedupes by tag,
-// so redistribution or speculation re-streaming an already-delivered block
-// never double-counts it, and assembles tagged packets in canonical block
-// order for a byte-stable merged mesh. Outside journal mode it degrades to a
-// plain StreamPartial.
+// so a redistribution re-streaming an already-delivered block never
+// double-counts it, and assembles tagged packets in canonical block order for
+// a byte-stable merged mesh. Outside journal mode it degrades to a plain
+// StreamPartial.
 func (c *Ctx) StreamBlock(item int, m *mesh.Mesh) error {
 	if !c.Journaling() {
 		return c.StreamPartial(m)
@@ -317,13 +303,12 @@ func (c *Ctx) streamPartial(m *mesh.Mesh, block, bseq int, tagged bool) error {
 	// Backpressure: take a stream credit before sending. A producer whose
 	// window is exhausted parks here until the client acks a packet; one
 	// that stays parked past the slow-consumer deadline cancels the whole
-	// request instead of buffering unboundedly. A superseded producer is
-	// woken like a cancelled one so it cannot park through the verdict.
+	// request instead of buffering unboundedly.
 	window := c.IntParam("stream_window", c.rt.cfg.Overload.StreamWindow)
 	if window > 0 {
 		err := c.rt.flow.Acquire(c.Req.ReqID, c.Rank, window,
 			c.rt.cfg.Overload.SlowConsumerAfter,
-			func() bool { return c.Cancelled() || c.Superseded() })
+			c.Cancelled)
 		c.worker.checkCrashed()
 		if errors.Is(err, ErrSlowConsumer) {
 			c.rt.Trace.Eventf(c.rt.Clock.Now(), "worker:"+c.worker.node,
@@ -333,9 +318,6 @@ func (c *Ctx) streamPartial(m *mesh.Mesh, block, bseq int, tagged bool) error {
 			return err
 		}
 		if err != nil {
-			if c.Superseded() {
-				return ErrSuperseded
-			}
 			return err
 		}
 	}

@@ -10,9 +10,8 @@ import (
 // completed. It is fed by three worker message streams — "wspan" (span
 // declaration at command start), "wmark" (eager per-item watermark) and the
 // cumulative watermark piggybacked on heartbeats — and consulted by the
-// redistribution planner (only a dead rank's unfinished items are re-issued)
-// and the straggler detector (per-rank completion counts against the group
-// median). All access happens under the scheduler mutex.
+// failover planner alone: only a dead rank's unfinished items are re-issued.
+// All access happens under the scheduler mutex.
 type blockJournal struct {
 	spans    map[int]map[int]bool // rank → assigned span items (union across re-issues)
 	done     map[int]map[int]bool // rank → completed span items
@@ -27,9 +26,9 @@ func newBlockJournal() *blockJournal {
 	}
 }
 
-// noteSpan records a rank's declared span. Re-issued spans (a survivor
-// taking over unfinished items, a speculative copy) union into the existing
-// record, so completion marks from the first incarnation keep counting.
+// noteSpan records a rank's declared span. A re-issued span (a survivor
+// taking over unfinished items) unions into the existing record, so
+// completion marks from the first incarnation keep counting.
 func (j *blockJournal) noteSpan(rank int, items []int, streamed bool) {
 	set := j.spans[rank]
 	if set == nil {
@@ -65,8 +64,8 @@ func (j *blockJournal) doneCount(rank int) int { return len(j.done[rank]) }
 // unfinished plans the re-issue span for a rank: the sorted span items not
 // yet completed when completed items were streamed to the client, or the
 // whole sorted span when they were gathered (a gathered rank's completed
-// work lives in the failed worker's memory and died with it — the journal
-// still powered straggler detection, but recovery must redo the span).
+// work lives in the failed worker's memory and died with it, so recovery must
+// redo the span).
 func (j *blockJournal) unfinished(rank int) []int {
 	span := j.spans[rank]
 	if span == nil {
@@ -84,28 +83,12 @@ func (j *blockJournal) unfinished(rank int) []int {
 	return items
 }
 
-// medianDone is the straggler detector's yardstick: the median per-rank
-// completion count across ranks that declared spans (upper median for even
-// group sizes, so a two-rank group compares the laggard against the leader).
-func (j *blockJournal) medianDone() (int, bool) {
-	counts := make([]int, 0, len(j.spans))
-	for rank := range j.spans {
-		counts = append(counts, j.doneCount(rank))
-	}
-	if len(counts) < 2 {
-		return 0, false
-	}
-	sort.Ints(counts)
-	return counts[len(counts)/2], true
-}
-
 // CheckInvariants verifies the scheduler's worker-state bookkeeping: the
 // free list holds only free workers without duplicates, every busy ref
 // points at a worker in the busy state, and workers outside the schedulable
 // states — dead, standby, quarantined or cordoned — appear in neither set.
 // Transients are deliberately tolerated — an old-attempt executor stays
-// busy until its stale completion arrives, and a superseded speculation
-// loser may outlive the request it raced on. The fault-scenario and soak
+// busy until its stale completion arrives. The fault-scenario and soak
 // suites call it after every recovery timeline; a violation means a
 // redispatch, declareDead or membership-change interleaving resurrected
 // stale state.

@@ -43,8 +43,8 @@ func (spanStreamCmd) Run(ctx *Ctx) (*mesh.Mesh, error) {
 }
 
 // spanGatherCmd is the gathered twin of spanStreamCmd: completed items stay
-// in worker memory until the final merge, so the journal can only power
-// straggler detection — recovery must redo a dead rank's whole span.
+// in worker memory until the final merge, so recovery must redo a dead
+// rank's whole span.
 type spanGatherCmd struct{}
 
 func (spanGatherCmd) Name() string { return "test.spangather" }
@@ -67,8 +67,8 @@ func (spanGatherCmd) Run(ctx *Ctx) (*mesh.Mesh, error) {
 }
 
 // runSpanScenario runs one journaled request against a fault plan and
-// returns everything the recovery assertions need. cfgMut can tune FT
-// further (e.g. the straggler factor).
+// returns everything the recovery assertions need. cfgMut can tune the
+// runtime config further.
 func runSpanScenario(t *testing.T, workers int, plan *faults.Plan, cfgMut func(*Config),
 	command string, params map[string]string) (*RunResult, error, RequestStats, time.Duration, *Runtime) {
 	t.Helper()
@@ -106,7 +106,7 @@ func TestSpanCrashRedistributesUnfinishedBlocks(t *testing.T) {
 	if rerr != nil {
 		t.Fatalf("fault-free run failed: %v", rerr)
 	}
-	if rst.Redistributions != 0 || rst.BlocksRecomputed != 0 || rst.SpeculativeRuns != 0 {
+	if rst.Redistributions != 0 || rst.BlocksRecomputed != 0 {
 		t.Fatalf("fault-free stats = %+v, want no recovery activity", rst)
 	}
 
@@ -177,53 +177,6 @@ func TestGatheredSpanReRunsWholeSpan(t *testing.T) {
 	}
 	if meshSignature(res.Merged) != meshSignature(ref.Merged) {
 		t.Fatal("recovered gathered mesh differs from fault-free run")
-	}
-}
-
-// TestStragglerSpeculationCutsMakespan: a lag-injected slow worker is
-// detected against the group median and its remaining span speculatively
-// re-issued to an idle rank; the speculation wins and the virtual-time
-// makespan drops well below the unspeculated run's.
-func TestStragglerSpeculationCutsMakespan(t *testing.T) {
-	params := map[string]string{"workers": "2", "items": "8"}
-	ref, rerr, _, _, _ := runSpanScenario(t, 3, nil, nil, "test.spanstream", params)
-	if rerr != nil {
-		t.Fatalf("fault-free run failed: %v", rerr)
-	}
-
-	// Without speculation the lagging rank grinds through 4 items at 4s
-	// each.
-	slow := (&faults.Plan{Seed: 5}).Lag("w1", 4)
-	_, serr, slowSt, _, _ := runSpanScenario(t, 3, slow, nil, "test.spanstream", params)
-	if serr != nil {
-		t.Fatalf("unspeculated lagged run failed: %v", serr)
-	}
-	if slowSt.SpeculativeRuns != 0 {
-		t.Fatalf("speculation ran with StragglerFactor unset: %+v", slowSt)
-	}
-
-	lag := (&faults.Plan{Seed: 5}).Lag("w1", 4)
-	res, err, st, _, rt := runSpanScenario(t, 3, lag, func(cfg *Config) {
-		cfg.FT.StragglerFactor = 2
-	}, "test.spanstream", params)
-	if err != nil {
-		t.Fatalf("speculated run failed: %v", err)
-	}
-	if st.SpeculativeRuns < 1 {
-		t.Fatalf("stats = %+v, want SpeculativeRuns ≥ 1", st)
-	}
-	if st.Retries != 0 || res.Attempt != 0 {
-		t.Fatalf("speculation must not burn retries or attempts: %+v, attempt %d", st, res.Attempt)
-	}
-	if st.TotalRuntime() >= slowSt.TotalRuntime() {
-		t.Fatalf("speculated makespan %v not better than unspeculated %v",
-			st.TotalRuntime(), slowSt.TotalRuntime())
-	}
-	if !bytes.Equal(res.Merged.EncodeBinary(), ref.Merged.EncodeBinary()) {
-		t.Fatal("speculated mesh not byte-identical to fault-free run")
-	}
-	if rt.Trace.CountMatching("speculating") == 0 || rt.Trace.CountMatching("speculation won") == 0 {
-		t.Fatal("trace records no speculation race")
 	}
 }
 
@@ -389,9 +342,8 @@ func TestWatermarkSurvivesLostMarks(t *testing.T) {
 	}
 }
 
-// TestSpanTraceNamesRecoveryKinds: the trace distinguishes the three
-// recovery flavors so operators can tell redistribution from speculation
-// from legacy re-dispatch.
+// TestSpanTraceNamesRecoveryKinds: the trace distinguishes the recovery
+// flavors so operators can tell redistribution from legacy re-dispatch.
 func TestSpanTraceNamesRecoveryKinds(t *testing.T) {
 	plan := (&faults.Plan{Seed: 7}).CrashAt("w2", 1530*time.Millisecond)
 	_, err, _, _, rt := runSpanScenario(t, 4, plan, nil, "test.spanstream",

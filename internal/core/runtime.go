@@ -49,12 +49,6 @@ type FTConfig struct {
 	// to a survivor under the same attempt. Requests override with the
 	// "redistribute" parameter. Off keeps the PR-1 whole-rank recovery.
 	Redistribute bool
-	// StragglerFactor enables speculative straggler re-execution for
-	// journaled requests: a rank whose completed-block count times this
-	// factor is still below the group median gets its remaining span
-	// re-issued to an idle worker; the first completion wins and the loser is
-	// superseded. <= 1 disables speculation.
-	StragglerFactor float64
 	// QuarantineAfter is the decayed crash-score threshold at which a
 	// rejoining node is quarantined (admitted but not scheduled) instead of
 	// readmitted; <= 0 disables quarantine. Each crash charges 1 to the
@@ -194,22 +188,13 @@ type Runtime struct {
 	stopMu   sync.Mutex
 	stopping bool
 
-	mu         sync.Mutex
-	registry   map[string]Command
-	devices    map[string]*storage.Device
-	dynamic    map[uint64]*dynQueue
-	cancelled  map[uint64]bool
-	superseded map[uint64]map[specKey]bool
-	reqSeq     uint64
-	clientSeq  uint64
-}
-
-// specKey identifies one execution of a rank for supersede tracking: during
-// speculation the same (request, rank) runs on two nodes at once, and only
-// the loser's execution is marked.
-type specKey struct {
-	rank int
-	node string
+	mu        sync.Mutex
+	registry  map[string]Command
+	devices   map[string]*storage.Device
+	dynamic   map[uint64]*dynQueue
+	cancelled map[uint64]bool
+	reqSeq    uint64
+	clientSeq uint64
 }
 
 // NewRuntime assembles (but does not start) a runtime on the given clock.
@@ -220,19 +205,18 @@ func NewRuntime(c vclock.Clock, cfg Config) *Runtime {
 		cfg.Workers = 1
 	}
 	rt := &Runtime{
-		Clock:      c,
-		Net:        comm.NewNetwork(c, cfg.NetLatency, cfg.NetBandwidth),
-		Cost:       cfg.Cost,
-		Datasets:   map[string]*dataset.Desc{},
-		Trace:      trace.NewLog(4096),
-		cfg:        cfg,
-		faults:     cfg.Faults,
-		flow:       newFlowControl(c),
-		registry:   map[string]Command{},
-		devices:    map[string]*storage.Device{},
-		dynamic:    map[uint64]*dynQueue{},
-		cancelled:  map[uint64]bool{},
-		superseded: map[uint64]map[specKey]bool{},
+		Clock:     c,
+		Net:       comm.NewNetwork(c, cfg.NetLatency, cfg.NetBandwidth),
+		Cost:      cfg.Cost,
+		Datasets:  map[string]*dataset.Desc{},
+		Trace:     trace.NewLog(4096),
+		cfg:       cfg,
+		faults:    cfg.Faults,
+		flow:      newFlowControl(c),
+		registry:  map[string]Command{},
+		devices:   map[string]*storage.Device{},
+		dynamic:   map[uint64]*dynQueue{},
+		cancelled: map[uint64]bool{},
 	}
 	if cfg.Faults != nil {
 		// Guarded so a nil *faults.Injector never becomes a non-nil
@@ -347,52 +331,6 @@ func (rt *Runtime) isCancelled(reqID uint64) bool {
 func (rt *Runtime) clearCancelled(reqID uint64) {
 	rt.mu.Lock()
 	delete(rt.cancelled, reqID)
-	rt.mu.Unlock()
-}
-
-// markSuperseded flags one execution of a rank as the loser of a speculation
-// race; the running command observes it via Ctx.Superseded at its next poll
-// point and aborts. Producers parked on stream credit are woken, like on
-// cancellation, so the flag cannot be slept through.
-func (rt *Runtime) markSuperseded(reqID uint64, rank int, node string) {
-	rt.mu.Lock()
-	set := rt.superseded[reqID]
-	if set == nil {
-		set = map[specKey]bool{}
-		rt.superseded[reqID] = set
-	}
-	set[specKey{rank: rank, node: node}] = true
-	rt.mu.Unlock()
-	rt.flow.wake(reqID)
-}
-
-// isSuperseded reports whether this node's execution of the rank lost a
-// speculation race.
-func (rt *Runtime) isSuperseded(reqID uint64, rank int, node string) bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.superseded[reqID][specKey{rank: rank, node: node}]
-}
-
-// clearSuperseded drops all supersede flags of a request (on a full restart:
-// a new attempt's executor must not inherit a dead race's verdict).
-func (rt *Runtime) clearSuperseded(reqID uint64) {
-	rt.mu.Lock()
-	delete(rt.superseded, reqID)
-	rt.mu.Unlock()
-}
-
-// clearSupersededNode retires one supersede flag once its loser has observed
-// the verdict and reported back; the flags outlive the request itself for
-// exactly this long.
-func (rt *Runtime) clearSupersededNode(reqID uint64, rank int, node string) {
-	rt.mu.Lock()
-	if set := rt.superseded[reqID]; set != nil {
-		delete(set, specKey{rank: rank, node: node})
-		if len(set) == 0 {
-			delete(rt.superseded, reqID)
-		}
-	}
 	rt.mu.Unlock()
 }
 

@@ -39,12 +39,9 @@ type RequestStats struct {
 	// Redistributions counts block-granular failovers: a dead rank's
 	// unfinished span re-issued to a survivor under the same attempt.
 	Redistributions int
-	// SpeculativeRuns counts straggler speculations: a laggard rank's
-	// remaining span re-issued to an idle worker, first completion winning.
-	SpeculativeRuns int
-	// BlocksRecomputed totals the span items re-issued by redistributions
-	// and speculations — the measurable cost of recovery. A crash in journal
-	// mode recomputes at most the dead rank's unfinished blocks.
+	// BlocksRecomputed totals the span items re-issued by redistributions —
+	// the measurable cost of recovery. A crash in journal mode recomputes at
+	// most the dead rank's unfinished blocks.
 	BlocksRecomputed int
 	// MemoHit marks a request served by the result memo without its own
 	// extraction: a replay of a cached result or an attachment to an
@@ -185,11 +182,6 @@ type activeReq struct {
 	// re-running whole ranks.
 	journaled bool
 	journal   *blockJournal
-	// specNode maps a rank to the node running its speculative copy while a
-	// straggler race is in flight; specTried remembers ranks that already
-	// got their one speculation.
-	specNode  map[int]string
-	specTried map[int]bool
 }
 
 func (ar *activeReq) clientName() string {
@@ -584,8 +576,6 @@ func (s *Scheduler) dispatchLocked(sends *[]outMsg) {
 			done:       make([]bool, want),
 			maxRetries: req.IntParam("retries", s.rt.cfg.FT.MaxRetries),
 			journaled:  s.journalMode(req),
-			specNode:   map[int]string{},
-			specTried:  map[int]bool{},
 		}
 		s.active[req.ReqID] = ar
 		if degraded {
@@ -613,7 +603,7 @@ func (s *Scheduler) dispatchLocked(sends *[]outMsg) {
 			s.busy[node] = busyRef{reqID: req.ReqID, rank: rank}
 			start := s.startMsgLocked(ar, rank)
 			if plan != nil && plan.hasSpan {
-				start = s.startSpanMsgLocked(ar, rank, recoverSpanFor(plan.span, rank, want), false)
+				start = s.startSpanMsgLocked(ar, rank, recoverSpanFor(plan.span, rank, want))
 			}
 			*sends = append(*sends, outMsg{to: node, msg: start})
 		}
@@ -643,10 +633,9 @@ func (s *Scheduler) startMsgLocked(ar *activeReq, rank int) comm.Message {
 	for k, v := range ar.req.Params {
 		start.Params[k] = v
 	}
-	// span and spec are scheduler-owned recovery annotations; a client must
-	// not smuggle them into every rank of a fresh dispatch.
+	// span is a scheduler-owned recovery annotation; a client must not
+	// smuggle it into every rank of a fresh dispatch.
 	delete(start.Params, "span")
-	delete(start.Params, "spec")
 	start.Params["rank"] = strconv.Itoa(rank)
 	start.Params["group"] = ar.group
 	start.Params["attempt"] = strconv.Itoa(ar.attempt)
@@ -657,13 +646,10 @@ func (s *Scheduler) startMsgLocked(ar *activeReq, rank int) comm.Message {
 }
 
 // startSpanMsgLocked is startMsgLocked with an explicit re-issued work span
-// (block-granular failover or straggler speculation).
-func (s *Scheduler) startSpanMsgLocked(ar *activeReq, rank int, span []int, spec bool) comm.Message {
+// (block-granular failover).
+func (s *Scheduler) startSpanMsgLocked(ar *activeReq, rank int, span []int) comm.Message {
 	start := s.startMsgLocked(ar, rank)
 	start.Params["span"] = comm.EncodeIntList(span)
-	if spec {
-		start.Params["spec"] = "1"
-	}
 	return start
 }
 
@@ -902,14 +888,6 @@ func (s *Scheduler) noteDone(m comm.Message) {
 			s.free = append(s.free, node)
 		}
 	}
-	if m.Params["superseded"] == "1" {
-		// A speculation loser's report: the worker returned to the pool
-		// above, but its aborted execution completes nothing. Its flag has
-		// served its purpose (the request may even have finished already).
-		s.rt.clearSupersededNode(m.ReqID, m.IntParam("rank", 0), node)
-		s.mu.Unlock()
-		return
-	}
 	ar, ok := s.active[m.ReqID]
 	if !ok {
 		s.mu.Unlock()
@@ -925,21 +903,6 @@ func (s *Scheduler) noteDone(m comm.Message) {
 	}
 	ar.done[rank] = true
 	ar.doneCount++
-	if spec, racing := ar.specNode[rank]; racing {
-		// First completion wins the speculation race; the other execution of
-		// this rank is superseded and aborts at its next poll point.
-		delete(ar.specNode, rank)
-		loser := spec
-		if node == spec {
-			loser = ar.members[rank]
-			ar.members[rank] = spec
-		}
-		if loser != "" && loser != node {
-			s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
-				"req %d rank %d: speculation won by %s, superseding %s", m.ReqID, rank, node, loser)
-			s.rt.markSuperseded(m.ReqID, rank, loser)
-		}
-	}
 	ar.stats.Probes.Compute += time.Duration(parseNanos(m.Params["compute_ns"]))
 	ar.stats.Probes.Read += time.Duration(parseNanos(m.Params["read_ns"]))
 	ar.stats.Probes.Send += time.Duration(parseNanos(m.Params["send_ns"]))
@@ -994,9 +957,6 @@ func (s *Scheduler) finishLocked(reqID uint64, ar *activeReq) {
 	s.rt.dropWorkQueue(reqID)
 	s.rt.clearCancelled(reqID)
 	s.rt.flow.drop(reqID)
-	// Supersede flags deliberately survive the request: a speculation loser
-	// may still be running and must observe its verdict to abort; its own
-	// completion report clears the flag (see noteDone).
 }
 
 // noteSpan records a rank's declared work span in the request's progress
@@ -1016,7 +976,7 @@ func (s *Scheduler) noteSpan(m comm.Message) {
 		return
 	}
 	node := m.Params["worker"]
-	if ar.members[rank] != node && ar.specNode[rank] != node {
+	if ar.members[rank] != node {
 		return // stale declaration from a replaced executor
 	}
 	if ar.journal == nil {
@@ -1098,7 +1058,7 @@ func (s *Scheduler) noteHeartbeat(m comm.Message) {
 
 // applyWatermarkLocked merges a heartbeat's piggybacked completed-item
 // watermark into the progress journal: redundancy for eagerly-sent wmark
-// messages lost in flight, and the straggler detector's steady data feed.
+// messages lost in flight.
 func (s *Scheduler) applyWatermarkLocked(m comm.Message) {
 	jr := m.Params["jreq"]
 	if jr == "" {
@@ -1122,8 +1082,7 @@ func (s *Scheduler) applyWatermarkLocked(m comm.Message) {
 }
 
 // monitor is the failure detector: it wakes every heartbeat interval and
-// declares dead any worker silent for the (clamped) failure window. The same
-// tick drives the straggler detector when speculation is enabled.
+// declares dead any worker silent for the (clamped) failure window.
 func (s *Scheduler) monitor() {
 	every := s.rt.cfg.FT.HeartbeatEvery
 	fail := s.rt.cfg.FT.FailAfter
@@ -1164,74 +1123,6 @@ func (s *Scheduler) monitor() {
 		if len(suspects) > 0 || len(release) > 0 {
 			s.pump()
 		}
-		s.speculate()
-	}
-}
-
-// speculate is the straggler detector: for every journaled active request it
-// compares per-rank completion watermarks against the group median and
-// re-issues a laggard's remaining span to an idle worker as a speculative
-// copy — same rank, same attempt, first completion wins, the loser is
-// superseded. One speculation per rank per attempt; the master rank is never
-// speculated (its gather cannot move).
-func (s *Scheduler) speculate() {
-	factor := s.rt.cfg.FT.StragglerFactor
-	if factor <= 1 {
-		return
-	}
-	var sends []outMsg
-	s.mu.Lock()
-	ids := make([]uint64, 0, len(s.active))
-	for id := range s.active {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		ar := s.active[id]
-		if ar.journal == nil {
-			continue
-		}
-		med, ok := ar.journal.medianDone()
-		if !ok || med < 2 {
-			continue // too early to call anyone a laggard
-		}
-		for rank := 1; rank < len(ar.done); rank++ {
-			if len(s.free) == 0 {
-				break
-			}
-			if ar.done[rank] || ar.specTried[rank] || !ar.journal.declared(rank) {
-				continue
-			}
-			if float64(ar.journal.doneCount(rank))*factor >= float64(med) {
-				continue
-			}
-			// The laggard must actually be executing the rank: a rank already
-			// being failed over is the redistribution planner's business.
-			cur := ar.members[rank]
-			if ref, busy := s.busy[cur]; !busy || ref.reqID != id || ref.rank != rank {
-				continue
-			}
-			remaining := ar.journal.unfinished(rank)
-			if len(remaining) == 0 {
-				continue
-			}
-			node := s.free[0]
-			s.free = s.free[1:]
-			s.state[node] = wsBusy
-			s.busy[node] = busyRef{reqID: id, rank: rank}
-			ar.specNode[rank] = node
-			ar.specTried[rank] = true
-			ar.stats.SpeculativeRuns++
-			ar.stats.BlocksRecomputed += len(remaining)
-			s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
-				"req %d rank %d straggling on %s (%d done vs median %d): speculating %d blocks on %s",
-				id, rank, cur, ar.journal.doneCount(rank), med, len(remaining), node)
-			sends = append(sends, outMsg{to: node, msg: s.startSpanMsgLocked(ar, rank, remaining, true)})
-		}
-	}
-	s.mu.Unlock()
-	for _, o := range sends {
-		s.send(o)
 	}
 }
 
@@ -1300,24 +1191,6 @@ func (s *Scheduler) failoverRankLocked(node string, reqID uint64, rank int, reas
 	ar := s.active[reqID]
 	if ar == nil || rank < 0 || rank >= len(ar.done) || ar.done[rank] {
 		return
-	}
-	if spec, racing := ar.specNode[rank]; racing {
-		// The rank is running as a speculation pair; losing either member
-		// leaves the other still executing, so no redispatch is needed (and
-		// no retry is charged).
-		if node == spec {
-			delete(ar.specNode, rank)
-			s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
-				"req %d rank %d: speculative copy on %s lost, original continues", reqID, rank, node)
-			return
-		}
-		if ar.members[rank] == node {
-			ar.members[rank] = spec
-			delete(ar.specNode, rank)
-			s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
-				"req %d rank %d: original on %s lost, speculative copy on %s promoted", reqID, rank, node, spec)
-			return
-		}
 	}
 	if ar.members[rank] != node {
 		// Stale busy-ref: a full restart already reassigned this rank to
@@ -1478,7 +1351,7 @@ func (s *Scheduler) drainRedispatchLocked(sends *[]outMsg) {
 				ar.members[rd.rank] = node
 				start := s.startMsgLocked(ar, rd.rank)
 				if rd.hasSpan {
-					start = s.startSpanMsgLocked(ar, rd.rank, rd.span, false)
+					start = s.startSpanMsgLocked(ar, rd.rank, rd.span)
 				}
 				s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
 					"req %d rank %d re-dispatched to %s", rd.reqID, rd.rank, node)
@@ -1539,14 +1412,9 @@ func (s *Scheduler) drainRedispatchLocked(sends *[]outMsg) {
 		ar.done = make([]bool, want)
 		ar.doneCount = 0
 		ar.stats.Workers = want
-		// A new attempt starts with a clean journal and no speculation
-		// history: old-attempt spans and watermarks are meaningless now, and
-		// a lingering supersede flag must not abort a new-attempt executor
-		// that lands on the same (rank, node) pair.
+		// A new attempt starts with a clean journal: old-attempt spans and
+		// watermarks are meaningless now.
 		ar.journal = nil
-		ar.specNode = map[int]string{}
-		ar.specTried = map[int]bool{}
-		s.rt.clearSuperseded(rd.reqID)
 		s.rt.dropWorkQueue(rd.reqID) // the new attempt re-claims dynamic work from scratch
 		s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
 			"req %d restarted as attempt %d with %d workers", rd.reqID, rd.attempt, want)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -404,12 +403,6 @@ func (w *Worker) execute(ep *comm.Endpoint, epoch int, start comm.Message) {
 		if runErr != nil {
 			msg.Kind = "werror"
 			msg.Params["error"] = runErr.Error()
-			if errors.Is(runErr, ErrSuperseded) {
-				// A speculation loser is not a failure: the master must wait
-				// for (or has already accepted) the winner's partial for this
-				// rank instead of recording an error.
-				msg.Params["superseded"] = "1"
-			}
 		} else {
 			msg.Payload = partial.EncodeBinary()
 		}
@@ -457,11 +450,6 @@ func (w *Worker) masterGather(ctx *Ctx, own *mesh.Mesh, ownErr error) {
 		case "wpartial", "werror", "wfail":
 			if m.ReqID != ctx.Req.ReqID || m.IntParam("attempt", 0) != ctx.attempt {
 				continue // stale message from an aborted request or attempt
-			}
-			if m.Params["superseded"] == "1" {
-				// A speculation loser's report: skipped without marking the
-				// rank seen, so the winner's delivery still counts.
-				continue
 			}
 			rank := m.IntParam("rank", -1)
 			if rank < 1 || rank >= ctx.GroupSize || seen[rank] {
@@ -541,9 +529,6 @@ func (w *Worker) sendDone(ctx *Ctx, reqID uint64, runErr error) {
 	}
 	if runErr != nil {
 		params["error"] = runErr.Error()
-		if errors.Is(runErr, ErrSuperseded) {
-			params["superseded"] = "1"
-		}
 	}
 	if err := ctx.ep.Send("scheduler", comm.Message{
 		Kind:   "wdone",

@@ -93,16 +93,6 @@ func (b *Block) SetVel(i, j, k int, v mathx.Vec3) {
 	b.Velocity[n+2] = float32(v.Z)
 }
 
-// Scalar returns the value of field name at node (i,j,k). It panics if the
-// field does not exist, which indicates a programming error in the caller.
-func (b *Block) Scalar(name string, i, j, k int) float64 {
-	f, ok := b.Scalars[name]
-	if !ok {
-		panic("grid: unknown scalar field " + name + " on block " + b.ID.String())
-	}
-	return float64(f[b.Index(i, j, k)])
-}
-
 // EnsureScalar returns the storage for field name, allocating it if absent.
 func (b *Block) EnsureScalar(name string) []float32 {
 	if f, ok := b.Scalars[name]; ok {

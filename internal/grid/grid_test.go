@@ -90,19 +90,6 @@ func TestPointVelScalarAccessors(t *testing.T) {
 	if !mathx.AlmostEqual(v.Y, 2, 1e-6) || !mathx.AlmostEqual(v.X, 0, 1e-6) {
 		t.Fatalf("Vel = %v", v)
 	}
-	if got := b.Scalar("pressure", 1, 1, 1); !mathx.AlmostEqual(got, 1+2+3, 1e-5) {
-		t.Fatalf("Scalar = %v", got)
-	}
-}
-
-func TestScalarPanicsOnMissingField(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unknown field")
-		}
-	}()
-	b := NewBlock(BlockID{"d", 0, 0}, 2, 2, 2)
-	b.Scalar("nope", 0, 0, 0)
 }
 
 func TestSizeBytes(t *testing.T) {
@@ -158,22 +145,6 @@ func frac(x float64) float64 {
 		return 0.5
 	}
 	return math.Abs(math.Mod(x, 1))
-}
-
-func TestInterpReproducesLinearField(t *testing.T) {
-	// Trilinear interpolation is exact for linear fields on any cell.
-	b := uniformBlock(BlockID{"d", 0, 0}, 4, 4, 4, mathx.Vec3{}, mathx.Vec3{X: 3, Y: 3, Z: 3})
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		ci, cj, ck := rng.Intn(3), rng.Intn(3), rng.Intn(3)
-		r, s, u := rng.Float64(), rng.Float64(), rng.Float64()
-		p := b.InterpPoint(ci, cj, ck, r, s, u)
-		got := b.InterpScalar("pressure", ci, cj, ck, r, s, u)
-		want := p.X + 2*p.Y + 3*p.Z
-		if !mathx.AlmostEqual(got, want, 1e-5) {
-			t.Fatalf("InterpScalar = %v, want %v at %v", got, want, p)
-		}
-	}
 }
 
 func TestNaturalCoordsInvertsInterp(t *testing.T) {
@@ -268,27 +239,6 @@ func TestMultiBlockVelocityAtUsesHint(t *testing.T) {
 	_, bi2, ok := m.VelocityAt(mathx.Vec3{X: 1.25, Y: 0.5, Z: 0.5}, bi, &loc)
 	if !ok || bi2 != 1 {
 		t.Fatal("hinted relocate failed")
-	}
-}
-
-func TestFrontToBackOrdering(t *testing.T) {
-	var blocks []*Block
-	for i := 0; i < 5; i++ {
-		blocks = append(blocks, uniformBlock(BlockID{"d", 0, i}, 3, 3, 3,
-			mathx.Vec3{X: float64(i) * 2}, mathx.Vec3{X: 1, Y: 1, Z: 1}))
-	}
-	m := NewMultiBlock("d", 0, blocks)
-	order := m.FrontToBack(mathx.Vec3{X: -10})
-	for i := 1; i < len(order); i++ {
-		if order[i] < order[i-1] {
-			t.Fatalf("front-to-back from -x should be ascending, got %v", order)
-		}
-	}
-	order = m.FrontToBack(mathx.Vec3{X: 100})
-	for i := 1; i < len(order); i++ {
-		if order[i] > order[i-1] {
-			t.Fatalf("front-to-back from +x should be descending, got %v", order)
-		}
 	}
 }
 

@@ -52,19 +52,6 @@ func (b *Block) InterpVelocity(ci, cj, ck int, r, s, t float64) mathx.Vec3 {
 	return v
 }
 
-// InterpScalar evaluates scalar field name inside cell (ci,cj,ck) at natural
-// coordinates (r,s,t).
-func (b *Block) InterpScalar(name string, ci, cj, ck int, r, s, t float64) float64 {
-	f := b.Scalars[name]
-	c := b.CellCorners(ci, cj, ck)
-	w := trilinearWeights(r, s, t)
-	v := 0.0
-	for n := 0; n < 8; n++ {
-		v += w[n] * float64(f[c[n]])
-	}
-	return v
-}
-
 // jacobianNatural returns the Jacobian ∂x/∂(r,s,t) of the trilinear map of
 // cell (ci,cj,ck) at (r,s,t): column c is the derivative of position with
 // respect to natural coordinate c.

@@ -94,19 +94,3 @@ func (m *MultiBlock) VelocityAt(p mathx.Vec3, hintBlock int, hintLoc *CellLoc) (
 	b := m.Blocks[bi]
 	return b.InterpVelocity(loc.CI, loc.CJ, loc.CK, loc.R, loc.S, loc.T), bi, true
 }
-
-// FrontToBack returns block indices sorted front-to-back with respect to a
-// viewer at eye: the block whose bounding-box centre is nearest to the eye
-// comes first. This is the inter-block part of the paper's view-dependent
-// isosurface ordering (§6.3).
-func (m *MultiBlock) FrontToBack(eye mathx.Vec3) []int {
-	m.ensureBounds()
-	idx := make([]int, len(m.Blocks))
-	dist := make([]float64, len(m.Blocks))
-	for i := range m.Blocks {
-		idx[i] = i
-		dist[i] = m.bounds[i].Center().Sub(eye).Norm()
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return dist[idx[a]] < dist[idx[b]] })
-	return idx
-}

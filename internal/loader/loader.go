@@ -111,7 +111,6 @@ type observation struct {
 	reliability float64 // EWMA of success(1)/failure(0)
 	loads       int64
 	failures    int64
-	chosen      int64
 }
 
 // NewSelector builds a selector over the given sources, most-preferred-first
@@ -172,9 +171,6 @@ func (s *Selector) Decide(id grid.BlockID) (Source, error) {
 	if len(ranked) == 0 {
 		return nil, fmt.Errorf("loader: no source available for %v", id)
 	}
-	s.mu.Lock()
-	s.obs[ranked[0].Name()].chosen++
-	s.mu.Unlock()
 	return ranked[0], nil
 }
 
@@ -209,12 +205,7 @@ func (s *Selector) load(id grid.BlockID, background bool) (*grid.Block, int64, e
 		return nil, 0, fmt.Errorf("loader: no source available for %v", id)
 	}
 	var errs []error
-	for i, src := range ranked {
-		if i == 0 {
-			s.mu.Lock()
-			s.obs[src.Name()].chosen++
-			s.mu.Unlock()
-		}
+	for _, src := range ranked {
 		var b *grid.Block
 		var n int64
 		var err error
@@ -263,16 +254,6 @@ func (s *Selector) Reliability(name string) float64 {
 		return o.reliability
 	}
 	return math.NaN()
-}
-
-// ChosenCount reports how many times Decide/Load preferred the named source.
-func (s *Selector) ChosenCount(name string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if o, ok := s.obs[name]; ok {
-		return o.chosen
-	}
-	return 0
 }
 
 // Collective implements collective I/O (§4.3): several proxies that need

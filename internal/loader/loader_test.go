@@ -225,24 +225,6 @@ func TestCollectiveEmptyRun(t *testing.T) {
 	}
 }
 
-func TestChosenCountTracksDecisions(t *testing.T) {
-	v := vclock.NewVirtual()
-	src := &DeviceSource{Dev: newDev(v, "disk", 0, 0)}
-	s := NewSelector(v, 0, src)
-	v.Go(func() {
-		for i := 0; i < 5; i++ {
-			s.Load(tinyID(i % 4))
-		}
-	})
-	v.Wait()
-	if got := s.ChosenCount("disk"); got != 5 {
-		t.Fatalf("ChosenCount = %d, want 5", got)
-	}
-	if got := s.ChosenCount("nope"); got != 0 {
-		t.Fatalf("ChosenCount unknown = %d", got)
-	}
-}
-
 func TestLoadBackgroundShedsWhenSaturated(t *testing.T) {
 	// The saturation policy allows one queued background request per device
 	// (a prefetch pipeline needs that much); anything beyond is shed.

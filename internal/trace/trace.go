@@ -102,7 +102,7 @@ func (l *Log) Matching(substr string) []Event {
 
 // CountMatching reports how many retained events' Msg contains substr —
 // the assertion form of Matching for tests that only care about occurrence
-// counts (redistributions, speculations, dropped redispatches).
+// counts (redistributions, dropped redispatches).
 func (l *Log) CountMatching(substr string) int {
 	n := 0
 	for _, e := range l.Events() {

@@ -6,7 +6,7 @@
 # counts as a user): not in another file, not a second time in its own. Such
 # a name is reached by its own unit tests at most, and the rule of this
 # repository is that it goes — or earns a line in the exempt list below with
-# the reason it stays ("deferred" marks the ones that are to go next).
+# the reason it stays.
 #
 # Regex-level on purpose (comments are stripped, strings are not; two methods
 # of one name count together): it over-reports nothing the compiler would call
@@ -45,10 +45,6 @@ Decide	selector probe: the loader suite reads the fitness ranking through it
 Reliability	selector probe: the loader suite reads the reliability estimate through it
 ProgressiveExtract	single-block driver the progressive suite runs ProgressiveBlock through
 DecodeFieldRange	client-side decoder of the fieldrange command; its test reads the result through it
-FrontToBack	deferred: uncalled (iso.viewer orders blocks itself); its unit test is on the tier-1 floor list and one PR retires only a few floor tests
-InterpScalar	deferred: uncalled (only InterpPoint/InterpVelocity have callers); floor-listed unit test, as above
-Scalar	deferred: uncalled (kernels index Scalars[...] directly); floor-listed unit test, as above
-ChosenCount	deferred: uncalled, and so is the chosen counter it reads; floor-listed unit test, as above
 EOF
 }
 

@@ -79,8 +79,8 @@ var ErrDraining = core.ErrDraining
 
 // DefaultFTConfig returns the fault-tolerance defaults (250ms heartbeats, 2s
 // failure window, 2 retries with 100ms→5s backoff; block-granular
-// redistribution and straggler speculation off) for callers that want to
-// tweak a single knob via Options.FT.
+// redistribution off) for callers that want to tweak a single knob via
+// Options.FT.
 func DefaultFTConfig() FTConfig { return core.DefaultFTConfig() }
 
 // DefaultOverloadConfig returns the overload-protection defaults (256 queued
@@ -112,8 +112,8 @@ type Options struct {
 	// "memo" parameter.
 	Memo bool
 	// FT overrides the fault-tolerance defaults (heartbeat interval,
-	// failure window, retry budget and backoff, block-granular recovery and
-	// straggler speculation); nil keeps DefaultFTConfig.
+	// failure window, retry budget and backoff, block-granular recovery);
+	// nil keeps DefaultFTConfig.
 	FT *FTConfig
 	// Overload enables admission control, streaming backpressure and the
 	// DMS memory budget; nil keeps all of it disabled (the zero
