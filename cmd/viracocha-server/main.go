@@ -48,25 +48,23 @@ func parseFaults(specs []string) (*viracocha.FaultPlan, error) {
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":7447", "listen address")
-		workers    = flag.Int("workers", 8, "worker pool size")
-		datasets   = flag.String("dataset", "engine", "comma-separated data sets to host (engine, propfan, tiny)")
-		scale      = flag.Int("scale", 2, "synthetic grid scale")
-		dir        = flag.String("dir", "", "serve pre-generated block files from this directory instead of on-demand synthesis")
-		latency    = flag.Duration("storage-latency", 0, "sleep this long per block read: paces requests so fault drills (-fault, kill/restart, drain) can land mid-request; 0 = reads cost what the files take")
-		failAfter  = flag.Duration("fail-after", 0, "declare a silent worker dead after this; workers heartbeat every eighth of it (0 = default 2s, heartbeat 250ms)")
-		retries    = flag.Int("retries", -1, "per-request recovery retry budget (-1 = default 2)")
-		redistrib  = flag.Bool("redistribute", false, "block-granular recovery: journal per-rank progress and re-issue only a dead rank's unfinished blocks (requests override with redistribute=0/1)")
-		standby    = flag.Int("standby", 0, "warm standby workers kept out of dispatch and promoted when a live rank dies (a dead rank that is rebooted — a recover:/flap: fault rule, the roll RPC — comes back as the new standby)")
-		quarantine = flag.Float64("quarantine", 0, "quarantine a rejoining worker whose decayed crash score is at least this (0 = off); flappers sit out an escalating hold-down before probation")
-		memBudget  = flag.Int64("mem-budget", 0, "DMS byte budget across all cache tiers (0 = unlimited)")
-		memo       = flag.Bool("memo", false, "enable cross-session result memoization: identical requests are served from a content-addressed result cache, and concurrent identical requests coalesce onto one multicast extraction (requests override with memo=0/1)")
-		statsFile  = flag.String("stats", "", "write a JSON stats report (admission, budget, memo, per-request records) to this file on graceful shutdown")
-		lease      = flag.Duration("lease", 30*time.Second, "durable-session lease: how long a disconnected client's session (and its in-flight streams) survives awaiting resume")
-		drainTmo   = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown: how long in-flight requests get to finish after SIGTERM (or a remote drain) before exiting anyway")
-		walDir     = flag.String("wal", "", "control-plane write-ahead log directory: admissions, leases, streamed frames and journal progress are logged continuously, so a bounced or even hard-killed (SIGKILL, power-cut) server restarts with exact client resume; add -fsync off when only graceful bounces need to survive")
-		fsyncPol   = flag.String("fsync", "always", "WAL fsync policy: always (every acknowledged record durable), interval (bounded loss window), off (the OS decides)")
-		faultSpec  faultList
+		addr      = flag.String("addr", ":7447", "listen address")
+		workers   = flag.Int("workers", 8, "worker pool size")
+		datasets  = flag.String("dataset", "engine", "comma-separated data sets to host (engine, propfan, tiny)")
+		scale     = flag.Int("scale", 2, "synthetic grid scale")
+		dir       = flag.String("dir", "", "serve pre-generated block files from this directory instead of on-demand synthesis")
+		latency   = flag.Duration("storage-latency", 0, "sleep this long per block read: paces requests so fault drills (-fault, kill/restart, drain) can land mid-request; 0 = reads cost what the files take")
+		failAfter = flag.Duration("fail-after", 0, "declare a silent worker dead after this; workers heartbeat every eighth of it (0 = default 2s, heartbeat 250ms)")
+		retries   = flag.Int("retries", -1, "per-request recovery retry budget (-1 = default 2)")
+		redistrib = flag.Bool("redistribute", false, "block-granular recovery: journal per-rank progress and re-issue only a dead rank's unfinished blocks (requests override with redistribute=0/1)")
+		memBudget = flag.Int64("mem-budget", 0, "DMS byte budget across all cache tiers (0 = unlimited)")
+		memo      = flag.Bool("memo", false, "enable cross-session result memoization: identical requests are served from a content-addressed result cache, and concurrent identical requests coalesce onto one multicast extraction (requests override with memo=0/1)")
+		statsFile = flag.String("stats", "", "write a JSON stats report (admission, budget, memo, per-request records) to this file on graceful shutdown")
+		lease     = flag.Duration("lease", 30*time.Second, "durable-session lease: how long a disconnected client's session (and its in-flight streams) survives awaiting resume")
+		drainTmo  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown: how long in-flight requests get to finish after SIGTERM (or a remote drain) before exiting anyway")
+		walDir    = flag.String("wal", "", "control-plane write-ahead log directory: admissions, leases, streamed frames and journal progress are logged continuously, so a bounced or even hard-killed (SIGKILL, power-cut) server restarts with exact client resume; add -fsync off when only graceful bounces need to survive")
+		fsyncPol  = flag.String("fsync", "always", "WAL fsync policy: always (every acknowledged record durable), interval (bounded loss window), off (the OS decides)")
+		faultSpec faultList
 	)
 	flag.Var(&faultSpec, "fault", "inject a fault rule (repeatable): crash:NODE@DUR, recover:NODE@DUR, flap:NODE:PERIOD, drop:FROM>TO:KIND:PROB, dup:..., delay:FROM>TO:KIND:DUR, read:DATASET:STEP:BLOCK:N, corrupt:DATASET:STEP:BLOCK:N, slow:ENDPOINT@DUR, discon:SESSION:AFTER_MSGS, hang:SESSION")
 	flag.Parse()
@@ -92,8 +90,6 @@ func main() {
 		ft.MaxRetries = *retries
 	}
 	ft.Redistribute = *redistrib
-	ft.Standby = *standby
-	ft.QuarantineAfter = *quarantine
 	opts.FT = &ft
 	ov := viracocha.DefaultOverloadConfig()
 	ov.MemBudget = *memBudget

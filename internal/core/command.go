@@ -385,16 +385,20 @@ func (c *Ctx) Progress(done, total int) {
 // permutes the blocks first (e.g. front-to-back for view-dependent
 // extraction).
 func (c *Ctx) AssignedBlocks(order []int) []int {
-	n := c.Dataset.Blocks
+	return c.roundRobin(c.Dataset.Blocks, order)
+}
+
+// roundRobin is this rank's share of total items dealt round-robin across
+// the group: item i (or order[i], when order permutes them) goes to rank
+// i mod GroupSize.
+func (c *Ctx) roundRobin(total int, order []int) []int {
 	var out []int
-	for i := 0; i < n; i++ {
+	for i := c.Rank; i < total; i += c.GroupSize {
 		b := i
-		if order != nil {
+		if order != nil && i < len(order) {
 			b = order[i]
 		}
-		if i%c.GroupSize == c.Rank {
-			out = append(out, b)
-		}
+		out = append(out, b)
 	}
 	return out
 }
@@ -473,17 +477,7 @@ func (c *Ctx) spanItems(total int, order []int) []int {
 		}
 		return out
 	}
-	var out []int
-	for i := 0; i < total; i++ {
-		b := i
-		if order != nil && i < len(order) {
-			b = order[i]
-		}
-		if i%c.GroupSize == c.Rank {
-			out = append(out, b)
-		}
-	}
-	return out
+	return c.roundRobin(total, order)
 }
 
 // declareSpan reports the resolved span to the scheduler's progress journal

@@ -291,6 +291,33 @@ func TestSchedulerQueuesWhenWorkersBusy(t *testing.T) {
 	}
 }
 
+// TestQueueWaitRunsFromArrival: a request queued behind another on a
+// one-worker pool is received when it arrives, not when it is dispatched, so
+// its queue wait (Started - Received) covers the first request's runtime.
+func TestQueueWaitRunsFromArrival(t *testing.T) {
+	v := vclock.NewVirtual()
+	rt := newTestRuntime(t, v, 1)
+	var id1, id2 uint64
+	v.Go(func() {
+		cl := NewClient(rt)
+		id1, _ = cl.Submit("test.sleepy", map[string]string{"dataset": "tiny"})
+		id2, _ = cl.Submit("test.sleepy", map[string]string{"dataset": "tiny"})
+		cl.Collect(id1)
+		cl.Collect(id2)
+		rt.Shutdown()
+	})
+	v.Wait()
+	first, _ := rt.Sched.Stats(id1)
+	second, _ := rt.Sched.Stats(id2)
+	run, wait := first.TotalRuntime(), second.Started-second.Received
+	if run < time.Second {
+		t.Fatalf("first request ran %v, want >= 1s", run)
+	}
+	if d := wait - run; d < -10*time.Millisecond || d > 10*time.Millisecond {
+		t.Fatalf("second request waited %v in the queue, want ~%v (the first's runtime)", wait, run)
+	}
+}
+
 func TestGroupSizeClampedToPool(t *testing.T) {
 	v := vclock.NewVirtual()
 	rt := newTestRuntime(t, v, 2)

@@ -34,15 +34,13 @@ func (crunchCmd) Run(ctx *Ctx) (*mesh.Mesh, error) {
 	return &m, nil
 }
 
-// fastFT is the test fault-tolerance tuning: quick detection and short
-// backoff so recovery happens within a few virtual seconds.
+// fastFT is the test fault-tolerance tuning: quick detection so recovery
+// happens within a few virtual seconds.
 func fastFT() FTConfig {
 	return FTConfig{
 		HeartbeatEvery: 50 * time.Millisecond,
 		FailAfter:      200 * time.Millisecond,
 		MaxRetries:     2,
-		RetryBackoff:   10 * time.Millisecond,
-		MaxBackoff:     time.Second,
 	}
 }
 
@@ -273,6 +271,63 @@ func TestRequestDegradesWhenPoolShrank(t *testing.T) {
 	}
 }
 
+// TestRestartOfOversizedRequestIsNotDegraded: a request asking for more
+// workers than the pool has runs on the whole pool without being degraded,
+// and a full restart (here: the master's "start" lost in transit, caught by
+// the idle-streak check, nobody dead) must size its group the same way.
+func TestRestartOfOversizedRequestIsNotDegraded(t *testing.T) {
+	v := vclock.NewVirtual()
+	// Seed 4 drops the first message on the scheduler→w0 link (the master's
+	// start) and passes the second (its start in the restarted attempt).
+	plan := &faults.Plan{
+		Seed:  4,
+		Links: []faults.LinkRule{{From: "scheduler", To: "w0", Kind: "start", Drop: 0.5}},
+	}
+	rt := newFaultRuntime(t, v, 3, plan, nil)
+	var res *RunResult
+	var err error
+	v.Go(func() {
+		cl := NewClient(rt)
+		res, err = cl.Run("test.echo", map[string]string{"dataset": "tiny", "workers": "5"})
+		rt.Shutdown()
+	})
+	v.Wait()
+	if err != nil {
+		t.Fatalf("request failed: %v", err)
+	}
+	if res.Attempt != 1 {
+		t.Fatalf("result attempt = %d, want 1 (full restart)", res.Attempt)
+	}
+	st, _ := rt.Sched.Stats(res.ReqID)
+	if st.Retries != 1 || st.Degraded || st.Workers != 3 {
+		t.Fatalf("stats = %+v, want Retries=1 Degraded=false Workers=3", st)
+	}
+	if res.Merged.NumTriangles() != 3 {
+		t.Fatalf("merged triangles = %d, want 3", res.Merged.NumTriangles())
+	}
+}
+
+// TestRedispatchFollowsDeathImmediately: with a spare worker free, a dead
+// rank is re-dispatched at the same virtual instant it is declared dead —
+// nothing holds a ready recovery action back.
+func TestRedispatchFollowsDeathImmediately(t *testing.T) {
+	v := vclock.NewVirtual()
+	plan := (&faults.Plan{Seed: 7}).CrashAt("w1", 1010*time.Millisecond)
+	rt := newFaultRuntime(t, v, 5, plan, nil)
+	v.Go(func() {
+		NewClient(rt).Run("test.crunch", map[string]string{"dataset": "tiny", "workers": "4"})
+		rt.Shutdown()
+	})
+	v.Wait()
+	dead, redis := rt.Trace.Matching("declared dead"), rt.Trace.Matching("re-dispatched")
+	if len(dead) != 1 || len(redis) != 1 {
+		t.Fatalf("declared dead %d times, re-dispatched %d times; want 1 each", len(dead), len(redis))
+	}
+	if redis[0].At != dead[0].At {
+		t.Fatalf("re-dispatched at %v, declared dead at %v: want the same instant", redis[0].At, dead[0].At)
+	}
+}
+
 func TestNoLiveWorkersFailsImmediately(t *testing.T) {
 	v := vclock.NewVirtual()
 	plan := (&faults.Plan{Seed: 1}).CrashAt("w0", time.Millisecond)
@@ -293,17 +348,15 @@ func TestNoLiveWorkersFailsImmediately(t *testing.T) {
 func TestCancelDuringRedispatchHonored(t *testing.T) {
 	v := vclock.NewVirtual()
 	plan := (&faults.Plan{Seed: 5}).CrashAt("w1", 2030*time.Millisecond)
-	rt := newFaultRuntime(t, v, 3, plan, func(cfg *Config) {
-		cfg.FT.RetryBackoff = 500 * time.Millisecond // wide window to land the cancel in
-	})
+	rt := newFaultRuntime(t, v, 3, plan, nil)
 	var res *RunResult
 	v.Go(func() {
 		cl := NewClient(rt)
 		id, _ := cl.Submit("test.cancelpoll", map[string]string{
 			"dataset": "tiny", "workers": "2", "units": "1000",
 		})
-		// Crash detected ~2.2s; re-dispatch delayed to ~2.7s. Cancel in
-		// between: the re-run rank must observe it and abort.
+		// Crash detected ~2.2s and the rank re-dispatched to the spare at
+		// once. Cancel while it re-runs: the rank must observe it and abort.
 		v.Sleep(2400 * time.Millisecond)
 		if cerr := cl.Cancel(id); cerr != nil {
 			t.Error(cerr)

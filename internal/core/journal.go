@@ -86,7 +86,7 @@ func (j *blockJournal) unfinished(rank int) []int {
 // CheckInvariants verifies the scheduler's worker-state bookkeeping: the
 // free list holds only free workers without duplicates, every busy ref
 // points at a worker in the busy state, and workers outside the schedulable
-// states — dead, standby, quarantined or cordoned — appear in neither set.
+// states — dead or cordoned — appear in neither set.
 // Transients are deliberately tolerated — an old-attempt executor stays
 // busy until its stale completion arrives. The fault-scenario and soak
 // suites call it after every recovery timeline; a violation means a
@@ -121,10 +121,6 @@ func (s *Scheduler) CheckInvariants() error {
 		switch st {
 		case wsDead:
 			kind = "dead"
-		case wsStandby:
-			kind = "standby"
-		case wsQuarantined:
-			kind = "quarantined"
 		case wsCordoned:
 			kind = "cordoned"
 		default:

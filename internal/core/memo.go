@@ -333,7 +333,7 @@ func (s *Scheduler) memoAdmit(m comm.Message) bool {
 	s.rt.Trace.Eventf(s.rt.Clock.Now(), "memo",
 		"req %d: miss %s, producing as req %d", sub.subID, key, prodID)
 	s.mu.Lock()
-	s.pending.push(prod)
+	s.pending.push(prod, s.rt.Clock.Now())
 	s.mu.Unlock()
 	return true
 }

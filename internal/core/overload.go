@@ -119,21 +119,30 @@ const ringCompactAt = 64
 // references) alive for as long as the queue was non-empty — a sustained
 // burst leaked the whole burst. The ring zeroes popped slots immediately,
 // compacts when the dead prefix dominates, and frees an oversized backing
-// array once drained.
+// array once drained. Each entry carries its arrival time, so a request's
+// queue wait is measured from admission, not from dispatch.
 type msgRing struct {
-	items []comm.Message
+	items []queuedMsg
 	head  int
+}
+
+// queuedMsg is one pending command and when it arrived at the scheduler.
+type queuedMsg struct {
+	comm.Message
+	at time.Duration
 }
 
 func (r *msgRing) len() int { return len(r.items) - r.head }
 
-func (r *msgRing) push(m comm.Message) { r.items = append(r.items, m) }
+func (r *msgRing) push(m comm.Message, at time.Duration) {
+	r.items = append(r.items, queuedMsg{Message: m, at: at})
+}
 
-func (r *msgRing) peek() comm.Message { return r.items[r.head] }
+func (r *msgRing) peek() queuedMsg { return r.items[r.head] }
 
-func (r *msgRing) pop() comm.Message {
+func (r *msgRing) pop() queuedMsg {
 	m := r.items[r.head]
-	r.items[r.head] = comm.Message{} // release payload and params now
+	r.items[r.head] = queuedMsg{} // release payload and params now
 	r.head++
 	switch {
 	case r.head == len(r.items):
@@ -147,7 +156,7 @@ func (r *msgRing) pop() comm.Message {
 		n := copy(r.items, r.items[r.head:])
 		clearTail := r.items[n:]
 		for i := range clearTail {
-			clearTail[i] = comm.Message{}
+			clearTail[i] = queuedMsg{}
 		}
 		r.items = r.items[:n]
 		r.head = 0
@@ -161,16 +170,16 @@ func (r *msgRing) filter(keep func(comm.Message) bool) []comm.Message {
 	var dropped []comm.Message
 	live := r.items[r.head:]
 	out := r.items[:0]
-	for _, m := range live {
-		if keep(m) {
-			out = append(out, m)
+	for _, q := range live {
+		if keep(q.Message) {
+			out = append(out, q)
 		} else {
-			dropped = append(dropped, m)
+			dropped = append(dropped, q.Message)
 		}
 	}
 	tail := r.items[len(out):]
 	for i := range tail {
-		tail[i] = comm.Message{}
+		tail[i] = queuedMsg{}
 	}
 	r.items = out
 	r.head = 0

@@ -39,7 +39,7 @@ func tinyParams(extra ...string) map[string]string {
 func TestMsgRingFIFO(t *testing.T) {
 	var r msgRing
 	for i := 0; i < 10; i++ {
-		r.push(comm.Message{ReqID: uint64(i)})
+		r.push(comm.Message{ReqID: uint64(i)}, 0)
 	}
 	for i := 0; i < 10; i++ {
 		if r.len() != 10-i {
@@ -60,8 +60,8 @@ func TestMsgRingFIFO(t *testing.T) {
 func TestMsgRingZeroesPoppedSlots(t *testing.T) {
 	var r msgRing
 	m := comm.Message{Payload: []byte{1}, Params: map[string]string{"k": "v"}}
-	r.push(m)
-	r.push(m)
+	r.push(m, 0)
+	r.push(m, 0)
 	r.pop()
 	// The popped slot must not pin the payload until the queue drains.
 	if r.items[0].Payload != nil || r.items[0].Params != nil {
@@ -76,7 +76,7 @@ func TestMsgRingZeroesPoppedSlots(t *testing.T) {
 func TestMsgRingReclaimsBurstMemory(t *testing.T) {
 	var r msgRing
 	for i := 0; i < 4*ringKeepCap; i++ {
-		r.push(comm.Message{ReqID: uint64(i), Payload: make([]byte, 1024)})
+		r.push(comm.Message{ReqID: uint64(i), Payload: make([]byte, 1024)}, 0)
 	}
 	for r.len() > 0 {
 		r.pop()
@@ -87,7 +87,7 @@ func TestMsgRingReclaimsBurstMemory(t *testing.T) {
 	// A small steady-state queue keeps its array (no realloc churn).
 	var s msgRing
 	for i := 0; i < 4; i++ {
-		s.push(comm.Message{})
+		s.push(comm.Message{}, 0)
 	}
 	for s.len() > 0 {
 		s.pop()
@@ -100,13 +100,13 @@ func TestMsgRingReclaimsBurstMemory(t *testing.T) {
 func TestMsgRingCompactsDeadPrefix(t *testing.T) {
 	var r msgRing
 	for i := 0; i < 100; i++ {
-		r.push(comm.Message{ReqID: uint64(i)})
+		r.push(comm.Message{ReqID: uint64(i)}, 0)
 	}
 	next := uint64(0)
 	// Steady-state churn with a standing backlog: the head index must not
 	// let the backing array grow without bound.
 	for i := 0; i < 10000; i++ {
-		r.push(comm.Message{ReqID: uint64(100 + i)})
+		r.push(comm.Message{ReqID: uint64(100 + i)}, 0)
 		if got := r.pop().ReqID; got != next {
 			t.Fatalf("pop = %d, want %d", got, next)
 		}
@@ -120,7 +120,7 @@ func TestMsgRingCompactsDeadPrefix(t *testing.T) {
 func TestMsgRingFilter(t *testing.T) {
 	var r msgRing
 	for i := 0; i < 6; i++ {
-		r.push(comm.Message{ReqID: uint64(i)})
+		r.push(comm.Message{ReqID: uint64(i)}, 0)
 	}
 	r.pop() // head > 0: filter must only consider the live region
 	dropped := r.filter(func(m comm.Message) bool { return m.ReqID%2 == 0 })

@@ -181,21 +181,34 @@ func TestGatheredSpanReRunsWholeSpan(t *testing.T) {
 }
 
 // TestDuplicateRedispatchDoesNotDoubleAssign pins the redispatch/declareDead
-// interleaving fix: a duplicated (or stale) redispatch message arriving
-// after the rank was already re-placed on a live worker must be dropped, not
-// planted on a second worker with a conflicting busy-ref.
+// interleaving fix: a duplicated (or stale) recovery action pumped after the
+// rank was already re-placed on a live worker must be dropped, not planted
+// on a second worker with a conflicting busy-ref.
 func TestDuplicateRedispatchDoesNotDoubleAssign(t *testing.T) {
 	v := vclock.NewVirtual()
 	plan := (&faults.Plan{Seed: 13}).CrashAt("w1", 1010*time.Millisecond)
-	plan.Links = []faults.LinkRule{
-		{From: "sched.timer", To: "scheduler", Kind: "redispatch", Duplicate: 1},
-	}
 	rt := newFaultRuntime(t, v, 5, plan, nil)
+	s := rt.Sched
 	var res *RunResult
 	var err error
 	v.Go(func() {
 		cl := NewClient(rt)
-		res, err = cl.Run("test.crunch", map[string]string{"dataset": "tiny", "workers": "4"})
+		id, serr := cl.Submit("test.crunch", map[string]string{"dataset": "tiny", "workers": "4"})
+		if serr != nil {
+			t.Errorf("submit failed: %v", serr)
+		}
+		// w1 held rank 1; once it is re-run on the spare, queue a copy of
+		// its recovery action while the re-run is still computing.
+		if !waitFor(v, 2*time.Second, func() bool { return rt.Trace.CountMatching("re-dispatched") > 0 }) {
+			t.Error("rank 1 was never re-dispatched")
+		}
+		s.mu.Lock()
+		if ar := s.active[id]; ar != nil {
+			s.redisQ = append(s.redisQ, redispatch{reqID: id, attempt: ar.attempt, rank: 1})
+		}
+		s.mu.Unlock()
+		s.pump()
+		res, err = cl.Collect(id)
 		rt.Shutdown()
 	})
 	v.Wait()

@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"viracocha/internal/comm"
@@ -38,47 +37,21 @@ type FTConfig struct {
 	// MaxRetries bounds recovery dispatches per request (requests can
 	// override with the "retries" parameter). 0 means fail on first fault.
 	MaxRetries int
-	// RetryBackoff is the delay before the first retry; it doubles per
-	// retry up to MaxBackoff. <= 0 retries immediately.
-	RetryBackoff time.Duration
-	// MaxBackoff caps the exponential backoff; <= 0 means uncapped.
-	MaxBackoff time.Duration
 	// Redistribute turns block-granular recovery on by default: requests run
 	// in journal mode (the scheduler tracks per-rank completed-block
 	// watermarks) and a dead rank costs only its unfinished blocks, re-issued
 	// to a survivor under the same attempt. Requests override with the
 	// "redistribute" parameter. Off keeps the PR-1 whole-rank recovery.
 	Redistribute bool
-	// QuarantineAfter is the decayed crash-score threshold at which a
-	// rejoining node is quarantined (admitted but not scheduled) instead of
-	// readmitted; <= 0 disables quarantine. Each crash charges 1 to the
-	// node's score, which halves every HealthHalfLife.
-	QuarantineAfter float64
-	// QuarantineHold is the base hold-down a quarantined node serves before
-	// probation; it doubles with every consecutive quarantine (escalation,
-	// capped at 64x). <= 0 defaults to 4*FailAfter.
-	QuarantineHold time.Duration
-	// HealthHalfLife is the decay half-life of the crash score; <= 0
-	// defaults to 30s.
-	HealthHalfLife time.Duration
-	// Standby is the number of extra reserve workers the runtime creates
-	// beyond Config.Workers: they run and heartbeat but are only promoted
-	// into the dispatch pool when a scheduled worker dies (restoring
-	// LiveWorkers to target strength). The dead rank becomes the new standby
-	// if something reboots it (a recover:/flap: fault rule, the roll RPC).
-	Standby int
 }
 
 // DefaultFTConfig returns the fault-tolerance defaults: 250ms heartbeats,
-// death after 2s of silence, 2 retries starting at 100ms backoff capped at
-// 5s.
+// death after 2s of silence, 2 retries.
 func DefaultFTConfig() FTConfig {
 	return FTConfig{
 		HeartbeatEvery: 250 * time.Millisecond,
 		FailAfter:      2 * time.Second,
 		MaxRetries:     2,
-		RetryBackoff:   100 * time.Millisecond,
-		MaxBackoff:     5 * time.Second,
 	}
 }
 
@@ -176,12 +149,6 @@ type Runtime struct {
 	faults *faults.Injector
 	flow   *flowControl
 
-	// jitterSeed/jitterSeq drive the scheduler's reproducible backoff jitter:
-	// each draw hashes (seed, counter) through the fault plan's mixer, so a
-	// seeded scenario replays the same jitter regardless of interleaving.
-	jitterSeed uint64
-	jitterSeq  atomic.Uint64
-
 	// stopMu serializes worker revival against the scheduler's final
 	// shutdown broadcast: once stopping is set no new incarnation may spawn,
 	// or its actor loop would outlive the shutdown and hang Clock.Wait.
@@ -223,10 +190,6 @@ func NewRuntime(c vclock.Clock, cfg Config) *Runtime {
 		// comm.FaultInjector interface value.
 		rt.Net.Faults = cfg.Faults
 	}
-	rt.jitterSeed = 1
-	if s := cfg.Faults.Seed(); s != 0 {
-		rt.jitterSeed = s
-	}
 	rt.DMS = dms.NewServer(c, cfg.DMS)
 	rt.Sched = newScheduler(rt)
 	// Source data dropped from the DMS invalidates every memoized result
@@ -235,34 +198,15 @@ func NewRuntime(c vclock.Clock, cfg Config) *Runtime {
 	rt.DMS.OnInvalidate(func(dataset string, step int) {
 		rt.Sched.InvalidateMemo(dataset, step)
 	})
-	if cfg.FT.Standby < 0 {
-		cfg.FT.Standby = 0
-		rt.cfg.FT.Standby = 0
-	}
-	for i := 0; i < cfg.Workers+cfg.FT.Standby; i++ {
+	for i := 0; i < cfg.Workers; i++ {
 		node := fmt.Sprintf("w%d", i)
 		var pf prefetch.Prefetcher
 		if cfg.PrefetcherFor != nil {
 			pf = cfg.PrefetcherFor(node)
 		}
-		w := newWorker(rt, node, pf)
-		if i >= cfg.Workers {
-			w.standby = true
-		}
-		rt.Workers = append(rt.Workers, w)
+		rt.Workers = append(rt.Workers, newWorker(rt, node, pf))
 	}
 	return rt
-}
-
-// targetWorkers is the configured dispatch strength: standbys exist to keep
-// this many workers schedulable, not to raise it.
-func (rt *Runtime) targetWorkers() int { return rt.cfg.Workers }
-
-// jitterFrac draws the next reproducible uniform value in [0,1) from the
-// runtime's seeded jitter stream.
-func (rt *Runtime) jitterFrac() float64 {
-	seq := rt.jitterSeq.Add(1)
-	return float64(faults.Mix64(rt.jitterSeed^seq*0x9e3779b97f4a7c15)>>11) / float64(1<<53)
 }
 
 // RegisterDataset makes a data set available to commands.
@@ -490,7 +434,7 @@ func (rt *Runtime) Roll(timeout time.Duration) error {
 		}
 		for {
 			st := rt.Sched.workerState(w.node)
-			if st == wsFree || st == wsBusy || st == wsStandby {
+			if st == wsFree || st == wsBusy {
 				break
 			}
 			if rt.Clock.Now() >= deadline {

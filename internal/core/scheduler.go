@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,33 +57,17 @@ func (s RequestStats) TotalRuntime() time.Duration { return s.End - s.Started }
 
 // Worker states as tracked by the scheduler. The zero value is wsFree so an
 // unknown node name (stray message) defaults to a harmless state.
-// Membership walks free/busy → dead → (rejoin) → free, standby or
-// quarantined; cordoned is the administrative drain state of a rolling
-// restart. Only wsFree and wsBusy count toward dispatch strength.
+// Membership walks free/busy → dead → (rejoin) → free; cordoned is the
+// administrative drain state of a rolling restart. Only wsFree and wsBusy
+// count toward dispatch strength.
 const (
 	wsFree = iota
 	wsBusy
 	wsDead
-	// wsStandby: alive and heartbeating, held in reserve; promoted to wsFree
-	// when a schedulable worker dies (warm standby replacement).
-	wsStandby
-	// wsQuarantined: readmitted after rejoining but crash-prone; not
-	// scheduled until its escalating hold-down expires (probation).
-	wsQuarantined
 	// wsCordoned: administratively drained for a rolling restart; alive but
 	// receiving no new work, awaiting decommission.
 	wsCordoned
 )
-
-// nodeHealth is the decaying per-node crash history behind quarantine
-// decisions: score decays with HealthHalfLife, every death charges 1, and
-// holdLevel escalates the quarantine hold-down on repeat offenders.
-type nodeHealth struct {
-	score     float64
-	at        time.Duration // when score was last rebased
-	holdLevel int           // consecutive quarantines served
-	holdUntil time.Duration // quarantine release time (while wsQuarantined)
-}
 
 // busyRef records which piece of which request a busy worker is executing.
 type busyRef struct {
@@ -117,12 +100,11 @@ type outMsg struct {
 // become free, dispatches, and records per-request statistics. It is also
 // the failure detector: workers heartbeat to it, silence beyond the
 // configured window gets a worker declared dead, and the dead worker's
-// in-flight pieces are retried on survivors (with capped exponential
-// backoff) or the whole request restarted with a smaller group.
+// in-flight pieces are retried on survivors or the whole request restarted
+// with a smaller group.
 type Scheduler struct {
-	rt  *Runtime
-	ep  *comm.Endpoint
-	tep *comm.Endpoint // source endpoint for delayed self-messages
+	rt *Runtime
+	ep *comm.Endpoint
 
 	mu         sync.Mutex
 	state      map[string]int
@@ -134,8 +116,6 @@ type Scheduler struct {
 	// stamped with an older wepoch come from a fenced incarnation and are
 	// dropped (rejoin epoch fencing).
 	epochs map[string]int
-	// health is the decaying crash-score ledger behind quarantine.
-	health map[string]*nodeHealth
 	// cordonPending marks busy workers whose cordon (rolling restart) waits
 	// for the in-flight rank to drain.
 	cordonPending map[string]bool
@@ -195,13 +175,11 @@ func newScheduler(rt *Runtime) *Scheduler {
 	s := &Scheduler{
 		rt:            rt,
 		ep:            rt.Net.Endpoint("scheduler"),
-		tep:           rt.Net.Endpoint("sched.timer"),
 		state:         map[string]int{},
 		busy:          map[string]busyRef{},
 		lastSeen:      map[string]time.Duration{},
 		idleStreak:    map[string]int{},
 		epochs:        map[string]int{},
-		health:        map[string]*nodeHealth{},
 		cordonPending: map[string]bool{},
 		active:        map[uint64]*activeReq{},
 		finished:      map[uint64]RequestStats{},
@@ -216,10 +194,6 @@ func (s *Scheduler) start() {
 	for _, w := range s.rt.Workers {
 		s.epochs[w.node] = w.Epoch()
 		s.lastSeen[w.node] = now
-		if w.Standby() {
-			s.state[w.node] = wsStandby
-			continue
-		}
 		s.state[w.node] = wsFree
 		s.free = append(s.free, w.node)
 	}
@@ -269,23 +243,6 @@ func (s *Scheduler) loop() {
 			s.noteCordon(m)
 		case "decommission":
 			s.noteDecommission(m)
-			s.pump()
-			if s.maybeFinish() {
-				return
-			}
-		case "redispatch":
-			rd := redispatch{
-				reqID:   m.ReqID,
-				attempt: m.IntParam("attempt", 0),
-				rank:    m.IntParam("rank", -1),
-			}
-			if v, ok := m.Params["span"]; ok {
-				rd.span = comm.ParseIntList(v)
-				rd.hasSpan = true
-			}
-			s.mu.Lock()
-			s.redisQ = append(s.redisQ, rd)
-			s.mu.Unlock()
 			s.pump()
 			if s.maybeFinish() {
 				return
@@ -353,7 +310,7 @@ func (s *Scheduler) admit(m comm.Message) bool {
 		return false
 	}
 	s.mu.Lock()
-	s.pending.push(m)
+	s.pending.push(m, s.rt.Clock.Now())
 	s.mu.Unlock()
 	return true
 }
@@ -513,23 +470,17 @@ func (s *Scheduler) send(o outMsg) {
 // than blocking the queue forever; with no survivors at all it fails cleanly.
 func (s *Scheduler) dispatchLocked(sends *[]outMsg) {
 	for s.pending.len() > 0 {
-		req := s.pending.peek()
-		want := req.IntParam("workers", 1)
-		if want < 1 {
-			want = 1
-		}
-		if t := s.rt.targetWorkers(); want > t {
-			want = t // standbys raise resilience, not group size
-		}
-		alive := s.aliveCountLocked()
-		if alive == 0 {
+		q := s.pending.peek()
+		req := q.Message
+		want, degraded := s.groupSizeLocked(req.IntParam("workers", 1))
+		if want == 0 {
 			s.pending.pop()
 			s.releaseSessionLocked(sessionOf(req))
 			now := s.rt.Clock.Now()
 			s.recordFinishedLocked(RequestStats{
 				ReqID:    req.ReqID,
 				Command:  req.Command,
-				Received: now,
+				Received: q.at,
 				Started:  now,
 				End:      now,
 				Errors:   1,
@@ -548,11 +499,6 @@ func (s *Scheduler) dispatchLocked(sends *[]outMsg) {
 			}})
 			continue
 		}
-		degraded := false
-		if want > alive {
-			want = alive
-			degraded = true
-		}
 		if len(s.free) < want {
 			return
 		}
@@ -564,7 +510,7 @@ func (s *Scheduler) dispatchLocked(sends *[]outMsg) {
 				ReqID:    req.ReqID,
 				Command:  req.Command,
 				Workers:  want,
-				Received: s.rt.Clock.Now(),
+				Received: q.at,
 				Started:  s.rt.Clock.Now(),
 				Degraded: degraded,
 			},
@@ -653,9 +599,26 @@ func (s *Scheduler) startSpanMsgLocked(ar *activeReq, rank int, span []int) comm
 	return start
 }
 
+// groupSizeLocked sizes the work group of a request asking for want workers:
+// at most the configured pool (asking for more is not a fault), and degraded
+// to the live workers when part of the pool is dead. Zero means none is left.
+// Fresh dispatches and full restarts size their groups the same way.
+func (s *Scheduler) groupSizeLocked(want int) (n int, degraded bool) {
+	if want < 1 {
+		want = 1
+	}
+	if want > s.rt.cfg.Workers {
+		want = s.rt.cfg.Workers
+	}
+	if alive := s.aliveCountLocked(); want > alive {
+		return alive, true
+	}
+	return want, false
+}
+
 // aliveCountLocked counts the schedulable workers (free or busy): the
-// dispatch strength. Standby, quarantined and cordoned nodes are alive but
-// deliberately out of the pool.
+// dispatch strength. Cordoned nodes are alive but deliberately out of the
+// pool.
 func (s *Scheduler) aliveCountLocked() int {
 	n := 0
 	for _, st := range s.state {
@@ -682,75 +645,9 @@ func (s *Scheduler) staleEpochLocked(m comm.Message) bool {
 	return known && e < cur
 }
 
-// healthLocked returns (creating) the node's crash-score record.
-func (s *Scheduler) healthLocked(node string) *nodeHealth {
-	h := s.health[node]
-	if h == nil {
-		h = &nodeHealth{}
-		s.health[node] = h
-	}
-	return h
-}
-
-// decayedScoreLocked is the node's crash score at now: each charge counts 1
-// and halves every HealthHalfLife.
-func (s *Scheduler) decayedScoreLocked(node string, now time.Duration) float64 {
-	h := s.health[node]
-	if h == nil || h.score == 0 {
-		return 0
-	}
-	hl := s.rt.cfg.FT.HealthHalfLife
-	if hl <= 0 {
-		hl = 30 * time.Second
-	}
-	return h.score * math.Exp2(-float64(now-h.at)/float64(hl))
-}
-
-// chargeHealthLocked adds one death to the node's decaying crash score.
-func (s *Scheduler) chargeHealthLocked(node string) {
-	now := s.rt.Clock.Now()
-	h := s.healthLocked(node)
-	h.score = s.decayedScoreLocked(node, now) + 1
-	h.at = now
-}
-
-// admitNodeLocked places a (re)joined node into the pool: schedulable when
-// the pool is under target strength, held as a warm standby otherwise.
-func (s *Scheduler) admitNodeLocked(node, how string) {
-	if s.aliveCountLocked() < s.rt.targetWorkers() {
-		s.state[node] = wsFree
-		s.free = append(s.free, node)
-		s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler", "worker %s %s: schedulable", node, how)
-		return
-	}
-	s.state[node] = wsStandby
-	s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
-		"worker %s %s: held as standby (pool at strength)", node, how)
-}
-
-// promoteStandbyLocked moves the lowest-named standby into the dispatch
-// pool, restoring strength after a schedulable worker was removed.
-func (s *Scheduler) promoteStandbyLocked() {
-	best := ""
-	for node, st := range s.state {
-		if st == wsStandby && (best == "" || node < best) {
-			best = node
-		}
-	}
-	if best == "" {
-		return
-	}
-	s.state[best] = wsFree
-	s.free = append(s.free, best)
-	s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
-		"standby %s promoted to restore pool strength", best)
-}
-
 // noteJoin handles a rebooted worker's registration. The join carries the
 // new incarnation's epoch; accepting it fences every frame of older
-// incarnations. A crash-prone node is quarantined instead of readmitted; a
-// healthy one re-enters the pool (or the standby reserve when the pool is at
-// strength).
+// incarnations, and the node is schedulable again at once.
 func (s *Scheduler) noteJoin(m comm.Message) {
 	node := m.Params["worker"]
 	epoch := m.IntParam("wepoch", 0)
@@ -766,40 +663,20 @@ func (s *Scheduler) noteJoin(m comm.Message) {
 	if st != wsDead {
 		// Early rejoin: the node rebooted before the failure detector gave
 		// up on its old incarnation. Retire the old membership in place —
-		// charging its death and failing over its rank — without fencing
-		// the node itself (the new incarnation is the one joining).
+		// failing over its rank — without fencing the node itself (the new
+		// incarnation is the one joining).
 		s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
 			"worker %s superseded by its own rejoin (epoch %d)", node, epoch)
 		delete(s.cordonPending, node)
-		s.removeWorkerLocked(node, "superseded by rejoin", true, &sends)
+		s.removeWorkerLocked(node, &sends)
 	}
 	s.epochs[node] = epoch
 	now := s.rt.Clock.Now()
 	s.lastSeen[node] = now
 	s.idleStreak[node] = 0
-	if thr := s.rt.cfg.FT.QuarantineAfter; thr > 0 && s.decayedScoreLocked(node, now) >= thr {
-		h := s.healthLocked(node)
-		hold := s.rt.cfg.FT.QuarantineHold
-		if hold <= 0 {
-			hold = 4 * s.rt.cfg.FT.FailAfter
-		}
-		if hold <= 0 {
-			hold = 2 * time.Second
-		}
-		lvl := h.holdLevel
-		if lvl > 6 {
-			lvl = 6
-		}
-		hold <<= lvl
-		h.holdLevel++
-		h.holdUntil = now + hold
-		s.state[node] = wsQuarantined
-		s.rt.Trace.Eventf(now, "scheduler",
-			"worker %s rejoined (epoch %d) but quarantined for %v (crash score %.2f)",
-			node, epoch, hold, s.decayedScoreLocked(node, now))
-	} else {
-		s.admitNodeLocked(node, fmt.Sprintf("rejoined (epoch %d)", epoch))
-	}
+	s.state[node] = wsFree
+	s.free = append(s.free, node)
+	s.rt.Trace.Eventf(now, "scheduler", "worker %s rejoined (epoch %d): schedulable", node, epoch)
 	s.mu.Unlock()
 	for _, o := range sends {
 		s.send(o)
@@ -807,7 +684,7 @@ func (s *Scheduler) noteJoin(m comm.Message) {
 }
 
 // noteCordon administratively drains one worker for a rolling restart: a
-// free (or reserve) worker is cordoned immediately; a busy one finishes its
+// free worker is cordoned immediately; a busy one finishes its
 // in-flight rank first (noteDone completes the transition).
 func (s *Scheduler) noteCordon(m comm.Message) {
 	node := m.Params["worker"]
@@ -821,40 +698,11 @@ func (s *Scheduler) noteCordon(m comm.Message) {
 		s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
 			"worker %s cordoned: waiting for in-flight rank to drain", node)
 	default:
-		if st == wsFree {
-			for i, n := range s.free {
-				if n == node {
-					s.free = append(s.free[:i], s.free[i+1:]...)
-					break
-				}
-			}
-		}
+		s.dropFreeLocked(node)
 		s.state[node] = wsCordoned
 		s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler", "worker %s cordoned", node)
 	}
 	s.mu.Unlock()
-}
-
-// noteDecommission removes a (typically cordoned) worker from membership
-// without charging its crash score — an administrative removal, not a
-// failure — and fences the node.
-func (s *Scheduler) noteDecommission(m comm.Message) {
-	node := m.Params["worker"]
-	var sends []outMsg
-	s.mu.Lock()
-	st, known := s.state[node]
-	if !known || st == wsDead {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.cordonPending, node)
-	s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler", "worker %s decommissioned", node)
-	s.removeWorkerLocked(node, "decommissioned", false, &sends)
-	s.mu.Unlock()
-	s.rt.killWorker(node)
-	for _, o := range sends {
-		s.send(o)
-	}
 }
 
 // noteDone processes a worker's completion report. The sender is freed
@@ -1103,26 +951,15 @@ func (s *Scheduler) monitor() {
 				suspects = append(suspects, node)
 			}
 		}
-		var release []string
-		for node, st := range s.state {
-			if st == wsQuarantined && now >= s.healthLocked(node).holdUntil {
-				release = append(release, node)
-			}
-		}
-		sort.Strings(release) // deterministic order regardless of map iteration
-		for _, node := range release {
-			s.admitNodeLocked(node, "released from quarantine on probation")
-		}
 		s.mu.Unlock()
-		if len(suspects) > 0 {
-			sort.Strings(suspects) // deterministic order regardless of map iteration
-			for _, node := range suspects {
-				s.declareDead(node, "no heartbeat for "+fail.String())
-			}
+		if len(suspects) == 0 {
+			continue
 		}
-		if len(suspects) > 0 || len(release) > 0 {
-			s.pump()
+		sort.Strings(suspects) // deterministic order regardless of map iteration
+		for _, node := range suspects {
+			s.declareDead(node, "no heartbeat for "+fail.String())
 		}
+		s.pump()
 	}
 }
 
@@ -1130,6 +967,18 @@ func (s *Scheduler) monitor() {
 // slow or partitioned node cannot act on the system again, and fails over
 // whatever it was running. Idempotent.
 func (s *Scheduler) declareDead(node, reason string) {
+	s.fence(node, "declared dead: "+reason)
+}
+
+// noteDecommission removes a (typically cordoned) worker from membership
+// and fences the node: the administrative twin of declareDead.
+func (s *Scheduler) noteDecommission(m comm.Message) {
+	s.fence(m.Params["worker"], "decommissioned")
+}
+
+// fence takes a live worker out of membership, failing over its rank, and
+// crashes its process. event names the removal in the trace.
+func (s *Scheduler) fence(node, event string) {
 	var sends []outMsg
 	s.mu.Lock()
 	st, known := s.state[node]
@@ -1137,9 +986,9 @@ func (s *Scheduler) declareDead(node, reason string) {
 		s.mu.Unlock()
 		return
 	}
-	s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler", "worker %s declared dead: %s", node, reason)
+	s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler", "worker %s %s", node, event)
 	delete(s.cordonPending, node)
-	s.removeWorkerLocked(node, reason, true, &sends)
+	s.removeWorkerLocked(node, &sends)
 	s.mu.Unlock()
 	s.rt.killWorker(node)
 	for _, o := range sends {
@@ -1147,35 +996,27 @@ func (s *Scheduler) declareDead(node, reason string) {
 	}
 }
 
-// removeWorkerLocked takes a worker out of membership: state dead, off the
-// free list, busy rank failed over, crash score charged when the removal is
-// a failure (chargeHealth) rather than administrative. When a schedulable
-// worker was lost and a warm standby exists, the standby is promoted so
-// LiveWorkers returns to target strength. Fencing the actual node (crashing
-// its process) is the caller's business — a rejoin supersession must not
-// kill the incarnation that is joining.
-func (s *Scheduler) removeWorkerLocked(node, reason string, chargeHealth bool, sends *[]outMsg) {
-	st := s.state[node]
-	s.state[node] = wsDead
-	if st == wsFree {
-		for i, n := range s.free {
-			if n == node {
-				s.free = append(s.free[:i], s.free[i+1:]...)
-				break
-			}
+// dropFreeLocked takes a node off the free list, if it is there.
+func (s *Scheduler) dropFreeLocked(node string) {
+	for i, n := range s.free {
+		if n == node {
+			s.free = append(s.free[:i], s.free[i+1:]...)
+			return
 		}
 	}
+}
+
+// removeWorkerLocked takes a worker out of membership: state dead, off the
+// free list, busy rank failed over. Fencing the actual node (crashing its
+// process) is the caller's business — a rejoin supersession must not kill
+// the incarnation that is joining.
+func (s *Scheduler) removeWorkerLocked(node string, sends *[]outMsg) {
+	s.state[node] = wsDead
+	s.dropFreeLocked(node)
 	ref, wasBusy := s.busy[node]
 	delete(s.busy, node)
-	if chargeHealth {
-		s.chargeHealthLocked(node)
-	}
 	if wasBusy {
 		s.failoverRankLocked(node, ref.reqID, ref.rank, "worker "+node+" died", sends)
-	}
-	if st == wsFree || st == wsBusy {
-		// Dispatch strength dropped: bring in a reserve, if any.
-		s.promoteStandbyLocked()
 	}
 }
 
@@ -1185,8 +1026,9 @@ func (s *Scheduler) removeWorkerLocked(node, reason string, chargeHealth bool, s
 // rank). Losing the master — whose partial gather dies with it — or any rank
 // of a command using the dynamic work queue (claimed items die with the
 // claimant) forces a full restart under a new attempt number. Either way the
-// retry is delayed by capped exponential backoff; past the retry budget the
-// request fails cleanly.
+// recovery action joins redisQ, and the pump that follows every failover
+// places it as soon as a worker is free; past the retry budget the request
+// fails cleanly.
 func (s *Scheduler) failoverRankLocked(node string, reqID uint64, rank int, reason string, sends *[]outMsg) {
 	ar := s.active[reqID]
 	if ar == nil || rank < 0 || rank >= len(ar.done) || ar.done[rank] {
@@ -1203,7 +1045,6 @@ func (s *Scheduler) failoverRankLocked(node string, reqID uint64, rank int, reas
 	}
 	ar.retries++
 	ar.stats.Retries++
-	delay := s.backoff(ar.retries)
 	rd := redispatch{reqID: reqID, attempt: ar.attempt, rank: rank}
 	if rank == 0 || s.rt.hasDynWork(reqID) {
 		ar.attempt++
@@ -1220,57 +1061,8 @@ func (s *Scheduler) failoverRankLocked(node string, reqID uint64, rank int, reas
 			reqID, rank, len(rd.span), ar.journal.doneCount(rank))
 	}
 	s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
-		"req %d retry %d/%d (%s): attempt %d rank %d after %v", reqID, ar.retries, ar.maxRetries, reason, rd.attempt, rd.rank, delay)
-	s.scheduleRedispatch(rd, delay)
-}
-
-// backoff returns the delay before retry n (1-based): RetryBackoff doubled
-// per retry, capped at MaxBackoff, plus up to 50% of seeded jitter — without
-// it, every rank orphaned by the same death redispatches in lockstep (a
-// thundering herd onto the survivors). The jitter stream is derived from the
-// fault plan's seed, so a seeded scenario replays byte-identically.
-func (s *Scheduler) backoff(n int) time.Duration {
-	d := s.rt.cfg.FT.RetryBackoff
-	if d <= 0 {
-		return 0
-	}
-	for i := 1; i < n && i < 20; i++ {
-		d *= 2
-	}
-	if max := s.rt.cfg.FT.MaxBackoff; max > 0 && d > max {
-		d = max
-	}
-	d += time.Duration(s.rt.jitterFrac() * 0.5 * float64(d))
-	return d
-}
-
-// scheduleRedispatch queues a recovery action, after a delay when backoff is
-// configured. Delayed actions arrive back at the scheduler loop as a
-// "redispatch" message from a timer actor, so all state changes stay in one
-// place.
-func (s *Scheduler) scheduleRedispatch(rd redispatch, delay time.Duration) {
-	if delay <= 0 {
-		s.redisQ = append(s.redisQ, rd)
-		return
-	}
-	params := map[string]string{
-		"attempt": strconv.Itoa(rd.attempt),
-		"rank":    strconv.Itoa(rd.rank),
-	}
-	if rd.hasSpan {
-		// Param presence carries hasSpan across the timer round-trip: an
-		// empty redistribution span is still a span, not "no plan".
-		params["span"] = comm.EncodeIntList(rd.span)
-	}
-	s.rt.Clock.Go(func() {
-		s.rt.Clock.Sleep(delay)
-		// ErrDown (scheduler already shut down) just retires the timer.
-		s.tep.Send("scheduler", comm.Message{
-			Kind:   "redispatch",
-			ReqID:  rd.reqID,
-			Params: params,
-		})
-	})
+		"req %d retry %d/%d (%s): attempt %d rank %d", reqID, ar.retries, ar.maxRetries, reason, rd.attempt, rd.rank)
+	s.redisQ = append(s.redisQ, rd)
 }
 
 // unblockMasterLocked covers for ranks that will never report to the current
@@ -1327,7 +1119,7 @@ func (s *Scheduler) drainRedispatchLocked(sends *[]outMsg) {
 	for _, rd := range s.redisQ {
 		ar := s.active[rd.reqID]
 		if ar == nil || ar.attempt != rd.attempt {
-			continue // superseded or finished while the backoff timer ran
+			continue // superseded or finished while it waited for a worker
 		}
 		if rd.rank >= 0 {
 			if rd.rank >= len(ar.done) || ar.done[rd.rank] {
@@ -1384,17 +1176,12 @@ func (s *Scheduler) drainRedispatchLocked(sends *[]outMsg) {
 			continue
 		}
 		// Full restart under the (already bumped) attempt number.
-		alive := s.aliveCountLocked()
-		if alive == 0 {
+		want, degraded := s.groupSizeLocked(ar.origWant)
+		if want == 0 {
 			s.failRequestLocked(rd.reqID, ar, "no live workers", sends)
 			continue
 		}
-		want := ar.origWant
-		if want < 1 {
-			want = 1
-		}
-		if want > alive {
-			want = alive
+		if degraded {
 			ar.stats.Degraded = true
 		}
 		if len(s.free) < want {
@@ -1514,9 +1301,8 @@ func (s *Scheduler) FinishedDropped() int64 {
 }
 
 // LiveWorkers reports the dispatch strength: workers currently schedulable
-// (free or busy). Standby, quarantined and cordoned nodes are alive but do
-// not count; promotion and rejoin raise it back toward the configured
-// target.
+// (free or busy). Cordoned nodes are alive but do not count; a rejoin
+// raises it back toward the configured pool size.
 func (s *Scheduler) LiveWorkers() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1529,34 +1315,4 @@ func (s *Scheduler) workerState(node string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.state[node]
-}
-
-// QuarantinedWorkers lists the nodes currently serving a quarantine
-// hold-down, sorted.
-func (s *Scheduler) QuarantinedWorkers() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for node, st := range s.state {
-		if st == wsQuarantined {
-			out = append(out, node)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// StandbyWorkers lists the warm reserves currently held out of the pool,
-// sorted.
-func (s *Scheduler) StandbyWorkers() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for node, st := range s.state {
-		if st == wsStandby {
-			out = append(out, node)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

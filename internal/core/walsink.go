@@ -71,7 +71,7 @@ func (s *Scheduler) AdmitRecovered(m comm.Message, span []int, hasSpan bool, att
 		}
 		s.recovered[m.ReqID] = &recoveredPlan{span: span, hasSpan: hasSpan, attempt: attempt}
 	}
-	s.pending.push(m)
+	s.pending.push(m, s.rt.Clock.Now())
 	s.mu.Unlock()
 	s.pump()
 	return true
@@ -111,7 +111,7 @@ func (s *Scheduler) RestoreMemo(key, dataset string, step int, log []comm.Messag
 // Kill tears the scheduler down as a crash would: no drain, no shutdown
 // broadcast, no snapshot. Active requests are cancelled (waking producers
 // parked on stream credit so their goroutines unwind) and the scheduler's
-// endpoints close, which stops the loop, the monitor and the timer actors.
+// endpoint closes, which stops the loop; the monitor sees stopped.
 func (s *Scheduler) Kill() {
 	s.mu.Lock()
 	s.stopped = true
@@ -125,7 +125,6 @@ func (s *Scheduler) Kill() {
 		s.rt.markCancelled(id)
 	}
 	s.ep.Close()
-	s.tep.Close()
 }
 
 // Kill is the hard-kill teardown: the SIGKILL equivalent for an in-process

@@ -38,10 +38,7 @@ type Worker struct {
 	// respawn. Actors of an old incarnation carry their epoch and become
 	// inert once it is stale; the scheduler fences frames the same way.
 	epoch int
-	// standby marks a reserve worker: it runs and heartbeats but the
-	// scheduler parks it out of the dispatch pool until a death promotes it.
-	standby bool
-	busy    bool // executing a command (reported in heartbeats)
+	busy  bool // executing a command (reported in heartbeats)
 	// pfIndexField, when non-empty, is the scalar field whose min/max index
 	// rides along with prefetched blocks; pfGradIndex does the same for the
 	// vortex-skip gradient index (setRideAlong).
@@ -72,13 +69,6 @@ func (w *Worker) Epoch() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.epoch
-}
-
-// Standby reports whether this worker was created as a reserve.
-func (w *Worker) Standby() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.standby
 }
 
 // endpoint returns the current incarnation's NIC.

@@ -108,7 +108,7 @@ type Plan struct {
 	Recovers map[string]time.Duration
 	// Flaps maps worker node names to a crash/rejoin half-period: the node
 	// crashes after every PERIOD of uptime and reboots PERIOD later, over and
-	// over — the host the quarantine machinery exists for.
+	// over: a churn source for rejoin and epoch fencing.
 	Flaps map[string]time.Duration
 	// Torns tear WAL appends mid-record; the first un-burned matching rule
 	// whose append count is reached fires (the wal package consults
@@ -469,15 +469,6 @@ func (in *Injector) FlapPeriod(node string) (time.Duration, bool) {
 	return d, ok
 }
 
-// Seed reports the plan's seed, so the runtime can derive other reproducible
-// decisions (scheduler backoff jitter) from the same scenario seed.
-func (in *Injector) Seed() uint64 {
-	if in == nil {
-		return 0
-	}
-	return in.plan.Seed
-}
-
 // OnRead is the storage hook: a non-nil error fails the read of id.
 func (in *Injector) OnRead(id grid.BlockID) error {
 	if in == nil || len(in.plan.Reads) == 0 {
@@ -642,8 +633,8 @@ func (in *Injector) roll(link string, seq, salt uint64) float64 {
 
 // Mix64 exposes the splitmix64 finalizer: a strong, stateless 64-bit mixer.
 // Callers that need seeded-but-reproducible pseudo-random values outside the
-// injector (the scheduler's backoff jitter) hash a (seed, counter) pair
-// through it instead of keeping their own generator state.
+// injector (seeded churn timelines) hash a (seed, counter) pair through it
+// instead of keeping their own generator state.
 func Mix64(x uint64) uint64 { return splitmix64(x) }
 
 // splitmix64 is the finalizer of the splitmix64 PRNG: a strong 64-bit mixer.

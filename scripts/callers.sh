@@ -26,11 +26,10 @@ DecompressBlock	reference inverse: proves the compression ablation's CompressBlo
 CheckInvariants	invariant checker the recovery and soak suites call on blockJournal
 MinJacobianDet	invariant checker the dataset suite calls on every generated block
 Mutate	fault probe the comm fuzzers and the wal suite corrupt frames with
+Mix64	seeded mixer the churn soak draws its timelines from
 Matching	trace probe the recovery suite asserts on
 CountMatching	trace probe the recovery and memo suites assert on
 LiveWorkers	scheduler probe the fault, churn and restart suites assert on
-QuarantinedWorkers	scheduler probe the churn suite asserts on
-StandbyWorkers	scheduler probe the churn suite asserts on
 Draining	scheduler probe the drain suite asserts on
 FinishedCount	scheduler probe the bounded-finished-table tests assert on
 WALErr	walSink probe the restart suite asserts on

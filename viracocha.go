@@ -78,7 +78,7 @@ var ErrSlowConsumer = core.ErrSlowConsumer
 var ErrDraining = core.ErrDraining
 
 // DefaultFTConfig returns the fault-tolerance defaults (250ms heartbeats, 2s
-// failure window, 2 retries with 100ms→5s backoff; block-granular
+// failure window, 2 retries; block-granular
 // redistribution off) for callers that want to tweak a single knob via
 // Options.FT.
 func DefaultFTConfig() FTConfig { return core.DefaultFTConfig() }
@@ -112,7 +112,7 @@ type Options struct {
 	// "memo" parameter.
 	Memo bool
 	// FT overrides the fault-tolerance defaults (heartbeat interval,
-	// failure window, retry budget and backoff, block-granular recovery);
+	// failure window, retry budget, block-granular recovery);
 	// nil keeps DefaultFTConfig.
 	FT *FTConfig
 	// Overload enables admission control, streaming backpressure and the
