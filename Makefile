@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fuzz overload soak churn bench bench-smoke benchcmp bench-e2e bench-e2e-compare profile-delivery alloc-guard size flags callers example-smoke check clean
+.PHONY: all build test race vet fuzz overload soak churn bench bench-smoke bench-e2e bench-e2e-compare profile-delivery alloc-guard size flags callers example-smoke check clean
 
 all: check
 
@@ -54,31 +54,19 @@ churn:
 vet:
 	$(GO) vet ./...
 
-# Kernel micro-benchmarks (real wall time, not virtual) plus the recorded
-# session pairs: the extraction, mesh and codec hot paths, the min/max-index
-# iso slider sweep, the gradient-index vortex threshold sweep, the
-# streamed-packet counters and the N-session slider-storm memoization
-# pairs. Writes the raw output to BENCH_6.txt and a JSON digest to
-# BENCH_6.json for the perf trajectory.
-KERNEL_BENCH ?= MarchingTetrahedra|ExtractRangeReuse|MeshWeld|MeshEncodeBinary|MeshAppend$$|ComputeNormals|Lambda2Field|BlockEncodeDecode|SliderSweep|VortexSweep|StreamedFrames|SliderStorm
+# Kernel micro-benchmarks (real wall time, not virtual): the extraction,
+# mesh, codec and lambda2 hot paths, five runs each to stdout so every
+# number comes with its spread. BENCHMARK.json's end-to-end workloads
+# (make bench-e2e) are the performance record.
+KERNEL_BENCH ?= MarchingTetrahedra|ExtractRangeReuse|MeshWeld|MeshEncodeBinary|MeshAppend$$|ComputeNormals|Lambda2Field|BlockEncodeDecode|SliderSweepScan|SliderSweepBuild
 bench:
-	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem -count=1 . | tee BENCH_6.txt
-	awk -f scripts/bench2json.awk BENCH_6.txt > BENCH_6.json
+	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem -count 5 .
 
 # One-iteration smoke pass over the headline benchmarks: catches a broken or
 # wildly regressed hot path in seconds without recording numbers. Part of
 # `make check`.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Lambda2Field|SliderSweepWarm|VortexSweepWarm|StreamedFrames|SliderStormMemoN4' -benchtime 1x -count=1 .
-
-# Before/after comparison of two saved bench outputs (defaults diff the
-# previous PR's record against this one's):
-#   make benchcmp [OLD=BENCH_5.txt NEW=BENCH_6.txt]
-OLD ?= BENCH_5.txt
-NEW ?= BENCH_6.txt
-benchcmp:
-	@test -n "$(OLD)" && test -n "$(NEW)" || { echo "usage: make benchcmp OLD=old.txt NEW=new.txt"; exit 1; }
-	@awk -f scripts/benchcmp.awk $(OLD) $(NEW)
+	$(GO) test -run '^$$' -bench 'Lambda2Field|StreamedFrames|SliderStormMemoN4' -benchtime 1x -count=1 .
 
 # Real-clock end-to-end benchmark over loopback TCP (benchmark/README.md): all
 # four workloads, appended as one report to benchmark/out/$(E2E_OUT).json.
@@ -92,16 +80,17 @@ bench-e2e-compare:
 	@test -n "$(A)" && test -n "$(B)" || { echo "usage: make bench-e2e-compare A=a.json B=b.json"; exit 1; }
 	$(GO) run -C benchmark . -compare $(abspath $(A)) $(abspath $(B))
 
-# Where the delivery path allocates (ROADMAP item 3a): the two loopback
-# delivery benchmarks of delivery_test.go — an iso_slider_warm request and a
-# shared_view_memo hit, real clock, TCP — under a 4 KiB-sampled memory profile,
+# Where the delivery path allocates (ROADMAP item 3a): the three loopback
+# delivery benchmarks of delivery_test.go — an iso_slider_warm request, the
+# same request in journal mode and a shared_view_memo hit, real clock, TCP —
+# under a 4 KiB-sampled memory profile,
 # printed as the top 20 sites by bytes and by objects. The binary and profiles
 # stay in PROFILE_DIR. results/delivery-alloc-top20.txt is this target's output
 # on the parent commit and on the change, one after the other.
 PROFILE_DIR ?= /tmp/viracocha-profile
 profile-delivery:
 	@mkdir -p $(PROFILE_DIR)
-	@for b in Iso MemoHit; do \
+	@for b in Iso IsoJournal MemoHit; do \
 		$(GO) test -run '^$$' -bench "DeliveryLoopback$$b$$" -benchtime 300x -benchmem -memprofilerate 4096 \
 			-memprofile $(PROFILE_DIR)/$$b.mem -o $(PROFILE_DIR)/viracocha.test . | grep '^Benchmark' || exit 1; \
 		for index in alloc_space alloc_objects; do \
@@ -131,9 +120,10 @@ fuzz:
 	$(GO) test . -run=^$$ -fuzz=FuzzCheckpointLoad -fuzztime=10s -fuzzminimizetime=1s
 
 # Code size as simplicity PRs report it, before and after: non-test Go lines
-# outside benchmark/ (tracked files), the server's flag definitions, and the
+# outside benchmark/ (tracked files), the server's flag definitions, the
 # declared fields (names, not lines) of the config structs a library caller
-# can set.
+# can set, and the non-test lines outside internal/comm that index a
+# message's Params by a literal key.
 SIZE_STRUCTS = viracocha.go:viracocha.Options internal/core/runtime.go:core.Config \
 	internal/core/runtime.go:core.FTConfig internal/core/overload.go:core.OverloadConfig
 size:
@@ -147,6 +137,8 @@ size:
 			body { sub(/\/\/.*/, ""); if (NF) n++; for (i = 1; i < NF && $$i ~ /,$$/; i++) n++ } \
 			END { print n + 0 }' $$f)"; \
 	done
+	@n=$$(git grep -c 'Params\["' -- '*.go' ':!*_test.go' ':!internal/comm' | awk -F: '{ n += $$2 } END { print n + 0 }'); \
+		echo "Params[\"...\"] lines outside internal/comm: $$n"
 
 # The server's flag definitions, README's flag table and every server command
 # line in README.md and the verify skill name the same flags.

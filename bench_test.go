@@ -186,39 +186,6 @@ func sweepBlocks(b *testing.B) ([]*grid.Block, []*grid.MinMaxIndex) {
 // range, as a drag across the slider passes through.
 var sliderIsos = []float64{350, 450, 550, 650, 750, 850}
 
-// benchSliderSweepSession runs the ablation-index session workload (a
-// scale-2 engine session dragging the iso slider over warm caches) and
-// reports one virtual-time cell of its table: Warm* report the summed warm
-// sweep, Cold* the first query (which on the indexed path also pays the
-// per-block index builds). The Warm pair is the recorded ≥2× claim; the Cold
-// pair bounds the first-query regression.
-func benchSliderSweepSession(b *testing.B, row, col int) {
-	var metric float64
-	for i := 0; i < b.N; i++ {
-		tbl := bench.AblationIndex(bench.Options{Scale: 2, Quick: true})
-		v, err := strconv.ParseFloat(tbl.Rows[row][col], 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		metric = v
-	}
-	b.ReportMetric(metric, "virtual_s")
-}
-
-func BenchmarkSliderSweepWarmFull(b *testing.B)    { benchSliderSweepSession(b, 0, 2) }
-func BenchmarkSliderSweepWarmIndexed(b *testing.B) { benchSliderSweepSession(b, 1, 2) }
-func BenchmarkSliderSweepColdFull(b *testing.B)    { benchSliderSweepSession(b, 0, 1) }
-func BenchmarkSliderSweepColdIndexed(b *testing.B) { benchSliderSweepSession(b, 1, 1) }
-
-// The vortex rows of the same ablation table: a user dragging the λ2
-// threshold. The indexed path proves quiet blocks vortex-free through the
-// gradient index's ‖J‖²_F bound without recomputing the eigen-sweep; the
-// Warm pair is the recorded ≥2× vortex-sweep claim.
-func BenchmarkVortexSweepWarmFull(b *testing.B)    { benchSliderSweepSession(b, 2, 2) }
-func BenchmarkVortexSweepWarmIndexed(b *testing.B) { benchSliderSweepSession(b, 3, 2) }
-func BenchmarkVortexSweepColdFull(b *testing.B)    { benchSliderSweepSession(b, 2, 1) }
-func BenchmarkVortexSweepColdIndexed(b *testing.B) { benchSliderSweepSession(b, 3, 1) }
-
 // BenchmarkStreamedFramesRaw is the packets-per-request comm counter: one
 // streamed vortex request at fan-out 4, reporting how many packets the stream
 // carried and how many fabric messages carried them (one per packet).
@@ -373,8 +340,8 @@ func BenchmarkSliderSweepScanFull(b *testing.B) {
 // BenchmarkSliderSweepScanIndexed is the same warm scan through the min/max
 // brick indexes: excluded blocks are rejected by one range test and the rest
 // scan only the bricks whose [min,max] straddles the iso value. The wall gap
-// to ScanFull is bounded by triangle generation, which both sides share; the
-// session-level Warm pair above carries the headline ratio.
+// to ScanFull is bounded by triangle generation, which both sides share;
+// results/ablation-index.tsv carries the session-level ratio.
 func BenchmarkSliderSweepScanIndexed(b *testing.B) {
 	blks, idxs := sweepBlocks(b)
 	var m mesh.Mesh

@@ -84,8 +84,11 @@ func TestDeliveryAllocationGuard(t *testing.T) {
 
 var deliverySink *Mesh
 
-func benchDelivery(b *testing.B, memo bool) {
+func benchDelivery(b *testing.B, memo bool, extra ...string) {
 	rc, params := deliverySystem(b, memo)
+	for i := 0; i+1 < len(extra); i += 2 {
+		params[extra[i]] = extra[i+1]
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -102,6 +105,12 @@ func benchDelivery(b *testing.B, memo bool) {
 // BenchmarkDeliveryLoopbackIso is one iso_slider_warm request: resident
 // blocks, so kernel + encode + fabric + bridge + socket + client set the time.
 func BenchmarkDeliveryLoopbackIso(b *testing.B) { benchDelivery(b, false) }
+
+// BenchmarkDeliveryLoopbackIsoJournal is the same request in journal mode
+// (redistribute=1): block-tagged partials, a span declaration and a
+// watermark per block — what block-granular recovery for every request
+// would cost.
+func BenchmarkDeliveryLoopbackIsoJournal(b *testing.B) { benchDelivery(b, false, "redistribute", "1") }
 
 // BenchmarkDeliveryLoopbackMemoHit is one shared_view_memo hit: no extraction,
 // only the replay and the delivery of a cached stream.

@@ -38,10 +38,16 @@ type Message struct {
 	Params map[string]string
 	// Payload carries binary data (encoded meshes, blocks).
 	Payload []byte
+	// Body carries a typed value between in-process endpoints: the control
+	// records of the scheduler and its workers. It is never encoded, so it
+	// cannot cross TCP or reach the WAL, and WireSize does not count it. It
+	// must not change after the send: a duplicating link delivers it twice.
+	Body any
 }
 
 // WireSize reports the encoded size of the message, used by transfer cost
-// models without forcing an encode. It includes the trailing CRC32-C.
+// models without forcing an encode. It includes the trailing CRC32-C; a
+// typed Body is priced at its envelope.
 func (m *Message) WireSize() int64 {
 	n := 4 + 4 + len(m.Kind) + 4 + len(m.Command) + 8 + 4 + 1 + 4 + 4 + len(m.Payload) + 4
 	for k, v := range m.Params {

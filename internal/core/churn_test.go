@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"viracocha/internal/comm"
 	"viracocha/internal/faults"
 	"viracocha/internal/vclock"
 )
@@ -172,7 +171,7 @@ func TestEpochFencingDropsStaleFrames(t *testing.T) {
 
 		// A completion report from a fenced incarnation must be dropped
 		// without touching membership.
-		s.noteDone(comm.Message{Kind: "wdone", Params: map[string]string{"worker": "w1", "wepoch": "1"}})
+		s.noteDone(0, &Report{Worker: "w1", Epoch: 1})
 		if st := s.workerState("w1"); st != wsFree {
 			t.Errorf("stale wdone changed w1 state to %d", st)
 		}
@@ -185,7 +184,7 @@ func TestEpochFencingDropsStaleFrames(t *testing.T) {
 		seenBefore := s.lastSeen["w1"]
 		s.mu.Unlock()
 		v.Sleep(50 * time.Millisecond)
-		s.noteHeartbeat(comm.Message{Kind: "hb", Params: map[string]string{"worker": "w1", "state": "idle", "wepoch": "1"}})
+		s.noteHeartbeat(&Report{Worker: "w1", Idle: true, Epoch: 1})
 		s.mu.Lock()
 		seenStale := s.lastSeen["w1"]
 		s.mu.Unlock()
@@ -193,7 +192,7 @@ func TestEpochFencingDropsStaleFrames(t *testing.T) {
 			t.Error("stale heartbeat refreshed lastSeen")
 		}
 		// The current incarnation's heartbeat is accepted.
-		s.noteHeartbeat(comm.Message{Kind: "hb", Params: map[string]string{"worker": "w1", "state": "idle", "wepoch": "3"}})
+		s.noteHeartbeat(&Report{Worker: "w1", Idle: true, Epoch: 3})
 		s.mu.Lock()
 		seenFresh := s.lastSeen["w1"]
 		s.mu.Unlock()

@@ -41,9 +41,9 @@ type Ctx struct {
 	epoch int
 	proxy *dms.Proxy
 
-	// Req is the originating request message; command parameters are read
-	// from it.
-	Req comm.Message
+	// Req is the originating request, parsed at admission; command
+	// parameters are read through Param, IntParam and FloatParam.
+	Req *Request
 	// Rank and GroupSize identify this worker within the group; rank 0 is
 	// the master that gathers and merges.
 	Rank, GroupSize int
@@ -57,10 +57,13 @@ type Ctx struct {
 	probes   Probes
 	seq      int
 	streams  int
-	frames   int         // fabric messages used to deliver the streamed packets
 	attempt  int         // recovery attempt this execution belongs to
 	uncached int         // demand loads served without a cache hit (degraded path)
 	blockSeq map[int]int // per-block packet counter for block-tagged streaming
+	// span, when hasSpan, is the work span the scheduler re-issued to this
+	// rank (block-granular failover, crash recovery).
+	span    []int
+	hasSpan bool
 }
 
 // ErrCancelled is returned by commands that observed a client cancellation
@@ -83,10 +86,9 @@ func (c *Ctx) Interrupted() error {
 }
 
 // Journaling reports whether this request runs in block-granular recovery
-// mode: the scheduler set journal=1 on the start message, commands declare
-// explicit work spans and report per-block completion watermarks, and
-// streamed partials are block-tagged.
-func (c *Ctx) Journaling() bool { return c.IntParam("journal", 0) != 0 }
+// mode: commands declare explicit work spans and report per-block completion
+// watermarks, and streamed partials are block-tagged.
+func (c *Ctx) Journaling() bool { return c.Req.Journal }
 
 // Proxy returns this worker's DMS proxy.
 func (c *Ctx) Proxy() *dms.Proxy { return c.proxy }
@@ -172,11 +174,10 @@ func (c *Ctx) Prefetch(id grid.BlockID) { c.proxy.Prefetch(id) }
 // DMS budget is at the pressure where prefetches are shed: there the derived
 // entities would only evict the blocks the request is about to read.
 func (c *Ctx) IndexEnabled() bool {
-	def := 0
-	if isReal(c.rt.Clock) && !c.proxy.UnderPressure() {
-		def = 1
+	if c.Req.Index != indexAuto {
+		return c.Req.Index == 1
 	}
-	return c.IntParam("index", def) != 0
+	return isReal(c.rt.Clock) && !c.proxy.UnderPressure()
 }
 
 // RideAlong makes the blocks prefetched on this worker from here on — by the
@@ -304,8 +305,7 @@ func (c *Ctx) streamPartial(m *mesh.Mesh, block, bseq int, tagged bool) error {
 	// window is exhausted parks here until the client acks a packet; one
 	// that stays parked past the slow-consumer deadline cancels the whole
 	// request instead of buffering unboundedly.
-	window := c.IntParam("stream_window", c.rt.cfg.Overload.StreamWindow)
-	if window > 0 {
+	if window := c.Req.StreamWindow; window > 0 {
 		err := c.rt.flow.Acquire(c.Req.ReqID, c.Rank, window,
 			c.rt.cfg.Overload.SlowConsumerAfter,
 			c.Cancelled)
@@ -339,7 +339,6 @@ func (c *Ctx) streamPartial(m *mesh.Mesh, block, bseq int, tagged bool) error {
 		msg.Params["block"] = strconv.Itoa(block)
 		msg.Params["bseq"] = strconv.Itoa(bseq)
 	}
-	c.frames++
 	// A real-clock runtime's pacing yield; zero where the fabric prices msg.
 	pace := comm.LinkCost(c.rt.cfg.PaceLatency, c.rt.cfg.PaceBandwidth, msg.WireSize())
 	start := c.rt.Clock.Now()
@@ -350,14 +349,14 @@ func (c *Ctx) streamPartial(m *mesh.Mesh, block, bseq int, tagged bool) error {
 }
 
 // ClientEndpoint is the fabric name of the client that issued this request.
-func (c *Ctx) ClientEndpoint() string { return c.Param("client", "client") }
+func (c *Ctx) ClientEndpoint() string { return c.Req.Client }
 
 // Progress reports completion of done-of-total work units to the client
 // when the request opted in with progress=1 — the paper's future-work
 // progress bar for the virtual environment (§9). Progress messages are
 // small and fire-and-forget; they do not count as partial results.
 func (c *Ctx) Progress(done, total int) {
-	if c.IntParam("progress", 0) == 0 || total <= 0 {
+	if !c.Req.Progress || total <= 0 {
 		return
 	}
 	c.worker.checkCrashed()
@@ -437,10 +436,9 @@ func (c *Ctx) SpanBlocks(order []int, streamed bool) []int {
 // [lo, hi) pair. Delivery is gathered (pathline traces travel with the final
 // merge), so recovery re-runs the whole span.
 func (c *Ctx) SpanSlice(total int) []int {
-	if v, ok := c.Req.Params["span"]; ok {
-		items := comm.ParseIntList(v)
-		c.declareSpan(items, false)
-		return items
+	if c.hasSpan {
+		c.declareSpan(c.span, false)
+		return c.span
 	}
 	lo, hi := AssignedSlice(total, c.Rank, c.GroupSize)
 	items := make([]int, 0, hi-lo)
@@ -452,8 +450,8 @@ func (c *Ctx) SpanSlice(total int) []int {
 }
 
 func (c *Ctx) spanItems(total int, order []int) []int {
-	if v, ok := c.Req.Params["span"]; ok {
-		span := comm.ParseIntList(v)
+	if c.hasSpan {
+		span := c.span
 		if order == nil {
 			return span
 		}
@@ -490,23 +488,10 @@ func (c *Ctx) declareSpan(items []int, streamed bool) {
 	}
 	c.worker.checkCrashed()
 	c.worker.beginJournal(c.epoch, c.Req.ReqID, c.Rank, c.attempt)
-	st := "0"
-	if streamed {
-		st = "1"
-	}
-	msg := comm.Message{
-		Kind:    "wspan",
-		Command: c.Req.Command,
-		ReqID:   c.Req.ReqID,
-		Params: map[string]string{
-			"worker":   c.worker.node,
-			"wepoch":   strconv.Itoa(c.epoch),
-			"rank":     strconv.Itoa(c.Rank),
-			"attempt":  strconv.Itoa(c.attempt),
-			"span":     comm.EncodeIntList(items),
-			"streamed": st,
-		},
-	}
+	msg := comm.Message{Kind: "wspan", Command: c.Req.Command, ReqID: c.Req.ReqID, Body: &Report{
+		Worker: c.worker.node, Epoch: c.epoch, Rank: c.Rank, Attempt: c.attempt,
+		Span: items, Streamed: streamed,
+	}}
 	if err := c.ep.Send("scheduler", msg); err != nil {
 		c.rt.Trace.Eventf(c.rt.Clock.Now(), "worker:"+c.worker.node,
 			"req %d: span declaration send failed: %v", c.Req.ReqID, err)
@@ -524,22 +509,13 @@ func (c *Ctx) BlockDone(item int) {
 	}
 	c.worker.checkCrashed()
 	c.worker.markDone(c.epoch, item)
-	msg := comm.Message{
-		Kind:    "wmark",
-		Command: c.Req.Command,
-		ReqID:   c.Req.ReqID,
-		Params: map[string]string{
-			"worker":  c.worker.node,
-			"wepoch":  strconv.Itoa(c.epoch),
-			"rank":    strconv.Itoa(c.Rank),
-			"attempt": strconv.Itoa(c.attempt),
-			"item":    strconv.Itoa(item),
-			// bframes is the block's tagged-packet count: crash recovery
-			// replays a marked block from retained frames only when all of
-			// them survived in the WAL, else it recomputes the block.
-			"bframes": strconv.Itoa(c.blockSeq[item]),
-		},
-	}
+	// BFrames is the block's tagged-packet count: crash recovery replays a
+	// marked block from retained frames only when all of them survived in
+	// the WAL, else it recomputes the block.
+	msg := comm.Message{Kind: "wmark", Command: c.Req.Command, ReqID: c.Req.ReqID, Body: &Report{
+		Worker: c.worker.node, Epoch: c.epoch, Rank: c.Rank, Attempt: c.attempt,
+		Item: item, BFrames: c.blockSeq[item],
+	}}
 	if err := c.ep.Send("scheduler", msg); err != nil {
 		c.rt.Trace.Eventf(c.rt.Clock.Now(), "worker:"+c.worker.node,
 			"req %d: watermark send failed: %v", c.Req.ReqID, err)
@@ -548,21 +524,21 @@ func (c *Ctx) BlockDone(item int) {
 
 // Param reads a string parameter from the request.
 func (c *Ctx) Param(key, def string) string {
-	if v, ok := c.Req.Params[key]; ok {
+	if v, ok := c.Req.msg.Params[key]; ok {
 		return v
 	}
 	return def
 }
 
 // FloatParam reads a float parameter from the request.
-func (c *Ctx) FloatParam(key string, def float64) float64 { return c.Req.FloatParam(key, def) }
+func (c *Ctx) FloatParam(key string, def float64) float64 { return c.Req.msg.FloatParam(key, def) }
 
 // IntParam reads an integer parameter from the request.
-func (c *Ctx) IntParam(key string, def int) int { return c.Req.IntParam(key, def) }
+func (c *Ctx) IntParam(key string, def int) int { return c.Req.msg.IntParam(key, def) }
 
 // StepParam returns the requested time step, clamped to the data set.
 func (c *Ctx) StepParam() int {
-	s := c.IntParam("step", 0)
+	s := c.Req.Step
 	if s < 0 {
 		s = 0
 	}

@@ -670,8 +670,7 @@ func TestSchedulerIgnoresStrayDone(t *testing.T) {
 	v.Go(func() {
 		// Hand-craft a wdone for a request that never existed.
 		ep := rt.Net.Endpoint("rogue")
-		ep.Send("scheduler", comm.Message{Kind: "wdone", ReqID: 999,
-			Params: map[string]string{"worker": "w0"}})
+		ep.Send("scheduler", comm.Message{Kind: "wdone", ReqID: 999, Body: &Report{Worker: "w0"}})
 		cl := NewClient(rt)
 		if _, err := cl.Run("test.echo", map[string]string{"dataset": "tiny"}); err != nil {
 			t.Error(err)
@@ -679,18 +678,6 @@ func TestSchedulerIgnoresStrayDone(t *testing.T) {
 		rt.Shutdown()
 	})
 	v.Wait()
-}
-
-func TestParseNanos(t *testing.T) {
-	cases := map[string]int64{
-		"0": 0, "42": 42, "-7": -7, "": 0, "junk": 0, "12a": 0,
-		"9223372036854775807": 9223372036854775807,
-	}
-	for in, want := range cases {
-		if got := parseNanos(in); got != want {
-			t.Errorf("parseNanos(%q) = %d, want %d", in, got, want)
-		}
-	}
 }
 
 func TestCancelStopsRunningRequest(t *testing.T) {

@@ -36,7 +36,7 @@ func TestIndexEnabledSelection(t *testing.T) {
 			if param != "" {
 				req.Params["index"] = param
 			}
-			ctx := &Ctx{rt: rt, proxy: proxy, Req: req}
+			ctx := &Ctx{rt: rt, proxy: proxy, Req: parseRequest(req, &cfg)}
 			if got := ctx.IndexEnabled(); got != want {
 				t.Errorf("%s, index=%q: IndexEnabled = %v, want %v", tc.name, param, got, want)
 			}

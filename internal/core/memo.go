@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -18,7 +17,8 @@ import (
 // coalescing so identical concurrent requests share one extraction.
 //
 // A memo-enabled command is never queued under the client's request ID.
-// Instead the scheduler canonicalizes the request into a key (memoKeyOf) and
+// Instead the scheduler looks the request up by its canonical key
+// (Request.MemoKey) and
 //
 //   - on a cache hit replays the stored packet log to the client through a
 //     dedicated forwarder actor;
@@ -88,15 +88,12 @@ func (e *memoEntity) SizeBytes() int64 { return e.size }
 func (e *memoEntity) DerivedEntity() {}
 
 // memoSub is one subscriber of a memo entry: a client request being served by
-// replay/multicast instead of its own extraction.
+// replay/multicast instead of its own extraction. Its Request names the
+// subscriber's ID, client, session and stream window.
 type memoSub struct {
-	subID   uint64
-	command string
-	client  string
-	sess    string
-	window  int // stream credit window (0 = unwindowed), paced independently
-	hit     bool
-	at      time.Duration // admission time
+	req *Request
+	hit bool
+	at  time.Duration // admission time
 }
 
 // memoEntry is one extraction being shared: the growing packet log, the
@@ -104,11 +101,10 @@ type memoSub struct {
 // shorter than their replay position. A cached replay is represented as an
 // already-complete entry (prodID 0) over the stored log.
 type memoEntry struct {
-	key     string
-	command string
-	prodID  uint64
-	dep     memoDep
-	clock   vclock.Clock
+	key    string
+	prodID uint64
+	dep    memoDep
+	clock  vclock.Clock
 
 	mu       sync.Mutex
 	log      []comm.Message
@@ -215,51 +211,16 @@ func newMemoTable(rt *Runtime) *memoTable {
 	}
 }
 
-// memoEnabled decides memoization for one request: the "memo" parameter
-// overrides the server-wide Config.Memo default (off).
-func (s *Scheduler) memoEnabled(m comm.Message) bool {
-	def := 0
-	if s.rt.cfg.Memo {
-		def = 1
-	}
-	return m.IntParam("memo", def) != 0
-}
-
-// memoKeyOf builds the canonical content address of a request: the command
-// name plus every result-shaping parameter, sorted by key, with values
-// normalized through comm.CanonicalFloat so numerically equal spellings
-// ("0.5", "0.50", "5e-1") share one entry. Transport- and identity-shaping
-// parameters are excluded: they change who receives the stream and how it is
-// paced, not what is extracted.
-func memoKeyOf(m comm.Message) (string, memoDep) {
-	keys := make([]string, 0, len(m.Params))
-	for k := range m.Params {
-		switch k {
-		case "client", "session", "memo", "stream_window":
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(m.Command)
-	for _, k := range keys {
-		b.WriteByte('|')
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(comm.CanonicalFloat(m.Params[k]))
-	}
-	return b.String(), memoDep{dataset: m.Params["dataset"], step: m.IntParam("step", 0)}
-}
-
-// acceptCommand routes an arriving command: memo-enabled requests go through
-// the memoization table, everything else through plain admission. It reports
-// whether anything new was queued (and the pump should run).
+// acceptCommand parses an arriving command and routes it: memo-enabled
+// requests go through the memoization table, everything else through plain
+// admission. It reports whether anything new was queued (and the pump should
+// run).
 func (s *Scheduler) acceptCommand(m comm.Message) bool {
-	if !s.memoEnabled(m) {
-		return s.admit(m)
+	r := parseRequest(m, &s.rt.cfg)
+	if !r.Memo {
+		return s.admit(r)
 	}
-	return s.memoAdmit(m)
+	return s.memoAdmit(r)
 }
 
 // memoAdmit admits one memo-enabled request. It applies exactly the same
@@ -267,21 +228,13 @@ func (s *Scheduler) acceptCommand(m comm.Message) bool {
 // quota slot until its stream is fully delivered), then serves the request by
 // cache replay, in-flight attachment, or a fresh producer dispatch. Only the
 // last queues work, so only it returns true.
-func (s *Scheduler) memoAdmit(m comm.Message) bool {
-	sess := sessionOf(m)
-	if !s.admitGate(m, sess) {
+func (s *Scheduler) memoAdmit(r *Request) bool {
+	if !s.admitGate(r) {
 		return false
 	}
 	mt := s.memo
-	key, dep := memoKeyOf(m)
-	sub := &memoSub{
-		subID:   m.ReqID,
-		command: m.Command,
-		client:  clientNameOf(m),
-		sess:    sess,
-		window:  m.IntParam("stream_window", s.rt.cfg.Overload.StreamWindow),
-		at:      s.rt.Clock.Now(),
-	}
+	key := r.MemoKey
+	sub := &memoSub{req: r, at: s.rt.Clock.Now()}
 
 	// Identical extraction already running: attach as a subscriber. The
 	// forwarder replays the already-relayed prefix from the log and streams
@@ -291,7 +244,7 @@ func (s *Scheduler) memoAdmit(m comm.Message) bool {
 	// order lets a request that follows its twin's final packet miss both.
 	if e := mt.attach(key, sub); e != nil {
 		s.rt.Trace.Eventf(s.rt.Clock.Now(), "memo",
-			"req %d: attached to in-flight %s (producer req %d)", sub.subID, key, e.prodID)
+			"req %d: attached to in-flight %s (producer req %d)", r.ReqID, key, e.prodID)
 		s.rt.Clock.Go(func() { s.runMemoForwarder(e, sub) })
 		return false
 	}
@@ -299,11 +252,10 @@ func (s *Scheduler) memoAdmit(m comm.Message) bool {
 	// Completed result in the cache: replay it wholesale through a
 	// per-request entry over the stored log.
 	if ent := mt.lookup(key); ent != nil {
-		e := &memoEntry{key: key, command: m.Command, dep: ent.dep, clock: s.rt.Clock,
-			log: ent.log, complete: true}
+		e := &memoEntry{key: key, dep: ent.dep, clock: s.rt.Clock, log: ent.log, complete: true}
 		mt.registerSub(e, sub, true)
 		s.rt.Trace.Eventf(s.rt.Clock.Now(), "memo",
-			"req %d: hit %s, replaying cached result (%d packets)", sub.subID, key, len(ent.log))
+			"req %d: hit %s, replaying cached result (%d packets)", r.ReqID, key, len(ent.log))
 		s.rt.Clock.Go(func() { s.runMemoForwarder(e, sub) })
 		return false
 	}
@@ -311,38 +263,25 @@ func (s *Scheduler) memoAdmit(m comm.Message) bool {
 	// Miss: dispatch one producer under its own internal request ID, with a
 	// relay actor as its client, and subscribe this request to it.
 	prodID := s.rt.NextReqID()
-	e := mt.begin(key, dep, prodID, m.Command, s.rt.Clock)
+	e := mt.begin(key, r.dep, prodID, s.rt.Clock)
 	mt.registerSub(e, sub, false)
 	relay := s.rt.Net.Endpoint(fmt.Sprintf("memo%d", prodID))
 	s.rt.Clock.Go(func() { s.runMemoRelay(e, relay) })
 	s.rt.Clock.Go(func() { s.runMemoForwarder(e, sub) })
 
-	prod := m
-	prod.ReqID = prodID
-	prod.Params = make(map[string]string, len(m.Params))
-	for k, v := range m.Params {
-		prod.Params[k] = v
-	}
-	prod.Params["client"] = relay.Name()
 	// The producer belongs to no client session: subscribers hold the quota
 	// slots, and a disconnect must cancel subscribers (which cancels an
 	// abandoned producer), never the shared extraction directly.
-	delete(prod.Params, "session")
-	delete(prod.Params, "memo")
+	prod := *r
+	prod.ReqID = prodID
+	prod.Client, prod.Session, prod.Memo = relay.Name(), relay.Name(), false
 
 	s.rt.Trace.Eventf(s.rt.Clock.Now(), "memo",
-		"req %d: miss %s, producing as req %d", sub.subID, key, prodID)
+		"req %d: miss %s, producing as req %d", r.ReqID, key, prodID)
 	s.mu.Lock()
-	s.pending.push(prod, s.rt.Clock.Now())
+	s.pending.push(&prod, s.rt.Clock.Now())
 	s.mu.Unlock()
 	return true
-}
-
-func clientNameOf(m comm.Message) string {
-	if c := m.Params["client"]; c != "" {
-		return c
-	}
-	return "client"
 }
 
 // lookup fetches a completed cached result, counting a memo hit.
@@ -378,13 +317,13 @@ func (mt *memoTable) attach(key string, sub *memoSub) *memoEntry {
 	e.mu.Unlock()
 	sub.hit = true
 	mt.hits++
-	mt.subs[sub.subID] = &memoSubRef{entry: e, sub: sub}
+	mt.subs[sub.req.ReqID] = &memoSubRef{entry: e, sub: sub}
 	return e
 }
 
 // begin registers a fresh producer entry for a missed key.
-func (mt *memoTable) begin(key string, dep memoDep, prodID uint64, command string, clock vclock.Clock) *memoEntry {
-	e := &memoEntry{key: key, command: command, prodID: prodID, dep: dep, clock: clock}
+func (mt *memoTable) begin(key string, dep memoDep, prodID uint64, clock vclock.Clock) *memoEntry {
+	e := &memoEntry{key: key, prodID: prodID, dep: dep, clock: clock}
 	mt.mu.Lock()
 	mt.inflight[key] = e
 	mt.misses++
@@ -401,7 +340,7 @@ func (mt *memoTable) registerSub(e *memoEntry, sub *memoSub, hit bool) {
 	e.live++
 	e.mu.Unlock()
 	mt.mu.Lock()
-	mt.subs[sub.subID] = &memoSubRef{entry: e, sub: sub}
+	mt.subs[sub.req.ReqID] = &memoSubRef{entry: e, sub: sub}
 	mt.mu.Unlock()
 }
 
@@ -503,9 +442,10 @@ func canonicalMemoLog(log []comm.Message) ([]comm.Message, int64) {
 // shared extraction keeps running for everyone else.
 func (s *Scheduler) runMemoForwarder(e *memoEntry, sub *memoSub) {
 	rt := s.rt
-	ep := rt.Net.Endpoint(fmt.Sprintf("memo.f%d", sub.subID))
-	cancelled := func() bool { return rt.isCancelled(sub.subID) }
-	var streams, frames int
+	id := sub.req.ReqID
+	ep := rt.Net.Endpoint(fmt.Sprintf("memo.f%d", id))
+	cancelled := func() bool { return rt.isCancelled(id) }
+	streams := 0
 	pos := 0
 	sentFinal, failed := false, false
 	for {
@@ -522,30 +462,28 @@ func (s *Scheduler) runMemoForwarder(e *memoEntry, sub *memoSub) {
 			break
 		}
 		pos++
+		// Every subscriber shares the cached message's Params map: whoever
+		// receives a delivered message only reads it (the bridge stamps its
+		// sseq into the encoded frame, not into the map).
 		out := m
-		out.ReqID = sub.subID
-		out.Params = make(map[string]string, len(m.Params))
-		for k, v := range m.Params {
-			out.Params[k] = v
-		}
+		out.ReqID = id
 		if m.Kind == "partial" {
 			rank := m.IntParam("rank", 0)
-			if err := rt.flow.Acquire(sub.subID, rank, sub.window,
+			if err := rt.flow.Acquire(id, rank, sub.req.StreamWindow,
 				rt.cfg.Overload.SlowConsumerAfter, cancelled); err != nil {
-				rt.markCancelled(sub.subID)
+				rt.markCancelled(id)
 				rt.Trace.Eventf(rt.Clock.Now(), "memo",
-					"req %d: subscriber cut off: %v", sub.subID, err)
+					"req %d: subscriber cut off: %v", id, err)
 				failed = true
 				break
 			}
 			streams++
 		}
-		if err := ep.Send(sub.client, out); err != nil {
+		if err := ep.Send(sub.req.Client, out); err != nil {
 			// The client or its bridge is gone; nothing left to deliver to.
 			failed = true
 			break
 		}
-		frames++
 		if m.Final {
 			sentFinal = true
 			break
@@ -554,8 +492,8 @@ func (s *Scheduler) runMemoForwarder(e *memoEntry, sub *memoSub) {
 	if failed && !sentFinal {
 		// Best-effort synthesized final so an in-process Collect returns. The
 		// huge attempt stamp keeps it from being dropped as stale.
-		ep.Send(sub.client, comm.Message{
-			Kind: "error", Command: sub.command, ReqID: sub.subID, Final: true,
+		ep.Send(sub.req.Client, comm.Message{
+			Kind: "error", Command: sub.req.Command, ReqID: id, Final: true,
 			Params: map[string]string{
 				"error":   "core: cancelled: memo subscriber cut off",
 				"attempt": strconv.Itoa(1 << 30),
@@ -563,7 +501,7 @@ func (s *Scheduler) runMemoForwarder(e *memoEntry, sub *memoSub) {
 		})
 	}
 	ep.Close()
-	s.memoSubDone(e, sub, streams, frames, failed)
+	s.memoSubDone(e, sub, streams, failed)
 }
 
 // memoSubDone retires one subscriber: a synthetic finished-request record is
@@ -571,16 +509,15 @@ func (s *Scheduler) runMemoForwarder(e *memoEntry, sub *memoSub) {
 // own internal ID, keeps the real extraction probes), the session quota slot
 // returns, and — when the last live subscriber abandons an unfinished
 // extraction — the producer itself is cancelled.
-func (s *Scheduler) memoSubDone(e *memoEntry, sub *memoSub, streams, frames int, failed bool) {
+func (s *Scheduler) memoSubDone(e *memoEntry, sub *memoSub, streams int, failed bool) {
 	now := s.rt.Clock.Now()
 	st := RequestStats{
-		ReqID:       sub.subID,
-		Command:     sub.command,
+		ReqID:       sub.req.ReqID,
+		Command:     sub.req.Command,
 		Received:    sub.at,
 		Started:     sub.at,
 		End:         now,
 		Streams:     streams,
-		Frames:      frames,
 		MemoHit:     sub.hit,
 		Subscribers: e.subCount(),
 	}
@@ -589,14 +526,14 @@ func (s *Scheduler) memoSubDone(e *memoEntry, sub *memoSub, streams, frames int,
 	}
 	s.mu.Lock()
 	s.recordFinishedLocked(st)
-	s.releaseSessionLocked(sub.sess)
+	s.releaseSessionLocked(sub.req.Session)
 	if d := now - sub.at; d >= 0 {
 		s.svcSum += d
 		s.svcCount++
 	}
 	s.mu.Unlock()
-	s.rt.clearCancelled(sub.subID)
-	s.rt.flow.drop(sub.subID)
+	s.rt.clearCancelled(sub.req.ReqID)
+	s.rt.flow.drop(sub.req.ReqID)
 	s.memo.subGone(e, sub)
 }
 
@@ -604,7 +541,7 @@ func (s *Scheduler) memoSubDone(e *memoEntry, sub *memoSub, streams, frames int,
 // nobody is left to receive an unfinished extraction.
 func (mt *memoTable) subGone(e *memoEntry, sub *memoSub) {
 	mt.mu.Lock()
-	delete(mt.subs, sub.subID)
+	delete(mt.subs, sub.req.ReqID)
 	e.mu.Lock()
 	e.live--
 	abandoned := e.live == 0 && !e.complete && !e.doomed
@@ -645,7 +582,7 @@ func (mt *memoTable) dropSubsOf(sess string) int {
 	var ids []uint64
 	var entries []*memoEntry
 	for id, ref := range mt.subs {
-		if ref.sub.sess == sess {
+		if ref.sub.req.Session == sess {
 			ids = append(ids, id)
 			entries = append(entries, ref.entry)
 		}

@@ -38,10 +38,14 @@ func producerRecords(rt *Runtime) []RequestStats {
 // parameters in sorted order with float normalization; transport parameters
 // excluded.
 func TestMemoKeyCanonical(t *testing.T) {
+	keyOf := func(m comm.Message) (string, memoDep) {
+		r := parseRequest(m, &Config{Memo: true})
+		return r.MemoKey, r.dep
+	}
 	base := comm.Message{Command: "iso.dataman", Params: map[string]string{
 		"dataset": "engine", "step": "3", "iso": "0.5",
 	}}
-	kBase, dep := memoKeyOf(base)
+	kBase, dep := keyOf(base)
 	if want := "iso.dataman|dataset=engine|iso=0.5|step=3"; kBase != want {
 		t.Fatalf("key = %q, want %q", kBase, want)
 	}
@@ -59,7 +63,7 @@ func TestMemoKeyCanonical(t *testing.T) {
 			"session": "client7", "memo": "1", "stream_window": "4"},
 	}
 	for _, p := range same {
-		if k, _ := memoKeyOf(comm.Message{Command: "iso.dataman", Params: p}); k != kBase {
+		if k, _ := keyOf(comm.Message{Command: "iso.dataman", Params: p}); k != kBase {
 			t.Errorf("params %v: key %q, want %q", p, k, kBase)
 		}
 	}
@@ -71,11 +75,11 @@ func TestMemoKeyCanonical(t *testing.T) {
 		{"dataset": "engine", "step": "3", "iso": "0.5", "index": "1"},
 	}
 	for _, p := range diff {
-		if k, _ := memoKeyOf(comm.Message{Command: "iso.dataman", Params: p}); k == kBase {
+		if k, _ := keyOf(comm.Message{Command: "iso.dataman", Params: p}); k == kBase {
 			t.Errorf("params %v: key collided with %q", p, kBase)
 		}
 	}
-	if k, _ := memoKeyOf(comm.Message{Command: "iso.simple", Params: base.Params}); k == kBase {
+	if k, _ := keyOf(comm.Message{Command: "iso.simple", Params: base.Params}); k == kBase {
 		t.Error("different command collided")
 	}
 }

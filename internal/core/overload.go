@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"viracocha/internal/comm"
 )
 
 // OverloadConfig tunes the overload-protection layer: admission control at
@@ -126,23 +124,23 @@ type msgRing struct {
 	head  int
 }
 
-// queuedMsg is one pending command and when it arrived at the scheduler.
+// queuedMsg is one pending request and when it arrived at the scheduler.
 type queuedMsg struct {
-	comm.Message
+	*Request
 	at time.Duration
 }
 
 func (r *msgRing) len() int { return len(r.items) - r.head }
 
-func (r *msgRing) push(m comm.Message, at time.Duration) {
-	r.items = append(r.items, queuedMsg{Message: m, at: at})
+func (r *msgRing) push(req *Request, at time.Duration) {
+	r.items = append(r.items, queuedMsg{Request: req, at: at})
 }
 
 func (r *msgRing) peek() queuedMsg { return r.items[r.head] }
 
 func (r *msgRing) pop() queuedMsg {
 	m := r.items[r.head]
-	r.items[r.head] = queuedMsg{} // release payload and params now
+	r.items[r.head] = queuedMsg{} // release the request now
 	r.head++
 	switch {
 	case r.head == len(r.items):
@@ -164,17 +162,17 @@ func (r *msgRing) pop() queuedMsg {
 	return m
 }
 
-// filter drops every queued message for which keep is false and returns the
+// filter drops every queued request for which keep is false and returns the
 // dropped ones (in queue order); the session-disconnect purge uses it.
-func (r *msgRing) filter(keep func(comm.Message) bool) []comm.Message {
-	var dropped []comm.Message
+func (r *msgRing) filter(keep func(*Request) bool) []*Request {
+	var dropped []*Request
 	live := r.items[r.head:]
 	out := r.items[:0]
 	for _, q := range live {
-		if keep(q.Message) {
+		if keep(q.Request) {
 			out = append(out, q)
 		} else {
-			dropped = append(dropped, q.Message)
+			dropped = append(dropped, q.Request)
 		}
 	}
 	tail := r.items[len(out):]
@@ -184,17 +182,4 @@ func (r *msgRing) filter(keep func(comm.Message) bool) []comm.Message {
 	r.items = out
 	r.head = 0
 	return dropped
-}
-
-// sessionOf identifies the admission-control session of a command: the TCP
-// bridge stamps one session per connection; in-process clients fall back to
-// their endpoint name.
-func sessionOf(m comm.Message) string {
-	if s := m.Params["session"]; s != "" {
-		return s
-	}
-	if c := m.Params["client"]; c != "" {
-		return c
-	}
-	return "client"
 }

@@ -413,16 +413,14 @@ func (rt *Runtime) Roll(timeout time.Duration) error {
 			continue // already down; its own rejoin path owns it
 		}
 		deadline := rt.Clock.Now() + timeout
-		ctl.Send("scheduler", comm.Message{Kind: "cordon",
-			Params: map[string]string{"worker": w.node}})
+		ctl.Send("scheduler", comm.Message{Kind: "cordon", Body: &Report{Worker: w.node}})
 		for rt.Sched.workerState(w.node) != wsCordoned {
 			if rt.Clock.Now() >= deadline {
 				return fmt.Errorf("core: roll: %s did not drain within %v", w.node, timeout)
 			}
 			rt.Clock.Sleep(poll)
 		}
-		ctl.Send("scheduler", comm.Message{Kind: "decommission",
-			Params: map[string]string{"worker": w.node}})
+		ctl.Send("scheduler", comm.Message{Kind: "decommission", Body: &Report{Worker: w.node}})
 		for !w.Dead() {
 			if rt.Clock.Now() >= deadline {
 				return fmt.Errorf("core: roll: %s did not stop within %v", w.node, timeout)

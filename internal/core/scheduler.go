@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -112,8 +111,8 @@ type Scheduler struct {
 	free       []string
 	lastSeen   map[string]time.Duration
 	idleStreak map[string]int
-	// epochs records each node's admitted incarnation number; frames
-	// stamped with an older wepoch come from a fenced incarnation and are
+	// epochs records each node's admitted incarnation number; reports
+	// stamped with an older epoch come from a fenced incarnation and are
 	// dropped (rejoin epoch fencing).
 	epochs map[string]int
 	// cordonPending marks busy workers whose cordon (rolling restart) waits
@@ -121,10 +120,6 @@ type Scheduler struct {
 	cordonPending map[string]bool
 	pending       msgRing
 	active        map[uint64]*activeReq
-	// recovered annotates re-admitted requests (crash recovery) with their
-	// restored attempt and, when the journal survived, the span of items
-	// still owed to the client; consumed at dispatch.
-	recovered map[uint64]*recoveredPlan
 	// finished holds the newest maxFinished request records, finishedOrder
 	// their IDs oldest first; finishedDropped counts the records evicted.
 	finished        map[uint64]RequestStats
@@ -145,30 +140,40 @@ type Scheduler struct {
 }
 
 type activeReq struct {
-	stats      RequestStats
-	req        comm.Message
-	sess       string
-	origWant   int
-	attempt    int
-	group      string
-	members    []string
-	done       []bool
-	doneCount  int
-	retries    int
-	maxRetries int
-	// journaled marks block-granular recovery mode: workers declare spans
-	// and watermarks, journal is built from them (lazily, on the first
-	// declaration), and failover redistributes unfinished blocks instead of
-	// re-running whole ranks.
-	journaled bool
-	journal   *blockJournal
+	stats   RequestStats
+	req     *Request
+	attempt int
+	// group is the member list the attempt was dispatched with, shared by
+	// its start messages; members is the live assignment, which a rank
+	// re-run rewrites in place.
+	group     []string
+	members   []string
+	done      []bool
+	doneCount int
+	retries   int
+	// journal is built from the spans and watermarks the ranks of a
+	// journaled request (req.Journal) declare, lazily on the first one;
+	// failover then redistributes unfinished blocks instead of re-running
+	// whole ranks.
+	journal *blockJournal
 }
 
-func (ar *activeReq) clientName() string {
-	if c, ok := ar.req.Params["client"]; ok && c != "" {
-		return c
-	}
-	return "client"
+// start builds the "start" of one rank of the current attempt; span, when
+// hasSpan, is the work the rank is re-issued instead of its own share.
+func (ar *activeReq) start(rank int, span []int, hasSpan bool) comm.Message {
+	return comm.Message{Kind: "start", Command: ar.req.Command, ReqID: ar.req.ReqID, Body: &Start{
+		Req: ar.req, Rank: rank, Group: ar.group, Attempt: ar.attempt, Span: span, HasSpan: hasSpan,
+	}}
+}
+
+// regroup installs a freshly formed group: the dispatch's shared member list
+// and a live copy that rank re-runs may rewrite.
+func (ar *activeReq) regroup(members []string) {
+	ar.group = members
+	ar.members = append([]string(nil), members...)
+	ar.done = make([]bool, len(members))
+	ar.doneCount = 0
+	ar.stats.Workers = len(members)
 }
 
 func newScheduler(rt *Runtime) *Scheduler {
@@ -220,31 +225,8 @@ func (s *Scheduler) loop() {
 			if s.maybeFinish() {
 				return
 			}
-		case "wdone":
-			s.noteDone(m)
-			s.pump()
-			if s.maybeFinish() {
-				return
-			}
-		case "wspan":
-			s.noteSpan(m)
-		case "wmark":
-			s.noteMark(m)
-		case "hb":
-			s.noteHeartbeat(m)
-			s.pump()
-			if s.maybeFinish() {
-				return
-			}
-		case "join":
-			s.noteJoin(m)
-			s.pump()
-		case "cordon":
-			s.noteCordon(m)
-		case "decommission":
-			s.noteDecommission(m)
-			s.pump()
-			if s.maybeFinish() {
+		case "wdone", "wspan", "wmark", "hb", "join", "cordon", "decommission":
+			if r, ok := m.Body.(*Report); ok && s.noteReport(m.Kind, m.ReqID, r) {
 				return
 			}
 		case "cancel":
@@ -284,6 +266,36 @@ func (s *Scheduler) loop() {
 	}
 }
 
+// noteReport applies one worker-side control message — a body-less one names
+// nobody and is dropped before this — and reports whether the scheduler has
+// finished.
+func (s *Scheduler) noteReport(kind string, reqID uint64, r *Report) bool {
+	switch kind {
+	case "wspan":
+		s.noteSpan(reqID, r)
+		return false
+	case "wmark":
+		s.noteMark(reqID, r)
+		return false
+	case "cordon":
+		s.noteCordon(r.Worker)
+		return false
+	case "join":
+		s.noteJoin(r)
+		s.pump()
+		return false
+	case "wdone":
+		s.noteDone(reqID, r)
+	case "hb":
+		s.noteHeartbeat(r)
+	case "decommission":
+		// The administrative twin of declareDead.
+		s.fence(r.Worker, "decommissioned")
+	}
+	s.pump()
+	return s.maybeFinish()
+}
+
 // pump performs every dispatch decision currently possible — queued recovery
 // actions first (they unblock requests already half-done), then fresh FIFO
 // dispatches — and executes the resulting sends outside the lock.
@@ -305,12 +317,12 @@ func (s *Scheduler) pump() {
 // consumes a retry budget, and leaves no finished-request record. Recovery
 // redispatches re-enter through redisQ and deliberately bypass admission —
 // an admitted request's retries must not be starved by newer arrivals.
-func (s *Scheduler) admit(m comm.Message) bool {
-	if !s.admitGate(m, sessionOf(m)) {
+func (s *Scheduler) admit(r *Request) bool {
+	if !s.admitGate(r) {
 		return false
 	}
 	s.mu.Lock()
-	s.pending.push(m, s.rt.Clock.Now())
+	s.pending.push(r, s.rt.Clock.Now())
 	s.mu.Unlock()
 	return true
 }
@@ -320,8 +332,9 @@ func (s *Scheduler) admit(m comm.Message) bool {
 // decide what an accepted command turns into. A rejection is answered
 // immediately. Only the scheduler loop calls this, so the check-then-queue
 // split introduces no admission race.
-func (s *Scheduler) admitGate(m comm.Message, sess string) bool {
+func (s *Scheduler) admitGate(r *Request) bool {
 	ol := s.rt.cfg.Overload
+	sess := r.Session
 	s.mu.Lock()
 	reason, flag, prefix := "", "overloaded", "core: overloaded: "
 	switch {
@@ -343,15 +356,11 @@ func (s *Scheduler) admitGate(m comm.Message, sess string) bool {
 	}
 	ra := s.retryAfterLocked()
 	s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
-		"req %d rejected: %s: %s, retry after %v", m.ReqID, flag, reason, ra)
-	to := m.Params["client"]
-	if to == "" {
-		to = "client"
-	}
-	rej := outMsg{to: to, msg: comm.Message{
+		"req %d rejected: %s: %s, retry after %v", r.ReqID, flag, reason, ra)
+	rej := outMsg{to: r.Client, msg: comm.Message{
 		Kind:    "error",
-		Command: m.Command,
-		ReqID:   m.ReqID,
+		Command: r.Command,
+		ReqID:   r.ReqID,
 		Final:   true,
 		Params: map[string]string{
 			"error":          prefix + reason,
@@ -412,12 +421,12 @@ func (s *Scheduler) dropSession(sess string) {
 	}
 	var cancel []uint64
 	s.mu.Lock()
-	dropped := s.pending.filter(func(m comm.Message) bool { return sessionOf(m) != sess })
+	dropped := s.pending.filter(func(r *Request) bool { return r.Session != sess })
 	for range dropped {
 		s.releaseSessionLocked(sess)
 	}
 	for id, ar := range s.active {
-		if ar.sess == sess {
+		if ar.req.Session == sess {
 			cancel = append(cancel, id)
 		}
 	}
@@ -471,11 +480,11 @@ func (s *Scheduler) send(o outMsg) {
 func (s *Scheduler) dispatchLocked(sends *[]outMsg) {
 	for s.pending.len() > 0 {
 		q := s.pending.peek()
-		req := q.Message
-		want, degraded := s.groupSizeLocked(req.IntParam("workers", 1))
+		req := q.Request
+		want, degraded := s.groupSizeLocked(req.Workers)
 		if want == 0 {
 			s.pending.pop()
-			s.releaseSessionLocked(sessionOf(req))
+			s.releaseSessionLocked(req.Session)
 			now := s.rt.Clock.Now()
 			s.recordFinishedLocked(RequestStats{
 				ReqID:    req.ReqID,
@@ -486,11 +495,7 @@ func (s *Scheduler) dispatchLocked(sends *[]outMsg) {
 				Errors:   1,
 			})
 			s.rt.Trace.Eventf(now, "scheduler", "req %d rejected: no live workers", req.ReqID)
-			to := req.Params["client"]
-			if to == "" {
-				to = "client"
-			}
-			*sends = append(*sends, outMsg{to: to, msg: comm.Message{
+			*sends = append(*sends, outMsg{to: req.Client, msg: comm.Message{
 				Kind:    "error",
 				Command: req.Command,
 				ReqID:   req.ReqID,
@@ -505,41 +510,27 @@ func (s *Scheduler) dispatchLocked(sends *[]outMsg) {
 		members := append([]string(nil), s.free[:want]...)
 		s.free = s.free[want:]
 		s.pending.pop()
-		ar := &activeReq{
-			stats: RequestStats{
-				ReqID:    req.ReqID,
-				Command:  req.Command,
-				Workers:  want,
-				Received: q.at,
-				Started:  s.rt.Clock.Now(),
-				Degraded: degraded,
-			},
-			req:        req,
-			sess:       sessionOf(req),
-			origWant:   req.IntParam("workers", 1),
-			group:      strings.Join(members, ","),
-			members:    members,
-			done:       make([]bool, want),
-			maxRetries: req.IntParam("retries", s.rt.cfg.FT.MaxRetries),
-			journaled:  s.journalMode(req),
-		}
+		// A crash-recovered request resumes under its restored attempt (the
+		// client's dedupe is attempt-fenced).
+		ar := &activeReq{req: req, attempt: req.Attempt, stats: RequestStats{
+			ReqID:    req.ReqID,
+			Command:  req.Command,
+			Received: q.at,
+			Started:  s.rt.Clock.Now(),
+			Degraded: degraded,
+		}}
+		ar.regroup(members)
 		s.active[req.ReqID] = ar
 		if degraded {
 			s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
-				"req %d degraded: %d workers requested, %d alive", req.ReqID, ar.origWant, want)
+				"req %d degraded: %d workers requested, %d alive", req.ReqID, req.Workers, want)
 		}
-		plan := s.recovered[req.ReqID]
-		if plan != nil {
-			// A crash-recovered request resumes under its restored attempt
-			// (the client's dedupe is attempt-fenced) and, when the journal
-			// survived, recomputes exactly the items not yet streamed.
-			delete(s.recovered, req.ReqID)
-			ar.attempt = plan.attempt
-			if plan.hasSpan {
-				ar.stats.BlocksRecomputed = len(plan.span)
-				s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
-					"req %d recovered: attempt %d, re-dispatching %d unfinished blocks", req.ReqID, ar.attempt, len(plan.span))
-			}
+		if req.HasSpan {
+			// Its journal survived: recompute exactly the items not yet
+			// streamed.
+			ar.stats.BlocksRecomputed = len(req.Span)
+			s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
+				"req %d recovered: attempt %d, re-dispatching %d unfinished blocks", req.ReqID, ar.attempt, len(req.Span))
 		}
 		if w := s.walSink(); w != nil {
 			w.Dispatch(req.ReqID, ar.attempt, want)
@@ -547,56 +538,13 @@ func (s *Scheduler) dispatchLocked(sends *[]outMsg) {
 		for rank, node := range members {
 			s.state[node] = wsBusy
 			s.busy[node] = busyRef{reqID: req.ReqID, rank: rank}
-			start := s.startMsgLocked(ar, rank)
-			if plan != nil && plan.hasSpan {
-				start = s.startSpanMsgLocked(ar, rank, recoverSpanFor(plan.span, rank, want))
+			var span []int
+			if req.HasSpan {
+				span = recoverSpanFor(req.Span, rank, want)
 			}
-			*sends = append(*sends, outMsg{to: node, msg: start})
+			*sends = append(*sends, outMsg{to: node, msg: ar.start(rank, span, req.HasSpan)})
 		}
 	}
-}
-
-// journalMode decides block-granular recovery for a request: the
-// "redistribute" parameter overrides the server-wide FTConfig.Redistribute
-// default.
-func (s *Scheduler) journalMode(req comm.Message) bool {
-	def := 0
-	if s.rt.cfg.FT.Redistribute {
-		def = 1
-	}
-	return req.IntParam("redistribute", def) != 0
-}
-
-// startMsgLocked builds the "start" command for one rank of the current
-// attempt of ar.
-func (s *Scheduler) startMsgLocked(ar *activeReq, rank int) comm.Message {
-	start := comm.Message{
-		Kind:    "start",
-		Command: ar.req.Command,
-		ReqID:   ar.req.ReqID,
-		Params:  map[string]string{},
-	}
-	for k, v := range ar.req.Params {
-		start.Params[k] = v
-	}
-	// span is a scheduler-owned recovery annotation; a client must not
-	// smuggle it into every rank of a fresh dispatch.
-	delete(start.Params, "span")
-	start.Params["rank"] = strconv.Itoa(rank)
-	start.Params["group"] = ar.group
-	start.Params["attempt"] = strconv.Itoa(ar.attempt)
-	if ar.journaled {
-		start.Params["journal"] = "1"
-	}
-	return start
-}
-
-// startSpanMsgLocked is startMsgLocked with an explicit re-issued work span
-// (block-granular failover).
-func (s *Scheduler) startSpanMsgLocked(ar *activeReq, rank int, span []int) comm.Message {
-	start := s.startMsgLocked(ar, rank)
-	start.Params["span"] = comm.EncodeIntList(span)
-	return start
 }
 
 // groupSizeLocked sizes the work group of a request asking for want workers:
@@ -629,28 +577,19 @@ func (s *Scheduler) aliveCountLocked() int {
 	return n
 }
 
-// staleEpochLocked reports whether a worker frame comes from a fenced (old)
-// incarnation of its node. Frames without a wepoch stamp (legacy senders)
-// are treated as current.
-func (s *Scheduler) staleEpochLocked(m comm.Message) bool {
-	v, ok := m.Params["wepoch"]
-	if !ok {
-		return false
-	}
-	e, err := strconv.Atoi(v)
-	if err != nil {
-		return false
-	}
-	cur, known := s.epochs[m.Params["worker"]]
-	return known && e < cur
+// staleEpochLocked reports whether a worker report comes from a fenced (old)
+// incarnation of its node. Unstamped reports (epoch 0) are treated as
+// current.
+func (s *Scheduler) staleEpochLocked(r *Report) bool {
+	cur, known := s.epochs[r.Worker]
+	return r.Epoch > 0 && known && r.Epoch < cur
 }
 
 // noteJoin handles a rebooted worker's registration. The join carries the
 // new incarnation's epoch; accepting it fences every frame of older
 // incarnations, and the node is schedulable again at once.
-func (s *Scheduler) noteJoin(m comm.Message) {
-	node := m.Params["worker"]
-	epoch := m.IntParam("wepoch", 0)
+func (s *Scheduler) noteJoin(r *Report) {
+	node, epoch := r.Worker, r.Epoch
 	var sends []outMsg
 	s.mu.Lock()
 	st, known := s.state[node]
@@ -686,8 +625,7 @@ func (s *Scheduler) noteJoin(m comm.Message) {
 // noteCordon administratively drains one worker for a rolling restart: a
 // free worker is cordoned immediately; a busy one finishes its
 // in-flight rank first (noteDone completes the transition).
-func (s *Scheduler) noteCordon(m comm.Message) {
-	node := m.Params["worker"]
+func (s *Scheduler) noteCordon(node string) {
 	s.mu.Lock()
 	st, known := s.state[node]
 	switch {
@@ -709,10 +647,10 @@ func (s *Scheduler) noteCordon(m comm.Message) {
 // unconditionally (even when the report is stale) so workers never leak from
 // the pool; the completion is attributed to the request only when it matches
 // the current attempt and the rank is still outstanding.
-func (s *Scheduler) noteDone(m comm.Message) {
-	node := m.Params["worker"]
+func (s *Scheduler) noteDone(reqID uint64, r *Report) {
+	node := r.Worker
 	s.mu.Lock()
-	if s.staleEpochLocked(m) {
+	if s.staleEpochLocked(r) {
 		// Completion report from a fenced incarnation: it must neither free
 		// the new incarnation nor complete a rank the journal re-issued.
 		s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
@@ -736,14 +674,13 @@ func (s *Scheduler) noteDone(m comm.Message) {
 			s.free = append(s.free, node)
 		}
 	}
-	ar, ok := s.active[m.ReqID]
+	ar, ok := s.active[reqID]
 	if !ok {
 		s.mu.Unlock()
 		return
 	}
-	rank := m.IntParam("rank", 0)
-	att := m.IntParam("attempt", 0)
-	if att != ar.attempt || rank < 0 || rank >= len(ar.done) || ar.done[rank] {
+	rank := r.Rank
+	if r.Attempt != ar.attempt || rank < 0 || rank >= len(ar.done) || ar.done[rank] {
 		// Stale attempt or duplicate rank report: the work was already
 		// accounted (or superseded); only the worker-freeing above matters.
 		s.mu.Unlock()
@@ -751,27 +688,18 @@ func (s *Scheduler) noteDone(m comm.Message) {
 	}
 	ar.done[rank] = true
 	ar.doneCount++
-	ar.stats.Probes.Compute += time.Duration(parseNanos(m.Params["compute_ns"]))
-	ar.stats.Probes.Read += time.Duration(parseNanos(m.Params["read_ns"]))
-	ar.stats.Probes.Send += time.Duration(parseNanos(m.Params["send_ns"]))
-	ar.stats.Streams += m.IntParam("streams", 0)
-	ar.stats.Frames += m.IntParam("frames", 0)
-	ar.stats.Uncached += m.IntParam("uncached", 0)
-	if m.Params["error"] != "" {
+	ar.stats.Probes.Compute += r.Probes.Compute
+	ar.stats.Probes.Read += r.Probes.Read
+	ar.stats.Probes.Send += r.Probes.Send
+	ar.stats.Streams += r.Streams
+	ar.stats.Uncached += r.Uncached
+	if r.Err != "" {
 		ar.stats.Errors++
 	}
 	if ar.doneCount == len(ar.done) {
-		s.finishLocked(m.ReqID, ar)
+		s.finishLocked(reqID, ar)
 	}
 	s.mu.Unlock()
-}
-
-func parseNanos(v string) int64 {
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
 }
 
 // maxFinished bounds the finished-request table, so a server that runs for
@@ -779,13 +707,15 @@ func parseNanos(v string) int64 {
 const maxFinished = 8192
 
 // recordFinishedLocked files a finished request's record, evicting the
-// oldest one once the table is full.
+// oldest one once the table is full. Every streamed packet is one fabric
+// message, so Frames is filed from Streams.
 func (s *Scheduler) recordFinishedLocked(st RequestStats) {
 	if len(s.finishedOrder) == maxFinished {
 		delete(s.finished, s.finishedOrder[0])
 		s.finishedOrder = s.finishedOrder[1:]
 		s.finishedDropped++
 	}
+	st.Frames = st.Streams
 	s.finished[st.ReqID] = st
 	s.finishedOrder = append(s.finishedOrder, st.ReqID)
 }
@@ -797,7 +727,7 @@ func (s *Scheduler) finishLocked(reqID uint64, ar *activeReq) {
 	ar.stats.End = s.rt.Clock.Now()
 	s.recordFinishedLocked(ar.stats)
 	delete(s.active, reqID)
-	s.releaseSessionLocked(ar.sess)
+	s.releaseSessionLocked(ar.req.Session)
 	if d := ar.stats.End - ar.stats.Started; d >= 0 {
 		s.svcSum += d
 		s.svcCount++
@@ -809,57 +739,51 @@ func (s *Scheduler) finishLocked(reqID uint64, ar *activeReq) {
 
 // noteSpan records a rank's declared work span in the request's progress
 // journal (created lazily on the first declaration of a journaled request).
-func (s *Scheduler) noteSpan(m comm.Message) {
+func (s *Scheduler) noteSpan(reqID uint64, r *Report) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.staleEpochLocked(m) {
+	if s.staleEpochLocked(r) {
 		return
 	}
-	ar, ok := s.active[m.ReqID]
-	if !ok || !ar.journaled || m.IntParam("attempt", -1) != ar.attempt {
+	ar, ok := s.active[reqID]
+	if !ok || !ar.req.Journal || r.Attempt != ar.attempt {
 		return
 	}
-	rank := m.IntParam("rank", -1)
-	if rank < 0 || rank >= len(ar.done) {
+	if r.Rank < 0 || r.Rank >= len(ar.done) {
 		return
 	}
-	node := m.Params["worker"]
-	if ar.members[rank] != node {
+	if ar.members[r.Rank] != r.Worker {
 		return // stale declaration from a replaced executor
 	}
 	if ar.journal == nil {
 		ar.journal = newBlockJournal()
 	}
-	items := comm.ParseIntList(m.Params["span"])
-	streamed := m.Params["streamed"] == "1"
-	ar.journal.noteSpan(rank, items, streamed)
+	ar.journal.noteSpan(r.Rank, r.Span, r.Streamed)
 	if w := s.walSink(); w != nil {
-		w.JournalSpan(m.ReqID, ar.attempt, rank, items, streamed)
+		w.JournalSpan(reqID, ar.attempt, r.Rank, r.Span, r.Streamed)
 	}
 }
 
 // noteMark records one completed span item (the eager per-block watermark).
-func (s *Scheduler) noteMark(m comm.Message) {
+func (s *Scheduler) noteMark(reqID uint64, r *Report) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.staleEpochLocked(m) {
+	if s.staleEpochLocked(r) {
 		return
 	}
-	ar, ok := s.active[m.ReqID]
-	if !ok || ar.journal == nil || m.IntParam("attempt", -1) != ar.attempt {
+	ar, ok := s.active[reqID]
+	if !ok || ar.journal == nil || r.Attempt != ar.attempt {
 		return
 	}
-	rank := m.IntParam("rank", -1)
-	if rank < 0 || rank >= len(ar.done) {
+	if r.Rank < 0 || r.Rank >= len(ar.done) {
 		return
 	}
-	item := m.IntParam("item", -1)
-	ar.journal.markDone(rank, item)
+	ar.journal.markDone(r.Rank, r.Item)
 	if w := s.walSink(); w != nil {
 		// bframes rides on the eager wmark only; heartbeat-piggybacked
 		// marks stay out of the WAL (a lost wmark merely makes recovery
 		// recompute the block, which the client dedupes).
-		w.JournalMark(m.ReqID, ar.attempt, rank, item, m.IntParam("bframes", -1))
+		w.JournalMark(reqID, ar.attempt, r.Rank, r.Item, r.BFrames)
 	}
 }
 
@@ -868,13 +792,12 @@ func (s *Scheduler) noteMark(m comm.Message) {
 // busy has lost its "start" or its "wdone" in transit (two beats rule out an
 // in-flight report racing one beat): the worker is returned to the pool and
 // the orphaned rank failed over.
-func (s *Scheduler) noteHeartbeat(m comm.Message) {
-	node := m.Params["worker"]
-	idle := m.Params["state"] == "idle"
+func (s *Scheduler) noteHeartbeat(r *Report) {
+	node := r.Worker
 	var sends []outMsg
 	s.mu.Lock()
 	st, known := s.state[node]
-	if !known || st == wsDead || s.staleEpochLocked(m) {
+	if !known || st == wsDead || s.staleEpochLocked(r) {
 		// Unknown node, fenced node, or a late beat from a fenced
 		// incarnation racing its successor's join: dropped, so a zombie
 		// cannot keep a dead membership entry looking alive.
@@ -882,8 +805,8 @@ func (s *Scheduler) noteHeartbeat(m comm.Message) {
 		return
 	}
 	s.lastSeen[node] = s.rt.Clock.Now()
-	s.applyWatermarkLocked(m)
-	if st == wsBusy && idle {
+	s.applyWatermarkLocked(r)
+	if st == wsBusy && r.Idle {
 		s.idleStreak[node]++
 		if s.idleStreak[node] >= 2 {
 			ref := s.busy[node]
@@ -907,25 +830,19 @@ func (s *Scheduler) noteHeartbeat(m comm.Message) {
 // applyWatermarkLocked merges a heartbeat's piggybacked completed-item
 // watermark into the progress journal: redundancy for eagerly-sent wmark
 // messages lost in flight.
-func (s *Scheduler) applyWatermarkLocked(m comm.Message) {
-	jr := m.Params["jreq"]
-	if jr == "" {
+func (s *Scheduler) applyWatermarkLocked(r *Report) {
+	if r.MarkReq == 0 {
 		return
 	}
-	reqID, err := strconv.ParseUint(jr, 10, 64)
-	if err != nil {
+	ar, ok := s.active[r.MarkReq]
+	if !ok || ar.journal == nil || r.Attempt != ar.attempt {
 		return
 	}
-	ar, ok := s.active[reqID]
-	if !ok || ar.journal == nil || m.IntParam("jattempt", -1) != ar.attempt {
+	if r.Rank < 0 || r.Rank >= len(ar.done) {
 		return
 	}
-	rank := m.IntParam("jrank", -1)
-	if rank < 0 || rank >= len(ar.done) {
-		return
-	}
-	for _, it := range comm.ParseIntList(m.Params["jmarks"]) {
-		ar.journal.markDone(rank, it)
+	for _, it := range r.Marks {
+		ar.journal.markDone(r.Rank, it)
 	}
 }
 
@@ -968,12 +885,6 @@ func (s *Scheduler) monitor() {
 // whatever it was running. Idempotent.
 func (s *Scheduler) declareDead(node, reason string) {
 	s.fence(node, "declared dead: "+reason)
-}
-
-// noteDecommission removes a (typically cordoned) worker from membership
-// and fences the node: the administrative twin of declareDead.
-func (s *Scheduler) noteDecommission(m comm.Message) {
-	s.fence(m.Params["worker"], "decommissioned")
 }
 
 // fence takes a live worker out of membership, failing over its rank, and
@@ -1039,7 +950,7 @@ func (s *Scheduler) failoverRankLocked(node string, reqID uint64, rank int, reas
 		// another worker; there is nothing left to recover for this node.
 		return
 	}
-	if ar.retries >= ar.maxRetries {
+	if ar.retries >= ar.req.Retries {
 		s.failRequestLocked(reqID, ar, reason+" (retries exhausted)", sends)
 		return
 	}
@@ -1061,8 +972,14 @@ func (s *Scheduler) failoverRankLocked(node string, reqID uint64, rank int, reas
 			reqID, rank, len(rd.span), ar.journal.doneCount(rank))
 	}
 	s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
-		"req %d retry %d/%d (%s): attempt %d rank %d", reqID, ar.retries, ar.maxRetries, reason, rd.attempt, rd.rank)
+		"req %d retry %d/%d (%s): attempt %d rank %d", reqID, ar.retries, ar.req.Retries, reason, rd.attempt, rd.rank)
 	s.redisQ = append(s.redisQ, rd)
+}
+
+// wfail is the scheduler's stand-in report for a rank that will never reach
+// the master's gather.
+func wfail(reqID uint64, rank, attempt int, mute bool, err string) comm.Message {
+	return comm.Message{Kind: "wfail", ReqID: reqID, Body: &Report{Rank: rank, Attempt: attempt, Mute: mute, Err: err}}
 }
 
 // unblockMasterLocked covers for ranks that will never report to the current
@@ -1079,16 +996,8 @@ func (s *Scheduler) unblockMasterLocked(reqID uint64, ar *activeReq, attempt int
 		if ar.done[rank] {
 			continue
 		}
-		*sends = append(*sends, outMsg{to: master, msg: comm.Message{
-			Kind:  "wfail",
-			ReqID: reqID,
-			Params: map[string]string{
-				"rank":    strconv.Itoa(rank),
-				"attempt": strconv.Itoa(attempt),
-				"mute":    "1",
-				"error":   "core: rank " + strconv.Itoa(rank) + " abandoned by scheduler",
-			},
-		}})
+		*sends = append(*sends, outMsg{to: master, msg: wfail(reqID, rank, attempt, true,
+			"core: rank "+strconv.Itoa(rank)+" abandoned by scheduler")})
 	}
 }
 
@@ -1099,7 +1008,7 @@ func (s *Scheduler) failRequestLocked(reqID uint64, ar *activeReq, reason string
 	s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler", "req %d failed: %s", reqID, reason)
 	s.unblockMasterLocked(reqID, ar, ar.attempt, sends)
 	s.finishLocked(reqID, ar)
-	*sends = append(*sends, outMsg{to: ar.clientName(), msg: comm.Message{
+	*sends = append(*sends, outMsg{to: ar.req.Client, msg: comm.Message{
 		Kind:    "error",
 		Command: ar.req.Command,
 		ReqID:   reqID,
@@ -1141,13 +1050,9 @@ func (s *Scheduler) drainRedispatchLocked(sends *[]outMsg) {
 				s.state[node] = wsBusy
 				s.busy[node] = busyRef{reqID: rd.reqID, rank: rd.rank}
 				ar.members[rd.rank] = node
-				start := s.startMsgLocked(ar, rd.rank)
-				if rd.hasSpan {
-					start = s.startSpanMsgLocked(ar, rd.rank, rd.span)
-				}
 				s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
 					"req %d rank %d re-dispatched to %s", rd.reqID, rd.rank, node)
-				*sends = append(*sends, outMsg{to: node, msg: start})
+				*sends = append(*sends, outMsg{to: node, msg: ar.start(rd.rank, rd.span, rd.hasSpan)})
 			} else if s.stalledLocked(ar) {
 				// Every live worker is tied up in this same request, so none
 				// will ever free: the master is gathering and waiting for
@@ -1158,15 +1063,8 @@ func (s *Scheduler) drainRedispatchLocked(sends *[]outMsg) {
 				ar.stats.Errors++
 				s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
 					"req %d rank %d abandoned: no worker available", rd.reqID, rd.rank)
-				*sends = append(*sends, outMsg{to: ar.members[0], msg: comm.Message{
-					Kind:  "wfail",
-					ReqID: rd.reqID,
-					Params: map[string]string{
-						"rank":    strconv.Itoa(rd.rank),
-						"attempt": strconv.Itoa(rd.attempt),
-						"error":   "core: rank " + strconv.Itoa(rd.rank) + " lost and no worker available",
-					},
-				}})
+				*sends = append(*sends, outMsg{to: ar.members[0], msg: wfail(rd.reqID, rd.rank, rd.attempt, false,
+					"core: rank "+strconv.Itoa(rd.rank)+" lost and no worker available")})
 				if ar.doneCount == len(ar.done) {
 					s.finishLocked(rd.reqID, ar)
 				}
@@ -1176,7 +1074,7 @@ func (s *Scheduler) drainRedispatchLocked(sends *[]outMsg) {
 			continue
 		}
 		// Full restart under the (already bumped) attempt number.
-		want, degraded := s.groupSizeLocked(ar.origWant)
+		want, degraded := s.groupSizeLocked(ar.req.Workers)
 		if want == 0 {
 			s.failRequestLocked(rd.reqID, ar, "no live workers", sends)
 			continue
@@ -1194,11 +1092,7 @@ func (s *Scheduler) drainRedispatchLocked(sends *[]outMsg) {
 		s.unblockMasterLocked(rd.reqID, ar, rd.attempt-1, sends)
 		members := append([]string(nil), s.free[:want]...)
 		s.free = s.free[want:]
-		ar.members = members
-		ar.group = strings.Join(members, ",")
-		ar.done = make([]bool, want)
-		ar.doneCount = 0
-		ar.stats.Workers = want
+		ar.regroup(members)
 		// A new attempt starts with a clean journal: old-attempt spans and
 		// watermarks are meaningless now.
 		ar.journal = nil
@@ -1211,7 +1105,7 @@ func (s *Scheduler) drainRedispatchLocked(sends *[]outMsg) {
 		for rank, node := range members {
 			s.state[node] = wsBusy
 			s.busy[node] = busyRef{reqID: rd.reqID, rank: rank}
-			*sends = append(*sends, outMsg{to: node, msg: s.startMsgLocked(ar, rank)})
+			*sends = append(*sends, outMsg{to: node, msg: ar.start(rank, nil, false)})
 		}
 	}
 	s.redisQ = keep

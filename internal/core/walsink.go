@@ -38,15 +38,6 @@ type WALSink interface {
 // walSinkLocked fetches the configured sink; callers nil-check the result.
 func (s *Scheduler) walSink() WALSink { return s.rt.cfg.WAL }
 
-// recoveredPlan is the dispatch-time annotation of a request re-admitted by
-// crash recovery: run it under the recorded attempt and, when the journal
-// survived (hasSpan), hand the new group only the not-yet-streamed items.
-type recoveredPlan struct {
-	span    []int
-	hasSpan bool
-	attempt int
-}
-
 // AdmitRecovered re-admits a request reconstructed from the WAL. It applies
 // the normal admission gates (a restarted server can still be overloaded),
 // then queues the command annotated with its recovery plan: attempt is the
@@ -58,21 +49,14 @@ type recoveredPlan struct {
 // identically, and a missing one triggers a fresh full extraction whose
 // stream the client dedupes. Reports whether the command was accepted.
 func (s *Scheduler) AdmitRecovered(m comm.Message, span []int, hasSpan bool, attempt int) bool {
-	if s.memoEnabled(m) {
-		return s.memoAdmit(m)
+	r := parseRequest(m, &s.rt.cfg)
+	if r.Memo {
+		return s.memoAdmit(r)
 	}
-	if !s.admitGate(m, sessionOf(m)) {
+	r.Attempt, r.Span, r.HasSpan = attempt, span, hasSpan
+	if !s.admit(r) {
 		return false
 	}
-	s.mu.Lock()
-	if hasSpan || attempt > 0 {
-		if s.recovered == nil {
-			s.recovered = map[uint64]*recoveredPlan{}
-		}
-		s.recovered[m.ReqID] = &recoveredPlan{span: span, hasSpan: hasSpan, attempt: attempt}
-	}
-	s.pending.push(m, s.rt.Clock.Now())
-	s.mu.Unlock()
 	s.pump()
 	return true
 }

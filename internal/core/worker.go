@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -233,10 +232,7 @@ func (w *Worker) respawn() {
 		// Join handshake (from an actor: sends park), then cache re-warm:
 		// prefetch the cluster-wide hot set so the rejoined rank's first
 		// demand loads hit warm cache instead of cold storage.
-		ep.Send("scheduler", comm.Message{
-			Kind:   "join",
-			Params: map[string]string{"worker": w.node, "wepoch": strconv.Itoa(epoch)},
-		})
+		ep.Send("scheduler", comm.Message{Kind: "join", Body: &Report{Worker: w.node, Epoch: epoch}})
 		for _, id := range w.rt.DMS.HotSet() {
 			if w.dead.Load() {
 				return
@@ -257,37 +253,20 @@ func (w *Worker) heartbeatLoop(ep *comm.Endpoint, epoch int) {
 		if w.stopped.Load() || w.dead.Load() {
 			return
 		}
-		state := "idle"
 		w.mu.Lock()
 		if w.epoch != epoch {
 			w.mu.Unlock()
 			return // a newer incarnation heartbeats now
 		}
-		if w.busy {
-			state = "busy"
-		}
-		jreq, jrank, jattempt := w.jreq, w.jrank, w.jattempt
-		var jmarks string
-		if jreq != 0 {
-			jmarks = comm.EncodeIntList(w.jmarks)
+		hb := &Report{Worker: w.node, Epoch: epoch, Idle: !w.busy}
+		if w.jreq != 0 {
+			// Piggyback the cumulative completed-item watermark of the
+			// journaled execution in flight, copied: jmarks keeps growing.
+			hb.MarkReq, hb.Rank, hb.Attempt = w.jreq, w.jrank, w.jattempt
+			hb.Marks = append([]int(nil), w.jmarks...)
 		}
 		w.mu.Unlock()
-		hb := comm.Message{
-			Kind: "hb",
-			Params: map[string]string{
-				"worker": w.node, "state": state,
-				"wepoch": strconv.Itoa(epoch),
-			},
-		}
-		if jreq != 0 {
-			// Piggyback the cumulative completed-item watermark of the
-			// journaled execution in flight.
-			hb.Params["jreq"] = strconv.FormatUint(jreq, 10)
-			hb.Params["jrank"] = strconv.Itoa(jrank)
-			hb.Params["jattempt"] = strconv.Itoa(jattempt)
-			hb.Params["jmarks"] = jmarks
-		}
-		ep.Send("scheduler", hb)
+		ep.Send("scheduler", comm.Message{Kind: "hb", Body: hb})
 	}
 }
 
@@ -311,7 +290,9 @@ func (w *Worker) runLoop(ep *comm.Endpoint, epoch int) {
 			ep.Close()
 			return
 		case "start":
-			w.execute(ep, epoch, m)
+			if st, ok := m.Body.(*Start); ok {
+				w.execute(ep, epoch, st)
+			}
 		default:
 			// Stray message outside any command (e.g. a late partial after
 			// an error path): dropped.
@@ -322,7 +303,7 @@ func (w *Worker) runLoop(ep *comm.Endpoint, epoch int) {
 // execute runs one command as a member of a work group. A crashSignal panic
 // (fail-stop at a crash point) unwinds silently: a dead worker reports
 // nothing; detection and recovery are the scheduler's job.
-func (w *Worker) execute(ep *comm.Endpoint, epoch int, start comm.Message) {
+func (w *Worker) execute(ep *comm.Endpoint, epoch int, st *Start) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, isCrash := r.(crashSignal); isCrash {
@@ -336,12 +317,9 @@ func (w *Worker) execute(ep *comm.Endpoint, epoch int, start comm.Message) {
 	defer w.clearJournal(epoch)
 	w.setRideAlong("", false)
 
-	reqID := start.ReqID
-	rank := start.IntParam("rank", 0)
-	attempt := start.IntParam("attempt", 0)
-	group := strings.Split(start.Params["group"], ",")
-	ds := w.rt.Datasets[start.Params["dataset"]]
-	cmd, found := w.rt.Lookup(start.Command)
+	req := st.Req
+	ds := w.rt.Datasets[req.Dataset]
+	cmd, found := w.rt.Lookup(req.Command)
 
 	w.mu.Lock()
 	proxy := w.proxy
@@ -352,13 +330,15 @@ func (w *Worker) execute(ep *comm.Endpoint, epoch int, start comm.Message) {
 		ep:        ep,
 		epoch:     epoch,
 		proxy:     proxy,
-		Req:       start,
-		Rank:      rank,
-		GroupSize: len(group),
-		Group:     group,
+		Req:       req,
+		Rank:      st.Rank,
+		GroupSize: len(st.Group),
+		Group:     st.Group,
 		Dataset:   ds,
 		Cost:      w.rt.Cost,
-		attempt:   attempt,
+		attempt:   st.Attempt,
+		span:      st.Span,
+		hasSpan:   st.HasSpan,
 	}
 
 	w.checkCrashed()
@@ -366,9 +346,9 @@ func (w *Worker) execute(ep *comm.Endpoint, epoch int, start comm.Message) {
 	var runErr error
 	switch {
 	case !found:
-		runErr = fmt.Errorf("core: unknown command %q", start.Command)
+		runErr = fmt.Errorf("core: unknown command %q", req.Command)
 	case ds == nil:
-		runErr = fmt.Errorf("core: unknown dataset %q", start.Params["dataset"])
+		runErr = fmt.Errorf("core: unknown dataset %q", req.Dataset)
 	default:
 		partial, runErr = cmd.Run(ctx)
 	}
@@ -377,22 +357,14 @@ func (w *Worker) execute(ep *comm.Endpoint, epoch int, start comm.Message) {
 	}
 	w.checkCrashed()
 
-	master := group[0]
-	if rank != 0 {
+	master := st.Group[0]
+	if st.Rank != 0 {
 		// Send the partial (or the error) to the master for gathering.
-		msg := comm.Message{
-			Kind:    "wpartial",
-			Command: start.Command,
-			ReqID:   reqID,
-			Params: map[string]string{
-				"worker":  w.node,
-				"rank":    strconv.Itoa(rank),
-				"attempt": strconv.Itoa(attempt),
-			},
-		}
+		rep := &Report{Worker: w.node, Rank: st.Rank, Attempt: st.Attempt}
+		msg := comm.Message{Kind: "wpartial", Command: req.Command, ReqID: req.ReqID, Body: rep}
 		if runErr != nil {
 			msg.Kind = "werror"
-			msg.Params["error"] = runErr.Error()
+			rep.Err = runErr.Error()
 		} else {
 			msg.Payload = partial.EncodeBinary()
 		}
@@ -400,13 +372,13 @@ func (w *Worker) execute(ep *comm.Endpoint, epoch int, start comm.Message) {
 		if err := ep.Send(master, msg); err != nil {
 			// The master is gone; the scheduler will restart the request.
 			w.rt.Trace.Eventf(w.rt.Clock.Now(), "worker:"+w.node,
-				"req %d: %s to master %s failed: %v", reqID, msg.Kind, master, err)
+				"req %d: %s to master %s failed: %v", req.ReqID, msg.Kind, master, err)
 		}
 		ctx.probes.Send += w.rt.Clock.Now() - sendStart
 	} else {
 		w.masterGather(ctx, partial, runErr)
 	}
-	w.sendDone(ctx, reqID, runErr)
+	w.sendDone(ctx, runErr)
 }
 
 // masterGather collects the other workers' partials, merges everything into
@@ -436,34 +408,34 @@ func (w *Worker) masterGather(ctx *Ctx, own *mesh.Mesh, ownErr error) {
 			return // shutdown mid-gather: nothing sensible left to send
 		}
 		w.checkCrashed()
+		r, isReport := m.Body.(*Report)
 		switch m.Kind {
 		case "wpartial", "werror", "wfail":
-			if m.ReqID != ctx.Req.ReqID || m.IntParam("attempt", 0) != ctx.attempt {
+			if !isReport || m.ReqID != ctx.Req.ReqID || r.Attempt != ctx.attempt {
 				continue // stale message from an aborted request or attempt
 			}
-			rank := m.IntParam("rank", -1)
-			if rank < 1 || rank >= ctx.GroupSize || seen[rank] {
+			if r.Rank < 1 || r.Rank >= ctx.GroupSize || seen[r.Rank] {
 				continue // out of range, or this rank already delivered
 			}
-			seen[rank] = true
+			seen[r.Rank] = true
 			received++
-			if m.Kind == "wfail" && m.Params["mute"] == "1" {
+			if m.Kind == "wfail" && r.Mute {
 				muted = true
 			}
 			if m.Kind != "wpartial" {
 				if firstErr == nil {
-					who := m.Params["worker"]
+					who := r.Worker
 					if who == "" {
-						who = "rank " + strconv.Itoa(rank)
+						who = "rank " + strconv.Itoa(r.Rank)
 					}
-					firstErr = fmt.Errorf("%s: %s", who, m.Params["error"])
+					firstErr = fmt.Errorf("%s: %s", who, r.Err)
 				}
 				continue
 			}
 			part, err := mesh.DecodeBinary(m.Payload)
 			if err != nil {
 				if firstErr == nil {
-					firstErr = fmt.Errorf("core: corrupt partial from %s: %w", m.Params["worker"], err)
+					firstErr = fmt.Errorf("core: corrupt partial from %s: %w", r.Worker, err)
 				}
 				continue
 			}
@@ -502,30 +474,22 @@ func (w *Worker) masterGather(ctx *Ctx, own *mesh.Mesh, ownErr error) {
 
 // sendDone reports this worker's probes to the scheduler, freeing it for the
 // next work group.
-func (w *Worker) sendDone(ctx *Ctx, reqID uint64, runErr error) {
+func (w *Worker) sendDone(ctx *Ctx, runErr error) {
 	w.checkCrashed()
-	p := ctx.probes
-	params := map[string]string{
-		"worker":     w.node,
-		"wepoch":     strconv.Itoa(ctx.epoch),
-		"rank":       strconv.Itoa(ctx.Rank),
-		"attempt":    strconv.Itoa(ctx.attempt),
-		"compute_ns": strconv.FormatInt(p.Compute.Nanoseconds(), 10),
-		"read_ns":    strconv.FormatInt(p.Read.Nanoseconds(), 10),
-		"send_ns":    strconv.FormatInt(p.Send.Nanoseconds(), 10),
-		"streams":    strconv.Itoa(ctx.streams),
-		"frames":     strconv.Itoa(ctx.frames),
-		"uncached":   strconv.Itoa(ctx.uncached),
+	done := &Report{
+		Worker:   w.node,
+		Epoch:    ctx.epoch,
+		Rank:     ctx.Rank,
+		Attempt:  ctx.attempt,
+		Probes:   ctx.probes,
+		Streams:  ctx.streams,
+		Uncached: ctx.uncached,
 	}
 	if runErr != nil {
-		params["error"] = runErr.Error()
+		done.Err = runErr.Error()
 	}
-	if err := ctx.ep.Send("scheduler", comm.Message{
-		Kind:   "wdone",
-		ReqID:  reqID,
-		Params: params,
-	}); err != nil {
+	if err := ctx.ep.Send("scheduler", comm.Message{Kind: "wdone", ReqID: ctx.Req.ReqID, Body: done}); err != nil {
 		w.rt.Trace.Eventf(w.rt.Clock.Now(), "worker:"+w.node,
-			"req %d: wdone send failed: %v", reqID, err)
+			"req %d: wdone send failed: %v", ctx.Req.ReqID, err)
 	}
 }
