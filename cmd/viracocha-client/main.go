@@ -42,7 +42,7 @@ func main() {
 		roll    = flag.Bool("roll", false, "admin: ask the server for a rolling worker restart and wait for the acknowledgement instead of running a command")
 		ps      paramList
 	)
-	flag.Var(&ps, "p", "command parameter key=value (repeatable; redistribute=0/1 overrides the server's block-granular recovery default per request)")
+	flag.Var(&ps, "p", "command parameter key=value (repeatable; e.g. redistribute=1 for block-granular recovery, retries=N for the request's recovery budget, default 2)")
 	flag.Parse()
 
 	if *script != "" {

@@ -55,8 +55,6 @@ func main() {
 		dir       = flag.String("dir", "", "serve pre-generated block files from this directory instead of on-demand synthesis")
 		latency   = flag.Duration("storage-latency", 0, "sleep this long per block read: paces requests so fault drills (-fault, kill/restart, drain) can land mid-request; 0 = reads cost what the files take")
 		failAfter = flag.Duration("fail-after", 0, "declare a silent worker dead after this; workers heartbeat every eighth of it (0 = default 2s, heartbeat 250ms)")
-		retries   = flag.Int("retries", -1, "per-request recovery retry budget (-1 = default 2)")
-		redistrib = flag.Bool("redistribute", false, "block-granular recovery: journal per-rank progress and re-issue only a dead rank's unfinished blocks (requests override with redistribute=0/1)")
 		memBudget = flag.Int64("mem-budget", 0, "DMS byte budget across all cache tiers (0 = unlimited)")
 		memo      = flag.Bool("memo", false, "enable cross-session result memoization: identical requests are served from a content-addressed result cache, and concurrent identical requests coalesce onto one multicast extraction (requests override with memo=0/1)")
 		statsFile = flag.String("stats", "", "write a JSON stats report (admission, budget, memo, per-request records) to this file on graceful shutdown")
@@ -86,10 +84,6 @@ func main() {
 		ft.FailAfter = *failAfter
 		ft.HeartbeatEvery = *failAfter / 8
 	}
-	if *retries >= 0 {
-		ft.MaxRetries = *retries
-	}
-	ft.Redistribute = *redistrib
 	opts.FT = &ft
 	ov := viracocha.DefaultOverloadConfig()
 	ov.MemBudget = *memBudget

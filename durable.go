@@ -130,10 +130,15 @@ func (b *sessionBridge) deliver(m comm.Message) {
 		b.mu.Unlock()
 		return // request already retired (done, purged, or never routed)
 	}
+	sess := lr.sess
 	if m.Final {
 		delete(b.routes, m.ReqID)
+		if !sess.durable {
+			// Nothing can resume an ephemeral session's request, and its
+			// client never sends "done": the final frame retires it.
+			delete(sess.reqs, lr.clientReq)
+		}
 	}
-	sess := lr.sess
 	out := m
 	out.ReqID = lr.clientReq
 	// Only the bridge, under its lock, advances a live log's head.

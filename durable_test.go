@@ -413,3 +413,35 @@ func TestByePurgesPromptly(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestEphemeralSessionRetiresFinishedRequests: a client that never sent a
+// hello never sends "done" either, and nothing can resume its requests, so
+// each final frame retires its request: N requests on one connection leave
+// at most one record in the session, not N.
+func TestEphemeralSessionRetiresFinishedRequests(t *testing.T) {
+	sys, ln := serveSystem(t, Options{Workers: 2}, "tiny", 1)
+	defer ln.Close()
+	rc, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	const n = 20
+	for i := 0; i < n; i++ {
+		if _, err := rc.Run("iso.dataman", Params("dataset", "tiny", "iso", "0.5", "workers", "2"), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := sys.bridge()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.sessions) != 1 {
+		t.Fatalf("%d sessions, want the connection's one", len(b.sessions))
+	}
+	for _, sess := range b.sessions {
+		if sess.durable || len(sess.reqs) > 1 {
+			t.Fatalf("ephemeral session (durable %v) holds %d request records after %d requests, want at most 1",
+				sess.durable, len(sess.reqs), n)
+		}
+	}
+}

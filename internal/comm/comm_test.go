@@ -273,23 +273,26 @@ func TestEndpointCloseDrains(t *testing.T) {
 	}
 }
 
-func TestBoundSender(t *testing.T) {
-	v := vclock.NewVirtual()
-	fabric := NewNetwork(v, 0, 0)
+// TestLeaveTakesEndpointOffFabric: a closed endpoint stays on the fabric (a
+// send to it is ErrDown, a crashed node); one that left is gone from it.
+func TestLeaveTakesEndpointOffFabric(t *testing.T) {
+	fabric := NewNetwork(vclock.NewVirtual(), 0, 0)
 	a := fabric.Endpoint("a")
+	fabric.Endpoint("closed").Close()
 	b := fabric.Endpoint("b")
-	s := &BoundSender{From: a, To: "b"}
-	v.Go(func() {
-		if err := s.Send(Message{Kind: "hi"}); err != nil {
-			t.Error(err)
-		}
-	})
-	v.Go(func() {
-		if m, ok := b.Recv(); !ok || m.Kind != "hi" {
-			t.Errorf("recv = %+v, %v", m, ok)
-		}
-	})
-	v.Wait()
+	if n := fabric.Stats().Endpoints; n != 3 {
+		t.Fatalf("%d endpoints, want 3", n)
+	}
+	b.Leave()
+	if n := fabric.Stats().Endpoints; n != 2 {
+		t.Fatalf("%d endpoints after Leave, want 2", n)
+	}
+	if err := a.Send("closed", Message{}); !errors.Is(err, ErrDown) {
+		t.Errorf("send to a closed endpoint: %v, want ErrDown", err)
+	}
+	if err := a.Send("b", Message{}); err == nil || errors.Is(err, ErrDown) {
+		t.Errorf("send to a departed endpoint: %v, want unknown endpoint", err)
+	}
 }
 
 func TestConnOverTCP(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 var ErrWriteTimeout = errors.New("comm: write timeout: peer not draining")
 
 // Conn adapts a net.Conn (the TCP link between visualization client and
-// scheduler) into a Sender/Receiver of framed messages. Writes are
+// scheduler) into a sender and receiver of framed messages. Writes are
 // serialized; reads are expected from a single goroutine.
 type Conn struct {
 	c   net.Conn
@@ -74,8 +74,3 @@ func (c *Conn) Recv() (Message, bool) {
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.c.Close() }
-
-var (
-	_ Sender   = (*Conn)(nil)
-	_ Receiver = (*Conn)(nil)
-)

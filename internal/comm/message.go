@@ -1,10 +1,10 @@
 // Package comm is Viracocha's lowest layer (paper §3): it hides the concrete
-// transport behind a generic message interface. Two transports are provided,
+// transport behind one generic message type. Two transports are provided,
 // mirroring the paper's MPI-within-cluster / TCP-to-client split: an
 // in-process Network whose endpoints exchange messages through clock-aware
 // queues with a latency/bandwidth cost model, and a TCP framing codec for
-// the visualization-client connection. Upper layers only see Message,
-// Sender and Receiver.
+// the visualization-client connection. Upper layers only see Message and the
+// Send/Recv of the two: *Endpoint inside the back end, *Conn to the client.
 package comm
 
 import (
@@ -54,17 +54,6 @@ func (m *Message) WireSize() int64 {
 		n += 8 + len(k) + len(v)
 	}
 	return int64(n)
-}
-
-// Sender is the outbound half of a transport.
-type Sender interface {
-	Send(m Message) error
-}
-
-// Receiver is the inbound half of a transport. Recv blocks until a message
-// arrives; ok is false once the transport is closed and drained.
-type Receiver interface {
-	Recv() (Message, bool)
 }
 
 const frameMagic = 0x56524d47 // "VRMG"

@@ -60,6 +60,9 @@ type NetworkStats struct {
 	// destination nodes; Duplicated counts injected duplicate deliveries.
 	Dropped    int64
 	Duplicated int64
+	// Endpoints is how many endpoints the fabric holds when the snapshot is
+	// taken: a gauge, not a counter.
+	Endpoints int
 }
 
 // NewNetwork builds a fabric on the given clock with a uniform link model.
@@ -107,7 +110,9 @@ func (n *Network) Replace(name string) *Endpoint {
 func (n *Network) Stats() NetworkStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.stats
+	st := n.stats
+	st.Endpoints = len(n.nodes)
+	return st
 }
 
 // LinkCost is the modelled price of moving size bytes over a link of the
@@ -198,19 +203,17 @@ func (e *Endpoint) Recv() (Message, bool) {
 	return e.inbox.Pop()
 }
 
-// Close shuts the inbox; pending messages can still be drained.
+// Close shuts the inbox; pending messages can still be drained. The name
+// stays on the fabric, so a send to it returns ErrDown: a crashed node.
 func (e *Endpoint) Close() { e.inbox.Close() }
 
-// BoundSender adapts an endpoint into a Sender with a fixed destination.
-type BoundSender struct {
-	From *Endpoint
-	To   string
+// Leave closes the inbox and takes the name off the fabric, for endpoints
+// that live for one request: a later send to it is an unknown-endpoint error.
+func (e *Endpoint) Leave() {
+	e.inbox.Close()
+	e.net.mu.Lock()
+	if e.net.nodes[e.name] == e {
+		delete(e.net.nodes, e.name)
+	}
+	e.net.mu.Unlock()
 }
-
-// Send implements Sender.
-func (b *BoundSender) Send(m Message) error { return b.From.Send(b.To, m) }
-
-var (
-	_ Sender   = (*BoundSender)(nil)
-	_ Receiver = (*Endpoint)(nil)
-)

@@ -42,7 +42,7 @@ func (SimpleIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	isoVal := ctx.FloatParam("iso", 0)
 	step := ctx.StepParam()
 	out := &mesh.Mesh{}
-	for _, blk := range ctx.SpanBlocks(nil, false) {
+	for _, blk := range ctx.AssignedBlocks(nil) {
 		if err := ctx.Interrupted(); err != nil {
 			return nil, err
 		}
@@ -52,7 +52,6 @@ func (SimpleIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		}
 		res := iso.ExtractBlock(b, field, isoVal, out)
 		ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
-		ctx.BlockDone(blk)
 	}
 	return out, nil
 }
@@ -75,7 +74,7 @@ func (IsoDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	if useIndex {
 		ctx.RideAlong(field, false)
 	}
-	blocks := ctx.SpanBlocks(nil, false)
+	blocks := ctx.AssignedBlocks(nil)
 	out := &mesh.Mesh{}
 	for i, blk := range blocks {
 		if err := ctx.Interrupted(); err != nil {
@@ -90,7 +89,6 @@ func (IsoDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 			// Whole-block test on a cached index: a block whose field range
 			// excludes iso contributes nothing, so skip even loading it.
 			if idx, ok := ctx.CachedMinMax(bid, field); ok && idx.BlockExcludes(isoVal) {
-				ctx.BlockDone(blk)
 				ctx.Progress(i+1, len(blocks))
 				continue
 			}
@@ -110,7 +108,6 @@ func (IsoDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 			res = iso.ExtractBlock(b, field, isoVal, out)
 		}
 		ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
-		ctx.BlockDone(blk)
 		ctx.Progress(i+1, len(blocks))
 	}
 	return out, nil
@@ -155,15 +152,11 @@ func (ViewerIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		if !force && pending.NumTriangles() < granularity {
 			return nil
 		}
-		var err error
-		if journaled {
-			// Journal mode force-flushes at block boundaries, so every
-			// packet holds one block's triangles and can carry its tag —
-			// the client reassembles them in canonical block order.
-			err = ctx.StreamBlock(curBlock, pending)
-		} else {
-			err = ctx.StreamPartial(pending)
-		}
+		// In journal mode flushes also fall on block boundaries (below), so
+		// every packet holds one block's triangles and carries its tag — the
+		// client reassembles them in canonical block order. Outside it the
+		// packet goes out untagged.
+		err := ctx.StreamBlock(curBlock, pending)
 		// The packet is encoded; refill the same allocation and drop the
 		// vertex cache that indexed into it.
 		pending.Reset()
@@ -173,7 +166,7 @@ func (ViewerIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		return err
 	}
 	doPrefetch := ctx.IntParam("prefetch", 1) != 0
-	blocks := ctx.SpanBlocks(order, true)
+	blocks := ctx.SpanBlocks(order)
 	releaseOrder()
 	for i, blk := range blocks {
 		if err := ctx.Interrupted(); err != nil {

@@ -91,14 +91,14 @@ func tracePathlines(ctx *core.Ctx, prov tracer.Provider) (*mesh.Mesh, error) {
 			}
 		}
 	}
-	for _, i := range ctx.SpanSlice(len(seeds)) {
+	lo, hi := core.AssignedSlice(len(seeds), ctx.Rank, ctx.GroupSize)
+	for _, seed := range seeds[lo:hi] {
 		if err := ctx.Interrupted(); err != nil {
 			return nil, err
 		}
-		if err := traceOne(seeds[i]); err != nil {
+		if err := traceOne(seed); err != nil {
 			return nil, err
 		}
-		ctx.BlockDone(i)
 	}
 	return out, nil
 }

@@ -56,7 +56,7 @@ func (SimpleVortex) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	thresh := ctx.FloatParam("lambda2", 0)
 	step := ctx.StepParam()
 	out := &mesh.Mesh{}
-	for _, blk := range ctx.SpanBlocks(nil, false) {
+	for _, blk := range ctx.AssignedBlocks(nil) {
 		if err := ctx.Interrupted(); err != nil {
 			return nil, err
 		}
@@ -70,7 +70,6 @@ func (SimpleVortex) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		res := iso.ExtractRange(b, vals, thresh, r, out)
 		vortex.ReleaseField(vals)
 		ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
-		ctx.BlockDone(blk)
 	}
 	return out, nil
 }
@@ -92,7 +91,7 @@ func (VortexDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	if useIndex {
 		ctx.RideAlong("", true) // the vortex-skip index lands with each prefetched block
 	}
-	blocks := ctx.SpanBlocks(nil, false)
+	blocks := ctx.AssignedBlocks(nil)
 	out := &mesh.Mesh{}
 	for i, blk := range blocks {
 		if err := ctx.Interrupted(); err != nil {
@@ -112,12 +111,10 @@ func (VortexDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 			// when that is missing.
 			if idx, ok := ctx.CachedMinMax(bid, l2Field); ok {
 				if idx.BlockExcludes(thresh) {
-					ctx.BlockDone(blk)
 					ctx.Progress(i+1, len(blocks))
 					continue
 				}
 			} else if gidx, ok := ctx.CachedGradIndex(bid); ok && gidx.BlockExcludesLambda2(thresh) {
-				ctx.BlockDone(blk)
 				ctx.Progress(i+1, len(blocks))
 				continue
 			}
@@ -131,7 +128,6 @@ func (VortexDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 			// cached across every later threshold — can prove the loaded
 			// block vortex-free before any eigenvalue is solved.
 			if gidx := ctx.GradIndex(b); gidx.BlockExcludesLambda2(thresh) {
-				ctx.BlockDone(blk)
 				ctx.Progress(i+1, len(blocks))
 				continue
 			}
@@ -152,7 +148,6 @@ func (VortexDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		}
 		release()
 		ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
-		ctx.BlockDone(blk)
 		ctx.Progress(i+1, len(blocks))
 	}
 	return out, nil
@@ -177,7 +172,7 @@ func (StreamedVortex) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	if useIndex {
 		ctx.RideAlong("", true) // the vortex-skip index lands with each prefetched block
 	}
-	blocks := ctx.SpanBlocks(nil, true)
+	blocks := ctx.SpanBlocks(nil)
 	for i, blk := range blocks {
 		if err := ctx.Interrupted(); err != nil {
 			return nil, err

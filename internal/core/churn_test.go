@@ -137,7 +137,7 @@ func TestEpochFencingDropsStaleFrames(t *testing.T) {
 	rt := newFaultRuntime(t, v, 3, nil, func(cfg *Config) {
 		// No heartbeats: liveness transitions are driven explicitly below,
 		// so lastSeen comparisons are deterministic.
-		cfg.FT = FTConfig{MaxRetries: 2}
+		cfg.FT = FTConfig{}
 	})
 	s := rt.Sched
 	v.Go(func() {
@@ -310,17 +310,15 @@ func TestChurnSoak(t *testing.T) {
 				// A distinct non-master rank flaps throughout the run.
 				flapper = 1 + (victim % (workers - 1))
 			}
-			mut := func(cfg *Config) {
-				cfg.FT.MaxRetries = 10 // churn may kill several attempts
-			}
 			params := map[string]string{
 				"workers": strconv.Itoa(workers),
 				"items":   strconv.Itoa(items),
+				"retries": "10", // churn may kill several attempts
 			}
 			t.Logf("workers=%d items=%d crash w%d@%v recover@%v flapper=%d",
 				workers, items, victim, crashAt, recoverAt, flapper)
 
-			ref, rerr, _, _, _ := runSpanScenario(t, pool, nil, mut, "test.spanstream", params)
+			ref, rerr, _, _, _ := runSpanScenario(t, pool, nil, nil, "test.spanstream", params)
 			if rerr != nil {
 				t.Fatalf("fault-free reference failed: %v", rerr)
 			}
@@ -333,7 +331,7 @@ func TestChurnSoak(t *testing.T) {
 					time.Duration(700+pick(600))*time.Millisecond)
 			}
 			v := vclock.NewVirtual()
-			rt := newFaultRuntime(t, v, pool, plan, mut)
+			rt := newFaultRuntime(t, v, pool, plan, nil)
 			var res *RunResult
 			var err error
 			var live int

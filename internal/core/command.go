@@ -86,8 +86,8 @@ func (c *Ctx) Interrupted() error {
 }
 
 // Journaling reports whether this request runs in block-granular recovery
-// mode: commands declare explicit work spans and report per-block completion
-// watermarks, and streamed partials are block-tagged.
+// mode: streaming commands declare explicit work spans and report per-block
+// completion watermarks, and their partials are block-tagged.
 func (c *Ctx) Journaling() bool { return c.Req.Journal }
 
 // Proxy returns this worker's DMS proxy.
@@ -412,41 +412,23 @@ func AssignedSlice(total, rank, groupSize int) (lo, hi int) {
 }
 
 // SpanItems resolves this execution's work span over total items: an
-// explicit "span" parameter (set by the scheduler when re-issuing a dead or
-// straggling rank's unfinished blocks) wins; otherwise the usual round-robin
-// share. order, when non-nil, permutes the items first and also orders an
-// explicit span (e.g. front-to-back). In journal mode the span is declared
-// to the scheduler's progress journal; streamed says whether completed items
-// are delivered to the client as they finish (so only unfinished ones need
-// recomputing on failure) or held in this worker's memory until the gather
-// (so a failure loses the whole span).
-func (c *Ctx) SpanItems(total int, order []int, streamed bool) []int {
+// explicit span (set by the scheduler when re-issuing a dead rank's
+// unfinished blocks) wins; otherwise the usual round-robin share. order, when
+// non-nil, permutes the items first and also orders an explicit span (e.g.
+// front-to-back). In journal mode the span is declared to the scheduler's
+// progress journal, so a failure recomputes only the items not yet marked
+// with BlockDone. Only streaming commands take spans: a gathered command's
+// completed items live in its worker until the final merge, so its rank is
+// re-run whole (AssignedBlocks, AssignedSlice).
+func (c *Ctx) SpanItems(total int, order []int) []int {
 	items := c.spanItems(total, order)
-	c.declareSpan(items, streamed)
+	c.declareSpan(items)
 	return items
 }
 
 // SpanBlocks is SpanItems over the data set's blocks of one time step.
-func (c *Ctx) SpanBlocks(order []int, streamed bool) []int {
-	return c.SpanItems(c.Dataset.Blocks, order, streamed)
-}
-
-// SpanSlice is the span-aware AssignedSlice: an explicit re-issued span
-// wins, otherwise the contiguous share. The result is item indices, not a
-// [lo, hi) pair. Delivery is gathered (pathline traces travel with the final
-// merge), so recovery re-runs the whole span.
-func (c *Ctx) SpanSlice(total int) []int {
-	if c.hasSpan {
-		c.declareSpan(c.span, false)
-		return c.span
-	}
-	lo, hi := AssignedSlice(total, c.Rank, c.GroupSize)
-	items := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		items = append(items, i)
-	}
-	c.declareSpan(items, false)
-	return items
+func (c *Ctx) SpanBlocks(order []int) []int {
+	return c.SpanItems(c.Dataset.Blocks, order)
 }
 
 func (c *Ctx) spanItems(total int, order []int) []int {
@@ -482,7 +464,7 @@ func (c *Ctx) spanItems(total int, order []int) []int {
 // and arms the worker's heartbeat watermark piggyback. A no-op outside
 // journal mode, so span-aware commands cost nothing when recovery is
 // rank-granular.
-func (c *Ctx) declareSpan(items []int, streamed bool) {
+func (c *Ctx) declareSpan(items []int) {
 	if !c.Journaling() {
 		return
 	}
@@ -490,7 +472,7 @@ func (c *Ctx) declareSpan(items []int, streamed bool) {
 	c.worker.beginJournal(c.epoch, c.Req.ReqID, c.Rank, c.attempt)
 	msg := comm.Message{Kind: "wspan", Command: c.Req.Command, ReqID: c.Req.ReqID, Body: &Report{
 		Worker: c.worker.node, Epoch: c.epoch, Rank: c.Rank, Attempt: c.attempt,
-		Span: items, Streamed: streamed,
+		Span: items,
 	}}
 	if err := c.ep.Send("scheduler", msg); err != nil {
 		c.rt.Trace.Eventf(c.rt.Clock.Now(), "worker:"+c.worker.node,
@@ -501,8 +483,7 @@ func (c *Ctx) declareSpan(items []int, streamed bool) {
 // BlockDone records one completed span item in the scheduler's progress
 // journal (an eager watermark message; heartbeats re-carry the cumulative
 // set in case it is lost). Streaming commands call it after the item's
-// partials went out, gathered ones after the item's result is merged into
-// the worker-local partial. A no-op outside journal mode.
+// partials went out. A no-op outside journal mode.
 func (c *Ctx) BlockDone(item int) {
 	if !c.Journaling() {
 		return

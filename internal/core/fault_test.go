@@ -40,7 +40,6 @@ func fastFT() FTConfig {
 	return FTConfig{
 		HeartbeatEvery: 50 * time.Millisecond,
 		FailAfter:      200 * time.Millisecond,
-		MaxRetries:     2,
 	}
 }
 

@@ -13,23 +13,21 @@ import (
 // failover planner alone: only a dead rank's unfinished items are re-issued.
 // All access happens under the scheduler mutex.
 type blockJournal struct {
-	spans    map[int]map[int]bool // rank → assigned span items (union across re-issues)
-	done     map[int]map[int]bool // rank → completed span items
-	streamed map[int]bool         // rank → completed items were delivered to the client
+	spans map[int]map[int]bool // rank → assigned span items (union across re-issues)
+	done  map[int]map[int]bool // rank → completed span items
 }
 
 func newBlockJournal() *blockJournal {
 	return &blockJournal{
-		spans:    map[int]map[int]bool{},
-		done:     map[int]map[int]bool{},
-		streamed: map[int]bool{},
+		spans: map[int]map[int]bool{},
+		done:  map[int]map[int]bool{},
 	}
 }
 
 // noteSpan records a rank's declared span. A re-issued span (a survivor
 // taking over unfinished items) unions into the existing record, so
 // completion marks from the first incarnation keep counting.
-func (j *blockJournal) noteSpan(rank int, items []int, streamed bool) {
+func (j *blockJournal) noteSpan(rank int, items []int) {
 	set := j.spans[rank]
 	if set == nil {
 		set = make(map[int]bool, len(items))
@@ -38,7 +36,6 @@ func (j *blockJournal) noteSpan(rank int, items []int, streamed bool) {
 	for _, it := range items {
 		set[it] = true
 	}
-	j.streamed[rank] = streamed
 }
 
 // markDone records the completion of one span item by a rank. Marks for
@@ -62,10 +59,8 @@ func (j *blockJournal) declared(rank int) bool { return j.spans[rank] != nil }
 func (j *blockJournal) doneCount(rank int) int { return len(j.done[rank]) }
 
 // unfinished plans the re-issue span for a rank: the sorted span items not
-// yet completed when completed items were streamed to the client, or the
-// whole sorted span when they were gathered (a gathered rank's completed
-// work lives in the failed worker's memory and died with it, so recovery must
-// redo the span).
+// yet completed. Only streaming commands declare spans, so a completed item
+// has already reached the client.
 func (j *blockJournal) unfinished(rank int) []int {
 	span := j.spans[rank]
 	if span == nil {
@@ -74,7 +69,7 @@ func (j *blockJournal) unfinished(rank int) []int {
 	done := j.done[rank]
 	items := make([]int, 0, len(span))
 	for it := range span {
-		if j.streamed[rank] && done[it] {
+		if done[it] {
 			continue
 		}
 		items = append(items, it)

@@ -185,6 +185,9 @@ type memoSubRef struct {
 type memoTable struct {
 	rt    *Runtime
 	cache *dms.Cache
+	// fwd is the endpoint every forwarder sends through; nothing is ever
+	// sent to it.
+	fwd *comm.Endpoint
 
 	mu            sync.Mutex
 	inflight      map[string]*memoEntry
@@ -205,6 +208,7 @@ func newMemoTable(rt *Runtime) *memoTable {
 	return &memoTable{
 		rt:       rt,
 		cache:    cache,
+		fwd:      rt.Net.Endpoint("memo.fwd"),
 		inflight: map[string]*memoEntry{},
 		stored:   map[string]memoDep{},
 		subs:     map[uint64]*memoSubRef{},
@@ -347,7 +351,7 @@ func (mt *memoTable) registerSub(e *memoEntry, sub *memoSub, hit bool) {
 // runMemoRelay is the producer's client stand-in: it receives the extraction
 // stream, acks every partial's flow credit immediately (the producer is never
 // paced by any subscriber) and appends the packets to the entry log. It exits
-// on the stream's final packet.
+// on the stream's final packet, and its endpoint leaves the fabric.
 func (s *Scheduler) runMemoRelay(e *memoEntry, ep *comm.Endpoint) {
 	for {
 		m, ok := ep.Recv()
@@ -362,7 +366,7 @@ func (s *Scheduler) runMemoRelay(e *memoEntry, ep *comm.Endpoint) {
 			break
 		}
 	}
-	ep.Close()
+	ep.Leave()
 	s.memoProducerDone(e)
 }
 
@@ -443,7 +447,7 @@ func canonicalMemoLog(log []comm.Message) ([]comm.Message, int64) {
 func (s *Scheduler) runMemoForwarder(e *memoEntry, sub *memoSub) {
 	rt := s.rt
 	id := sub.req.ReqID
-	ep := rt.Net.Endpoint(fmt.Sprintf("memo.f%d", id))
+	ep := s.memo.fwd
 	cancelled := func() bool { return rt.isCancelled(id) }
 	streams := 0
 	pos := 0
@@ -500,7 +504,6 @@ func (s *Scheduler) runMemoForwarder(e *memoEntry, sub *memoSub) {
 			},
 		})
 	}
-	ep.Close()
 	s.memoSubDone(e, sub, streams, failed)
 }
 

@@ -194,6 +194,51 @@ func TestMemoInFlightAttach(t *testing.T) {
 	}
 }
 
+// TestMemoLeavesNoEndpoints: misses, in-flight attaches and hits leave the
+// fabric with the endpoints it had before them. Forwarders share one
+// endpoint; each producer's relay leaves when its stream ends.
+func TestMemoLeavesNoEndpoints(t *testing.T) {
+	v := vclock.NewVirtual()
+	rt := newFaultRuntime(t, v, 4, nil, memoCfg)
+	var before, after int
+	v.Go(func() {
+		cl := NewClient(rt)
+		before = rt.Net.Stats().Endpoints
+		other := spanParams()
+		other["items"] = "4"
+		// A miss with a twin attached while it runs, then a second miss.
+		a, errA := cl.Submit("test.spanstream", spanParams())
+		b, errB := cl.Submit("test.spanstream", spanParams())
+		c, errC := cl.Submit("test.spanstream", other)
+		for _, id := range []uint64{a, b, c} {
+			if _, err := cl.Collect(id); err != nil {
+				t.Error(err)
+			}
+		}
+		// A hit on each key: its result is stored only after its relay left.
+		for _, p := range []map[string]string{spanParams(), other} {
+			if _, err := cl.Run("test.spanstream", p); err != nil {
+				t.Error(err)
+			}
+		}
+		if errA != nil || errB != nil || errC != nil {
+			t.Error(errA, errB, errC)
+		}
+		after = rt.Net.Stats().Endpoints
+		rt.Shutdown()
+	})
+	v.Wait()
+	if ms := rt.Sched.MemoStats(); ms.Misses != 2 || ms.Hits != 3 {
+		t.Fatalf("memo stats = %+v, want Misses=2 Hits=3", ms)
+	}
+	if rt.Trace.CountMatching("attached to in-flight") != 1 {
+		t.Fatal("the twin did not attach to the in-flight extraction")
+	}
+	if after != before {
+		t.Fatalf("fabric holds %d endpoints after the memo requests, %d before", after, before)
+	}
+}
+
 // TestMemoLateJoinAcrossCrash is the replay-to-joiner acceptance scenario
 // under faults: rank 2 crashes mid-extraction, its unfinished blocks are
 // redistributed (PR 5), and a subscriber who joined before the crash still

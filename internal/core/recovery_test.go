@@ -23,7 +23,7 @@ type spanStreamCmd struct{}
 func (spanStreamCmd) Name() string { return "test.spanstream" }
 func (spanStreamCmd) Run(ctx *Ctx) (*mesh.Mesh, error) {
 	items := ctx.IntParam("items", 8)
-	for _, it := range ctx.SpanItems(items, nil, true) {
+	for _, it := range ctx.SpanItems(items, nil) {
 		if err := ctx.Interrupted(); err != nil {
 			return nil, err
 		}
@@ -43,15 +43,15 @@ func (spanStreamCmd) Run(ctx *Ctx) (*mesh.Mesh, error) {
 }
 
 // spanGatherCmd is the gathered twin of spanStreamCmd: completed items stay
-// in worker memory until the final merge, so recovery must redo a dead
-// rank's whole span.
+// in worker memory until the final merge, so it declares no span (like the
+// gathered commands, it deals its own share) and a dead rank is re-run whole.
 type spanGatherCmd struct{}
 
 func (spanGatherCmd) Name() string { return "test.spangather" }
 func (spanGatherCmd) Run(ctx *Ctx) (*mesh.Mesh, error) {
 	items := ctx.IntParam("items", 8)
 	out := &mesh.Mesh{}
-	for _, it := range ctx.SpanItems(items, nil, false) {
+	for _, it := range ctx.roundRobin(items, nil) {
 		if err := ctx.Interrupted(); err != nil {
 			return nil, err
 		}
@@ -61,7 +61,6 @@ func (spanGatherCmd) Run(ctx *Ctx) (*mesh.Mesh, error) {
 		b := out.AddVertex(mathx.Vec3{X: x + 0.5})
 		c := out.AddVertex(mathx.Vec3{X: x, Y: 1})
 		out.AddTriangle(a, b, c)
-		ctx.BlockDone(it)
 	}
 	return out, nil
 }
@@ -156,8 +155,9 @@ func TestSpanRecoveryIsDeterministic(t *testing.T) {
 }
 
 // TestGatheredSpanReRunsWholeSpan: when completed items were never streamed
-// they died with the worker, so the redistribution plan is the full span —
-// but still under the same attempt, and the merged result still matches.
+// they died with the worker, so even in journal mode the dead rank is re-run
+// whole — under the same attempt, with no redistribution — and the merged
+// result still matches.
 func TestGatheredSpanReRunsWholeSpan(t *testing.T) {
 	params := map[string]string{"workers": "4", "items": "8"}
 	ref, rerr, _, _, _ := runSpanScenario(t, 4, nil, nil, "test.spangather", params)
@@ -172,8 +172,8 @@ func TestGatheredSpanReRunsWholeSpan(t *testing.T) {
 	if res.Attempt != 0 {
 		t.Fatalf("attempt = %d, want 0", res.Attempt)
 	}
-	if st.Redistributions != 1 || st.BlocksRecomputed != 2 {
-		t.Fatalf("stats = %+v, want Redistributions=1 BlocksRecomputed=2 (whole span {2,6})", st)
+	if st.Retries != 1 || st.Redistributions != 0 || st.BlocksRecomputed != 0 {
+		t.Fatalf("stats = %+v, want Retries=1 Redistributions=0 BlocksRecomputed=0 (rank 2 re-run)", st)
 	}
 	if meshSignature(res.Merged) != meshSignature(ref.Merged) {
 		t.Fatal("recovered gathered mesh differs from fault-free run")

@@ -23,9 +23,12 @@ type Request struct {
 	Client, Session string
 	Dataset         string
 	Step            int
-	// Workers is the requested group size, Retries the recovery budget.
+	// Workers is the requested group size, Retries the recovery budget
+	// (default 2).
 	Workers, Retries int
-	// Journal runs block-granular recovery ("redistribute").
+	// Journal runs block-granular recovery ("redistribute", default off):
+	// the ranks of a streaming command declare their spans and watermarks,
+	// so a dead rank costs only its blocks not yet streamed.
 	Journal bool
 	// Memo routes the request through the result-memoization table.
 	Memo bool
@@ -55,6 +58,9 @@ type Request struct {
 // indexAuto is Request.Index when the request does not pin the path.
 const indexAuto = -1
 
+// defaultRetries is the recovery budget of a request without "retries".
+const defaultRetries = 2
+
 // parseRequest reads the framework's keys from a client command — the only
 // place they are read. A "span" the client smuggles in is ignored: spans are
 // the scheduler's recovery annotation. The memo key is the command name plus
@@ -73,8 +79,8 @@ func parseRequest(m comm.Message, cfg *Config) *Request {
 		Dataset:      p["dataset"],
 		Step:         m.IntParam("step", 0),
 		Workers:      m.IntParam("workers", 1),
-		Retries:      m.IntParam("retries", cfg.FT.MaxRetries),
-		Journal:      m.IntParam("redistribute", boolInt(cfg.FT.Redistribute)) != 0,
+		Retries:      m.IntParam("retries", defaultRetries),
+		Journal:      m.IntParam("redistribute", 0) != 0,
 		Memo:         m.IntParam("memo", boolInt(cfg.Memo)) != 0,
 		StreamWindow: m.IntParam("stream_window", cfg.Overload.StreamWindow),
 		Index:        m.IntParam("index", indexAuto),
@@ -155,9 +161,8 @@ type Report struct {
 	Probes   Probes
 	Streams  int
 	Uncached int
-	// wspan: the declared span, and whether completed items are streamed.
-	Span     []int
-	Streamed bool
+	// wspan: the declared span.
+	Span []int
 	// wmark: one completed item and its count of block-tagged frames.
 	Item, BFrames int
 	// hb: the worker's state and the cumulative watermark of the journaled

@@ -8,12 +8,11 @@ import (
 )
 
 // TestParseRequestKeys pins every framework key of a client command: its
-// default comes from the Config, and the request's own value overrides it.
+// default comes from the Config — or, for the recovery keys, is a constant —
+// and the request's own value overrides it.
 func TestParseRequestKeys(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.Memo = true
-	cfg.FT.MaxRetries = 3
-	cfg.FT.Redistribute = true
 	cfg.Overload.StreamWindow = 16
 	parse := func(cfg *Config, kv ...string) *Request {
 		p := map[string]string{}
@@ -32,8 +31,8 @@ func TestParseRequestKeys(t *testing.T) {
 		{"dataset", "engine", func(r *Request) any { return r.Dataset }, "", "engine"},
 		{"step", "5", func(r *Request) any { return r.Step }, 0, 5},
 		{"workers", "3", func(r *Request) any { return r.Workers }, 1, 3},
-		{"retries", "0", func(r *Request) any { return r.Retries }, 3, 0},
-		{"redistribute", "0", func(r *Request) any { return r.Journal }, true, false},
+		{"retries", "0", func(r *Request) any { return r.Retries }, 2, 0},
+		{"redistribute", "1", func(r *Request) any { return r.Journal }, false, true},
 		{"memo", "0", func(r *Request) any { return r.Memo }, true, false},
 		{"stream_window", "4", func(r *Request) any { return r.StreamWindow }, 16, 4},
 		{"index", "1", func(r *Request) any { return r.Index }, indexAuto, 1},

@@ -34,24 +34,15 @@ type FTConfig struct {
 	// FailAfter is how long a worker may stay silent before it is declared
 	// dead. It is clamped to at least 2*HeartbeatEvery.
 	FailAfter time.Duration
-	// MaxRetries bounds recovery dispatches per request (requests can
-	// override with the "retries" parameter). 0 means fail on first fault.
-	MaxRetries int
-	// Redistribute turns block-granular recovery on by default: requests run
-	// in journal mode (the scheduler tracks per-rank completed-block
-	// watermarks) and a dead rank costs only its unfinished blocks, re-issued
-	// to a survivor under the same attempt. Requests override with the
-	// "redistribute" parameter. Off keeps the PR-1 whole-rank recovery.
-	Redistribute bool
 }
 
 // DefaultFTConfig returns the fault-tolerance defaults: 250ms heartbeats,
-// death after 2s of silence, 2 retries.
+// death after 2s of silence. The recovery policy is each request's own
+// ("retries", "redistribute"; see parseRequest).
 func DefaultFTConfig() FTConfig {
 	return FTConfig{
 		HeartbeatEvery: 250 * time.Millisecond,
 		FailAfter:      2 * time.Second,
-		MaxRetries:     2,
 	}
 }
 
@@ -81,7 +72,7 @@ type Config struct {
 	// every subscriber. Requests override with the "memo" parameter. Off by
 	// default so every request keeps its independent-extraction semantics.
 	Memo bool
-	// FT configures heartbeats, failure detection and retry policy.
+	// FT configures heartbeats and failure detection.
 	FT FTConfig
 	// Overload configures admission control and streaming backpressure; the
 	// zero value disables both.

@@ -154,7 +154,7 @@ type activeReq struct {
 	// journal is built from the spans and watermarks the ranks of a
 	// journaled request (req.Journal) declare, lazily on the first one;
 	// failover then redistributes unfinished blocks instead of re-running
-	// whole ranks.
+	// whole ranks. Gathered commands declare nothing, so their ranks re-run.
 	journal *blockJournal
 }
 
@@ -758,9 +758,9 @@ func (s *Scheduler) noteSpan(reqID uint64, r *Report) {
 	if ar.journal == nil {
 		ar.journal = newBlockJournal()
 	}
-	ar.journal.noteSpan(r.Rank, r.Span, r.Streamed)
+	ar.journal.noteSpan(r.Rank, r.Span)
 	if w := s.walSink(); w != nil {
-		w.JournalSpan(reqID, ar.attempt, r.Rank, r.Span, r.Streamed)
+		w.JournalSpan(reqID, ar.attempt, r.Rank, r.Span)
 	}
 }
 

@@ -23,7 +23,7 @@ type WALSink interface {
 	// declared spans cover the whole work set.
 	Dispatch(reqID uint64, attempt, want int)
 	// JournalSpan records one rank's declared work span (the wspan frame).
-	JournalSpan(reqID uint64, attempt, rank int, items []int, streamed bool)
+	JournalSpan(reqID uint64, attempt, rank int, items []int)
 	// JournalMark records one completed span item (the wmark frame), with
 	// bframes the number of block-tagged partial frames the executor
 	// streamed for it (-1 when unknown): recovery replays a completed

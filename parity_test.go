@@ -19,7 +19,7 @@ type taggedThenFail struct{}
 
 func (taggedThenFail) Name() string { return "test.taggedfail" }
 func (taggedThenFail) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
-	items := ctx.SpanItems(6, nil, true)
+	items := ctx.SpanItems(6, nil)
 	for i := len(items) - 1; i >= 0; i-- {
 		m := &mesh.Mesh{}
 		x := float64(items[i])

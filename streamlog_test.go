@@ -45,8 +45,8 @@ func TestCheckpointRoundTripsTrimmedLog(t *testing.T) {
 	log := &streamLog{}
 	w.Admit("sess-3", 7, 11, comm.Message{Kind: "command", Command: "iso.viewer", ReqID: 7}, log)
 	w.Dispatch(11, 1, 2)
-	w.JournalSpan(11, 1, 0, []int{0, 2}, true)
-	w.JournalSpan(11, 1, 1, []int{1, 3}, true)
+	w.JournalSpan(11, 1, 0, []int{0, 2})
+	w.JournalSpan(11, 1, 1, []int{1, 3})
 	var tail []comm.Message
 	for sseq, block := range []int{0, 0, 1, 2} { // block 0 streams two frames
 		f := stampedFrame("partial", sseq+1, block, 1, false)
@@ -113,7 +113,7 @@ func checkpointRequest(counter, sseq, attempt, blocks, counts string, cmd, wire 
 		leaseRecord("issue", "sess-1", 0, "a"),
 		admitRecord("sess-1", 1, 5, cmd),
 		dispatchRecord(5, 0, 1),
-		spanRecord(5, 0, 0, []int{0, 1}, true),
+		spanRecord(5, 0, 0, []int{0, 1}),
 		markRecord(5, 0, 0, 1),
 		frameRecord("sess-1", 1, wire),
 		{Kind: "wstream", ReqID: 1, Params: Params("sess", "sess-1", "sseq", sseq,
@@ -175,6 +175,35 @@ func TestCheckpointRejectsMalformed(t *testing.T) {
 	w := loadedSink(checkpointRequest("1", "9", "0", "0,1", "1", nil, nil))
 	if miss, _ := unfinishedSpan(w.state.Sessions["sess-1"].Reqs[1]); !reflect.DeepEqual(miss, []int{0, 1}) {
 		t.Errorf("mismatched block/count lists were trusted: unfinished = %v", miss)
+	}
+}
+
+// TestGatheredSpanRecordPlansNoRecovery: WALs of older servers hold wspan
+// records with streamed=0 from gathered commands, whose completed items died
+// with the process. Such a span and its marks yield no recovery plan, so the
+// request restarts whole; the same records without the flag are trusted.
+func TestGatheredSpanRecordPlansNoRecovery(t *testing.T) {
+	records := func(streamed string) []byte {
+		span := spanRecord(5, 0, 0, []int{0, 1})
+		if streamed != "" {
+			span.Params["streamed"] = streamed
+		}
+		return comm.EncodeBatch([]comm.Message{
+			{Kind: "wcheckpoint", Params: Params("counter", "1")},
+			leaseRecord("issue", "sess-1", 0, "a"),
+			admitRecord("sess-1", 1, 5, nil),
+			dispatchRecord(5, 0, 1),
+			span,
+			markRecord(5, 0, 0, 0),
+			markRecord(5, 0, 1, 0),
+		})
+	}
+	for _, streamed := range []string{"0", "1", ""} {
+		w := loadedSink(records(streamed))
+		miss, ok := unfinishedSpan(w.state.Sessions["sess-1"].Reqs[1])
+		if want := streamed != "0"; ok != want || len(miss) != 0 {
+			t.Errorf("streamed=%q: plan %v (trusted %v), want trusted %v with nothing to recompute", streamed, miss, ok, want)
+		}
 	}
 }
 

@@ -39,7 +39,7 @@ type (
 	Command = core.Command
 	// DatasetDesc describes a registered multi-block data set.
 	DatasetDesc = dataset.Desc
-	// FTConfig tunes heartbeats, failure detection and retry policy.
+	// FTConfig tunes heartbeats and failure detection.
 	FTConfig = core.FTConfig
 	// OverloadConfig tunes admission control, streaming backpressure and the
 	// DMS memory budget.
@@ -78,9 +78,9 @@ var ErrSlowConsumer = core.ErrSlowConsumer
 var ErrDraining = core.ErrDraining
 
 // DefaultFTConfig returns the fault-tolerance defaults (250ms heartbeats, 2s
-// failure window, 2 retries; block-granular
-// redistribution off) for callers that want to tweak a single knob via
-// Options.FT.
+// failure window) for callers that want to tweak a single knob via
+// Options.FT. The recovery policy is each request's: "retries" (default 2)
+// and "redistribute" (default off).
 func DefaultFTConfig() FTConfig { return core.DefaultFTConfig() }
 
 // DefaultOverloadConfig returns the overload-protection defaults (256 queued
@@ -112,8 +112,7 @@ type Options struct {
 	// "memo" parameter.
 	Memo bool
 	// FT overrides the fault-tolerance defaults (heartbeat interval,
-	// failure window, retry budget, block-granular recovery);
-	// nil keeps DefaultFTConfig.
+	// failure window); nil keeps DefaultFTConfig.
 	FT *FTConfig
 	// Overload enables admission control, streaming backpressure and the
 	// DMS memory budget; nil keeps all of it disabled (the zero

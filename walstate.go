@@ -65,13 +65,8 @@ type walReq struct {
 	// journal so recovery can re-dispatch only the not-yet-streamed items.
 	Attempt int
 	Want    int
-	Spans   map[int]*walSpan // rank → declared span
-	Done    map[int]int      // item → bframes streamed
-}
-
-type walSpan struct {
-	Items    []int
-	Streamed bool
+	Spans   map[int][]int // rank → declared span
+	Done    map[int]int   // item → bframes streamed
 }
 
 type walMemo struct {
@@ -211,7 +206,7 @@ func (w *walSink) checkpointRecordsLocked() []comm.Message {
 				admitRecord(sid, cr, r.RuntimeID, r.Cmd),
 				dispatchRecord(r.RuntimeID, r.Attempt, r.Want))
 			for rank, sp := range r.Spans {
-				recs = append(recs, spanRecord(r.RuntimeID, r.Attempt, rank, sp.Items, sp.Streamed))
+				recs = append(recs, spanRecord(r.RuntimeID, r.Attempt, rank, sp))
 			}
 			for item, bframes := range r.Done {
 				recs = append(recs, markRecord(r.RuntimeID, r.Attempt, item, bframes))
@@ -288,14 +283,10 @@ func dispatchRecord(reqID uint64, attempt, want int) comm.Message {
 	}}
 }
 
-func spanRecord(reqID uint64, attempt, rank int, items []int, streamed bool) comm.Message {
-	st := "0"
-	if streamed {
-		st = "1"
-	}
+func spanRecord(reqID uint64, attempt, rank int, items []int) comm.Message {
 	return comm.Message{Kind: "wspan", ReqID: reqID, Params: map[string]string{
 		"attempt": strconv.Itoa(attempt), "rank": strconv.Itoa(rank),
-		"span": comm.EncodeIntList(items), "streamed": st,
+		"span": comm.EncodeIntList(items),
 	}}
 }
 
@@ -400,8 +391,8 @@ func (w *walSink) Dispatch(reqID uint64, attempt, want int) {
 }
 
 // JournalSpan records one rank's declared work span.
-func (w *walSink) JournalSpan(reqID uint64, attempt, rank int, items []int, streamed bool) {
-	w.journal(reqID, func() comm.Message { return spanRecord(reqID, attempt, rank, items, streamed) })
+func (w *walSink) JournalSpan(reqID uint64, attempt, rank int, items []int) {
+	w.journal(reqID, func() comm.Message { return spanRecord(reqID, attempt, rank, items) })
 }
 
 // JournalMark records one completed span item and how many block-tagged
@@ -513,22 +504,16 @@ func (w *walSink) applyLocked(m comm.Message) {
 		r.Want = m.IntParam("want", 0)
 	case "wspan":
 		r := w.byRuntime[m.ReqID]
-		if r == nil || m.IntParam("attempt", 0) != r.Attempt {
+		// streamed=0 is a gathered span, which WALs of older servers still
+		// hold: its results died with the process, so it declares nothing.
+		if r == nil || m.IntParam("attempt", 0) != r.Attempt || m.Params["streamed"] == "0" {
 			return
 		}
 		if r.Spans == nil {
-			r.Spans = map[int]*walSpan{}
+			r.Spans = map[int][]int{}
 		}
 		rank := m.IntParam("rank", 0)
-		sp := r.Spans[rank]
-		if sp == nil {
-			sp = &walSpan{Streamed: true}
-			r.Spans[rank] = sp
-		}
-		sp.Items = unionInts(sp.Items, comm.ParseIntList(m.Params["span"]))
-		if m.Params["streamed"] != "1" {
-			sp.Streamed = false
-		}
+		r.Spans[rank] = unionInts(r.Spans[rank], comm.ParseIntList(m.Params["span"]))
 	case "wmark":
 		r := w.byRuntime[m.ReqID]
 		if r == nil || m.IntParam("attempt", 0) != r.Attempt {
@@ -633,19 +618,19 @@ type walPlan struct {
 
 // unfinishedSpan reports the journal-proven not-yet-streamed items of a
 // request, and whether the journals can be trusted at all: every rank of the
-// dispatched group must have declared a streamed span (a gathered span's
-// results died with the process; a missing declaration hides unknown work).
+// dispatched group must have declared a span (a missing declaration hides
+// unknown work, and gathered commands declare none).
 func unfinishedSpan(r *walReq) ([]int, bool) {
 	if r.Want <= 0 {
 		return nil, false
 	}
 	var all []int
 	for rank := 0; rank < r.Want; rank++ {
-		sp := r.Spans[rank]
-		if sp == nil || !sp.Streamed {
+		sp, ok := r.Spans[rank]
+		if !ok {
 			return nil, false
 		}
-		all = unionInts(all, sp.Items)
+		all = unionInts(all, sp)
 	}
 	// A completed item needs no recompute only when every block-tagged frame
 	// it streamed reached the log (the wmark's bframes count says how many
