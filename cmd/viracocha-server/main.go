@@ -27,18 +27,13 @@ type faultList []string
 func (f *faultList) String() string     { return strings.Join(*f, ",") }
 func (f *faultList) Set(v string) error { *f = append(*f, v); return nil }
 
-// parseFaults builds the fault plan of the -fault rules (nil for none). It
-// refuses lag: — the rule stretches modelled compute charges, and the server's
-// real clock charges none, so it would arm and do nothing.
+// parseFaults builds the fault plan of the -fault rules (nil for none).
 func parseFaults(specs []string) (*viracocha.FaultPlan, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
 	plan := &viracocha.FaultPlan{Seed: 1}
 	for _, spec := range specs {
-		if strings.HasPrefix(spec, "lag:") {
-			return nil, fmt.Errorf("fault rule %q: lag: only acts under the virtual clock; the server runs the real clock", spec)
-		}
 		if err := plan.ParseRule(spec); err != nil {
 			return nil, err
 		}

@@ -6,10 +6,9 @@ import (
 )
 
 // EncodeBatch packs the messages into one batch payload — the encoding of a
-// WAL checkpoint and of a memo-store ("wmemo") record: each sub-message's
-// full wire encoding (magic, header, trailing CRC32-C) prefixed with its
-// 32-bit little-endian length. Every sub-message's bytes are exactly its
-// individual Encode output.
+// WAL checkpoint: each sub-message's full wire encoding (magic, header,
+// trailing CRC32-C) prefixed with its 32-bit little-endian length. Every
+// sub-message's bytes are exactly its individual Encode output.
 func EncodeBatch(msgs []Message) []byte {
 	total := 0
 	for i := range msgs {

@@ -95,14 +95,9 @@ func (c *Ctx) Proxy() *dms.Proxy { return c.proxy }
 
 // Charge prices d of computation to this worker (virtual time) and adds it
 // to the compute probe. Like every Ctx method that parks the actor, it is a
-// crash point: a worker that fail-stopped mid-charge never returns. An
-// injected lag: fault rule stretches the node's charges by its factor — the
-// deterministic straggler.
+// crash point: a worker that fail-stopped mid-charge never returns.
 func (c *Ctx) Charge(d time.Duration) {
 	if d > 0 {
-		if f := c.rt.faults.ComputeFactor(c.worker.node); f != 1 {
-			d = time.Duration(float64(d) * f)
-		}
 		c.rt.Clock.Sleep(d)
 		c.worker.checkCrashed()
 		c.probes.Compute += d

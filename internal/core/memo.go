@@ -35,8 +35,9 @@ import (
 // Completed logs are canonicalized (duplicate and stale-attempt packets
 // dropped by the clients' own StreamAssembler rule) and stored as derived DMS
 // entities in a scheduler-owned cache charged against the server-wide memory
-// budget: memo results are evicted first under pressure, like every other
-// derived entity, and byte-accounted exactly.
+// budget, byte-accounted exactly. The cache is the only place a result
+// lives: the table's index of it forgets whatever the cache evicts, and
+// nothing is named in the DMS name server or logged to the WAL.
 
 // MemoStats aggregates the result-memoization counters.
 type MemoStats struct {
@@ -83,8 +84,7 @@ type memoEntity struct {
 
 func (e *memoEntity) SizeBytes() int64 { return e.size }
 
-// DerivedEntity marks memo results re-computable: under memory pressure the
-// cache sacrifices them before demand blocks.
+// DerivedEntity marks memo results re-computable.
 func (e *memoEntity) DerivedEntity() {}
 
 // memoSub is one subscriber of a memo entry: a client request being served by
@@ -177,11 +177,13 @@ type memoSubRef struct {
 }
 
 // memoTable is the scheduler's result-memoization state: the completed-result
-// cache (derived DMS entities under the shared budget), the in-flight entry
-// map keyed by canonical request key, and the live-subscriber index.
+// cache (derived DMS entities under the shared budget) with its key index,
+// the in-flight entry map keyed by canonical request key, and the
+// live-subscriber index.
 //
 // Lock order: s.mu and mt.mu are never held together except s.mu → mt.mu
-// (InFlight); mt.mu → e.mu is allowed, the reverse is not.
+// (InFlight); mt.mu → e.mu and mt.mu → the cache's lock are allowed, the
+// reverse is not.
 type memoTable struct {
 	rt    *Runtime
 	cache *dms.Cache
@@ -189,9 +191,14 @@ type memoTable struct {
 	// sent to it.
 	fwd *comm.Endpoint
 
-	mu            sync.Mutex
-	inflight      map[string]*memoEntry
-	stored        map[string]memoDep // completed cached keys → their source dep
+	mu       sync.Mutex
+	inflight map[string]*memoEntry
+	// ids indexes the cache by canonical key: exactly the cached results,
+	// because every insert and removal of the cache happens under mu and
+	// prunes it. nextID numbers the cache's items; the cache is the
+	// table's own, so its IDs need no name server.
+	ids           map[string]dms.ItemID
+	nextID        dms.ItemID
 	subs          map[uint64]*memoSubRef
 	hits          int64
 	misses        int64
@@ -210,7 +217,7 @@ func newMemoTable(rt *Runtime) *memoTable {
 		cache:    cache,
 		fwd:      rt.Net.Endpoint("memo.fwd"),
 		inflight: map[string]*memoEntry{},
-		stored:   map[string]memoDep{},
+		ids:      map[string]dms.ItemID{},
 		subs:     map[uint64]*memoSubRef{},
 	}
 }
@@ -290,16 +297,37 @@ func (s *Scheduler) memoAdmit(r *Request) bool {
 
 // lookup fetches a completed cached result, counting a memo hit.
 func (mt *memoTable) lookup(key string) *memoEntity {
-	id := mt.rt.DMS.Names.Resolve(dms.MemoItem(key))
+	mt.mu.Lock()
+	defer mt.mu.Unlock()
+	id, ok := mt.ids[key]
+	if !ok {
+		return nil
+	}
 	item, ok := mt.cache.Get(id)
 	if !ok {
 		return nil
 	}
-	ent := item.(*memoEntity)
-	mt.mu.Lock()
 	mt.hits++
-	mt.mu.Unlock()
-	return ent
+	return item.(*memoEntity)
+}
+
+// storeLocked inserts a completed result into the cache and indexes it,
+// dropping from the index every result the insert evicted. Reports whether
+// the cache took it. Caller holds mt.mu.
+func (mt *memoTable) storeLocked(ent *memoEntity) bool {
+	id, ok := mt.ids[ent.key]
+	if !ok {
+		mt.nextID++
+		id = mt.nextID
+	}
+	evicted, ok := mt.cache.PutOK(id, ent, false)
+	for _, ev := range evicted {
+		delete(mt.ids, ev.Item.(*memoEntity).key)
+	}
+	if ok {
+		mt.ids[ent.key] = id
+	}
+	return ok
 }
 
 // attach subscribes to a running extraction of the same key, counting a memo
@@ -389,22 +417,14 @@ func (s *Scheduler) memoProducerDone(e *memoEntry) {
 	log := e.log
 	e.mu.Unlock()
 	stored, bytes := false, int64(0)
-	var clean []comm.Message
 	if store {
-		var size int64
-		clean, size = canonicalMemoLog(log)
-		ent := &memoEntity{key: e.key, log: clean, size: size, dep: e.dep}
-		id := mt.rt.DMS.Names.Resolve(dms.MemoItem(e.key))
-		if _, ok := mt.cache.PutOK(id, ent, false); ok {
-			mt.stored[e.key] = e.dep
+		clean, size := canonicalMemoLog(log)
+		if mt.storeLocked(&memoEntity{key: e.key, log: clean, size: size, dep: e.dep}) {
 			stored, bytes = true, size
 		}
 	}
 	mt.mu.Unlock()
 	if stored {
-		if w := s.walSink(); w != nil {
-			w.MemoStore(e.key, e.dep.dataset, e.dep.step, clean)
-		}
 		s.rt.Trace.Eventf(s.rt.Clock.Now(), "memo",
 			"req %d: stored result %s (%d bytes, %d subscribers)", e.prodID, e.key, bytes, subs)
 	} else {
@@ -619,12 +639,13 @@ func (mt *memoTable) invalidate(dataset string, step int) int {
 	}
 	mt.mu.Lock()
 	n := 0
-	for key, dep := range mt.stored {
-		if !match(dep) {
+	for key, id := range mt.ids {
+		item, _ := mt.cache.Peek(id)
+		if !match(item.(*memoEntity).dep) {
 			continue
 		}
-		mt.cache.Remove(mt.rt.DMS.Names.Resolve(dms.MemoItem(key)))
-		delete(mt.stored, key)
+		mt.cache.Remove(id)
+		delete(mt.ids, key)
 		n++
 	}
 	for _, e := range mt.inflight {
@@ -684,12 +705,6 @@ func (s *Scheduler) MemoStats() MemoStats {
 // step < 0 matches all steps. Returns the number of entries invalidated.
 func (s *Scheduler) InvalidateMemo(dataset string, step int) int {
 	n := s.memo.invalidate(dataset, step)
-	if w := s.walSink(); w != nil {
-		// Logged even when the live table matched nothing: the WAL mirror
-		// may still hold an entry the budget evicted here, and dropping it
-		// there too costs at most a recompute.
-		w.MemoInvalidate(dataset, step)
-	}
 	if n > 0 {
 		s.rt.Trace.Eventf(s.rt.Clock.Now(), "memo",
 			"invalidated %d entries for %s step %d", n, dataset, step)

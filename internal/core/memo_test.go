@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"viracocha/internal/comm"
+	"viracocha/internal/dms"
 	"viracocha/internal/faults"
 	"viracocha/internal/vclock"
 )
@@ -584,5 +586,54 @@ func TestMemoEvictionUnderBudget(t *testing.T) {
 	}
 	if prods := producerRecords(rt); len(prods) != 2 {
 		t.Fatalf("extractions ran = %d, want 2", len(prods))
+	}
+}
+
+// TestMemoIndexBoundedByCache: many distinct results under a budget that
+// holds only a few of them. The cache is the only place a result lives: the
+// memo table's index holds exactly the cached entries, and no result is
+// named in the DMS name server.
+func TestMemoIndexBoundedByCache(t *testing.T) {
+	run := func(budget int64, requests int) *Runtime {
+		v := vclock.NewVirtual()
+		rt := newFaultRuntime(t, v, 4, nil, func(cfg *Config) {
+			cfg.Memo = true
+			cfg.DMS.MemBudget = budget
+		})
+		var err error
+		v.Go(func() {
+			cl := NewClient(rt)
+			for i := 0; i < requests && err == nil; i++ {
+				p := spanParams()
+				p["tag"] = strconv.Itoa(i) // a distinct memo key per request
+				_, err = cl.Run("test.spanstream", p)
+			}
+			rt.Shutdown()
+		})
+		v.Wait()
+		if err != nil {
+			t.Fatalf("run failed: %v", err)
+		}
+		return rt
+	}
+	one := run(0, 1).Sched.MemoStats().BytesCached
+	if one <= 0 {
+		t.Fatal("an unbudgeted result was not cached")
+	}
+	const requests, fits = 40, 3
+	rt := run(fits*one+one/2, requests)
+	ms := rt.Sched.MemoStats()
+	if ms.Misses != requests || ms.Entries < 1 || ms.Entries > fits || ms.Evictions < requests-fits {
+		t.Fatalf("memo stats = %+v, want %d misses and at most %d resident entries", ms, requests, fits)
+	}
+	mt := rt.Sched.memo
+	mt.mu.Lock()
+	indexed := len(mt.ids)
+	mt.mu.Unlock()
+	if indexed != ms.Entries {
+		t.Fatalf("memo index holds %d keys, the cache %d entries", indexed, ms.Entries)
+	}
+	if ids := rt.DMS.Names.IDsMatching(func(n dms.ItemName) bool { return n.Type == "memo" }); len(ids) != 0 {
+		t.Fatalf("%d memo results named in the DMS name server, want none", len(ids))
 	}
 }

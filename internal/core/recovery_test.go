@@ -262,17 +262,17 @@ func TestTaggedDuplicatesAreDeduped(t *testing.T) {
 }
 
 // TestTaggedReorderAssemblesCanonically: block-tagged packets arriving out
-// of canonical order (one rank's partials delayed in flight, the other rank
-// slowed by a lag rule so the final result stays last) still assemble into
-// a byte-identical mesh, because the client orders tagged packets by
-// (block, bseq) at finalization rather than by arrival.
+// of canonical order (one rank's partials delayed in flight behind the
+// other rank's) still assemble into a byte-identical mesh, because the
+// client orders tagged packets by (block, bseq) at finalization rather than
+// by arrival.
 func TestTaggedReorderAssemblesCanonically(t *testing.T) {
 	params := map[string]string{"workers": "2", "items": "8"}
 	ref, rerr, _, _, _ := runSpanScenario(t, 2, nil, nil, "test.spanstream", params)
 	if rerr != nil {
 		t.Fatalf("reference run failed: %v", rerr)
 	}
-	plan := (&faults.Plan{Seed: 3}).Lag("w0", 1.5)
+	plan := &faults.Plan{Seed: 3}
 	plan.Links = []faults.LinkRule{
 		{From: "w1", Kind: "partial", Delay: 300 * time.Millisecond},
 	}

@@ -5,14 +5,11 @@ package core
 // restored state back. The WAL itself (framing, fsync policy, segments,
 // checkpoints) lives in internal/wal and is wired up by the root package;
 // the scheduler only reports events through the narrow WALSink interface and
-// accepts recovered requests and memo entries back. Keeping the arrow this
-// direction means the scheduler never learns about files, and a WAL-less
-// system pays exactly one nil check per event.
+// accepts recovered requests back. Keeping the arrow this direction means the
+// scheduler never learns about files, and a WAL-less system pays exactly one
+// nil check per event.
 
-import (
-	"viracocha/internal/comm"
-	"viracocha/internal/dms"
-)
+import "viracocha/internal/comm"
 
 // WALSink receives the scheduler-side events the write-ahead log persists.
 // Calls arrive under scheduler locks, so implementations must not call back
@@ -29,13 +26,9 @@ type WALSink interface {
 	// streamed for it (-1 when unknown): recovery replays a completed
 	// block from retained frames only when all bframes of it survived.
 	JournalMark(reqID uint64, attempt, rank, item, bframes int)
-	// MemoStore records a completed memo entity's canonical replay log.
-	MemoStore(key, dataset string, step int, log []comm.Message)
-	// MemoInvalidate records a dependency invalidation of memo entries.
-	MemoInvalidate(dataset string, step int)
 }
 
-// walSinkLocked fetches the configured sink; callers nil-check the result.
+// walSink fetches the configured sink; callers nil-check the result.
 func (s *Scheduler) walSink() WALSink { return s.rt.cfg.WAL }
 
 // AdmitRecovered re-admits a request reconstructed from the WAL. It applies
@@ -44,15 +37,12 @@ func (s *Scheduler) walSink() WALSink { return s.rt.cfg.WAL }
 // highest attempt the log recorded (the client discards frames of older
 // attempts wholesale), and span — when hasSpan — is exactly the set of items
 // the journals show as not yet streamed to the client, so the new dispatch
-// recomputes only those. Memo-enabled requests take the memoization path
-// instead and ignore the plan: a recovered cache entry replays byte-
-// identically, and a missing one triggers a fresh full extraction whose
-// stream the client dedupes. Reports whether the command was accepted.
+// recomputes only those. A memo-enabled request runs the same way: memo
+// results do not survive a restart, and only the plan lines the client's
+// already-received frames up with the new ones. Reports whether the command
+// was accepted.
 func (s *Scheduler) AdmitRecovered(m comm.Message, span []int, hasSpan bool, attempt int) bool {
 	r := parseRequest(m, &s.rt.cfg)
-	if r.Memo {
-		return s.memoAdmit(r)
-	}
 	r.Attempt, r.Span, r.HasSpan = attempt, span, hasSpan
 	if !s.admit(r) {
 		return false
@@ -71,25 +61,6 @@ func recoverSpanFor(span []int, rank, want int) []int {
 		out = append(out, span[i])
 	}
 	return out
-}
-
-// RestoreMemo re-inserts one recovered memo entity into the result cache,
-// mirroring the store path of memoProducerDone (canonicalization included,
-// so a log that was logged pre-canonical stays harmless). Reports whether
-// the cache accepted the bytes — a restored server with a smaller budget may
-// refuse, which only costs a recompute on the next hit.
-func (s *Scheduler) RestoreMemo(key, dataset string, step int, log []comm.Message) bool {
-	mt := s.memo
-	clean, size := canonicalMemoLog(log)
-	ent := &memoEntity{key: key, log: clean, size: size, dep: memoDep{dataset: dataset, step: step}}
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	id := mt.rt.DMS.Names.Resolve(dms.MemoItem(key))
-	if _, ok := mt.cache.PutOK(id, ent, false); ok {
-		mt.stored[key] = ent.dep
-		return true
-	}
-	return false
 }
 
 // Kill tears the scheduler down as a crash would: no drain, no shutdown

@@ -75,13 +75,6 @@ func BSPItem(id grid.BlockID, field string) ItemName {
 	return ItemName{Source: id.String(), Type: "bsp:" + field, Format: "tree"}
 }
 
-// MemoItem is the ItemName of a memoized extraction result: the canonical
-// request key is the source, because the result derives from the whole
-// request, not from a single block.
-func MemoItem(key string) ItemName {
-	return ItemName{Source: key, Type: "memo", Format: "stream"}
-}
-
 // ItemID is the unambiguous identifier a NameServer assigns to an ItemName.
 // Proxies cache and exchange items by ID.
 type ItemID uint64

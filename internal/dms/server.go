@@ -152,8 +152,8 @@ func (s *Server) InvalidateStep(dataset string, step int) int {
 
 // sourceMatchesStep reports whether an item source of the canonical
 // "<dataset>/tNNN[/...]" form belongs to (dataset, step); step < 0 matches
-// every step. Memo items (whose source is a request key, not a block path)
-// never match: they are invalidated through the listener instead.
+// every step. The scheduler's memoized results are not in the name space:
+// the listener invalidates them.
 func sourceMatchesStep(src, dataset string, step int) bool {
 	rest, ok := strings.CutPrefix(src, dataset+"/t")
 	if !ok {

@@ -91,10 +91,6 @@ type Plan struct {
 	// extra per-packet processing delay: the slow-consumer scenario for the
 	// streaming backpressure path.
 	Consumers map[string]time.Duration
-	// Lags maps worker node names (or Any for all) to a compute-cost
-	// multiplier: every Charge on that node takes factor times as long. A
-	// deterministic straggler — slow but alive, heartbeating normally.
-	Lags map[string]float64
 	// Disconnects are applied in order; the first un-burned matching rule
 	// whose frame count has been reached drops the client connection
 	// mid-stream (the TCP bridge consults OnConnFrame before each delivery).
@@ -160,17 +156,6 @@ func (p *Plan) SlowConsumer(endpoint string, d time.Duration) *Plan {
 	return p
 }
 
-// Lag registers a compute-cost multiplier for a worker node ("w1", or Any)
-// and returns the plan for chaining. factor 1 is a no-op; factor 4 makes
-// every computation on the node take four times as long.
-func (p *Plan) Lag(node string, factor float64) *Plan {
-	if p.Lags == nil {
-		p.Lags = map[string]float64{}
-	}
-	p.Lags[node] = factor
-	return p
-}
-
 // Disconnect registers a deterministic mid-stream connection drop after n
 // delivered frames on the connection named name (a session ID, or Any) and
 // returns the plan for chaining.
@@ -214,7 +199,6 @@ func (p *Plan) FailFsync(path string) *Plan {
 //	read:DATASET:STEP:BLOCK:N  fail N matching reads (N<0: all; STEP/BLOCK -1: any)
 //	corrupt:DATASET:STEP:BLOCK:N  corrupt N matching reads (device re-reads once)
 //	slow:ENDPOINT@DUR        delay ENDPOINT's packet consumption by DUR ("slow:client1@2s")
-//	lag:NODE:FACTOR          multiply NODE's compute cost by FACTOR ("lag:w1:4")
 //	discon:NODE:AFTER_MSGS   drop NODE's connection after AFTER_MSGS delivered frames ("discon:sess-1:5")
 //	hang:NODE                NODE's peer accepts but never drains ("hang:sess-1")
 //	recover:NODE@DUR         reboot a crashed NODE at clock time DUR ("recover:w1@5s")
@@ -303,16 +287,6 @@ func (p *Plan) ParseRule(spec string) error {
 			return fmt.Errorf("faults: rule %q: %w", spec, err)
 		}
 		p.SlowConsumer(ep, d)
-	case "lag":
-		node, f, ok := strings.Cut(rest, ":")
-		if !ok {
-			return fmt.Errorf("faults: rule %q: lag must be lag:NODE:FACTOR", spec)
-		}
-		factor, err := strconv.ParseFloat(f, 64)
-		if err != nil || factor <= 0 {
-			return fmt.Errorf("faults: rule %q: bad factor %q", spec, f)
-		}
-		p.Lag(node, factor)
 	case "discon":
 		name, n, ok := strings.Cut(rest, ":")
 		if !ok {
@@ -520,21 +494,6 @@ func (in *Injector) ConsumerDelay(endpoint string) time.Duration {
 		return d
 	}
 	return in.plan.Consumers[Any]
-}
-
-// ComputeFactor reports the planned compute-cost multiplier for a worker
-// node (exact name first, then the Any wildcard; 1 means full speed).
-func (in *Injector) ComputeFactor(node string) float64 {
-	if in == nil || len(in.plan.Lags) == 0 {
-		return 1
-	}
-	if f, ok := in.plan.Lags[node]; ok && f > 0 {
-		return f
-	}
-	if f, ok := in.plan.Lags[Any]; ok && f > 0 {
-		return f
-	}
-	return 1
 }
 
 // OnConnFrame advances the delivered-frame counter of the connection named

@@ -125,8 +125,6 @@ func TestParseRule(t *testing.T) {
 		"dup:*>client:partial:0.5",
 		"delay:w0>w1:wpartial:250ms",
 		"read:tiny:-1:-1:2",
-		"lag:w3:4",
-		"lag:*:1.5",
 	} {
 		if err := p.ParseRule(spec); err != nil {
 			t.Fatalf("ParseRule(%q): %v", spec, err)
@@ -134,9 +132,6 @@ func TestParseRule(t *testing.T) {
 	}
 	if p.Crashes["w1"] != 3*time.Second {
 		t.Fatalf("crash not recorded: %+v", p.Crashes)
-	}
-	if p.Lags["w3"] != 4 || p.Lags[Any] != 1.5 {
-		t.Fatalf("lag rules = %+v", p.Lags)
 	}
 	if len(p.Links) != 3 {
 		t.Fatalf("links = %d, want 3", len(p.Links))
@@ -177,27 +172,6 @@ func TestParseRuleErrors(t *testing.T) {
 		if err := p.ParseRule(spec); err == nil {
 			t.Errorf("ParseRule(%q) accepted invalid rule", spec)
 		}
-	}
-}
-
-func TestComputeFactor(t *testing.T) {
-	var nilInj *Injector
-	if f := nilInj.ComputeFactor("w0"); f != 1 {
-		t.Fatalf("nil injector factor = %v, want 1", f)
-	}
-	in := New((&Plan{}).Lag("w1", 4))
-	if f := in.ComputeFactor("w1"); f != 4 {
-		t.Fatalf("ComputeFactor(w1) = %v, want 4", f)
-	}
-	if f := in.ComputeFactor("w0"); f != 1 {
-		t.Fatalf("ComputeFactor(w0) = %v, want 1 (no rule)", f)
-	}
-	wild := New((&Plan{}).Lag(Any, 2).Lag("w2", 8))
-	if f := wild.ComputeFactor("w2"); f != 8 {
-		t.Fatalf("exact rule must beat wildcard, got %v", f)
-	}
-	if f := wild.ComputeFactor("w5"); f != 2 {
-		t.Fatalf("wildcard factor = %v, want 2", f)
 	}
 }
 

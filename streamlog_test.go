@@ -55,7 +55,6 @@ func TestCheckpointRoundTripsTrimmedLog(t *testing.T) {
 	}
 	w.JournalMark(11, 1, 0, 0, 2)
 	w.JournalMark(11, 1, 1, 1, 1)
-	w.MemoStore("k1", "engine", 4, []comm.Message{{Kind: "partial", Payload: []byte("memo")}})
 	log.trim(3) // the client acknowledged blocks 0 and 1
 
 	w.mu.Lock()
@@ -99,9 +98,51 @@ func TestCheckpointRoundTripsTrimmedLog(t *testing.T) {
 		if miss, ok := unfinishedSpan(r); !ok || !reflect.DeepEqual(miss, []int{2, 3}) {
 			t.Fatalf("%s: unfinished span = %v (trusted %v), want [2 3]", name, miss, ok)
 		}
-		if e := got.state.Memo["k1"]; e == nil || e.Dataset != "engine" || e.Step != 4 {
-			t.Fatalf("%s: memo entry = %+v", name, e)
+	}
+}
+
+// TestCheckpointIgnoresMemoRecords: a checkpoint and a tail written by a
+// server that still logged memo results — a wmemo record after the sessions
+// in the checkpoint, wmemo and wmemoinval records in the tail — load without
+// a warning into exactly the sessions and requests the same records rebuild
+// without them.
+func TestCheckpointIgnoresMemoRecords(t *testing.T) {
+	memo := comm.Message{Kind: "wmemo", Params: Params(
+		"key", "iso.viewer|dataset=engine|iso=500", "dataset", "engine", "step", "4",
+	), Payload: comm.EncodeBatch([]comm.Message{{Kind: "partial", Payload: []byte("memo")}})}
+	inval := comm.Message{Kind: "wmemoinval", Params: Params("dataset", "engine", "step", "-1")}
+	f := stampedFrame("partial", 1, 0, 1, false)
+	checkpoint := []comm.Message{
+		{Kind: "wcheckpoint", Params: Params("counter", "3")},
+		leaseRecord("issue", "sess-3", 1, "tcp-bridge1/s2"),
+		admitRecord("sess-3", 7, 11, comm.Encode(comm.Message{Kind: "command", Command: "iso.viewer", ReqID: 7})),
+		dispatchRecord(11, 1, 2),
+		spanRecord(11, 1, 0, []int{0, 2}),
+		spanRecord(11, 1, 1, []int{1, 3}),
+		markRecord(11, 1, 0, 1),
+		frameRecord("sess-3", 7, f.wire),
+		{Kind: "wstream", ReqID: 7, Params: Params("sess", "sess-3", "sseq", "1",
+			"final", "0", "attempt", "1", "blocks", "0", "counts", "1")},
+	}
+	tail := []comm.Message{markRecord(11, 1, 1, 1), frameRecord("sess-3", 7, stampedFrame("partial", 2, 1, 1, false).wire)}
+	load := func(checkpoint, tail []comm.Message) *walSink {
+		w := newWALSink("")
+		w.warn = func(format string, args ...any) { t.Errorf("load warned: "+format, args...) }
+		rec := &wal.Recovered{Checkpoint: comm.EncodeBatch(checkpoint)}
+		for _, m := range tail {
+			rec.Records = append(rec.Records, comm.Encode(m))
 		}
+		w.load(rec)
+		return w
+	}
+	want := load(checkpoint, tail)
+	got := load(append(append([]comm.Message{}, checkpoint...), memo),
+		[]comm.Message{memo, tail[0], inval, tail[1], memo})
+	if len(want.state.Sessions) != 1 || want.byRuntime[11] == nil || want.byRuntime[11].log.head() != 2 {
+		t.Fatalf("reference load = %+v: the fixture rebuilds nothing to compare", want.state)
+	}
+	if !reflect.DeepEqual(got.state, want.state) || !reflect.DeepEqual(got.byRuntime, want.byRuntime) {
+		t.Fatalf("memo records changed the recovered state:\ngot  %+v\nwant %+v", got.state, want.state)
 	}
 }
 

@@ -132,11 +132,11 @@ type Options struct {
 	// means a 10s default.
 	DrainTimeout time.Duration
 	// WALDir enables the control-plane write-ahead log in the given
-	// directory: durable-session admissions, leases, stream logs, dispatch
-	// journals and memo entries are logged so a server restarts via
-	// RecoverWAL with byte-identical client resume — after a hard kill, or
-	// after a graceful Drain + CloseWAL (the only way sessions survive a
-	// bounce). Empty disables the log.
+	// directory: durable-session admissions, leases, stream logs and
+	// dispatch journals are logged so a server restarts via RecoverWAL with
+	// byte-identical client resume — after a hard kill, or after a graceful
+	// Drain + CloseWAL (the only way sessions survive a bounce). Memo
+	// results are not logged. Empty disables the log.
 	WALDir string
 	// WALFsync selects the log's fsync policy: "always" (default, no
 	// acknowledged record ever lost), "interval" (bounded loss window) or

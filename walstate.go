@@ -2,13 +2,13 @@ package viracocha
 
 // Control-plane crash durability, root side. The walSink below is the glue
 // between the runtime's event streams and internal/wal: every durable-session
-// admission, lease transition, dispatch, journal span/mark and memo store is
-// (a) applied to the in-memory recoverable state and (b) appended to the
-// write-ahead log — in that order, under one sink lock, so the state is at all
-// times exactly what a replay of the log would rebuild. Outbound frames skip
-// (a): the bridge already appended them to the request's streamLog, which the
-// state shares rather than mirrors. A checkpoint is that state compacted into
-// the records that rebuild it, read back through the same applyLocked as the
+// admission, lease transition, dispatch and journal span/mark is (a) applied
+// to the in-memory recoverable state and (b) appended to the write-ahead log
+// — in that order, under one sink lock, so the state is at all times exactly
+// what a replay of the log would rebuild. Outbound frames skip (a): the
+// bridge already appended them to the request's streamLog, which the state
+// shares rather than mirrors. A checkpoint is that state compacted into the
+// records that rebuild it, read back through the same applyLocked as the
 // tail, so checkpointing never chases the scheduler or the bridge across
 // their own locks.
 //
@@ -41,8 +41,6 @@ type walState struct {
 	Counter uint64
 	// Sessions maps lease ID → durable session state.
 	Sessions map[string]*walSession
-	// Memo maps memo key → stored result entry.
-	Memo map[string]*walMemo
 }
 
 type walSession struct {
@@ -69,12 +67,6 @@ type walReq struct {
 	Done    map[int]int   // item → bframes streamed
 }
 
-type walMemo struct {
-	Dataset string
-	Step    int
-	Log     []byte // comm.EncodeBatch of the canonical replay log
-}
-
 // walSseqGap is added to every restored request's stream sequence. Under a
 // lossy fsync policy the client's acknowledged watermark can run ahead of the
 // recovered sseq (the frames it acked were never flushed); stamping
@@ -84,10 +76,7 @@ type walMemo struct {
 const walSseqGap = 1 << 20
 
 func newWALState() *walState {
-	return &walState{
-		Sessions: map[string]*walSession{},
-		Memo:     map[string]*walMemo{},
-	}
+	return &walState{Sessions: map[string]*walSession{}}
 }
 
 func (st *walState) sessionFor(id string) *walSession {
@@ -214,9 +203,6 @@ func (w *walSink) checkpointRecordsLocked() []comm.Message {
 			recs = append(recs, r.log.records(sid, cr)...)
 		}
 	}
-	for key, e := range st.Memo {
-		recs = append(recs, memoRecord(key, e.Dataset, e.Step, e.Log))
-	}
 	return recs
 }
 
@@ -295,12 +281,6 @@ func markRecord(reqID uint64, attempt, item, bframes int) comm.Message {
 		"attempt": strconv.Itoa(attempt),
 		"item":    strconv.Itoa(item), "bframes": strconv.Itoa(bframes),
 	}}
-}
-
-func memoRecord(key, dataset string, step int, log []byte) comm.Message {
-	return comm.Message{Kind: "wmemo", Params: map[string]string{
-		"key": key, "dataset": dataset, "step": strconv.Itoa(step),
-	}, Payload: log}
 }
 
 // ---- bridge-side hooks (called with bridge.mu held or not — sink.mu only) ----
@@ -399,18 +379,6 @@ func (w *walSink) JournalSpan(reqID uint64, attempt, rank int, items []int) {
 // frames its executor streamed for it.
 func (w *walSink) JournalMark(reqID uint64, attempt, rank, item, bframes int) {
 	w.journal(reqID, func() comm.Message { return markRecord(reqID, attempt, item, bframes) })
-}
-
-// MemoStore records a completed memo entity's canonical replay log.
-func (w *walSink) MemoStore(key, dataset string, step int, log []comm.Message) {
-	w.record(memoRecord(key, dataset, step, comm.EncodeBatch(log)))
-}
-
-// MemoInvalidate records a dependency invalidation of memo entries.
-func (w *walSink) MemoInvalidate(dataset string, step int) {
-	w.record(comm.Message{Kind: "wmemoinval", Params: map[string]string{
-		"dataset": dataset, "step": strconv.Itoa(step),
-	}})
 }
 
 // ---- state application (shared by the live path and recovery replay) ----
@@ -529,23 +497,10 @@ func (w *walSink) applyLocked(m comm.Message) {
 		if old, ok := r.Done[item]; !ok || m.IntParam("bframes", -1) > old {
 			r.Done[item] = m.IntParam("bframes", -1)
 		}
-	case "wmemo":
-		key := m.Params["key"]
-		if key == "" {
-			return
-		}
-		st.Memo[key] = &walMemo{
-			Dataset: m.Params["dataset"],
-			Step:    m.IntParam("step", 0),
-			Log:     m.Payload,
-		}
-	case "wmemoinval":
-		ds, step := m.Params["dataset"], m.IntParam("step", -1)
-		for k, e := range st.Memo {
-			if e.Dataset == ds && (step < 0 || e.Step == step) {
-				delete(st.Memo, k)
-			}
-		}
+	case "wmemo", "wmemoinval":
+		// Memo results and their invalidations, in a WAL of an older server:
+		// a memo result is a cache, not control-plane state, so recovery
+		// drops them and the next request for one recomputes it.
 	}
 }
 
@@ -743,11 +698,11 @@ func (b *sessionBridge) restoreWAL(w *walSink) []walPlan {
 
 // RecoverWAL restores control-plane state from the WAL directory and starts
 // the system: recover checkpoint + tail (tolerating a torn final record),
-// rebuild the session registry and retained streams, re-insert memo entries,
-// cut a fresh checkpoint, then re-admit every unfinished request — with, when
-// its journals survived, only the blocks not yet streamed to the client. A
-// WAL-less system (no Options.WALDir) returns nil immediately. Call it on a
-// fresh System, before Serve; it replaces Start.
+// rebuild the session registry and retained streams, cut a fresh checkpoint,
+// then re-admit every unfinished request — with, when its journals survived,
+// only the blocks not yet streamed to the client. A WAL-less system (no
+// Options.WALDir) returns nil immediately. Call it on a fresh System, before
+// Serve; it replaces Start.
 func (s *System) RecoverWAL() error {
 	if s.wal == nil {
 		return nil
@@ -779,19 +734,6 @@ func (s *System) RecoverWAL() error {
 	if err := w.open(policy, rt.FaultInjector()); err != nil {
 		return err
 	}
-	// Re-seed the memo cache before workers start so the first request after
-	// a restart can already hit.
-	w.mu.Lock()
-	memos := len(w.state.Memo)
-	for key, e := range w.state.Memo {
-		msgs, err := comm.DecodeBatch(e.Log)
-		if err != nil {
-			w.warnf("memo %s: corrupt replay log dropped: %v", key, err)
-			continue
-		}
-		rt.Sched.RestoreMemo(key, e.Dataset, e.Step, msgs)
-	}
-	w.mu.Unlock()
 	s.Start()
 	b.start()
 	for _, p := range admitted {
@@ -800,7 +742,7 @@ func (s *System) RecoverWAL() error {
 		}
 	}
 	rt.Trace.Eventf(rt.Clock.Now(), "wal",
-		"recovered: %d sessions, %d requests re-admitted, %d memo entries", len(b.sessions), len(admitted), memos)
+		"recovered: %d sessions, %d requests re-admitted", len(b.sessions), len(admitted))
 	return nil
 }
 
