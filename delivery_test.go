@@ -82,6 +82,45 @@ func TestDeliveryAllocationGuard(t *testing.T) {
 	}
 }
 
+// TestWindowedStreamsLeaveNoGoroutines: a served system whose ranks stall on
+// the viewer's credit returns to its goroutine count of before the requests
+// within 100 ms of the last reply. A slow viewer (a millisecond per partial)
+// under a one-packet window makes every rank park on almost every partial; a
+// park must leave nothing running behind it, not even its slow-consumer
+// deadline.
+func TestWindowedStreamsLeaveNoGoroutines(t *testing.T) {
+	ov := DefaultOverloadConfig()
+	sys, ln := serveSystem(t, Options{Workers: 2, Overload: &ov}, "engine", 1)
+	defer sys.Kill()
+	defer ln.Close()
+	rc, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	params := streamParams()
+	if _, err := rc.Run("iso.viewer", params, nil); err != nil { // warm: blocks resident
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	params["stream_window"] = "1"
+	slow := func(int, *Mesh) { time.Sleep(time.Millisecond) }
+	for i := 0; i < 3; i++ {
+		if _, err := rc.Run("iso.viewer", params, slow); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	for deadline := time.Now().Add(100 * time.Millisecond); ; time.Sleep(time.Millisecond) {
+		if n = runtime.NumGoroutine(); n <= baseline || time.Now().After(deadline) {
+			break
+		}
+	}
+	if n > baseline {
+		t.Errorf("%d goroutines 100 ms after the last reply, %d before the windowed requests", n, baseline)
+	}
+}
+
 var deliverySink *Mesh
 
 func benchDelivery(b *testing.B, memo bool, extra ...string) {

@@ -35,7 +35,7 @@ var ErrDown = errors.New("comm: endpoint down")
 // workers (the paper's MPI layer). Every send charges the sender the link
 // latency plus transfer time for the message's wire size, so gather and
 // streaming overheads appear in the experiment timings. A fabric with no link
-// price (the real clock's) hands messages straight over, SendPaced's aside.
+// price (the real clock's) hands messages straight over.
 type Network struct {
 	Clock     vclock.Clock
 	Latency   time.Duration
@@ -53,8 +53,8 @@ type Network struct {
 type NetworkStats struct {
 	Messages int64
 	Bytes    int64
-	// Priced counts the messages whose sender slept a link price or a pace
-	// for them: all of them on a priced fabric, the paced ones on a free one.
+	// Priced counts the messages whose sender slept a link price for them:
+	// all of them on a priced fabric, none on a free one.
 	Priced int64
 	// Dropped counts messages lost to injected link faults or dead
 	// destination nodes; Duplicated counts injected duplicate deliveries.
@@ -115,15 +115,6 @@ func (n *Network) Stats() NetworkStats {
 	return st
 }
 
-// LinkCost is the modelled price of moving size bytes over a link of the
-// given latency and bandwidth (bytes/s; <= 0 means infinite).
-func LinkCost(latency time.Duration, bandwidth float64, size int64) time.Duration {
-	if bandwidth > 0 {
-		latency += time.Duration(float64(size) / bandwidth * float64(time.Second))
-	}
-	return latency
-}
-
 // Endpoint is one node's mailbox on the fabric. Each endpoint has a single
 // inbound link: concurrent senders to the same node serialize their
 // transfers, which is what makes "many work nodes literally firing data at
@@ -143,13 +134,12 @@ func (e *Endpoint) Name() string { return e.name }
 // created eagerly at startup); sending to a closed endpoint charges the
 // link, silently discards the message and returns ErrDown — the fabric
 // cannot tell a crashed node from a slow one any faster than that.
-func (e *Endpoint) Send(to string, m Message) error { return e.SendPaced(to, m, 0) }
-
-// SendPaced is Send with pace added to the link cost and slept the same way,
-// holding the destination's inbound link.
-func (e *Endpoint) SendPaced(to string, m Message, pace time.Duration) error {
+func (e *Endpoint) Send(to string, m Message) error {
 	size := m.WireSize()
-	price := LinkCost(e.net.Latency, e.net.Bandwidth, size) + pace
+	price := e.net.Latency
+	if e.net.Bandwidth > 0 {
+		price += time.Duration(float64(size) / e.net.Bandwidth * float64(time.Second))
+	}
 	e.net.mu.Lock()
 	dst, ok := e.net.nodes[to]
 	faults := e.net.Faults

@@ -334,10 +334,8 @@ func (c *Ctx) streamPartial(m *mesh.Mesh, block, bseq int, tagged bool) error {
 		msg.Params["block"] = strconv.Itoa(block)
 		msg.Params["bseq"] = strconv.Itoa(bseq)
 	}
-	// A real-clock runtime's pacing yield; zero where the fabric prices msg.
-	pace := comm.LinkCost(c.rt.cfg.PaceLatency, c.rt.cfg.PaceBandwidth, msg.WireSize())
 	start := c.rt.Clock.Now()
-	err := c.ep.SendPaced(c.ClientEndpoint(), msg, pace)
+	err := c.ep.Send(c.ClientEndpoint(), msg)
 	c.probes.Send += c.rt.Clock.Now() - start
 	c.worker.checkCrashed()
 	return err

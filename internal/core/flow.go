@@ -20,7 +20,45 @@ type streamCredit struct {
 	outstanding int           // packets sent but not yet acknowledged
 	stalled     bool          // producer currently parked without credit
 	stallStart  time.Duration // clock time the current stall began
-	gates       []*vclock.Gate
+	// parked are the producers waiting on this stream now; idle keeps their
+	// parking points for the next stall. One producer per stream is the rule,
+	// so after the first stall a park allocates nothing.
+	parked []*vclock.Parker
+	idle   []*vclock.Parker
+}
+
+// park hands out a parking point, reusing an idle one, and lists it parked.
+func (sc *streamCredit) park(c vclock.Clock) *vclock.Parker {
+	var p *vclock.Parker
+	if n := len(sc.idle); n > 0 {
+		p = sc.idle[n-1]
+		sc.idle = sc.idle[:n-1]
+	} else {
+		p = c.NewParker()
+	}
+	sc.parked = append(sc.parked, p)
+	return p
+}
+
+// settle returns p, whose park ended, to the idle list — taking it off the
+// parked list, where a deadline leaves it.
+func (sc *streamCredit) settle(p *vclock.Parker) {
+	for i, q := range sc.parked {
+		if q == p {
+			sc.parked = append(sc.parked[:i], sc.parked[i+1:]...)
+			break
+		}
+	}
+	sc.idle = append(sc.idle, p)
+}
+
+// unparkAll wakes every producer parked on the stream, disarming their
+// slow-consumer deadlines.
+func (sc *streamCredit) unparkAll() {
+	for _, p := range sc.parked {
+		p.Unpark()
+	}
+	sc.parked = sc.parked[:0]
 }
 
 // flowControl implements credit/ack flow control between the streaming
@@ -45,11 +83,14 @@ func newFlowControl(c vclock.Clock) *flowControl {
 // while the window is full. It returns ErrCancelled when cancelled() turns
 // true while waiting, and ErrSlowConsumer when the stall outlasts deadline
 // (deadline <= 0 parks indefinitely). window <= 0 disables flow control.
+// The deadline is the parking point's own: an ack disarms it, and nothing
+// outlives the park.
 func (f *flowControl) Acquire(reqID uint64, rank, window int, deadline time.Duration, cancelled func() bool) error {
 	if window <= 0 {
 		return nil
 	}
 	key := flowKey{reqID: reqID, rank: rank}
+	var p *vclock.Parker // this producer's parking point while it stalls
 	for {
 		if cancelled() {
 			return ErrCancelled
@@ -59,6 +100,10 @@ func (f *flowControl) Acquire(reqID uint64, rank, window int, deadline time.Dura
 		if sc == nil {
 			sc = &streamCredit{}
 			f.streams[key] = sc
+		}
+		if p != nil {
+			sc.settle(p)
+			p = nil
 		}
 		if sc.outstanding < window {
 			sc.outstanding++
@@ -71,27 +116,16 @@ func (f *flowControl) Acquire(reqID uint64, rank, window int, deadline time.Dura
 			sc.stalled = true
 			sc.stallStart = now
 		}
-		var remaining time.Duration
+		var until time.Duration
 		if deadline > 0 {
-			remaining = deadline - (now - sc.stallStart)
-			if remaining <= 0 {
+			if until = sc.stallStart + deadline; until <= now {
 				f.mu.Unlock()
 				return ErrSlowConsumer
 			}
 		}
-		g := vclock.NewGate(f.clock)
-		sc.gates = append(sc.gates, g)
+		p = sc.park(f.clock)
 		f.mu.Unlock()
-		if deadline > 0 {
-			// Deadline timer: wakes the parked producer so it can observe
-			// the expired stall. Gate.Open is idempotent, so racing an ack
-			// is harmless.
-			f.clock.Go(func() {
-				f.clock.Sleep(remaining)
-				g.Open()
-			})
-		}
-		g.Wait()
+		p.Park(until)
 	}
 }
 
@@ -99,20 +133,14 @@ func (f *flowControl) Acquire(reqID uint64, rank, window int, deadline time.Dura
 // for an unknown or fully-credited stream is a no-op.
 func (f *flowControl) Ack(reqID uint64, rank int) {
 	f.mu.Lock()
-	sc := f.streams[flowKey{reqID: reqID, rank: rank}]
-	var gates []*vclock.Gate
-	if sc != nil {
+	if sc := f.streams[flowKey{reqID: reqID, rank: rank}]; sc != nil {
 		if sc.outstanding > 0 {
 			sc.outstanding--
 		}
 		sc.stalled = false
-		gates = sc.gates
-		sc.gates = nil
+		sc.unparkAll()
 	}
 	f.mu.Unlock()
-	for _, g := range gates {
-		g.Open()
-	}
 }
 
 // wake releases every producer parked on any stream of reqID without
@@ -120,34 +148,23 @@ func (f *flowControl) Ack(reqID uint64, rank int) {
 // cancel flag instead of sleeping through it.
 func (f *flowControl) wake(reqID uint64) {
 	f.mu.Lock()
-	var gates []*vclock.Gate
 	for key, sc := range f.streams {
-		if key.reqID != reqID {
-			continue
+		if key.reqID == reqID {
+			sc.unparkAll()
 		}
-		gates = append(gates, sc.gates...)
-		sc.gates = nil
 	}
 	f.mu.Unlock()
-	for _, g := range gates {
-		g.Open()
-	}
 }
 
 // drop discards all window state of a finished request, releasing any
 // producer still parked on it.
 func (f *flowControl) drop(reqID uint64) {
 	f.mu.Lock()
-	var gates []*vclock.Gate
 	for key, sc := range f.streams {
-		if key.reqID != reqID {
-			continue
+		if key.reqID == reqID {
+			sc.unparkAll()
+			delete(f.streams, key)
 		}
-		gates = append(gates, sc.gates...)
-		delete(f.streams, key)
 	}
 	f.mu.Unlock()
-	for _, g := range gates {
-		g.Open()
-	}
 }

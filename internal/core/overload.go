@@ -22,8 +22,10 @@ type OverloadConfig struct {
 	// StreamWindow bounds the unacknowledged partial-result packets each
 	// worker may have in flight per request (credit/ack flow control): a
 	// producer that used up its window parks until the client acknowledges
-	// a packet. <= 0 disables flow control. Requests can override with the
-	// "stream_window" parameter.
+	// a packet. Under the real clock these parks are what paces a CPU-bound
+	// rank, so the bridge, the socket and the viewer get to run. <= 0
+	// disables flow control. Requests can override with the "stream_window"
+	// parameter.
 	StreamWindow int
 	// SlowConsumerAfter cancels a request whose producer has been parked
 	// waiting for stream credit this long: a wedged client must not pin a
@@ -36,13 +38,16 @@ type OverloadConfig struct {
 }
 
 // DefaultOverloadConfig returns the server defaults: 256 queued requests,
-// 32 in-flight requests per session, a 32-packet stream window and a 5s
-// slow-consumer deadline. The memory budget stays unlimited unless set.
+// 32 in-flight requests per session, a 2-packet stream window and a 5s
+// slow-consumer deadline. The memory budget stays unlimited unless set. The
+// window is small on purpose: a rank gives up its core only when it runs out
+// of credit, so a larger one delays the first partial and the viewer's own
+// work (DESIGN.md §1 has the sweep it was chosen by).
 func DefaultOverloadConfig() OverloadConfig {
 	return OverloadConfig{
 		MaxQueue:          256,
 		SessionQuota:      32,
-		StreamWindow:      32,
+		StreamWindow:      2,
 		SlowConsumerAfter: 5 * time.Second,
 	}
 }

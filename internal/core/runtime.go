@@ -53,10 +53,6 @@ type Config struct {
 	// Net models the scheduler/worker/client interconnect.
 	NetLatency   time.Duration
 	NetBandwidth float64
-	// Pace is what a rank sleeps, on top of the fabric price, for each partial
-	// it streams: set only where the fabric is free (ConfigFor).
-	PaceLatency   time.Duration
-	PaceBandwidth float64
 	// DMS configures the data management system.
 	DMS dms.Config
 	// Cost converts real work counts into charged virtual time.
@@ -104,13 +100,13 @@ func DefaultConfig(workers int) Config {
 // and compute, reads and the fabric are free. The one thing the fabric price
 // did there besides modelling — park a CPU-bound rank once per streamed
 // partial, which is when the bridge, the socket and a co-located client run —
-// stays as the pacing yield of Ctx.streamPartial (DESIGN.md §1).
+// is done by the viewer's acks: a rank with a full stream window parks until
+// one comes back (OverloadConfig.StreamWindow, DESIGN.md §1).
 func ConfigFor(c vclock.Clock, workers int) Config {
 	cfg := DefaultConfig(workers)
 	if isReal(c) {
 		cfg.Cost = ZeroCostModel()
 		cfg.DMS.Prices = dms.Prices{}
-		cfg.PaceLatency, cfg.PaceBandwidth = cfg.NetLatency, cfg.NetBandwidth
 		cfg.NetLatency, cfg.NetBandwidth = 0, 0
 	}
 	return cfg

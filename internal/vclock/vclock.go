@@ -17,7 +17,7 @@
 //     Clock.Go (directly or transitively).
 //   - Actors must not block on bare channels or mutexes for unbounded time;
 //     cross-actor blocking goes through the clock-aware primitives in this
-//     package (Waiter, Queue, Gate, Semaphore), which inform the
+//     package (Waiter, Parker, Queue, Gate, Semaphore), which inform the
 //     clock that the actor is parked.
 //   - Short critical sections guarded by sync.Mutex are fine: the clock only
 //     needs to know about indefinite blocking.
@@ -34,13 +34,15 @@ import (
 // Now reports elapsed time since the clock started. Sleep parks the calling
 // actor for d; under the virtual clock this is also how compute or transfer
 // cost is charged. Go spawns a new actor. NewWaiter creates a one-shot
-// parking primitive integrated with the clock's bookkeeping. Wait blocks the
-// (unregistered) caller until every actor spawned with Go has returned.
+// parking primitive integrated with the clock's bookkeeping, NewParker a
+// reusable one with a deadline. Wait blocks the (unregistered) caller until
+// every actor spawned with Go has returned.
 type Clock interface {
 	Now() time.Duration
 	Sleep(d time.Duration)
 	Go(fn func())
 	NewWaiter() *Waiter
+	NewParker() *Parker
 	Wait()
 }
 
@@ -170,6 +172,9 @@ func (v *Virtual) Wait() {
 // NewWaiter returns a one-shot parking primitive tied to this clock.
 func (v *Virtual) NewWaiter() *Waiter { return &Waiter{v: v, ch: make(chan struct{})} }
 
+// NewParker returns a reusable parking point tied to this clock.
+func (v *Virtual) NewParker() *Parker { return &Parker{v: v, ch: make(chan struct{}, 1)} }
+
 // maybeAdvanceLocked advances virtual time if no actor is runnable and a
 // driver is blocked in Wait. All sleepers sharing the earliest wake-up time
 // are released together. An all-parked state with no pending wake-up arms the
@@ -177,6 +182,11 @@ func (v *Virtual) NewWaiter() *Waiter { return &Waiter{v: v, ch: make(chan struc
 func (v *Virtual) maybeAdvanceLocked() {
 	if v.running > 0 {
 		return
+	}
+	// A Parker that was unparked before its deadline leaves its entry behind;
+	// time must never advance to one.
+	for v.sleepers.len() > 0 && v.sleepers.min().disarmed() {
+		v.sleepers.pop()
 	}
 	if v.sleepers.len() == 0 {
 		if v.live > 0 && v.waiting > 0 && !v.watching {
@@ -195,8 +205,16 @@ func (v *Virtual) maybeAdvanceLocked() {
 	}
 	for v.sleepers.len() > 0 && v.sleepers.min().wake == wake {
 		s := v.sleepers.pop()
+		if s.disarmed() {
+			continue
+		}
 		v.running++
-		close(s.ch)
+		if p := s.parker; p != nil {
+			p.parked, p.timed = false, false
+			p.ch <- struct{}{}
+		} else {
+			close(s.ch)
+		}
 	}
 }
 
@@ -222,12 +240,18 @@ func (v *Virtual) watchdog(gen uint64) {
 	}
 }
 
-// sleeper is one parked actor with a scheduled wake-up.
+// sleeper is one parked actor with a scheduled wake-up: a Sleep, closed
+// through ch, or a Parker's deadline, armed while parker.gen equals gen.
 type sleeper struct {
-	wake time.Duration
-	seq  int64 // FIFO tie-break for determinism
-	ch   chan struct{}
+	wake   time.Duration
+	seq    int64 // FIFO tie-break for determinism
+	ch     chan struct{}
+	parker *Parker
+	gen    uint64
 }
+
+// disarmed reports a Parker deadline whose park ended before it came.
+func (s *sleeper) disarmed() bool { return s.parker != nil && s.parker.gen != s.gen }
 
 // sleepHeap is a binary min-heap ordered by (wake, seq).
 type sleepHeap struct{ s []sleeper }
@@ -337,6 +361,114 @@ func (w *Waiter) Wake() {
 	v.mu.Unlock()
 }
 
+// Parker is a reusable parking point for one actor at a time. Park blocks
+// the calling actor until Unpark is called or the clock reaches a deadline;
+// an Unpark that finds no actor parked is kept as a permit, which makes the
+// next Park return at once (one permit at most). Unlike a Waiter, a Parker is
+// re-armed by every Park, and once it exists neither call allocates nor
+// starts a goroutine — it is the parking point of an actor that parks over
+// and over, such as a producer waiting for stream credit. Callers re-check
+// their condition after Park returns: a stale permit or an expired deadline
+// wakes them too.
+type Parker struct {
+	v     *Virtual      // nil when backed by a real clock
+	r     *Real         // nil when backed by a virtual clock
+	ch    chan struct{} // capacity 1: the wake-up, or a waiting permit
+	timer *time.Timer   // real clock: the deadline, made by the first timed Park
+
+	// Virtual clock state, guarded by v.mu.
+	parked bool
+	timed  bool   // parked with a deadline: a sleeper, not a waiter
+	permit bool   // Unpark came while nobody was parked
+	gen    uint64 // bumped when Unpark ends a timed park: disarms its sleeper
+}
+
+// Park blocks the calling actor until Unpark, or until the clock reads until
+// (until <= 0: no deadline). It returns at once on a waiting permit or a
+// deadline already passed.
+func (p *Parker) Park(until time.Duration) {
+	if p.v == nil {
+		p.parkReal(until)
+		return
+	}
+	v := p.v
+	v.mu.Lock()
+	v.stateGen++
+	if p.permit || (until > 0 && until <= v.now) {
+		p.permit = false
+		v.mu.Unlock()
+		return
+	}
+	p.parked = true
+	v.running--
+	if until > 0 {
+		p.timed = true
+		v.seq++
+		v.sleepers.push(sleeper{wake: until, seq: v.seq, parker: p, gen: p.gen})
+	} else {
+		v.waiting++
+	}
+	v.maybeAdvanceLocked()
+	v.mu.Unlock()
+	<-p.ch
+}
+
+func (p *Parker) parkReal(until time.Duration) {
+	if until <= 0 {
+		<-p.ch
+		return
+	}
+	d := until - p.r.Now()
+	if d <= 0 {
+		return
+	}
+	if p.timer == nil {
+		p.timer = time.NewTimer(d)
+	} else {
+		p.timer.Reset(d)
+	}
+	select {
+	case <-p.ch:
+	case <-p.timer.C:
+	}
+	if !p.timer.Stop() {
+		select { // a deadline that fired beside the wake-up must not linger
+		case <-p.timer.C:
+		default:
+		}
+	}
+}
+
+// Unpark releases the parked actor, disarming its deadline, or leaves a
+// permit for the next Park. Any goroutine may call it.
+func (p *Parker) Unpark() {
+	if p.v == nil {
+		select {
+		case p.ch <- struct{}{}:
+		default: // a permit is already waiting
+		}
+		return
+	}
+	v := p.v
+	v.mu.Lock()
+	v.stateGen++
+	switch {
+	case !p.parked:
+		p.permit = true
+	case p.timed:
+		p.parked, p.timed = false, false
+		p.gen++
+		v.running++
+		p.ch <- struct{}{}
+	default:
+		p.parked = false
+		v.waiting--
+		v.running++
+		p.ch <- struct{}{}
+	}
+	v.mu.Unlock()
+}
+
 // Real is a Clock backed by the system clock. Sleep really sleeps; actors
 // are ordinary goroutines tracked by a WaitGroup.
 type Real struct {
@@ -369,6 +501,10 @@ func (r *Real) Go(fn func()) {
 
 // NewWaiter returns a waiter backed by a plain channel.
 func (r *Real) NewWaiter() *Waiter { return &Waiter{ch: make(chan struct{})} }
+
+// NewParker returns a parker backed by a channel and, once it parks with a
+// deadline, one reusable timer.
+func (r *Real) NewParker() *Parker { return &Parker{r: r, ch: make(chan struct{}, 1)} }
 
 // Wait blocks until all goroutines started with Go have returned.
 func (r *Real) Wait() { r.wg.Wait() }

@@ -528,3 +528,151 @@ func TestVirtualSleepZeroUnderContention(t *testing.T) {
 		t.Fatalf("Now = %v", v.Now())
 	}
 }
+
+func TestParkerUnparkWakesAtUnparkTime(t *testing.T) {
+	v := NewVirtual()
+	p := v.NewParker()
+	var woke time.Duration
+	v.Go(func() {
+		p.Park(5 * time.Second)
+		woke = v.Now()
+	})
+	v.Go(func() {
+		v.Sleep(time.Second)
+		p.Unpark()
+	})
+	v.Wait()
+	if woke != time.Second {
+		t.Fatalf("parked actor woke at %v, want 1s (the Unpark)", woke)
+	}
+	// The disarmed 5s deadline neither kept an actor alive nor moved time.
+	if v.Now() != time.Second {
+		t.Fatalf("Now after Wait = %v, want 1s", v.Now())
+	}
+}
+
+func TestParkerDeadline(t *testing.T) {
+	v := NewVirtual()
+	p := v.NewParker()
+	var woke [2]time.Duration
+	v.Go(func() {
+		p.Park(2 * time.Second)
+		woke[0] = v.Now()
+		p.Park(time.Second) // already passed: returns at once
+		woke[1] = v.Now()
+	})
+	v.Wait()
+	if woke != [2]time.Duration{2 * time.Second, 2 * time.Second} {
+		t.Fatalf("woke at %v, want [2s 2s]", woke)
+	}
+}
+
+func TestParkerPermit(t *testing.T) {
+	for _, c := range []Clock{NewVirtual(), NewReal()} {
+		p := c.NewParker()
+		p.Unpark()
+		p.Unpark() // one permit at most
+		var parks int
+		c.Go(func() {
+			p.Park(0) // consumes the permit
+			parks++
+		})
+		c.Wait()
+		if parks != 1 || c.Now() > time.Second {
+			t.Fatalf("%T: permit did not release the park", c)
+		}
+	}
+}
+
+func TestRealParkerDeadlineAndUnpark(t *testing.T) {
+	r := NewReal()
+	p := r.NewParker()
+	start := r.Now()
+	p.Park(start + 5*time.Millisecond)
+	if waited := r.Now() - start; waited < 5*time.Millisecond {
+		t.Fatalf("timed park returned after %v, want ≥ 5ms", waited)
+	}
+	go func() {
+		time.Sleep(time.Millisecond)
+		p.Unpark()
+	}()
+	start = r.Now()
+	p.Park(start + time.Hour)
+	if waited := r.Now() - start; waited > time.Minute {
+		t.Fatalf("Unpark did not end the park (waited %v)", waited)
+	}
+}
+
+// TestParkerDeterministic replays one credit-window exchange many times: a
+// producer that parks (with a deadline) whenever two packets are unacked and
+// a consumer that acks each at a seeded pace, some slower than the deadline.
+// Every replay must log the same virtual times, and the disarmed deadlines
+// must leave no trace in the clock.
+func TestParkerDeterministic(t *testing.T) {
+	run := func(seed int64) (log []time.Duration, end time.Duration) {
+		rng := rand.New(rand.NewSource(seed))
+		delays := make([]time.Duration, 40)
+		for i := range delays {
+			delays[i] = time.Duration(1+rng.Intn(50)) * time.Millisecond
+		}
+		v := NewVirtual()
+		p := v.NewParker()
+		q := NewQueue[int](v)
+		var mu sync.Mutex
+		outstanding := 0
+		v.Go(func() {
+			for i := range delays {
+				for {
+					mu.Lock()
+					if outstanding < 2 {
+						outstanding++
+						mu.Unlock()
+						break
+					}
+					mu.Unlock()
+					// Off the consumer's whole-millisecond grid, so a
+					// deadline never ties with an ack.
+					p.Park(v.Now() + 30250*time.Microsecond)
+					log = append(log, -v.Now()) // a wake-up: negative marks it
+				}
+				log = append(log, v.Now())
+				q.PushOpen(i)
+			}
+			q.Close()
+		})
+		var consumed time.Duration
+		v.Go(func() {
+			for {
+				i, ok := q.Pop()
+				if !ok {
+					return
+				}
+				v.Sleep(delays[i])
+				mu.Lock()
+				outstanding--
+				mu.Unlock()
+				p.Unpark()
+				consumed = v.Now()
+			}
+		})
+		v.Wait()
+		if v.Now() != consumed {
+			t.Fatalf("seed %d: clock ends at %v, after the last ack at %v", seed, v.Now(), consumed)
+		}
+		return log, v.Now()
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		want, wantEnd := run(seed)
+		for i := 0; i < 10; i++ {
+			got, end := run(seed)
+			if end != wantEnd || len(got) != len(want) {
+				t.Fatalf("seed %d replay %d: %d events ending %v, want %d ending %v", seed, i, len(got), end, len(want), wantEnd)
+			}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("seed %d replay %d: event %d at %v, want %v", seed, i, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}

@@ -84,7 +84,7 @@ var ErrDraining = core.ErrDraining
 func DefaultFTConfig() FTConfig { return core.DefaultFTConfig() }
 
 // DefaultOverloadConfig returns the overload-protection defaults (256 queued
-// requests, 32 per session, a 32-packet stream window, 5s slow-consumer
+// requests, 32 per session, a 2-packet stream window, 5s slow-consumer
 // deadline, unlimited memory) for callers that tweak one knob via
 // Options.Overload.
 func DefaultOverloadConfig() OverloadConfig { return core.DefaultOverloadConfig() }
@@ -165,7 +165,9 @@ type System struct {
 // DefaultOverloadConfig() (with the server's -mem-budget on top), so the
 // admission queue, session quota, stream window and slow-consumer deadline
 // are part of the path every measured or documented TCP request takes. The
-// nil default leaves them off.
+// nil default leaves them off, and with the stream window goes the only thing
+// that makes a CPU-bound streaming rank yield its core to the bridge and the
+// viewer (DESIGN.md §1).
 func New(opts Options) *System {
 	if opts.Workers < 1 {
 		opts.Workers = 4

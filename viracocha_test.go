@@ -258,7 +258,11 @@ func TestStreaklinesThroughPublicAPI(t *testing.T) {
 }
 
 func TestRemoteCancelMidStream(t *testing.T) {
-	sys := New(Options{Workers: 1})
+	// Served as viracocha-server serves: the stream window parks the rank on
+	// the viewer's acks, which is what lets the cancel in mid-stream on a
+	// single P.
+	ov := DefaultOverloadConfig()
+	sys := New(Options{Workers: 1, Overload: &ov})
 	if _, err := sys.AddDataset("engine", 2); err != nil {
 		t.Fatal(err)
 	}
