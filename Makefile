@@ -18,9 +18,11 @@ test:
 # and the virtual clock (plus the fault machinery, the DMS caches, the
 # storage device, the pooled kernel scratch in iso/mesh/vortex that workers
 # share through sync.Pool, the session-lease registry, and the root package's
-# durable TCP bridge with its reconnect/drain scenarios).
+# durable TCP bridge with its reconnect/drain scenarios). The WAL's group
+# commit is a concurrency primitive of its own: its tests run twenty times.
 race:
 	$(GO) test -race ./internal/core/ ./internal/comm/ ./internal/vclock/ ./internal/faults/ ./internal/dms/ ./internal/storage/ ./internal/grid/ ./internal/iso/ ./internal/mesh/ ./internal/vortex/ ./internal/commands/ ./internal/session/ ./internal/wal/ .
+	$(GO) test -race -count=20 -run 'TestGroupCommit' ./internal/wal/
 
 # The seeded overload-resilience suite under the race detector: admission
 # control, session quotas, stream backpressure, slow-consumer culling, the

@@ -203,6 +203,8 @@ func printStatsReport(path string, rep viracocha.StatsReport, verbose bool) {
 		rep.Memo.Hits, rep.Memo.Misses, rep.Memo.Evictions)
 	fmt.Printf("            invalidations %d, budget-rejected %d; %d entries, %d bytes cached\n",
 		rep.Memo.Invalidations, rep.Memo.RejectedBudget, rep.Memo.Entries, rep.Memo.BytesCached)
+	fmt.Printf("  wal       records %d, fsyncs %d, checkpoints %d\n",
+		rep.WAL.Records, rep.WAL.Fsyncs, rep.WAL.Checkpoints)
 	fmt.Printf("  requests  %d finished (%d older records dropped)\n", len(rep.Requests), rep.RequestsDropped)
 	if !verbose {
 		return

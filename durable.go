@@ -98,7 +98,13 @@ func (b *sessionBridge) start() {
 }
 
 // dispatch routes fabric messages to client connections until the runtime
-// shuts the network down; the sweeper stops with it.
+// shuts the network down; the sweeper stops with it. A frame whose WAL record
+// must be durable before it reaches the socket is held: the loop delivers
+// every message already queued, commits the highest lsn once — with no bridge
+// or sink lock held, so acks, admissions and other sessions never wait on the
+// disk — and then sends the held frames in delivery order, which is sseq
+// order within each request. A frame with nothing to wait for goes out at
+// once while nothing is held.
 func (b *sessionBridge) dispatch() {
 	defer func() {
 		b.mu.Lock()
@@ -106,29 +112,61 @@ func (b *sessionBridge) dispatch() {
 		b.stop = nil
 		b.mu.Unlock()
 	}()
+	var held []outbound
 	for {
 		m, ok := b.ep.Recv()
 		if !ok {
 			return
 		}
-		b.deliver(m)
+		var lsn uint64
+		for ok {
+			if o, send := b.deliver(m); send {
+				if o.lsn == 0 && len(held) == 0 {
+					b.send(o)
+				} else {
+					held = append(held, o)
+					lsn = max(lsn, o.lsn)
+				}
+			}
+			if len(held) == 0 {
+				break
+			}
+			m, ok = b.ep.TryRecv()
+		}
+		if len(held) == 0 {
+			continue
+		}
+		b.sys.wal.flush(lsn)
+		for i := range held {
+			b.send(held[i])
+			held[i] = outbound{}
+		}
+		held = held[:0]
 	}
 }
 
-// deliver stamps, logs and forwards one fabric reply. The frame is built once,
-// around the worker's payload, never copying it: those parts are what a
-// durable session's stream log retains, what the WAL appends and what the
-// socket sends. The send itself happens outside the bridge lock (a slow peer
-// must not stall every other session); the connection-generation counter
-// fences the cleanup if the connection died in between.
-func (b *sessionBridge) deliver(m comm.Message) {
+// outbound is a delivered frame on its way to an attached session's socket.
+type outbound struct {
+	sess *liveSession
+	conn *comm.Conn
+	gen  int    // sess.connGen when the frame was delivered
+	kind string // the message kind, for the trace
+	wire comm.Frame
+	lsn  uint64 // the frame's WAL record, to commit first; 0 when none
+}
+
+// deliver stamps and logs one fabric reply and reports the frame to send, if
+// it goes to a socket. The frame is built once, around the worker's payload,
+// never copying it: those parts are what a durable session's stream log
+// retains, what the WAL writes and what the socket sends.
+func (b *sessionBridge) deliver(m comm.Message) (outbound, bool) {
 	rt := b.sys.Runtime
 	inj := rt.FaultInjector()
 	b.mu.Lock()
 	lr := b.routes[m.ReqID]
 	if lr == nil {
 		b.mu.Unlock()
-		return // request already retired (done, purged, or never routed)
+		return outbound{}, false // request already retired (done, purged, or never routed)
 	}
 	sess := lr.sess
 	if m.Final {
@@ -149,11 +187,12 @@ func (b *sessionBridge) deliver(m comm.Message) {
 	if sess.durable {
 		f.wire, f.payload, f.sum = wire.Head, wire.Payload, wire.Sum
 	}
-	// Log before the WAL append: a checkpoint may then fold the frame in ahead
+	// Log before the WAL write: a checkpoint may then fold the frame in ahead
 	// of its record, never prune the record of a frame it missed.
 	lr.log.append(f)
+	var lsn uint64
 	if sess.durable {
-		b.sys.wal.Frame(sess.id, lr.clientReq, wire)
+		lsn = b.sys.wal.Frame(sess.id, lr.clientReq, wire)
 	}
 	isPartial := out.Kind == "partial"
 	rank := out.IntParam("rank", 0)
@@ -168,7 +207,7 @@ func (b *sessionBridge) deliver(m comm.Message) {
 	if sess.conn == nil {
 		credit()
 		b.mu.Unlock()
-		return
+		return outbound{}, false
 	}
 	if inj.OnConnFrame(sess.id) {
 		conn := sess.conn
@@ -176,7 +215,7 @@ func (b *sessionBridge) deliver(m comm.Message) {
 		credit()
 		b.mu.Unlock()
 		conn.Close()
-		return
+		return outbound{}, false
 	}
 	if inj.Hanged(sess.id) {
 		// The planned wedged peer: simulate the write deadline expiring so
@@ -188,29 +227,37 @@ func (b *sessionBridge) deliver(m comm.Message) {
 		credit()
 		b.mu.Unlock()
 		conn.Close()
-		return
+		return outbound{}, false
 	}
 	if isPartial && sess.durable {
 		lr.unacked[rank]++
 	}
-	conn, gen := sess.conn, sess.connGen
+	o := outbound{sess: sess, conn: sess.conn, gen: sess.connGen, kind: out.Kind, wire: wire, lsn: lsn}
 	b.mu.Unlock()
-	err := conn.SendFrame(wire)
+	return o, true
+}
+
+// send writes one delivered frame to its socket, outside the bridge lock (a
+// slow peer must not stall every other session); the connection-generation
+// counter fences the cleanup if the connection died in between.
+func (b *sessionBridge) send(o outbound) {
+	err := o.conn.SendFrame(o.wire)
 	if err == nil {
 		return
 	}
+	rt := b.sys.Runtime
 	rt.Trace.Eventf(rt.Clock.Now(), "bridge",
-		"send %s to session %s failed: %v", out.Kind, sess.id, err)
+		"send %s to session %s failed: %v", o.kind, o.sess.id, err)
 	b.mu.Lock()
-	if sess.connGen == gen && sess.conn != nil {
+	if o.sess.connGen == o.gen && o.sess.conn != nil {
 		// detachLocked credits every sent-but-unacked frame, including the
-		// one that just failed (its unacked increment happened above).
-		b.detachLocked(sess, "send failed: "+err.Error())
+		// one that just failed (its unacked increment happened in deliver).
+		b.detachLocked(o.sess, "send failed: "+err.Error())
 	}
 	b.mu.Unlock()
 	// Closing unblocks the reader goroutine, whose cleanup purges an
 	// ephemeral session.
-	conn.Close()
+	o.conn.Close()
 }
 
 // detachLocked severs a session from its connection without purging it:
@@ -488,6 +535,7 @@ func (b *sessionBridge) attach(conn *comm.Conn, hello comm.Message) (*liveSessio
 			return sess, gen
 		}
 		b.mu.Unlock()
+		b.sys.wal.flushAll()
 		for _, f := range pending {
 			if err := conn.SendFrame(f); err != nil {
 				return nil, 0 // peer died mid-replay; session stays detached
@@ -535,19 +583,25 @@ func (b *sessionBridge) handleFrame(sess *liveSession, conn *comm.Conn, m comm.M
 		}
 		sess.reqs[m.ReqID] = lr
 		b.routes[rid] = lr
+		var lsn uint64
 		if sess.durable {
-			b.sys.wal.Admit(sess.id, m.ReqID, rid, m, lr.log)
+			lsn = b.sys.wal.Admit(sess.id, m.ReqID, rid, m, lr.log)
 		}
 		b.mu.Unlock()
+		b.sys.wal.commit(lsn)
 		// The TCP reader is not a clock actor, but under the real clock Send
 		// only costs a (tiny) real sleep.
 		if err := b.ep.Send("scheduler", b.routed(m, rid, sess.admission)); err != nil {
 			// Route the failure through deliver so it is stamped, logged
 			// and replayable like any other terminal frame.
-			b.deliver(comm.Message{
+			o, send := b.deliver(comm.Message{
 				Kind: "error", ReqID: rid, Final: true,
 				Params: map[string]string{"error": err.Error(), "attempt": "0"},
 			})
+			if send {
+				b.sys.wal.flush(o.lsn)
+				b.send(o)
+			}
 		}
 	case "ack":
 		b.mu.Lock()

@@ -42,9 +42,20 @@ func streamParams() map[string]string {
 	)
 }
 
+// plainParams is streamParams without redistribute: the partials carry no
+// block tags, and the scheduler journals nothing but the dispatch.
+func plainParams() map[string]string {
+	p := streamParams()
+	delete(p, "redistribute")
+	return p
+}
+
 // referenceMesh runs the canonical extraction against a fault-free served
 // system and returns its encoded bytes.
-func referenceMesh(t *testing.T) []byte {
+func referenceMesh(t *testing.T) []byte { return referenceMeshOf(t, streamParams()) }
+
+// referenceMeshOf is referenceMesh for the extraction params describe.
+func referenceMeshOf(t *testing.T, params map[string]string) []byte {
 	t.Helper()
 	sys, ln := serveSystem(t, Options{Workers: 2}, "engine", 1)
 	defer ln.Close()
@@ -54,7 +65,7 @@ func referenceMesh(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	m, err := rc.Run("iso.viewer", streamParams(), nil)
+	m, err := rc.Run("iso.viewer", params, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

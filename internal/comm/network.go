@@ -193,6 +193,12 @@ func (e *Endpoint) Recv() (Message, bool) {
 	return e.inbox.Pop()
 }
 
+// TryRecv returns a message already in the inbox without blocking; ok is
+// false when there is none.
+func (e *Endpoint) TryRecv() (Message, bool) {
+	return e.inbox.TryPop()
+}
+
 // Close shuts the inbox; pending messages can still be drained. The name
 // stays on the fabric, so a send to it returns ErrDown: a crashed node.
 func (e *Endpoint) Close() { e.inbox.Close() }

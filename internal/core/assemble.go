@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -23,9 +24,10 @@ import (
 // producer's sequence numbers, so only the block identity is stable — and
 // untagged ones by (rank, seq); first arrival wins. The decoded packets are
 // kept as they arrive and merged once, at the exact size, when the final
-// message does: untagged geometry in arrival order, then tagged geometry in
-// canonical (block, bseq) order, then the result package — so the merged mesh
-// is byte-identical across recovery timelines.
+// message does: untagged geometry in canonical (rank, seq) order, then tagged
+// geometry in canonical (block, bseq) order, then the result package — so the
+// merged mesh is byte-identical whatever order the packets arrived in, and
+// across recovery timelines.
 type StreamAssembler struct {
 	// Merged is the assembled geometry, filled in when Done latches; the
 	// pointer never changes.
@@ -42,8 +44,8 @@ type StreamAssembler struct {
 	Err  error
 
 	seen     map[packetKey]bool
-	untagged []*mesh.Mesh
-	tagged   []taggedPart
+	untagged []keyedPart
+	tagged   []keyedPart
 }
 
 // packetKey identifies a partial within one attempt: (block, bseq) when
@@ -53,7 +55,7 @@ type packetKey struct {
 	a, b   int
 }
 
-type taggedPart struct {
+type keyedPart struct {
 	key  packetKey
 	part *mesh.Mesh
 }
@@ -115,9 +117,9 @@ func (a *StreamAssembler) Add(m comm.Message) (part *mesh.Mesh, ok bool, err err
 		}
 		a.Partials++
 		if key.tagged {
-			a.tagged = append(a.tagged, taggedPart{key, part})
+			a.tagged = append(a.tagged, keyedPart{key, part})
 		} else {
-			a.untagged = append(a.untagged, part)
+			a.untagged = append(a.untagged, keyedPart{key, part})
 		}
 	case "result":
 		final, derr := mesh.DecodeBinary(m.Payload)
@@ -132,19 +134,18 @@ func (a *StreamAssembler) Add(m comm.Message) (part *mesh.Mesh, ok bool, err err
 	return part, true, nil
 }
 
-// finish merges everything delivered — tagged geometry in canonical order, the
-// result package (nil on an error final) last — so a failed request keeps it too.
+// finish merges everything delivered — untagged then tagged geometry, each in
+// canonical key order, the result package (nil on an error final) last — so a
+// failed request keeps it too.
 func (a *StreamAssembler) finish(final *mesh.Mesh) {
-	sort.Slice(a.tagged, func(i, j int) bool {
-		ki, kj := a.tagged[i].key, a.tagged[j].key
-		if ki.a != kj.a {
-			return ki.a < kj.a
+	parts := make([]*mesh.Mesh, 0, len(a.untagged)+len(a.tagged)+1)
+	for _, keyed := range [][]keyedPart{a.untagged, a.tagged} {
+		slices.SortFunc(keyed, func(x, y keyedPart) int {
+			return cmp.Or(cmp.Compare(x.key.a, y.key.a), cmp.Compare(x.key.b, y.key.b))
+		})
+		for _, k := range keyed {
+			parts = append(parts, k.part)
 		}
-		return ki.b < kj.b
-	})
-	parts := a.untagged
-	for _, t := range a.tagged {
-		parts = append(parts, t.part)
 	}
 	a.Merged.AppendAll(append(parts, final))
 	a.untagged, a.tagged = nil, nil

@@ -65,10 +65,10 @@ func TestStreamAssembler(t *testing.T) {
 		kept       []int // indices of in that canonicalMemoLog keeps
 	}{
 		{
-			name: "untagged in arrival order",
+			name: "untagged in rank seq order",
 			in: []comm.Message{untaggedPacket(0, 0, 1, 1), untaggedPacket(0, 1, 1, 2),
 				untaggedPacket(0, 0, 2, 3), resultFinal(0, 9)},
-			merged: []float64{1, 2, 3, 9}, partials: 3, kept: []int{0, 1, 2, 3},
+			merged: []float64{1, 3, 2, 9}, partials: 3, kept: []int{0, 1, 2, 3},
 		},
 		{
 			name: "duplicated untagged",

@@ -54,27 +54,37 @@ func (q *Queue[T]) Close() {
 func (q *Queue[T]) Pop() (v T, ok bool) {
 	for {
 		q.mu.Lock()
-		if q.head < len(q.items) {
-			v = q.items[q.head]
-			var zero T
-			q.items[q.head] = zero // release for GC
-			q.head++
-			if q.head == len(q.items) {
-				q.items = q.items[:0]
-				q.head = 0
-			}
+		if v, ok = q.popLocked(); ok || q.closed {
 			q.mu.Unlock()
-			return v, true
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return v, false
+			return v, ok
 		}
 		w := q.c.NewWaiter()
 		q.waiters = append(q.waiters, w)
 		q.mu.Unlock()
 		w.Wait()
 	}
+}
+
+// TryPop is Pop without the parking: ok is false when nothing is queued.
+func (q *Queue[T]) TryPop() (v T, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.popLocked()
+}
+
+func (q *Queue[T]) popLocked() (v T, ok bool) {
+	if q.head == len(q.items) {
+		return v, false
+	}
+	v = q.items[q.head]
+	var zero T
+	q.items[q.head] = zero // release for GC
+	q.head++
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
+	}
+	return v, true
 }
 
 // Len reports the number of items currently queued.

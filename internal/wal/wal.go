@@ -1,14 +1,24 @@
 // Package wal implements the scheduler's write-ahead log: an append-only,
 // CRC-framed record log with segment rotation and compaction into periodic
 // checkpoints, so a hard-killed server can rebuild its control-plane state
-// (sessions, admissions, journal progress, memo entries) on restart.
+// (sessions, admissions, journal progress) on restart.
 //
 // The log is deliberately ignorant of record semantics: callers append opaque
 // byte records (in practice comm.Encode'd messages) and recover them in
-// order. Durability is a policy choice — PolicyAlways fsyncs every append,
-// PolicyInterval bounds the unsynced window, PolicyOff leaves flushing to the
-// OS — because the right trade between append latency and loss window is the
-// operator's, not the library's.
+// order. Appending is split in two. Write frames a record and writes it to
+// the active segment, returning its log sequence number (lsn); Commit(lsn)
+// makes that record and every record written before it durable. Commit is a
+// group commit: one caller — the leader — fsyncs outside the log's lock on
+// behalf of every record written so far, and callers that arrive during that
+// fsync wait for it (when it covers their record) or lead the next one, so a
+// burst of concurrent commits costs one or two fsyncs, not one each. A failed
+// fsync reaches every waiter of its batch; the next Commit retries.
+//
+// Durability is a policy choice — PolicyAlways commits every Append before it
+// returns, PolicyInterval bounds the unsynced window, PolicyOff leaves
+// flushing to the OS — because the right trade between append latency and
+// loss window is the operator's, not the library's. Whatever the policy, a
+// crash leaves a record-boundary prefix of the write order.
 //
 // On-disk layout inside the WAL directory:
 //
@@ -43,8 +53,11 @@ import (
 type Policy int
 
 const (
-	// PolicyAlways fsyncs after every append: no acknowledged record is
-	// ever lost, at the cost of one disk flush per record.
+	// PolicyAlways commits every append: Append returns once an fsync
+	// covers the record and every record written before it, so no
+	// acknowledged record is ever lost. Concurrent appenders share their
+	// fsyncs (group commit): the cost is one disk flush per batch of records
+	// in flight, not one per record.
 	PolicyAlways Policy = iota
 	// PolicyInterval fsyncs at most once per interval: a crash loses at
 	// most the records appended since the last flush.
@@ -132,8 +145,17 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // appends (the real process would be dead).
 var ErrTorn = errors.New("wal: append torn mid-record (injected)")
 
-// ErrClosed reports an append or sync on a closed log.
+// ErrClosed reports an append, commit or sync on a closed log.
 var ErrClosed = errors.New("wal: log closed")
+
+// Stats counts a log's work since Open: records written, fsyncs of its
+// segments (group commits, seals on rotation and close, failed ones
+// included) and checkpoints cut. Records per fsync is what group commit buys.
+type Stats struct {
+	Records     uint64 `json:"records"`
+	Fsyncs      uint64 `json:"fsyncs"`
+	Checkpoints uint64 `json:"checkpoints"`
+}
 
 // Log is an append-only record log in a directory. All methods are safe for
 // concurrent use.
@@ -142,14 +164,26 @@ type Log struct {
 	opts Options
 
 	mu       sync.Mutex
-	f        *os.File // active segment
-	path     string   // active segment path
-	seq      int      // active segment number
-	size     int64    // bytes written to active segment
+	ended    sync.Cond // broadcast on mu whenever an fsync ends
+	f        *os.File  // active segment
+	path     string    // active segment path
+	seq      int       // active segment number
+	size     int64     // bytes written to active segment
 	lastSync time.Time
 	closed   bool
 	torn     bool
 	stage    []byte // a record is framed here before its one write; reused
+
+	// Group commit. written is the lsn of the last record written, durable
+	// the highest lsn an fsync has covered. While syncing, a leader fsyncs
+	// outside mu on behalf of every record up to target; syncs counts the
+	// fsyncs that ended, syncErr is the latest one's failure.
+	written, durable uint64
+	syncing          bool
+	target           uint64
+	syncs            uint64
+	syncErr          error
+	stats            Stats
 }
 
 // Open creates or reopens the write side of a WAL directory. Existing
@@ -175,6 +209,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		next = segs[n-1].seq + 1
 	}
 	l := &Log{dir: dir, opts: opts}
+	l.ended.L = &l.mu
 	if err := l.openSegmentLocked(next); err != nil {
 		return nil, err
 	}
@@ -214,14 +249,21 @@ func listSegments(dir string) ([]segment, error) {
 	return segs, nil
 }
 
+// openSegmentLocked makes segment seq the active one. The outgoing segment is
+// sealed first — fsynced, so a commit never has to reach back into it — and a
+// failed seal leaves it active. Callers wait out any fsync in flight first.
 func (l *Log) openSegmentLocked(seq int) error {
+	if l.f != nil {
+		if err := l.sealLocked(); err != nil {
+			return err
+		}
+	}
 	path := filepath.Join(l.dir, segmentName(seq))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	if l.f != nil {
-		l.syncLocked() // seal the outgoing segment
 		l.f.Close()
 	}
 	l.f, l.path, l.seq, l.size = f, path, seq, 0
@@ -238,34 +280,51 @@ func appendFrame(dst []byte, n int, parts ...[]byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[len(dst)-n:], crcTable))
 }
 
-// Append writes one record, rotating and flushing per policy. The record is
-// durable on return only under PolicyAlways (and then only if no error came
-// back); under the other policies the loss window is the policy's.
+// Append writes one record and flushes it per policy. The record is durable
+// on return only under PolicyAlways (and then only if no error came back);
+// under the other policies the loss window is the policy's.
 func (l *Log) Append(rec []byte) error { return l.AppendParts(rec) }
 
 // AppendParts is Append for a record the caller holds in pieces (a head, a
 // payload it shares with a socket, a checksum): their concatenation is framed
 // in the log's staging buffer and written once.
 func (l *Log) AppendParts(parts ...[]byte) error {
+	lsn, err := l.Write(parts...)
+	if err != nil {
+		return err
+	}
+	return l.Flush(lsn)
+}
+
+// Write frames one record (the concatenation of parts), writes it to the
+// active segment without syncing, and returns its lsn: the record's position
+// in the log's write order, counted from 1. Commit(lsn) makes it durable.
+// Write rotates to a fresh segment once the active one has grown past
+// Options.SegmentBytes.
+func (l *Log) Write(parts ...[]byte) (uint64, error) {
 	n := 0
 	for _, p := range parts {
 		n += len(p)
 	}
 	if n > maxRecord {
-		return fmt.Errorf("wal: record of %d bytes exceeds limit", n)
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit", n)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for !l.closed && !l.torn && l.size >= l.opts.SegmentBytes {
+		if l.syncing {
+			l.ended.Wait() // the leader's fsync is on the outgoing segment
+			continue
+		}
+		if err := l.openSegmentLocked(l.seq + 1); err != nil {
+			return 0, err
+		}
+	}
 	if l.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if l.torn {
-		return ErrTorn
-	}
-	if l.size >= l.opts.SegmentBytes {
-		if err := l.openSegmentLocked(l.seq + 1); err != nil {
-			return err
-		}
+		return 0, ErrTorn
 	}
 	buf := appendFrame(l.stage[:0], n, parts...)
 	if cap(buf) <= maxStage {
@@ -278,47 +337,139 @@ func (l *Log) AppendParts(parts ...[]byte) error {
 		l.f.Write(buf[:4+n/2])
 		l.f.Sync()
 		l.torn = true
-		return ErrTorn
+		return 0, ErrTorn
 	}
 	if _, err := l.f.Write(buf); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return 0, fmt.Errorf("wal: %w", err)
 	}
 	l.size += int64(len(buf))
-	switch l.opts.Policy {
-	case PolicyAlways:
-		return l.syncLocked()
-	case PolicyInterval:
-		if now := time.Now(); now.Sub(l.lastSync) >= l.opts.Interval {
-			return l.syncLocked()
-		}
-	}
-	return nil
+	l.written++
+	l.stats.Records++
+	return l.written, nil
 }
 
-// Sync forces an fsync of the active segment regardless of policy.
-func (l *Log) Sync() error {
+// Commit returns once an fsync covers the record at lsn and every record
+// written before it, whatever the policy. It is a group commit: when no fsync
+// is in flight the caller leads one, outside the log's lock, for every record
+// written so far; a caller arriving while one is in flight waits for it when
+// it covers lsn, and otherwise leads the next. A failed fsync is returned to
+// every caller of its batch, and the next Commit tries again. A closed or
+// killed log returns ErrClosed without syncing.
+func (l *Log) Commit(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	return l.syncLocked()
-}
-
-func (l *Log) syncLocked() error {
-	if l.f == nil {
-		return nil
-	}
-	if l.opts.Hooks != nil {
-		if err := l.opts.Hooks.OnWALSync(l.path); err != nil {
-			return fmt.Errorf("wal: fsync %s: %w", filepath.Base(l.path), err)
+	for {
+		if l.closed {
+			return ErrClosed
+		}
+		if lsn <= l.durable {
+			return nil
+		}
+		if !l.syncing {
+			return l.leadLocked()
+		}
+		covered, syncs := l.target >= lsn, l.syncs
+		for l.syncs == syncs {
+			l.ended.Wait()
+		}
+		if covered && !l.closed && lsn > l.durable {
+			return l.syncErr // our batch's fsync failed
 		}
 	}
-	if err := l.f.Sync(); err != nil {
+}
+
+// Flush makes the record at lsn as durable as the policy promises: Commit
+// under PolicyAlways, Commit once the interval since the last fsync has
+// passed under PolicyInterval, nothing under PolicyOff.
+func (l *Log) Flush(lsn uint64) error {
+	switch l.opts.Policy {
+	case PolicyAlways:
+		return l.Commit(lsn)
+	case PolicyInterval:
+		l.mu.Lock()
+		due := time.Since(l.lastSync) >= l.opts.Interval
+		l.mu.Unlock()
+		if due {
+			return l.Commit(lsn)
+		}
+	}
+	return nil
+}
+
+// Sync makes every record written so far durable, regardless of policy.
+func (l *Log) Sync() error {
+	l.mu.Lock()
+	lsn := l.written
+	l.mu.Unlock()
+	return l.Commit(lsn)
+}
+
+// Stats reports the log's counters.
+func (l *Log) Stats() Stats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.stats
+}
+
+// leadLocked runs one group commit: it fsyncs the active segment on behalf of
+// every record written so far, with mu released for the fsync itself.
+func (l *Log) leadLocked() error {
+	f, path := l.f, l.path
+	l.syncing, l.target = true, l.written
+	l.mu.Unlock()
+	err := l.fsync(f, path)
+	l.mu.Lock()
+	l.syncing = false
+	l.syncEndedLocked(l.target, err)
+	if l.closed {
+		return ErrClosed // killed mid-fsync
+	}
+	return err
+}
+
+// sealLocked fsyncs the active segment without releasing mu: rotation and
+// close, which must not race a leader, have waited out any fsync in flight.
+func (l *Log) sealLocked() error {
+	if l.durable == l.written {
+		return nil
+	}
+	err := l.fsync(l.f, l.path)
+	l.syncEndedLocked(l.written, err)
+	return err
+}
+
+func (l *Log) fsync(f *os.File, path string) error {
+	if l.opts.Hooks != nil {
+		if err := l.opts.Hooks.OnWALSync(path); err != nil {
+			return fmt.Errorf("wal: fsync %s: %w", filepath.Base(path), err)
+		}
+	}
+	if err := f.Sync(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	l.lastSync = time.Now()
 	return nil
+}
+
+// syncEndedLocked publishes the outcome of an fsync that covered records up
+// to target and wakes every caller waiting on it.
+func (l *Log) syncEndedLocked(target uint64, err error) {
+	l.syncs++
+	l.stats.Fsyncs++
+	if err != nil {
+		l.syncErr = err
+	} else {
+		l.durable = max(l.durable, target)
+		l.lastSync = time.Now()
+	}
+	l.ended.Broadcast()
+}
+
+// waitSyncLocked waits out an fsync in flight, so the caller may replace or
+// close the active segment.
+func (l *Log) waitSyncLocked() {
+	for l.syncing {
+		l.ended.Wait()
+	}
 }
 
 // Checkpoint atomically replaces the checkpoint file with the given compacted
@@ -330,6 +481,7 @@ func (l *Log) syncLocked() error {
 func (l *Log) Checkpoint(state []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.waitSyncLocked()
 	if l.closed {
 		return ErrClosed
 	}
@@ -341,6 +493,7 @@ func (l *Log) Checkpoint(state []byte) error {
 	if err := WriteFileAtomic(filepath.Join(l.dir, checkpointName), appendFrame(nil, len(state), state), 0o644); err != nil {
 		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
+	l.stats.Checkpoints++
 	sealed := l.seq
 	if err := l.openSegmentLocked(sealed + 1); err != nil {
 		return err
@@ -362,6 +515,7 @@ func (l *Log) Checkpoint(state []byte) error {
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.waitSyncLocked()
 	if l.closed {
 		return nil
 	}
@@ -371,7 +525,7 @@ func (l *Log) Close() error {
 	}
 	var err error
 	if l.opts.Policy != PolicyOff && !l.torn {
-		err = l.syncLocked()
+		err = l.sealLocked()
 	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
@@ -382,7 +536,8 @@ func (l *Log) Close() error {
 
 // Kill closes the log file handles without any final flush: the hard-kill
 // teardown path, leaving on-disk state exactly as the last policy-driven
-// sync left it.
+// sync left it. It does not wait for an fsync in flight; that fsync's callers
+// get ErrClosed.
 func (l *Log) Kill() {
 	l.mu.Lock()
 	defer l.mu.Unlock()

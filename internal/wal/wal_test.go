@@ -6,7 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"viracocha/internal/faults"
 )
@@ -502,5 +507,181 @@ func TestAppendPartsIsAppend(t *testing.T) {
 	}
 	if len(a) == 0 || !bytes.Equal(a, b) {
 		t.Fatalf("segment written in parts (%d bytes) differs from the one written whole (%d bytes)", len(b), len(a))
+	}
+}
+
+// syncHooks counts appends and fsyncs; gate, when set, holds the first fsync
+// until it is closed (or a deadline passes, so a log that syncs under its own
+// lock fails the test instead of deadlocking it), and fail fails that fsync.
+type syncHooks struct {
+	mu      sync.Mutex
+	appends int
+	syncs   int
+	gate    chan struct{}
+	fail    error
+}
+
+func (h *syncHooks) OnWALAppend(string) bool {
+	h.mu.Lock()
+	h.appends++
+	h.mu.Unlock()
+	return false
+}
+
+func (h *syncHooks) OnWALSync(string) error {
+	h.mu.Lock()
+	h.syncs++
+	gate, err := h.gate, h.fail
+	h.gate, h.fail = nil, nil
+	h.mu.Unlock()
+	if gate != nil {
+		select {
+		case <-gate:
+		case <-time.After(2 * time.Second):
+		}
+	}
+	return err
+}
+
+func (h *syncHooks) counts() (appends, syncs int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.appends, h.syncs
+}
+
+// waitCommitters waits until n goroutines are parked inside Commit waiting
+// for an fsync in flight.
+func waitCommitters(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		parked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "wal.(*Log).Commit") {
+				parked++
+			}
+		}
+		if parked >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d committers parked on the fsync in flight, want %d", parked, n)
+		}
+	}
+}
+
+// TestGroupCommitSharesFsync: eight concurrent appenders under PolicyAlways
+// share their fsyncs. The first fsync is held until all eight records are
+// written, so the other seven are covered by at most one more: at most two
+// fsyncs in all, every append acknowledged, every record recovered.
+func TestGroupCommitSharesFsync(t *testing.T) {
+	const n = 8
+	dir := t.TempDir()
+	release := make(chan struct{})
+	h := &syncHooks{gate: release}
+	l, err := Open(dir, Options{Policy: PolicyAlways, Hooks: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() { errs <- l.Append([]byte(fmt.Sprintf("rec-%d", i))) }()
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if appends, _ := h.counts(); appends == n || time.Now().After(deadline) {
+			break
+		}
+	}
+	close(release)
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	if _, syncs := h.counts(); syncs > 2 {
+		t.Fatalf("%d appenders made %d fsyncs, want at most 2", n, syncs)
+	}
+	if st := l.Stats(); st.Records != n {
+		t.Fatalf("stats count %d records, want %d", st.Records, n)
+	}
+	l.Kill()
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := recordStrings(rec)
+	sort.Strings(got)
+	var want []string
+	for i := 0; i < n; i++ {
+		want = append(want, fmt.Sprintf("rec-%d", i))
+	}
+	if !equalStrings(got, want) {
+		t.Fatalf("recovered %q, want %q", got, want)
+	}
+}
+
+// TestGroupCommitFailureReachesBatch: a failed fsync is returned to its
+// leader and to every caller waiting on it, and the next Commit fsyncs again.
+func TestGroupCommitFailureReachesBatch(t *testing.T) {
+	const followers = 4
+	boom := errors.New("injected fsync failure")
+	release := make(chan struct{})
+	h := &syncHooks{gate: release, fail: boom}
+	l, err := Open(t.TempDir(), Options{Policy: PolicyOff, Hooks: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lsns []uint64
+	for i := 0; i < followers; i++ {
+		lsn, err := l.Write([]byte{byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+	}
+	errs := make(chan error, followers+1)
+	go func() { errs <- l.Commit(lsns[0]) }() // leads: its fsync covers all four
+	for {
+		if _, syncs := h.counts(); syncs == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, lsn := range lsns {
+		go func() { errs <- l.Commit(lsn) }()
+	}
+	waitCommitters(t, followers)
+	close(release)
+	for i := 0; i <= followers; i++ {
+		if err := <-errs; !errors.Is(err, boom) {
+			t.Fatalf("committer %d: want the injected failure, got %v", i, err)
+		}
+	}
+	if err := l.Commit(lsns[followers-1]); err != nil {
+		t.Fatalf("retry after the failed fsync: %v", err)
+	}
+	if _, syncs := h.counts(); syncs != 2 {
+		t.Fatalf("%d fsyncs, want the failed one and its retry", syncs)
+	}
+	l.Close()
+}
+
+// TestGroupCommitAfterKill: a killed log refuses to commit and does not sync.
+func TestGroupCommitAfterKill(t *testing.T) {
+	h := &syncHooks{}
+	l, err := Open(t.TempDir(), Options{Policy: PolicyOff, Hooks: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := l.Write([]byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Kill()
+	if err := l.Commit(lsn); !errors.Is(err, ErrClosed) {
+		t.Fatalf("commit after kill: want ErrClosed, got %v", err)
+	}
+	if _, syncs := h.counts(); syncs != 0 {
+		t.Fatalf("commit after kill made %d fsyncs", syncs)
 	}
 }

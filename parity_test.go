@@ -2,6 +2,7 @@ package viracocha
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"net"
 	"testing"
@@ -85,5 +86,33 @@ func TestClientsAssembleIdentically(t *testing.T) {
 			t.Fatalf("fail=%s: TCP client assembled %d triangles, in-process client %d: meshes differ",
 				fail, remote.NumTriangles(), local.Merged.NumTriangles())
 		}
+	}
+}
+
+// TestUntaggedStreamIsByteStable: a default streamed request — no
+// redistribute, so its partials carry no block tags — merges to the same
+// bytes on every run over TCP, however the two ranks' packets interleave on
+// the way: the assembler orders untagged geometry by (rank, seq), not by
+// arrival.
+func TestUntaggedStreamIsByteStable(t *testing.T) {
+	_, ln := serveSystem(t, Options{Workers: 2}, "engine", 1)
+	defer ln.Close()
+	rc, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	p := Params("dataset", "engine", "workers", "2", "iso", "500",
+		"ex", "-5", "ey", "0.5", "ez", "0.5", "granularity", "1", "memo", "0")
+	digests := map[[32]byte]bool{}
+	for i := 0; i < 30; i++ {
+		m, err := rc.Run("iso.viewer", p, nil)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		digests[sha256.Sum256(m.EncodeBinary())] = true
+	}
+	if len(digests) != 1 {
+		t.Fatalf("30 runs merged to %d distinct meshes, want 1", len(digests))
 	}
 }

@@ -13,7 +13,8 @@ const StatsReportMarker = "v1"
 // StatsReport is the server's operational snapshot, written on graceful
 // shutdown (the server's -stats flag) or on demand. It bundles the counters
 // an operator reads after a run: admission control, the DMS memory budget,
-// result memoization, and the retained finished requests' timing records.
+// result memoization, the write-ahead log, and the retained finished
+// requests' timing records.
 type StatsReport struct {
 	// Marker is always StatsReportMarker; its JSON key doubles as the file
 	// format signature.
@@ -21,6 +22,7 @@ type StatsReport struct {
 	Overload OverloadCounters `json:"overload"`
 	Budget   BudgetStats      `json:"budget"`
 	Memo     MemoStats        `json:"memo"`
+	WAL      WALStats         `json:"wal"`
 	Requests []RequestStats   `json:"requests"`
 	// RequestsDropped counts the older finished-request records the scheduler
 	// evicted to keep its table bounded (it retains the newest 8192).
@@ -34,6 +36,7 @@ func (s *System) StatsReport() StatsReport {
 		Overload:        s.OverloadStats(),
 		Budget:          s.DMSBudget(),
 		Memo:            s.MemoStats(),
+		WAL:             s.WALStats(),
 		Requests:        s.AllStats(),
 		RequestsDropped: s.Runtime.Sched.FinishedDropped(),
 	}

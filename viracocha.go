@@ -25,6 +25,7 @@ import (
 	"viracocha/internal/storage"
 	"viracocha/internal/trace"
 	"viracocha/internal/vclock"
+	"viracocha/internal/wal"
 )
 
 // Re-exported result and geometry types.
@@ -54,6 +55,9 @@ type (
 	BudgetStats = dms.BudgetStats
 	// MemoStats aggregates the result-memoization counters (Options.Memo).
 	MemoStats = core.MemoStats
+	// WALStats counts the control-plane WAL's records, fsyncs and
+	// checkpoints (Options.WALDir).
+	WALStats = wal.Stats
 	// OverloadCounters is the scheduler's admission-control activity record.
 	OverloadCounters = core.OverloadCounters
 	// FaultPlan is a seeded, deterministic fault-injection scenario.
@@ -352,6 +356,11 @@ func (s *System) OverloadStats() core.OverloadCounters { return s.Runtime.Sched.
 // MemoStats reports the result-memoization counters (all zero unless
 // Options.Memo or a request's "memo" parameter turned the path on).
 func (s *System) MemoStats() MemoStats { return s.Runtime.Sched.MemoStats() }
+
+// WALStats reports the write-ahead log's counters since RecoverWAL opened it
+// (all zero on a WAL-less system): records per fsync is what the bridge's
+// group commit buys under fsync always.
+func (s *System) WALStats() WALStats { return s.wal.stats() }
 
 // InvalidateStep drops every cached entity derived from the given time step
 // of the data set — demand blocks, derived indexes and memoized results alike

@@ -3,7 +3,7 @@ package viracocha
 // Control-plane crash durability, root side. The walSink below is the glue
 // between the runtime's event streams and internal/wal: every durable-session
 // admission, lease transition, dispatch and journal span/mark is (a) applied
-// to the in-memory recoverable state and (b) appended to the write-ahead log
+// to the in-memory recoverable state and (b) written to the write-ahead log
 // — in that order, under one sink lock, so the state is at all times exactly
 // what a replay of the log would rebuild. Outbound frames skip (a): the
 // bridge already appended them to the request's streamLog, which the state
@@ -15,6 +15,15 @@ package viracocha
 // Lock order: bridge.mu or scheduler.mu may be held when a sink method is
 // called; the sink takes its own mu and, below it, a streamLog's leaf mu —
 // never the other direction.
+//
+// The sink only writes; it never fsyncs under those locks. A write returns
+// the record's lsn, and the callers commit outside every lock: the bridge's
+// dispatch loop once per batch of frames before any of them reaches a socket
+// (flush), attach before it replays retained frames, and the lease and
+// admission barrier before the lease reply or the routed command goes out
+// (commit). Scheduler-side records and retirements ride the next commit. The
+// one synchronous disk write left under the locks is the checkpoint, about
+// once per segment.
 //
 // Replay is idempotent and monotonic (frames at or below a log's head are
 // dropped, epochs and attempts only move forward, marks are unioned) because
@@ -94,18 +103,20 @@ type walSink struct {
 	dir  string
 	warn func(format string, args ...any) // trace adapter, may be nil
 
-	mu    sync.Mutex
-	log   *wal.Log // nil until RecoverWAL opens the directory
-	state *walState
+	mu     sync.Mutex
+	log    *wal.Log // nil until RecoverWAL opens the directory
+	policy wal.Policy
+	state  *walState
 	// byRuntime indexes the durable requests by scheduler request ID, for the
 	// scheduler-side hooks. The bridge's routes map has the same keys but
 	// resolves to the liveReq — delivery state of every session kind, guarded
 	// by bridge.mu, which a hook firing under scheduler.mu must not take.
 	byRuntime map[uint64]*walReq
 	bytes     int64  // appended since the last checkpoint
+	written   uint64 // lsn of the last record the sink wrote
 	head      []byte // scratch for a wframe record's head (Frame)
 	closed    bool
-	err       error // first append/checkpoint failure; logging is best-effort after
+	err       error // first write/sync/checkpoint failure; logging is best-effort after
 }
 
 func newWALSink(dir string) *walSink {
@@ -122,48 +133,100 @@ func (w *walSink) warnf(format string, args ...any) {
 	}
 }
 
-// record applies one record to the state and appends it to the log.
-func (w *walSink) record(m comm.Message) {
+// record applies one record to the state and writes it to the log,
+// returning its lsn (0 when nothing was written).
+func (w *walSink) record(m comm.Message) uint64 {
 	if w == nil {
-		return
+		return 0
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.applyLocked(m)
-	w.appendLocked(m)
+	return w.appendLocked(m)
 }
 
-func (w *walSink) appendLocked(m comm.Message) {
+func (w *walSink) appendLocked(m comm.Message) uint64 {
 	if w.log == nil || w.closed {
-		return
+		return 0
 	}
 	data := comm.Encode(m)
-	w.appendedLocked(m.Kind, len(data), w.log.Append(data))
+	lsn, err := w.log.Write(data)
+	return w.appendedLocked(lsn, len(data), err)
 }
 
-// appendedLocked follows up an append of n bytes: barrier, count, checkpoint.
-func (w *walSink) appendedLocked(kind string, n int, err error) {
+// appendedLocked follows up the write of an n-byte record: count, checkpoint.
+// It returns the lsn to commit for it — the last good one when the write
+// failed, so a caller never sends ahead of an earlier record.
+func (w *walSink) appendedLocked(lsn uint64, n int, err error) uint64 {
 	if err != nil {
 		w.noteErrLocked("append", err)
-		return
+		return w.written
 	}
-	switch kind {
-	case "wlease", "wadmit":
-		// Admission barrier: leases and admissions are rare and load-bearing
-		// — losing one denies the client's resume outright — so they are
-		// synced regardless of policy. Frames and journal marks, which
-		// recovery can afford to lose (the blocks are just recomputed and
-		// the client dedupes), ride the policy's loss window.
-		if err := w.log.Sync(); err != nil {
-			w.noteErrLocked("sync", err)
-		}
-	}
+	w.written = lsn
 	w.bytes += int64(n) + 8
 	if w.bytes >= wal.DefaultSegmentBytes { // a checkpoint about once per segment
 		if err := w.checkpointLocked(); err != nil {
 			w.noteErrLocked("checkpoint", err)
 		}
 	}
+	return lsn
+}
+
+// commit is the admission barrier: leases and admissions are rare and
+// load-bearing — losing one denies the client's resume outright — so the
+// record at lsn, and everything written before it, is fsynced regardless of
+// policy. Frames and journal records, which recovery can afford to lose (the
+// blocks are just recomputed and the client dedupes), ride the policy's loss
+// window through flush. Neither is called with a bridge or scheduler lock
+// held.
+func (w *walSink) commit(lsn uint64) { w.sync(lsn, (*wal.Log).Commit) }
+
+// flush makes the records up to lsn as durable as the policy promises before
+// the frames they carry reach a socket.
+func (w *walSink) flush(lsn uint64) { w.sync(lsn, (*wal.Log).Flush) }
+
+// flushAll is flush for every record written so far: attach runs it before
+// replaying retained frames, some of which may not be committed yet.
+func (w *walSink) flushAll() {
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	lsn := w.written
+	w.mu.Unlock()
+	w.flush(lsn)
+}
+
+// sync runs how on the log for lsn; lsn 0 is no record at all.
+func (w *walSink) sync(lsn uint64, how func(*wal.Log, uint64) error) {
+	if w == nil || lsn == 0 {
+		return
+	}
+	w.mu.Lock()
+	l, closed := w.log, w.closed
+	w.mu.Unlock()
+	if l == nil || closed {
+		return
+	}
+	if err := how(l, lsn); err != nil {
+		w.mu.Lock()
+		w.noteErrLocked("sync", err)
+		w.mu.Unlock()
+	}
+}
+
+// stats reports the log's counters (zero on a WAL-less system).
+func (w *walSink) stats() wal.Stats {
+	if w == nil {
+		return wal.Stats{}
+	}
+	w.mu.Lock()
+	l := w.log
+	w.mu.Unlock()
+	if l == nil {
+		return wal.Stats{}
+	}
+	return l.Stats()
 }
 
 // checkpointLocked compacts the state into the checkpoint file and lets the
@@ -285,27 +348,31 @@ func markRecord(reqID uint64, attempt, item, bframes int) comm.Message {
 
 // ---- bridge-side hooks (called with bridge.mu held or not — sink.mu only) ----
 
-// LeaseIssue records a fresh durable session lease and its admission name.
+// LeaseIssue records a fresh durable session lease and its admission name,
+// and commits it: the caller sends the lease reply next.
 func (w *walSink) LeaseIssue(id string, epoch int, admission string) {
-	w.record(leaseRecord("issue", id, epoch, admission))
+	w.commit(w.record(leaseRecord("issue", id, epoch, admission)))
 }
 
-// LeaseResume records an epoch bump from a resume handshake.
+// LeaseResume records and commits an epoch bump from a resume handshake.
 func (w *walSink) LeaseResume(id string, epoch int) {
-	w.record(leaseRecord("resume", id, epoch, ""))
+	w.commit(w.record(leaseRecord("resume", id, epoch, "")))
 }
 
-// LeaseDrop records a purge: the session and its requests leave the state.
+// LeaseDrop records and commits a purge: the session and its requests leave
+// the state.
 func (w *walSink) LeaseDrop(id string) {
-	w.record(leaseRecord("drop", id, 0, ""))
+	w.commit(w.record(leaseRecord("drop", id, 0, "")))
 }
 
 // Admit records a durable request's admission: the original client command,
 // the scheduler-side request ID the bridge routed it under, and the stream
 // log the bridge will append its frames to — from here on the state's too.
-func (w *walSink) Admit(sessID string, clientReq, runtimeID uint64, cmd comm.Message, log *streamLog) {
+// It returns the record's lsn, which the caller commits, outside the bridge
+// lock, before it routes the command.
+func (w *walSink) Admit(sessID string, clientReq, runtimeID uint64, cmd comm.Message, log *streamLog) uint64 {
 	if w == nil {
-		return
+		return 0
 	}
 	m := admitRecord(sessID, clientReq, runtimeID, comm.Encode(cmd))
 	w.mu.Lock()
@@ -314,31 +381,38 @@ func (w *walSink) Admit(sessID string, clientReq, runtimeID uint64, cmd comm.Mes
 	if r := w.reqOf(m); r != nil {
 		r.log = log
 	}
-	w.appendLocked(m)
+	return w.appendLocked(m)
 }
 
-// Frame persists one stamped outbound frame. The bridge appended it to the
-// shared stream log before calling, so a checkpoint racing this append
-// already folds the frame in and replay drops the record as a duplicate.
-// The record is frameRecord's byte for byte, never assembled here: its head in
-// the sink's scratch, the frame's parts as its payload, the log staging both.
-func (w *walSink) Frame(sessID string, clientReq uint64, f comm.Frame) {
+// Frame writes one stamped outbound frame and returns the lsn the frame must
+// wait for before it reaches a socket: 0 under PolicyOff, which promises
+// nothing to wait for. The bridge appended it to the shared stream log before
+// calling, so a checkpoint racing this write already folds the frame in and
+// replay drops the record as a duplicate. The record is frameRecord's byte for
+// byte, never assembled here: its head in the sink's scratch, the frame's
+// parts as its payload, the log staging both.
+func (w *walSink) Frame(sessID string, clientReq uint64, f comm.Frame) uint64 {
 	if w == nil {
-		return
+		return 0
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.log == nil || w.closed {
-		return
+		return 0
 	}
 	w.head = comm.AppendHead(w.head[:0], comm.Message{Kind: "wframe", ReqID: clientReq}, f.Len(), "sess", sessID)
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], comm.Checksum(w.head, f.Head, f.Payload, f.Sum))
-	err := w.log.AppendParts(w.head, f.Head, f.Payload, f.Sum, sum[:])
-	w.appendedLocked("wframe", len(w.head)+f.Len()+len(sum), err)
+	lsn, err := w.log.Write(w.head, f.Head, f.Payload, f.Sum, sum[:])
+	lsn = w.appendedLocked(lsn, len(w.head)+f.Len()+len(sum), err)
+	if w.policy == wal.PolicyOff {
+		return 0
+	}
+	return lsn
 }
 
-// Retire records that the client fully consumed a finished request.
+// Retire records that the client fully consumed a finished request. The
+// record rides the next commit.
 func (w *walSink) Retire(sessID string, clientReq uint64) {
 	w.record(comm.Message{Kind: "wretire", ReqID: clientReq, Params: map[string]string{
 		"sess": sessID,
@@ -347,9 +421,10 @@ func (w *walSink) Retire(sessID string, clientReq uint64) {
 
 // ---- scheduler-side hooks (core.WALSink; called under scheduler.mu) ----
 
-// journal records one scheduler-side event of a durable request. Non-durable
-// requests — anything the bridge never admitted — are not in byRuntime and
-// stay out of the log, without their record ever being built.
+// journal records one scheduler-side event of a durable request; the record
+// rides the next commit. Non-durable requests — anything the bridge never
+// admitted — are not in byRuntime and stay out of the log, without their
+// record ever being built.
 func (w *walSink) journal(reqID uint64, rec func() comm.Message) {
 	if w == nil {
 		return
@@ -610,7 +685,7 @@ func (w *walSink) open(policy wal.Policy, hooks wal.FaultHooks) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.log = l
+	w.log, w.policy = l, policy
 	return w.checkpointLocked()
 }
 
@@ -703,7 +778,10 @@ func (b *sessionBridge) restoreWAL(w *walSink) []walPlan {
 // only the blocks not yet streamed to the client. A WAL-less system (no
 // Options.WALDir) returns nil immediately. Call it on a fresh System, before
 // Serve; it replaces Start.
-func (s *System) RecoverWAL() error {
+func (s *System) RecoverWAL() error { return s.recoverWAL(s.Runtime.FaultInjector()) }
+
+// recoverWAL is RecoverWAL with the log's fault hooks given.
+func (s *System) recoverWAL(hooks wal.FaultHooks) error {
 	if s.wal == nil {
 		return nil
 	}
@@ -731,7 +809,7 @@ func (s *System) RecoverWAL() error {
 	w.load(rec)
 	b := s.bridge()
 	admitted := b.restoreWAL(w)
-	if err := w.open(policy, rt.FaultInjector()); err != nil {
+	if err := w.open(policy, hooks); err != nil {
 		return err
 	}
 	s.Start()
