@@ -103,10 +103,11 @@ profile-delivery:
 
 # The allocation guard CI runs: at most six bytes allocated per byte delivered
 # over a 47-partial loopback stream (the parent commit of the guard took 10.8),
-# and no allocation at all when a rank parks on stream credit and an ack
-# releases it.
+# no allocation at all when a rank parks on stream credit and an ack
+# releases it, and none when a held iso extractor moves between blocks of
+# different sizes.
 alloc-guard:
-	$(GO) test -count=1 -run 'TestDeliveryAllocationGuard|TestFlowParkAllocatesNothing' -v . ./internal/core/
+	$(GO) test -count=1 -run 'TestDeliveryAllocationGuard|TestFlowParkAllocatesNothing|TestExtractorResetAllocatesNothing' -v . ./internal/core/ ./internal/iso/
 
 # Short fuzz pass over the message codec (incl. fault-plan-mutated frames
 # and the message batches of WAL checkpoints), the memo-key float canonicalizer, the WAL

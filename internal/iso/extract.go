@@ -15,7 +15,9 @@ import (
 // tetrahedron and every cell that shares the edge, because the 6-tet
 // decomposition is consistent across faces. The edge→vertex cache therefore
 // makes the output welded by construction, with no post-hoc Weld pass and
-// roughly 6× fewer vertex bytes than triangle-soup emission.
+// roughly 6× fewer vertex bytes than triangle-soup emission. The cache is a
+// table indexed directly by edge (see edgeDir); it costs 56 bytes per node
+// of the largest block the extractor has seen.
 //
 // The cell scan is fused: corner values are loaded once per cell (the
 // i-neighbour's shared face is shifted over instead of reloaded), the
@@ -28,20 +30,45 @@ type Extractor struct {
 	m   *mesh.Mesh
 	off [8]int // linear corner offsets, hoisted out of the scan
 
-	// edges maps a packed (lo,hi) global node pair to the mesh vertex index
-	// of the iso crossing on that edge.
-	edges map[uint64]uint32
+	// edges maps an edge to the mesh vertex index of the iso crossing on it:
+	// the edge from global node lo in direction edgeDir owns slot
+	// 7·lo+edgeDir, which holds gen<<32 | vertex index. A slot stamped with
+	// another generation is empty, so Reset and Rebind forget every cached
+	// vertex by bumping gen, and the table is cleared only when gen wraps.
+	edges []uint64
+	gen   uint32
 
 	g [8]int        // global node index per corner of the current cell
 	v [8]float64    // corner values
 	p [8]mathx.Vec3 // corner coordinates, loaded for active cells only
 }
 
-// extractorPool keeps extractor scratch (most importantly the edge cache's
-// buckets) warm across blocks and requests.
-var extractorPool = sync.Pool{
-	New: func() any { return &Extractor{edges: make(map[uint64]uint32, 1024)} },
-}
+// extractorPool keeps extractor scratch (most importantly the edge table)
+// warm across blocks and requests.
+var extractorPool = sync.Pool{New: func() any { return new(Extractor) }}
+
+// edgeDirs is the number of edge directions per node, and so the edge
+// table's slots per node.
+const edgeDirs = 7
+
+// cornerBits is the (i,j,k) offset of each CellCorners corner, packed as
+// i | j<<1 | k<<2.
+var cornerBits = [8]uint8{0, 1, 3, 2, 4, 5, 7, 6}
+
+// edgeDir numbers the direction of the edge between two corners of a cell.
+// Every edge of the 6-tet decomposition joins a corner to one whose offset
+// contains its own — the three axes, the three face diagonals and the body
+// diagonal — so the XOR of the two offsets is one of edgeDirs non-zero
+// patterns, numbered from 0. The table is symmetric; pairs no tetrahedron
+// joins are never looked up.
+var edgeDir = func() (t [8][8]uint8) {
+	for a := range t {
+		for c := range t[a] {
+			t[a][c] = (cornerBits[a] ^ cornerBits[c]) - 1
+		}
+	}
+	return t
+}()
 
 // NewExtractor returns a pooled extractor bound to block b and target mesh
 // m. Pair with Close to return the scratch to the pool.
@@ -51,12 +78,16 @@ func NewExtractor(b *grid.Block, m *mesh.Mesh) *Extractor {
 	return e
 }
 
-// Reset rebinds the extractor to a new block and target mesh and clears the
-// edge cache (whose vertex indices only mean anything for the old pair).
+// Reset rebinds the extractor to a new block and target mesh and empties the
+// edge cache (whose vertex indices only mean anything for the old pair),
+// growing its table if b has more nodes than any block before it.
 func (e *Extractor) Reset(b *grid.Block, m *mesh.Mesh) {
 	e.b, e.m = b, m
 	e.off = b.CellOffsets()
-	clear(e.edges)
+	if n := edgeDirs * b.NumNodes(); n > len(e.edges) {
+		e.edges = make([]uint64, n)
+	}
+	e.forget()
 }
 
 // Rebind points the extractor at a new (or just reset) target mesh on the
@@ -64,7 +95,18 @@ func (e *Extractor) Reset(b *grid.Block, m *mesh.Mesh) {
 // restarts empty, so the cached vertex indices must be dropped with it.
 func (e *Extractor) Rebind(m *mesh.Mesh) {
 	e.m = m
-	clear(e.edges)
+	e.forget()
+}
+
+// forget empties the edge cache by starting a new generation. Generation 0
+// is the stamp of a slot never written, so when the counter wraps to it the
+// table is cleared and counting restarts at 1.
+func (e *Extractor) forget() {
+	e.gen++
+	if e.gen == 0 {
+		clear(e.edges)
+		e.gen = 1
+	}
 }
 
 // Close releases the extractor's scratch back to the pool.
@@ -101,8 +143,8 @@ func (e *Extractor) Cell(vals []float32, iso float64, ci, cj, ck int) int {
 
 // Range triangulates all active cells in the half-open cell range with the
 // fused slab-ordered scan: stepping +i keeps the shared face of the previous
-// cell (corners 1,2,5,6 become 0,3,4,7), so each corner value is read once
-// per cell instead of twice (ActiveCell then ExtractCell).
+// cell (corners 1,2,5,6 become 0,3,4,7), so a step reads only the four new
+// corner values, and the active test and the extraction share them.
 func (e *Extractor) Range(vals []float32, iso float64, r grid.CellRange) Result {
 	var res Result
 	b := e.b
@@ -241,14 +283,14 @@ func (e *Extractor) emit(iso float64) int {
 // c, interpolating and appending it on first encounter and serving every
 // later tetrahedron or cell from the cache.
 func (e *Extractor) edgeVertex(iso float64, a, c int) uint32 {
-	na, nc := e.g[a], e.g[c]
-	if na > nc {
-		na, nc = nc, na
+	lo := e.g[a]
+	if lo > e.g[c] {
+		lo = e.g[c]
 		a, c = c, a
 	}
-	key := uint64(na)<<32 | uint64(uint32(nc))
-	if id, ok := e.edges[key]; ok {
-		return id
+	slot := &e.edges[edgeDirs*lo+int(edgeDir[a][c])]
+	if uint32(*slot>>32) == e.gen {
+		return uint32(*slot)
 	}
 	va, vc := e.v[a], e.v[c]
 	f := 0.5
@@ -256,6 +298,6 @@ func (e *Extractor) edgeVertex(iso float64, a, c int) uint32 {
 		f = mathx.Clamp((iso-va)/denom, 0, 1)
 	}
 	id := e.m.AddVertex(e.p[a].Lerp(e.p[c], f))
-	e.edges[key] = id
+	*slot = uint64(e.gen)<<32 | uint64(id)
 	return id
 }

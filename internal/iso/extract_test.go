@@ -38,19 +38,19 @@ func jitteredBlock(n int, seed int64) *grid.Block {
 	return b
 }
 
-// referenceExtract runs the seed two-pass path: per-cell ActiveCell test,
-// ExtractCell triangle soup, then a post-hoc Weld.
+// referenceExtract runs the seed two-pass path: per-cell activeCell test,
+// extractCell triangle soup, then a post-hoc Weld.
 func referenceExtract(b *grid.Block, vals []float32, iso float64, m *mesh.Mesh) Result {
 	var res Result
 	for ck := 0; ck < b.NK-1; ck++ {
 		for cj := 0; cj < b.NJ-1; cj++ {
 			for ci := 0; ci < b.NI-1; ci++ {
 				res.CellsVisited++
-				if !ActiveCell(b, vals, iso, ci, cj, ck) {
+				if !activeCell(b, vals, iso, ci, cj, ck) {
 					continue
 				}
 				res.ActiveCells++
-				res.Triangles += ExtractCell(b, vals, iso, ci, cj, ck, m)
+				res.Triangles += extractCell(b, vals, iso, ci, cj, ck, m)
 			}
 		}
 	}
@@ -97,7 +97,7 @@ func vertexSet(m *mesh.Mesh) map[[3]int64]int {
 
 // TestWeldedExtractorMatchesReference is the kernel equivalence test: on
 // random curvilinear blocks, the welded Extractor must reproduce the seed
-// path (ActiveCell + ExtractCell + Weld) exactly — same counters, same
+// path (activeCell + extractCell + Weld) exactly — same counters, same
 // triangle topology, same vertex set within tolerance.
 func TestWeldedExtractorMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {

@@ -5,16 +5,15 @@
 // faces' diagonals. The package works on raw value arrays so the same code
 // triangulates stored fields (pressure) and lazily computed ones (λ2).
 //
-// The production kernel is the Extractor (extract.go): a fused scan that
-// reads each corner value once and welds vertices by construction through an
-// edge-indexed cache, so shared vertices are emitted exactly once per block.
-// ActiveCell and ExtractCell below are the straightforward per-cell
-// reference kernels; the equivalence tests check the Extractor against them.
+// The kernel is the Extractor (extract.go): a fused scan that reads each
+// corner value once and welds vertices by construction through a
+// direct-indexed edge table, so shared vertices are emitted exactly once per block.
+// The equivalence tests check it against the seed's per-cell reference
+// kernels, which live with them (reference_test.go).
 package iso
 
 import (
 	"viracocha/internal/grid"
-	"viracocha/internal/mathx"
 	"viracocha/internal/mesh"
 )
 
@@ -53,74 +52,6 @@ var tetTriangles = [16][7]int{
 	{0, 3, 4, -1},          // 1101: ~0010, flipped
 	{0, 2, 1, -1},          // 1110: ~0001, flipped
 	{-1},                   // 1111
-}
-
-// ActiveCell reports whether cell (ci,cj,ck) straddles the iso value, i.e.
-// at least one corner is below and one at-or-above.
-func ActiveCell(b *grid.Block, vals []float32, iso float64, ci, cj, ck int) bool {
-	c := b.CellCorners(ci, cj, ck)
-	below, above := false, false
-	for _, idx := range c {
-		if float64(vals[idx]) < iso {
-			below = true
-		} else {
-			above = true
-		}
-		if below && above {
-			return true
-		}
-	}
-	return false
-}
-
-// ExtractCell triangulates the iso-surface fragment inside one cell,
-// appending to m, and returns the number of triangles added. It is the
-// unwelded reference kernel: every triangle corner becomes a fresh vertex,
-// so a post-hoc Weld is needed to deduplicate — production code uses an
-// Extractor instead.
-func ExtractCell(b *grid.Block, vals []float32, iso float64, ci, cj, ck int, m *mesh.Mesh) int {
-	corners := b.CellCorners(ci, cj, ck)
-	var pos [8]mathx.Vec3
-	var val [8]float64
-	for n, idx := range corners {
-		pos[n] = mathx.Vec3{
-			X: float64(b.Points[3*idx]),
-			Y: float64(b.Points[3*idx+1]),
-			Z: float64(b.Points[3*idx+2]),
-		}
-		val[n] = float64(vals[idx])
-	}
-	added := 0
-	for _, tet := range tets {
-		mask := 0
-		for i, c := range tet {
-			if val[c] < iso {
-				mask |= 1 << i
-			}
-		}
-		tri := tetTriangles[mask]
-		for t := 0; t+2 < len(tri) && tri[t] >= 0; t += 3 {
-			var vid [3]uint32
-			for e := 0; e < 3; e++ {
-				a := tet[tetEdges[tri[t+e]][0]]
-				c := tet[tetEdges[tri[t+e]][1]]
-				va, vc := val[a], val[c]
-				denom := vc - va
-				var f float64
-				if denom != 0 {
-					f = (iso - va) / denom
-				} else {
-					f = 0.5
-				}
-				f = mathx.Clamp(f, 0, 1)
-				p := pos[a].Lerp(pos[c], f)
-				vid[e] = m.AddVertex(p)
-			}
-			m.AddTriangle(vid[0], vid[1], vid[2])
-			added++
-		}
-	}
-	return added
 }
 
 // Result summarizes an extraction over a set of cells for the cost model.

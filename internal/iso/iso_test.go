@@ -33,13 +33,13 @@ func TestActiveCell(t *testing.T) {
 	b := scalarBlock(3, func(p mathx.Vec3) float64 { return p.X })
 	vals := b.Scalars["s"]
 	// iso=0.25 crosses cells with x ∈ [0,0.5] (first cell layer).
-	if !ActiveCell(b, vals, 0.25, 0, 0, 0) {
+	if !activeCell(b, vals, 0.25, 0, 0, 0) {
 		t.Fatal("cell straddling iso not active")
 	}
-	if ActiveCell(b, vals, 0.25, 1, 0, 0) {
+	if activeCell(b, vals, 0.25, 1, 0, 0) {
 		t.Fatal("cell fully above iso marked active")
 	}
-	if ActiveCell(b, vals, 2.0, 0, 0, 0) {
+	if activeCell(b, vals, 2.0, 0, 0, 0) {
 		t.Fatal("iso outside range marked active")
 	}
 }

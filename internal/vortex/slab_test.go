@@ -61,6 +61,16 @@ func degenerateBlock(n int) *grid.Block {
 	return b
 }
 
+// nodeLambda2 is the seed per-node reference kernel, retained verbatim as
+// the determinism oracle the slab-blocked sweep is pinned against.
+func nodeLambda2(b *grid.Block, i, j, k int) float64 {
+	jac, ok := b.VelocityGradient(i, j, k)
+	if !ok {
+		return nonVortex
+	}
+	return mathx.Lambda2(jac)
+}
+
 // referenceField is the seed kernel, node by node: the oracle the
 // slab-blocked sweep is compared against.
 func referenceField(b *grid.Block) []float32 {

@@ -41,9 +41,10 @@ func ComputeInto(b *grid.Block, out []float32) int {
 // computeSlab is the slab-blocked λ2 sweep: the velocity gradient is
 // evaluated one (j,k) node row at a time into pooled scratch by the
 // flat-index row kernel, and each tensor feeds the specialized eigen-solve.
-// Every float operation matches the seed per-node nodeLambda2 path, so the
-// output is bit-identical (TestSlabDeterminism); only the bookkeeping —
-// index recomputation, Mat3 copies, per-node call overhead — is gone.
+// Every float operation matches the seed per-node path (nodeLambda2 in the
+// tests), so the output is bit-identical (TestSlabDeterminism); only the
+// bookkeeping — index recomputation, Mat3 copies, per-node call overhead —
+// is gone.
 func computeSlab(b *grid.Block, out []float32) int {
 	r := grid.AcquireJacRow(b.NI)
 	n := 0
@@ -71,18 +72,9 @@ func computeSlab(b *grid.Block, out []float32) int {
 	return n
 }
 
-// nodeLambda2 is the seed per-node reference kernel, retained verbatim as
-// the determinism oracle the slab-blocked sweep is pinned against.
-func nodeLambda2(b *grid.Block, i, j, k int) float64 {
-	jac, ok := b.VelocityGradient(i, j, k)
-	if !ok {
-		return nonVortex
-	}
-	return mathx.Lambda2(jac)
-}
-
-// nodeLambda2Fast is nodeLambda2 through the specialized eigen-solve —
-// bit-identical by construction — for the lazy on-demand path, which cannot
+// nodeLambda2Fast evaluates λ2 at one node through the specialized
+// eigen-solve — bit-identical by construction to the seed's per-node kernel,
+// nodeLambda2 in the tests — for the lazy on-demand path, which cannot
 // amortize a whole row of gradients per evaluation.
 func nodeLambda2Fast(b *grid.Block, i, j, k int) float64 {
 	jac, ok := b.VelocityGradient(i, j, k)

@@ -19,9 +19,6 @@ exempt() {
 	cat <<'EOF'
 Set	flag.Value (the repeatable -fault and -p flags)
 Unwrap	errors.Is(err, ErrOverloaded / ErrDraining) reaches the sentinel through it
-ActiveCell	reference kernel: the indexed extraction is tested against it
-ExtractCell	reference kernel: the range extraction is tested against it
-nodeLambda2	reference kernel: the fused lambda2 sweep is tested against it
 DecompressBlock	reference inverse: proves the compression ablation's CompressBlock lossless
 CheckInvariants	invariant checker the recovery and soak suites call on blockJournal
 MinJacobianDet	invariant checker the dataset suite calls on every generated block
