@@ -42,8 +42,8 @@ func killedWALDir(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rc.Run("cutplane", viracocha.Params(
-		"dataset", "tiny", "workers", "1", "pz", "0.5", "nz", "1"), nil); err != nil {
+	if _, err := rc.Run("iso.dataman", viracocha.Params(
+		"dataset", "tiny", "workers", "1", "iso", "0.5"), nil); err != nil {
 		t.Fatal(err)
 	}
 	ln.Close()

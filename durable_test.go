@@ -307,8 +307,8 @@ func TestServerRestartResumeFromWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	if _, err := rc.Run("cutplane", Params(
-		"dataset", "tiny", "workers", "2", "pz", "0.5", "nz", "1"), nil); err != nil {
+	if _, err := rc.Run("iso.dataman", Params(
+		"dataset", "tiny", "workers", "2", "iso", "0.5"), nil); err != nil {
 		t.Fatal(err)
 	}
 	sessID, epoch := rc.SessionID(), rc.Epoch()
@@ -331,8 +331,8 @@ func TestServerRestartResumeFromWAL(t *testing.T) {
 	defer ln2.Close()
 
 	// The client's next request rides the automatic reconnect + resume.
-	m, err := rc.Run("cutplane", Params(
-		"dataset", "tiny", "workers", "2", "pz", "0.5", "nz", "1"), nil)
+	m, err := rc.Run("iso.dataman", Params(
+		"dataset", "tiny", "workers", "2", "iso", "0.5"), nil)
 	if err != nil {
 		t.Fatalf("post-restart request failed: %v", err)
 	}
@@ -385,8 +385,8 @@ func TestSessionLeaseExpiryPurgesOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rc.Run("cutplane", Params(
-		"dataset", "tiny", "workers", "1", "pz", "0.5", "nz", "1"), nil); err != nil {
+	if _, err := rc.Run("iso.dataman", Params(
+		"dataset", "tiny", "workers", "1", "iso", "0.5"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := sys.SessionCount(); n != 1 {
@@ -411,8 +411,8 @@ func TestByePurgesPromptly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rc.Run("cutplane", Params(
-		"dataset", "tiny", "workers", "1", "pz", "0.5", "nz", "1"), nil); err != nil {
+	if _, err := rc.Run("iso.dataman", Params(
+		"dataset", "tiny", "workers", "1", "iso", "0.5"), nil); err != nil {
 		t.Fatal(err)
 	}
 	rc.Close()

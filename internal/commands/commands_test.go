@@ -9,7 +9,6 @@ import (
 	"viracocha/internal/core"
 	"viracocha/internal/dataset"
 	"viracocha/internal/grid"
-	"viracocha/internal/mesh"
 	"viracocha/internal/storage"
 	"viracocha/internal/vclock"
 )
@@ -280,23 +279,6 @@ func TestProgressiveIsoStreamsCoarseLevelsFirst(t *testing.T) {
 	}
 }
 
-func TestCutPlaneArea(t *testing.T) {
-	// tiny: 4 unit cubes along x; plane z=0.5 cuts a 4×1 rectangle.
-	var res *core.RunResult
-	harness(t, dataset.Tiny(), 2, func(cl *core.Client, _ *core.Runtime) {
-		p := params("dataset", "tiny", "workers", "2", "px", "0", "py", "0", "pz", "0.5",
-			"nx", "0", "ny", "0", "nz", "1")
-		var err error
-		res, err = cl.Run("cutplane", p)
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	if math.Abs(res.Merged.Area()-4.0) > 1e-6 {
-		t.Fatalf("cut plane area = %v, want 4", res.Merged.Area())
-	}
-}
-
 func TestSeedBoxParamValidation(t *testing.T) {
 	var err error
 	harness(t, dataset.Tiny(), 1, func(cl *core.Client, _ *core.Runtime) {
@@ -318,32 +300,12 @@ func TestAllCommandsRegistered(t *testing.T) {
 	}
 	for _, want := range []string{
 		"iso.simple", "iso.dataman", "iso.viewer", "iso.progressive",
-		"cutplane", "vortex.simple", "vortex.dataman", "vortex.streamed",
+		"vortex.simple", "vortex.dataman", "vortex.streamed",
 		"pathlines.simple", "pathlines.dataman",
 	} {
 		if !names[want] {
 			t.Fatalf("command %s missing", want)
 		}
-	}
-}
-
-func TestStreaklinesCommand(t *testing.T) {
-	var res *core.RunResult
-	harness(t, dataset.Tiny(), 2, func(cl *core.Client, _ *core.Runtime) {
-		p := params("dataset", "tiny", "workers", "2", "seeds", "4", "releases", "6",
-			"seedbox", "0.4,0.4,0.2,1.6,0.6,0.4", "stepdt", "1", "t1", "1")
-		var err error
-		res, err = cl.Run("streaklines", p)
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	// Up to 4 seeds × 6 releases points (some may leave the domain).
-	if res.Merged.NumVertices() < 8 {
-		t.Fatalf("too few streakline points: %d", res.Merged.NumVertices())
-	}
-	if len(res.Merged.Values) != res.Merged.NumVertices() {
-		t.Fatal("release times missing")
 	}
 }
 
@@ -368,106 +330,6 @@ func TestPathlinesDynamicDistributionMatchesStatic(t *testing.T) {
 	if static.Merged.NumVertices() != dynamic.Merged.NumVertices() {
 		t.Fatalf("dynamic distribution changed the result: %d vs %d vertices",
 			dynamic.Merged.NumVertices(), static.Merged.NumVertices())
-	}
-}
-
-func TestIsoTimeSeriesStreamsOneSurfacePerStep(t *testing.T) {
-	var res *core.RunResult
-	harness(t, dataset.Tiny(), 1, func(cl *core.Client, _ *core.Runtime) {
-		p := params("dataset", "tiny", "workers", "1", "iso", "0.5", "field", "pressure",
-			"step", "0", "steps", "2")
-		var err error
-		res, err = cl.Run("iso.timeseries", p)
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	if res.Partials != 2 {
-		t.Fatalf("partials = %d, want one per step", res.Partials)
-	}
-	// tiny's pressure = x + step: iso 0.5 lives in block 0 at step 0 and
-	// nowhere at step 1 (range [1,5])... actually at step 1 pressure = x+1 ∈
-	// [1,5], so the 0.5 surface exists only in the first packet.
-	if res.Packets[0].NumTriangles() == 0 {
-		t.Fatal("step-0 surface empty")
-	}
-	if res.Packets[1].NumTriangles() != 0 {
-		t.Fatal("step-1 surface should be empty for iso 0.5")
-	}
-}
-
-func TestIsoTimeSeriesClampsStepRange(t *testing.T) {
-	var res *core.RunResult
-	harness(t, dataset.Tiny(), 1, func(cl *core.Client, _ *core.Runtime) {
-		p := params("dataset", "tiny", "workers", "1", "iso", "0.5",
-			"step", "1", "steps", "99")
-		var err error
-		res, err = cl.Run("iso.timeseries", p)
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	if res.Partials != 1 {
-		t.Fatalf("partials = %d, want clamped to remaining steps", res.Partials)
-	}
-}
-
-func TestStreamlinesCommand(t *testing.T) {
-	var res *core.RunResult
-	harness(t, dataset.Tiny(), 2, func(cl *core.Client, _ *core.Runtime) {
-		p := params("dataset", "tiny", "workers", "2", "seeds", "4",
-			"seedbox", "0.4,0.4,0.2,1.6,0.6,0.4", "stepdt", "1", "duration", "0.5")
-		var err error
-		res, err = cl.Run("streamlines", p)
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	if res.Merged.NumVertices() < 8 {
-		t.Fatalf("streamline points = %d", res.Merged.NumVertices())
-	}
-}
-
-func TestFieldRangeCommand(t *testing.T) {
-	var res *core.RunResult
-	harness(t, dataset.Tiny(), 2, func(cl *core.Client, _ *core.Runtime) {
-		var err error
-		res, err = cl.Run("fieldrange", params("dataset", "tiny", "workers", "2", "field", "pressure"))
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	lo, hi, hist, err := DecodeFieldRange(res.Merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// tiny pressure at step 0 = x over 4 unit blocks: range [0, 4].
-	if !(lo >= -1e-6 && lo <= 1e-6) || math.Abs(hi-4) > 1e-6 {
-		t.Fatalf("range = [%v, %v], want [0, 4]", lo, hi)
-	}
-	total := 0.0
-	for _, h := range hist {
-		total += h
-	}
-	wantNodes := float64(4 * 125) // 4 blocks × 5³ nodes
-	if math.Abs(total-wantNodes) > 1e-6*wantNodes {
-		t.Fatalf("histogram mass = %v, want %v", total, wantNodes)
-	}
-	// The linear field spreads mass across all buckets.
-	empty := 0
-	for _, h := range hist {
-		if h == 0 {
-			empty++
-		}
-	}
-	if empty > 2 {
-		t.Fatalf("%d empty buckets for a uniform linear field", empty)
-	}
-}
-
-func TestDecodeFieldRangeRejectsGarbage(t *testing.T) {
-	if _, _, _, err := DecodeFieldRange(&mesh.Mesh{Values: []float32{1, 2, 3}}); err == nil {
-		t.Fatal("expected malformed-payload error")
 	}
 }
 

@@ -2,13 +2,11 @@
 // post-processing algorithms, registered by name with the core runtime. It
 // contains the paper's measured commands — SimpleIso/IsoDataMan/ViewerIso,
 // SimpleVortex/VortexDataMan/StreamedVortex, SimplePathlines/
-// PathlinesDataMan (§6.3) — plus a cut-plane command and a progressive
-// multi-resolution isosurface from the future-work list (§9).
+// PathlinesDataMan (§6.3) — plus a progressive multi-resolution isosurface
+// from the future-work list (§9).
 package commands
 
 import (
-	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -398,172 +396,4 @@ func progressiveIncremental(ctx *core.Ctx) (*mesh.Mesh, error) {
 		}
 	}
 	return &mesh.Mesh{}, nil
-}
-
-// CutPlane extracts the intersection of the data with an arbitrary plane by
-// building a signed-distance scalar and triangulating its zero level — a
-// staple post-processing command demonstrating how the framework is
-// extended with new algorithms by only touching this layer.
-type CutPlane struct{}
-
-// Name implements core.Command.
-func (CutPlane) Name() string { return "cutplane" }
-
-// Run implements core.Command.
-func (CutPlane) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
-	step := ctx.StepParam()
-	origin := mathx.Vec3{
-		X: ctx.FloatParam("px", 0),
-		Y: ctx.FloatParam("py", 0),
-		Z: ctx.FloatParam("pz", 0),
-	}
-	normal := mathx.Vec3{
-		X: ctx.FloatParam("nx", 0),
-		Y: ctx.FloatParam("ny", 0),
-		Z: ctx.FloatParam("nz", 1),
-	}.Normalize()
-	out := &mesh.Mesh{}
-	for _, blk := range ctx.AssignedBlocks(nil) {
-		b, err := ctx.Load(grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk})
-		if err != nil {
-			return nil, err
-		}
-		dist := make([]float32, b.NumNodes())
-		for n := 0; n < b.NumNodes(); n++ {
-			p := mathx.Vec3{
-				X: float64(b.Points[3*n]),
-				Y: float64(b.Points[3*n+1]),
-				Z: float64(b.Points[3*n+2]),
-			}
-			dist[n] = float32(p.Sub(origin).Dot(normal))
-		}
-		r := grid.CellRange{Hi: [3]int{b.NI - 1, b.NJ - 1, b.NK - 1}}
-		res := iso.ExtractRange(b, dist, 0, r, out)
-		ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
-	}
-	return out, nil
-}
-
-// FieldRange reports the global min/max and a histogram of a scalar field —
-// the query a visualization front-end issues before offering the user an
-// iso-value slider. The statistics are encoded in the result mesh's Values
-// array (no geometry): [min, max, bucket₀ … bucket₁₅]; DecodeFieldRange
-// unpacks them.
-type FieldRange struct{}
-
-// Name implements core.Command.
-func (FieldRange) Name() string { return "fieldrange" }
-
-// fieldRangeBuckets is the histogram resolution.
-const fieldRangeBuckets = 16
-
-// Run implements core.Command.
-func (FieldRange) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
-	field := ctx.Param("field", "pressure")
-	step := ctx.StepParam()
-	lo, hi := math.Inf(1), math.Inf(-1)
-	var all [][]float32
-	for _, blk := range ctx.AssignedBlocks(nil) {
-		b, err := ctx.Load(grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk})
-		if err != nil {
-			return nil, err
-		}
-		vals, ok := b.Scalars[field]
-		if !ok {
-			continue
-		}
-		all = append(all, vals)
-		for _, v := range vals {
-			f := float64(v)
-			lo = math.Min(lo, f)
-			hi = math.Max(hi, f)
-		}
-		// Scanning is cheap; price it like an active-cell sweep.
-		ctx.Charge(ctx.Cost.IsoCost(len(vals)/8, 0))
-	}
-	var hist [fieldRangeBuckets]float32
-	if hi > lo {
-		scale := float64(fieldRangeBuckets) / (hi - lo)
-		for _, vals := range all {
-			for _, v := range vals {
-				b := int((float64(v) - lo) * scale)
-				if b >= fieldRangeBuckets {
-					b = fieldRangeBuckets - 1
-				}
-				hist[b]++
-			}
-		}
-	}
-	out := &mesh.Mesh{}
-	// Values are per-vertex, so the stats ride on placeholder vertices;
-	// the gather path then concatenates workers' stats blocks cleanly.
-	out.Values = append(out.Values, float32(lo), float32(hi))
-	out.Values = append(out.Values, hist[:]...)
-	for range out.Values {
-		out.AddVertex(mathx.Vec3{})
-	}
-	return out, nil
-}
-
-// DecodeFieldRange unpacks per-worker fieldrange results merged by the
-// master. Each worker histogrammed its own blocks over its local range, so
-// the decoder computes the global range first and then re-bins every
-// worker's buckets into it, distributing each bucket's mass over the global
-// buckets it overlaps — the standard distributed-histogram merge.
-func DecodeFieldRange(m *mesh.Mesh) (lo, hi float64, hist []float64, err error) {
-	const stride = 2 + fieldRangeBuckets
-	if len(m.Values) == 0 || len(m.Values)%stride != 0 {
-		return 0, 0, nil, fmt.Errorf("commands: malformed fieldrange payload (%d values)", len(m.Values))
-	}
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for off := 0; off < len(m.Values); off += stride {
-		lo = math.Min(lo, float64(m.Values[off]))
-		hi = math.Max(hi, float64(m.Values[off+1]))
-	}
-	hist = make([]float64, fieldRangeBuckets)
-	if hi <= lo {
-		// Constant field: all mass in the first bucket.
-		for off := 0; off < len(m.Values); off += stride {
-			for b := 0; b < fieldRangeBuckets; b++ {
-				hist[0] += float64(m.Values[off+2+b])
-			}
-		}
-		return lo, hi, hist, nil
-	}
-	gw := (hi - lo) / fieldRangeBuckets
-	for off := 0; off < len(m.Values); off += stride {
-		wlo := float64(m.Values[off])
-		whi := float64(m.Values[off+1])
-		ww := (whi - wlo) / fieldRangeBuckets
-		for b := 0; b < fieldRangeBuckets; b++ {
-			mass := float64(m.Values[off+2+b])
-			if mass == 0 {
-				continue
-			}
-			b0 := wlo + float64(b)*ww
-			b1 := b0 + ww
-			if ww == 0 {
-				// Degenerate local range: drop the point mass at b0.
-				g := int((b0 - lo) / gw)
-				if g >= fieldRangeBuckets {
-					g = fieldRangeBuckets - 1
-				}
-				if g < 0 {
-					g = 0
-				}
-				hist[g] += mass
-				continue
-			}
-			// Spread the mass across overlapped global buckets.
-			for g := 0; g < fieldRangeBuckets; g++ {
-				g0 := lo + float64(g)*gw
-				g1 := g0 + gw
-				overlap := math.Min(b1, g1) - math.Max(b0, g0)
-				if overlap > 0 {
-					hist[g] += mass * overlap / ww
-				}
-			}
-		}
-	}
-	return lo, hi, hist, nil
 }

@@ -162,39 +162,3 @@ func (PathlinesDataMan) Name() string { return "pathlines.dataman" }
 func (PathlinesDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	return tracePathlines(ctx, dmsProvider{ctx})
 }
-
-// Streaklines computes dye-injection streak curves (future work, §9): each
-// seed releases particles at regular instants; the command returns the
-// loci at the end time as point sets colored by release time.
-type Streaklines struct{}
-
-// Name implements core.Command.
-func (Streaklines) Name() string { return "streaklines" }
-
-// Run implements core.Command.
-func (Streaklines) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
-	stepDt := ctx.FloatParam("stepdt", 0.001)
-	t0 := ctx.FloatParam("t0", 0)
-	t1 := ctx.FloatParam("t1", float64(ctx.Dataset.Steps-1)*stepDt)
-	releases := ctx.IntParam("releases", 16)
-	seeds, err := seedCloud(ctx)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := core.AssignedSlice(len(seeds), ctx.Rank, ctx.GroupSize)
-	out := &mesh.Mesh{}
-	prov := dmsProvider{ctx}
-	for _, seed := range seeds[lo:hi] {
-		tr := tracer.New(prov, stepDt)
-		line, err := tr.Streakline(seed, t0, t1, releases)
-		if err != nil {
-			return nil, err
-		}
-		ctx.Charge(ctx.Cost.TraceCost(line.Evals))
-		for _, pt := range line.Points {
-			out.AddVertex(pt.Pos)
-			out.Values = append(out.Values, float32(pt.T))
-		}
-	}
-	return out, nil
-}

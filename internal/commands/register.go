@@ -9,16 +9,11 @@ func All() []core.Command {
 		IsoDataMan{},
 		ViewerIso{},
 		ProgressiveIso{},
-		CutPlane{},
 		SimpleVortex{},
 		VortexDataMan{},
 		StreamedVortex{},
 		SimplePathlines{},
 		PathlinesDataMan{},
-		Streaklines{},
-		Streamlines{},
-		IsoTimeSeries{},
-		FieldRange{},
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package tracer implements time-dependent particle tracing (pathlines) and
-// steady streamlines over multi-block data, following the scheme the paper
+// Package tracer implements time-dependent particle tracing (pathlines) over
+// multi-block data, following the scheme the paper
 // uses (§6.3, after Gerndt et al. 2003): fourth-order Runge-Kutta with
 // adaptive step-size control, where the position increment is computed
 // separately on the two adjacent time levels and interpolated with respect
@@ -53,8 +53,8 @@ type Tracer struct {
 	// Tol is the adaptive error tolerance per step (absolute, in domain
 	// length units).
 	Tol float64
-	// H0, HMin, HMax control the adaptive step size.
-	H0, HMin, HMax float64
+	// H0 is the initial adaptive step size; HMin is its floor.
+	H0, HMin float64
 	// MaxPoints caps the trajectory length as a runaway guard.
 	MaxPoints int
 	// OnBlockRequest, when set, is called for every distinct block fetch in
@@ -77,7 +77,6 @@ func New(p Provider, stepDt float64) *Tracer {
 		Tol:       1e-5,
 		H0:        stepDt / 10,
 		HMin:      stepDt / 1e4,
-		HMax:      stepDt,
 		MaxPoints: 20000,
 	}
 }
@@ -247,17 +246,13 @@ func (tr *Tracer) wellerStep(p mathx.Vec3, t, h float64, evals *int) (mathx.Vec3
 
 // integrate advances a particle from (seed, t0) to t1 with adaptive
 // step-size control (step doubling: a full step is compared with two half
-// steps; the halved solution is kept). When record is true every accepted
-// position is appended to path; the final position is always appended.
-// It does NOT reset the per-trace block memo, so callers can share loads
-// across several integrations (streaklines).
-func (tr *Tracer) integrate(seed mathx.Vec3, t0, t1 float64, path *Path, record bool) {
+// steps; the halved solution is kept), appending every accepted position to
+// path.
+func (tr *Tracer) integrate(seed mathx.Vec3, t0, t1 float64, path *Path) {
 	p := seed
 	t := t0
 	h := tr.H0
-	if record {
-		path.Points = append(path.Points, Point{Pos: p, T: t})
-	}
+	path.Points = append(path.Points, Point{Pos: p, T: t})
 	steps := 0
 	for t < t1 && steps < tr.MaxPoints {
 		if h > t1-t {
@@ -289,11 +284,6 @@ func (tr *Tracer) integrate(seed mathx.Vec3, t0, t1 float64, path *Path, record 
 		p = fine
 		t += h
 		steps++
-		if record {
-			path.Points = append(path.Points, Point{Pos: p, T: t})
-		}
-	}
-	if !record {
 		path.Points = append(path.Points, Point{Pos: p, T: t})
 	}
 }
@@ -306,88 +296,7 @@ func (tr *Tracer) Pathline(seed mathx.Vec3, t0, t1 float64) (Path, error) {
 	}
 	tr.reset()
 	var path Path
-	tr.integrate(seed, t0, t1, &path, true)
-	return path, nil
-}
-
-// Streakline computes the curve formed at time t1 by particles released
-// from a fixed seed at `releases` regular instants during [t0, t1] — the
-// dye-injection visualization classic, and one of the paper's future-work
-// items (§9). Point i is the position at t1 of the particle released at
-// time T_i (stored in the point's T field); block loads are shared across
-// all releases through the per-call memo.
-func (tr *Tracer) Streakline(seed mathx.Vec3, t0, t1 float64, releases int) (Path, error) {
-	if tr.StepDt <= 0 {
-		return Path{}, fmt.Errorf("tracer: StepDt must be positive")
-	}
-	if releases < 1 {
-		releases = 1
-	}
-	tr.reset()
-	var out Path
-	for i := 0; i < releases; i++ {
-		frac := 0.0
-		if releases > 1 {
-			frac = float64(i) / float64(releases-1)
-		}
-		tRel := t0 + frac*(t1-t0)
-		var one Path
-		one.Evals = 0
-		tr.integrate(seed, tRel, t1, &one, false)
-		out.Evals += one.Evals
-		out.Rejected += one.Rejected
-		if one.Left {
-			out.Left = true
-			continue // particle left the domain; no sample for this release
-		}
-		end := one.Points[len(one.Points)-1]
-		out.Points = append(out.Points, Point{Pos: end.Pos, T: tRel})
-	}
-	return out, nil
-}
-
-// Streamline integrates a particle through the frozen field of a single time
-// step for the given integration time (a steady-flow trace).
-func (tr *Tracer) Streamline(seed mathx.Vec3, step int, duration float64) (Path, error) {
-	tr.reset()
-	var path Path
-	p := seed
-	t := 0.0
-	h := tr.H0
-	path.Points = append(path.Points, Point{Pos: p, T: t})
-	for t < duration && len(path.Points) < tr.MaxPoints {
-		if h > duration-t {
-			h = duration - t
-		}
-		full, okF := tr.rk4Step(step, p, h, &path.Evals)
-		half, okH := tr.rk4Step(step, p, h/2, &path.Evals)
-		var fine mathx.Vec3
-		okH2 := false
-		if okH {
-			fine, okH2 = tr.rk4Step(step, half, h/2, &path.Evals)
-		}
-		if !okF || !okH || !okH2 {
-			if h > tr.HMin {
-				h = math.Max(tr.HMin, h/4)
-				path.Rejected++
-				continue
-			}
-			path.Left = true
-			break
-		}
-		err := full.Sub(fine).Norm()
-		if err > tr.Tol && h > tr.HMin {
-			h = math.Max(tr.HMin, h/2)
-			path.Rejected++
-			continue
-		}
-		p = fine
-		t += h
-		path.Points = append(path.Points, Point{Pos: p, T: t})
-		if err < tr.Tol/32 && h < tr.HMax {
-			h = math.Min(tr.HMax, 2*h)
-		}
-	}
+	tr.integrate(seed, t0, t1, &path)
 	return path, nil
 }
 

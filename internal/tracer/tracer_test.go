@@ -65,15 +65,15 @@ func (p *rotationProvider) NumSteps() int                       { return 1 }
 func (p *rotationProvider) Bounds(int, int) grid.AABB           { return p.b.Bounds() }
 func (p *rotationProvider) Block(int, int) (*grid.Block, error) { return p.b, nil }
 
-func TestStreamlineCircularOrbit(t *testing.T) {
+func TestPathlineCircularOrbit(t *testing.T) {
 	// Rigid rotation: after time 2π the particle returns to its seed, and
-	// the radius is conserved throughout.
+	// the radius is conserved throughout. The provider has one time level,
+	// so every step is a steady RK4 step under adaptive step control.
 	p := newRotationProvider()
 	tr := New(p, 1)
 	tr.Tol = 1e-7
-	tr.HMax = 0.2
 	seed := mathx.Vec3{X: 0.5, Y: 0, Z: 0.5}
-	path, err := tr.Streamline(seed, 0, 2*math.Pi)
+	path, err := tr.Pathline(seed, 0, 2*math.Pi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +95,15 @@ func TestStreamlineCircularOrbit(t *testing.T) {
 	}
 }
 
-func TestStreamlineAdaptivityTightensNearTolerance(t *testing.T) {
+func TestPathlineAdaptivityTightensNearTolerance(t *testing.T) {
 	p := newRotationProvider()
 	loose := New(p, 1)
 	loose.Tol = 1e-3
 	tight := New(p, 1)
 	tight.Tol = 1e-9
-	tight.HMax = 0.5
 	seed := mathx.Vec3{X: 0.7, Y: 0, Z: 0.5}
-	lp, _ := loose.Streamline(seed, 0, math.Pi)
-	tp, _ := tight.Streamline(seed, 0, math.Pi)
+	lp, _ := loose.Pathline(seed, 0, math.Pi)
+	tp, _ := tight.Pathline(seed, 0, math.Pi)
 	if tp.Evals <= lp.Evals {
 		t.Fatalf("tight tolerance used %d evals, loose %d: adaptivity broken", tp.Evals, lp.Evals)
 	}
@@ -245,62 +244,6 @@ func TestEngineSeedsProduceSwirlingPaths(t *testing.T) {
 	}
 }
 
-func TestStreaklineOnRigidRotation(t *testing.T) {
-	// Steady rotation: a particle released at t_r from seed ends at angle
-	// (t1 − t_r) around the axis, so the streakline at t1 is an arc of the
-	// seed's circle, parameterized backwards by release time.
-	p := newRotationProvider()
-	tr := New(p, 1)
-	tr.Tol = 1e-6
-	tr.HMax = 0.1
-	seed := mathx.Vec3{X: 0.5, Y: 0, Z: 0.5}
-	t1 := 1.0
-	line, err := tr.Streakline(seed, 0, t1, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(line.Points) != 9 {
-		t.Fatalf("points = %d, want 9", len(line.Points))
-	}
-	for _, pt := range line.Points {
-		// Radius conserved.
-		r := math.Hypot(pt.Pos.X, pt.Pos.Y)
-		if math.Abs(r-0.5) > 0.01 {
-			t.Fatalf("streakline point drifted to radius %v", r)
-		}
-		// Angle equals elapsed time since release.
-		wantAngle := t1 - pt.T
-		gotAngle := math.Atan2(pt.Pos.Y, pt.Pos.X)
-		if math.Abs(gotAngle-wantAngle) > 0.02 {
-			t.Fatalf("release %v: angle %v, want %v", pt.T, gotAngle, wantAngle)
-		}
-	}
-	// The last release (t_r = t1) has not moved at all.
-	last := line.Points[len(line.Points)-1]
-	if last.Pos.Sub(seed).Norm() > 1e-9 {
-		t.Fatalf("particle released at t1 moved to %v", last.Pos)
-	}
-}
-
-func TestStreaklineSharesBlockLoads(t *testing.T) {
-	d := dataset.Tiny().WithScale(2)
-	p := newDescProvider(d)
-	tr := New(p, 1.0)
-	seed := mathx.Vec3{X: 0.6, Y: 0.5, Z: 0.2}
-	if _, err := tr.Streakline(seed, 0, 0.8, 8); err != nil {
-		t.Fatal(err)
-	}
-	// All releases traverse the same region: the provider must have been
-	// asked for each (step, block) at most once.
-	seen := map[[2]int]int{}
-	for _, k := range p.trace {
-		seen[k]++
-		if seen[k] > 1 {
-			t.Fatalf("block %v loaded twice within one streakline", k)
-		}
-	}
-}
-
 func TestPathlineThroughMovingGeometry(t *testing.T) {
 	// The moving-piston engine deforms per step: the tracer must keep
 	// locating particles as the grid shrinks, using per-step bounds.
@@ -327,18 +270,6 @@ func TestPathlineThroughMovingGeometry(t *testing.T) {
 	}
 	if len(steps) < 3 {
 		t.Fatalf("only %d time levels touched", len(steps))
-	}
-}
-
-func TestStreaklineValidatesArgs(t *testing.T) {
-	tr := New(newRotationProvider(), 0)
-	if _, err := tr.Streakline(mathx.Vec3{}, 0, 1, 4); err == nil {
-		t.Fatal("expected StepDt error")
-	}
-	tr = New(newRotationProvider(), 1)
-	line, err := tr.Streakline(mathx.Vec3{X: 0.5, Z: 0.5}, 0, 0.1, 0)
-	if err != nil || len(line.Points) != 1 {
-		t.Fatalf("releases clamp failed: %d points, %v", len(line.Points), err)
 	}
 }
 

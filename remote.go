@@ -94,10 +94,6 @@ type RemoteClient struct {
 	// retry-after hint with jitter and doubling per attempt. 0 surfaces the
 	// rejection to the caller immediately.
 	OverloadRetries int
-
-	// jitter draws a uniform value in [0,n) for backoff jitter; tests
-	// replace it for determinism.
-	jitter func(n int64) int64
 }
 
 // Cancel aborts the in-flight request (safe to call from another goroutine,
@@ -153,18 +149,10 @@ func DialRetry(addr string, attempts int, backoff time.Duration) (*RemoteClient,
 	if attempts < 1 {
 		attempts = 1
 	}
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
 	var lastErr error
-	delay := backoff
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			time.Sleep(delay)
-			delay *= 2
-			if delay > 5*time.Second {
-				delay = 5 * time.Second
-			}
+			time.Sleep(retryDelay(backoff, 0, i-1, false))
 		}
 		c, err := net.Dial("tcp", addr)
 		if err == nil {
@@ -189,14 +177,6 @@ func (rc *RemoteClient) Reconnect() error {
 		return fmt.Errorf("viracocha: reconnection disabled (MaxReconnects = 0)")
 	}
 	rc.closeConn()
-	delay := rc.ReconnectBackoff
-	if delay <= 0 {
-		delay = 100 * time.Millisecond
-	}
-	max := rc.ReconnectMaxBackoff
-	if max <= 0 {
-		max = 5 * time.Second
-	}
 	var lastErr error
 	for i := 0; i < rc.MaxReconnects; i++ {
 		c, err := net.Dial("tcp", rc.addr)
@@ -205,11 +185,7 @@ func (rc *RemoteClient) Reconnect() error {
 			return nil
 		}
 		lastErr = err
-		time.Sleep(delay)
-		delay *= 2
-		if delay > max {
-			delay = max
-		}
+		time.Sleep(retryDelay(rc.ReconnectBackoff, rc.ReconnectMaxBackoff, i, false))
 	}
 	return fmt.Errorf("viracocha: reconnect to %s failed after %d attempts: %w", rc.addr, rc.MaxReconnects, lastErr)
 }
@@ -316,7 +292,7 @@ func (rc *RemoteClient) ensureSession() error {
 // reply. marks carries the per-request acknowledged stream watermarks for an
 // exact resume.
 func (rc *RemoteClient) handshake(marks map[uint64]int) error {
-	hello := comm.Message{Kind: "hello", Params: map[string]string{"durable": "1"}}
+	hello := comm.Message{Kind: "hello", Params: map[string]string{}}
 	rc.mu.Lock()
 	if rc.sessionID != "" {
 		hello.Params["session"] = rc.sessionID
@@ -355,27 +331,11 @@ func (rc *RemoteClient) reconnectResume(reqID uint64, mark int) error {
 	if attempts <= 0 {
 		attempts = 5
 	}
-	delay := rc.ReconnectBackoff
-	if delay <= 0 {
-		delay = 100 * time.Millisecond
-	}
-	max := rc.ReconnectMaxBackoff
-	if max <= 0 {
-		max = 5 * time.Second
-	}
-	j := rc.jitter
-	if j == nil {
-		j = rand.Int63n
-	}
 	rc.closeConn()
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			time.Sleep(delay + time.Duration(j(int64(delay)/2+1)))
-			delay *= 2
-			if delay > max {
-				delay = max
-			}
+			time.Sleep(retryDelay(rc.ReconnectBackoff, rc.ReconnectMaxBackoff, i-1, true))
 		}
 		c, err := net.Dial("tcp", rc.addr)
 		if err != nil {
@@ -419,10 +379,10 @@ func (rc *RemoteClient) Run(command string, params map[string]string, onPartial 
 			var de *core.DrainingError
 			switch {
 			case errors.As(err, &oe):
-				time.Sleep(rc.overloadBackoff(oe.RetryAfter, try))
+				time.Sleep(retryDelay(oe.RetryAfter, 0, try, true))
 				continue
 			case errors.As(err, &de):
-				time.Sleep(rc.overloadBackoff(de.RetryAfter, try))
+				time.Sleep(retryDelay(de.RetryAfter, 0, try, true))
 				continue
 			}
 		}
@@ -430,24 +390,27 @@ func (rc *RemoteClient) Run(command string, params map[string]string, onPartial 
 	}
 }
 
-// overloadBackoff turns the server's retry-after hint into the sleep before
-// resubmission try+1: the hint (or 100ms when absent) doubled per attempt,
-// capped at 5s, plus up to 50% jitter so a rejected burst does not resubmit
-// in lockstep.
-func (rc *RemoteClient) overloadBackoff(hint time.Duration, try int) time.Duration {
-	base := hint
+// retryDelay is the client's one backoff rule, shared by dialing,
+// reconnecting, resuming and overload resubmission: the sleep before retry
+// attempt+1 is base (100ms when unset) doubled per attempt and capped at limit
+// (5s when unset), plus, when jittered, up to 50% more so a burst of clients
+// does not retry in lockstep.
+func retryDelay(base, limit time.Duration, attempt int, jittered bool) time.Duration {
 	if base <= 0 {
 		base = 100 * time.Millisecond
 	}
-	d := base << uint(try)
-	if d > 5*time.Second {
-		d = 5 * time.Second
+	if limit <= 0 {
+		limit = 5 * time.Second
 	}
-	j := rc.jitter
-	if j == nil {
-		j = rand.Int63n
+	d := base
+	for i := 0; i < attempt && d < limit; i++ {
+		d *= 2
 	}
-	return d + time.Duration(j(int64(d)/2+1))
+	d = min(d, limit)
+	if jittered {
+		d += time.Duration(rand.Int63n(int64(d)/2 + 1))
+	}
+	return d
 }
 
 func (rc *RemoteClient) runOnce(command string, params map[string]string, onPartial func(seq int, m *Mesh)) (*Mesh, error) {

@@ -8,6 +8,11 @@
 # repository is that it goes — or earns a line in the exempt list below with
 # the reason it stays.
 #
+# Registered means sent: it also lists every command name a Name() method in
+# internal/commands returns that no non-test Go file outside internal/commands
+# spells as a string literal. No figure, workload, example or tool sends such
+# a command; only its own tests do, and it goes too.
+#
 # Regex-level on purpose (comments are stripped, strings are not; two methods
 # of one name count together): it over-reports nothing the compiler would call
 # used, and what it under-reports `go vet` and review catch. Run from the
@@ -40,13 +45,12 @@ NewMemBackend	in-memory storage fake the loader and storage suites substitute fo
 Decide	selector probe: the loader suite reads the fitness ranking through it
 Reliability	selector probe: the loader suite reads the reliability estimate through it
 ProgressiveExtract	single-block driver the progressive suite runs ProgressiveBlock through
-DecodeFieldRange	client-side decoder of the fieldrange command; its test reads the result through it
 EOF
 }
 
 files=$(git ls-files '*.go' | grep -v '_test\.go$')
-defs=$(mktemp) uses=$(mktemp) names=$(mktemp)
-trap 'rm -f "$defs" "$uses" "$names"' EXIT
+defs=$(mktemp) uses=$(mktemp) names=$(mktemp) senders=$(mktemp)
+trap 'rm -f "$defs" "$uses" "$names" "$senders"' EXIT
 
 # Identifier census over comment-stripped source: "count name".
 for f in $files; do sed 's,//.*$,,' "$f"; done |
@@ -70,11 +74,28 @@ uncalled=$(awk -F'\t' '
 			if (uses[n] > ndef[n]) print n "\t stale exemption: it has a caller now, or is gone"
 	}' "$names" "$uses" "$defs" | sort)
 
+# Registered commands and the comment-stripped source that may send them.
+commands=$(for f in $(echo "$files" | grep '^internal/commands/'); do
+	sed -nE 's/^func \([^)]*\) Name\(\) string \{ return "([^"]+)" \}.*/\1/p' "$f"
+done | sort)
+for f in $(echo "$files" | grep -v '^internal/commands/'); do sed 's,//.*$,,' "$f"; done >"$senders"
+unsent=$(for c in $commands; do grep -qF "\"$c\"" "$senders" || echo "$c"; done)
+
 echo "callers: $(wc -l <"$defs" | tr -d ' ') funcs and methods; exempt, each with its reason:"
 exempt | sed 's/^/  /'
+status=0
 if [ -n "$uncalled" ]; then
 	echo "callers: defined but named nowhere else in non-test code (or exempted without need):"
 	echo "$uncalled" | sed 's/^/  /'
-	exit 1
+	status=1
+else
+	echo "callers: every other name has a user outside its own tests"
 fi
-echo "callers: every other name has a user outside its own tests"
+if [ -n "$unsent" ]; then
+	echo "callers: registered commands no non-test code outside internal/commands sends:"
+	echo "$unsent" | sed 's/^/  /'
+	status=1
+else
+	echo "callers: all $(echo "$commands" | wc -w | tr -d ' ') registered commands have a sender outside internal/commands"
+fi
+exit $status

@@ -145,13 +145,40 @@ func TestServeAndDial(t *testing.T) {
 	}
 
 	// A second request on the same connection must work.
-	m2, err := rc.Run("cutplane", Params(
-		"dataset", "tiny", "workers", "2", "pz", "0.5", "nz", "1"), nil)
+	m2, err := rc.Run("iso.dataman", Params(
+		"dataset", "tiny", "workers", "2", "iso", "0.5"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m2.NumTriangles() == 0 {
 		t.Fatal("second remote request returned nothing")
+	}
+}
+
+// TestRetryDelayDoublesToCap pins the client's one backoff rule: 100ms
+// when unset, doubled per attempt, capped (5s when unset), and a jittered
+// delay adds at most half again.
+func TestRetryDelayDoublesToCap(t *testing.T) {
+	ms := time.Millisecond
+	for _, c := range []struct {
+		base, limit time.Duration
+		attempt     int
+		want        time.Duration
+	}{
+		{0, 0, 0, 100 * ms},
+		{0, 0, 3, 800 * ms},
+		{0, 0, 60, 5 * time.Second},
+		{20 * ms, 50 * ms, 2, 50 * ms},
+		{7 * time.Second, 0, 0, 5 * time.Second},
+	} {
+		if got := retryDelay(c.base, c.limit, c.attempt, false); got != c.want {
+			t.Errorf("retryDelay(%v, %v, %d) = %v, want %v", c.base, c.limit, c.attempt, got, c.want)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if d := retryDelay(0, 0, 1, true); d < 200*ms || d > 300*ms {
+			t.Fatalf("jittered delay %v outside [200ms, 300ms]", d)
+		}
 	}
 }
 
@@ -236,24 +263,6 @@ func TestDiskBackedDatasetEndToEnd(t *testing.T) {
 	})
 	if err != nil || res.Merged.NumTriangles() == 0 {
 		t.Fatalf("disk-backed extraction failed: %v, %d triangles", err, res.Merged.NumTriangles())
-	}
-}
-
-func TestStreaklinesThroughPublicAPI(t *testing.T) {
-	sys := New(Options{Workers: 2})
-	sys.AddDataset("tiny", 1)
-	var res *RunResult
-	var err error
-	sys.Session(func(c *Client) {
-		res, err = c.Run("streaklines", Params(
-			"dataset", "tiny", "workers", "2", "seeds", "4", "releases", "5",
-			"seedbox", "0.4,0.4,0.2,1.6,0.6,0.4", "stepdt", "1", "t1", "1"))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Merged.NumVertices() < 5 {
-		t.Fatalf("streakline points = %d", res.Merged.NumVertices())
 	}
 }
 
