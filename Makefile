@@ -53,8 +53,10 @@ churn:
 	CHURN_SEEDS=$(CHURN_SEEDS) $(GO) test -race -count=1 -v -run 'TestChurnSoak' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRejoin|TestEpochFencing|TestRollingRestart' ./internal/core/
 
+# go vet, and gofmt -l: a file it lists fails the target.
 vet:
 	$(GO) vet ./...
+	@f=$$(gofmt -l .); test -z "$$f" || { echo "gofmt -l lists files that need formatting:"; echo "$$f"; exit 1; }
 
 # Kernel micro-benchmarks (real wall time, not virtual): the extraction,
 # mesh, codec and lambda2 hot paths, five runs each to stdout so every
@@ -150,11 +152,13 @@ size:
 flags:
 	@sh scripts/checkflags.sh
 
-# Everything left has a caller: no func or method outside benchmark/ is named
-# only by its own definition (and so reached by its own unit tests at most),
-# except the names scripts/callers.sh exempts with a reason each.
+# Reachable or gone: the type-checked census in scripts/callers walks the call
+# graph from every main, init and package-level initialiser of both modules;
+# a func or method outside benchmark/ it does not reach fails the target,
+# unless its exempt list names it with a reason. So does a registered command
+# that no non-test Go outside internal/commands sends.
 callers:
-	@sh scripts/callers.sh
+	$(GO) test -count=1 ./scripts/callers/
 
 # The surviving TCP example is the smoke test of the served path: in-process
 # server with the server's settings, a streamed view-dependent isosurface, a

@@ -201,8 +201,8 @@ func printStatsReport(path string, rep viracocha.StatsReport, verbose bool) {
 		rep.Budget.Used, rep.Budget.Limit, rep.Budget.Peak, rep.Budget.Rejected, rep.Budget.Shed)
 	fmt.Printf("  memo      hits %d, misses %d, evictions %d\n",
 		rep.Memo.Hits, rep.Memo.Misses, rep.Memo.Evictions)
-	fmt.Printf("            invalidations %d, budget-rejected %d; %d entries, %d bytes cached\n",
-		rep.Memo.Invalidations, rep.Memo.RejectedBudget, rep.Memo.Entries, rep.Memo.BytesCached)
+	fmt.Printf("            budget-rejected %d; %d entries, %d bytes cached\n",
+		rep.Memo.RejectedBudget, rep.Memo.Entries, rep.Memo.BytesCached)
 	fmt.Printf("  wal       records %d, fsyncs %d, checkpoints %d\n",
 		rep.WAL.Records, rep.WAL.Fsyncs, rep.WAL.Checkpoints)
 	fmt.Printf("  requests  %d finished (%d older records dropped)\n", len(rep.Requests), rep.RequestsDropped)

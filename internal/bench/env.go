@@ -27,21 +27,18 @@ type EnvConfig struct {
 	// Prefetcher selects the proxies' system prefetch policy: "none",
 	// "obl", "onmiss", "markov".
 	Prefetcher string
-	// Policy selects the cache replacement policy (default "fbr").
-	Policy string
-	// L1Bytes overrides the primary cache size (0 = default 256 MB).
-	L1Bytes int64
-	// FSLatency/FSBandwidth model the network file server; zero values get
-	// the paper-calibrated defaults (8 ms, 1.2 MB/s against paper-scale
-	// block bytes).
-	FSLatency   time.Duration
-	FSBandwidth float64
-	// FSChannels is the number of concurrent file-server channels
-	// (default 2: I/O does not scale with worker count).
-	FSChannels int
 	// DisablePeer turns the cooperative peer-transfer source off.
 	DisablePeer bool
 }
+
+// The network file server every environment reads from, calibrated to the
+// paper: 8 ms per request, 1.2 MB/s against paper-scale block bytes, and two
+// channels, because I/O does not scale with worker count.
+const (
+	fsLatency   = 8 * time.Millisecond
+	fsBandwidth = 1.2e6
+	fsChannels  = 2
+)
 
 // Env is one fresh measurement environment: its own virtual clock, runtime,
 // storage device and caches.
@@ -80,30 +77,12 @@ func NewEnv(cfg EnvConfig) *Env {
 	// at ~1% and IsoDataMan's at ~10% of a far shorter total.
 	rc.NetLatency = 200 * time.Microsecond
 	rc.NetBandwidth = 1.2e6
-	if cfg.Policy != "" {
-		rc.DMS.PolicyName = cfg.Policy
-	}
-	if cfg.L1Bytes > 0 {
-		rc.DMS.L1Bytes = cfg.L1Bytes
-	}
 	rc.DMS.DisablePeer = cfg.DisablePeer
 	rc.PrefetcherFor = prefetcherFactory(cfg)
 	rt := core.NewRuntime(v, rc)
 	rt.RegisterDataset(cfg.DS)
 
-	latency := cfg.FSLatency
-	if latency == 0 {
-		latency = 8 * time.Millisecond
-	}
-	bw := cfg.FSBandwidth
-	if bw == 0 {
-		bw = 1.2e6
-	}
-	channels := cfg.FSChannels
-	if channels == 0 {
-		channels = 2
-	}
-	dev := storage.NewDevice("fileserver", &storage.GenBackend{Desc: cfg.DS}, v, latency, bw, channels)
+	dev := storage.NewDevice("fileserver", &storage.GenBackend{Desc: cfg.DS}, v, fsLatency, fsBandwidth, fsChannels)
 	dev.ChargeBytes = func(grid.BlockID) int64 { return cfg.DS.PaperBlockBytes }
 	rt.RegisterDevice(dev, func(grid.BlockID) int64 { return cfg.DS.PaperBlockBytes })
 	commands.RegisterAll(rt)

@@ -156,8 +156,6 @@ func (a *StreamAssembler) finish(final *mesh.Mesh) {
 func streamError(m comm.Message) error {
 	retryAfter := time.Duration(m.IntParam("retry_after_ms", 0)) * time.Millisecond
 	switch {
-	case m.Params["deadline"] == "1":
-		return ErrDeadline
 	case m.Params["overloaded"] == "1":
 		return &OverloadedError{Reason: m.Params["error"], RetryAfter: retryAfter}
 	case m.Params["draining"] == "1":

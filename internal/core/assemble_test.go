@@ -115,9 +115,10 @@ func TestStreamAssembler(t *testing.T) {
 			errIs: ErrDraining, errText: "bouncing (retry after 40ms)", kept: []int{0},
 		},
 		{
-			name:       "deadline supersedes every attempt",
-			in:         []comm.Message{untaggedPacket(0, 0, 1, 1), errorFinal(1<<30, "deadline", "1")},
-			duplicates: 1, attempt: 1 << 30, errIs: ErrDeadline, errText: ErrDeadline.Error(), kept: []int{1},
+			name: "memo cut-off final supersedes every attempt",
+			in: []comm.Message{untaggedPacket(0, 0, 1, 1),
+				errorFinal(1<<30, "error", "core: cancelled: memo subscriber cut off")},
+			duplicates: 1, attempt: 1 << 30, errText: "core: remote error: core: cancelled: memo subscriber cut off", kept: []int{1},
 		},
 	}
 	for _, tc := range cases {

@@ -1,19 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"viracocha/internal/comm"
 	"viracocha/internal/mesh"
 )
-
-// ErrDeadline is reported by CollectTimeout/RunTimeout when the deadline
-// expired before the request's final message arrived. The request itself is
-// cancelled server-side.
-var ErrDeadline = errors.New("core: request deadline exceeded")
 
 // Client is the in-process stand-in for the ViSTA FlowLib visualization
 // client: it submits commands to the scheduler and collects streamed
@@ -22,7 +15,6 @@ var ErrDeadline = errors.New("core: request deadline exceeded")
 type Client struct {
 	rt    *Runtime
 	ep    *comm.Endpoint
-	tep   *comm.Endpoint // source endpoint for deadline timer messages
 	stash map[uint64][]stamped
 	done  map[uint64]bool // requests already collected; late messages dropped
 }
@@ -41,7 +33,6 @@ func NewClient(rt *Runtime) *Client {
 	return &Client{
 		rt:    rt,
 		ep:    rt.Net.Endpoint(name),
-		tep:   rt.Net.Endpoint(name + ".t"),
 		stash: map[uint64][]stamped{},
 		done:  map[uint64]bool{},
 	}
@@ -203,34 +194,6 @@ func (c *Client) ackPartial(m comm.Message) {
 	c.rt.flow.Ack(m.ReqID, m.IntParam("rank", 0))
 }
 
-// CollectTimeout is Collect with a deadline: when d elapses first, the
-// request is cancelled server-side and the result carries ErrDeadline. d <= 0
-// means no deadline.
-func (c *Client) CollectTimeout(reqID uint64, d time.Duration) (*RunResult, error) {
-	if d > 0 {
-		me := c.ep.Name()
-		c.rt.Clock.Go(func() {
-			c.rt.Clock.Sleep(d)
-			// Both sends are best-effort: the request may have finished, the
-			// runtime may be shutting down.
-			c.tep.Send("scheduler", comm.Message{Kind: "cancel", ReqID: reqID})
-			c.tep.Send(me, comm.Message{
-				Kind:  "error",
-				ReqID: reqID,
-				Final: true,
-				Params: map[string]string{
-					"error":    "request deadline exceeded",
-					"deadline": "1",
-					// An effectively-infinite attempt so the deadline is
-					// never dropped as stale.
-					"attempt": strconv.Itoa(1 << 30),
-				},
-			})
-		})
-	}
-	return c.Collect(reqID)
-}
-
 // Cancel asks the scheduler to cancel a running request. The request still
 // completes protocol-wise (the master reports a cancellation error), so
 // Collect must still be called.
@@ -245,13 +208,4 @@ func (c *Client) Run(command string, params map[string]string) (*RunResult, erro
 		return nil, err
 	}
 	return c.Collect(reqID)
-}
-
-// RunTimeout submits a command and waits at most d for its completion.
-func (c *Client) RunTimeout(command string, params map[string]string, d time.Duration) (*RunResult, error) {
-	reqID, err := c.Submit(command, params)
-	if err != nil {
-		return nil, err
-	}
-	return c.CollectTimeout(reqID, d)
 }

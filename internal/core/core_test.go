@@ -512,6 +512,24 @@ func TestMultipleClientsConcurrently(t *testing.T) {
 	}
 }
 
+// TestClientAddsOneEndpoint: an in-process client is one endpoint on the
+// fabric, the one its requests are routed back to.
+func TestClientAddsOneEndpoint(t *testing.T) {
+	v := vclock.NewVirtual()
+	rt := newTestRuntime(t, v, 2)
+	v.Go(func() {
+		for i := 0; i < 3; i++ {
+			before := rt.Net.Stats().Endpoints
+			NewClient(rt)
+			if grew := rt.Net.Stats().Endpoints - before; grew != 1 {
+				t.Errorf("client %d added %d endpoints, want 1", i, grew)
+			}
+		}
+		rt.Shutdown()
+	})
+	v.Wait()
+}
+
 // progressCmd reports progress over 5 units with charged compute.
 type progressCmd struct{}
 

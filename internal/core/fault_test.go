@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -423,30 +422,6 @@ func TestInjectedReadErrorSurfaces(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "injected read error") {
 		t.Fatalf("error = %v, want injected read error", err)
 	}
-}
-
-func TestRequestDeadlineExpires(t *testing.T) {
-	v := vclock.NewVirtual()
-	rt := newFaultRuntime(t, v, 1, nil, nil)
-	var res *RunResult
-	var err error
-	var elapsed time.Duration
-	v.Go(func() {
-		cl := NewClient(rt)
-		begin := v.Now()
-		res, err = cl.RunTimeout("test.cancelpoll",
-			map[string]string{"dataset": "tiny", "units": "1000"}, 2*time.Second)
-		elapsed = v.Now() - begin
-		rt.Shutdown()
-	})
-	v.Wait()
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("error = %v, want ErrDeadline", err)
-	}
-	if elapsed < 2*time.Second || elapsed > 3*time.Second {
-		t.Fatalf("deadline fired after %v, want ~2s", elapsed)
-	}
-	_ = res
 }
 
 func TestDuplicatedPartialsAreDeduped(t *testing.T) {

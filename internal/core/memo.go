@@ -52,9 +52,6 @@ type MemoStats struct {
 	// RejectedBudget counts completed results that could not be cached
 	// because the budget had no room even after eviction.
 	RejectedBudget int64
-	// Invalidations counts entries (cached or in-flight) invalidated because
-	// a source block/step was dropped or rewritten.
-	Invalidations int64
 	// Entries and BytesCached describe the resident result cache.
 	Entries     int
 	BytesCached int64
@@ -62,13 +59,6 @@ type MemoStats struct {
 	// LiveSubscribers the number of attached streams still being delivered.
 	InFlight        int
 	LiveSubscribers int
-}
-
-// memoDep records what source data a result was derived from, for
-// invalidation: the data set and time step of the request.
-type memoDep struct {
-	dataset string
-	step    int
 }
 
 // memoEntity is the first-class derived DMS entity holding one completed
@@ -79,7 +69,6 @@ type memoEntity struct {
 	key  string
 	log  []comm.Message
 	size int64
-	dep  memoDep
 }
 
 func (e *memoEntity) SizeBytes() int64 { return e.size }
@@ -103,14 +92,13 @@ type memoSub struct {
 type memoEntry struct {
 	key    string
 	prodID uint64
-	dep    memoDep
 	clock  vclock.Clock
 
 	mu       sync.Mutex
 	log      []comm.Message
 	complete bool // final packet appended (or cached log attached)
 	failed   bool // producer ended in an error: do not store
-	doomed   bool // invalidated or abandoned mid-flight: do not store
+	doomed   bool // abandoned mid-flight: do not store
 	gates    []*vclock.Gate
 	subs     int // subscribers ever attached
 	live     int // subscribers still being delivered
@@ -197,12 +185,11 @@ type memoTable struct {
 	// because every insert and removal of the cache happens under mu and
 	// prunes it. nextID numbers the cache's items; the cache is the
 	// table's own, so its IDs need no name server.
-	ids           map[string]dms.ItemID
-	nextID        dms.ItemID
-	subs          map[uint64]*memoSubRef
-	hits          int64
-	misses        int64
-	invalidations int64
+	ids    map[string]dms.ItemID
+	nextID dms.ItemID
+	subs   map[uint64]*memoSubRef
+	hits   int64
+	misses int64
 }
 
 func newMemoTable(rt *Runtime) *memoTable {
@@ -263,7 +250,7 @@ func (s *Scheduler) memoAdmit(r *Request) bool {
 	// Completed result in the cache: replay it wholesale through a
 	// per-request entry over the stored log.
 	if ent := mt.lookup(key); ent != nil {
-		e := &memoEntry{key: key, dep: ent.dep, clock: s.rt.Clock, log: ent.log, complete: true}
+		e := &memoEntry{key: key, clock: s.rt.Clock, log: ent.log, complete: true}
 		mt.registerSub(e, sub, true)
 		s.rt.Trace.Eventf(s.rt.Clock.Now(), "memo",
 			"req %d: hit %s, replaying cached result (%d packets)", r.ReqID, key, len(ent.log))
@@ -274,7 +261,7 @@ func (s *Scheduler) memoAdmit(r *Request) bool {
 	// Miss: dispatch one producer under its own internal request ID, with a
 	// relay actor as its client, and subscribe this request to it.
 	prodID := s.rt.NextReqID()
-	e := mt.begin(key, r.dep, prodID, s.rt.Clock)
+	e := mt.begin(key, prodID, s.rt.Clock)
 	mt.registerSub(e, sub, false)
 	relay := s.rt.Net.Endpoint(fmt.Sprintf("memo%d", prodID))
 	s.rt.Clock.Go(func() { s.runMemoRelay(e, relay) })
@@ -331,7 +318,7 @@ func (mt *memoTable) storeLocked(ent *memoEntity) bool {
 }
 
 // attach subscribes to a running extraction of the same key, counting a memo
-// hit; doomed (invalidated) entries refuse new subscribers.
+// hit; doomed (abandoned) entries refuse new subscribers.
 func (mt *memoTable) attach(key string, sub *memoSub) *memoEntry {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
@@ -354,8 +341,8 @@ func (mt *memoTable) attach(key string, sub *memoSub) *memoEntry {
 }
 
 // begin registers a fresh producer entry for a missed key.
-func (mt *memoTable) begin(key string, dep memoDep, prodID uint64, clock vclock.Clock) *memoEntry {
-	e := &memoEntry{key: key, prodID: prodID, dep: dep, clock: clock}
+func (mt *memoTable) begin(key string, prodID uint64, clock vclock.Clock) *memoEntry {
+	e := &memoEntry{key: key, prodID: prodID, clock: clock}
 	mt.mu.Lock()
 	mt.inflight[key] = e
 	mt.misses++
@@ -401,10 +388,10 @@ func (s *Scheduler) runMemoRelay(e *memoEntry, ep *comm.Endpoint) {
 // memoProducerDone retires a finished producer: the raw relay log is
 // canonicalized (stale-attempt and duplicate packets dropped, so a replay is
 // byte-identical to what the original requester assembled) and stored as a
-// derived DMS entity — unless the run failed, was invalidated mid-flight, or
+// derived DMS entity — unless the run failed, was abandoned mid-flight, or
 // the budget refuses the bytes.
-// Holding mt.mu across the removal and the store keeps invalidation atomic:
-// an entry is always either in-flight (doomable) or cached (removable).
+// Holding mt.mu across the removal and the store moves the key from in-flight
+// to cached atomically: a lookup finds it in one or the other.
 func (s *Scheduler) memoProducerDone(e *memoEntry) {
 	mt := s.memo
 	mt.mu.Lock()
@@ -419,7 +406,7 @@ func (s *Scheduler) memoProducerDone(e *memoEntry) {
 	stored, bytes := false, int64(0)
 	if store {
 		clean, size := canonicalMemoLog(log)
-		if mt.storeLocked(&memoEntity{key: e.key, log: clean, size: size, dep: e.dep}) {
+		if mt.storeLocked(&memoEntity{key: e.key, log: clean, size: size}) {
 			stored, bytes = true, size
 		}
 	}
@@ -627,43 +614,6 @@ func (mt *memoTable) liveSubs() int {
 	return len(mt.subs)
 }
 
-// invalidate drops every memo entry derived from (dataset, step): cached
-// results leave the cache (releasing their budget bytes), in-flight entries
-// are doomed — their current subscribers still receive the stream they
-// attached to (the data raced the invalidation, exactly as a direct request
-// would have), but the result is never stored and accepts no new
-// subscribers. step < 0 invalidates every step of the data set.
-func (mt *memoTable) invalidate(dataset string, step int) int {
-	match := func(d memoDep) bool {
-		return d.dataset == dataset && (step < 0 || d.step == step)
-	}
-	mt.mu.Lock()
-	n := 0
-	for key, id := range mt.ids {
-		item, _ := mt.cache.Peek(id)
-		if !match(item.(*memoEntity).dep) {
-			continue
-		}
-		mt.cache.Remove(id)
-		delete(mt.ids, key)
-		n++
-	}
-	for _, e := range mt.inflight {
-		if !match(e.dep) {
-			continue
-		}
-		e.mu.Lock()
-		if !e.doomed {
-			e.doomed = true
-			n++
-		}
-		e.mu.Unlock()
-	}
-	mt.invalidations += int64(n)
-	mt.mu.Unlock()
-	return n
-}
-
 func (mt *memoTable) stats() MemoStats {
 	cs := mt.cache.Stats()
 	mt.mu.Lock()
@@ -673,7 +623,6 @@ func (mt *memoTable) stats() MemoStats {
 		Misses:          mt.misses,
 		Evictions:       cs.Evictions,
 		RejectedBudget:  cs.RejectedBudget,
-		Invalidations:   mt.invalidations,
 		Entries:         mt.cache.Len(),
 		BytesCached:     mt.cache.Used(),
 		InFlight:        len(mt.inflight),
@@ -699,17 +648,6 @@ func (s *Scheduler) noteMemoSubscribers(prodID uint64, subs int) {
 // MemoStats reports the result-memoization counters.
 func (s *Scheduler) MemoStats() MemoStats {
 	return s.memo.stats()
-}
-
-// InvalidateMemo invalidates every memo entry derived from (dataset, step);
-// step < 0 matches all steps. Returns the number of entries invalidated.
-func (s *Scheduler) InvalidateMemo(dataset string, step int) int {
-	n := s.memo.invalidate(dataset, step)
-	if n > 0 {
-		s.rt.Trace.Eventf(s.rt.Clock.Now(), "memo",
-			"invalidated %d entries for %s step %d", n, dataset, step)
-	}
-	return n
 }
 
 // AllStats returns every retained finished-request record, ordered by

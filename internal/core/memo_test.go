@@ -40,19 +40,15 @@ func producerRecords(rt *Runtime) []RequestStats {
 // parameters in sorted order with float normalization; transport parameters
 // excluded.
 func TestMemoKeyCanonical(t *testing.T) {
-	keyOf := func(m comm.Message) (string, memoDep) {
-		r := parseRequest(m, &Config{Memo: true})
-		return r.MemoKey, r.dep
+	keyOf := func(m comm.Message) string {
+		return parseRequest(m, &Config{Memo: true}).MemoKey
 	}
 	base := comm.Message{Command: "iso.dataman", Params: map[string]string{
 		"dataset": "engine", "step": "3", "iso": "0.5",
 	}}
-	kBase, dep := keyOf(base)
+	kBase := keyOf(base)
 	if want := "iso.dataman|dataset=engine|iso=0.5|step=3"; kBase != want {
 		t.Fatalf("key = %q, want %q", kBase, want)
-	}
-	if dep.dataset != "engine" || dep.step != 3 {
-		t.Fatalf("dep = %+v, want {engine 3}", dep)
 	}
 
 	same := []map[string]string{
@@ -65,7 +61,7 @@ func TestMemoKeyCanonical(t *testing.T) {
 			"session": "client7", "memo": "1", "stream_window": "4"},
 	}
 	for _, p := range same {
-		if k, _ := keyOf(comm.Message{Command: "iso.dataman", Params: p}); k != kBase {
+		if k := keyOf(comm.Message{Command: "iso.dataman", Params: p}); k != kBase {
 			t.Errorf("params %v: key %q, want %q", p, k, kBase)
 		}
 	}
@@ -77,11 +73,11 @@ func TestMemoKeyCanonical(t *testing.T) {
 		{"dataset": "engine", "step": "3", "iso": "0.5", "index": "1"},
 	}
 	for _, p := range diff {
-		if k, _ := keyOf(comm.Message{Command: "iso.dataman", Params: p}); k == kBase {
+		if k := keyOf(comm.Message{Command: "iso.dataman", Params: p}); k == kBase {
 			t.Errorf("params %v: key collided with %q", p, kBase)
 		}
 	}
-	if k, _ := keyOf(comm.Message{Command: "iso.simple", Params: base.Params}); k == kBase {
+	if k := keyOf(comm.Message{Command: "iso.simple", Params: base.Params}); k == kBase {
 		t.Error("different command collided")
 	}
 }
@@ -292,50 +288,6 @@ func TestMemoLateJoinAcrossCrash(t *testing.T) {
 	prods := producerRecords(rt)
 	if len(prods) != 1 || prods[0].Redistributions != 1 {
 		t.Fatalf("producer records = %+v, want one with Redistributions=1", prods)
-	}
-}
-
-// TestMemoInvalidation: dropping the source step from the DMS invalidates
-// the dependent memo entry — the next identical request re-extracts instead
-// of being served stale, and still delivers the identical mesh.
-func TestMemoInvalidation(t *testing.T) {
-	v := vclock.NewVirtual()
-	rt := newFaultRuntime(t, v, 4, nil, memoCfg)
-	var res1, res2, res3 *RunResult
-	var err1, err2, err3 error
-	v.Go(func() {
-		cl := NewClient(rt)
-		res1, err1 = cl.Run("test.spanstream", spanParams())
-		res2, err2 = cl.Run("test.spanstream", spanParams())
-		rt.DMS.InvalidateStep("tiny", 0)
-		res3, err3 = cl.Run("test.spanstream", spanParams())
-		rt.Shutdown()
-	})
-	v.Wait()
-	if err1 != nil || err2 != nil || err3 != nil {
-		t.Fatalf("runs failed: %v, %v, %v", err1, err2, err3)
-	}
-	ms := rt.Sched.MemoStats()
-	if ms.Invalidations != 1 {
-		t.Fatalf("memo stats = %+v, want Invalidations=1", ms)
-	}
-	if ms.Misses != 2 || ms.Hits != 1 {
-		t.Fatalf("memo stats = %+v, want Misses=2 (initial + post-invalidation) Hits=1", ms)
-	}
-	if prods := producerRecords(rt); len(prods) != 2 {
-		t.Fatalf("extractions ran = %d, want 2 (stale entry never served)", len(prods))
-	}
-	st3, _ := rt.Sched.Stats(res3.ReqID)
-	if st3.MemoHit {
-		t.Fatal("post-invalidation request served as a memo hit")
-	}
-	b := res1.Merged.EncodeBinary()
-	if !bytes.Equal(b, res2.Merged.EncodeBinary()) || !bytes.Equal(b, res3.Merged.EncodeBinary()) {
-		t.Fatal("meshes diverged across invalidation")
-	}
-	// A different data set's entries are untouched.
-	if n := rt.Sched.InvalidateMemo("otherds", -1); n != 0 {
-		t.Fatalf("invalidated %d entries of an unknown data set", n)
 	}
 }
 
@@ -592,14 +544,18 @@ func TestMemoEvictionUnderBudget(t *testing.T) {
 // TestMemoIndexBoundedByCache: many distinct results under a budget that
 // holds only a few of them. The cache is the only place a result lives: the
 // memo table's index holds exactly the cached entries, and no result is
-// named in the DMS name server.
+// named in the DMS name server: a run names exactly as many items as the
+// identical memo-off run.
 func TestMemoIndexBoundedByCache(t *testing.T) {
-	run := func(budget int64, requests int) *Runtime {
+	// run also returns how many IDs the name server assigned during the run,
+	// between two sentinel names.
+	run := func(budget int64, requests int, memo bool) (*Runtime, dms.ItemID) {
 		v := vclock.NewVirtual()
 		rt := newFaultRuntime(t, v, 4, nil, func(cfg *Config) {
-			cfg.Memo = true
+			cfg.Memo = memo
 			cfg.DMS.MemBudget = budget
 		})
+		before := rt.DMS.Names.Resolve(dms.ItemName{Source: "sentinel/before"})
 		var err error
 		v.Go(func() {
 			cl := NewClient(rt)
@@ -614,14 +570,15 @@ func TestMemoIndexBoundedByCache(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run failed: %v", err)
 		}
-		return rt
+		return rt, rt.DMS.Names.Resolve(dms.ItemName{Source: "sentinel/after"}) - before
 	}
-	one := run(0, 1).Sched.MemoStats().BytesCached
+	rt, _ := run(0, 1, true)
+	one := rt.Sched.MemoStats().BytesCached
 	if one <= 0 {
 		t.Fatal("an unbudgeted result was not cached")
 	}
 	const requests, fits = 40, 3
-	rt := run(fits*one+one/2, requests)
+	rt, memoNamed := run(fits*one+one/2, requests, true)
 	ms := rt.Sched.MemoStats()
 	if ms.Misses != requests || ms.Entries < 1 || ms.Entries > fits || ms.Evictions < requests-fits {
 		t.Fatalf("memo stats = %+v, want %d misses and at most %d resident entries", ms, requests, fits)
@@ -633,7 +590,7 @@ func TestMemoIndexBoundedByCache(t *testing.T) {
 	if indexed != ms.Entries {
 		t.Fatalf("memo index holds %d keys, the cache %d entries", indexed, ms.Entries)
 	}
-	if ids := rt.DMS.Names.IDsMatching(func(n dms.ItemName) bool { return n.Type == "memo" }); len(ids) != 0 {
-		t.Fatalf("%d memo results named in the DMS name server, want none", len(ids))
+	if _, named := run(fits*one+one/2, requests, false); memoNamed != named {
+		t.Fatalf("memo run named %d items in the DMS name server, the memo-off run %d: a result got a name", memoNamed, named)
 	}
 }

@@ -41,9 +41,8 @@ type Request struct {
 	Progress bool
 
 	// MemoKey is the canonical content address of the result (set only when
-	// Memo is on) and dep the source data it derives from.
+	// Memo is on).
 	MemoKey string
-	dep     memoDep
 
 	// Attempt and Span are the plan of a request re-admitted by crash
 	// recovery: it runs under the recorded attempt and, when HasSpan, the new
@@ -117,7 +116,6 @@ func parseRequest(m comm.Message, cfg *Config) *Request {
 		b.WriteString(comm.CanonicalFloat(p[k]))
 	}
 	r.MemoKey = b.String()
-	r.dep = memoDep{dataset: r.Dataset, step: r.Step}
 	return r
 }
 

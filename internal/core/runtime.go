@@ -77,8 +77,8 @@ type Config struct {
 	// the storage read path (nil = fault-free system).
 	Faults *faults.Injector
 	// WAL optionally receives control-plane durability events (dispatches,
-	// journal spans and marks, memo stores and invalidations) for the
-	// write-ahead log; nil disables control-plane logging.
+	// journal spans and marks) for the write-ahead log; nil disables
+	// control-plane logging.
 	WAL WALSink
 }
 
@@ -179,12 +179,6 @@ func NewRuntime(c vclock.Clock, cfg Config) *Runtime {
 	}
 	rt.DMS = dms.NewServer(c, cfg.DMS)
 	rt.Sched = newScheduler(rt)
-	// Source data dropped from the DMS invalidates every memoized result
-	// derived from it: a stale entry must never be served after its inputs
-	// change.
-	rt.DMS.OnInvalidate(func(dataset string, step int) {
-		rt.Sched.InvalidateMemo(dataset, step)
-	})
 	for i := 0; i < cfg.Workers; i++ {
 		node := fmt.Sprintf("w%d", i)
 		var pf prefetch.Prefetcher

@@ -116,13 +116,6 @@ func (w *Worker) indexPrefetched(b *grid.Block) {
 	}
 }
 
-// Proxy exposes the worker's DMS proxy (tests and cache-priming).
-func (w *Worker) Proxy() *dms.Proxy {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.proxy
-}
-
 // Dead reports whether the worker has fail-stopped.
 func (w *Worker) Dead() bool { return w.dead.Load() }
 

@@ -27,15 +27,15 @@ func IsDerived(e Entity) bool {
 
 // CacheStats counts cache traffic.
 type CacheStats struct {
-	Hits          int64
-	Misses        int64
-	Puts          int64
-	Evictions     int64
-	BytesEvicted  int64
-	PrefetchPuts   int64 // items inserted by the prefetcher
-	PrefetchUsed   int64 // prefetched items later hit by a demand request
-	RejectedLarge  int64 // items larger than the whole cache
-	RejectedBudget int64 // items refused because the memory budget was exhausted
+	Hits             int64
+	Misses           int64
+	Puts             int64
+	Evictions        int64
+	BytesEvicted     int64
+	PrefetchPuts     int64 // items inserted by the prefetcher
+	PrefetchUsed     int64 // prefetched items later hit by a demand request
+	RejectedLarge    int64 // items larger than the whole cache
+	RejectedBudget   int64 // items refused because the memory budget was exhausted
 	DerivedEvictions int64 // evictions that hit a derived entity
 }
 
@@ -350,14 +350,5 @@ func (t *Tiered) Clear() {
 	t.L1.Clear()
 	if t.L2 != nil {
 		t.L2.Clear()
-	}
-}
-
-// Remove drops an item from both tiers (releasing its budget bytes) without
-// counting an eviction — the invalidation path, not the pressure path.
-func (t *Tiered) Remove(id ItemID) {
-	t.L1.Remove(id)
-	if t.L2 != nil {
-		t.L2.Remove(id)
 	}
 }

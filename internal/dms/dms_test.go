@@ -45,13 +45,6 @@ func TestNameServerAssignsStableIDs(t *testing.T) {
 	if got := s.Resolve(BlockItem(tinyID(0, 0))); got != a {
 		t.Fatal("resolution not stable")
 	}
-	name, ok := s.Lookup(a)
-	if !ok || name != BlockItem(tinyID(0, 0)) {
-		t.Fatalf("Lookup = %v,%v", name, ok)
-	}
-	if _, ok := s.Lookup(999); ok {
-		t.Fatal("unknown ID resolved")
-	}
 }
 
 func TestResolverCachesLocally(t *testing.T) {
@@ -64,10 +57,6 @@ func TestResolverCachesLocally(t *testing.T) {
 	id2, remote := r.Resolve(BlockItem(tinyID(0, 0)))
 	if remote || id2 != id {
 		t.Fatal("second resolution must be local and stable")
-	}
-	n, ok := r.Lookup(id)
-	if !ok || n != BlockItem(tinyID(0, 0)) {
-		t.Fatal("reverse lookup failed")
 	}
 }
 

@@ -8,7 +8,6 @@ package dms
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"viracocha/internal/grid"
@@ -82,15 +81,14 @@ type ItemID uint64
 // NameServer issues globally unique ItemIDs; it lives at the data-manager
 // server on the scheduler node.
 type NameServer struct {
-	mu    sync.Mutex
-	ids   map[ItemName]ItemID
-	names map[ItemID]ItemName
-	next  ItemID
+	mu   sync.Mutex
+	ids  map[ItemName]ItemID
+	next ItemID
 }
 
 // NewNameServer returns an empty name server.
 func NewNameServer() *NameServer {
-	return &NameServer{ids: map[ItemName]ItemID{}, names: map[ItemID]ItemName{}}
+	return &NameServer{ids: map[ItemName]ItemID{}}
 }
 
 // Resolve returns the ID for a name, assigning a fresh one on first use.
@@ -102,52 +100,22 @@ func (s *NameServer) Resolve(n ItemName) ItemID {
 	}
 	s.next++
 	s.ids[n] = s.next
-	s.names[s.next] = n
 	return s.next
 }
 
-// Lookup translates an ID back to its name.
-func (s *NameServer) Lookup(id ItemID) (ItemName, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok := s.names[id]
-	return n, ok
-}
-
-// IDsMatching returns the IDs of every registered name accepted by match,
-// in ascending ID order. It powers invalidation sweeps: the name space is
-// the only complete inventory of what may be cached anywhere.
-func (s *NameServer) IDsMatching(match func(ItemName) bool) []ItemID {
-	s.mu.Lock()
-	var out []ItemID
-	for n, id := range s.ids {
-		if match(n) {
-			out = append(out, id)
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Resolver is the proxy-side name resolver: it translates names to IDs and
-// back, caching mappings locally and consulting the central name server on
+// Resolver is the proxy-side name resolver: it translates names to IDs,
+// caching mappings locally and consulting the central name server on
 // misses (a charged round trip in the proxy, see Proxy.resolve).
 type Resolver struct {
 	server *NameServer
 
-	mu    sync.Mutex
-	ids   map[ItemName]ItemID
-	names map[ItemID]ItemName
+	mu  sync.Mutex
+	ids map[ItemName]ItemID
 }
 
 // NewResolver returns a resolver bound to the central name server.
 func NewResolver(server *NameServer) *Resolver {
-	return &Resolver{
-		server: server,
-		ids:    map[ItemName]ItemID{},
-		names:  map[ItemID]ItemName{},
-	}
+	return &Resolver{server: server, ids: map[ItemName]ItemID{}}
 }
 
 // Resolve returns the ID for the name and whether the central server had to
@@ -162,26 +130,6 @@ func (r *Resolver) Resolve(n ItemName) (id ItemID, remote bool) {
 	id = r.server.Resolve(n)
 	r.mu.Lock()
 	r.ids[n] = id
-	r.names[id] = n
 	r.mu.Unlock()
 	return id, true
-}
-
-// Lookup translates an ID to its name, consulting the server when unknown
-// locally.
-func (r *Resolver) Lookup(id ItemID) (ItemName, bool) {
-	r.mu.Lock()
-	if n, ok := r.names[id]; ok {
-		r.mu.Unlock()
-		return n, true
-	}
-	r.mu.Unlock()
-	n, ok := r.server.Lookup(id)
-	if ok {
-		r.mu.Lock()
-		r.names[id] = n
-		r.ids[n] = id
-		r.mu.Unlock()
-	}
-	return n, ok
 }

@@ -1,8 +1,6 @@
 package dms
 
 import (
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -93,9 +91,6 @@ type Server struct {
 	fetching map[ItemID]map[string]bool
 	budget   *Budget
 	hot      []grid.BlockID // demand hot-set, most recent first, ≤ hotCap
-	// invalidate is notified after a source step's items are dropped, so
-	// dependents outside the DMS (the scheduler's result memo) can follow.
-	invalidate []func(dataset string, step int)
 }
 
 // hotCap bounds the server's demand hot-set: the most recently demanded
@@ -112,62 +107,6 @@ func NewServer(c vclock.Clock, cfg Config, sources ...loader.Source) *Server {
 
 // Budget returns the server-wide memory budget (nil = unlimited).
 func (s *Server) Budget() *Budget { return s.budget }
-
-// OnInvalidate registers a listener called after InvalidateStep drops a
-// source step's items: derived results computed from those items (the
-// scheduler's memoized extractions) must be invalidated too.
-func (s *Server) OnInvalidate(fn func(dataset string, step int)) {
-	s.mu.Lock()
-	s.invalidate = append(s.invalidate, fn)
-	s.mu.Unlock()
-}
-
-// InvalidateStep drops every cached item derived from (dataset, step) —
-// demand blocks, coarse levels, indexes, λ2 fields, BSP trees — from every
-// proxy's cache tiers, then notifies the invalidation listeners. step < 0
-// drops every step of the data set. This is the coherence hook for source
-// data changing underneath the caches: a dropped or rewritten step (future
-// in-situ ingestion re-registering a step) must never be served stale.
-// Returns the number of distinct item names swept.
-func (s *Server) InvalidateStep(dataset string, step int) int {
-	ids := s.Names.IDsMatching(func(n ItemName) bool {
-		return sourceMatchesStep(n.Source, dataset, step)
-	})
-	if len(ids) > 0 {
-		for _, p := range s.Proxies() {
-			for _, id := range ids {
-				p.Cache.Remove(id)
-			}
-		}
-	}
-	s.mu.Lock()
-	listeners := make([]func(string, int), len(s.invalidate))
-	copy(listeners, s.invalidate)
-	s.mu.Unlock()
-	for _, fn := range listeners {
-		fn(dataset, step)
-	}
-	return len(ids)
-}
-
-// sourceMatchesStep reports whether an item source of the canonical
-// "<dataset>/tNNN[/...]" form belongs to (dataset, step); step < 0 matches
-// every step. The scheduler's memoized results are not in the name space:
-// the listener invalidates them.
-func sourceMatchesStep(src, dataset string, step int) bool {
-	rest, ok := strings.CutPrefix(src, dataset+"/t")
-	if !ok {
-		return false
-	}
-	if step < 0 {
-		return true
-	}
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		rest = rest[:i]
-	}
-	v, err := strconv.Atoi(rest)
-	return err == nil && v == step
-}
 
 // AddSource registers an additional base source for proxies created later.
 func (s *Server) AddSource(src loader.Source) {

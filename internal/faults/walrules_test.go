@@ -38,13 +38,13 @@ func TestParseRuleTornAndFsyncFail(t *testing.T) {
 
 func TestParseRuleTornAndFsyncFailErrors(t *testing.T) {
 	cases := []string{
-		"torn:",            // no count separator
-		"torn:path",        // missing N
-		"torn::3",          // empty path
-		"torn:path:zero",   // non-integer N
-		"torn:path:0",      // N must be >= 1
-		"torn:path:-2",     // negative N
-		"fsyncfail:",       // empty path
+		"torn:",          // no count separator
+		"torn:path",      // missing N
+		"torn::3",        // empty path
+		"torn:path:zero", // non-integer N
+		"torn:path:0",    // N must be >= 1
+		"torn:path:-2",   // negative N
+		"fsyncfail:",     // empty path
 	}
 	for _, spec := range cases {
 		var p Plan

@@ -204,44 +204,6 @@ func TestVelocityAtRigidRotation(t *testing.T) {
 	}
 }
 
-func TestMultiBlockLocateAcrossBlocks(t *testing.T) {
-	// Two abutting unit blocks along x.
-	b0 := uniformBlock(BlockID{"d", 0, 0}, 5, 5, 5, mathx.Vec3{}, mathx.Vec3{X: 1, Y: 1, Z: 1})
-	b1 := uniformBlock(BlockID{"d", 0, 1}, 5, 5, 5, mathx.Vec3{X: 1}, mathx.Vec3{X: 1, Y: 1, Z: 1})
-	m := NewMultiBlock("d", 0, []*Block{b0, b1})
-	bi, _, ok := m.Locate(mathx.Vec3{X: 0.5, Y: 0.5, Z: 0.5}, -1, nil)
-	if !ok || bi != 0 {
-		t.Fatalf("Locate block = %d,%v, want 0,true", bi, ok)
-	}
-	bi, _, ok = m.Locate(mathx.Vec3{X: 1.5, Y: 0.5, Z: 0.5}, 0, nil)
-	if !ok || bi != 1 {
-		t.Fatalf("Locate block = %d,%v, want 1,true", bi, ok)
-	}
-	if _, _, ok = m.Locate(mathx.Vec3{X: 5, Y: 5, Z: 5}, -1, nil); ok {
-		t.Fatal("Locate outside domain should fail")
-	}
-}
-
-func TestMultiBlockVelocityAtUsesHint(t *testing.T) {
-	b0 := uniformBlock(BlockID{"d", 0, 0}, 5, 5, 5, mathx.Vec3{}, mathx.Vec3{X: 1, Y: 1, Z: 1})
-	b1 := uniformBlock(BlockID{"d", 0, 1}, 5, 5, 5, mathx.Vec3{X: 1}, mathx.Vec3{X: 1, Y: 1, Z: 1})
-	m := NewMultiBlock("d", 0, []*Block{b0, b1})
-	var loc CellLoc
-	v, bi, ok := m.VelocityAt(mathx.Vec3{X: 1.2, Y: 0.5, Z: 0.5}, -1, &loc)
-	if !ok || bi != 1 {
-		t.Fatalf("VelocityAt = bi=%d ok=%v", bi, ok)
-	}
-	want := mathx.Vec3{X: -0.5, Y: 1.2, Z: 0}
-	if v.Sub(want).Norm() > 1e-5 {
-		t.Fatalf("v = %v, want %v", v, want)
-	}
-	// Second query nearby must succeed via the hint fast path.
-	_, bi2, ok := m.VelocityAt(mathx.Vec3{X: 1.25, Y: 0.5, Z: 0.5}, bi, &loc)
-	if !ok || bi2 != 1 {
-		t.Fatal("hinted relocate failed")
-	}
-}
-
 func TestCoarsenPreservesExtent(t *testing.T) {
 	b := uniformBlock(BlockID{"d", 0, 0}, 9, 9, 9, mathx.Vec3{X: 1}, mathx.Vec3{X: 4, Y: 4, Z: 4})
 	c := b.Coarsen(1)

@@ -33,12 +33,7 @@ type Script struct {
 	Steps []Step `json:"steps"`
 }
 
-// Encode serializes the script as indented JSON.
-func (s *Script) Encode() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
-// Decode parses a script written by Encode.
+// Decode parses a script in its JSON form.
 func Decode(data []byte) (*Script, error) {
 	var s Script
 	if err := json.Unmarshal(data, &s); err != nil {

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func testScript() *Script {
 
 func TestScriptEncodeDecodeRoundTrip(t *testing.T) {
 	s := testScript()
-	data, err := s.Encode()
+	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestSummarizeEmpty(t *testing.T) {
 }
 
 func TestScriptJSONIsHumanEditable(t *testing.T) {
-	data, _ := testScript().Encode()
+	data, _ := json.MarshalIndent(testScript(), "", "  ")
 	if !strings.Contains(string(data), "\"command\": \"iso.dataman\"") {
 		t.Fatalf("unexpected JSON shape:\n%s", data)
 	}

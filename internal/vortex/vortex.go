@@ -23,13 +23,6 @@ const FieldName = "lambda2"
 // (degenerate cells): large positive, so it never reads as a vortex.
 const nonVortex = 1e30
 
-// Compute evaluates λ2 at every node of the block, stores it as the
-// "lambda2" scalar field, and returns the number of nodes computed. It is
-// idempotent: an existing field is recomputed.
-func Compute(b *grid.Block) int {
-	return computeSlab(b, b.EnsureScalar(FieldName))
-}
-
 // ComputeInto evaluates λ2 at every node into the caller-provided array
 // (length NumNodes), leaving the block untouched — the form the commands
 // use, since cached blocks are shared across workers and must not be

@@ -10,6 +10,13 @@ import (
 	"viracocha/internal/mesh"
 )
 
+// Compute evaluates λ2 at every node of the block into its "lambda2" scalar
+// field (an existing field is recomputed) and returns the number of nodes
+// computed.
+func Compute(b *grid.Block) int {
+	return ComputeInto(b, b.EnsureScalar(FieldName))
+}
+
 // lambOseenBlock builds a block on [-1,1]²×[0,0.5] carrying a Lamb-Oseen
 // vortex along the z axis: a well-understood flow whose core is a vortex by
 // any criterion.

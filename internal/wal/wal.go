@@ -396,14 +396,6 @@ func (l *Log) Flush(lsn uint64) error {
 	return nil
 }
 
-// Sync makes every record written so far durable, regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	lsn := l.written
-	l.mu.Unlock()
-	return l.Commit(lsn)
-}
-
 // Stats reports the log's counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()

@@ -57,28 +57,6 @@ func TestMemoFacade(t *testing.T) {
 	}
 }
 
-// TestMemoFacadeInvalidateStep: the public InvalidateStep sweeps memo entries
-// along with block-derived items, so a rewritten step is never served stale.
-func TestMemoFacadeInvalidateStep(t *testing.T) {
-	sys := New(Options{Workers: 2, VirtualTime: true, Memo: true})
-	if _, err := sys.AddDataset("engine", 1); err != nil {
-		t.Fatal(err)
-	}
-	var err1, err2 error
-	sys.Session(func(c *Client) {
-		_, err1 = c.Run("iso.viewer", memoParams("500"))
-		sys.InvalidateStep("engine", -1)
-		_, err2 = c.Run("iso.viewer", memoParams("500"))
-	})
-	if err1 != nil || err2 != nil {
-		t.Fatalf("runs failed: %v, %v", err1, err2)
-	}
-	ms := sys.MemoStats()
-	if ms.Invalidations < 1 || ms.Misses != 2 || ms.Hits != 0 {
-		t.Fatalf("memo stats = %+v, want both runs to miss across the invalidation", ms)
-	}
-}
-
 // TestMemoDurableResume is the cross-subsystem acceptance test: a second
 // client's memo-served stream is severed mid-replay by a deterministic fault
 // rule, the client resumes its durable session (PR 6), and the replayed
@@ -132,9 +110,9 @@ func TestMemoDurableResume(t *testing.T) {
 }
 
 // TestMemoNotInWAL: memo results are a cache, not control-plane state. After
-// memo traffic on a durable WAL server — stored results, a hit and an
-// invalidation, on both sides of a checkpoint — neither the checkpoint nor
-// the tail holds a memo record.
+// memo traffic on a durable WAL server — stored results and a hit, on both
+// sides of a checkpoint — neither the checkpoint nor the tail holds a memo
+// record.
 func TestMemoNotInWAL(t *testing.T) {
 	dir := t.TempDir()
 	sys, ln := serveWALSystem(t, Options{Workers: 2, Memo: true, WALDir: dir, WALFsync: "off"}, "")
@@ -157,10 +135,8 @@ func TestMemoNotInWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	run("600")
-	sys.InvalidateStep("engine", -1)
-	run("600")
-	if ms := sys.MemoStats(); ms.Misses != 3 || ms.Hits != 1 || ms.Invalidations < 1 {
-		t.Fatalf("memo stats = %+v, want 3 stored results, a hit and an invalidation", ms)
+	if ms := sys.MemoStats(); ms.Misses != 2 || ms.Hits != 1 {
+		t.Fatalf("memo stats = %+v, want 2 stored results and a hit", ms)
 	}
 	ln.Close()
 	sys.Kill()

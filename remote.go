@@ -86,9 +86,8 @@ type RemoteClient struct {
 	// 0 disables reconnection (with Resume set, 0 means a default of 5).
 	MaxReconnects int
 	// ReconnectBackoff is the delay before the first re-dial attempt,
-	// doubling per attempt up to ReconnectMaxBackoff. Defaults: 100ms / 5s.
-	ReconnectBackoff    time.Duration
-	ReconnectMaxBackoff time.Duration
+	// doubling per attempt up to 5s (retryDelay). Default: 100ms.
+	ReconnectBackoff time.Duration
 	// OverloadRetries is how many times Run resubmits a command the server
 	// rejected with ErrOverloaded or ErrDraining, honoring the server's
 	// retry-after hint with jitter and doubling per attempt. 0 surfaces the
@@ -152,7 +151,7 @@ func DialRetry(addr string, attempts int, backoff time.Duration) (*RemoteClient,
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			time.Sleep(retryDelay(backoff, 0, i-1, false))
+			time.Sleep(retryDelay(backoff, i-1, false))
 		}
 		c, err := net.Dial("tcp", addr)
 		if err == nil {
@@ -185,7 +184,7 @@ func (rc *RemoteClient) Reconnect() error {
 			return nil
 		}
 		lastErr = err
-		time.Sleep(retryDelay(rc.ReconnectBackoff, rc.ReconnectMaxBackoff, i, false))
+		time.Sleep(retryDelay(rc.ReconnectBackoff, i, false))
 	}
 	return fmt.Errorf("viracocha: reconnect to %s failed after %d attempts: %w", rc.addr, rc.MaxReconnects, lastErr)
 }
@@ -335,7 +334,7 @@ func (rc *RemoteClient) reconnectResume(reqID uint64, mark int) error {
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			time.Sleep(retryDelay(rc.ReconnectBackoff, rc.ReconnectMaxBackoff, i-1, true))
+			time.Sleep(retryDelay(rc.ReconnectBackoff, i-1, true))
 		}
 		c, err := net.Dial("tcp", rc.addr)
 		if err != nil {
@@ -379,10 +378,10 @@ func (rc *RemoteClient) Run(command string, params map[string]string, onPartial 
 			var de *core.DrainingError
 			switch {
 			case errors.As(err, &oe):
-				time.Sleep(retryDelay(oe.RetryAfter, 0, try, true))
+				time.Sleep(retryDelay(oe.RetryAfter, try, true))
 				continue
 			case errors.As(err, &de):
-				time.Sleep(retryDelay(de.RetryAfter, 0, try, true))
+				time.Sleep(retryDelay(de.RetryAfter, try, true))
 				continue
 			}
 		}
@@ -392,15 +391,13 @@ func (rc *RemoteClient) Run(command string, params map[string]string, onPartial 
 
 // retryDelay is the client's one backoff rule, shared by dialing,
 // reconnecting, resuming and overload resubmission: the sleep before retry
-// attempt+1 is base (100ms when unset) doubled per attempt and capped at limit
-// (5s when unset), plus, when jittered, up to 50% more so a burst of clients
-// does not retry in lockstep.
-func retryDelay(base, limit time.Duration, attempt int, jittered bool) time.Duration {
+// attempt+1 is base (100ms when unset) doubled per attempt and capped at 5s,
+// plus, when jittered, up to 50% more so a burst of clients does not retry in
+// lockstep.
+func retryDelay(base time.Duration, attempt int, jittered bool) time.Duration {
+	const limit = 5 * time.Second
 	if base <= 0 {
 		base = 100 * time.Millisecond
-	}
-	if limit <= 0 {
-		limit = 5 * time.Second
 	}
 	d := base
 	for i := 0; i < attempt && d < limit; i++ {

@@ -66,9 +66,6 @@ type (
 	TraceEvent = trace.Event
 )
 
-// ErrDeadline is reported when a request deadline expired before completion.
-var ErrDeadline = core.ErrDeadline
-
 // ErrOverloaded marks admission-control rejections; errors.Is-match it after
 // a Run to distinguish "try again later" from a real failure.
 var ErrOverloaded = core.ErrOverloaded
@@ -304,17 +301,6 @@ func (c *Client) Run(command string, params map[string]string) (*RunResult, erro
 	return c.inner.Run(command, params)
 }
 
-// RunTimeout executes a command with a deadline: when d elapses first, the
-// request is cancelled server-side and the result carries ErrDeadline.
-func (c *Client) RunTimeout(command string, params map[string]string, d time.Duration) (*RunResult, error) {
-	return c.inner.RunTimeout(command, params, d)
-}
-
-// CollectTimeout waits at most d for a submitted command.
-func (c *Client) CollectTimeout(reqID uint64, d time.Duration) (*RunResult, error) {
-	return c.inner.CollectTimeout(reqID, d)
-}
-
 // Submit starts a command without waiting; Collect retrieves it.
 func (c *Client) Submit(command string, params map[string]string) (uint64, error) {
 	return c.inner.Submit(command, params)
@@ -361,15 +347,6 @@ func (s *System) MemoStats() MemoStats { return s.Runtime.Sched.MemoStats() }
 // (all zero on a WAL-less system): records per fsync is what the bridge's
 // group commit buys under fsync always.
 func (s *System) WALStats() WALStats { return s.wal.stats() }
-
-// InvalidateStep drops every cached entity derived from the given time step
-// of the data set — demand blocks, derived indexes and memoized results alike
-// — so the next request re-reads and re-extracts. step < 0 invalidates every
-// step. Returns the number of named block-derived items swept. Use it when a
-// simulation rewrites a step in place (a restart file overwritten mid-run).
-func (s *System) InvalidateStep(dataset string, step int) int {
-	return s.Runtime.DMS.InvalidateStep(dataset, step)
-}
 
 // AllStats returns the retained finished requests' server-side records (the
 // scheduler keeps the newest 8192), ordered by request ID — client-facing records and internal memo-producer records

@@ -156,27 +156,27 @@ func TestServeAndDial(t *testing.T) {
 }
 
 // TestRetryDelayDoublesToCap pins the client's one backoff rule: 100ms
-// when unset, doubled per attempt, capped (5s when unset), and a jittered
-// delay adds at most half again.
+// when unset, doubled per attempt, capped at 5s, and a jittered delay adds at
+// most half again.
 func TestRetryDelayDoublesToCap(t *testing.T) {
 	ms := time.Millisecond
 	for _, c := range []struct {
-		base, limit time.Duration
-		attempt     int
-		want        time.Duration
+		base    time.Duration
+		attempt int
+		want    time.Duration
 	}{
-		{0, 0, 0, 100 * ms},
-		{0, 0, 3, 800 * ms},
-		{0, 0, 60, 5 * time.Second},
-		{20 * ms, 50 * ms, 2, 50 * ms},
-		{7 * time.Second, 0, 0, 5 * time.Second},
+		{0, 0, 100 * ms},
+		{0, 3, 800 * ms},
+		{0, 60, 5 * time.Second},
+		{20 * ms, 2, 80 * ms},
+		{7 * time.Second, 0, 5 * time.Second},
 	} {
-		if got := retryDelay(c.base, c.limit, c.attempt, false); got != c.want {
-			t.Errorf("retryDelay(%v, %v, %d) = %v, want %v", c.base, c.limit, c.attempt, got, c.want)
+		if got := retryDelay(c.base, c.attempt, false); got != c.want {
+			t.Errorf("retryDelay(%v, %d) = %v, want %v", c.base, c.attempt, got, c.want)
 		}
 	}
 	for i := 0; i < 100; i++ {
-		if d := retryDelay(0, 0, 1, true); d < 200*ms || d > 300*ms {
+		if d := retryDelay(0, 1, true); d < 200*ms || d > 300*ms {
 			t.Fatalf("jittered delay %v outside [200ms, 300ms]", d)
 		}
 	}
