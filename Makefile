@@ -62,7 +62,7 @@ vet:
 # mesh, codec and lambda2 hot paths, five runs each to stdout so every
 # number comes with its spread. BENCHMARK.json's end-to-end workloads
 # (make bench-e2e) are the performance record.
-KERNEL_BENCH ?= MarchingTetrahedra|ExtractRangeReuse|MeshWeld|MeshEncodeBinary|MeshAppend$$|ComputeNormals|Lambda2Field|BlockEncodeDecode|SliderSweepScan|SliderSweepBuild
+KERNEL_BENCH ?= MarchingTetrahedra|ExtractRangeReuse|MeshWeld|MeshEncodeBinary|MeshDecodeBinary|MeshAppend$$|ComputeNormals|Lambda2Field|BlockEncodeDecode|SliderSweepScan|SliderSweepBuild
 bench:
 	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem -count 5 .
 
@@ -103,13 +103,14 @@ profile-delivery:
 		done; \
 	done
 
-# The allocation guard CI runs: at most six bytes allocated per byte delivered
-# over a 47-partial loopback stream (the parent commit of the guard took 10.8),
-# no allocation at all when a rank parks on stream credit and an ack
-# releases it, and none when a held iso extractor moves between blocks of
-# different sizes.
+# The allocation guard CI runs: at most four bytes allocated per byte
+# delivered over a 47-partial loopback stream (10.8 before the guard, 4.4
+# before received frames reused their connection's buffer), no allocation at
+# all when a rank parks on stream credit and an ack releases it, none when a
+# held iso extractor moves between blocks of different sizes, and nothing of
+# a received frame's payload size in a connection's steady state.
 alloc-guard:
-	$(GO) test -count=1 -run 'TestDeliveryAllocationGuard|TestFlowParkAllocatesNothing|TestExtractorResetAllocatesNothing' -v . ./internal/core/ ./internal/iso/
+	$(GO) test -count=1 -run 'TestDeliveryAllocationGuard|TestFlowParkAllocatesNothing|TestExtractorResetAllocatesNothing|TestConnRecvAllocatesOnlyParams' -v . ./internal/core/ ./internal/iso/ ./internal/comm/
 
 # Short fuzz pass over the message codec (incl. fault-plan-mutated frames
 # and the message batches of WAL checkpoints), the memo-key float canonicalizer, the WAL

@@ -388,6 +388,24 @@ func BenchmarkMeshEncodeBinary(b *testing.B) {
 	}
 }
 
+// BenchmarkMeshDecodeBinary decodes the partial BenchmarkMeshEncodeBinary
+// encodes: what a client pays per streamed packet before the merge.
+func BenchmarkMeshDecodeBinary(b *testing.B) {
+	blk := dataset.Engine().WithScale(2).Generate(0, 0)
+	var m mesh.Mesh
+	iso.ExtractBlock(blk, "pressure", 500, &m)
+	m.ComputeNormals()
+	buf := m.EncodeBinary()
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mesh.DecodeBinary(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMeshAppend(b *testing.B) {
 	blk := dataset.Engine().WithScale(2).Generate(0, 0)
 	var part mesh.Mesh

@@ -1,6 +1,7 @@
 package viracocha
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -361,7 +362,7 @@ func (b *sessionBridge) sweep(stop <-chan struct{}) {
 // frame), then the read loop until the peer goes away.
 func (b *sessionBridge) serveConn(conn *comm.Conn) {
 	conn.SetWriteTimeout(b.reg.TTL())
-	first, ok := conn.Recv()
+	first, ok := recvKept(conn)
 	if !ok {
 		conn.Close()
 		return
@@ -395,7 +396,7 @@ func (b *sessionBridge) serveConn(conn *comm.Conn) {
 		}
 	}
 	for {
-		m, ok := conn.Recv()
+		m, ok := recvKept(conn)
 		if !ok {
 			b.connClosed(sess, gen, conn)
 			return
@@ -408,6 +409,17 @@ func (b *sessionBridge) serveConn(conn *comm.Conn) {
 			return
 		}
 	}
+}
+
+// recvKept is conn.Recv for a frame the bridge keeps past the next read: a
+// payload, which aliases the connection's frame buffer, is cloned. Acks,
+// hellos and commands carry none.
+func recvKept(conn *comm.Conn) (comm.Message, bool) {
+	m, ok := conn.Recv()
+	if len(m.Payload) > 0 {
+		m.Payload = bytes.Clone(m.Payload)
+	}
+	return m, ok
 }
 
 // connClosed is the reader goroutine's cleanup: detach durable sessions,

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"viracocha/internal/comm"
 	"viracocha/internal/core"
 	"viracocha/internal/mesh"
 )
@@ -454,5 +455,45 @@ func TestEphemeralSessionRetiresFinishedRequests(t *testing.T) {
 			t.Fatalf("ephemeral session (durable %v) holds %d request records after %d requests, want at most 1",
 				sess.durable, len(sess.reqs), n)
 		}
+	}
+}
+
+// TestBridgeReaderKeepsClientPayloads: a payload the bridge's reader receives
+// still holds its bytes after later frames arrive on the same connection,
+// though the connection reads every frame into the one buffer it reuses (the
+// bare Recv's payload is shown overwritten first).
+func TestBridgeReaderKeepsClientPayloads(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	frame := func(fill byte) comm.Message {
+		return comm.Message{Kind: "command", Command: "iso.viewer", ReqID: 1, Payload: bytes.Repeat([]byte{fill}, 4096)}
+	}
+	go func() {
+		c := comm.NewConn(client)
+		for _, fill := range []byte{1, 2, 3, 4} {
+			if c.Send(frame(fill)) != nil {
+				return
+			}
+		}
+		c.Send(comm.Message{Kind: "ack", ReqID: 1})
+	}()
+	conn := comm.NewConn(server)
+	bare, _ := conn.Recv()
+	conn.Recv()
+	if bytes.Equal(bare.Payload, frame(1).Payload) {
+		t.Fatal("the connection no longer reuses its frame buffer: this test shows nothing")
+	}
+	kept, ok := recvKept(conn)
+	if !ok {
+		t.Fatal("receive failed")
+	}
+	for i := 0; i < 2; i++ { // frame 4, then the ack
+		if _, ok := recvKept(conn); !ok {
+			t.Fatal("receive failed")
+		}
+	}
+	if !bytes.Equal(kept.Payload, frame(3).Payload) {
+		t.Fatal("a kept client payload changed when later frames arrived")
 	}
 }

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -16,16 +17,20 @@ var ErrWriteTimeout = errors.New("comm: write timeout: peer not draining")
 
 // Conn adapts a net.Conn (the TCP link between visualization client and
 // scheduler) into a sender and receiver of framed messages. Writes are
-// serialized; reads are expected from a single goroutine.
+// serialized; reads are expected from a single goroutine. Reads go through a
+// small read-ahead buffer, so an ack or a frame's head costs no syscall of its
+// own, into one frame buffer the Conn reuses.
 type Conn struct {
 	c   net.Conn
 	wmu sync.Mutex // guards wto and fw
 	wto time.Duration
 	fw  frameWriter
+	br  *bufio.Reader
+	fr  frameReader
 }
 
 // NewConn wraps an established connection.
-func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
+func NewConn(c net.Conn) *Conn { return &Conn{c: c, br: bufio.NewReader(c)} }
 
 // SetWriteTimeout bounds every subsequent Send: a frame that cannot be fully
 // written within d fails with ErrWriteTimeout instead of blocking the sender
@@ -63,9 +68,12 @@ func (c *Conn) SendFrame(f Frame) error {
 }
 
 // Recv reads one framed message; ok is false on any read error (EOF,
-// closed connection, corrupt frame), after which the connection is dead.
+// closed connection, corrupt frame), after which the connection is dead. The
+// message's Payload aliases the Conn's frame buffer until the next Recv: a
+// caller that keeps the payload longer clones it. A frame beyond 1 MiB has a
+// buffer of its own, which the Conn does not keep.
 func (c *Conn) Recv() (Message, bool) {
-	m, err := ReadFrame(c.c)
+	m, err := c.fr.read(c.br)
 	if err != nil {
 		return Message{}, false
 	}

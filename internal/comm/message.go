@@ -168,7 +168,7 @@ func Decode(data []byte) (Message, error) {
 	if magic := c.u32(); magic != frameMagic {
 		return m, fmt.Errorf("comm: bad magic %#x", magic)
 	}
-	m.Kind, m.Command = c.str(), c.str()
+	m.Kind, m.Command = c.name(), c.str()
 	m.ReqID = uint64(c.u32()) | uint64(c.u32())<<32
 	m.Seq = int(int32(c.u32()))
 	if b := c.take(1); b != nil {
@@ -181,7 +181,7 @@ func Decode(data []byte) (Message, error) {
 	if np > 0 {
 		m.Params = make(map[string]string, np)
 		for i := uint32(0); i < np && !c.short; i++ {
-			k := c.str()
+			k := c.name()
 			m.Params[k] = c.str()
 		}
 	}
@@ -224,6 +224,69 @@ func (c *cursor) u32() uint32 {
 
 func (c *cursor) str() string { return string(c.take(int(c.u32()))) }
 
+// name is str for a message kind or parameter key: the ones the runtime
+// writes come back as constants, without an allocation.
+func (c *cursor) name() string {
+	b := c.take(int(c.u32()))
+	switch string(b) {
+	case "partial":
+		return "partial"
+	case "result":
+		return "result"
+	case "ack":
+		return "ack"
+	case "error":
+		return "error"
+	case "command":
+		return "command"
+	case "wframe":
+		return "wframe"
+	case "rank":
+		return "rank"
+	case "sseq":
+		return "sseq"
+	case "attempt":
+		return "attempt"
+	case "worker":
+		return "worker"
+	case "block":
+		return "block"
+	case "bseq":
+		return "bseq"
+	case "sess":
+		return "sess"
+	case "session":
+		return "session"
+	case "epoch":
+		return "epoch"
+	case "span":
+		return "span"
+	case "streamed":
+		return "streamed"
+	case "final":
+		return "final"
+	case "blocks":
+		return "blocks"
+	case "counts":
+		return "counts"
+	case "bframes":
+		return "bframes"
+	case "item":
+		return "item"
+	case "rid":
+		return "rid"
+	case "want":
+		return "want"
+	case "dataset":
+		return "dataset"
+	case "step":
+		return "step"
+	case "workers":
+		return "workers"
+	}
+	return string(b)
+}
+
 // frameWriter is the one way a frame reaches a writer: length prefix and parts
 // in a single vectored write (writev on a TCP connection, consecutive Writes on
 // a plain io.Writer), out of scratch a long-lived owner (Conn) reuses.
@@ -241,23 +304,41 @@ func (fw *frameWriter) write(w io.Writer, f Frame) error {
 	return err
 }
 
-// frameExact is the most ReadFrame allocates on a length prefix's word alone.
+// frameExact is the most a frame read allocates on a length prefix's word
+// alone, and the largest frame buffer a frameReader keeps.
 const frameExact = 1 << 20
 
-// ReadFrame reads one length-prefixed message from r. The buffer it reads
-// into becomes the message's payload (see Decode).
-func ReadFrame(r io.Reader) (Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// frameReader reads length-prefixed frames, each into one buffer it reuses
+// frame after frame: a message it returns aliases that buffer (see Decode)
+// until the next read. A frame beyond frameExact is read into an allocation
+// of its own, grown with the bytes actually received, so a hostile length
+// prefix reserves frameExact, not the gigabyte it announces, and the reader
+// keeps no buffer larger than frameExact.
+type frameReader struct {
+	pre [4]byte
+	buf []byte
+}
+
+func (fr *frameReader) read(r io.Reader) (Message, error) {
+	if _, err := io.ReadFull(r, fr.pre[:]); err != nil {
 		return Message{}, err
 	}
-	n := int(binary.LittleEndian.Uint32(lenBuf[:]))
+	n := int(binary.LittleEndian.Uint32(fr.pre[:]))
 	if n > maxFrame {
 		return Message{}, fmt.Errorf("comm: frame length %d exceeds limit", n)
 	}
+	if n <= frameExact {
+		if cap(fr.buf) < n {
+			fr.buf = make([]byte, min(max(n, 2*cap(fr.buf)), frameExact))
+		}
+		data := fr.buf[:n]
+		if _, err := io.ReadFull(r, data); err != nil {
+			return Message{}, err
+		}
+		return Decode(data)
+	}
 	var data []byte
 	for len(data) < n {
-		// A hostile prefix reserves frameExact, then only what was sent to back it.
 		got := len(data)
 		size := got + min(n-got, max(got, frameExact))
 		data = append(make([]byte, 0, size), data...)[:size]
@@ -267,6 +348,11 @@ func ReadFrame(r io.Reader) (Message, error) {
 	}
 	return Decode(data)
 }
+
+// ReadFrame reads one length-prefixed message from r, reading nothing past
+// it, into a buffer of the message's own: Conn.Recv's frame read without the
+// read-ahead and without the reuse.
+func ReadFrame(r io.Reader) (Message, error) { return new(frameReader).read(r) }
 
 // FloatParam parses a float parameter with a default.
 func (m *Message) FloatParam(key string, def float64) float64 {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"viracocha/internal/grid"
 	"viracocha/internal/mathx"
@@ -286,16 +287,25 @@ func (m *Mesh) Area() float64 {
 
 const wireMagic = 0x56524d48 // "VRMH"
 
+// nativeLE reports a little-endian host, whose float32 and uint32 arrays are
+// in memory byte for byte what the wire format carries: the codec copies them
+// in bulk there, and element by element elsewhere.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // EncodeBinary serializes the mesh in the little-endian wire format used for
 // streaming: magic, counts, then positions, flags-gated normals/values, and
-// indices. The buffer is allocated at its exact final size and filled with
-// offset-indexed writes — one allocation, no incremental growth.
+// indices. The buffer is allocated at its exact final size — one
+// allocation, no incremental growth.
 func (m *Mesh) EncodeBinary() []byte { return m.AppendBinary(nil) }
 
 // AppendBinary appends the wire encoding to dst (growing it at most once)
 // and returns the extended slice, so a streaming sender with a retained
 // buffer encodes without allocating at all.
-func (m *Mesh) AppendBinary(dst []byte) []byte {
+func (m *Mesh) AppendBinary(dst []byte) []byte { return m.appendBinary(dst, nativeLE) }
+
+// appendBinary is AppendBinary, each array copied in bulk or, on a host of
+// either byte order, element by element.
+func (m *Mesh) appendBinary(dst []byte, bulk bool) []byte {
 	flags := uint32(0)
 	if len(m.Normals) > 0 {
 		flags |= 1
@@ -320,20 +330,18 @@ func (m *Mesh) AppendBinary(dst []byte) []byte {
 	le.PutUint32(buf[12:], flags)
 	off := 16
 	for _, fs := range [3][]float32{m.Positions, m.Normals, m.Values} {
-		for _, f := range fs {
-			le.PutUint32(buf[off:], math.Float32bits(f))
-			off += 4
-		}
+		off += putWords(buf[off:], fs, bulk)
 	}
-	for _, ix := range m.Indices {
-		le.PutUint32(buf[off:], ix)
-		off += 4
-	}
+	putWords(buf[off:], m.Indices, bulk)
 	return dst
 }
 
 // DecodeBinary parses the wire format produced by EncodeBinary.
-func DecodeBinary(data []byte) (*Mesh, error) {
+func DecodeBinary(data []byte) (*Mesh, error) { return decodeBinary(data, nativeLE) }
+
+// decodeBinary is DecodeBinary, each array copied in bulk or element by
+// element as in appendBinary.
+func decodeBinary(data []byte, bulk bool) (*Mesh, error) {
 	if len(data) < 16 {
 		return nil, errors.New("mesh: truncated header")
 	}
@@ -354,39 +362,71 @@ func DecodeBinary(data []byte) (*Mesh, error) {
 	if len(data) != need {
 		return nil, fmt.Errorf("mesh: size %d, want %d", len(data), need)
 	}
-	le := binary.LittleEndian
-	off := 16
-	readFloats := func(n int) []float32 {
-		if n == 0 {
-			return nil
-		}
-		out := make([]float32, n)
-		for i := range out {
-			out[i] = math.Float32frombits(le.Uint32(data[off:]))
-			off += 4
-		}
-		return out
+	data = data[16:]
+	next := func(n int) []byte {
+		b := data[:4*n]
+		data = data[4*n:]
+		return b
 	}
 	m := &Mesh{}
-	m.Positions = readFloats(3 * nv)
+	m.Positions = getWords[float32](next(3*nv), bulk)
 	if flags&1 != 0 {
-		m.Normals = readFloats(3 * nv)
+		m.Normals = getWords[float32](next(3*nv), bulk)
 	}
 	if flags&2 != 0 {
-		m.Values = readFloats(nv)
+		m.Values = getWords[float32](next(nv), bulk)
 	}
-	if ni > 0 {
-		m.Indices = make([]uint32, ni)
-		for i := range m.Indices {
-			ix := le.Uint32(data[off:])
-			off += 4
-			if int(ix) >= nv {
-				return nil, fmt.Errorf("mesh: index %d out of range (%d vertices)", ix, nv)
-			}
-			m.Indices[i] = ix
+	m.Indices = getWords[uint32](next(ni), bulk)
+	for _, ix := range m.Indices {
+		if int(ix) >= nv {
+			return nil, fmt.Errorf("mesh: index %d out of range (%d vertices)", ix, nv)
 		}
 	}
 	return m, nil
+}
+
+// word is an array element of the wire format: four bytes, little-endian.
+type word interface{ float32 | uint32 }
+
+// wordBytes is the memory of s as bytes — on a little-endian host, its wire
+// encoding.
+func wordBytes[T word](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 4*len(s))
+}
+
+// wordBits is the memory of s as uint32s: a float32's IEEE bits on a host
+// of either byte order.
+func wordBits[T word](s []T) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+}
+
+// putWords writes s into buf in wire order and returns the bytes written.
+func putWords[T word](buf []byte, s []T, bulk bool) int {
+	if bulk {
+		return copy(buf, wordBytes(s))
+	}
+	for i, w := range wordBits(s) {
+		binary.LittleEndian.PutUint32(buf[4*i:], w)
+	}
+	return 4 * len(s)
+}
+
+// getWords decodes the wire words of b into a new array, nil when b is
+// empty.
+func getWords[T word](b []byte, bulk bool) []T {
+	if len(b) == 0 {
+		return nil
+	}
+	out := make([]T, len(b)/4)
+	if bulk {
+		copy(wordBytes(out), b)
+		return out
+	}
+	bits := wordBits(out)
+	for i := range bits {
+		bits[i] = binary.LittleEndian.Uint32(b[4*i:])
+	}
+	return out
 }
 
 // SizeBytes reports the wire size of the mesh, used by the communication

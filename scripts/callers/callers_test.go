@@ -68,6 +68,7 @@ var exempt = map[string]string{
 	"viracocha/internal/storage.DecompressBlock":        "reference inverse: proves the compression ablation's CompressBlock lossless",
 	"viracocha/internal/grid.Block.MinJacobianDet":      "invariant checker the dataset suite calls on every generated block",
 	"viracocha/internal/faults.Mutate":                  "fault probe the comm fuzzers and the wal suite corrupt frames with",
+	"viracocha/internal/comm.ReadFrame":                 "Conn.Recv's frame reader over a plain io.Reader: the frame round-trip and hostile-prefix tests drive it",
 	"viracocha/internal/grid.Block.Vel":                 "read side of SetVel; the dataset suite checks generated velocity fields through it",
 	"viracocha/internal/grid.BSPTree.ActiveLeafCells":   "BSP probe: the pruning tests count surviving cells through it",
 	"viracocha/internal/loader.Selector.Decide":         "selector probe: the loader suite reads the fitness ranking through it",
