@@ -62,7 +62,7 @@ vet:
 # mesh, codec and lambda2 hot paths, five runs each to stdout so every
 # number comes with its spread. BENCHMARK.json's end-to-end workloads
 # (make bench-e2e) are the performance record.
-KERNEL_BENCH ?= MarchingTetrahedra|ExtractRangeReuse|MeshWeld|MeshEncodeBinary|MeshDecodeBinary|MeshAppend$$|ComputeNormals|Lambda2Field|BlockEncodeDecode|SliderSweepScan|SliderSweepBuild
+KERNEL_BENCH ?= MarchingTetrahedra|ExtractRangeReuse|MeshWeld|MeshEncodeBinary|MeshDecodeBinary|MeshAppend$$|ComputeNormals|Lambda2Field|BlockEncodeDecode|SliderSweepScanFull|SliderSweepViewer
 bench:
 	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem -count 5 .
 
@@ -112,20 +112,27 @@ profile-delivery:
 alloc-guard:
 	$(GO) test -count=1 -run 'TestDeliveryAllocationGuard|TestFlowParkAllocatesNothing|TestExtractorResetAllocatesNothing|TestConnRecvAllocatesOnlyParams' -v . ./internal/core/ ./internal/iso/ ./internal/comm/
 
-# Short fuzz pass over the message codec (incl. fault-plan-mutated frames
-# and the message batches of WAL checkpoints), the memo-key float canonicalizer, the WAL
-# frame parser (torn/corrupt tails must truncate, never crash or mis-parse)
-# and the WAL checkpoint reader (malformed disk input is rejected or absorbed,
-# never a panic; the minimizer is capped so the short pass spends its time
-# executing).
+# Short fuzz pass over every decoder and parser that takes bytes from outside:
+# the message codec (plain, fault-plan-mutated frames and the message batches
+# of WAL checkpoints), the frame and parameter parsers, the memo-key float
+# canonicalizer, the mesh wire decoder every client runs on its socket, the
+# stored-block decoder, the WAL frame parser (torn/corrupt tails must
+# truncate, never crash or mis-parse) and the WAL checkpoint reader
+# (malformed disk input is rejected or absorbed, never a panic; the minimizer
+# is capped so the short pass spends its time executing). FUZZTIME is each
+# target's run time.
+FUZZTIME ?= 10s
 fuzz:
-	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzDecodeMutated -fuzztime=10s
-	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzDecodeBatchMutated -fuzztime=10s
-	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzCanonicalFloat -fuzztime=10s
-	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzFrameIsEncode -fuzztime=10s
-	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzParamParsing -fuzztime=10s
-	$(GO) test ./internal/wal/ -run=^$$ -fuzz=FuzzWALReplay -fuzztime=10s
-	$(GO) test . -run=^$$ -fuzz=FuzzCheckpointLoad -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzDecodeMutated -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzDecodeBatchMutated -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzCanonicalFloat -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzFrameIsEncode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzParamParsing -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mesh/ -run=^$$ -fuzz=FuzzDecodeBinary -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/storage/ -run=^$$ -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wal/ -run=^$$ -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
+	$(GO) test . -run=^$$ -fuzz=FuzzCheckpointLoad -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 
 # Code size as simplicity PRs report it, before and after: non-test Go lines
 # outside benchmark/ (tracked files), the server's flag definitions, the

@@ -22,6 +22,7 @@ import (
 	"viracocha/internal/dataset"
 	"viracocha/internal/grid"
 	"viracocha/internal/iso"
+	"viracocha/internal/mathx"
 	"viracocha/internal/mesh"
 	"viracocha/internal/storage"
 	"viracocha/internal/vclock"
@@ -167,21 +168,18 @@ func BenchmarkExtractRangeReuse(b *testing.B) {
 	b.ReportMetric(float64(blk.NumCells()), "cells/op")
 }
 
-// sweepBlocks pre-generates the engine set once and builds the per-block
-// min/max indexes, so the SliderSweep benchmarks time only the warm sweep.
-func sweepBlocks(b *testing.B) ([]*grid.Block, []*grid.MinMaxIndex) {
-	b.Helper()
-	ds := dataset.Engine().WithScale(2)
+// sweepBlocks pre-generates one step of the engine set at the given scale
+// once, so the SliderSweep benchmarks time only the warm sweep.
+func sweepBlocks(scale int) []*grid.Block {
+	ds := dataset.Engine().WithScale(scale)
 	blks := make([]*grid.Block, ds.Blocks)
-	idxs := make([]*grid.MinMaxIndex, ds.Blocks)
 	for i := range blks {
 		blks[i] = ds.Generate(0, i)
-		idxs[i] = grid.BuildMinMax(blks[i], "pressure", blks[i].Scalars["pressure"])
 	}
-	return blks, idxs
+	return blks
 }
 
-// sliderIsos are the slider positions of the ablation-index sweep: dense
+// sliderIsos are the slider positions of the whole-block sweep: dense
 // mid-range surfaces plus the sparse shells near the top of the pressure
 // range, as a drag across the slider passes through.
 var sliderIsos = []float64{350, 450, 550, 650, 750, 850}
@@ -319,11 +317,11 @@ func BenchmarkSliderStormMemoN4(b *testing.B)  { benchSliderStorm(b, 4, true) }
 func BenchmarkSliderStormMemoN16(b *testing.B) { benchSliderStorm(b, 16, true) }
 func BenchmarkSliderStormMemoN64(b *testing.B) { benchSliderStorm(b, 64, true) }
 
-// BenchmarkSliderSweepScanFull is the unindexed wall-time scan kernel for the
-// repeated-query workload: every slider position rescans every cell of every
-// warm block.
+// BenchmarkSliderSweepScanFull is the wall-time scan kernel for the
+// repeated-query workload: every slider position scans every cell of every
+// warm block (engine scale 2).
 func BenchmarkSliderSweepScanFull(b *testing.B) {
-	blks, _ := sweepBlocks(b)
+	blks := sweepBlocks(2)
 	var m mesh.Mesh
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -337,39 +335,38 @@ func BenchmarkSliderSweepScanFull(b *testing.B) {
 	}
 }
 
-// BenchmarkSliderSweepScanIndexed is the same warm scan through the min/max
-// brick indexes: excluded blocks are rejected by one range test and the rest
-// scan only the bricks whose [min,max] straddles the iso value. The wall gap
-// to ScanFull is bounded by triangle generation, which both sides share;
-// results/ablation-index.tsv carries the session-level ratio.
-func BenchmarkSliderSweepScanIndexed(b *testing.B) {
-	blks, idxs := sweepBlocks(b)
-	var m mesh.Mesh
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, v := range sliderIsos {
-			for bi, blk := range blks {
-				if idxs[bi].BlockExcludes(v) {
-					continue
-				}
-				r := grid.CellRange{Hi: [3]int{blk.NI - 1, blk.NJ - 1, blk.NK - 1}}
-				m.Reset()
-				iso.ExtractRangeIndexed(blk, blk.Scalars["pressure"], v, r, idxs[bi], &m)
-			}
-		}
+// BenchmarkSliderSweepViewer is the same warm sweep as iso.viewer runs it on
+// iso_slider_warm's data (engine scale 3, iso values across 300–700): per
+// block, the cached BSP tree's surviving leaves, each scanned by one held
+// extractor into a packet that is flushed at the default granularity.
+func BenchmarkSliderSweepViewer(b *testing.B) {
+	blks := sweepBlocks(3)
+	trees := make([]*grid.BSPTree, len(blks))
+	for i, blk := range blks {
+		trees[i] = grid.BuildBSP(blk, "pressure")
 	}
-}
-
-// BenchmarkSliderSweepBuild prices the first-query overhead: one index build
-// per block, the cost the cold query pays before any sweep can skip.
-func BenchmarkSliderSweepBuild(b *testing.B) {
-	blks, _ := sweepBlocks(b)
+	var isos []float64
+	for v := 325.0; v < 700; v += 50 {
+		isos = append(isos, v)
+	}
+	var m mesh.Mesh
+	e := iso.NewExtractor(blks[0], &m)
+	defer e.Close()
+	var eye mathx.Vec3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, blk := range blks {
-			idx := grid.BuildMinMax(blk, "pressure", blk.Scalars["pressure"])
-			if idx.LoVal > idx.HiVal {
-				b.Fatal("empty index")
+		for _, v := range isos {
+			for bi, blk := range blks {
+				vals := blk.Scalars["pressure"]
+				e.Reset(blk, &m)
+				trees[bi].VisitFrontToBack(eye, v, func(r grid.CellRange) bool {
+					e.Range(vals, v, r)
+					if m.NumTriangles() >= 2000 {
+						m.Reset()
+						e.Rebind(&m)
+					}
+					return true
+				})
 			}
 		}
 	}

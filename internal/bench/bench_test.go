@@ -367,13 +367,13 @@ func TestAblationIndexShape(t *testing.T) {
 	tbl := AblationIndex(Options{Scale: 2, Quick: true})
 	offSweep := cell(t, tbl, 0, 2)
 	onSweep := cell(t, tbl, 1, 2)
-	// The warm slider sweep is the index's home turf: ≥2× cheaper.
+	// The warm threshold sweep is the gradient index's home turf: ≥2× cheaper.
 	if onSweep*2 > offSweep {
 		t.Fatalf("indexed warm sweep (%v s) not ≥2× below unindexed (%v s)", onSweep, offSweep)
 	}
 	offFirst := cell(t, tbl, 0, 1)
 	onFirst := cell(t, tbl, 1, 1)
-	// The cold first query pays the index builds: within 15% of baseline.
+	// The cold first query pays the gradient sweeps: within 15% of baseline.
 	if onFirst > offFirst*1.15 {
 		t.Fatalf("indexed first query (%v s) regresses >15%% over baseline (%v s)", onFirst, offFirst)
 	}

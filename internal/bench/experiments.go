@@ -110,7 +110,7 @@ func All() []Experiment {
 		{"ablation-collective", "Collective vs independent I/O", AblationCollective},
 		{"ablation-distribution", "Static vs dynamic seed distribution", AblationDistribution},
 		{"ablation-progressive", "Progressive iso: recompute vs incremental", AblationProgressive},
-		{"ablation-index", "Min/max acceleration index slider sweep", AblationIndex},
+		{"ablation-index", "Vortex-skip gradient index threshold sweep", AblationIndex},
 		{"interaction", "Explorative session, time to first feedback", Interaction},
 	}
 }

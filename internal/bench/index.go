@@ -8,64 +8,27 @@ import (
 	"viracocha/internal/dataset"
 )
 
-// AblationIndex measures the min/max acceleration indexes on the interaction
-// they exist for: a user dragging the iso slider over a warm data set (the
-// trial-and-error parameter search of §1.1). Each sweep re-queries the same
-// blocks with a series of iso values; with the index on, warm queries skip
-// provably inactive blocks without loading them and scan only the bricks
-// whose range straddles the iso value, while the cold first query
-// additionally pays the per-block index builds. Indexes, like the blocks
-// they derive from, live in the DMS as cached data entities.
+// AblationIndex measures the cached derived entities on the interaction
+// they exist for: a user dragging the vortex threshold over a warm data set
+// (the trial-and-error parameter search of §1.1). Each sweep re-queries the
+// same blocks with a series of λ2 thresholds. With the index on, the
+// vortex-skip gradient index — one eigen-free sweep per block, cached
+// across every later threshold — bounds |λ2| by ‖J‖²_F and proves quiet
+// blocks vortex-free before any eigenvalue is solved, and a block that is
+// scanned reuses its cached λ2 field; the cold first query additionally
+// pays the gradient sweeps. Both live in the DMS as cached data entities.
+// (The iso slider needs no index: the bit-parallel scan classifies a
+// block's cells as fast as the retired min/max bricks skipped them.)
 func AblationIndex(o Options) *Table {
 	o = o.normalize()
 	t := &Table{
-		ID: "ablation-index", Title: "Min/max acceleration index: iso slider sweep [s]", PaperRef: "§4.2/§5",
+		ID: "ablation-index", Title: "Vortex-skip gradient index: λ2 threshold sweep [s]", PaperRef: "§4.2/§5",
 		Columns: []string{"Index", "FirstQuery[s]", "WarmSweep[s]", "WarmPerQuery[s]"},
-	}
-	// Slider positions across the field's range [-167, 934]: dense mid-range
-	// surfaces and the sparse shells near the top a drag passes through.
-	isos := []string{"350", "450", "550", "650", "750", "850", "900"}
-	if o.Quick {
-		isos = []string{"450", "650", "750", "850"}
 	}
 	workers := 8
 	if o.Quick {
 		workers = 4
 	}
-	for _, mode := range []string{"off", "on"} {
-		indexParam := "0"
-		if mode == "on" {
-			indexParam = "1"
-		}
-		e := NewEnv(EnvConfig{DS: dataset.Engine().WithScale(o.Scale), Workers: workers, Prefetcher: "obl"})
-		var first, sweep time.Duration
-		e.Session(func(cl *core.Client) {
-			run := func(iso string) {
-				p := Params("dataset", "engine", "workers", fmt.Sprint(workers),
-					"field", "pressure", "iso", iso, "index", indexParam)
-				if _, err := cl.Run("iso.dataman", p); err != nil {
-					panic(fmt.Sprintf("bench: iso.dataman failed: %v", err))
-				}
-			}
-			start := e.V.Now()
-			run(isos[0]) // cold: loads every block (and builds the indexes)
-			first = e.V.Now() - start
-			mark := e.V.Now()
-			for _, iso := range isos { // warm: the slider sweep proper
-				run(iso)
-			}
-			sweep = e.V.Now() - mark
-		})
-		per := sweep / time.Duration(len(isos))
-		t.Rows = append(t.Rows, []string{
-			mode, Secs(first), Secs(sweep), fmt.Sprintf("%.2f", per.Seconds()),
-		})
-	}
-	// The λ2 counterpart: a user dragging the vortex threshold. The indexed
-	// path leans on the vortex-skip gradient index — one eigen-free sweep per
-	// block, cached across every later threshold — whose ‖J‖²_F bound proves
-	// quiet bricks and whole blocks vortex-free before any eigenvalue is
-	// solved, plus the cached λ2 min/max index once a full field was computed.
 	l2s := []string{"-4000", "-2000", "-1000", "-500", "-250"}
 	if o.Quick {
 		l2s = []string{"-2000", "-1000", "-500"}
@@ -100,8 +63,7 @@ func AblationIndex(o Options) *Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("one cold query then a %d-position slider sweep over warm caches; indexes cached as derived DMS entities", len(isos)),
-		"expected shape: warm sweep far cheaper with the index (block skips + brick-guided scans); first query within a few percent (index build is one cheap sweep per block)",
-		fmt.Sprintf("vortex-* rows: the same session over the λ2 threshold (%d positions); the gradient index bounds |λ2| by ‖J‖²_F, skipping provably vortex-free blocks without recomputing the eigen-sweep", len(l2s)))
+		fmt.Sprintf("one cold query then a %d-position λ2 threshold sweep over warm caches; gradient indexes and λ2 fields cached as derived DMS entities", len(l2s)),
+		"expected shape: warm sweep far cheaper with the index (block skips + cached λ2 fields); the first query pays the gradient sweeps")
 	return t
 }

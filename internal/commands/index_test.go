@@ -113,8 +113,9 @@ func TestVortexIndexedMatchesUnindexed(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		// The dataman run above (index on) populates the λ2 index cache, so
-		// the streamed run after it exercises the cached-index skip path.
+		// The dataman run above (index on) populates the gradient-index
+		// cache, so the streamed run after it exercises the cached-index
+		// block skip.
 		on, err = cl.Run("vortex.dataman", params(append(kv, "index", "1")...))
 		if err != nil {
 			t.Error(err)
@@ -180,20 +181,21 @@ func TestVortexSliderSweepWarmIsCheaper(t *testing.T) {
 	}
 }
 
-// TestIndexedSliderSweepWarmIsCheaper is the interaction the index exists
-// for: a user dragging the iso slider re-queries the same warm blocks with
-// different iso values. With the index on, warm queries skip excluded blocks
-// without loading them and scan only straddling bricks, so the summed warm
-// compute must drop well below the unindexed sweep; and the cold first query
-// (which also pays the index builds) must stay within a modest overhead.
+// TestIndexedSliderSweepWarmIsCheaper is the interaction the cached derived
+// entities exist for: a user dragging the iso slider re-queries the same
+// warm blocks with different iso values. With the index path on, the viewer
+// serves each block's BSP tree from the DMS instead of rebuilding it, so the
+// summed warm compute must drop below the rebuilding sweep; and the cold
+// first query (which builds and prices the trees either way) must stay
+// within a modest overhead.
 func TestIndexedSliderSweepWarmIsCheaper(t *testing.T) {
 	isos := []string{"420", "500", "580", "660"}
 	sweep := func(index string) (cold, warm core.RequestStats) {
 		var ids []uint64
 		rt := harness(t, dataset.Engine(), 4, func(cl *core.Client, _ *core.Runtime) {
 			for _, iso := range isos {
-				res, err := cl.Run("iso.dataman", params("dataset", "engine", "workers", "4",
-					"iso", iso, "field", "pressure", "index", index))
+				res, err := cl.Run("iso.viewer", params("dataset", "engine", "workers", "4",
+					"iso", iso, "field", "pressure", "ex", "-5", "index", index))
 				if err != nil {
 					t.Error(err)
 					return
@@ -218,8 +220,6 @@ func TestIndexedSliderSweepWarmIsCheaper(t *testing.T) {
 		t.Fatalf("warm indexed sweep compute %v not below unindexed %v",
 			warmOn.Probes.Compute, warmOff.Probes.Compute)
 	}
-	// First-query regression budget: the index builds ride along the cold
-	// pass and must cost well under 15% extra.
 	limit := coldOff.TotalRuntime() + coldOff.TotalRuntime()*15/100
 	if coldOn.TotalRuntime() > limit {
 		t.Fatalf("cold indexed query %v exceeds +15%% budget over %v",

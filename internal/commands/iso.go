@@ -68,10 +68,6 @@ func (IsoDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	isoVal := ctx.FloatParam("iso", 0)
 	step := ctx.StepParam()
 	doPrefetch := ctx.IntParam("prefetch", 1) != 0
-	useIndex := ctx.IndexEnabled()
-	if useIndex {
-		ctx.RideAlong(field, false)
-	}
 	blocks := ctx.AssignedBlocks(nil)
 	out := &mesh.Mesh{}
 	for i, blk := range blocks {
@@ -82,29 +78,11 @@ func (IsoDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 			next := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blocks[i+1]}
 			ctx.Prefetch(next)
 		}
-		bid := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk}
-		if useIndex {
-			// Whole-block test on a cached index: a block whose field range
-			// excludes iso contributes nothing, so skip even loading it.
-			if idx, ok := ctx.CachedMinMax(bid, field); ok && idx.BlockExcludes(isoVal) {
-				ctx.Progress(i+1, len(blocks))
-				continue
-			}
-		}
-		b, err := ctx.Load(bid)
+		b, err := ctx.Load(grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk})
 		if err != nil {
 			return nil, err
 		}
-		var res iso.Result
-		if vals, ok := b.Scalars[field]; useIndex && ok {
-			idx := ctx.MinMaxIndex(b, field, vals)
-			if !idx.BlockExcludes(isoVal) {
-				r := grid.CellRange{Hi: [3]int{b.NI - 1, b.NJ - 1, b.NK - 1}}
-				res = iso.ExtractRangeIndexed(b, vals, isoVal, r, idx, out)
-			}
-		} else {
-			res = iso.ExtractBlock(b, field, isoVal, out)
-		}
+		res := iso.ExtractBlock(b, field, isoVal, out)
 		ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
 		ctx.Progress(i+1, len(blocks))
 	}
@@ -134,10 +112,7 @@ func (ViewerIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		Y: ctx.FloatParam("ey", 0),
 		Z: ctx.FloatParam("ez", 0),
 	}
-	useIndex := ctx.IndexEnabled()
-	if useIndex {
-		ctx.RideAlong(field, false)
-	}
+	cachedTree := ctx.IndexEnabled()
 	journaled := ctx.Journaling()
 	order, releaseOrder := frontToBackOrder(ctx, step, eye)
 	pending := mesh.Acquire()
@@ -176,14 +151,7 @@ func (ViewerIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 			next := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blocks[i+1]}
 			ctx.Prefetch(next)
 		}
-		bid := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk}
-		if useIndex {
-			if idx, ok := ctx.CachedMinMax(bid, field); ok && idx.BlockExcludes(isoVal) {
-				ctx.BlockDone(blk)
-				continue // provably empty: skip the load
-			}
-		}
-		b, err := ctx.Load(bid)
+		b, err := ctx.Load(grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk})
 		if err != nil {
 			return nil, err
 		}
@@ -193,13 +161,11 @@ func (ViewerIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 			continue
 		}
 		// The per-block BSP tree: rebuilt (and priced) every run on the
-		// baseline path, served from the derived-entity cache with the index
-		// path — the tree depends on neither viewpoint nor iso value.
+		// baseline path, served from the derived-entity cache otherwise — the
+		// tree depends on neither viewpoint nor iso value.
 		var tree *grid.BSPTree
-		var idx *grid.MinMaxIndex
-		if useIndex {
+		if cachedTree {
 			tree = ctx.BSPTree(b, field)
-			idx = ctx.MinMaxIndex(b, field, vals)
 		} else {
 			tree = grid.BuildBSP(b, field)
 			ctx.Charge(ctx.Cost.BSPCost(b.NumCells()))
@@ -213,7 +179,7 @@ func (ViewerIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		}
 		var streamErr error
 		tree.VisitFrontToBack(eye, isoVal, func(r grid.CellRange) bool {
-			res := ex.RangeIndexed(vals, isoVal, r, idx)
+			res := ex.Range(vals, isoVal, r)
 			ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
 			if err := flush(false); err != nil {
 				streamErr = err
@@ -313,39 +279,18 @@ func (ProgressiveIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	isoVal := ctx.FloatParam("iso", 0)
 	step := ctx.StepParam()
 	maxLevel := ctx.IntParam("levels", 2)
-	useIndex := ctx.IndexEnabled()
 	blocks := ctx.AssignedBlocks(nil)
 	for level := maxLevel; level >= 0; level-- {
 		levelMesh := &mesh.Mesh{}
 		for _, blk := range blocks {
-			bid := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk}
-			if useIndex && level == 0 {
-				// The final full-resolution level takes the index path; the
-				// coarse previews are cheap scans over subsampled nodes (a
-				// subset of the full grid, so a full-res index would bound
-				// them too, but they are not the hot cost).
-				if idx, ok := ctx.CachedMinMax(bid, field); ok && idx.BlockExcludes(isoVal) {
-					continue
-				}
-			}
-			b, err := ctx.LoadCoarse(bid, level)
+			b, err := ctx.LoadCoarse(grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk}, level)
 			if err != nil {
 				return nil, err
 			}
 			if !b.HasScalar(field) {
 				continue
 			}
-			var res iso.Result
-			if useIndex && level == 0 {
-				vals := b.Scalars[field]
-				idx := ctx.MinMaxIndex(b, field, vals)
-				if !idx.BlockExcludes(isoVal) {
-					r := grid.CellRange{Hi: [3]int{b.NI - 1, b.NJ - 1, b.NK - 1}}
-					res = iso.ExtractRangeIndexed(b, vals, isoVal, r, idx, levelMesh)
-				}
-			} else {
-				res = iso.ExtractBlock(b, field, isoVal, levelMesh)
-			}
+			res := iso.ExtractBlock(b, field, isoVal, levelMesh)
 			ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
 		}
 		if level > 0 {

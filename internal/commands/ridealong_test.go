@@ -8,18 +8,19 @@ import (
 	"viracocha/internal/dms"
 )
 
-// TestIndexRideAlongFollowsTheRequest: an indexed request makes its prefetched
-// blocks arrive with their index built; the un-indexed request after it on the
-// same workers prefetches a fresh time step and must build nothing.
+// TestIndexRideAlongFollowsTheRequest: an indexed vortex request makes its
+// prefetched blocks arrive with their gradient index built; the un-indexed
+// request after it on the same workers prefetches a fresh time step and must
+// build nothing.
 func TestIndexRideAlongFollowsTheRequest(t *testing.T) {
 	var before dms.ProxyStats
 	rt := harness(t, dataset.Engine(), 2, func(cl *core.Client, rt *core.Runtime) {
-		kv := []string{"dataset", "engine", "workers", "2", "iso", "500", "field", "pressure"}
-		if _, err := cl.Run("iso.dataman", params(append(kv, "step", "0", "index", "1")...)); err != nil {
+		kv := []string{"dataset", "engine", "workers", "2", "lambda2", "-1000"}
+		if _, err := cl.Run("vortex.dataman", params(append(kv, "step", "0", "index", "1")...)); err != nil {
 			t.Error(err)
 		}
 		_, before = rt.DMS.AggregateStats()
-		if _, err := cl.Run("iso.dataman", params(append(kv, "step", "1", "index", "0")...)); err != nil {
+		if _, err := cl.Run("vortex.dataman", params(append(kv, "step", "1", "index", "0")...)); err != nil {
 			t.Error(err)
 		}
 	})

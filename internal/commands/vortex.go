@@ -13,8 +13,7 @@ import (
 // in practice, §1.1); "cellbatch" is the streamed command's active-cell list
 // length (§6.3).
 
-// l2Field is the entity field name under which derived λ2 data (scalar
-// fields, min/max indexes) is cached in the DMS.
+// l2Field is the name of the derived λ2 scalar field cached in the DMS.
 const l2Field = "lambda2"
 
 // lambda2Values returns the block's λ2 scalar field. With caching enabled it
@@ -89,7 +88,7 @@ func (VortexDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	doPrefetch := ctx.IntParam("prefetch", 1) != 0
 	useIndex := ctx.IndexEnabled()
 	if useIndex {
-		ctx.RideAlong("", true) // the vortex-skip index lands with each prefetched block
+		ctx.RideAlong() // the vortex-skip index lands with each prefetched block
 	}
 	blocks := ctx.AssignedBlocks(nil)
 	out := &mesh.Mesh{}
@@ -103,18 +102,10 @@ func (VortexDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		}
 		bid := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk}
 		if useIndex {
-			// A cached λ2 index whose range excludes the threshold proves
-			// the block holds no vortex surface: skip the load, the λ2
-			// recomputation and the scan in one O(1) test. Without one, a
-			// cached gradient index can prove the same bound — it is
-			// strictly weaker than the λ2 index, so it is only consulted
-			// when that is missing.
-			if idx, ok := ctx.CachedMinMax(bid, l2Field); ok {
-				if idx.BlockExcludes(thresh) {
-					ctx.Progress(i+1, len(blocks))
-					continue
-				}
-			} else if gidx, ok := ctx.CachedGradIndex(bid); ok && gidx.BlockExcludesLambda2(thresh) {
+			// A cached gradient index whose bound excludes the threshold
+			// proves the block holds no vortex surface: skip the load, the
+			// λ2 computation and the scan in one O(1) test.
+			if gidx, ok := ctx.CachedGradIndex(bid); ok && gidx.BlockExcludesLambda2(thresh) {
 				ctx.Progress(i+1, len(blocks))
 				continue
 			}
@@ -137,15 +128,7 @@ func (VortexDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		// mutated.
 		vals, release := lambda2Values(ctx, b, useIndex)
 		r := grid.CellRange{Hi: [3]int{b.NI - 1, b.NJ - 1, b.NK - 1}}
-		var res iso.Result
-		if useIndex {
-			idx := ctx.MinMaxIndex(b, l2Field, vals)
-			if !idx.BlockExcludes(thresh) {
-				res = iso.ExtractRangeIndexed(b, vals, thresh, r, idx, out)
-			}
-		} else {
-			res = iso.ExtractRange(b, vals, thresh, r, out)
-		}
+		res := iso.ExtractRange(b, vals, thresh, r, out)
 		release()
 		ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
 		ctx.Progress(i+1, len(blocks))
@@ -170,7 +153,7 @@ func (StreamedVortex) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	doPrefetch := ctx.IntParam("prefetch", 1) != 0
 	useIndex := ctx.IndexEnabled()
 	if useIndex {
-		ctx.RideAlong("", true) // the vortex-skip index lands with each prefetched block
+		ctx.RideAlong() // the vortex-skip index lands with each prefetched block
 	}
 	blocks := ctx.SpanBlocks(nil)
 	for i, blk := range blocks {
@@ -183,32 +166,22 @@ func (StreamedVortex) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		}
 		bid := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk}
 		// The lazy scan cannot afford to compute the full λ2 field just to
-		// build an index, but it happily consumes one cached by an earlier
-		// vortex.dataman run: λ2 is evaluated by the same per-node function
-		// on both paths, so the index bounds the lazy values exactly. When
-		// no λ2 index exists, the vortex-skip gradient index stands in: one
-		// eigen-free sweep (a third of the λ2 pipeline, usually prefetched
-		// as a ride-along and cached across thresholds) bounds λ2 from
-		// below, which is the only direction brick skipping needs.
-		var idx *grid.MinMaxIndex
+		// bound it; the vortex-skip gradient index stands in: one eigen-free
+		// sweep (a third of the λ2 pipeline, usually prefetched as a
+		// ride-along and cached across thresholds) bounds λ2 from below,
+		// which is the only direction brick skipping needs.
 		var gidx *grid.GradIndex
 		if useIndex {
-			if cached, ok := ctx.CachedMinMax(bid, l2Field); ok {
-				if cached.BlockExcludes(thresh) {
-					ctx.BlockDone(blk)
-					continue // provably empty: skip the load entirely
-				}
-				idx = cached
-			} else if g, ok := ctx.CachedGradIndex(bid); ok && g.BlockExcludesLambda2(thresh) {
+			if g, ok := ctx.CachedGradIndex(bid); ok && g.BlockExcludesLambda2(thresh) {
 				ctx.BlockDone(blk)
-				continue
+				continue // provably empty: skip the load entirely
 			}
 		}
 		b, err := ctx.Load(bid)
 		if err != nil {
 			return nil, err
 		}
-		if useIndex && idx == nil {
+		if useIndex {
 			gidx = ctx.GradIndex(b)
 			if gidx.BlockExcludesLambda2(thresh) {
 				ctx.BlockDone(blk)
@@ -249,17 +222,10 @@ func (StreamedVortex) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		for ck := 0; ck < b.NK-1; ck++ {
 			for cj := 0; cj < b.NJ-1; cj++ {
 				for ci := 0; ci < b.NI-1; {
-					if idx != nil {
-						// Jump over brick runs that provably hold no active
-						// cell — their λ2 values are never even evaluated.
-						if next := idx.SkipTo(ci, cj, ck, thresh, b.NI-1); next > ci {
-							ci = next
-							continue
-						}
-					} else if gidx != nil {
-						// Same jump from the gradient bound: bricks whose
-						// largest ‖J‖²_F stays under −thresh cannot hold a
-						// corner with λ2 < thresh.
+					if gidx != nil {
+						// Jump over brick runs whose largest ‖J‖²_F stays
+						// under −thresh: they cannot hold a corner with
+						// λ2 < thresh, so their λ2 is never evaluated.
 						if next := gidx.SkipToLambda2(ci, cj, ck, thresh, b.NI-1); next > ci {
 							ci = next
 							continue

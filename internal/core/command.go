@@ -162,12 +162,16 @@ func (c *Ctx) LoadRaw(id grid.BlockID) (*grid.Block, error) {
 // Prefetch issues an explicit (code) prefetch through the DMS.
 func (c *Ctx) Prefetch(id grid.BlockID) { c.proxy.Prefetch(id) }
 
-// IndexEnabled decides this request's extraction path: the "index" parameter
-// if given (the ablation harness and reference runs pin it); else the paper's
-// un-indexed algorithm under the virtual clock, and under the real clock the
-// indexed path — bit-identical, faster on resident data — unless the shared
-// DMS budget is at the pressure where prefetches are shed: there the derived
-// entities would only evict the blocks the request is about to read.
+// IndexEnabled decides whether this request serves its derived entities
+// from the DMS: the viewer's cached BSP trees, and the vortex commands'
+// cached λ2 field and vortex-skip gradient index with its block and brick
+// skips. Otherwise every run rebuilds and prices its BSP trees and λ2
+// fields and skips nothing, as the paper's algorithms do. The "index"
+// parameter decides if given (the ablation harness and reference runs pin
+// it); else the virtual clock takes the paper's path, and the real clock the
+// cached one — bit-identical, faster on resident data — unless the shared
+// DMS budget is at the pressure where prefetches are shed: there the
+// derived entities would only evict the blocks the request is about to read.
 func (c *Ctx) IndexEnabled() bool {
 	if c.Req.Index != indexAuto {
 		return c.Req.Index == 1
@@ -176,47 +180,15 @@ func (c *Ctx) IndexEnabled() bool {
 }
 
 // RideAlong makes the blocks prefetched on this worker from here on — by the
-// command or by the system prefetcher — land with an index built beside
-// them: the min/max index over field, and/or the vortex-skip gradient index.
-// The demand query that follows then finds block and index both hot. It
-// holds until the next request starts on the worker.
-func (c *Ctx) RideAlong(field string, grad bool) { c.worker.setRideAlong(field, grad) }
-
-// CachedMinMax returns the min/max index for (id, field) when some proxy
-// already holds it — local tiers first, then a peer transfer (the index is
-// hundreds of times smaller than its block, so shipping it is nearly free).
-// Combined with MinMaxIndex.BlockExcludes this lets a command prove a block
-// cannot intersect the surface before paying any I/O to load it.
-func (c *Ctx) CachedMinMax(id grid.BlockID, field string) (*grid.MinMaxIndex, bool) {
-	e, ok := c.proxy.GetDerived(dms.IndexItem(id, field))
-	if !ok {
-		return nil, false
-	}
-	idx, ok := e.(*grid.MinMaxIndex)
-	return idx, ok
-}
-
-// MinMaxIndex returns the min/max brick index over vals for (b.ID, field),
-// serving it from the DMS derived-entity cache when hot and building — and
-// pricing — it otherwise. vals must be the field the index describes: a
-// stored scalar or a computed one (λ2). The fresh index is offered back to
-// the cache; a budget refusal just means the next request rebuilds.
-func (c *Ctx) MinMaxIndex(b *grid.Block, field string, vals []float32) *grid.MinMaxIndex {
-	name := dms.IndexItem(b.ID, field)
-	if e, ok := c.proxy.GetDerived(name); ok {
-		if idx, ok := e.(*grid.MinMaxIndex); ok {
-			return idx
-		}
-	}
-	idx := grid.BuildMinMax(b, field, vals)
-	c.Charge(c.Cost.IndexCost(b.NumNodes()))
-	c.proxy.PutDerived(name, idx)
-	return idx
-}
+// command or by the system prefetcher — land with their vortex-skip gradient
+// index built beside them, so the demand query that follows finds block and
+// index both hot. It holds until the next request starts on the worker.
+func (c *Ctx) RideAlong() { c.worker.setRideAlong(true) }
 
 // CachedGradIndex returns the vortex-skip gradient index for the block when
 // some proxy already holds it — local tiers first, then a peer transfer
-// (like the min/max index it is hundreds of times smaller than its block).
+// (the index is hundreds of times smaller than its block, so shipping it is
+// nearly free).
 // Combined with GradIndex.BlockExcludesLambda2 this lets a vortex command
 // prove a block holds no surface before paying any I/O to load it.
 func (c *Ctx) CachedGradIndex(id grid.BlockID) (*grid.GradIndex, bool) {

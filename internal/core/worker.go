@@ -38,11 +38,9 @@ type Worker struct {
 	// inert once it is stale; the scheduler fences frames the same way.
 	epoch int
 	busy  bool // executing a command (reported in heartbeats)
-	// pfIndexField, when non-empty, is the scalar field whose min/max index
-	// rides along with prefetched blocks; pfGradIndex does the same for the
-	// vortex-skip gradient index (setRideAlong).
-	pfIndexField string
-	pfGradIndex  bool
+	// pfGradIndex makes the vortex-skip gradient index ride along with
+	// prefetched blocks (setRideAlong).
+	pfGradIndex bool
 	// Journal-mode watermark state, published by the executing Ctx and
 	// piggybacked on heartbeats: the request/rank/attempt being executed and
 	// the cumulative set of completed span items. Heartbeat re-delivery makes
@@ -80,40 +78,28 @@ func (w *Worker) endpoint() *comm.Endpoint {
 // setRideAlong says what to build beside blocks that land via prefetch from
 // now on (Ctx.RideAlong); execute clears it, so the ride-along follows the
 // request on the worker, not the last request that ever asked for one.
-func (w *Worker) setRideAlong(field string, grad bool) {
+func (w *Worker) setRideAlong(grad bool) {
 	w.mu.Lock()
-	w.pfIndexField, w.pfGradIndex = field, grad
+	w.pfGradIndex = grad
 	w.mu.Unlock()
 }
 
 // indexPrefetched runs in the prefetch goroutine after a speculatively
-// loaded block entered the cache: it builds the block's min/max index
-// (and/or the vortex-skip gradient index) and caches it as a derived
-// entity, charging the build to the background goroutine's virtual time so
-// the speculative work overlaps the demand path exactly like the load
-// itself.
+// loaded block entered the cache: when the request asked for it, it builds
+// the block's vortex-skip gradient index and caches it as a derived entity,
+// charging the build to the background goroutine's virtual time so the
+// speculative work overlaps the demand path exactly like the load itself.
 func (w *Worker) indexPrefetched(b *grid.Block) {
 	w.mu.Lock()
-	field := w.pfIndexField
 	gradIdx := w.pfGradIndex
 	proxy := w.proxy
 	w.mu.Unlock()
-	if field != "" {
-		if vals, ok := b.Scalars[field]; ok {
-			name := dms.IndexItem(b.ID, field)
-			if !proxy.HasDerived(name) {
-				w.rt.Clock.Sleep(w.rt.Cost.IndexCost(b.NumNodes()))
-				proxy.PutDerived(name, grid.BuildMinMax(b, field, vals))
-			}
-		}
+	name := dms.GradIndexItem(b.ID)
+	if !gradIdx || proxy.HasDerived(name) {
+		return
 	}
-	if gradIdx {
-		name := dms.GradIndexItem(b.ID)
-		if !proxy.HasDerived(name) {
-			w.rt.Clock.Sleep(w.rt.Cost.GradCost(b.NumNodes()) + w.rt.Cost.IndexCost(b.NumNodes()))
-			proxy.PutDerived(name, grid.BuildGradIndex(b))
-		}
-	}
+	w.rt.Clock.Sleep(w.rt.Cost.GradCost(b.NumNodes()) + w.rt.Cost.IndexCost(b.NumNodes()))
+	proxy.PutDerived(name, grid.BuildGradIndex(b))
 }
 
 // Dead reports whether the worker has fail-stopped.
@@ -308,7 +294,7 @@ func (w *Worker) execute(ep *comm.Endpoint, epoch int, st *Start) {
 	w.setBusy(epoch, true)
 	defer w.setBusy(epoch, false)
 	defer w.clearJournal(epoch)
-	w.setRideAlong("", false)
+	w.setRideAlong(false)
 
 	req := st.Req
 	ds := w.rt.Datasets[req.Dataset]

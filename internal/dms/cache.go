@@ -8,8 +8,8 @@ import (
 )
 
 // Entity is anything the DMS can cache: demand-loaded grid blocks, and
-// derived data computed from them — min/max acceleration indexes, λ2 scalar
-// fields, BSP trees. The paper's DMS manages "data entities", not files
+// derived data computed from them — the vortex-skip gradient index, λ2
+// scalar fields, BSP trees. The paper's DMS manages "data entities", not files
 // (§4); the only thing a cache needs from one is its size.
 type Entity interface {
 	SizeBytes() int64

@@ -11,21 +11,20 @@ import (
 	"viracocha/internal/vclock"
 )
 
-// indexFor builds a min/max index over a tiny block's pressure field.
-func indexFor(t *testing.T, id grid.BlockID) *grid.MinMaxIndex {
+// indexFor builds the vortex-skip gradient index of a tiny block.
+func indexFor(t *testing.T, id grid.BlockID) *grid.GradIndex {
 	t.Helper()
-	b := blockOfSize(t, id)
-	return grid.BuildMinMax(b, "pressure", b.Scalars["pressure"])
+	return grid.BuildGradIndex(blockOfSize(t, id))
 }
 
 func TestDerivedItemNaming(t *testing.T) {
 	id := tinyID(0, 3)
 	names := []ItemName{
 		BlockItem(id),
-		IndexItem(id, "pressure"),
-		IndexItem(id, "lambda2"),
+		GradIndexItem(id),
 		Lambda2Item(id),
 		BSPItem(id, "pressure"),
+		BSPItem(id, "lambda2"),
 	}
 	seen := map[string]bool{}
 	for _, n := range names {
@@ -34,8 +33,11 @@ func TestDerivedItemNaming(t *testing.T) {
 		}
 		seen[n.String()] = true
 	}
-	if IndexItem(id, "pressure") != IndexItem(id, "pressure") {
-		t.Fatal("index naming not stable")
+	// The gradient index keeps the name it had as one min/max index among
+	// others: kind "index:<field>", format "minmax".
+	want := ItemName{Source: "tiny/t000/b003", Type: "index:" + grid.GradMagField, Format: "minmax"}
+	if GradIndexItem(id) != want {
+		t.Fatalf("GradIndexItem = %+v, want %+v", GradIndexItem(id), want)
 	}
 }
 
@@ -130,7 +132,7 @@ func TestProxyDerivedPutGetStats(t *testing.T) {
 	cfg.NameCost = 0
 	srv, _ := testServer(v, cfg)
 	p := srv.NewProxy("w0", nil)
-	name := IndexItem(tinyID(0, 0), "pressure")
+	name := GradIndexItem(tinyID(0, 0))
 	v.Go(func() {
 		if _, ok := p.GetDerived(name); ok {
 			t.Error("empty cache returned a derived entity")
@@ -170,7 +172,7 @@ func TestDerivedPeerTransfer(t *testing.T) {
 	p0.Peers = srv
 	p1 := srv.NewProxy("w1", nil)
 	p1.Peers = srv
-	name := IndexItem(tinyID(0, 0), "pressure")
+	name := GradIndexItem(tinyID(0, 0))
 	idx := indexFor(t, tinyID(0, 0))
 	v.Go(func() {
 		if !p0.PutDerived(name, idx) {
@@ -182,7 +184,7 @@ func TestDerivedPeerTransfer(t *testing.T) {
 			t.Error("p1 did not find the peer's derived entity")
 			return
 		}
-		if e.(*grid.MinMaxIndex) != idx {
+		if e.(*grid.GradIndex) != idx {
 			t.Error("peer transfer returned a different entity")
 		}
 		// Second get is a local hit: the transfer cached it at p1.
@@ -200,7 +202,7 @@ func TestDerivedPeerTransfer(t *testing.T) {
 	}
 }
 
-// TestOnPrefetchedHookFires: the worker's index ride-along builds on this —
+// TestOnPrefetchedHookFires: the worker's gradient-index ride-along builds on this —
 // the hook must run after a speculative load lands its block in the cache.
 func TestOnPrefetchedHookFires(t *testing.T) {
 	v := vclock.NewVirtual()

@@ -48,18 +48,13 @@ func CoarseBlockItem(id grid.BlockID, level int) ItemName {
 	return n
 }
 
-// IndexItem is the ItemName of the min/max brick acceleration index over one
-// block's field (entity kind "index:<field>"). Derived entities share the
-// parent block's source, so the name service keeps the relationship visible.
-func IndexItem(id grid.BlockID, field string) ItemName {
-	return ItemName{Source: id.String(), Type: "index:" + field, Format: "minmax"}
-}
-
 // GradIndexItem is the ItemName of the vortex-skip index: the min/max brick
 // summary of the squared velocity-gradient magnitude, from which λ2 is
-// bounded without being computed.
+// bounded without being computed (entity kind "index:<gradient field>").
+// Derived entities share the parent block's source, so the name service
+// keeps the relationship visible.
 func GradIndexItem(id grid.BlockID) ItemName {
-	return IndexItem(id, grid.GradMagField)
+	return ItemName{Source: id.String(), Type: "index:" + grid.GradMagField, Format: "minmax"}
 }
 
 // Lambda2Item is the ItemName of a block's derived λ2 scalar field (entity

@@ -80,7 +80,7 @@ func ReleaseGradField(s []float32) {
 	gradFieldPool.Put(b)
 }
 
-// GradIndex is the vortex-skip index: a brick min/max summary (PR 4's 4³
+// GradIndex is the vortex-skip index: a brick min/max summary (4³-cell
 // bricks) over the squared gradient magnitude instead of a stored scalar.
 // It bounds λ2 without ever computing it: with S and Q the symmetric and
 // antisymmetric parts of J, S²+Q² has eigenvalues within
@@ -88,13 +88,12 @@ func ReleaseGradField(s []float32) {
 // |λ2| ≤ ‖J‖²_F. A brick whose largest gradient magnitude G has
 // G² < −λ* therefore provably contains no node with λ2 < λ* for any vortex
 // threshold λ* < 0 — no cell in it can have an active corner, and skipping
-// it is bit-identical to scanning it. Unlike the λ2 min/max index, it only
-// proves the vortex-free direction, but it is buildable at a third of the
-// λ2 sweep's cost, which is exactly what the lazy streamed scan can afford.
+// it is bit-identical to scanning it. It only proves the vortex-free
+// direction, but it is buildable at a third of the λ2 sweep's cost, which is
+// exactly what the lazy streamed scan can afford.
 //
-// Like MinMaxIndex it is cached in the DMS as a derived data entity —
-// budgeted, evictable, peer-transferable, and built as a prefetch
-// ride-along.
+// It is cached in the DMS as a derived data entity — budgeted, evictable,
+// peer-transferable, and built as a prefetch ride-along.
 type GradIndex struct {
 	MinMaxIndex
 }

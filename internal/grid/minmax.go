@@ -5,18 +5,13 @@ package grid
 // while still skipping cells in useful runs.
 const MinMaxBrick = 4
 
-// MinMaxIndex is a compact per-(block, field) acceleration structure: the
-// block's cell domain is tiled into MinMaxBrick³-cell bricks, and each brick
-// records the minimum and maximum of the field over the nodes its cells
-// touch. Because every corner value of every cell in a brick lies inside
-// [Min, Max], a brick whose range excludes an iso value provably contains no
-// active cell — the guided scan skips it without loading a single corner.
-// The index is exact, never heuristic: it can only skip cells the full scan
-// would have rejected too, so indexed extraction is bit-identical.
-//
-// The DMS caches MinMaxIndex values as derived data entities (one per block
-// and field), so a user dragging an iso slider re-prices only the brick
-// tests, not the index build.
+// MinMaxIndex is a compact per-(block, field) summary: the block's cell
+// domain is tiled into MinMaxBrick³-cell bricks, and each brick records the
+// minimum and maximum of the field over the nodes its cells touch, so every
+// corner value of every cell in a brick lies inside [Min, Max]. It is the
+// body of the vortex-skip GradIndex, whose field is the squared velocity
+// gradient: a brick whose maximum bounds λ2 away from the threshold holds
+// no active cell and is skipped without computing λ2.
 type MinMaxIndex struct {
 	Field      string
 	BI, BJ, BK int // brick counts per axis
@@ -112,34 +107,3 @@ func (x *MinMaxIndex) SizeBytes() int64 {
 // DerivedEntity marks the index as a derived (re-computable) data entity:
 // the DMS evicts derived entities before demand-loaded blocks.
 func (x *MinMaxIndex) DerivedEntity() {}
-
-// BlockExcludes reports that no cell of the whole block can straddle iso —
-// the O(1) test that skips even loading the block. A cell is active iff some
-// corner is < iso and some is ≥ iso, so the block is inactive when all
-// values are ≥ iso (LoVal ≥ iso) or all are < iso (HiVal < iso). The
-// comparisons mirror the kernel's float64(val) < iso test exactly.
-func (x *MinMaxIndex) BlockExcludes(iso float64) bool {
-	return !(float64(x.LoVal) < iso && float64(x.HiVal) >= iso)
-}
-
-// brickExcludes is BlockExcludes for one brick.
-func (x *MinMaxIndex) brickExcludes(bi, bj, bk int, iso float64) bool {
-	n := bi + x.BI*(bj+x.BJ*bk)
-	return !(float64(x.Min[n]) < iso && float64(x.Max[n]) >= iso)
-}
-
-// SkipTo returns the first i-cell at or after ci (row cj,ck) that lies in a
-// brick whose range straddles iso, clamped to hi. The guided scan calls it
-// at brick boundaries to jump over runs of provably inactive cells; a
-// result > ci means every cell in [ci, result) is inactive.
-func (x *MinMaxIndex) SkipTo(ci, cj, ck int, iso float64, hi int) int {
-	bj, bk := cj/MinMaxBrick, ck/MinMaxBrick
-	for ci < hi {
-		bi := ci / MinMaxBrick
-		if !x.brickExcludes(bi, bj, bk, iso) {
-			return ci
-		}
-		ci = (bi + 1) * MinMaxBrick
-	}
-	return hi
-}

@@ -25,22 +25,6 @@ func noisyBlock(n int, seed int64) *Block {
 	return b
 }
 
-// activeCell is the kernel's corner test, restated independently: a cell is
-// active iff some corner value is < iso and some is ≥ iso.
-func activeCell(b *Block, vals []float32, iso float64, ci, cj, ck int) bool {
-	off := b.CellOffsets()
-	i0 := b.Index(ci, cj, ck)
-	below, above := false, false
-	for n := 0; n < 8; n++ {
-		if float64(vals[i0+off[n]]) < iso {
-			below = true
-		} else {
-			above = true
-		}
-	}
-	return below && above
-}
-
 func TestBuildMinMaxBrickBoundsBruteForce(t *testing.T) {
 	for _, n := range []int{5, 9, 14} { // 14 exercises partial edge bricks
 		b := noisyBlock(n, int64(n))
@@ -98,85 +82,41 @@ func TestBuildMinMaxBrickBoundsBruteForce(t *testing.T) {
 	}
 }
 
+// TestMinMaxBlockExcludes pins the whole-block test the gradient index
+// makes on its min/max summary: a λ2 threshold is excluded exactly when the
+// block's largest ‖J‖²_F, with its slack, stays below −threshold, and a
+// threshold ≥ 0 never is.
 func TestMinMaxBlockExcludes(t *testing.T) {
 	b := noisyBlock(9, 3)
-	x := BuildMinMax(b, "s", b.Scalars["s"])
-	if !x.BlockExcludes(float64(x.LoVal) - 1) {
-		t.Fatal("iso below the block range must be excluded")
+	x := &GradIndex{MinMaxIndex: *BuildMinMax(b, "s", b.Scalars["s"])}
+	hi := float64(x.HiVal)
+	if hi <= 0 {
+		t.Fatalf("degenerate block: largest value %v", hi)
 	}
-	if !x.BlockExcludes(float64(x.HiVal) + 1) {
-		t.Fatal("iso above the block range must be excluded")
+	if !x.BlockExcludesLambda2(-2 * hi) {
+		t.Fatal("a threshold far below −max must be excluded")
 	}
-	// iso == LoVal: no corner is < iso, so no cell can be active.
-	if !x.BlockExcludes(float64(x.LoVal)) {
-		t.Fatal("iso at the exact minimum has no below-corner anywhere")
+	if x.BlockExcludesLambda2(-hi) {
+		t.Fatal("a threshold at −max is inside the bound's slack and must not be excluded")
 	}
-	// iso just above LoVal: the minimum node's corner is < iso and its cell
-	// has a ≥ corner, so the block must not be excluded.
-	if x.BlockExcludes(float64(x.LoVal) + 1e-6) {
-		t.Fatal("iso inside the range wrongly excluded")
-	}
-	if x.BlockExcludes(float64(x.HiVal)) {
-		t.Fatal("iso at the exact maximum still has below-corners")
-	}
-}
-
-// TestSkipToNeverSkipsActiveCell is the safety proof of the guided scan: walk
-// every row exactly like RangeIndexed does and verify by brute force that
-// every skipped cell is inactive, and that visited+skipped covers every cell
-// once.
-func TestSkipToNeverSkipsActiveCell(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		b := noisyBlock(11, seed)
-		vals := b.Scalars["s"]
-		x := BuildMinMax(b, "s", vals)
-		for _, iso := range []float64{-1.5, -0.3, 0, 0.02, 0.8, 2.5} {
-			visited, skipped := 0, 0
-			hi := b.NI - 1
-			for ck := 0; ck < b.NK-1; ck++ {
-				for cj := 0; cj < b.NJ-1; cj++ {
-					for ci := 0; ci < hi; {
-						if next := x.SkipTo(ci, cj, ck, iso, hi); next > ci {
-							if next > hi {
-								t.Fatalf("SkipTo overshot: %d > %d", next, hi)
-							}
-							for c := ci; c < next; c++ {
-								if activeCell(b, vals, iso, c, cj, ck) {
-									t.Fatalf("seed %d iso %v: skipped active cell (%d,%d,%d)",
-										seed, iso, c, cj, ck)
-								}
-							}
-							skipped += next - ci
-							ci = next
-							continue
-						}
-						visited++
-						ci++
-					}
-				}
-			}
-			if visited+skipped != b.NumCells() {
-				t.Fatalf("seed %d iso %v: visited %d + skipped %d ≠ %d cells",
-					seed, iso, visited, skipped, b.NumCells())
-			}
-			// The index must actually earn its keep on out-of-range isos.
-			if x.BlockExcludes(iso) && visited != 0 {
-				t.Fatalf("iso %v outside block range still visited %d cells", iso, visited)
-			}
+	for _, iso := range []float64{0, 1, 1e9} {
+		if x.BlockExcludesLambda2(iso) {
+			t.Fatalf("threshold %v ≥ 0 excluded", iso)
 		}
 	}
 }
 
+// TestSkipToClampsToHi: a row the gradient bound excludes throughout is
+// jumped to its end, never past hi, from a brick start or mid-brick.
 func TestSkipToClampsToHi(t *testing.T) {
 	b := noisyBlock(6, 9) // 5 cells per axis: one full brick + a partial one
-	vals := b.Scalars["s"]
-	x := BuildMinMax(b, "s", vals)
-	iso := float64(x.HiVal) + 10 // excludes everything
-	if got := x.SkipTo(0, 0, 0, iso, b.NI-1); got != b.NI-1 {
-		t.Fatalf("SkipTo over an all-excluded row = %d, want clamp to %d", got, b.NI-1)
+	x := &GradIndex{MinMaxIndex: *BuildMinMax(b, "s", b.Scalars["s"])}
+	iso := -10 * (1 + float64(x.HiVal)*float64(x.HiVal)) // below every brick's bound
+	if got := x.SkipToLambda2(0, 0, 0, iso, b.NI-1); got != b.NI-1 {
+		t.Fatalf("SkipToLambda2 over an all-excluded row = %d, want clamp to %d", got, b.NI-1)
 	}
-	if got := x.SkipTo(3, 1, 1, iso, 4); got != 4 {
-		t.Fatalf("SkipTo from mid-brick = %d, want 4", got)
+	if got := x.SkipToLambda2(3, 1, 1, iso, 4); got != 4 {
+		t.Fatalf("SkipToLambda2 from mid-brick = %d, want 4", got)
 	}
 }
 

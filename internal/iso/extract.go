@@ -1,6 +1,7 @@
 package iso
 
 import (
+	"math/bits"
 	"sync"
 
 	"viracocha/internal/grid"
@@ -19,12 +20,11 @@ import (
 // table indexed directly by edge (see edgeDir); it costs 56 bytes per node
 // of the largest block the extractor has seen.
 //
-// The cell scan is fused: corner values are loaded once per cell (the
-// i-neighbour's shared face is shifted over instead of reloaded), the
-// active-cell test runs on the loaded corners, and only active cells touch
-// the coordinate array. Interpolation is oriented from the lower to the
-// higher global node index, so a vertex's position does not depend on which
-// cell reached its edge first.
+// The range scan (Range) classifies cells from a bitmap of the nodes below
+// iso, so only active cells load corner values and touch the coordinate
+// array. Interpolation is oriented from the lower to the higher global node
+// index, so a vertex's position does not depend on which cell reached its
+// edge first.
 type Extractor struct {
 	b   *grid.Block
 	m   *mesh.Mesh
@@ -37,6 +37,10 @@ type Extractor struct {
 	// vertex by bumping gen, and the table is cleared only when gen wraps.
 	edges []uint64
 	gen   uint32
+
+	// below is Range's node bitmap, one bit per node of the range, reused
+	// across calls.
+	below []uint64
 
 	g [8]int        // global node index per corner of the current cell
 	v [8]float64    // corner values
@@ -141,104 +145,92 @@ func (e *Extractor) Cell(vals []float32, iso float64, ci, cj, ck int) int {
 	return e.emit(iso)
 }
 
-// Range triangulates all active cells in the half-open cell range with the
-// fused slab-ordered scan: stepping +i keeps the shared face of the previous
-// cell (corners 1,2,5,6 become 0,3,4,7), so a step reads only the four new
-// corner values, and the active test and the extraction share them.
+// Range triangulates every active cell of the half-open cell range, in
+// row-major order. It classifies each node of the range once, into one bit
+// of the below bitmap: set when the value is below iso, by the kernel's own
+// test (a NaN is not below). A cell is active when its eight corner bits are
+// neither all set nor all clear, so one row of cells is classified 64 at a
+// time: OR and AND the four node rows around it, each word with its 1-bit
+// shift, and the active cells are the bits of some &^ all. Only active cells
+// load their corners and emit. CellsVisited counts every cell of the range:
+// the cost model prices the scan, not the bitmap's shortcut.
 func (e *Extractor) Range(vals []float32, iso float64, r grid.CellRange) Result {
-	var res Result
+	ni, nj, nk := r.Hi[0]-r.Lo[0], r.Hi[1]-r.Lo[1], r.Hi[2]-r.Lo[2]
+	if ni <= 0 || nj <= 0 || nk <= 0 {
+		return Result{}
+	}
+	res := Result{CellsVisited: r.Cells()}
 	b := e.b
-	for ck := r.Lo[2]; ck < r.Hi[2]; ck++ {
-		for cj := r.Lo[1]; cj < r.Hi[1]; cj++ {
-			i0 := b.Index(r.Lo[0], cj, ck)
-			for ci := r.Lo[0]; ci < r.Hi[0]; ci, i0 = ci+1, i0+1 {
-				e.scanCell(vals, iso, i0, ci == r.Lo[0], &res)
+	// A node row holds the ni+1 nodes of one (j,k) line in w words; rows
+	// are laid out j-major like the block, so the four rows around a row
+	// of cells sit at offsets 0, w, jRow and jRow+w. One spare word ends
+	// the bitmap, so the scan may read the word after any row's last.
+	w := (ni + 64) / 64
+	jRow := (nj + 1) * w
+	if n := jRow*(nk+1) + 1; n > cap(e.below) {
+		e.below = make([]uint64, n)
+	}
+	below := e.below[:jRow*(nk+1)+1]
+	for k, row := 0, below; k <= nk; k++ {
+		for j := 0; j <= nj; j, row = j+1, row[w:] {
+			i0 := b.Index(r.Lo[0], r.Lo[1]+j, r.Lo[2]+k)
+			classify(row[:w], vals[i0:i0+ni+1], iso)
+		}
+	}
+	for ck := 0; ck < nk; ck++ {
+		for cj := 0; cj < nj; cj++ {
+			r00 := below[ck*jRow+cj*w:]
+			r10, r01, r11 := r00[w:], r00[jRow:], r00[jRow+w:]
+			i0 := b.Index(r.Lo[0], r.Lo[1]+cj, r.Lo[2]+ck)
+			for wi := 0; 64*wi < ni; wi++ {
+				// Cell c spans nodes c and c+1, so each bit is combined
+				// with its successor, the top one with bit 0 of the next
+				// word. In a row's last word that bit is past the row and
+				// masked off with the cells past ni.
+				some := r00[wi] | r10[wi] | r01[wi] | r11[wi]
+				all := r00[wi] & r10[wi] & r01[wi] & r11[wi]
+				some |= some>>1 | (r00[wi+1]|r10[wi+1]|r01[wi+1]|r11[wi+1])<<63
+				all &= all>>1 | (r00[wi+1]&r10[wi+1]&r01[wi+1]&r11[wi+1])<<63
+				active := some &^ all
+				if n := ni - 64*wi; n < 64 {
+					active &= 1<<uint(n) - 1
+				}
+				for ; active != 0; active &= active - 1 {
+					e.loadCell(vals, i0+64*wi+bits.TrailingZeros64(active))
+					res.ActiveCells++
+					res.Triangles += e.emit(iso)
+				}
 			}
 		}
 	}
 	return res
 }
 
-// scanCell runs the fused load-test-extract step on the cell whose corner 0
-// has linear index i0. fresh loads all 8 corners; otherwise the face shared
-// with the previous cell along +i is shifted over and only the 4 new corners
-// are read.
-func (e *Extractor) scanCell(vals []float32, iso float64, i0 int, fresh bool, res *Result) {
-	res.CellsVisited++
-	if fresh {
-		for n := 0; n < 8; n++ {
-			gi := i0 + e.off[n]
-			e.g[n] = gi
-			e.v[n] = float64(vals[gi])
+// classify sets bit i of dst when float64(vals[i]) < iso, and clears the
+// bits past len(vals).
+func classify(dst []uint64, vals []float32, iso float64) {
+	for wi := range dst {
+		var word uint64
+		for i, v := range vals[64*wi : min(64*wi+64, len(vals))] {
+			var bit uint64
+			if float64(v) < iso {
+				bit = 1
+			}
+			word |= bit << uint(i)
 		}
-	} else {
-		// Reuse the face shared with the previous cell.
-		e.g[0], e.g[3], e.g[4], e.g[7] = e.g[1], e.g[2], e.g[5], e.g[6]
-		e.v[0], e.v[3], e.v[4], e.v[7] = e.v[1], e.v[2], e.v[5], e.v[6]
-		for _, n := range [...]int{1, 2, 5, 6} {
-			gi := i0 + e.off[n]
-			e.g[n] = gi
-			e.v[n] = float64(vals[gi])
-		}
+		dst[wi] = word
 	}
-	below, above := false, false
+}
+
+// loadCell loads the corner indices, values and coordinates of the cell
+// whose corner 0 has linear index i0.
+func (e *Extractor) loadCell(vals []float32, i0 int) {
 	for n := 0; n < 8; n++ {
-		if e.v[n] < iso {
-			below = true
-		} else {
-			above = true
-		}
+		gi := i0 + e.off[n]
+		e.g[n] = gi
+		e.v[n] = float64(vals[gi])
 	}
-	if below && above {
-		res.ActiveCells++
-		e.loadCorners()
-		res.Triangles += e.emit(iso)
-	}
-}
-
-// RangeIndexed is Range guided by a min/max brick index: at every brick
-// boundary along i it consults idx and jumps over runs of cells whose brick
-// range provably excludes iso. Cells that are visited are visited in exactly
-// the same row-major order as Range and extracted by the same fused kernel,
-// so the output mesh is bit-identical to the full scan — the index only
-// removes work, never reorders or approximates it. Skipped cells are counted
-// in CellsSkipped and do not contribute to CellsVisited (the cost model
-// prices only touched cells, which is the point of the index).
-func (e *Extractor) RangeIndexed(vals []float32, iso float64, r grid.CellRange, idx *grid.MinMaxIndex) Result {
-	if idx == nil {
-		return e.Range(vals, iso, r)
-	}
-	var res Result
-	b := e.b
-	for ck := r.Lo[2]; ck < r.Hi[2]; ck++ {
-		for cj := r.Lo[1]; cj < r.Hi[1]; cj++ {
-			i0 := b.Index(r.Lo[0], cj, ck)
-			// fresh forces a full 8-corner load: at row start and after
-			// every skip, the previous cell's face is not the neighbour's.
-			fresh := true
-			for ci := r.Lo[0]; ci < r.Hi[0]; {
-				if next := idx.SkipTo(ci, cj, ck, iso, r.Hi[0]); next > ci {
-					res.CellsSkipped += next - ci
-					i0 += next - ci
-					ci = next
-					fresh = true
-					continue
-				}
-				// Scan to the end of this brick; the index has nothing to
-				// say until the next boundary.
-				e.scanCell(vals, iso, i0, fresh, &res)
-				fresh = false
-				ci++
-				i0++
-				for ci < r.Hi[0] && ci%grid.MinMaxBrick != 0 {
-					e.scanCell(vals, iso, i0, false, &res)
-					ci++
-					i0++
-				}
-			}
-		}
-	}
-	return res
+	e.loadCorners()
 }
 
 // loadCorners fills the corner coordinates of the current cell. Only active

@@ -270,7 +270,7 @@ func TestExtractRangeAllocs(t *testing.T) {
 	})
 	// The pool can miss occasionally (GC between runs), costing a handful of
 	// allocations to rebuild the extractor scratch; anything beyond one full
-	// miss means the reuse pattern regressed. (TestRangeIndexedAllocs pins
+	// miss means the reuse pattern regressed. (TestRangeAllocatesNothing pins
 	// the strict 0 allocs/op on a pool-free persistent extractor.)
 	if allocs > 8 {
 		t.Fatalf("ExtractRange steady state allocates %v times per run, want ≤ 8", allocs)

@@ -5,9 +5,10 @@
 // faces' diagonals. The package works on raw value arrays so the same code
 // triangulates stored fields (pressure) and lazily computed ones (λ2).
 //
-// The kernel is the Extractor (extract.go): a fused scan that reads each
-// corner value once and welds vertices by construction through a
-// direct-indexed edge table, so shared vertices are emitted exactly once per block.
+// The kernel is the Extractor (extract.go): a bit-parallel scan that
+// classifies each node once and loads only active cells, welding vertices by
+// construction through a direct-indexed edge table, so shared vertices are
+// emitted exactly once per block.
 // The equivalence tests check it against the seed's per-cell reference
 // kernels, which live with them (reference_test.go).
 package iso
@@ -59,10 +60,6 @@ type Result struct {
 	CellsVisited int
 	ActiveCells  int
 	Triangles    int
-	// CellsSkipped counts cells a min/max brick index proved inactive
-	// without touching their corner values (indexed scans only). Visited +
-	// skipped equals the cell count of the scanned range.
-	CellsSkipped int
 }
 
 // ExtractRange triangulates all active cells in the half-open cell range,
@@ -74,16 +71,6 @@ func ExtractRange(b *grid.Block, vals []float32, iso float64, r grid.CellRange, 
 	e := NewExtractor(b, m)
 	defer e.Close()
 	return e.Range(vals, iso, r)
-}
-
-// ExtractRangeIndexed is ExtractRange guided by a min/max brick index built
-// over the same vals: bricks whose range excludes iso are skipped without
-// loading a corner, and the output is bit-identical to the full scan. A nil
-// index falls back to ExtractRange.
-func ExtractRangeIndexed(b *grid.Block, vals []float32, iso float64, r grid.CellRange, idx *grid.MinMaxIndex, m *mesh.Mesh) Result {
-	e := NewExtractor(b, m)
-	defer e.Close()
-	return e.RangeIndexed(vals, iso, r, idx)
 }
 
 // ExtractBlock triangulates a whole block for the named scalar field.

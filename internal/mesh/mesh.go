@@ -352,6 +352,15 @@ func decodeBinary(data []byte, bulk bool) (*Mesh, error) {
 	nv := int(get32(4))
 	ni := int(get32(8))
 	flags := get32(12)
+	// Only the flags an encoder writes are accepted: bit 0 (normals) and bit
+	// 1 (values), and neither on a mesh without vertices, whose attribute
+	// arrays are empty and so encode with flags 0.
+	if flags&^3 != 0 {
+		return nil, fmt.Errorf("mesh: unknown flags %#x", flags)
+	}
+	if flags != 0 && nv == 0 {
+		return nil, fmt.Errorf("mesh: flags %#x on a mesh without vertices", flags)
+	}
 	need := 16 + 12*nv + 4*ni
 	if flags&1 != 0 {
 		need += 12 * nv
