@@ -184,6 +184,50 @@ func sweepBlocks(scale int) []*grid.Block {
 // range, as a drag across the slider passes through.
 var sliderIsos = []float64{350, 450, 550, 650, 750, 850}
 
+// BenchmarkStreamedVortexScan is the lazy λ2 scan as vortex.streamed runs
+// it on vortex_timesweep_cold's data, single-threaded: over the 144 blocks
+// of one propfan scale-1 step at λ2 = −1, a lazy evaluator and a held
+// extractor per block, every cell ensured and extracted in turn, the packet
+// restarted every 256 active cells (the command's default cellbatch).
+func BenchmarkStreamedVortexScan(b *testing.B) {
+	ds := dataset.Propfan().WithScale(1)
+	blks := make([]*grid.Block, ds.Blocks)
+	for i := range blks {
+		blks[i] = ds.Generate(0, i)
+	}
+	const thresh, batch = -1.0, 256
+	nodes := 0
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		nodes = 0
+		for _, blk := range blks {
+			lazy := vortex.NewLazy(blk)
+			part := mesh.Acquire()
+			ex := iso.NewExtractor(blk, part)
+			active := 0
+			for ck := 0; ck < blk.NK-1; ck++ {
+				for cj := 0; cj < blk.NJ-1; cj++ {
+					for ci := 0; ci < blk.NI-1; ci++ {
+						lazy.EnsureCell(ci, cj, ck)
+						if ex.Cell(lazy.Vals(), thresh, ci, cj, ck) > 0 {
+							if active++; active >= batch {
+								active = 0
+								part.Reset()
+								ex.Rebind(part)
+							}
+						}
+					}
+				}
+			}
+			nodes += lazy.ComputedNodes()
+			ex.Close()
+			mesh.Release(part)
+			lazy.Release()
+		}
+	}
+	b.ReportMetric(float64(nodes), "nodes/op")
+}
+
 // BenchmarkStreamedFramesRaw is the packets-per-request comm counter: one
 // streamed vortex request at fan-out 4, reporting how many packets the stream
 // carried and how many fabric messages carried them (one per packet).

@@ -223,15 +223,28 @@ func (p *Plan) ParseRule(spec string) error {
 		}
 		return from, to, fields[1:], nil
 	}
+	// dur parses a rule's duration. A negative one is rejected: it would
+	// crash or recover a node before the clock starts, or deliver a delayed
+	// message sooner than the fabric does.
+	dur := func(s string) (time.Duration, error) {
+		d, err := time.ParseDuration(s)
+		if err != nil {
+			return 0, fmt.Errorf("faults: rule %q: %w", spec, err)
+		}
+		if d < 0 {
+			return 0, fmt.Errorf("faults: rule %q: negative duration %q", spec, s)
+		}
+		return d, nil
+	}
 	switch kind {
 	case "crash":
 		node, at, ok := strings.Cut(rest, "@")
 		if !ok {
 			return fmt.Errorf("faults: rule %q: crash must be crash:NODE@DUR", spec)
 		}
-		d, err := time.ParseDuration(at)
+		d, err := dur(at)
 		if err != nil {
-			return fmt.Errorf("faults: rule %q: %w", spec, err)
+			return err
 		}
 		p.CrashAt(node, d)
 	case "drop", "dup":
@@ -240,7 +253,7 @@ func (p *Plan) ParseRule(spec string) error {
 			return err
 		}
 		prob, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil || prob < 0 || prob > 1 {
+		if err != nil || !(prob >= 0 && prob <= 1) { // NaN fails both
 			return fmt.Errorf("faults: rule %q: bad probability %q", spec, fields[1])
 		}
 		r := LinkRule{From: from, To: to, Kind: fields[0]}
@@ -255,9 +268,9 @@ func (p *Plan) ParseRule(spec string) error {
 		if err != nil {
 			return err
 		}
-		d, err := time.ParseDuration(fields[1])
+		d, err := dur(fields[1])
 		if err != nil {
-			return fmt.Errorf("faults: rule %q: %w", spec, err)
+			return err
 		}
 		p.Links = append(p.Links, LinkRule{From: from, To: to, Kind: fields[0], Delay: d})
 	case "read", "corrupt":
@@ -282,9 +295,9 @@ func (p *Plan) ParseRule(spec string) error {
 		if !ok {
 			return fmt.Errorf("faults: rule %q: slow must be slow:ENDPOINT@DUR", spec)
 		}
-		d, err := time.ParseDuration(at)
+		d, err := dur(at)
 		if err != nil {
-			return fmt.Errorf("faults: rule %q: %w", spec, err)
+			return err
 		}
 		p.SlowConsumer(ep, d)
 	case "discon":
@@ -307,9 +320,9 @@ func (p *Plan) ParseRule(spec string) error {
 		if !ok || node == "" {
 			return fmt.Errorf("faults: rule %q: recover must be recover:NODE@DUR", spec)
 		}
-		d, err := time.ParseDuration(at)
+		d, err := dur(at)
 		if err != nil {
-			return fmt.Errorf("faults: rule %q: %w", spec, err)
+			return err
 		}
 		p.RecoverAt(node, d)
 	case "flap":
@@ -317,9 +330,9 @@ func (p *Plan) ParseRule(spec string) error {
 		if !ok || node == "" {
 			return fmt.Errorf("faults: rule %q: flap must be flap:NODE:PERIOD", spec)
 		}
-		d, err := time.ParseDuration(per)
+		d, err := dur(per)
 		if err != nil {
-			return fmt.Errorf("faults: rule %q: %w", spec, err)
+			return err
 		}
 		if d <= 0 {
 			return fmt.Errorf("faults: rule %q: period must be positive", spec)

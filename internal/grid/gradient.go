@@ -11,6 +11,10 @@ import (
 // index space are mapped through the inverse geometric Jacobian,
 // J = U_ξ · X_ξ⁻¹. One-sided differences are used on block faces. ok is
 // false where the geometric Jacobian is singular (degenerate cells).
+//
+// This per-node form is the reference: production code evaluates gradients a
+// row at a time through VelocityGradientRow, and the grid, vortex and
+// dataset suites pin that kernel against this one bit for bit.
 func (b *Block) VelocityGradient(i, j, k int) (mathx.Mat3, bool) {
 	uXi := b.diffTensor(b.Velocity, i, j, k)
 	xXi := b.diffTensor(b.Points, i, j, k)

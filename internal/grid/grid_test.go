@@ -284,6 +284,72 @@ func TestVelocityGradientOnCurvilinear(t *testing.T) {
 	}
 }
 
+// TestVelocityGradientRowMatchesPerNode pins the row kernel to the per-node
+// reference bit for bit — every tensor entry and every singularity flag —
+// on jittered blocks with random velocities, on blocks with 2 nodes along an
+// axis, and on a block with a collapsed (singular) plane.
+func TestVelocityGradientRowMatchesPerNode(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	jittered := func(ni, nj, nk int) *Block {
+		b := NewBlock(BlockID{"d", 0, 0}, ni, nj, nk)
+		for k := 0; k < nk; k++ {
+			for j := 0; j < nj; j++ {
+				for i := 0; i < ni; i++ {
+					b.SetPoint(i, j, k, mathx.Vec3{
+						X: float64(i) + 0.2*rng.Float64(),
+						Y: float64(j) + 0.2*rng.Float64(),
+						Z: float64(k) + 0.2*rng.Float64(),
+					})
+					b.SetVel(i, j, k, mathx.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()})
+				}
+			}
+		}
+		return b
+	}
+	collapsed := jittered(5, 4, 4)
+	for j := 0; j < collapsed.NJ; j++ {
+		for i := 0; i < collapsed.NI; i++ {
+			collapsed.SetPoint(i, j, 1, collapsed.Point(i, j, 0))
+		}
+	}
+	blocks := []*Block{
+		twistedBlock(BlockID{"d", 0, 0}, 6),
+		jittered(7, 5, 3),
+		jittered(2, 2, 2),
+		jittered(2, 6, 3),
+		jittered(9, 2, 4),
+		collapsed,
+	}
+	for bi, b := range blocks {
+		r := AcquireJacRow(b.NI)
+		singular := 0
+		for k := 0; k < b.NK; k++ {
+			for j := 0; j < b.NJ; j++ {
+				b.VelocityGradientRow(j, k, r.Jac, r.OK)
+				for i := 0; i < b.NI; i++ {
+					want, ok := b.VelocityGradient(i, j, k)
+					if r.OK[i] != ok {
+						t.Fatalf("block %d node (%d,%d,%d): row ok %v, per-node ok %v", bi, i, j, k, r.OK[i], ok)
+					}
+					if !ok {
+						singular++
+						continue
+					}
+					for e := 0; e < 9; e++ {
+						if got := r.Jac[9*i+e]; math.Float64bits(got) != math.Float64bits(want[e/3][e%3]) {
+							t.Fatalf("block %d node (%d,%d,%d) entry %d: row %v, per-node %v", bi, i, j, k, e, got, want[e/3][e%3])
+						}
+					}
+				}
+			}
+		}
+		ReleaseJacRow(r)
+		if b == collapsed && singular == 0 {
+			t.Fatal("collapsed block has no singular node: degenerate test")
+		}
+	}
+}
+
 func TestBSPCoversAllCellsExactlyOnce(t *testing.T) {
 	b := uniformBlock(BlockID{"d", 0, 0}, 9, 7, 5, mathx.Vec3{}, mathx.Vec3{X: 1, Y: 1, Z: 1})
 	tree := BuildBSP(b, "pressure")

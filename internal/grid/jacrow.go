@@ -10,8 +10,8 @@ import (
 // with flat index arithmetic, a rolling three-node window for the i-axis
 // differences (each corner value is loaded and converted once), and the
 // inverse-Jacobian/product algebra specialized onto scalars. Every operation
-// matches the per-node VelocityGradient path bit for bit — the vortex
-// determinism test pins that — so callers may mix the two paths freely.
+// matches the per-node VelocityGradient reference bit for bit — the grid
+// and vortex determinism tests pin that.
 
 // JacRow is pooled scratch for one row of velocity-gradient tensors: Jac
 // holds 9 float64 per node (row-major, node i at Jac[9i:9i+9]), OK the
@@ -33,6 +33,13 @@ func AcquireJacRow(ni int) *JacRow {
 	if r == nil {
 		r = &JacRow{}
 	}
+	r.Fit(ni)
+	return r
+}
+
+// Fit sizes r for ni nodes, reallocating only when its capacity is short.
+// Contents are unspecified afterwards.
+func (r *JacRow) Fit(ni int) {
 	if cap(r.Jac) >= 9*ni && cap(r.OK) >= ni {
 		r.Jac = r.Jac[:9*ni]
 		r.OK = r.OK[:ni]
@@ -40,7 +47,6 @@ func AcquireJacRow(ni int) *JacRow {
 		r.Jac = make([]float64, 9*ni)
 		r.OK = make([]bool, ni)
 	}
-	return r
 }
 
 // ReleaseJacRow returns row scratch to the pool. The caller must not use r

@@ -4,9 +4,9 @@
 // are where λ2 < 0; extraction triangulates the λ2 ≈ 0 isosurface.
 //
 // Two evaluation modes mirror the paper's two commands: Compute fills the
-// whole scalar field up front (VortexDataMan), while Lazy evaluates nodes on
-// demand so the streamed command can emit active cells long before the full
-// field exists (StreamedVortex, §6.3).
+// whole scalar field up front (VortexDataMan), while Lazy evaluates node rows
+// on demand so the streamed command can emit active cells long before the
+// full field exists (StreamedVortex, §6.3). Both run the same row kernel.
 package vortex
 
 import (
@@ -26,58 +26,43 @@ const nonVortex = 1e30
 // ComputeInto evaluates λ2 at every node into the caller-provided array
 // (length NumNodes), leaving the block untouched — the form the commands
 // use, since cached blocks are shared across workers and must not be
-// mutated. It returns the number of nodes computed.
+// mutated. It is the slab-blocked sweep: lambda2Row over every (j,k) node
+// row, with one pooled row of gradient scratch for the whole block. It
+// returns the number of nodes computed.
 func ComputeInto(b *grid.Block, out []float32) int {
-	return computeSlab(b, out)
-}
-
-// computeSlab is the slab-blocked λ2 sweep: the velocity gradient is
-// evaluated one (j,k) node row at a time into pooled scratch by the
-// flat-index row kernel, and each tensor feeds the specialized eigen-solve.
-// Every float operation matches the seed per-node path (nodeLambda2 in the
-// tests), so the output is bit-identical (TestSlabDeterminism); only the
-// bookkeeping — index recomputation, Mat3 copies, per-node call overhead —
-// is gone.
-func computeSlab(b *grid.Block, out []float32) int {
 	r := grid.AcquireJacRow(b.NI)
-	n := 0
 	for k := 0; k < b.NK; k++ {
 		for j := 0; j < b.NJ; j++ {
-			b.VelocityGradientRow(j, k, r.Jac, r.OK)
-			base := b.Index(0, j, k)
-			jac, ok := r.Jac, r.OK
-			for i := 0; i < b.NI; i++ {
-				if !ok[i] {
-					out[base+i] = float32(float64(nonVortex))
-					n++
-					continue
-				}
-				o := 9 * i
-				out[base+i] = float32(mathx.Lambda2Jac(
-					jac[o], jac[o+1], jac[o+2],
-					jac[o+3], jac[o+4], jac[o+5],
-					jac[o+6], jac[o+7], jac[o+8]))
-				n++
-			}
+			lambda2Row(b, j, k, r, out)
 		}
 	}
 	grid.ReleaseJacRow(r)
-	return n
+	return b.NumNodes()
 }
 
-// nodeLambda2Fast evaluates λ2 at one node through the specialized
-// eigen-solve — bit-identical by construction to the seed's per-node kernel,
-// nodeLambda2 in the tests — for the lazy on-demand path, which cannot
-// amortize a whole row of gradients per evaluation.
-func nodeLambda2Fast(b *grid.Block, i, j, k int) float64 {
-	jac, ok := b.VelocityGradient(i, j, k)
-	if !ok {
-		return nonVortex
+// lambda2Row is the one λ2 row kernel both schedules share — the eager
+// sweep (ComputeInto) and the lazy evaluator (Lazy): the velocity gradient
+// of every node (·, j, k) is evaluated into r by the flat-index row kernel,
+// and each tensor feeds the specialized eigen-solve; singular nodes get the
+// nonVortex stand-in. Results land in out at the row's node indices. Every
+// float operation matches the per-node reference (nodeLambda2 in the
+// tests), so the output is bit-identical (TestSlabDeterminism). r must be
+// sized for b.NI nodes.
+func lambda2Row(b *grid.Block, j, k int, r *grid.JacRow, out []float32) {
+	b.VelocityGradientRow(j, k, r.Jac, r.OK)
+	row := out[b.Index(0, j, k):][:b.NI]
+	jac, ok := r.Jac, r.OK
+	for i := range row {
+		if !ok[i] {
+			row[i] = float32(float64(nonVortex))
+			continue
+		}
+		o := 9 * i
+		row[i] = float32(mathx.Lambda2Jac(
+			jac[o], jac[o+1], jac[o+2],
+			jac[o+3], jac[o+4], jac[o+5],
+			jac[o+6], jac[o+7], jac[o+8]))
 	}
-	return mathx.Lambda2Jac(
-		jac[0][0], jac[0][1], jac[0][2],
-		jac[1][0], jac[1][1], jac[1][2],
-		jac[2][0], jac[2][1], jac[2][2])
 }
 
 // fieldPool recycles the per-request λ2 scratch arrays the commands hand to
@@ -119,40 +104,54 @@ func ReleaseField(s []float32) {
 	fieldPool.Put(b)
 }
 
-// Lazy evaluates λ2 per node on demand with memoization. The backing array
-// is laid out exactly like a block scalar field, so it can be handed to the
-// isosurface triangulator directly once the relevant nodes are ensured.
+// Lazy evaluates λ2 on demand with memoization. The first request for any
+// node of a (·, j, k) row computes the whole row through lambda2Row, the
+// eager sweep's kernel, so the lazy values are the eager ones bit for bit
+// and each node's gradient costs what it costs in the slab sweep. The
+// backing array is laid out exactly like a block scalar field, so it can be
+// handed to the isosurface triangulator directly once the relevant nodes
+// are ensured.
 type Lazy struct {
-	B    *grid.Block
-	vals []float32
-	done []bool
-	n    int
+	B       *grid.Block
+	vals    []float32
+	done    []bool // per node: requested through Node
+	rowDone []bool // per (j,k) row: vals holds the row's λ2
+	row     grid.JacRow
+	n       int
 }
 
-// lazyPool recycles Lazy evaluators (their done arrays) across blocks and
-// requests; the vals array comes from the shared fieldPool, so the lazy
-// path and ComputeInto reuse the same scratch across Release/re-acquire
-// cycles instead of each holding a private copy.
+// lazyPool recycles Lazy evaluators (their done/rowDone arrays and row
+// scratch) across blocks and requests; the vals array comes from the shared
+// fieldPool, so the lazy path and ComputeInto reuse the same scratch across
+// Release/re-acquire cycles instead of each holding a private copy.
 var lazyPool sync.Pool
 
 // NewLazy prepares a lazy evaluator for the block, reusing pooled scratch
 // when it fits. Pair with Release when the block is done.
 func NewLazy(b *grid.Block) *Lazy {
-	nn := b.NumNodes()
 	l, _ := lazyPool.Get().(*Lazy)
 	if l == nil {
 		l = &Lazy{}
 	}
 	l.B = b
 	l.n = 0
-	l.vals = AcquireField(nn)
-	if cap(l.done) >= nn {
-		l.done = l.done[:nn]
-		clear(l.done) // vals needs no clearing: done guards every read
-	} else {
-		l.done = make([]bool, nn)
-	}
+	l.vals = AcquireField(b.NumNodes())
+	// vals needs no clearing: done and rowDone guard every read.
+	l.done = clearedBools(l.done, b.NumNodes())
+	l.rowDone = clearedBools(l.rowDone, b.NJ*b.NK)
+	l.row.Fit(b.NI)
 	return l
+}
+
+// clearedBools returns s resized to n elements, all false, reallocating
+// only when its capacity is short.
+func clearedBools(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Release returns the evaluator's scratch to the pools. The caller must not
@@ -164,11 +163,14 @@ func (l *Lazy) Release() {
 	lazyPool.Put(l)
 }
 
-// Node returns λ2 at node (i,j,k), computing it on first access.
+// Node returns λ2 at node (i,j,k), computing its row on first access.
 func (l *Lazy) Node(i, j, k int) float64 {
 	idx := l.B.Index(i, j, k)
 	if !l.done[idx] {
-		l.vals[idx] = float32(nodeLambda2Fast(l.B, i, j, k))
+		if r := j + k*l.B.NJ; !l.rowDone[r] {
+			lambda2Row(l.B, j, k, &l.row, l.vals)
+			l.rowDone[r] = true
+		}
 		l.done[idx] = true
 		l.n++
 	}
@@ -190,6 +192,8 @@ func (l *Lazy) EnsureCell(ci, cj, ck int) {
 // via Node or EnsureCell hold valid values.
 func (l *Lazy) Vals() []float32 { return l.vals }
 
-// ComputedNodes reports how many nodes have been evaluated so far — the
-// cost-model currency of the streamed command.
+// ComputedNodes reports how many distinct nodes have been requested so far
+// — the cost-model currency of the streamed command. It counts nodes, not
+// the rows computed for them, so the priced work is independent of the
+// row schedule.
 func (l *Lazy) ComputedNodes() int { return l.n }

@@ -61,6 +61,7 @@ var exempt = map[string]string{
 	"viracocha/internal/storage.MemBackend.Put":         "in-memory storage fake: the loader and storage suites fill it",
 	"viracocha/internal/storage.NewMemBackend":          "in-memory storage fake the loader and storage suites substitute for a disk",
 	"viracocha/internal/mathx.Lambda2":                  "λ2 oracle the vortex and dataset suites compare the fast kernels against",
+	"viracocha/internal/grid.Block.VelocityGradient":    "per-node gradient oracle the grid, vortex and dataset suites pin the row kernel VelocityGradientRow against",
 	"viracocha/internal/mathx.Mat3.Trace":               "used by the eigen-solver property test",
 	"viracocha/internal/mathx.Mat3.MulVec":              "Solve3's tests build their right-hand sides with it",
 	"viracocha/internal/mathx.AlmostEqual":              "float comparison shared by the grid, iso, mesh, vortex and dataset suites",
