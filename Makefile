@@ -121,7 +121,9 @@ alloc-guard:
 # (malformed disk input is rejected or absorbed, never a panic; the minimizer
 # is capped so the short pass spends its time executing), and the server's
 # -fault rule parser (no panic, no NaN probability, negative duration or
-# out-of-range count accepted, no allocation sized by a rule's numbers).
+# out-of-range count accepted, no allocation sized by a rule's numbers), and
+# the admission parser every decoded command goes through (no panic, an
+# "index" of auto, 0 or 1, one memo key for equal number spellings).
 # FUZZTIME is each target's run time.
 FUZZTIME ?= 10s
 fuzz:
@@ -136,6 +138,7 @@ fuzz:
 	$(GO) test ./internal/wal/ -run=^$$ -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
 	$(GO) test . -run=^$$ -fuzz=FuzzCheckpointLoad -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 	$(GO) test ./internal/faults/ -run=^$$ -fuzz=FuzzParseRule -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core/ -run=^$$ -fuzz=FuzzParseRequest -fuzztime=$(FUZZTIME)
 
 # Code size as simplicity PRs report it, before and after: non-test Go lines
 # outside benchmark/ (tracked files), the server's flag definitions, the

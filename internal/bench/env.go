@@ -40,6 +40,12 @@ const (
 	fsChannels  = 2
 )
 
+// compressPerByte prices DEFLATE (level 6) per raw input byte on the paper's
+// 900 MHz UltraSPARC III: about 180 cycles a byte, 5 MB/s. The compression
+// ablation prices with it instead of timing the host, so its table is a
+// function of its inputs (EXPERIMENTS.md, compression note).
+const compressPerByte = 200 * time.Nanosecond
+
 // Env is one fresh measurement environment: its own virtual clock, runtime,
 // storage device and caches.
 type Env struct {
@@ -57,10 +63,8 @@ func PaperCost() core.CostModel {
 		PerIsoCell:        140 * time.Microsecond,
 		PerTriangle:       40 * time.Microsecond,
 		PerLambda2Node:    400 * time.Microsecond,
-		PerGradNode:       133 * time.Microsecond,
 		PerBSPCell:        185 * time.Microsecond,
 		PerVelocityEval:   2900 * time.Microsecond,
-		PerIndexNode:      12 * time.Microsecond,
 		LazyLambda2Factor: 1.08,
 		PerMergeTriangle:  4 * time.Microsecond,
 	}

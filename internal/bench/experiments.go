@@ -110,7 +110,6 @@ func All() []Experiment {
 		{"ablation-collective", "Collective vs independent I/O", AblationCollective},
 		{"ablation-distribution", "Static vs dynamic seed distribution", AblationDistribution},
 		{"ablation-progressive", "Progressive iso: recompute vs incremental", AblationProgressive},
-		{"ablation-index", "Vortex-skip gradient index threshold sweep", AblationIndex},
 		{"interaction", "Explorative session, time to first feedback", Interaction},
 	}
 }

@@ -104,83 +104,6 @@ func TestProgressiveIsoIndexedMatchesUnindexed(t *testing.T) {
 	}
 }
 
-func TestVortexIndexedMatchesUnindexed(t *testing.T) {
-	var off, on, streamedOff, streamedOn *core.RunResult
-	harness(t, dataset.Engine(), 2, func(cl *core.Client, _ *core.Runtime) {
-		kv := []string{"dataset", "engine", "workers", "2", "lambda2", "-1000"}
-		var err error
-		off, err = cl.Run("vortex.dataman", params(append(kv, "index", "0")...))
-		if err != nil {
-			t.Error(err)
-		}
-		// The dataman run above (index on) populates the gradient-index
-		// cache, so the streamed run after it exercises the cached-index
-		// block skip.
-		on, err = cl.Run("vortex.dataman", params(append(kv, "index", "1")...))
-		if err != nil {
-			t.Error(err)
-		}
-		streamedOff, err = cl.Run("vortex.streamed", params(append(kv, "index", "0")...))
-		if err != nil {
-			t.Error(err)
-		}
-		streamedOn, err = cl.Run("vortex.streamed", params(append(kv, "index", "1")...))
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	if t.Failed() {
-		t.FailNow()
-	}
-	assertSameSurface(t, "vortex.dataman", off, on)
-	if streamedOn.Merged.NumTriangles() != streamedOff.Merged.NumTriangles() {
-		t.Fatalf("vortex.streamed: indexed %d triangles vs unindexed %d",
-			streamedOn.Merged.NumTriangles(), streamedOff.Merged.NumTriangles())
-	}
-	if streamedOn.Merged.NumTriangles() != on.Merged.NumTriangles() {
-		t.Fatalf("streamed %d vs dataman %d triangles with index on",
-			streamedOn.Merged.NumTriangles(), on.Merged.NumTriangles())
-	}
-}
-
-// TestVortexSliderSweepWarmIsCheaper is the vortex counterpart of the iso
-// sweep guard: a user dragging the λ2 threshold re-queries warm blocks. With
-// the index on, the gradient bound proves quiet blocks vortex-free without
-// recomputing λ2 (or even loading them, once the tiny index is cached), so
-// the summed warm compute must drop below the unindexed sweep.
-func TestVortexSliderSweepWarmIsCheaper(t *testing.T) {
-	threshs := []string{"-4000", "-2000", "-1000", "-500"}
-	sweep := func(index string) (warm core.RequestStats) {
-		var ids []uint64
-		rt := harness(t, dataset.Engine(), 4, func(cl *core.Client, _ *core.Runtime) {
-			for _, l2 := range threshs {
-				res, err := cl.Run("vortex.dataman", params("dataset", "engine", "workers", "4",
-					"lambda2", l2, "index", index))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				ids = append(ids, res.ReqID)
-			}
-		})
-		if t.Failed() {
-			t.FailNow()
-		}
-		for _, id := range ids[1:] {
-			st, _ := rt.Sched.Stats(id)
-			warm.Probes.Compute += st.Probes.Compute
-			warm.Probes.Read += st.Probes.Read
-		}
-		return warm
-	}
-	warmOff := sweep("0")
-	warmOn := sweep("1")
-	if warmOn.Probes.Compute >= warmOff.Probes.Compute {
-		t.Fatalf("warm indexed vortex sweep compute %v not below unindexed %v",
-			warmOn.Probes.Compute, warmOff.Probes.Compute)
-	}
-}
-
 // TestIndexedSliderSweepWarmIsCheaper is the interaction the cached derived
 // entities exist for: a user dragging the iso slider re-queries the same
 // warm blocks with different iso values. With the index path on, the viewer

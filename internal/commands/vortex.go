@@ -2,7 +2,6 @@ package commands
 
 import (
 	"viracocha/internal/core"
-	"viracocha/internal/dms"
 	"viracocha/internal/grid"
 	"viracocha/internal/iso"
 	"viracocha/internal/mesh"
@@ -13,34 +12,17 @@ import (
 // in practice, §1.1); "cellbatch" is the streamed command's active-cell list
 // length (§6.3).
 
-// l2Field is the name of the derived λ2 scalar field cached in the DMS.
-const l2Field = "lambda2"
-
-// lambda2Values returns the block's λ2 scalar field. With caching enabled it
-// is served from the DMS derived-entity cache when hot, computed — and
-// priced — and offered to the cache otherwise; a user re-querying the vortex
-// threshold then reuses the field instead of recomputing the eigenvalue
-// sweep. release must be called when the caller is done with vals: it
-// returns pooled scratch only when the field is not cache-owned.
-func lambda2Values(ctx *core.Ctx, b *grid.Block, cached bool) (vals []float32, release func()) {
-	if cached {
-		name := dms.Lambda2Item(b.ID)
-		if e, ok := ctx.Proxy().GetDerived(name); ok {
-			if f, ok := e.(*grid.ScalarField); ok {
-				return f.Vals, func() {}
-			}
-		}
-		buf := vortex.AcquireField(b.NumNodes())
-		ctx.Charge(ctx.Cost.Lambda2Cost(vortex.ComputeInto(b, buf)))
-		if ctx.Proxy().PutDerived(name, &grid.ScalarField{Name: l2Field, Vals: buf}) {
-			// The cache owns the array now; it must not return to the pool.
-			return buf, func() {}
-		}
-		return buf, func() { vortex.ReleaseField(buf) }
-	}
-	buf := vortex.AcquireField(b.NumNodes())
-	ctx.Charge(ctx.Cost.Lambda2Cost(vortex.ComputeInto(b, buf)))
-	return buf, func() { vortex.ReleaseField(buf) }
+// extractVortex computes the block's complete λ2 field and extracts the
+// vortex surface at thresh into out, pricing both. λ2 lives in a pooled
+// command-private array: the cache stores raw blocks shared across workers,
+// so they must not be mutated.
+func extractVortex(ctx *core.Ctx, b *grid.Block, thresh float64, out *mesh.Mesh) {
+	vals := vortex.AcquireField(b.NumNodes())
+	ctx.Charge(ctx.Cost.Lambda2Cost(vortex.ComputeInto(b, vals)))
+	r := grid.CellRange{Hi: [3]int{b.NI - 1, b.NJ - 1, b.NK - 1}}
+	res := iso.ExtractRange(b, vals, thresh, r, out)
+	vortex.ReleaseField(vals)
+	ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
 }
 
 // SimpleVortex is the λ2 baseline without data management: raw loads, full
@@ -63,12 +45,7 @@ func (SimpleVortex) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		if err != nil {
 			return nil, err
 		}
-		vals := vortex.AcquireField(b.NumNodes())
-		ctx.Charge(ctx.Cost.Lambda2Cost(vortex.ComputeInto(b, vals)))
-		r := grid.CellRange{Hi: [3]int{b.NI - 1, b.NJ - 1, b.NK - 1}}
-		res := iso.ExtractRange(b, vals, thresh, r, out)
-		vortex.ReleaseField(vals)
-		ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
+		extractVortex(ctx, b, thresh, out)
 	}
 	return out, nil
 }
@@ -86,10 +63,6 @@ func (VortexDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	thresh := ctx.FloatParam("lambda2", 0)
 	step := ctx.StepParam()
 	doPrefetch := ctx.IntParam("prefetch", 1) != 0
-	useIndex := ctx.IndexEnabled()
-	if useIndex {
-		ctx.RideAlong() // the vortex-skip index lands with each prefetched block
-	}
 	blocks := ctx.AssignedBlocks(nil)
 	out := &mesh.Mesh{}
 	for i, blk := range blocks {
@@ -100,37 +73,11 @@ func (VortexDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 			next := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blocks[i+1]}
 			ctx.Prefetch(next)
 		}
-		bid := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk}
-		if useIndex {
-			// A cached gradient index whose bound excludes the threshold
-			// proves the block holds no vortex surface: skip the load, the
-			// λ2 computation and the scan in one O(1) test.
-			if gidx, ok := ctx.CachedGradIndex(bid); ok && gidx.BlockExcludesLambda2(thresh) {
-				ctx.Progress(i+1, len(blocks))
-				continue
-			}
-		}
-		b, err := ctx.Load(bid)
+		b, err := ctx.Load(grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk})
 		if err != nil {
 			return nil, err
 		}
-		if useIndex {
-			// One eigen-free gradient sweep — a third of the λ2 pipeline,
-			// cached across every later threshold — can prove the loaded
-			// block vortex-free before any eigenvalue is solved.
-			if gidx := ctx.GradIndex(b); gidx.BlockExcludesLambda2(thresh) {
-				ctx.Progress(i+1, len(blocks))
-				continue
-			}
-		}
-		// λ2 lives in a command-private (or cache-owned) array: the cache
-		// stores raw blocks shared across workers, so they must not be
-		// mutated.
-		vals, release := lambda2Values(ctx, b, useIndex)
-		r := grid.CellRange{Hi: [3]int{b.NI - 1, b.NJ - 1, b.NK - 1}}
-		res := iso.ExtractRange(b, vals, thresh, r, out)
-		release()
-		ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
+		extractVortex(ctx, b, thresh, out)
 		ctx.Progress(i+1, len(blocks))
 	}
 	return out, nil
@@ -151,10 +98,6 @@ func (StreamedVortex) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 	step := ctx.StepParam()
 	batch := ctx.IntParam("cellbatch", 256)
 	doPrefetch := ctx.IntParam("prefetch", 1) != 0
-	useIndex := ctx.IndexEnabled()
-	if useIndex {
-		ctx.RideAlong() // the vortex-skip index lands with each prefetched block
-	}
 	blocks := ctx.SpanBlocks(nil)
 	for i, blk := range blocks {
 		if err := ctx.Interrupted(); err != nil {
@@ -164,29 +107,9 @@ func (StreamedVortex) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 			next := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blocks[i+1]}
 			ctx.Prefetch(next)
 		}
-		bid := grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk}
-		// The lazy scan cannot afford to compute the full λ2 field just to
-		// bound it; the vortex-skip gradient index stands in: one eigen-free
-		// sweep (a third of the λ2 pipeline, usually prefetched as a
-		// ride-along and cached across thresholds) bounds λ2 from below,
-		// which is the only direction brick skipping needs.
-		var gidx *grid.GradIndex
-		if useIndex {
-			if g, ok := ctx.CachedGradIndex(bid); ok && g.BlockExcludesLambda2(thresh) {
-				ctx.BlockDone(blk)
-				continue // provably empty: skip the load entirely
-			}
-		}
-		b, err := ctx.Load(bid)
+		b, err := ctx.Load(grid.BlockID{Dataset: ctx.Dataset.Name, Step: step, Block: blk})
 		if err != nil {
 			return nil, err
-		}
-		if useIndex {
-			gidx = ctx.GradIndex(b)
-			if gidx.BlockExcludesLambda2(thresh) {
-				ctx.BlockDone(blk)
-				continue
-			}
 		}
 		lazy := vortex.NewLazy(b)
 		part := mesh.Acquire()
@@ -221,16 +144,7 @@ func (StreamedVortex) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		}
 		for ck := 0; ck < b.NK-1; ck++ {
 			for cj := 0; cj < b.NJ-1; cj++ {
-				for ci := 0; ci < b.NI-1; {
-					if gidx != nil {
-						// Jump over brick runs whose largest ‖J‖²_F stays
-						// under −thresh: they cannot hold a corner with
-						// λ2 < thresh, so their λ2 is never evaluated.
-						if next := gidx.SkipToLambda2(ci, cj, ck, thresh, b.NI-1); next > ci {
-							ci = next
-							continue
-						}
-					}
+				for ci := 0; ci < b.NI-1; ci++ {
 					lazy.EnsureCell(ci, cj, ck)
 					visited++
 					// Fused test-and-extract, welded within the packet; an
@@ -244,7 +158,6 @@ func (StreamedVortex) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 							}
 						}
 					}
-					ci++
 				}
 			}
 		}

@@ -38,9 +38,6 @@ func NewClient(rt *Runtime) *Client {
 	}
 }
 
-// Name reports the client's endpoint name.
-func (c *Client) Name() string { return c.ep.Name() }
-
 // RunResult is everything the client observed for one request.
 type RunResult struct {
 	ReqID uint64

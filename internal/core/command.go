@@ -90,9 +90,6 @@ func (c *Ctx) Interrupted() error {
 // completion watermarks, and their partials are block-tagged.
 func (c *Ctx) Journaling() bool { return c.Req.Journal }
 
-// Proxy returns this worker's DMS proxy.
-func (c *Ctx) Proxy() *dms.Proxy { return c.proxy }
-
 // Charge prices d of computation to this worker (virtual time) and adds it
 // to the compute probe. Like every Ctx method that parks the actor, it is a
 // crash point: a worker that fail-stopped mid-charge never returns.
@@ -162,60 +159,18 @@ func (c *Ctx) LoadRaw(id grid.BlockID) (*grid.Block, error) {
 // Prefetch issues an explicit (code) prefetch through the DMS.
 func (c *Ctx) Prefetch(id grid.BlockID) { c.proxy.Prefetch(id) }
 
-// IndexEnabled decides whether this request serves its derived entities
-// from the DMS: the viewer's cached BSP trees, and the vortex commands'
-// cached λ2 field and vortex-skip gradient index with its block and brick
-// skips. Otherwise every run rebuilds and prices its BSP trees and λ2
-// fields and skips nothing, as the paper's algorithms do. The "index"
-// parameter decides if given (the ablation harness and reference runs pin
-// it); else the virtual clock takes the paper's path, and the real clock the
-// cached one — bit-identical, faster on resident data — unless the shared
-// DMS budget is at the pressure where prefetches are shed: there the
-// derived entities would only evict the blocks the request is about to read.
+// IndexEnabled decides whether this request serves the viewer's BSP trees
+// from the DMS. Otherwise every run rebuilds and prices its trees, as the
+// paper's algorithm does. The "index" parameter decides if given (reference
+// runs pin it); else the virtual clock takes the paper's path, and the real
+// clock the cached one — bit-identical, faster on resident data — unless
+// the shared DMS budget is at the pressure where prefetches are shed: there
+// the trees would only evict the blocks the request is about to read.
 func (c *Ctx) IndexEnabled() bool {
 	if c.Req.Index != indexAuto {
 		return c.Req.Index == 1
 	}
 	return isReal(c.rt.Clock) && !c.proxy.UnderPressure()
-}
-
-// RideAlong makes the blocks prefetched on this worker from here on — by the
-// command or by the system prefetcher — land with their vortex-skip gradient
-// index built beside them, so the demand query that follows finds block and
-// index both hot. It holds until the next request starts on the worker.
-func (c *Ctx) RideAlong() { c.worker.setRideAlong(true) }
-
-// CachedGradIndex returns the vortex-skip gradient index for the block when
-// some proxy already holds it — local tiers first, then a peer transfer
-// (the index is hundreds of times smaller than its block, so shipping it is
-// nearly free).
-// Combined with GradIndex.BlockExcludesLambda2 this lets a vortex command
-// prove a block holds no surface before paying any I/O to load it.
-func (c *Ctx) CachedGradIndex(id grid.BlockID) (*grid.GradIndex, bool) {
-	e, ok := c.proxy.GetDerived(dms.GradIndexItem(id))
-	if !ok {
-		return nil, false
-	}
-	idx, ok := e.(*grid.GradIndex)
-	return idx, ok
-}
-
-// GradIndex returns the vortex-skip index for the block, served from the
-// DMS derived-entity cache when hot and built — and priced as one eigen-free
-// gradient sweep plus the brick summary — otherwise. The fresh index is
-// offered back to the cache; a budget refusal just means the next request
-// rebuilds.
-func (c *Ctx) GradIndex(b *grid.Block) *grid.GradIndex {
-	name := dms.GradIndexItem(b.ID)
-	if e, ok := c.proxy.GetDerived(name); ok {
-		if idx, ok := e.(*grid.GradIndex); ok {
-			return idx
-		}
-	}
-	idx := grid.BuildGradIndex(b)
-	c.Charge(c.Cost.GradCost(b.NumNodes()) + c.Cost.IndexCost(b.NumNodes()))
-	c.proxy.PutDerived(name, idx)
-	return idx
 }
 
 // BSPTree returns the view-dependent BSP tree for (b, field), cached in the

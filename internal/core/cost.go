@@ -23,15 +23,6 @@ type CostModel struct {
 	// PerVelocityEval prices one velocity interpolation during particle
 	// integration (locate + trilinear blend).
 	PerVelocityEval time.Duration
-	// PerIndexNode prices one node visit while building a min/max brick
-	// acceleration index — a single streaming sweep over the field, far
-	// cheaper than the extraction scan it later short-circuits.
-	PerIndexNode time.Duration
-	// PerGradNode prices one velocity-gradient evaluation (finite
-	// differences, Jacobian inverse and product — no eigen-solve): the
-	// per-node cost of building the vortex-skip gradient index, roughly a
-	// third of a full λ2 evaluation.
-	PerGradNode time.Duration
 	// LazyLambda2Factor scales PerLambda2Node for the streamed command's
 	// cell-at-a-time evaluation, which touches nodes in a cache-unfriendly
 	// order compared to the bulk sweep. 0 means 1.0 (no surcharge).
@@ -51,8 +42,6 @@ func DefaultCostModel() CostModel {
 		PerLambda2Node:   5500 * time.Nanosecond,
 		PerBSPCell:       300 * time.Nanosecond,
 		PerVelocityEval:  9 * time.Microsecond,
-		PerIndexNode:     70 * time.Nanosecond,
-		PerGradNode:      1800 * time.Nanosecond,
 		PerMergeTriangle: 600 * time.Nanosecond,
 	}
 }
@@ -78,17 +67,6 @@ func (m CostModel) LazyLambda2Cost(nodes int) time.Duration {
 		f = 1
 	}
 	return time.Duration(float64(m.Lambda2Cost(nodes)) * f)
-}
-
-// GradCost prices evaluating the velocity gradient at n nodes — the sweep a
-// vortex-skip index build performs instead of the full λ2 pipeline.
-func (m CostModel) GradCost(nodes int) time.Duration {
-	return time.Duration(nodes) * m.PerGradNode
-}
-
-// IndexCost prices building a min/max brick index over n nodes.
-func (m CostModel) IndexCost(nodes int) time.Duration {
-	return time.Duration(nodes) * m.PerIndexNode
 }
 
 // BSPCost prices building/traversing a BSP over n cells.

@@ -34,8 +34,8 @@ type Request struct {
 	Memo bool
 	// StreamWindow is the stream credit window per rank (<= 0: unwindowed).
 	StreamWindow int
-	// Index pins whether derived entities are served from the DMS: 1 cached,
-	// 0 not, indexAuto left to Ctx.IndexEnabled.
+	// Index pins whether the viewer's BSP trees are served from the DMS:
+	// 1 cached, 0 not, indexAuto left to Ctx.IndexEnabled.
 	Index int
 	// Progress asks every rank for progress messages.
 	Progress bool

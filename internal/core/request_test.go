@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"viracocha/internal/comm"
@@ -119,4 +122,45 @@ func TestMemoHitFramesEqualStreams(t *testing.T) {
 			t.Errorf("req %d (memo hit %v): frames %d, streams %d, want 8 and 8", st.ReqID, st.MemoHit, st.Frames, st.Streams)
 		}
 	}
+}
+
+// FuzzParseRequest drives the admission boundary with whatever the wire
+// decoder accepts: parseRequest never panics, Index is always indexAuto, 0
+// or 1, and respelling every number ("0.5" as "5e-01") leaves the memo key
+// unchanged, because comm.CanonicalFloat makes the spellings equal.
+func FuzzParseRequest(f *testing.F) {
+	for _, p := range []map[string]string{
+		{"dataset": "engine", "iso": "0.50", "workers": "4", "memo": "1"},
+		{"dataset": "engine", "lambda2": "-1e3", "index": "7", "step": "x"},
+		{"index": "-1", "stream_window": " 8 ", "redistribute": "1", "span": "0,1"},
+		nil,
+	} {
+		f.Add(comm.Encode(comm.Message{Kind: "command", Command: "iso.viewer", ReqID: 3, Params: p}))
+	}
+	cfg := DefaultConfig(4)
+	cfg.Memo = true
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := comm.Decode(data)
+		if err != nil {
+			return
+		}
+		r := parseRequest(m, &cfg)
+		if r.Index != indexAuto && r.Index != 0 && r.Index != 1 {
+			t.Fatalf("Index = %d, want indexAuto, 0 or 1", r.Index)
+		}
+		respelled := m
+		respelled.Params = make(map[string]string, len(m.Params))
+		for k, v := range m.Params {
+			// "memo" is read as an integer, so respelling it could switch
+			// the memo key off; it is not part of the key.
+			if x, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil && k != "memo" &&
+				!math.IsNaN(x) && !math.IsInf(x, 0) {
+				v = strconv.FormatFloat(x, 'e', -1, 64)
+			}
+			respelled.Params[k] = v
+		}
+		if got := parseRequest(respelled, &cfg).MemoKey; got != r.MemoKey {
+			t.Fatalf("respelled numbers changed the memo key: %q, want %q", got, r.MemoKey)
+		}
+	})
 }

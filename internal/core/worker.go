@@ -8,7 +8,6 @@ import (
 
 	"viracocha/internal/comm"
 	"viracocha/internal/dms"
-	"viracocha/internal/grid"
 	"viracocha/internal/mesh"
 	"viracocha/internal/prefetch"
 )
@@ -38,9 +37,6 @@ type Worker struct {
 	// inert once it is stale; the scheduler fences frames the same way.
 	epoch int
 	busy  bool // executing a command (reported in heartbeats)
-	// pfGradIndex makes the vortex-skip gradient index ride along with
-	// prefetched blocks (setRideAlong).
-	pfGradIndex bool
 	// Journal-mode watermark state, published by the executing Ctx and
 	// piggybacked on heartbeats: the request/rank/attempt being executed and
 	// the cumulative set of completed span items. Heartbeat re-delivery makes
@@ -73,33 +69,6 @@ func (w *Worker) endpoint() *comm.Endpoint {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.ep
-}
-
-// setRideAlong says what to build beside blocks that land via prefetch from
-// now on (Ctx.RideAlong); execute clears it, so the ride-along follows the
-// request on the worker, not the last request that ever asked for one.
-func (w *Worker) setRideAlong(grad bool) {
-	w.mu.Lock()
-	w.pfGradIndex = grad
-	w.mu.Unlock()
-}
-
-// indexPrefetched runs in the prefetch goroutine after a speculatively
-// loaded block entered the cache: when the request asked for it, it builds
-// the block's vortex-skip gradient index and caches it as a derived entity,
-// charging the build to the background goroutine's virtual time so the
-// speculative work overlaps the demand path exactly like the load itself.
-func (w *Worker) indexPrefetched(b *grid.Block) {
-	w.mu.Lock()
-	gradIdx := w.pfGradIndex
-	proxy := w.proxy
-	w.mu.Unlock()
-	name := dms.GradIndexItem(b.ID)
-	if !gradIdx || proxy.HasDerived(name) {
-		return
-	}
-	w.rt.Clock.Sleep(w.rt.Cost.GradCost(b.NumNodes()) + w.rt.Cost.IndexCost(b.NumNodes()))
-	proxy.PutDerived(name, grid.BuildGradIndex(b))
 }
 
 // Dead reports whether the worker has fail-stopped.
@@ -170,7 +139,6 @@ func (w *Worker) clearJournal(epoch int) {
 // actor loop plus the heartbeat actor.
 func (w *Worker) start() {
 	proxy := w.rt.DMS.NewProxy(w.node, w.pf)
-	proxy.OnPrefetched = w.indexPrefetched
 	w.mu.Lock()
 	w.proxy = proxy
 	ep, epoch := w.ep, w.epoch
@@ -190,7 +158,6 @@ func (w *Worker) respawn() {
 	ep := w.rt.Net.Replace(w.node)
 	w.rt.DMS.DropProxy(w.node)
 	proxy := w.rt.DMS.NewProxy(w.node, w.pf)
-	proxy.OnPrefetched = w.indexPrefetched
 	w.mu.Lock()
 	w.epoch++
 	epoch := w.epoch
@@ -294,7 +261,6 @@ func (w *Worker) execute(ep *comm.Endpoint, epoch int, st *Start) {
 	w.setBusy(epoch, true)
 	defer w.setBusy(epoch, false)
 	defer w.clearJournal(epoch)
-	w.setRideAlong(false)
 
 	req := st.Req
 	ds := w.rt.Datasets[req.Dataset]

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"viracocha/internal/grid"
 	"viracocha/internal/mathx"
 )
 
@@ -72,7 +73,10 @@ func TestEngineBlocksTileTheCylinder(t *testing.T) {
 	if len(mb.Blocks) != 23 {
 		t.Fatalf("blocks = %d", len(mb.Blocks))
 	}
-	box := mb.Bounds()
+	box := grid.EmptyAABB()
+	for _, b := range mb.Blocks {
+		box = box.Union(b.Bounds())
+	}
 	// Bore radius 0.05: x/y extents ≈ [-0.05, 0.05], z ∈ [0, 0.1].
 	if !mathx.AlmostEqual(box.Max.X, 0.05, 0.02) || !mathx.AlmostEqual(box.Max.Z, 0.1, 1e-6) {
 		t.Fatalf("engine bounds = %+v", box)

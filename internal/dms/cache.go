@@ -8,9 +8,9 @@ import (
 )
 
 // Entity is anything the DMS can cache: demand-loaded grid blocks, and
-// derived data computed from them — the vortex-skip gradient index, λ2
-// scalar fields, BSP trees. The paper's DMS manages "data entities", not files
-// (§4); the only thing a cache needs from one is its size.
+// derived data computed from them — BSP trees, memoized results. The paper's
+// DMS manages "data entities", not files (§4); the only thing a cache needs
+// from one is its size.
 type Entity interface {
 	SizeBytes() int64
 }
@@ -18,7 +18,7 @@ type Entity interface {
 // IsDerived reports whether the entity is derived (re-computable from a
 // block) rather than demand-loaded. Derived types opt in by declaring a
 // DerivedEntity() marker method; under memory pressure the cache evicts
-// derived entities before demand blocks, because rebuilding an index is
+// derived entities before demand blocks, because rebuilding a tree is
 // cheaper than re-reading a block from storage.
 func IsDerived(e Entity) bool {
 	_, ok := e.(interface{ DerivedEntity() })
@@ -111,7 +111,7 @@ func (c *Cache) policyFor(e *entry) Policy {
 }
 
 // victimLocked picks the next eviction victim: derived entities go first —
-// an index or BSP tree is rebuilt from its block in memory, while a demand
+// a BSP tree is rebuilt from its block in memory, while a demand
 // block costs a storage or peer round trip. Caller holds c.mu.
 func (c *Cache) victimLocked() (ItemID, bool) {
 	if vid, ok := c.derived.Victim(); ok {

@@ -11,18 +11,20 @@ import (
 	"viracocha/internal/vclock"
 )
 
-// indexFor builds the vortex-skip gradient index of a tiny block.
-func indexFor(t *testing.T, id grid.BlockID) *grid.GradIndex {
+// treeFor builds the pressure BSP tree of a tiny block — the derived entity
+// the viewer caches.
+func treeFor(t *testing.T, id grid.BlockID) *grid.BSPTree {
 	t.Helper()
-	return grid.BuildGradIndex(blockOfSize(t, id))
+	tree := grid.BuildBSP(blockOfSize(t, id), "pressure")
+	tree.ReleaseBlock()
+	return tree
 }
 
 func TestDerivedItemNaming(t *testing.T) {
 	id := tinyID(0, 3)
 	names := []ItemName{
 		BlockItem(id),
-		GradIndexItem(id),
-		Lambda2Item(id),
+		CoarseBlockItem(id, 1),
 		BSPItem(id, "pressure"),
 		BSPItem(id, "lambda2"),
 	}
@@ -33,11 +35,10 @@ func TestDerivedItemNaming(t *testing.T) {
 		}
 		seen[n.String()] = true
 	}
-	// The gradient index keeps the name it had as one min/max index among
-	// others: kind "index:<field>", format "minmax".
-	want := ItemName{Source: "tiny/t000/b003", Type: "index:" + grid.GradMagField, Format: "minmax"}
-	if GradIndexItem(id) != want {
-		t.Fatalf("GradIndexItem = %+v, want %+v", GradIndexItem(id), want)
+	// A derived entity shares its block's source: kind "bsp:<field>".
+	want := ItemName{Source: "tiny/t000/b003", Type: "bsp:pressure", Format: "tree"}
+	if BSPItem(id, "pressure") != want {
+		t.Fatalf("BSPItem = %+v, want %+v", BSPItem(id, "pressure"), want)
 	}
 }
 
@@ -49,14 +50,14 @@ func TestDerivedEvictedBeforeDemandBlocks(t *testing.T) {
 	c := NewCache("t", 2*one, NewLRU())
 	blk0, blk1, idx := ItemID(1), ItemID(2), ItemID(3)
 
-	c.Put(idx, indexFor(t, tinyID(0, 0)), false)
+	c.Put(idx, treeFor(t, tinyID(0, 0)), false)
 	c.Put(blk0, blockOfSize(t, tinyID(0, 0)), false)
 	if _, ok := c.Get(idx); !ok { // idx is now the most recently used item
-		t.Fatal("index not cached")
+		t.Fatal("tree not cached")
 	}
 	ev := c.Put(blk1, blockOfSize(t, tinyID(0, 1)), false)
 	if len(ev) != 1 || ev[0].ID != idx {
-		t.Fatalf("evicted %+v, want the derived index despite its recency", ev)
+		t.Fatalf("evicted %+v, want the derived tree despite its recency", ev)
 	}
 	if _, ok := c.Peek(blk0); !ok {
 		t.Fatal("demand block evicted while a derived entity was resident")
@@ -91,26 +92,26 @@ func TestDerivedEvictionFallsBackToBlocks(t *testing.T) {
 // exact byte sizes.
 func TestDerivedEvictionReleasesBudget(t *testing.T) {
 	one := blockOfSize(t, tinyID(0, 0)).SizeBytes()
-	idx := indexFor(t, tinyID(0, 0))
+	tree := treeFor(t, tinyID(0, 0))
 	budget := NewBudget(2 * one)
 	c := NewCache("t", 8*one, NewLRU()) // capacity ample: only the budget binds
 	c.Budget = budget
 
-	c.Put(1, idx, false)
+	c.Put(1, tree, false)
 	c.Put(2, blockOfSize(t, tinyID(0, 0)), false)
-	if got := budget.Stats().Used; got != one+idx.SizeBytes() {
-		t.Fatalf("budget used %d, want %d", got, one+idx.SizeBytes())
+	if got := budget.Stats().Used; got != one+tree.SizeBytes() {
+		t.Fatalf("budget used %d, want %d", got, one+tree.SizeBytes())
 	}
-	// The next block overflows the budget by exactly the index's bytes: the
-	// retry loop must evict the derived index — not the resident demand
+	// The next block overflows the budget by exactly the tree's bytes: the
+	// retry loop must evict the derived tree — not the resident demand
 	// block — release its bytes, and then admit the block.
 	_, ok := c.PutOK(3, blockOfSize(t, tinyID(0, 1)), false)
 	if !ok {
-		t.Fatal("insert refused although evicting the index makes room")
+		t.Fatal("insert refused although evicting the tree makes room")
 	}
 	st := c.Stats()
 	if st.Evictions != 1 || st.DerivedEvictions != 1 {
-		t.Fatalf("stats = %+v, want exactly one eviction, of the derived index", st)
+		t.Fatalf("stats = %+v, want exactly one eviction, of the derived tree", st)
 	}
 	if _, resident := c.Peek(2); !resident {
 		t.Fatal("demand block sacrificed while a derived entity was resident")
@@ -132,19 +133,13 @@ func TestProxyDerivedPutGetStats(t *testing.T) {
 	cfg.NameCost = 0
 	srv, _ := testServer(v, cfg)
 	p := srv.NewProxy("w0", nil)
-	name := GradIndexItem(tinyID(0, 0))
+	name := BSPItem(tinyID(0, 0), "pressure")
 	v.Go(func() {
 		if _, ok := p.GetDerived(name); ok {
 			t.Error("empty cache returned a derived entity")
 		}
-		if p.HasDerived(name) {
-			t.Error("HasDerived true before any put")
-		}
-		if !p.PutDerived(name, indexFor(t, tinyID(0, 0))) {
+		if !p.PutDerived(name, treeFor(t, tinyID(0, 0))) {
 			t.Error("unbudgeted put refused")
-		}
-		if !p.HasDerived(name) {
-			t.Error("HasDerived false after put")
 		}
 		if _, ok := p.GetDerived(name); !ok {
 			t.Error("derived entity not served from cache")
@@ -172,10 +167,10 @@ func TestDerivedPeerTransfer(t *testing.T) {
 	p0.Peers = srv
 	p1 := srv.NewProxy("w1", nil)
 	p1.Peers = srv
-	name := GradIndexItem(tinyID(0, 0))
-	idx := indexFor(t, tinyID(0, 0))
+	name := BSPItem(tinyID(0, 0), "pressure")
+	tree := treeFor(t, tinyID(0, 0))
 	v.Go(func() {
-		if !p0.PutDerived(name, idx) {
+		if !p0.PutDerived(name, tree) {
 			t.Error("p0 put refused")
 			return
 		}
@@ -184,7 +179,7 @@ func TestDerivedPeerTransfer(t *testing.T) {
 			t.Error("p1 did not find the peer's derived entity")
 			return
 		}
-		if e.(*grid.GradIndex) != idx {
+		if e.(*grid.BSPTree) != tree {
 			t.Error("peer transfer returned a different entity")
 		}
 		// Second get is a local hit: the transfer cached it at p1.
@@ -199,29 +194,5 @@ func TestDerivedPeerTransfer(t *testing.T) {
 	_, ps := srv.AggregateStats()
 	if ps.DerivedPeerHits != 1 || ps.DerivedPuts < 1 {
 		t.Fatalf("aggregate stats missing derived counters: %+v", ps)
-	}
-}
-
-// TestOnPrefetchedHookFires: the worker's gradient-index ride-along builds on this —
-// the hook must run after a speculative load lands its block in the cache.
-func TestOnPrefetchedHookFires(t *testing.T) {
-	v := vclock.NewVirtual()
-	cfg := DefaultConfig()
-	cfg.DecideCost = 0
-	cfg.NameCost = 0
-	srv, _ := testServer(v, cfg)
-	p := srv.NewProxy("w0", nil)
-	var got []grid.BlockID
-	p.OnPrefetched = func(b *grid.Block) { got = append(got, b.ID) }
-	v.Go(func() {
-		p.Prefetch(tinyID(0, 1))
-		v.Sleep(50 * time.Millisecond) // let the speculative load complete
-		if _, err := p.Get(tinyID(0, 1)); err != nil {
-			t.Error(err)
-		}
-	})
-	v.Wait()
-	if len(got) != 1 || got[0] != tinyID(0, 1) {
-		t.Fatalf("OnPrefetched saw %v, want exactly the prefetched block", got)
 	}
 }

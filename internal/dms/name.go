@@ -48,23 +48,9 @@ func CoarseBlockItem(id grid.BlockID, level int) ItemName {
 	return n
 }
 
-// GradIndexItem is the ItemName of the vortex-skip index: the min/max brick
-// summary of the squared velocity-gradient magnitude, from which λ2 is
-// bounded without being computed (entity kind "index:<gradient field>").
-// Derived entities share the parent block's source, so the name service
-// keeps the relationship visible.
-func GradIndexItem(id grid.BlockID) ItemName {
-	return ItemName{Source: id.String(), Type: "index:" + grid.GradMagField, Format: "minmax"}
-}
-
-// Lambda2Item is the ItemName of a block's derived λ2 scalar field (entity
-// kind "l2"; the time step is part of the source).
-func Lambda2Item(id grid.BlockID) ItemName {
-	return ItemName{Source: id.String(), Type: "l2", Format: "field"}
-}
-
 // BSPItem is the ItemName of the view-dependent BSP tree over one block's
-// field (entity kind "bsp:<field>").
+// field (entity kind "bsp:<field>"). It shares the parent block's source, so
+// the name service keeps the relationship visible.
 func BSPItem(id grid.BlockID, field string) ItemName {
 	return ItemName{Source: id.String(), Type: "bsp:" + field, Format: "tree"}
 }

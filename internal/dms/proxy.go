@@ -76,12 +76,6 @@ type Proxy struct {
 	// Peers, when set, lets GetDerived pull derived entities out of other
 	// proxies' caches (a charged peer transfer).
 	Peers EntityPeers
-	// OnPrefetched, when set, runs in the prefetch goroutine after a
-	// speculatively loaded block lands in the cache. The core layer uses it
-	// to build acceleration indexes alongside prefetched blocks, so the
-	// first demand query after a prefetch finds both the block and its
-	// index hot.
-	OnPrefetched func(b *grid.Block)
 	// OnDemand, when set, runs after every successful demand Get (cache hit
 	// or load). The data-manager server uses it to maintain the group-wide
 	// demand hot-set that re-warms rejoined nodes' caches.
@@ -240,9 +234,7 @@ func (p *Proxy) Prefetch(id grid.BlockID) {
 	p.Clock.Go(func() {
 		b, _, err := p.Loader.LoadBackground(id)
 		if err == nil {
-			if p.Cache.Put(item, b, true) && p.OnPrefetched != nil {
-				p.OnPrefetched(b)
-			}
+			p.Cache.Put(item, b, true)
 		}
 		p.mu.Lock()
 		delete(p.inflight, item)
@@ -282,11 +274,11 @@ func (p *Proxy) GetCoarse(id grid.BlockID, level int) (*grid.Block, error) {
 	return c, nil
 }
 
-// GetDerived returns a cached derived entity (acceleration index, λ2 field,
-// BSP tree) by name: local tiers first, then other proxies' caches — derived
-// data is peer-transferable like any entity, and an index is far cheaper to
-// ship than the block it summarizes. A miss means no proxy holds it; the
-// caller rebuilds and offers the result back through PutDerived.
+// GetDerived returns a cached derived entity (the viewer's BSP trees) by
+// name: local tiers first, then other proxies' caches — derived data is
+// peer-transferable like any entity, so a tree one worker built serves the
+// others. A miss means no proxy holds it; the caller rebuilds and offers the
+// result back through PutDerived.
 func (p *Proxy) GetDerived(n ItemName) (Entity, bool) {
 	item := p.resolve(n)
 	if e, ok := p.Cache.Get(item); ok {
@@ -309,15 +301,6 @@ func (p *Proxy) GetDerived(n ItemName) (Entity, bool) {
 	p.stats.DerivedMisses++
 	p.mu.Unlock()
 	return nil, false
-}
-
-// HasDerived reports whether the derived entity is resident in the local
-// tiers, with no policy, statistics or peer side effects (prefetch-path
-// existence checks).
-func (p *Proxy) HasDerived(n ItemName) bool {
-	id, _ := p.Resolver.Resolve(n)
-	_, ok := p.Cache.Peek(id)
-	return ok
 }
 
 // PutDerived offers a freshly built derived entity to the cache, reporting

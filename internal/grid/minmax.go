@@ -1,17 +1,16 @@
 package grid
 
 // MinMaxBrick is the edge length, in cells, of one brick of a MinMaxIndex.
-// 4³ cells per brick keeps the index ~1/500th of the field it summarizes
-// while still skipping cells in useful runs.
+// 4³ cells per brick keeps the index ~1/500th of the field it summarizes.
 const MinMaxBrick = 4
 
 // MinMaxIndex is a compact per-(block, field) summary: the block's cell
 // domain is tiled into MinMaxBrick³-cell bricks, and each brick records the
 // minimum and maximum of the field over the nodes its cells touch, so every
-// corner value of every cell in a brick lies inside [Min, Max]. It is the
-// body of the vortex-skip GradIndex, whose field is the squared velocity
-// gradient: a brick whose maximum bounds λ2 away from the threshold holds
-// no active cell and is skipped without computing λ2.
+// corner value of every cell in a brick lies inside [Min, Max]. No command
+// consults one: the bit-parallel scan classifies a block's cells as fast as
+// the bricks skipped them. The end-to-end benchmark still times its build as
+// a layer probe (grid.minmax_build_ms_per_step).
 type MinMaxIndex struct {
 	Field      string
 	BI, BJ, BK int // brick counts per axis
@@ -20,8 +19,7 @@ type MinMaxIndex struct {
 	// linear index bi + BI·(bj + BJ·bk).
 	Min, Max []float32
 
-	// LoVal and HiVal are the whole-block field range — the O(1) test that
-	// lets commands skip loading blocks that cannot intersect the surface.
+	// LoVal and HiVal are the whole-block field range.
 	LoVal, HiVal float32
 }
 
@@ -83,27 +81,3 @@ func BuildMinMax(b *Block, field string, vals []float32) *MinMaxIndex {
 	}
 	return x
 }
-
-// ScalarField wraps a node-centred scalar computed from a block (λ2) so the
-// DMS can cache it as a derived data entity: a user re-querying the vortex
-// threshold reuses the field instead of recomputing it per request.
-type ScalarField struct {
-	Name string
-	Vals []float32
-}
-
-// SizeBytes reports the field payload for DMS cache accounting.
-func (f *ScalarField) SizeBytes() int64 { return int64(len(f.Vals))*4 + 32 }
-
-// DerivedEntity marks the field as derived (re-computable) data.
-func (f *ScalarField) DerivedEntity() {}
-
-// SizeBytes reports the in-memory payload of the index for DMS cache
-// accounting: two float32 per brick plus the fixed header.
-func (x *MinMaxIndex) SizeBytes() int64 {
-	return int64(len(x.Min)+len(x.Max))*4 + 64
-}
-
-// DerivedEntity marks the index as a derived (re-computable) data entity:
-// the DMS evicts derived entities before demand-loaded blocks.
-func (x *MinMaxIndex) DerivedEntity() {}

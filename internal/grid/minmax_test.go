@@ -82,63 +82,13 @@ func TestBuildMinMaxBrickBoundsBruteForce(t *testing.T) {
 	}
 }
 
-// TestMinMaxBlockExcludes pins the whole-block test the gradient index
-// makes on its min/max summary: a λ2 threshold is excluded exactly when the
-// block's largest ‖J‖²_F, with its slack, stays below −threshold, and a
-// threshold ≥ 0 never is.
-func TestMinMaxBlockExcludes(t *testing.T) {
-	b := noisyBlock(9, 3)
-	x := &GradIndex{MinMaxIndex: *BuildMinMax(b, "s", b.Scalars["s"])}
-	hi := float64(x.HiVal)
-	if hi <= 0 {
-		t.Fatalf("degenerate block: largest value %v", hi)
-	}
-	if !x.BlockExcludesLambda2(-2 * hi) {
-		t.Fatal("a threshold far below −max must be excluded")
-	}
-	if x.BlockExcludesLambda2(-hi) {
-		t.Fatal("a threshold at −max is inside the bound's slack and must not be excluded")
-	}
-	for _, iso := range []float64{0, 1, 1e9} {
-		if x.BlockExcludesLambda2(iso) {
-			t.Fatalf("threshold %v ≥ 0 excluded", iso)
-		}
-	}
-}
-
-// TestSkipToClampsToHi: a row the gradient bound excludes throughout is
-// jumped to its end, never past hi, from a brick start or mid-brick.
-func TestSkipToClampsToHi(t *testing.T) {
-	b := noisyBlock(6, 9) // 5 cells per axis: one full brick + a partial one
-	x := &GradIndex{MinMaxIndex: *BuildMinMax(b, "s", b.Scalars["s"])}
-	iso := -10 * (1 + float64(x.HiVal)*float64(x.HiVal)) // below every brick's bound
-	if got := x.SkipToLambda2(0, 0, 0, iso, b.NI-1); got != b.NI-1 {
-		t.Fatalf("SkipToLambda2 over an all-excluded row = %d, want clamp to %d", got, b.NI-1)
-	}
-	if got := x.SkipToLambda2(3, 1, 1, iso, 4); got != 4 {
-		t.Fatalf("SkipToLambda2 from mid-brick = %d, want 4", got)
-	}
-}
-
+// TestMinMaxSizeBytesAndDerivedMarkers: the BSP tree, the one grid entity
+// the DMS caches, is marked derived so the cache evicts it before demand
+// blocks.
 func TestMinMaxSizeBytesAndDerivedMarkers(t *testing.T) {
 	b := noisyBlock(9, 5)
-	x := BuildMinMax(b, "s", b.Scalars["s"])
-	if want := int64(len(x.Min)+len(x.Max))*4 + 64; x.SizeBytes() != want {
-		t.Fatalf("SizeBytes = %d, want %d", x.SizeBytes(), want)
-	}
-	// The index must be tiny relative to the field it summarizes.
-	if x.SizeBytes() > int64(len(b.Scalars["s"]))*4 {
-		t.Fatalf("index (%d B) not smaller than its field", x.SizeBytes())
-	}
-	type derived interface{ DerivedEntity() }
-	for _, e := range []any{x, &ScalarField{Vals: make([]float32, 8)}, BuildBSP(b, "s")} {
-		if _, ok := e.(derived); !ok {
-			t.Fatalf("%T is not marked as a derived entity", e)
-		}
-	}
-	f := &ScalarField{Vals: make([]float32, 100)}
-	if f.SizeBytes() < 400 {
-		t.Fatalf("ScalarField.SizeBytes = %d, want ≥ payload", f.SizeBytes())
+	if _, ok := any(BuildBSP(b, "s")).(interface{ DerivedEntity() }); !ok {
+		t.Fatal("BSPTree is not marked as a derived entity")
 	}
 }
 

@@ -12,12 +12,3 @@ type MultiBlock struct {
 func NewMultiBlock(dataset string, step int, blocks []*Block) *MultiBlock {
 	return &MultiBlock{Dataset: dataset, Step: step, Blocks: blocks}
 }
-
-// Bounds returns the union of all block bounding boxes.
-func (m *MultiBlock) Bounds() AABB {
-	box := EmptyAABB()
-	for _, b := range m.Blocks {
-		box = box.Union(b.Bounds())
-	}
-	return box
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"viracocha/internal/dataset"
@@ -167,43 +166,5 @@ func TestRangeAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Range steady state allocates %v times per run, want 0", allocs)
-	}
-}
-
-// TestIndexQueryAllocs is the steady-state allocation guard for the queries
-// the streamed vortex scan makes of its gradient index: the whole-block test
-// and a full SkipToLambda2 row sweep must not allocate at all.
-func TestIndexQueryAllocs(t *testing.T) {
-	b := dataset.Engine().WithScale(2).Generate(0, 5)
-	gidx := grid.BuildGradIndex(b)
-	quietest := slices.Min(gidx.Max)
-	// Between the quietest brick's bound and the block's: skips some
-	// bricks, not the block.
-	thresh := -(float64(quietest) + float64(gidx.HiVal)) / 2
-	hi := b.NI - 1
-	skipped := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		if gidx.BlockExcludesLambda2(thresh) {
-			t.Fatal("threshold inside the block's bound excluded")
-		}
-		skipped = 0
-		for ck := 0; ck < b.NK-1; ck++ {
-			for cj := 0; cj < b.NJ-1; cj++ {
-				for ci := 0; ci < hi; {
-					if next := gidx.SkipToLambda2(ci, cj, ck, thresh, hi); next > ci {
-						skipped += next - ci
-						ci = next
-						continue
-					}
-					ci++
-				}
-			}
-		}
-	})
-	if skipped == 0 {
-		t.Fatal("the sweep skipped nothing — test degenerate")
-	}
-	if allocs != 0 {
-		t.Fatalf("index query allocates %v times per run, want 0", allocs)
 	}
 }

@@ -130,30 +130,33 @@ func TestLazyRecycledAcrossBlocks(t *testing.T) {
 	}
 }
 
-// TestLazyComputedNodesOnSkippedScan runs the streamed command's scan over
-// one step of propfan scale 1 at the figures' deep threshold, with the
-// gradient index skipping brick runs, once through the row-lazy evaluator
-// and once through the per-node oracle: the values of every requested node
-// and the priced count must agree, although whole rows are computed.
+// skippedBrick is the partial scan's skip pattern: the cells of two in
+// every three 4³-cell bricks are never asked for, so most rows the scan
+// touches are only partly requested.
+func skippedBrick(ci, cj, ck int) bool {
+	return (ci/4*7+cj/4*3+ck/4)%3 != 0
+}
+
+// TestLazyComputedNodesOnSkippedScan runs a partial cell scan over one step
+// of propfan scale 1, skipping brick runs, once through the row-lazy
+// evaluator and once through the per-node oracle: the values of every
+// requested node and the priced count must agree, although whole rows are
+// computed.
 func TestLazyComputedNodesOnSkippedScan(t *testing.T) {
-	const thresh = -4000.0
 	d := dataset.Propfan().WithScale(1)
 	requested, total := 0, 0
 	for blk := 0; blk < d.Blocks; blk++ {
 		b := d.Generate(0, blk)
-		gidx := grid.BuildGradIndex(b)
 		l := NewLazy(b)
 		oracle := newPerNodeLazy(b)
 		for ck := 0; ck < b.NK-1; ck++ {
 			for cj := 0; cj < b.NJ-1; cj++ {
-				for ci := 0; ci < b.NI-1; {
-					if next := gidx.SkipToLambda2(ci, cj, ck, thresh, b.NI-1); next > ci {
-						ci = next
+				for ci := 0; ci < b.NI-1; ci++ {
+					if skippedBrick(ci, cj, ck) {
 						continue
 					}
 					l.EnsureCell(ci, cj, ck)
 					oracle.EnsureCell(ci, cj, ck)
-					ci++
 				}
 			}
 		}
@@ -171,6 +174,6 @@ func TestLazyComputedNodesOnSkippedScan(t *testing.T) {
 		l.Release()
 	}
 	if requested == 0 || requested == total {
-		t.Fatalf("scan requested %d of %d nodes: the index skipped nothing or everything, degenerate test", requested, total)
+		t.Fatalf("scan requested %d of %d nodes: the pattern skipped nothing or everything, degenerate test", requested, total)
 	}
 }

@@ -30,8 +30,6 @@ func TestPricesFollowClockKind(t *testing.T) {
 		PerLambda2Node:   5500 * time.Nanosecond,
 		PerBSPCell:       300 * time.Nanosecond,
 		PerVelocityEval:  9 * time.Microsecond,
-		PerIndexNode:     70 * time.Nanosecond,
-		PerGradNode:      1800 * time.Nanosecond,
 		PerMergeTriangle: 600 * time.Nanosecond,
 	}
 	if virtRT.Cost != wantCost {
@@ -132,17 +130,19 @@ func TestFabricChargesWhoTheClockSays(t *testing.T) {
 }
 
 // TestIndexedPathIsSelected serves one real-clock system over loopback and
-// checks the selection end to end: with no "index" parameter the runtime takes
-// the indexed path and returns the bytes the paper's un-indexed algorithm
+// checks the selection end to end: with no "index" parameter the viewer takes
+// the cached-tree path and returns the bytes the paper's uncached algorithm
 // returns; with the shared DMS budget held at the shed threshold it returns
-// those bytes again and leaves no derived entity behind.
+// those bytes again and leaves no derived entity behind. The vortex commands
+// take one path whatever "index" says, and cache no derived entity on any.
 func TestIndexedPathIsSelected(t *testing.T) {
 	requests := []struct {
 		cmd    string
 		params map[string]string
+		caches bool // the default path caches derived entities
 	}{
-		{"iso.viewer", streamParams()},
-		{"vortex.streamed", Params("dataset", "engine", "workers", "2", "lambda2", "-1000", "redistribute", "1")},
+		{"iso.viewer", streamParams(), true},
+		{"vortex.streamed", Params("dataset", "engine", "workers", "2", "lambda2", "-1000", "redistribute", "1"), false},
 	}
 	run := func(rc *RemoteClient, cmd string, params map[string]string, index string) []byte {
 		t.Helper()
@@ -191,8 +191,14 @@ func TestIndexedPathIsSelected(t *testing.T) {
 		if got := run(rc, r.cmd, r.params, ""); !bytes.Equal(got, refs[i]) {
 			t.Errorf("%s: default path differs from index=0", r.cmd)
 		}
-		if derivedPuts(sys) == before {
-			t.Errorf("%s: default path cached no derived entity — the indexed path was not taken", r.cmd)
+		if cached := derivedPuts(sys) != before; cached != r.caches {
+			t.Errorf("%s: default path cached derived entities: %v, want %v", r.cmd, cached, r.caches)
+		}
+		if !r.caches {
+			run(rc, r.cmd, r.params, "1")
+			if n := derivedPuts(sys); n != before {
+				t.Errorf("%s index=1 cached %d derived entities", r.cmd, n-before)
+			}
 		}
 	}
 
