@@ -62,7 +62,7 @@ vet:
 # mesh, codec and lambda2 hot paths, five runs each to stdout so every
 # number comes with its spread. BENCHMARK.json's end-to-end workloads
 # (make bench-e2e) are the performance record.
-KERNEL_BENCH ?= MarchingTetrahedra|ExtractRangeReuse|MeshWeld|MeshEncodeBinary|MeshDecodeBinary|MeshAppend$$|ComputeNormals|Lambda2Field|StreamedVortexScan|BlockEncodeDecode|SliderSweepScanFull|SliderSweepViewer
+KERNEL_BENCH ?= MarchingTetrahedra|ExtractRangeReuse|MeshWeld|MeshEncodeBinary|MeshDecodeBinary|MeshAppend$$|AssembleStream|ComputeNormals|Lambda2Field|StreamedVortexScan|BlockEncodeDecode|SliderSweepScanFull|SliderSweepViewer
 bench:
 	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem -count 5 .
 
@@ -70,7 +70,7 @@ bench:
 # wildly regressed hot path in seconds without recording numbers. Part of
 # `make check`.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Lambda2Field|StreamedVortexScan|StreamedFrames|SliderStormMemoN4' -benchtime 1x -count=1 .
+	$(GO) test -run '^$$' -bench 'Lambda2Field|StreamedVortexScan|StreamedFrames|SliderStormMemoN4|AssembleStream' -benchtime 1x -count=1 .
 
 # Real-clock end-to-end benchmark over loopback TCP (benchmark/README.md): all
 # four workloads, appended as one report to benchmark/out/$(E2E_OUT).json.
@@ -116,15 +116,17 @@ alloc-guard:
 # the message codec (plain, fault-plan-mutated frames and the message batches
 # of WAL checkpoints), the frame and parameter parsers, the memo-key float
 # canonicalizer, the mesh wire decoder every client runs on its socket, the
-# stored-block decoder, the WAL frame parser (torn/corrupt tails must
-# truncate, never crash or mis-parse) and the WAL checkpoint reader
-# (malformed disk input is rejected or absorbed, never a panic; the minimizer
-# is capped so the short pass spends its time executing), and the server's
+# stored-block parser (each input's CRC-32C re-sealed, so mutations get past
+# the checksum), the WAL frame parser (torn/corrupt tails must truncate, never
+# crash or mis-parse) and the WAL checkpoint reader (malformed disk input is
+# rejected or absorbed, never a panic), and the server's
 # -fault rule parser (no panic, no NaN probability, negative duration or
 # out-of-range count accepted, no allocation sized by a rule's numbers), and
 # the admission parser every decoded command goes through (no panic, an
-# "index" of auto, 0 or 1, one memo key for equal number spellings).
-# FUZZTIME is each target's run time.
+# "index" of auto, 0 or 1, one memo key for equal number spellings). The block
+# and checkpoint targets cap the minimizer, whose default minute per new input
+# would leave a short pass no time to execute. FUZZTIME is each target's run
+# time.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME)
@@ -134,7 +136,7 @@ fuzz:
 	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzFrameIsEncode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzParamParsing -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mesh/ -run=^$$ -fuzz=FuzzDecodeBinary -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/storage/ -run=^$$ -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/storage/ -run=^$$ -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 	$(GO) test ./internal/wal/ -run=^$$ -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
 	$(GO) test . -run=^$$ -fuzz=FuzzCheckpointLoad -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 	$(GO) test ./internal/faults/ -run=^$$ -fuzz=FuzzParseRule -fuzztime=$(FUZZTIME)

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"viracocha/internal/bench"
+	"viracocha/internal/comm"
 	"viracocha/internal/core"
 	"viracocha/internal/dataset"
 	"viracocha/internal/grid"
@@ -459,6 +460,41 @@ func BenchmarkMeshAppend(b *testing.B) {
 			dst.Append(&part)
 		}
 	}
+}
+
+// assembleStream is the iso.viewer stream BenchmarkAssembleStream feeds,
+// captured once per test binary.
+var assembleStream []comm.Message
+
+// BenchmarkAssembleStream is the client's share of a delivered request: one
+// captured iso.viewer stream (engine scale 3, two workers, some 47 partials
+// and the result) fed through a fresh core.StreamAssembler — every partial
+// decoded, the whole merged once when the result arrives.
+func BenchmarkAssembleStream(b *testing.B) {
+	if assembleStream == nil {
+		rc, params := deliverySystem(b, false)
+		assembleStream = captureStream(b, rc, "iso.viewer", params)
+	}
+	var wire int64
+	for _, m := range assembleStream {
+		wire += int64(len(m.Payload))
+	}
+	b.SetBytes(wire)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		asm := core.NewStreamAssembler()
+		for _, m := range assembleStream {
+			if _, _, err := asm.Add(m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if !asm.Done {
+			b.Fatal("the captured stream has no final message")
+		}
+		deliverySink = asm.Merged
+	}
+	b.ReportMetric(float64(len(assembleStream)), "msgs/op")
 }
 
 func BenchmarkComputeNormals(b *testing.B) {

@@ -85,6 +85,85 @@ func TestDeliveryAllocationGuard(t *testing.T) {
 	}
 }
 
+// captureStream sends one command on rc's connection and returns its reply
+// stream in arrival order, each payload cloned out of the connection's reused
+// frame buffer. Every partial is acknowledged as RemoteClient.Run does, so
+// the ranks stream under their usual credit.
+func captureStream(tb testing.TB, rc *RemoteClient, command string, params map[string]string) []comm.Message {
+	tb.Helper()
+	rc.mu.Lock()
+	rc.seq++
+	reqID := rc.seq
+	rc.mu.Unlock()
+	if err := rc.send(comm.Message{Kind: "command", Command: command, ReqID: reqID, Params: params}); err != nil {
+		tb.Fatal(err)
+	}
+	var stream []comm.Message
+	for {
+		m, ok := rc.recv()
+		if !ok {
+			tb.Fatal("connection lost mid-stream")
+		}
+		if m.ReqID != reqID {
+			continue
+		}
+		if m.Kind == "partial" {
+			ack := comm.Message{Kind: "ack", ReqID: reqID, Params: map[string]string{
+				"rank": m.Params["rank"], "sseq": m.Params["sseq"],
+			}}
+			if err := rc.send(ack); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		m.Payload = bytes.Clone(m.Payload)
+		stream = append(stream, m)
+		switch m.Kind {
+		case "result":
+			return stream
+		case "error":
+			tb.Fatalf("%s failed: %s", command, m.Params["error"])
+		}
+	}
+}
+
+// TestRankPartialsArriveInSeqOrder: over TCP, with two workers and no
+// faults, each rank's untagged partials reach the client in increasing seq —
+// cold and warm, for the whole-data and the view-dependent iso.viewer. A
+// client that relies on this could merge each rank's partials as they
+// arrive instead of keeping them all for one sort at the end.
+func TestRankPartialsArriveInSeqOrder(t *testing.T) {
+	sys, ln := serveSystem(t, Options{Workers: 2}, "engine", 3)
+	defer sys.Kill()
+	defer ln.Close()
+	rc, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	whole := Params("dataset", "engine", "step", "0", "workers", "2", "iso", "500")
+	for _, params := range []map[string]string{whole, whole, plainParams(), plainParams()} {
+		last := map[string]int{}
+		partials := 0
+		for _, m := range captureStream(t, rc, "iso.viewer", params) {
+			if m.Kind != "partial" {
+				continue
+			}
+			if _, tagged := m.Params["block"]; tagged {
+				t.Fatalf("a tagged partial in a stream without redistribute: %v", m.Params)
+			}
+			rank := m.Params["rank"]
+			if prev, ok := last[rank]; ok && m.Seq <= prev {
+				t.Fatalf("rank %s: partial seq %d arrived after seq %d", rank, m.Seq, prev)
+			}
+			last[rank] = m.Seq
+			partials++
+		}
+		if len(last) != 2 || partials < 4 {
+			t.Fatalf("%d partials from %d ranks: not the two-rank stream this test is about", partials, len(last))
+		}
+	}
+}
+
 // TestWindowedStreamsLeaveNoGoroutines: a served system whose ranks stall on
 // the viewer's credit returns to its goroutine count of before the requests
 // within 100 ms of the last reply. A slow viewer (a millisecond per partial)

@@ -9,6 +9,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
+
+	"viracocha/internal/mathx"
 )
 
 // sameBits reports two meshes equal array by array: the same nil-ness, the
@@ -233,5 +236,113 @@ func TestCodecRejectsWhatTheReferenceRejects(t *testing.T) {
 	clear(data)
 	if !bytes.Equal(got.EncodeBinary(), refEncode(m)) {
 		t.Fatal("the decoded mesh changed with its input buffer")
+	}
+}
+
+// attributed is a mesh with every array of the wire format: positions,
+// normals, values and indices.
+func attributed() *Mesh {
+	m := soup(3)
+	m.ComputeNormals()
+	for i := 0; i < m.NumVertices(); i++ {
+		m.Values = append(m.Values, float32(i))
+	}
+	return m
+}
+
+// TestDecodeBinaryOwnsItsBytes: overwriting the input after a decode leaves
+// the mesh unchanged on both paths — a client decodes straight out of its
+// connection's reused frame buffer, which the next frame overwrites.
+func TestDecodeBinaryOwnsItsBytes(t *testing.T) {
+	m := attributed()
+	want := refEncode(m)
+	for _, bulk := range []bool{true, false} {
+		data := bytes.Clone(want)
+		got, err := decodeBinary(data, bulk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range data {
+			data[i] = 0xa5
+		}
+		if !bytes.Equal(refEncode(got), want) {
+			t.Fatalf("bulk %v: the decoded mesh changed with its input buffer", bulk)
+		}
+	}
+}
+
+// TestDecodedArraysAreClipped: the four arrays of a decoded mesh share one
+// allocation, each with no capacity past its length, so appending to one
+// never changes another.
+func TestDecodedArraysAreClipped(t *testing.T) {
+	m := attributed()
+	want := refEncode(m)
+	for _, bulk := range []bool{true, false} {
+		got, err := decodeBinary(want, bulk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(got.Positions) != len(got.Positions) || cap(got.Normals) != len(got.Normals) ||
+			cap(got.Values) != len(got.Values) || cap(got.Indices) != len(got.Indices) {
+			t.Fatalf("bulk %v: a decoded array has capacity past its length", bulk)
+		}
+		got.Positions = append(got.Positions, 7, 7, 7)
+		got.Normals = append(got.Normals, 7, 7, 7)
+		got.Values = append(got.Values, 7)
+		got.Indices = append(got.Indices, 0, 0, 0)
+		trimmed := &Mesh{
+			Positions: got.Positions[:len(m.Positions)], Normals: got.Normals[:len(m.Normals)],
+			Values: got.Values[:len(m.Values)], Indices: got.Indices[:len(m.Indices)],
+		}
+		if !bytes.Equal(refEncode(trimmed), want) {
+			t.Fatalf("bulk %v: appending to one decoded array changed another", bulk)
+		}
+	}
+}
+
+// TestDecodeSweepBothPaths: every vertex count from 0 to 64 under each
+// normals/values flag decodes to the same mesh on the bulk and the portable
+// path, and to the reference's, each array four-byte aligned. Under -race,
+// checkptr also checks that no typed view reaches past the decoded clone.
+func TestDecodeSweepBothPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	for nv := 0; nv <= 64; nv++ {
+		for flags := 0; flags < 4; flags++ {
+			m := &Mesh{}
+			for i := 0; i < nv; i++ {
+				m.AddVertex(mathx.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()})
+				if flags&2 != 0 {
+					m.Values = append(m.Values, rng.Float32())
+				}
+			}
+			for i := 0; nv > 0 && i < nv; i++ {
+				m.AddTriangle(uint32(rng.Intn(nv)), uint32(rng.Intn(nv)), uint32(rng.Intn(nv)))
+			}
+			if flags&1 != 0 {
+				m.ComputeNormals()
+			}
+			data := refEncode(m)
+			want, err := refDecode(data)
+			if err != nil {
+				t.Fatalf("%d vertices, flags %d: the reference rejects its own encoding: %v", nv, flags, err)
+			}
+			bulk, err := decodeBinary(data, true)
+			if err != nil {
+				t.Fatalf("%d vertices, flags %d, bulk: %v", nv, flags, err)
+			}
+			portable, err := decodeBinary(data, false)
+			if err != nil {
+				t.Fatalf("%d vertices, flags %d, portable: %v", nv, flags, err)
+			}
+			if !sameBits(bulk, portable) || !sameBits(bulk, want) {
+				t.Fatalf("%d vertices, flags %d: the bulk and portable decodes differ", nv, flags)
+			}
+			for _, w := range [][]byte{wordBytes(bulk.Positions), wordBytes(bulk.Normals),
+				wordBytes(bulk.Values), wordBytes(bulk.Indices)} {
+				if uintptr(unsafe.Pointer(unsafe.SliceData(w)))%4 != 0 {
+					t.Fatalf("%d vertices, flags %d: a decoded array is misaligned", nv, flags)
+				}
+			}
+		}
 	}
 }

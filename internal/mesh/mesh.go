@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -106,14 +107,25 @@ func (m *Mesh) Append(other *Mesh) {
 			m.Values = nil
 		}
 	}
-	// Single grow, then offset in place — no per-element append.
 	at := len(m.Indices)
-	m.Indices = append(m.Indices, other.Indices...)
-	if base != 0 {
-		moved := m.Indices[at:]
-		for i := range moved {
-			moved[i] += base
-		}
+	m.Indices = slices.Grow(m.Indices, len(other.Indices))[:at+len(other.Indices)]
+	rebase(m.Indices[at:], other.Indices, base)
+}
+
+// rebase writes src offset by base into dst: one pass that copies and
+// offsets at once, four indices a step, and a plain copy at base 0.
+func rebase(dst, src []uint32, base uint32) {
+	if base == 0 {
+		copy(dst, src)
+		return
+	}
+	dst = dst[:len(src)]
+	for len(src) >= 4 && len(dst) >= 4 {
+		dst[0], dst[1], dst[2], dst[3] = src[0]+base, src[1]+base, src[2]+base, src[3]+base
+		dst, src = dst[4:], src[4:]
+	}
+	for i, ix := range src {
+		dst[i] = ix + base
 	}
 }
 
@@ -336,11 +348,16 @@ func (m *Mesh) appendBinary(dst []byte, bulk bool) []byte {
 	return dst
 }
 
-// DecodeBinary parses the wire format produced by EncodeBinary.
+// DecodeBinary parses the wire format produced by EncodeBinary. The mesh
+// owns its arrays: they never alias data, so the caller may reuse data at
+// once.
 func DecodeBinary(data []byte) (*Mesh, error) { return decodeBinary(data, nativeLE) }
 
-// decodeBinary is DecodeBinary, each array copied in bulk or element by
-// element as in appendBinary.
+// decodeBinary is DecodeBinary. The body after the header is cloned in one
+// allocation, and the four arrays are capacity-clipped views of the clone —
+// appending to one never reaches another. On a host that does not read the
+// wire order natively (bulk false), the clone's words are first rewritten
+// in place, element by element.
 func decodeBinary(data []byte, bulk bool) (*Mesh, error) {
 	if len(data) < 16 {
 		return nil, errors.New("mesh: truncated header")
@@ -371,24 +388,48 @@ func decodeBinary(data []byte, bulk bool) (*Mesh, error) {
 	if len(data) != need {
 		return nil, fmt.Errorf("mesh: size %d, want %d", len(data), need)
 	}
-	data = data[16:]
-	next := func(n int) []byte {
-		b := data[:4*n]
-		data = data[4*n:]
-		return b
+	// append, not make: the clone is not zero-filled before the copy.
+	body := append([]byte(nil), data[16:]...)
+	words := wordsOf(body)
+	if !bulk {
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint32(body[4*i:])
+		}
+	}
+	next := func(n int) []uint32 {
+		w := words[:n:n]
+		words = words[n:]
+		return w
 	}
 	m := &Mesh{}
-	m.Positions = getWords[float32](next(3*nv), bulk)
+	m.Positions = floats(next(3 * nv))
 	if flags&1 != 0 {
-		m.Normals = getWords[float32](next(3*nv), bulk)
+		m.Normals = floats(next(3 * nv))
 	}
 	if flags&2 != 0 {
-		m.Values = getWords[float32](next(nv), bulk)
+		m.Values = floats(next(nv))
 	}
-	m.Indices = getWords[uint32](next(ni), bulk)
-	for _, ix := range m.Indices {
-		if int(ix) >= nv {
-			return nil, fmt.Errorf("mesh: index %d out of range (%d vertices)", ix, nv)
+	if ni > 0 {
+		m.Indices = next(ni)
+	}
+	// One branch-free reduction checks every index: nv-1-ix is negative for
+	// an index out of range, so the OR of them all is. It carries no
+	// compare-and-move chain, unlike a max, and takes four indices a step.
+	// Only a failure scans again, for the first offender.
+	var under int64
+	lim, idx := int64(nv)-1, m.Indices
+	for len(idx) >= 4 {
+		under |= (lim - int64(idx[0])) | (lim - int64(idx[1])) | (lim - int64(idx[2])) | (lim - int64(idx[3]))
+		idx = idx[4:]
+	}
+	for _, ix := range idx {
+		under |= lim - int64(ix)
+	}
+	if under < 0 {
+		for _, ix := range m.Indices {
+			if int(ix) >= nv {
+				return nil, fmt.Errorf("mesh: index %d out of range (%d vertices)", ix, nv)
+			}
 		}
 	}
 	return m, nil
@@ -409,6 +450,20 @@ func wordBits[T word](s []T) []uint32 {
 	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
+// wordsOf is the memory of b, whose length is a multiple of four and whose
+// array the allocator aligned, as uint32s.
+func wordsOf(b []byte) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4)
+}
+
+// floats is the memory of w as float32s, nil when w is empty.
+func floats(w []uint32) []float32 {
+	if len(w) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(w))), len(w))
+}
+
 // putWords writes s into buf in wire order and returns the bytes written.
 func putWords[T word](buf []byte, s []T, bulk bool) int {
 	if bulk {
@@ -418,24 +473,6 @@ func putWords[T word](buf []byte, s []T, bulk bool) int {
 		binary.LittleEndian.PutUint32(buf[4*i:], w)
 	}
 	return 4 * len(s)
-}
-
-// getWords decodes the wire words of b into a new array, nil when b is
-// empty.
-func getWords[T word](b []byte, bulk bool) []T {
-	if len(b) == 0 {
-		return nil
-	}
-	out := make([]T, len(b)/4)
-	if bulk {
-		copy(wordBytes(out), b)
-		return out
-	}
-	bits := wordBits(out)
-	for i := range bits {
-		bits[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return out
 }
 
 // SizeBytes reports the wire size of the mesh, used by the communication

@@ -144,6 +144,11 @@ func DecodeBlock(data []byte) (*grid.Block, error) {
 	if ni < 2 || nj < 2 || nk < 2 || uint64(ni)*uint64(nj)*uint64(nk) > 1<<28 {
 		return nil, fmt.Errorf("storage: implausible dims %d×%d×%d", ni, nj, nk)
 	}
+	// Points and velocity take 24 bytes a node: dims the body cannot hold
+	// fail before they size an allocation.
+	if uint64(len(data)-off) < 24*uint64(ni)*uint64(nj)*uint64(nk) {
+		return nil, errors.New("storage: truncated block")
+	}
 	b := grid.NewBlock(grid.BlockID{Dataset: dsName, Step: int(step), Block: int(blk)}, int(ni), int(nj), int(nk))
 	getFloats := func(dst []float32) error {
 		for i := range dst {
@@ -168,11 +173,18 @@ func DecodeBlock(data []byte) (*grid.Block, error) {
 	if nf > 64 {
 		return nil, fmt.Errorf("storage: implausible field count %d", nf)
 	}
+	prev := ""
 	for i := uint32(0); i < nf; i++ {
 		name, err := getStr()
 		if err != nil {
 			return nil, err
 		}
+		// The encoder writes the fields sorted by name, so a repeated or
+		// out-of-order name is not a block it wrote.
+		if i > 0 && name <= prev {
+			return nil, fmt.Errorf("storage: field %q after %q", name, prev)
+		}
+		prev = name
 		f := b.EnsureScalar(name)
 		if err := getFloats(f); err != nil {
 			return nil, err

@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -25,6 +28,43 @@ func TestBlockChecksumDetectsBitFlips(t *testing.T) {
 	}
 	if _, err := DecodeBlock(good); err != nil {
 		t.Fatalf("pristine frame rejected: %v", err)
+	}
+}
+
+// TestDecodeBlockSizesNothingByItsHeader: a sealed frame whose dims claim
+// far more nodes than its body holds, or that repeats a field, is rejected —
+// the first before it allocates the arrays its dims describe.
+func TestDecodeBlockSizesNothingByItsHeader(t *testing.T) {
+	le := binary.LittleEndian
+	hdr := le.AppendUint32(nil, blockMagic)
+	hdr = append(le.AppendUint32(hdr, 1), 'x') // dataset "x"
+	for _, v := range []uint32{0, 0, 128, 128, 128} {
+		hdr = le.AppendUint32(hdr, v) // step, block, dims
+	}
+	frame := sealed(append(hdr, make([]byte, 64)...))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBlock(frame)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a frame too short for its dims decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting a %d-byte frame allocated %d bytes", len(frame), grew)
+	}
+
+	b := testBlock()
+	f := make([]float32, b.NumNodes())
+	b.Scalars = map[string][]float32{"aa": f, "bb": f}
+	good := EncodeBlock(b)
+	if _, err := DecodeBlock(good); err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.LastIndex(good, []byte("bb"))
+	dup := bytes.Clone(good[:len(good)-4])
+	copy(dup[at:], "aa") // the second field repeats the first's name
+	if _, err := DecodeBlock(sealed(dup)); err == nil {
+		t.Fatal("a repeated field name decoded")
 	}
 }
 
