@@ -59,10 +59,10 @@ vet:
 	@f=$$(gofmt -l .); test -z "$$f" || { echo "gofmt -l lists files that need formatting:"; echo "$$f"; exit 1; }
 
 # Kernel micro-benchmarks (real wall time, not virtual): the extraction,
-# mesh, codec and lambda2 hot paths, five runs each to stdout so every
+# mesh, codec, DMS miss and lambda2 hot paths, five runs each to stdout so every
 # number comes with its spread. BENCHMARK.json's end-to-end workloads
 # (make bench-e2e) are the performance record.
-KERNEL_BENCH ?= MarchingTetrahedra|ExtractRangeReuse|MeshWeld|MeshEncodeBinary|MeshDecodeBinary|MeshAppend$$|AssembleStream|ComputeNormals|Lambda2Field|StreamedVortexScan|BlockEncodeDecode|SliderSweepScanFull|SliderSweepViewer
+KERNEL_BENCH ?= MarchingTetrahedra|ExtractRangeReuse|MeshWeld|MeshEncodeBinary|MeshDecodeBinary|MeshAppend$$|AssembleStream|ComputeNormals|Lambda2Field|StreamedVortexScan|BlockEncodeDecode|DMSColdStep|SliderSweepScanFull|SliderSweepViewer
 bench:
 	$(GO) test -run '^$$' -bench '$(KERNEL_BENCH)' -benchmem -count 5 .
 
@@ -70,7 +70,7 @@ bench:
 # wildly regressed hot path in seconds without recording numbers. Part of
 # `make check`.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Lambda2Field|StreamedVortexScan|StreamedFrames|SliderStormMemoN4|AssembleStream' -benchtime 1x -count=1 .
+	$(GO) test -run '^$$' -bench 'Lambda2Field|StreamedVortexScan|StreamedFrames|SliderStormMemoN4|AssembleStream|DMSColdStep' -benchtime 1x -count=1 .
 
 # Real-clock end-to-end benchmark over loopback TCP (benchmark/README.md): all
 # four workloads, appended as one report to benchmark/out/$(E2E_OUT).json.
@@ -123,7 +123,9 @@ alloc-guard:
 # -fault rule parser (no panic, no NaN probability, negative duration or
 # out-of-range count accepted, no allocation sized by a rule's numbers), and
 # the admission parser every decoded command goes through (no panic, an
-# "index" of auto, 0 or 1, one memo key for equal number spellings). The block
+# "index" of auto, 0 or 1, one memo key for equal number spellings), and the
+# client's session-script parser (no panic; an accepted script has steps,
+# each with a command and no negative think time). The block
 # and checkpoint targets cap the minimizer, whose default minute per new input
 # would leave a short pass no time to execute. FUZZTIME is each target's run
 # time.
@@ -141,6 +143,7 @@ fuzz:
 	$(GO) test . -run=^$$ -fuzz=FuzzCheckpointLoad -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 	$(GO) test ./internal/faults/ -run=^$$ -fuzz=FuzzParseRule -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run=^$$ -fuzz=FuzzParseRequest -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/session/ -run=^$$ -fuzz=FuzzSessionDecode -fuzztime=$(FUZZTIME)
 
 # Code size as simplicity PRs report it, before and after: non-test Go lines
 # outside benchmark/ (tracked files), the server's flag definitions, the

@@ -21,10 +21,13 @@ import (
 	"viracocha/internal/comm"
 	"viracocha/internal/core"
 	"viracocha/internal/dataset"
+	"viracocha/internal/dms"
 	"viracocha/internal/grid"
 	"viracocha/internal/iso"
+	"viracocha/internal/loader"
 	"viracocha/internal/mathx"
 	"viracocha/internal/mesh"
+	"viracocha/internal/prefetch"
 	"viracocha/internal/storage"
 	"viracocha/internal/vclock"
 	"viracocha/internal/vortex"
@@ -113,6 +116,39 @@ func BenchmarkBlockEncodeDecode(b *testing.B) {
 		data := storage.EncodeBlock(blk)
 		if _, err := storage.DecodeBlock(data); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDMSColdStep is the DMS miss path of the cold time sweep: one
+// propfan scale-1 step (144 block files) read through a real-clock, unpriced
+// proxy whose caches were just dropped, with a second proxy registered as a
+// peer and no system prefetching. An op is the 144 misses.
+func BenchmarkDMSColdStep(b *testing.B) {
+	desc := dataset.Propfan()
+	be := &storage.DirBackend{Root: b.TempDir()}
+	ids := make([]grid.BlockID, desc.Blocks)
+	for i := range ids {
+		blk := desc.Generate(0, i)
+		if err := be.Put(blk); err != nil {
+			b.Fatal(err)
+		}
+		ids[i] = blk.ID
+	}
+	clk := vclock.NewReal()
+	cfg := dms.DefaultConfig()
+	cfg.Prices = dms.Prices{}
+	srv := dms.NewServer(clk, cfg, &loader.DeviceSource{Dev: storage.NewDevice("dir", be, clk, 0, 0, 2)})
+	p := srv.NewProxy("n0", prefetch.None{})
+	srv.NewProxy("n1", prefetch.None{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.DropCaches()
+		for _, id := range ids {
+			if _, err := p.Get(id); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -43,6 +43,23 @@ type Message struct {
 	// cannot cross TCP or reach the WAL, and WireSize does not count it. It
 	// must not change after the send: a duplicating link delivers it twice.
 	Body any
+
+	// seal holds Payload's CRC-32C once SealPayload took it, so that every
+	// framing of a payload sent many times reads only its own head.
+	seal payloadSeal
+}
+
+// payloadSeal is a sealed payload's CRC-32C and its crcShift.
+type payloadSeal struct {
+	sum, shift uint32
+	ok         bool
+}
+
+// SealPayload takes the payload's CRC-32C once, for a message that is framed
+// many times (a memo packet, stamped for every subscriber). The payload must
+// not change afterwards; copies of the message carry the seal.
+func (m *Message) SealPayload() {
+	m.seal = payloadSeal{crc32.Checksum(m.Payload, castagnoli), crcShift(len(m.Payload)), true}
 }
 
 // WireSize reports the encoded size of the message, used by transfer cost
@@ -135,8 +152,20 @@ func NewFrame(m Message) Frame { return StampFrame(m, "", "") }
 func StampFrame(m Message, key, val string) Frame {
 	n := int(m.WireSize()) - len(m.Payload) + 8 + len(key) + len(val) // room for the stamp
 	head := AppendHead(make([]byte, 0, n), m, len(m.Payload), key, val)
-	buf := binary.LittleEndian.AppendUint32(head, Checksum(head, m.Payload))
+	var sum uint32
+	if m.seal.ok {
+		sum = mulModP(m.seal.shift, crc32.Checksum(head, castagnoli)) ^ m.seal.sum
+	} else {
+		sum = Checksum(head, m.Payload)
+	}
+	buf := binary.LittleEndian.AppendUint32(head, sum)
 	return Frame{Head: buf[:len(head)], Payload: m.Payload, Sum: buf[len(head):]}
+}
+
+// SumAfter is the CRC-32C of prefix‖Head‖Payload‖Sum. It reads only prefix:
+// a frame ends in its own checksum, so its part is the fixed residue.
+func (f Frame) SumAfter(prefix []byte) uint32 {
+	return CombineChecksum(crc32.Checksum(prefix, castagnoli), frameResidue, f.Len())
 }
 
 // Len is the encoded size: what the length prefix in front of a frame says.

@@ -105,8 +105,10 @@ type memoEntry struct {
 }
 
 // append logs one relayed packet and wakes parked forwarders. The final
-// packet latches completion (and failure, if it is an error).
+// packet latches completion (and failure, if it is an error). The packet's
+// payload checksum is taken here, once for all its subscribers' frames.
 func (e *memoEntry) append(m comm.Message) {
+	m.SealPayload()
 	e.mu.Lock()
 	e.log = append(e.log, m)
 	if m.Final {

@@ -10,6 +10,7 @@ import (
 	"viracocha/internal/comm"
 	"viracocha/internal/dms"
 	"viracocha/internal/faults"
+	"viracocha/internal/grid"
 	"viracocha/internal/vclock"
 )
 
@@ -555,7 +556,7 @@ func TestMemoIndexBoundedByCache(t *testing.T) {
 			cfg.Memo = memo
 			cfg.DMS.MemBudget = budget
 		})
-		before := rt.DMS.Names.Resolve(dms.ItemName{Source: "sentinel/before"})
+		before := rt.DMS.Names.Resolve(dms.ItemName{Block: grid.BlockID{Dataset: "sentinel/before"}})
 		var err error
 		v.Go(func() {
 			cl := NewClient(rt)
@@ -570,7 +571,7 @@ func TestMemoIndexBoundedByCache(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run failed: %v", err)
 		}
-		return rt, rt.DMS.Names.Resolve(dms.ItemName{Source: "sentinel/after"}) - before
+		return rt, rt.DMS.Names.Resolve(dms.ItemName{Block: grid.BlockID{Dataset: "sentinel/after"}}) - before
 	}
 	rt, _ := run(0, 1, true)
 	one := rt.Sched.MemoStats().BytesCached

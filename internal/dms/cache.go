@@ -156,17 +156,18 @@ func (c *Cache) Peek(id ItemID) (Entity, bool) {
 // whole cache are rejected (returned in Evicted with ok=false semantics is
 // avoided; they are simply not cached and counted).
 func (c *Cache) Put(id ItemID, item Entity, prefetched bool) []Evicted {
-	ev, _ := c.put(id, item, prefetched)
+	ev, _ := c.put(id, item, prefetched, nil)
 	return ev
 }
 
 // PutOK is Put, additionally reporting whether the item actually resides in
 // the cache afterwards (false when rejected for size or memory budget).
 func (c *Cache) PutOK(id ItemID, item Entity, prefetched bool) ([]Evicted, bool) {
-	return c.put(id, item, prefetched)
+	return c.put(id, item, prefetched, nil)
 }
 
-func (c *Cache) put(id ItemID, item Entity, prefetched bool) ([]Evicted, bool) {
+// put is PutOK appending the evicted items to out.
+func (c *Cache) put(id ItemID, item Entity, prefetched bool, out []Evicted) ([]Evicted, bool) {
 	size := item.SizeBytes()
 	derived := IsDerived(item)
 	c.mu.Lock()
@@ -178,13 +179,12 @@ func (c *Cache) put(id ItemID, item Entity, prefetched bool) ([]Evicted, bool) {
 		if !prefetched {
 			e.prefetched = false
 		}
-		return nil, true
+		return out, true
 	}
 	if size > c.capacity {
 		c.stats.RejectedLarge++
-		return nil, false
+		return out, false
 	}
-	var out []Evicted
 	for c.used+size > c.capacity {
 		vid, ok := c.victimLocked()
 		if !ok {
@@ -321,7 +321,10 @@ func (t *Tiered) Put(id ItemID, item Entity, prefetched bool) bool {
 }
 
 func (t *Tiered) insertL1(id ItemID, item Entity, prefetched bool) bool {
-	spilled, ok := t.L1.PutOK(id, item, prefetched)
+	// A budgeted insert evicts on nearly every miss: the victims go through
+	// stack buffers, the secondary tier's own ones straight to the floor.
+	var spillBuf, dropBuf [4]Evicted
+	spilled, ok := t.L1.put(id, item, prefetched, spillBuf[:0])
 	if t.L2 == nil {
 		return ok
 	}
@@ -329,7 +332,7 @@ func (t *Tiered) insertL1(id ItemID, item Entity, prefetched bool) bool {
 		if t.SpillCost != nil {
 			t.Clock.Sleep(t.SpillCost(ev.Size))
 		}
-		t.L2.Put(ev.ID, ev.Item, false)
+		t.L2.put(ev.ID, ev.Item, false, dropBuf[:0])
 	}
 	return ok
 }

@@ -36,8 +36,8 @@ func TestDerivedItemNaming(t *testing.T) {
 		seen[n.String()] = true
 	}
 	// A derived entity shares its block's source: kind "bsp:<field>".
-	want := ItemName{Source: "tiny/t000/b003", Type: "bsp:pressure", Format: "tree"}
-	if BSPItem(id, "pressure") != want {
+	want := ItemName{Block: id, kind: kindBSP, Field: "pressure"}
+	if BSPItem(id, "pressure") != want || want.String() != "tiny/t000/b003:bsp:pressure:tree" {
 		t.Fatalf("BSPItem = %+v, want %+v", BSPItem(id, "pressure"), want)
 	}
 }

@@ -20,12 +20,12 @@ func tinyID(step, block int) grid.BlockID {
 
 func TestItemNaming(t *testing.T) {
 	n := BlockItem(tinyID(0, 3))
-	if n.Source != "tiny/t000/b003" || n.Type != "block" {
+	if n.Block != tinyID(0, 3) || n.String() != "tiny/t000/b003:block:vrb" {
 		t.Fatalf("name = %+v", n)
 	}
 	c := CoarseBlockItem(tinyID(0, 3), 2)
-	if c.Params != "level=2" {
-		t.Fatalf("coarse params = %q", c.Params)
+	if c.Level != 2 || c.String() != "tiny/t000/b003:block:vrb?level=2" {
+		t.Fatalf("coarse name = %q", c)
 	}
 	if CoarseBlockItem(tinyID(0, 3), 0) != n {
 		t.Fatal("level 0 must equal the full-resolution name")

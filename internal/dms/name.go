@@ -7,52 +7,72 @@
 package dms
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 
 	"viracocha/internal/grid"
 )
 
-// ItemName fully names a data item: a source, a data type and format, and an
-// optional parameter list. Distinct items may derive from the same source
+// ItemName fully names a data item: the block it derives from, its entity
+// kind and format, and a parameter list (the BSP tree's field, the
+// multi-resolution level). Distinct items may derive from the same source
 // file (e.g. the same block at different resolution levels), which is why
-// file names alone are inadequate (paper §4).
+// file names alone are inadequate (paper §4). The name is a typed,
+// comparable key: building one formats nothing, and two names are equal
+// exactly when block, kind, field and level are.
 type ItemName struct {
-	Source string // e.g. "engine/t003/b007"
-	Type   string // e.g. "block"
-	Format string // e.g. "vrb"
-	Params string // e.g. "level=2", "" for the full-resolution item
+	Block grid.BlockID
+	kind  itemKind
+	Field string // the field a BSP tree orders; "" for a block
+	Level int    // multi-resolution level; 0 is the full-resolution item
 }
 
-// String renders the canonical form used in logs.
+// itemKind is an item's entity kind, which also fixes its format.
+type itemKind uint8
+
+const (
+	kindBlock itemKind = iota // a grid block, format "vrb"
+	kindBSP                   // a BSP tree over one field, format "tree"
+)
+
+// String renders the canonical form used in logs:
+// "engine/t003/b007:block:vrb", "…:bsp:pressure:tree", "…?level=2".
 func (n ItemName) String() string {
-	s := n.Source + ":" + n.Type + ":" + n.Format
-	if n.Params != "" {
-		s += "?" + n.Params
+	s := n.Block.AppendText(make([]byte, 0, 64))
+	if n.kind == kindBSP {
+		s = append(s, ":bsp:"...)
+		s = append(s, n.Field...)
+		s = append(s, ":tree"...)
+	} else {
+		s = append(s, ":block:vrb"...)
 	}
-	return s
+	if n.Level > 0 {
+		s = append(s, "?level="...)
+		s = strconv.AppendInt(s, int64(n.Level), 10)
+	}
+	return string(s)
 }
 
 // BlockItem is the ItemName of a full-resolution grid block.
 func BlockItem(id grid.BlockID) ItemName {
-	return ItemName{Source: id.String(), Type: "block", Format: "vrb"}
+	return ItemName{Block: id, kind: kindBlock}
 }
 
 // CoarseBlockItem is the ItemName of a block subsampled to the given
-// multi-resolution level.
+// multi-resolution level; level 0 (or less) names the full-resolution block.
 func CoarseBlockItem(id grid.BlockID, level int) ItemName {
 	n := BlockItem(id)
 	if level > 0 {
-		n.Params = fmt.Sprintf("level=%d", level)
+		n.Level = level
 	}
 	return n
 }
 
 // BSPItem is the ItemName of the view-dependent BSP tree over one block's
-// field (entity kind "bsp:<field>"). It shares the parent block's source, so
-// the name service keeps the relationship visible.
+// field. It shares the parent block's source, so the name service keeps the
+// relationship visible.
 func BSPItem(id grid.BlockID, field string) ItemName {
-	return ItemName{Source: id.String(), Type: "bsp:" + field, Format: "tree"}
+	return ItemName{Block: id, kind: kindBSP, Field: field}
 }
 
 // ItemID is the unambiguous identifier a NameServer assigns to an ItemName.

@@ -85,10 +85,13 @@ type Server struct {
 	Names  *NameServer
 	Config Config
 
-	mu       sync.Mutex
-	sources  []loader.Source
-	proxies  []*Proxy
-	fetching map[ItemID]map[string]bool
+	mu      sync.Mutex
+	sources []loader.Source
+	// proxies is copy-on-write: registering or dropping a proxy replaces
+	// the slice, so a reader holding the header iterates without a copy.
+	proxies []*Proxy
+	// fetching maps an item to the one node registered as loading it.
+	fetching map[ItemID]string
 	budget   *Budget
 	hot      []grid.BlockID // demand hot-set, most recent first, ≤ hotCap
 }
@@ -102,7 +105,7 @@ const hotCap = 32
 // (devices such as the local disk and the network file server).
 func NewServer(c vclock.Clock, cfg Config, sources ...loader.Source) *Server {
 	return &Server{Clock: c, Names: NewNameServer(), Config: cfg, sources: sources,
-		fetching: map[ItemID]map[string]bool{}, budget: NewBudget(cfg.MemBudget)}
+		fetching: map[ItemID]string{}, budget: NewBudget(cfg.MemBudget)}
 }
 
 // Budget returns the server-wide memory budget (nil = unlimited).
@@ -154,9 +157,17 @@ func (s *Server) NewProxy(node string, pf prefetch.Prefetcher) *Proxy {
 	p.OnDemand = s.NoteDemand
 
 	s.mu.Lock()
-	s.proxies = append(s.proxies, p)
+	s.proxies = append(s.proxies[:len(s.proxies):len(s.proxies)], p)
 	s.mu.Unlock()
 	return p
+}
+
+// peers returns the registered proxies. The slice is shared, never written:
+// NewProxy and DropProxy replace it.
+func (s *Server) peers() []*Proxy {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.proxies
 }
 
 // NoteDemand records a demand-block access in the server's bounded recency
@@ -197,8 +208,7 @@ func (s *Server) HotSet() []grid.BlockID {
 // that will never finish.
 func (s *Server) DropProxy(node string) {
 	s.mu.Lock()
-	kept := s.proxies[:0]
-	var dropped []*Proxy
+	var kept, dropped []*Proxy
 	for _, p := range s.proxies {
 		if p.Node == node {
 			dropped = append(dropped, p)
@@ -207,9 +217,8 @@ func (s *Server) DropProxy(node string) {
 		}
 	}
 	s.proxies = kept
-	for item, m := range s.fetching {
-		delete(m, node)
-		if len(m) == 0 {
+	for item, owner := range s.fetching {
+		if owner == node {
 			delete(s.fetching, item)
 		}
 	}
@@ -226,10 +235,7 @@ func (s *Server) DropProxy(node string) {
 func (s *Server) peerSource(self *Proxy) loader.Source {
 	find := func(id grid.BlockID) (*grid.Block, bool) {
 		item := s.Names.Resolve(BlockItem(id))
-		s.mu.Lock()
-		peers := append([]*Proxy(nil), s.proxies...)
-		s.mu.Unlock()
-		for _, q := range peers {
+		for _, q := range s.peers() {
 			if q == self {
 				continue
 			}
@@ -271,10 +277,7 @@ func (s *Server) peerSource(self *Proxy) loader.Source {
 // Like the block peer source, the cooperative cache is greedy — no duplicate
 // deletion (paper §4.3).
 func (s *Server) FetchEntity(self *Proxy, item ItemID) (Entity, bool) {
-	s.mu.Lock()
-	peers := append([]*Proxy(nil), s.proxies...)
-	s.mu.Unlock()
-	for _, q := range peers {
+	for _, q := range s.peers() {
 		if q == self {
 			continue
 		}
@@ -305,33 +308,25 @@ func (e *PeerMissError) Error() string {
 }
 
 // TryBeginFetch implements Coordinator: it registers node as fetching the
-// item and reports false when some other node is already fetching it.
+// item and reports false, registering nothing, when some other node is
+// already fetching it. So an item has at most one registered fetcher.
 func (s *Server) TryBeginFetch(item ItemID, node string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.fetching[item]
-	for other := range m {
-		if other != node {
-			return false
-		}
+	if owner, ok := s.fetching[item]; ok && owner != node {
+		return false
 	}
-	if m == nil {
-		m = map[string]bool{}
-		s.fetching[item] = m
-	}
-	m[node] = true
+	s.fetching[item] = node
 	return true
 }
 
-// EndFetch implements Coordinator.
+// EndFetch implements Coordinator: it ends node's registration, if it holds
+// one.
 func (s *Server) EndFetch(item ItemID, node string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m, ok := s.fetching[item]; ok {
-		delete(m, node)
-		if len(m) == 0 {
-			delete(s.fetching, item)
-		}
+	if owner, ok := s.fetching[item]; ok && owner == node {
+		delete(s.fetching, item)
 	}
 }
 

@@ -7,6 +7,7 @@ package grid
 
 import (
 	"fmt"
+	"strconv"
 
 	"viracocha/internal/mathx"
 )
@@ -23,7 +24,36 @@ type BlockID struct {
 // String renders the ID in the canonical "dataset/tNNN/bNNN" form used by
 // the naming service.
 func (id BlockID) String() string {
-	return fmt.Sprintf("%s/t%03d/b%03d", id.Dataset, id.Step, id.Block)
+	return string(id.AppendText(nil))
+}
+
+// AppendText appends the canonical form of String to dst: the same text as
+// fmt's "%s/t%03d/b%03d", built without fmt.
+func (id BlockID) AppendText(dst []byte) []byte {
+	dst = append(dst, id.Dataset...)
+	dst = append(dst, "/t"...)
+	dst = appendPad3(dst, id.Step)
+	dst = append(dst, "/b"...)
+	return appendPad3(dst, id.Block)
+}
+
+// appendPad3 appends v as fmt's %03d does: zero-padded to three characters,
+// the sign counted among them.
+func appendPad3(dst []byte, v int) []byte {
+	var d [24]byte
+	s := strconv.AppendInt(d[:0], int64(v), 10)
+	if s[0] == '-' {
+		dst = append(dst, '-')
+		s = s[1:]
+		if len(s) < 2 {
+			dst = append(dst, '0')
+		}
+	} else {
+		for n := len(s); n < 3; n++ {
+			dst = append(dst, '0')
+		}
+	}
+	return append(dst, s...)
 }
 
 // Block is a structured curvilinear grid block: NI×NJ×NK nodes with physical

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -545,6 +546,17 @@ func TestCellOffsetsMatchCellCorners(t *testing.T) {
 				t.Fatalf("cell %v corner %d: offset path %d, CellCorners %d",
 					c, n, base+off[n], corners[n])
 			}
+		}
+	}
+}
+
+// TestBlockIDStringIsSprintf pins String to the "%s/t%03d/b%03d" text it
+// rendered through fmt, signs and widths past three digits included.
+func TestBlockIDStringIsSprintf(t *testing.T) {
+	for _, v := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 123456, -1, -9, -10, -99, -100, -1000} {
+		id := BlockID{Dataset: "ds", Step: v, Block: -v}
+		if got, want := id.String(), fmt.Sprintf("%s/t%03d/b%03d", id.Dataset, id.Step, id.Block); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -136,38 +135,45 @@ func (s *Selector) AddSource(src Source) {
 	s.mu.Unlock()
 }
 
-// rank returns sources able to supply id, ordered by ascending fitness:
-// predicted cost plus the expected cost of failed attempts,
-// FailurePenalty·(1−reliability).
-func (s *Selector) rank(id grid.BlockID) []Source {
+// maxRanked is how many sources a load ranks without allocating: base
+// devices plus the peer source are a handful. More still rank, on the heap.
+const maxRanked = 8
+
+// rank appends to dst the sources able to supply id, ordered by ascending
+// fitness: predicted cost plus the expected cost of failed attempts,
+// FailurePenalty·(1−reliability). Equal fitness keeps registration order.
+func (s *Selector) rank(id grid.BlockID, dst []Source) []Source {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	type scored struct {
-		src Source
-		fit float64
-	}
-	var cands []scored
+	var fitBuf [maxRanked]float64
+	fits := fitBuf[:0]
 	for _, src := range s.sources {
 		if !src.Available(id) {
 			continue
 		}
 		rel := s.obs[src.Name()].reliability
 		fit := src.EstimateCost(id).Seconds() + s.FailurePenalty.Seconds()*(1-rel)
-		cands = append(cands, scored{src, fit})
+		// Stable insertion: after every candidate that is not fitter.
+		i := len(fits)
+		for i > 0 && fits[i-1] > fit {
+			i--
+		}
+		fits = append(fits, 0)
+		copy(fits[i+1:], fits[i:])
+		fits[i] = fit
+		dst = append(dst, nil)
+		copy(dst[i+1:], dst[i:])
+		dst[i] = src
 	}
-	sort.SliceStable(cands, func(a, b int) bool { return cands[a].fit < cands[b].fit })
-	out := make([]Source, len(cands))
-	for i, c := range cands {
-		out[i] = c.src
-	}
-	return out
+	return dst
 }
 
 // Decide charges the decision round trip and returns the preferred source
 // for id. It is exported for observability; Load already calls it.
 func (s *Selector) Decide(id grid.BlockID) (Source, error) {
 	s.Clock.Sleep(s.DecideCost)
-	ranked := s.rank(id)
+	var buf [maxRanked]Source
+	ranked := s.rank(id, buf[:0])
 	if len(ranked) == 0 {
 		return nil, fmt.Errorf("loader: no source available for %v", id)
 	}
@@ -200,7 +206,8 @@ func (s *Selector) LoadBackground(id grid.BlockID) (*grid.Block, int64, error) {
 // candidate on failure and updating reliability observations either way.
 func (s *Selector) load(id grid.BlockID, background bool) (*grid.Block, int64, error) {
 	s.Clock.Sleep(s.DecideCost)
-	ranked := s.rank(id)
+	var buf [maxRanked]Source
+	ranked := s.rank(id, buf[:0])
 	if len(ranked) == 0 {
 		return nil, 0, fmt.Errorf("loader: no source available for %v", id)
 	}

@@ -46,6 +46,9 @@ func Decode(data []byte) (*Script, error) {
 		if st.Command == "" {
 			return nil, fmt.Errorf("session: step %d has no command", i)
 		}
+		if st.Think < 0 {
+			return nil, fmt.Errorf("session: step %d has a negative think time (%v)", i, st.Think)
+		}
 	}
 	return &s, nil
 }

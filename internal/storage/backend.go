@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 
 	"viracocha/internal/dataset"
 	"viracocha/internal/grid"
@@ -83,10 +84,21 @@ type DirBackend struct {
 	Root string
 }
 
-// Path returns the file path of a block ID under the backend root.
+// Path returns the file path of a block ID under the backend root: the
+// filepath.Join of the root, the dataset and the ID's zero-padded tNNN/bNNN,
+// built without fmt.
 func (d *DirBackend) Path(id grid.BlockID) string {
-	return filepath.Join(d.Root, fmt.Sprintf("%s", id.Dataset),
-		fmt.Sprintf("t%03d", id.Step), fmt.Sprintf("b%03d.vrb", id.Block))
+	var buf [128]byte
+	p := append(buf[:0], d.Root...)
+	if len(p) > 0 {
+		p = append(p, filepath.Separator)
+	}
+	p = id.AppendText(p) // dataset/tNNN/bNNN
+	if d.Root == "" && id.Dataset == "" {
+		p = p[1:] // Join drops empty parts: no leading separator
+	}
+	p = append(p, ".vrb"...)
+	return filepath.Clean(string(p))
 }
 
 // Put encodes and writes a block file, creating directories as needed.
@@ -98,17 +110,54 @@ func (d *DirBackend) Put(b *grid.Block) error {
 	return os.WriteFile(p, EncodeBlock(b), 0o644)
 }
 
-// Fetch reads and decodes a block file.
+// readBufs recycles the file buffers Fetch reads into. Nothing outlives the
+// read: DecodeBlock copies every value out of its input.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Fetch reads and decodes a block file. The bytes land in a pooled buffer;
+// the reported size is the file's length.
 func (d *DirBackend) Fetch(id grid.BlockID) (*grid.Block, int64, error) {
-	data, err := os.ReadFile(d.Path(id))
+	bp := readBufs.Get().(*[]byte)
+	defer readBufs.Put(bp)
+	data, err := readFile(d.Path(id), (*bp)[:0])
+	*bp = data
 	if err != nil {
 		return nil, 0, err
 	}
-	b, err := DecodeBlock(data)
+	b, err := decodeBlock(data, id.Dataset)
 	if err != nil {
 		return nil, 0, fmt.Errorf("storage: %v: %w", id, err)
 	}
 	return b, int64(len(data)), nil
+}
+
+// readFile appends the file's bytes to buf, reading to EOF through the bare
+// descriptor: unlike os.ReadFile it makes no *os.File (with its finalizer),
+// no fstat and no buffer of its own. Errors are *os.PathError as there.
+func readFile(path string, buf []byte) ([]byte, error) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	}
+	if err != nil {
+		return buf, &os.PathError{Op: "open", Path: path, Err: err}
+	}
+	defer syscall.Close(fd)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := syscall.Read(fd, buf[len(buf):cap(buf)])
+		switch {
+		case err == syscall.EINTR:
+		case err != nil:
+			return buf, &os.PathError{Op: "read", Path: path, Err: err}
+		case n == 0:
+			return buf, nil
+		default:
+			buf = buf[:len(buf)+n]
+		}
+	}
 }
 
 // FailingBackend wraps a backend and fails every request for IDs matched by

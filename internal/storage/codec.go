@@ -78,8 +78,14 @@ func EncodeBlock(b *grid.Block) []byte {
 
 // DecodeBlock parses the format written by EncodeBlock, first verifying the
 // trailing CRC32-C so corruption surfaces as ErrCorrupt rather than as a
-// misparse.
+// misparse. The block shares no memory with data: every value is copied out.
 func DecodeBlock(data []byte) (*grid.Block, error) {
+	return decodeBlock(data, "")
+}
+
+// decodeBlock is DecodeBlock; a stored data-set name equal to dataset is
+// shared with it instead of copied out.
+func decodeBlock(data []byte, dataset string) (*grid.Block, error) {
 	if len(data) < 8 {
 		return nil, errors.New("storage: truncated block")
 	}
@@ -98,7 +104,9 @@ func DecodeBlock(data []byte) (*grid.Block, error) {
 		off += 4
 		return v, nil
 	}
-	getStr := func() (string, error) {
+	// getStr reads a length-prefixed string, returning like when the
+	// bytes spell it and a copy otherwise.
+	getStr := func(like string) (string, error) {
 		n, err := get32()
 		if err != nil {
 			return "", err
@@ -106,7 +114,10 @@ func DecodeBlock(data []byte) (*grid.Block, error) {
 		if off+int(n) > len(data) || n > 1<<20 {
 			return "", errors.New("storage: truncated or oversized string")
 		}
-		s := string(data[off : off+int(n)])
+		s := like
+		if raw := data[off : off+int(n)]; string(raw) != like {
+			s = string(raw)
+		}
 		off += int(n)
 		return s, nil
 	}
@@ -117,7 +128,7 @@ func DecodeBlock(data []byte) (*grid.Block, error) {
 	if magic != blockMagic {
 		return nil, fmt.Errorf("storage: bad magic %#x", magic)
 	}
-	dsName, err := getStr()
+	dsName, err := getStr(dataset)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +186,7 @@ func DecodeBlock(data []byte) (*grid.Block, error) {
 	}
 	prev := ""
 	for i := uint32(0); i < nf; i++ {
-		name, err := getStr()
+		name, err := getStr("")
 		if err != nil {
 			return nil, err
 		}

@@ -402,7 +402,7 @@ func (w *walSink) Frame(sessID string, clientReq uint64, f comm.Frame) uint64 {
 	}
 	w.head = comm.AppendHead(w.head[:0], comm.Message{Kind: "wframe", ReqID: clientReq}, f.Len(), "sess", sessID)
 	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], comm.Checksum(w.head, f.Head, f.Payload, f.Sum))
+	binary.LittleEndian.PutUint32(sum[:], f.SumAfter(w.head))
 	lsn, err := w.log.Write(w.head, f.Head, f.Payload, f.Sum, sum[:])
 	lsn = w.appendedLocked(lsn, len(w.head)+f.Len()+len(sum), err)
 	if w.policy == wal.PolicyOff {
