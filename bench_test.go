@@ -136,9 +136,7 @@ func BenchmarkDMSColdStep(b *testing.B) {
 		ids[i] = blk.ID
 	}
 	clk := vclock.NewReal()
-	cfg := dms.DefaultConfig()
-	cfg.Prices = dms.Prices{}
-	srv := dms.NewServer(clk, cfg, &loader.DeviceSource{Dev: storage.NewDevice("dir", be, clk, 0, 0, 2)})
+	srv := dms.NewServer(clk, dms.DefaultConfig(), &loader.DeviceSource{Dev: storage.NewDevice("dir", be, clk, 0, 0, 2)})
 	p := srv.NewProxy("n0", prefetch.None{})
 	srv.NewProxy("n1", prefetch.None{})
 	b.ReportAllocs()

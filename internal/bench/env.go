@@ -55,32 +55,10 @@ type Env struct {
 	Dev *storage.Device
 }
 
-// PaperCost returns the cost model calibrated to land runtimes in the
-// paper's regimes for the scaled synthetic grids (see EXPERIMENTS.md for
-// the calibration reasoning).
-func PaperCost() core.CostModel {
-	return core.CostModel{
-		PerIsoCell:        140 * time.Microsecond,
-		PerTriangle:       40 * time.Microsecond,
-		PerLambda2Node:    400 * time.Microsecond,
-		PerBSPCell:        185 * time.Microsecond,
-		PerVelocityEval:   2900 * time.Microsecond,
-		LazyLambda2Factor: 1.08,
-		PerMergeTriangle:  4 * time.Microsecond,
-	}
-}
-
 // NewEnv builds and starts a fresh environment.
 func NewEnv(cfg EnvConfig) *Env {
 	v := vclock.NewVirtual()
-	rc := core.DefaultConfig(cfg.Workers)
-	rc.Cost = PaperCost()
-	// The message fabric: latency of a 2004 interconnect, with bandwidth
-	// set so result transfers cost what the paper's (much larger) extracted
-	// geometry cost on its network — Figure 15 puts SimpleIso's send share
-	// at ~1% and IsoDataMan's at ~10% of a far shorter total.
-	rc.NetLatency = 200 * time.Microsecond
-	rc.NetBandwidth = 1.2e6
+	rc := core.DefaultConfig(cfg.Workers) // priced with core.Paper()
 	rc.DMS.DisablePeer = cfg.DisablePeer
 	rc.PrefetcherFor = prefetcherFactory(cfg)
 	rt := core.NewRuntime(v, rc)

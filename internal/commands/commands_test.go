@@ -13,26 +13,30 @@ import (
 	"viracocha/internal/vclock"
 )
 
-// harness spins up a runtime over the given data set and runs fn as the
-// client actor; it returns after full shutdown.
+// harness spins up a virtual-clock runtime over the given data set and runs
+// fn as the client actor; it returns after full shutdown.
 func harness(t *testing.T, ds *dataset.Desc, workers int, fn func(cl *core.Client, rt *core.Runtime)) *core.Runtime {
 	t.Helper()
-	v := vclock.NewVirtual()
-	cfg := core.DefaultConfig(workers)
-	cfg.Cost = core.DefaultCostModel()
-	rt := core.NewRuntime(v, cfg)
+	return harnessOn(t, vclock.NewVirtual(), ds, workers, fn)
+}
+
+// harnessOn is harness on the given clock, priced as core.ConfigFor prices
+// that clock kind.
+func harnessOn(t *testing.T, c vclock.Clock, ds *dataset.Desc, workers int, fn func(cl *core.Client, rt *core.Runtime)) *core.Runtime {
+	t.Helper()
+	rt := core.NewRuntime(c, core.ConfigFor(c, workers))
 	rt.RegisterDataset(ds)
-	dev := storage.NewDevice("disk", &storage.GenBackend{Desc: ds}, v, time.Millisecond, 50e6, 1)
+	dev := storage.NewDevice("disk", &storage.GenBackend{Desc: ds}, c, time.Millisecond, 50e6, 1)
 	dev.ChargeBytes = func(grid.BlockID) int64 { return ds.PaperBlockBytes / 16 }
 	rt.RegisterDevice(dev, func(grid.BlockID) int64 { return ds.PaperBlockBytes / 16 })
 	RegisterAll(rt)
 	rt.Start()
-	v.Go(func() {
+	c.Go(func() {
 		cl := core.NewClient(rt)
 		fn(cl, rt)
 		rt.Shutdown()
 	})
-	v.Wait()
+	c.Wait()
 	return rt
 }
 
@@ -410,33 +414,40 @@ func TestProgressiveIncrementalMatchesRecompute(t *testing.T) {
 
 func TestVortexCommandCancellation(t *testing.T) {
 	// Cancel a running vortex extraction between blocks: the command must
-	// return the cancellation error instead of a surface.
-	v := vclock.NewVirtual()
-	cfg := core.DefaultConfig(1)
-	cfg.Cost = core.DefaultCostModel()
-	rt := core.NewRuntime(v, cfg)
-	rt.RegisterDataset(dataset.Engine())
-	dev := storage.NewDevice("disk", &storage.GenBackend{Desc: dataset.Engine()}, v, time.Millisecond, 50e6, 1)
-	rt.RegisterDevice(dev, nil)
-	RegisterAll(rt)
-	rt.Start()
-	var res *core.RunResult
-	v.Go(func() {
-		cl := core.NewClient(rt)
-		id, _ := cl.Submit("vortex.dataman", params("dataset", "engine", "workers", "1", "lambda2", "-1000"))
-		// A full run charges ~130 virtual ms at the default cost model
-		// (23 blocks); cancel a few blocks in.
-		v.Sleep(20 * time.Millisecond)
-		cl.Cancel(id)
-		res, _ = cl.Collect(id)
-		rt.Shutdown()
-	})
-	v.Wait()
+	// return the cancellation error instead of a surface, and end well
+	// before an uncancelled run on the same model does.
+	run := func(cancelAt time.Duration) *core.RunResult {
+		v := vclock.NewVirtual()
+		rt := core.NewRuntime(v, core.DefaultConfig(1))
+		rt.RegisterDataset(dataset.Engine())
+		dev := storage.NewDevice("disk", &storage.GenBackend{Desc: dataset.Engine()}, v, time.Millisecond, 50e6, 1)
+		rt.RegisterDevice(dev, nil)
+		RegisterAll(rt)
+		rt.Start()
+		var res *core.RunResult
+		v.Go(func() {
+			cl := core.NewClient(rt)
+			id, _ := cl.Submit("vortex.dataman", params("dataset", "engine", "workers", "1", "lambda2", "-1000"))
+			if cancelAt > 0 {
+				v.Sleep(cancelAt)
+				cl.Cancel(id)
+			}
+			res, _ = cl.Collect(id)
+			rt.Shutdown()
+		})
+		v.Wait()
+		return res
+	}
+	full := run(0)
+	if full.Err != nil {
+		t.Fatal(full.Err)
+	}
+	// 23 blocks: a sixth of the way in is a few blocks.
+	res := run(full.Total() / 6)
 	if res.Err == nil || !strings.Contains(res.Err.Error(), "cancel") {
 		t.Fatalf("expected cancellation, got %v", res.Err)
 	}
-	// Ended well before a full run would have.
-	if res.Total() > 100*time.Millisecond {
-		t.Fatalf("cancelled run still took %v", res.Total())
+	if res.Total() > full.Total()/2 {
+		t.Fatalf("cancelled run took %v of an uncancelled run's %v", res.Total(), full.Total())
 	}
 }

@@ -1,11 +1,12 @@
 package commands
 
 import (
-	"math"
+	"bytes"
 	"testing"
 
 	"viracocha/internal/core"
 	"viracocha/internal/dataset"
+	"viracocha/internal/vclock"
 )
 
 // TestBlockOrderDeterministicOnTies is the regression test for the viewer's
@@ -31,121 +32,71 @@ func TestBlockOrderDeterministicOnTies(t *testing.T) {
 	}
 }
 
-// runBoth runs the same command twice, with the index path off and on, and
-// returns both results.
-func runBoth(t *testing.T, ds *dataset.Desc, workers int, cmd string, kv ...string) (off, on *core.RunResult) {
+// viewerSweep runs iso.viewer once per iso value over the same blocks on a
+// runtime of the given clock. It returns each query's merged mesh bytes and,
+// after each query, how many BSP-tree lookups the DMS had missed so far.
+func viewerSweep(t *testing.T, c vclock.Clock, ds *dataset.Desc, workers int, isos []string, kv ...string) (meshes [][]byte, misses []int64, rt *core.Runtime) {
 	t.Helper()
-	harness(t, ds, workers, func(cl *core.Client, _ *core.Runtime) {
-		var err error
-		off, err = cl.Run(cmd, params(append(kv, "index", "0")...))
-		if err != nil {
-			t.Error(err)
-		}
-		on, err = cl.Run(cmd, params(append(kv, "index", "1")...))
-		if err != nil {
-			t.Error(err)
+	rt = harnessOn(t, c, ds, workers, func(cl *core.Client, rt *core.Runtime) {
+		for _, iso := range isos {
+			res, err := cl.Run("iso.viewer", params(append(kv, "iso", iso)...))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if res.Merged.NumTriangles() == 0 {
+				t.Errorf("iso %s: no triangles — comparison degenerate", iso)
+			}
+			meshes = append(meshes, res.Merged.EncodeBinary())
+			_, ps := rt.DMS.AggregateStats()
+			misses = append(misses, ps.DerivedMisses)
 		}
 	})
 	if t.Failed() {
 		t.FailNow()
 	}
-	return off, on
+	return meshes, misses, rt
 }
 
-// assertSameSurface compares two gathered meshes for identical extraction
-// output: triangle-for-triangle the same surface.
-func assertSameSurface(t *testing.T, label string, off, on *core.RunResult) {
-	t.Helper()
-	if off.Merged.NumTriangles() == 0 {
-		t.Fatalf("%s: baseline produced no geometry — equivalence test degenerate", label)
-	}
-	if on.Merged.NumTriangles() != off.Merged.NumTriangles() {
-		t.Fatalf("%s: indexed %d triangles vs unindexed %d", label,
-			on.Merged.NumTriangles(), off.Merged.NumTriangles())
-	}
-	if math.Abs(on.Merged.Area()-off.Merged.Area()) > 1e-9*math.Max(1, off.Merged.Area()) {
-		t.Fatalf("%s: surface areas differ: %v vs %v", label, on.Merged.Area(), off.Merged.Area())
-	}
-}
-
-func TestIsoDataManIndexedMatchesUnindexed(t *testing.T) {
-	off, on := runBoth(t, dataset.Engine(), 2, "iso.dataman",
-		"dataset", "engine", "workers", "2", "iso", "500", "field", "pressure")
-	assertSameSurface(t, "iso.dataman", off, on)
-}
-
+// TestViewerIsoIndexedMatchesUnindexed: the viewer's two tree paths — BSP
+// trees cached in the DMS (the real clock's; once called the indexed path)
+// and rebuilt and priced on every run (the virtual clock's, the paper's
+// algorithm) — stream the same bytes.
 func TestViewerIsoIndexedMatchesUnindexed(t *testing.T) {
-	off, on := runBoth(t, dataset.Tiny(), 2, "iso.viewer",
-		"dataset", "tiny", "workers", "2", "iso", "0.5", "field", "pressure",
-		"ex", "-5", "ey", "0.5", "ez", "0.5", "granularity", "10")
-	assertSameSurface(t, "iso.viewer", off, on)
-	if on.Partials == 0 {
-		t.Fatal("indexed viewer streamed nothing")
+	kv := []string{"dataset", "tiny", "workers", "2", "field", "pressure",
+		"ex", "-5", "ey", "0.5", "ez", "0.5", "granularity", "10"}
+	rebuilt, _, vrt := viewerSweep(t, vclock.NewVirtual(), dataset.Tiny(), 2, []string{"0.5"}, kv...)
+	cached, _, rrt := viewerSweep(t, vclock.NewReal(), dataset.Tiny(), 2, []string{"0.5"}, kv...)
+	if !bytes.Equal(cached[0], rebuilt[0]) {
+		t.Fatal("cached-tree viewer differs from the rebuilding one")
+	}
+	if _, ps := rrt.DMS.AggregateStats(); ps.DerivedPuts == 0 {
+		t.Error("real clock: the viewer cached no tree")
+	}
+	if _, ps := vrt.DMS.AggregateStats(); ps.DerivedPuts != 0 || ps.DerivedMisses != 0 {
+		t.Errorf("virtual clock: the viewer consulted the tree cache (%+v)", ps)
 	}
 }
 
-func TestProgressiveIsoIndexedMatchesUnindexed(t *testing.T) {
-	off, on := runBoth(t, dataset.Engine(), 2, "iso.progressive",
-		"dataset", "engine", "workers", "2", "iso", "500", "field", "pressure", "levels", "2")
-	if off.Partials != on.Partials {
-		t.Fatalf("coarse previews differ: %d vs %d partials", off.Partials, on.Partials)
-	}
-	// Compare only the final full-resolution payload (Merged also includes
-	// the streamed coarse previews, which the index path leaves untouched).
-	finalTris := func(r *core.RunResult) int {
-		n := r.Merged.NumTriangles()
-		for _, p := range r.Packets {
-			n -= p.NumTriangles()
-		}
-		return n
-	}
-	if finalTris(off) != finalTris(on) {
-		t.Fatalf("final surfaces differ: %d vs %d triangles", finalTris(on), finalTris(off))
-	}
-}
-
-// TestIndexedSliderSweepWarmIsCheaper is the interaction the cached derived
-// entities exist for: a user dragging the iso slider re-queries the same
-// warm blocks with different iso values. With the index path on, the viewer
-// serves each block's BSP tree from the DMS instead of rebuilding it, so the
-// summed warm compute must drop below the rebuilding sweep; and the cold
-// first query (which builds and prices the trees either way) must stay
-// within a modest overhead.
+// TestIndexedSliderSweepWarmIsCheaper is the interaction the cached trees
+// exist for: a user dragging the iso slider re-queries the same warm blocks
+// with different iso values. Served from the DMS, the warm queries build no
+// tree at all — every lookup after the cold query hits — and each query
+// returns the bytes of the rebuilding sweep.
 func TestIndexedSliderSweepWarmIsCheaper(t *testing.T) {
 	isos := []string{"420", "500", "580", "660"}
-	sweep := func(index string) (cold, warm core.RequestStats) {
-		var ids []uint64
-		rt := harness(t, dataset.Engine(), 4, func(cl *core.Client, _ *core.Runtime) {
-			for _, iso := range isos {
-				res, err := cl.Run("iso.viewer", params("dataset", "engine", "workers", "4",
-					"iso", iso, "field", "pressure", "ex", "-5", "index", index))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				ids = append(ids, res.ReqID)
-			}
-		})
-		if t.Failed() {
-			t.FailNow()
-		}
-		cold, _ = rt.Sched.Stats(ids[0])
-		for _, id := range ids[1:] {
-			st, _ := rt.Sched.Stats(id)
-			warm.Probes.Compute += st.Probes.Compute
-			warm.Probes.Read += st.Probes.Read
-		}
-		return cold, warm
+	kv := []string{"dataset", "engine", "workers", "4", "field", "pressure", "ex", "-5"}
+	rebuilt, _, _ := viewerSweep(t, vclock.NewVirtual(), dataset.Engine(), 4, isos, kv...)
+	cached, misses, _ := viewerSweep(t, vclock.NewReal(), dataset.Engine(), 4, isos, kv...)
+	if misses[0] == 0 {
+		t.Fatal("the cold query found its trees cached: sweep degenerate")
 	}
-	coldOff, warmOff := sweep("0")
-	coldOn, warmOn := sweep("1")
-	if warmOn.Probes.Compute >= warmOff.Probes.Compute {
-		t.Fatalf("warm indexed sweep compute %v not below unindexed %v",
-			warmOn.Probes.Compute, warmOff.Probes.Compute)
+	if last := misses[len(misses)-1]; last != misses[0] {
+		t.Errorf("warm queries rebuilt %d trees, want 0", last-misses[0])
 	}
-	limit := coldOff.TotalRuntime() + coldOff.TotalRuntime()*15/100
-	if coldOn.TotalRuntime() > limit {
-		t.Fatalf("cold indexed query %v exceeds +15%% budget over %v",
-			coldOn.TotalRuntime(), coldOff.TotalRuntime())
+	for i := range isos {
+		if !bytes.Equal(cached[i], rebuilt[i]) {
+			t.Errorf("iso %s: cached-tree sweep differs from the rebuilding one", isos[i])
+		}
 	}
 }

@@ -49,7 +49,7 @@ func (SimpleIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 			return nil, err
 		}
 		res := iso.ExtractBlock(b, field, isoVal, out)
-		ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
+		ctx.Charge(ctx.Model.IsoCost(res.CellsVisited, res.Triangles))
 	}
 	return out, nil
 }
@@ -83,7 +83,7 @@ func (IsoDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 			return nil, err
 		}
 		res := iso.ExtractBlock(b, field, isoVal, out)
-		ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
+		ctx.Charge(ctx.Model.IsoCost(res.CellsVisited, res.Triangles))
 		ctx.Progress(i+1, len(blocks))
 	}
 	return out, nil
@@ -112,7 +112,7 @@ func (ViewerIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		Y: ctx.FloatParam("ey", 0),
 		Z: ctx.FloatParam("ez", 0),
 	}
-	cachedTree := ctx.IndexEnabled()
+	cachedTree := ctx.CachesTrees()
 	journaled := ctx.Journaling()
 	order, releaseOrder := frontToBackOrder(ctx, step, eye)
 	pending := mesh.Acquire()
@@ -168,7 +168,7 @@ func (ViewerIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 			tree = ctx.BSPTree(b, field)
 		} else {
 			tree = grid.BuildBSP(b, field)
-			ctx.Charge(ctx.Cost.BSPCost(b.NumCells()))
+			ctx.Charge(ctx.Model.BSPCost(b.NumCells()))
 		}
 		// One extractor across all BSP leaves of the block, so vertices on
 		// leaf boundaries weld too (until a flush restarts the packet).
@@ -180,7 +180,7 @@ func (ViewerIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		var streamErr error
 		tree.VisitFrontToBack(eye, isoVal, func(r grid.CellRange) bool {
 			res := ex.Range(vals, isoVal, r)
-			ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
+			ctx.Charge(ctx.Model.IsoCost(res.CellsVisited, res.Triangles))
 			if err := flush(false); err != nil {
 				streamErr = err
 				return false
@@ -291,7 +291,7 @@ func (ProgressiveIso) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 				continue
 			}
 			res := iso.ExtractBlock(b, field, isoVal, levelMesh)
-			ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
+			ctx.Charge(ctx.Model.IsoCost(res.CellsVisited, res.Triangles))
 		}
 		if level > 0 {
 			if err := ctx.StreamPartial(levelMesh); err != nil {
@@ -329,7 +329,7 @@ func progressiveIncremental(ctx *core.Ctx) (*mesh.Mesh, error) {
 		levelMesh := &mesh.Mesh{}
 		for _, pb := range refiners {
 			m, st := pb.ExtractLevel(level)
-			ctx.Charge(ctx.Cost.IsoCost(st.CellsVisited, st.Triangles))
+			ctx.Charge(ctx.Model.IsoCost(st.CellsVisited, st.Triangles))
 			levelMesh.Append(m)
 		}
 		if level > 0 {

@@ -70,7 +70,7 @@ func tracePathlines(ctx *core.Ctx, prov tracer.Provider) (*mesh.Mesh, error) {
 		if err != nil {
 			return err
 		}
-		ctx.Charge(ctx.Cost.TraceCost(path.Evals))
+		ctx.Charge(ctx.Model.TraceCost(path.Evals))
 		for _, pt := range path.Points {
 			out.AddVertex(pt.Pos)
 			out.Values = append(out.Values, float32(pt.T))

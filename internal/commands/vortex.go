@@ -18,11 +18,11 @@ import (
 // so they must not be mutated.
 func extractVortex(ctx *core.Ctx, b *grid.Block, thresh float64, out *mesh.Mesh) {
 	vals := vortex.AcquireField(b.NumNodes())
-	ctx.Charge(ctx.Cost.Lambda2Cost(vortex.ComputeInto(b, vals)))
+	ctx.Charge(ctx.Model.Lambda2Cost(vortex.ComputeInto(b, vals)))
 	r := grid.CellRange{Hi: [3]int{b.NI - 1, b.NJ - 1, b.NK - 1}}
 	res := iso.ExtractRange(b, vals, thresh, r, out)
 	vortex.ReleaseField(vals)
-	ctx.Charge(ctx.Cost.IsoCost(res.CellsVisited, res.Triangles))
+	ctx.Charge(ctx.Model.IsoCost(res.CellsVisited, res.Triangles))
 }
 
 // SimpleVortex is the λ2 baseline without data management: raw loads, full
@@ -122,9 +122,9 @@ func (StreamedVortex) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		// per-cell active tests, and any triangles just produced. Charging
 		// in batches keeps the virtual-clock bookkeeping off the hot loop.
 		charge := func() {
-			ctx.Charge(ctx.Cost.LazyLambda2Cost(lazy.ComputedNodes() - computed))
+			ctx.Charge(ctx.Model.LazyLambda2Cost(lazy.ComputedNodes() - computed))
 			computed = lazy.ComputedNodes()
-			ctx.Charge(ctx.Cost.IsoCost(visited, batchTris))
+			ctx.Charge(ctx.Model.IsoCost(visited, batchTris))
 			visited = 0
 		}
 		emit := func() error {

@@ -51,8 +51,8 @@ type Ctx struct {
 	Group []string
 	// Dataset is the data set named by the request.
 	Dataset *dataset.Desc
-	// Cost prices work counts into charged time.
-	Cost CostModel
+	// Model prices work counts into charged time.
+	Model Model
 
 	probes   Probes
 	seq      int
@@ -159,19 +159,12 @@ func (c *Ctx) LoadRaw(id grid.BlockID) (*grid.Block, error) {
 // Prefetch issues an explicit (code) prefetch through the DMS.
 func (c *Ctx) Prefetch(id grid.BlockID) { c.proxy.Prefetch(id) }
 
-// IndexEnabled decides whether this request serves the viewer's BSP trees
-// from the DMS. Otherwise every run rebuilds and prices its trees, as the
-// paper's algorithm does. The "index" parameter decides if given (reference
-// runs pin it); else the virtual clock takes the paper's path, and the real
-// clock the cached one — bit-identical, faster on resident data — unless
-// the shared DMS budget is at the pressure where prefetches are shed: there
-// the trees would only evict the blocks the request is about to read.
-func (c *Ctx) IndexEnabled() bool {
-	if c.Req.Index != indexAuto {
-		return c.Req.Index == 1
-	}
-	return isReal(c.rt.Clock) && !c.proxy.UnderPressure()
-}
+// CachesTrees reports whether this run serves the viewer's BSP trees from the
+// DMS (BSPTree) — the real clock's path, bit-identical to rebuilding and
+// faster on resident data. Under the virtual clock every run rebuilds and
+// prices its trees, as the paper's algorithm does. Under budget pressure the
+// DMS refuses a tree rather than evict a demand block for it (dms.Cache).
+func (c *Ctx) CachesTrees() bool { return isReal(c.rt.Clock) }
 
 // BSPTree returns the view-dependent BSP tree for (b, field), cached in the
 // DMS as a derived entity: the tree depends only on the block's geometry and
@@ -187,7 +180,7 @@ func (c *Ctx) BSPTree(b *grid.Block, field string) *grid.BSPTree {
 		}
 	}
 	t := grid.BuildBSP(b, field)
-	c.Charge(c.Cost.BSPCost(b.NumCells()))
+	c.Charge(c.Model.BSPCost(b.NumCells()))
 	// The cached tree must not pin the (evictable) block it was built from;
 	// traversal only reads the prebuilt node ranges.
 	t.ReleaseBlock()

@@ -85,12 +85,15 @@ func (loadCmd) Run(ctx *Ctx) (*mesh.Mesh, error) {
 	return &mesh.Mesh{}, nil
 }
 
+// testModel prices only the fabric, at a fast interconnect's 50 µs +
+// bytes/1 GB/s: compute and reads are free, so a test's timeline is set by
+// its storage latency and fault plan.
+func testModel() Model { return Model{NetLatency: 50 * time.Microsecond, NetBandwidth: 1e9} }
+
 func newTestRuntime(t *testing.T, v vclock.Clock, workers int) *Runtime {
 	t.Helper()
 	cfg := DefaultConfig(workers)
-	cfg.DMS.DecideCost = 0
-	cfg.DMS.NameCost = 0
-	cfg.Cost = ZeroCostModel()
+	cfg.Model = testModel()
 	rt := NewRuntime(v, cfg)
 	rt.RegisterDataset(dataset.Tiny())
 	dev := storage.NewDevice("disk", &storage.GenBackend{Desc: dataset.Tiny()}, v, time.Millisecond, 10e6, 1)

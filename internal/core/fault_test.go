@@ -48,9 +48,7 @@ func fastFT() FTConfig {
 func newFaultRuntime(t *testing.T, v vclock.Clock, workers int, plan *faults.Plan, mut func(*Config)) *Runtime {
 	t.Helper()
 	cfg := DefaultConfig(workers)
-	cfg.DMS.DecideCost = 0
-	cfg.DMS.NameCost = 0
-	cfg.Cost = ZeroCostModel()
+	cfg.Model = testModel()
 	cfg.FT = fastFT()
 	cfg.Faults = faults.New(plan)
 	if mut != nil {

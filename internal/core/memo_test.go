@@ -71,7 +71,7 @@ func TestMemoKeyCanonical(t *testing.T) {
 		{"dataset": "engine", "step": "3", "iso": "0.51"},
 		{"dataset": "engine", "step": "4", "iso": "0.5"},
 		{"dataset": "propfan", "step": "3", "iso": "0.5"},
-		{"dataset": "engine", "step": "3", "iso": "0.5", "index": "1"},
+		{"dataset": "engine", "step": "3", "iso": "0.5", "granularity": "10"},
 	}
 	for _, p := range diff {
 		if k := keyOf(comm.Message{Command: "iso.dataman", Params: p}); k == kBase {

@@ -34,9 +34,6 @@ type Request struct {
 	Memo bool
 	// StreamWindow is the stream credit window per rank (<= 0: unwindowed).
 	StreamWindow int
-	// Index pins whether the viewer's BSP trees are served from the DMS:
-	// 1 cached, 0 not, indexAuto left to Ctx.IndexEnabled.
-	Index int
 	// Progress asks every rank for progress messages.
 	Progress bool
 
@@ -53,9 +50,6 @@ type Request struct {
 
 	msg comm.Message // the received command, read only through Ctx.Param
 }
-
-// indexAuto is Request.Index when the request does not pin the path.
-const indexAuto = -1
 
 // defaultRetries is the recovery budget of a request without "retries".
 const defaultRetries = 2
@@ -82,7 +76,6 @@ func parseRequest(m comm.Message, cfg *Config) *Request {
 		Journal:      m.IntParam("redistribute", 0) != 0,
 		Memo:         m.IntParam("memo", boolInt(cfg.Memo)) != 0,
 		StreamWindow: m.IntParam("stream_window", cfg.Overload.StreamWindow),
-		Index:        m.IntParam("index", indexAuto),
 		Progress:     m.IntParam("progress", 0) != 0,
 		msg:          m,
 	}
@@ -91,9 +84,6 @@ func parseRequest(m comm.Message, cfg *Config) *Request {
 	}
 	if r.Session == "" {
 		r.Session = r.Client
-	}
-	if r.Index != indexAuto && r.Index != 0 {
-		r.Index = 1
 	}
 	if !r.Memo {
 		return r

@@ -38,7 +38,6 @@ func TestParseRequestKeys(t *testing.T) {
 		{"redistribute", "1", func(r *Request) any { return r.Journal }, false, true},
 		{"memo", "0", func(r *Request) any { return r.Memo }, true, false},
 		{"stream_window", "4", func(r *Request) any { return r.StreamWindow }, 16, 4},
-		{"index", "1", func(r *Request) any { return r.Index }, indexAuto, 1},
 		{"progress", "1", func(r *Request) any { return r.Progress }, false, true},
 	} {
 		if got := tc.field(parse(&cfg)); got != tc.def {
@@ -56,9 +55,6 @@ func TestParseRequestKeys(t *testing.T) {
 	// An in-process client has no session of its own: it is its endpoint.
 	if r := parse(&cfg, "client", "client3"); r.Session != "client3" {
 		t.Errorf("session falls back to %q, want the client's endpoint", r.Session)
-	}
-	if r := parse(&cfg, "index", "0"); r.Index != 0 {
-		t.Errorf("index=0 pins %d, want 0", r.Index)
 	}
 	// A span is the scheduler's recovery annotation, never the client's.
 	if r := parse(&cfg, "span", "1,2"); r.HasSpan || r.Span != nil || r.Attempt != 0 {
@@ -125,14 +121,14 @@ func TestMemoHitFramesEqualStreams(t *testing.T) {
 }
 
 // FuzzParseRequest drives the admission boundary with whatever the wire
-// decoder accepts: parseRequest never panics, Index is always indexAuto, 0
-// or 1, and respelling every number ("0.5" as "5e-01") leaves the memo key
-// unchanged, because comm.CanonicalFloat makes the spellings equal.
+// decoder accepts: parseRequest never panics, and respelling every number
+// ("0.5" as "5e-01") leaves the memo key unchanged, because
+// comm.CanonicalFloat makes the spellings equal.
 func FuzzParseRequest(f *testing.F) {
 	for _, p := range []map[string]string{
 		{"dataset": "engine", "iso": "0.50", "workers": "4", "memo": "1"},
-		{"dataset": "engine", "lambda2": "-1e3", "index": "7", "step": "x"},
-		{"index": "-1", "stream_window": " 8 ", "redistribute": "1", "span": "0,1"},
+		{"dataset": "engine", "lambda2": "-1e3", "granularity": "7", "step": "x"},
+		{"progress": "-1", "stream_window": " 8 ", "redistribute": "1", "span": "0,1"},
 		nil,
 	} {
 		f.Add(comm.Encode(comm.Message{Kind: "command", Command: "iso.viewer", ReqID: 3, Params: p}))
@@ -145,9 +141,6 @@ func FuzzParseRequest(f *testing.F) {
 			return
 		}
 		r := parseRequest(m, &cfg)
-		if r.Index != indexAuto && r.Index != 0 && r.Index != 1 {
-			t.Fatalf("Index = %d, want indexAuto, 0 or 1", r.Index)
-		}
 		respelled := m
 		respelled.Params = make(map[string]string, len(m.Params))
 		for k, v := range m.Params {

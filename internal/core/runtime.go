@@ -50,13 +50,11 @@ func DefaultFTConfig() FTConfig {
 type Config struct {
 	// Workers is the size of the worker pool.
 	Workers int
-	// Net models the scheduler/worker/client interconnect.
-	NetLatency   time.Duration
-	NetBandwidth float64
 	// DMS configures the data management system.
 	DMS dms.Config
-	// Cost converts real work counts into charged virtual time.
-	Cost CostModel
+	// Model prices compute, the fabric and the DMS read path in charged
+	// virtual time; the zero value charges nothing.
+	Model Model
 	// PrefetcherFor builds the system prefetcher for a worker's proxy; nil
 	// means no system prefetching. It is called once per worker so policies
 	// that learn (Markov) can be shared or per-node as the caller decides.
@@ -83,15 +81,13 @@ type Config struct {
 }
 
 // DefaultConfig returns a runtime configuration resembling the paper's
-// environment at laptop scale.
+// environment at laptop scale, priced with the paper's model.
 func DefaultConfig(workers int) Config {
 	return Config{
-		Workers:      workers,
-		NetLatency:   50 * time.Microsecond,
-		NetBandwidth: 1e9,
-		DMS:          dms.DefaultConfig(),
-		Cost:         DefaultCostModel(),
-		FT:           DefaultFTConfig(),
+		Workers: workers,
+		DMS:     dms.DefaultConfig(),
+		Model:   Paper(),
+		FT:      DefaultFTConfig(),
 	}
 }
 
@@ -105,9 +101,7 @@ func DefaultConfig(workers int) Config {
 func ConfigFor(c vclock.Clock, workers int) Config {
 	cfg := DefaultConfig(workers)
 	if isReal(c) {
-		cfg.Cost = ZeroCostModel()
-		cfg.DMS.Prices = dms.Prices{}
-		cfg.NetLatency, cfg.NetBandwidth = 0, 0
+		cfg.Model = Model{}
 	}
 	return cfg
 }
@@ -124,7 +118,7 @@ type Runtime struct {
 	Clock    vclock.Clock
 	Net      *comm.Network
 	DMS      *dms.Server
-	Cost     CostModel
+	Model    Model
 	Sched    *Scheduler
 	Workers  []*Worker
 	Datasets map[string]*dataset.Desc
@@ -160,8 +154,8 @@ func NewRuntime(c vclock.Clock, cfg Config) *Runtime {
 	}
 	rt := &Runtime{
 		Clock:     c,
-		Net:       comm.NewNetwork(c, cfg.NetLatency, cfg.NetBandwidth),
-		Cost:      cfg.Cost,
+		Net:       comm.NewNetwork(c, cfg.Model.NetLatency, cfg.Model.NetBandwidth),
+		Model:     cfg.Model,
 		Datasets:  map[string]*dataset.Desc{},
 		Trace:     trace.NewLog(4096),
 		cfg:       cfg,
@@ -178,6 +172,7 @@ func NewRuntime(c vclock.Clock, cfg Config) *Runtime {
 		rt.Net.Faults = cfg.Faults
 	}
 	rt.DMS = dms.NewServer(c, cfg.DMS)
+	rt.DMS.Prices = cfg.Model.Read
 	rt.Sched = newScheduler(rt)
 	for i := 0; i < cfg.Workers; i++ {
 		node := fmt.Sprintf("w%d", i)

@@ -280,7 +280,7 @@ func (w *Worker) execute(ep *comm.Endpoint, epoch int, st *Start) {
 		GroupSize: len(st.Group),
 		Group:     st.Group,
 		Dataset:   ds,
-		Cost:      w.rt.Cost,
+		Model:     w.rt.Model,
 		attempt:   st.Attempt,
 		span:      st.Span,
 		hasSpan:   st.HasSpan,
@@ -384,7 +384,7 @@ func (w *Worker) masterGather(ctx *Ctx, own *mesh.Mesh, ownErr error) {
 				}
 				continue
 			}
-			ctx.Charge(ctx.Cost.MergeCost(part.NumTriangles()))
+			ctx.Charge(ctx.Model.MergeCost(part.NumTriangles()))
 			merged.Append(part)
 		default:
 			// Commands for this worker cannot arrive while it is busy; drop.

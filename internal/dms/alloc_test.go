@@ -31,7 +31,6 @@ func coldStep(tb testing.TB) (*Proxy, []grid.BlockID) {
 	clk := vclock.NewReal()
 	dev := storage.NewDevice("dir", be, clk, 0, 0, 2)
 	cfg := DefaultConfig()
-	cfg.Prices = Prices{}
 	srv := NewServer(clk, cfg, &loader.DeviceSource{Dev: dev})
 	p := srv.NewProxy("n0", prefetch.None{})
 	srv.NewProxy("n1", prefetch.None{})

@@ -133,10 +133,7 @@ func TestProxyShedsPrefetchUnderPressure(t *testing.T) {
 	v := vclock.NewVirtual()
 	one := blockOfSize(t, tinyID(0, 0)).SizeBytes()
 	cfg := DefaultConfig()
-	cfg.DecideCost = 0
-	cfg.NameCost = 0
 	cfg.MemBudget = 2 * one
-	cfg.PrefetchShedAt = 0.5
 	srv, dev := testServer(v, cfg)
 	p := srv.NewProxy("w0", nil)
 	v.Go(func() {
@@ -146,7 +143,8 @@ func TestProxyShedsPrefetchUnderPressure(t *testing.T) {
 		if _, err := p.Get(tinyID(0, 1)); err != nil {
 			t.Error(err)
 		}
-		// Budget now full (pressure 1.0 ≥ 0.5): speculation is shed...
+		// Budget now full (pressure 1.0 ≥ the 0.9 shed threshold):
+		// speculation is shed...
 		p.Prefetch(tinyID(0, 2))
 		// ...but a demand load still goes through by evicting.
 		if _, err := p.Get(tinyID(0, 3)); err != nil {

@@ -19,7 +19,8 @@ type Entity interface {
 // block) rather than demand-loaded. Derived types opt in by declaring a
 // DerivedEntity() marker method; under memory pressure the cache evicts
 // derived entities before demand blocks, because rebuilding a tree is
-// cheaper than re-reading a block from storage.
+// cheaper than re-reading a block from storage, and a derived entity never
+// evicts a demand block.
 func IsDerived(e Entity) bool {
 	_, ok := e.(interface{ DerivedEntity() })
 	return ok
@@ -185,10 +186,17 @@ func (c *Cache) put(id ItemID, item Entity, prefetched bool, out []Evicted) ([]E
 		c.stats.RejectedLarge++
 		return out, false
 	}
+	// A derived entity makes room only among derived victims and is refused
+	// when none is left: a tree must never push out a block a request is
+	// about to read. A demand insert evicts derived entities first.
+	victim := c.victimLocked
+	if derived {
+		victim = c.derived.Victim
+	}
 	for c.used+size > c.capacity {
-		vid, ok := c.victimLocked()
+		vid, ok := victim()
 		if !ok {
-			break
+			return out, false // only a derived insert finds no victim here
 		}
 		out = append(out, c.evictLocked(vid))
 	}
@@ -196,7 +204,7 @@ func (c *Cache) put(id ItemID, item Entity, prefetched bool, out []Evicted) ([]E
 	// under pressure. When nothing is left to evict the insert is refused
 	// and the item is served uncached (degraded, but never over budget).
 	for !c.Budget.TryReserve(size) {
-		vid, ok := c.victimLocked()
+		vid, ok := victim()
 		if !ok {
 			c.Budget.noteRejected()
 			c.stats.RejectedBudget++

@@ -87,6 +87,41 @@ func TestDerivedEvictionFallsBackToBlocks(t *testing.T) {
 	}
 }
 
+// TestDerivedNeverEvictsDemandBlock: a derived entity makes room only among
+// derived victims. When demand blocks alone fill the cache's capacity or the
+// shared budget, the tree is refused and every block stays resident — a tree
+// can be rebuilt in memory, a pushed-out block costs a storage read.
+func TestDerivedNeverEvictsDemandBlock(t *testing.T) {
+	one := blockOfSize(t, tinyID(0, 0)).SizeBytes()
+	for _, tc := range []struct {
+		name     string
+		capacity int64
+		budget   int64 // 0 = unlimited
+	}{
+		{"capacity", 2 * one, 0},
+		{"budget", 8 * one, 2 * one},
+	} {
+		c := NewCache("t", tc.capacity, NewLRU())
+		if tc.budget > 0 {
+			c.Budget = NewBudget(tc.budget)
+		}
+		c.Put(1, blockOfSize(t, tinyID(0, 0)), false)
+		c.Put(2, blockOfSize(t, tinyID(0, 1)), false)
+		ev, ok := c.PutOK(3, treeFor(t, tinyID(0, 0)), false)
+		if ok || len(ev) != 0 {
+			t.Errorf("%s: tree admitted = %v, evicted %+v; want it refused, nothing evicted", tc.name, ok, ev)
+		}
+		for _, id := range []ItemID{1, 2} {
+			if _, resident := c.Peek(id); !resident {
+				t.Errorf("%s: demand block %d evicted by a derived entity", tc.name, id)
+			}
+		}
+		if c.Used() != 2*one {
+			t.Errorf("%s: used %d, want %d", tc.name, c.Used(), 2*one)
+		}
+	}
+}
+
 // TestDerivedEvictionReleasesBudget checks the shared-budget accounting:
 // admitting, evicting and removing derived entities reserve and release the
 // exact byte sizes.
@@ -129,8 +164,6 @@ func TestDerivedEvictionReleasesBudget(t *testing.T) {
 func TestProxyDerivedPutGetStats(t *testing.T) {
 	v := vclock.NewVirtual()
 	cfg := DefaultConfig()
-	cfg.DecideCost = 0
-	cfg.NameCost = 0
 	srv, _ := testServer(v, cfg)
 	p := srv.NewProxy("w0", nil)
 	name := BSPItem(tinyID(0, 0), "pressure")
@@ -158,8 +191,6 @@ func TestProxyDerivedPutGetStats(t *testing.T) {
 func TestDerivedPeerTransfer(t *testing.T) {
 	v := vclock.NewVirtual()
 	cfg := DefaultConfig()
-	cfg.DecideCost = 0
-	cfg.NameCost = 0
 	dev := storage.NewDevice("disk", &storage.GenBackend{Desc: dataset.Tiny()}, v, time.Millisecond, 10e6, 1)
 	src := &loader.DeviceSource{Dev: dev, BytesFor: func(grid.BlockID) int64 { return 4096 }}
 	srv := NewServer(v, cfg, src)

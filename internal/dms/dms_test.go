@@ -211,8 +211,6 @@ func testServer(v vclock.Clock, cfg Config) (*Server, *storage.Device) {
 func TestProxyGetCachesBlocks(t *testing.T) {
 	v := vclock.NewVirtual()
 	cfg := DefaultConfig()
-	cfg.DecideCost = 0
-	cfg.NameCost = 0
 	srv, dev := testServer(v, cfg)
 	p := srv.NewProxy("w0", nil)
 	v.Go(func() {
@@ -236,13 +234,33 @@ func TestProxyGetCachesBlocks(t *testing.T) {
 	}
 }
 
+// TestDefaultConfigIsUnpriced: the DMS's default configuration charges no
+// read price. A miss over an unpriced device — a remote name resolution, a
+// strategy decision and the load — leaves the virtual clock where it was;
+// prices are the runtime's to hand over (core.Model).
+func TestDefaultConfigIsUnpriced(t *testing.T) {
+	v := vclock.NewVirtual()
+	dev := storage.NewDevice("disk", &storage.GenBackend{Desc: dataset.Tiny()}, v, 0, 0, 2)
+	srv := NewServer(v, DefaultConfig(), &loader.DeviceSource{Dev: dev})
+	p := srv.NewProxy("w0", nil)
+	v.Go(func() {
+		if _, err := p.Get(tinyID(0, 0)); err != nil {
+			t.Error(err)
+		}
+	})
+	v.Wait()
+	if st := p.Stats(); st.DemandLoads != 1 || st.RemoteResolves != 1 {
+		t.Fatalf("proxy stats = %+v, want one miss with a remote resolve", st)
+	}
+	if v.Now() != 0 {
+		t.Fatalf("an unpriced miss advanced the virtual clock to %v, want 0", v.Now())
+	}
+}
+
 func TestProxyChargesNameAndDecideCosts(t *testing.T) {
 	v := vclock.NewVirtual()
-	cfg := DefaultConfig()
-	cfg.DecideCost = 3 * time.Millisecond
-	cfg.NameCost = 5 * time.Millisecond
-	cfg.LocalDiskBandwidth = 0
-	srv, _ := testServer(v, cfg)
+	srv, _ := testServer(v, DefaultConfig())
+	srv.Prices = Prices{DecideCost: 3 * time.Millisecond, NameCost: 5 * time.Millisecond}
 	p := srv.NewProxy("w0", nil)
 	v.Go(func() {
 		p.Get(tinyID(0, 0))
@@ -261,8 +279,6 @@ func TestProxyChargesNameAndDecideCosts(t *testing.T) {
 func TestProxyPrefetchOverlapsWithCompute(t *testing.T) {
 	v := vclock.NewVirtual()
 	cfg := DefaultConfig()
-	cfg.DecideCost = 0
-	cfg.NameCost = 0
 	srv, _ := testServer(v, cfg)
 	p := srv.NewProxy("w0", nil)
 	// Load cost per block: 1ms latency + 4096/10e6 s ≈ 1.41ms.
@@ -287,8 +303,6 @@ func TestProxyPrefetchOverlapsWithCompute(t *testing.T) {
 func TestProxyDemandWaitsOnInflightPrefetch(t *testing.T) {
 	v := vclock.NewVirtual()
 	cfg := DefaultConfig()
-	cfg.DecideCost = 0
-	cfg.NameCost = 0
 	srv, dev := testServer(v, cfg)
 	p := srv.NewProxy("w0", nil)
 	v.Go(func() {
@@ -311,8 +325,6 @@ func TestProxyDemandWaitsOnInflightPrefetch(t *testing.T) {
 func TestProxySystemPrefetchViaOBL(t *testing.T) {
 	v := vclock.NewVirtual()
 	cfg := DefaultConfig()
-	cfg.DecideCost = 0
-	cfg.NameCost = 0
 	srv, _ := testServer(v, cfg)
 	pf := prefetch.NewOBL(prefetch.FileOrder(2, 4))
 	p := srv.NewProxy("w0", pf)
@@ -335,8 +347,6 @@ func TestProxySystemPrefetchViaOBL(t *testing.T) {
 func TestPeerTransferBetweenProxies(t *testing.T) {
 	v := vclock.NewVirtual()
 	cfg := DefaultConfig()
-	cfg.DecideCost = 0
-	cfg.NameCost = 0
 	// Make the disk very slow so the peer path clearly wins.
 	dev := storage.NewDevice("disk", &storage.GenBackend{Desc: dataset.Tiny()}, v, time.Second, 1e6, 1)
 	src := &loader.DeviceSource{Dev: dev, BytesFor: func(grid.BlockID) int64 { return 4096 }}
@@ -366,8 +376,6 @@ func TestPeerTransferBetweenProxies(t *testing.T) {
 func TestGetCoarseCachesPerLevel(t *testing.T) {
 	v := vclock.NewVirtual()
 	cfg := DefaultConfig()
-	cfg.DecideCost = 0
-	cfg.NameCost = 0
 	srv, dev := testServer(v, cfg)
 	p := srv.NewProxy("w0", nil)
 	v.Go(func() {
@@ -394,8 +402,6 @@ func TestGetCoarseCachesPerLevel(t *testing.T) {
 func TestDropAllCachesForcesReload(t *testing.T) {
 	v := vclock.NewVirtual()
 	cfg := DefaultConfig()
-	cfg.DecideCost = 0
-	cfg.NameCost = 0
 	srv, dev := testServer(v, cfg)
 	p := srv.NewProxy("w0", nil)
 	v.Go(func() {
@@ -412,8 +418,6 @@ func TestDropAllCachesForcesReload(t *testing.T) {
 func TestAggregateStats(t *testing.T) {
 	v := vclock.NewVirtual()
 	cfg := DefaultConfig()
-	cfg.DecideCost = 0
-	cfg.NameCost = 0
 	srv, _ := testServer(v, cfg)
 	p0 := srv.NewProxy("w0", nil)
 	p1 := srv.NewProxy("w1", nil)
@@ -441,8 +445,6 @@ func TestProxiesConcurrentHammer(t *testing.T) {
 	// coordination races, no lost blocks).
 	v := vclock.NewVirtual()
 	cfg := DefaultConfig()
-	cfg.DecideCost = 0
-	cfg.NameCost = 0
 	srv, _ := testServer(v, cfg)
 	var proxies []*Proxy
 	for i := 0; i < 6; i++ {

@@ -70,9 +70,6 @@ type Proxy struct {
 	// prefetcher consults it to shed speculation before demand loads feel
 	// the pressure.
 	Budget *Budget
-	// PrefetchShedAt is the budget pressure (fraction in use) above which
-	// speculative prefetches are shed; <= 0 means the 0.9 default.
-	PrefetchShedAt float64
 	// Peers, when set, lets GetDerived pull derived entities out of other
 	// proxies' caches (a charged peer transfer).
 	Peers EntityPeers
@@ -188,17 +185,10 @@ func (p *Proxy) systemPrefetch(id grid.BlockID) {
 	}
 }
 
-// UnderPressure reports whether the shared memory budget is at or above the
-// shed threshold, past which anything beyond the demand blocks themselves —
-// prefetches here, derived entities in the core layer — only evicts what
-// requests are about to read. Always false without a budget.
-func (p *Proxy) UnderPressure() bool {
-	shedAt := p.PrefetchShedAt
-	if shedAt <= 0 {
-		shedAt = 0.9
-	}
-	return p.Budget.Pressure() >= shedAt
-}
+// prefetchShedAt is the shared memory budget's pressure (fraction in use)
+// at or above which speculative prefetches are shed: past it a prefetch
+// would only evict what requests are about to read.
+const prefetchShedAt = 0.9
 
 // Prefetch starts an asynchronous load of id into the cache (both the
 // system prefetcher and command code prefetches use it). It returns
@@ -206,7 +196,7 @@ func (p *Proxy) UnderPressure() bool {
 func (p *Proxy) Prefetch(id grid.BlockID) {
 	// Load shedding: under memory pressure, speculation is the first thing
 	// to go — the budget's headroom is kept for demand loads.
-	if p.UnderPressure() {
+	if p.Budget.Pressure() >= prefetchShedAt {
 		p.mu.Lock()
 		p.stats.PrefetchShed++
 		p.mu.Unlock()

@@ -29,18 +29,6 @@ type Prices struct {
 	LocalDiskBandwidth float64
 }
 
-// PaperPrices returns the prices used by the experiments: interconnect and
-// local-disk parameters resembling the paper's SMP node.
-func PaperPrices() Prices {
-	return Prices{
-		DecideCost:         200 * time.Microsecond,
-		NameCost:           200 * time.Microsecond,
-		PeerLatency:        100 * time.Microsecond,
-		PeerBandwidth:      400e6,
-		LocalDiskBandwidth: 80e6,
-	}
-}
-
 // Config parameterizes the DMS for one runtime.
 type Config struct {
 	// L1Bytes and L2Bytes are the per-proxy primary and secondary cache
@@ -49,8 +37,6 @@ type Config struct {
 	L2Bytes int64
 	// PolicyName selects the replacement policy: "lru", "lfu" or "fbr".
 	PolicyName string
-	// Prices are the modelled read-path costs (zero value = unpriced).
-	Prices
 	// DisablePeer turns the cooperative peer-transfer source off (used by
 	// the loading-strategy ablation).
 	DisablePeer bool
@@ -58,21 +44,15 @@ type Config struct {
 	// every proxy (0 = unlimited). Under pressure caches evict; when nothing
 	// is left to evict blocks are served uncached rather than over budget.
 	MemBudget int64
-	// PrefetchShedAt is the MemBudget pressure above which proxies shed
-	// speculative prefetches; <= 0 means 0.9.
-	PrefetchShedAt float64
 }
 
 // DefaultConfig returns the configuration used by the experiments: 256 MB
-// primary cache, 1 GB secondary cache with FBR replacement, and the paper's
-// prices.
+// primary cache and 1 GB secondary cache with FBR replacement.
 func DefaultConfig() Config {
 	return Config{
-		L1Bytes:        256 << 20,
-		L2Bytes:        1 << 30,
-		PolicyName:     "fbr",
-		Prices:         PaperPrices(),
-		PrefetchShedAt: 0.9,
+		L1Bytes:    256 << 20,
+		L2Bytes:    1 << 30,
+		PolicyName: "fbr",
 	}
 }
 
@@ -84,6 +64,9 @@ type Server struct {
 	Clock  vclock.Clock
 	Names  *NameServer
 	Config Config
+	// Prices are the read path's modelled costs, zero (unpriced) unless the
+	// owner sets them before creating proxies.
+	Prices Prices
 
 	mu      sync.Mutex
 	sources []loader.Source
@@ -122,7 +105,7 @@ func (s *Server) AddSource(src loader.Source) {
 // proxy gets its own two-tier cache and an adaptive selector over the base
 // sources plus a peer source covering all *other* proxies' caches.
 func (s *Server) NewProxy(node string, pf prefetch.Prefetcher) *Proxy {
-	cfg := s.Config
+	cfg, prices := s.Config, s.Prices
 	l1 := NewCache(node+"/L1", cfg.L1Bytes, NewPolicy(cfg.PolicyName))
 	l1.Budget = s.budget
 	var l2 *Cache
@@ -131,9 +114,9 @@ func (s *Server) NewProxy(node string, pf prefetch.Prefetcher) *Proxy {
 		l2.Budget = s.budget
 	}
 	tiered := &Tiered{Clock: s.Clock, L1: l1, L2: l2}
-	if cfg.LocalDiskBandwidth > 0 {
+	if prices.LocalDiskBandwidth > 0 {
 		cost := func(bytes int64) time.Duration {
-			return time.Duration(float64(bytes) / cfg.LocalDiskBandwidth * float64(time.Second))
+			return time.Duration(float64(bytes) / prices.LocalDiskBandwidth * float64(time.Second))
 		}
 		tiered.SpillCost = cost
 		tiered.PromoteCost = cost
@@ -143,12 +126,11 @@ func (s *Server) NewProxy(node string, pf prefetch.Prefetcher) *Proxy {
 	base := append([]loader.Source(nil), s.sources...)
 	s.mu.Unlock()
 
-	sel := loader.NewSelector(s.Clock, cfg.DecideCost, base...)
+	sel := loader.NewSelector(s.Clock, prices.DecideCost, base...)
 	p := NewProxy(node, s.Clock, tiered, NewResolver(s.Names), sel, pf)
-	p.NameCost = cfg.NameCost
+	p.NameCost = prices.NameCost
 	p.Coordinator = s
 	p.Budget = s.budget
-	p.PrefetchShedAt = cfg.PrefetchShedAt
 	if !cfg.DisablePeer {
 		sel.AddSource(s.peerSource(p))
 		p.Peers = s
@@ -290,9 +272,9 @@ func (s *Server) FetchEntity(self *Proxy, item ItemID) (Entity, bool) {
 }
 
 func (s *Server) peerCost(bytes int64) time.Duration {
-	d := s.Config.PeerLatency
-	if s.Config.PeerBandwidth > 0 {
-		d += time.Duration(float64(bytes) / s.Config.PeerBandwidth * float64(time.Second))
+	d := s.Prices.PeerLatency
+	if s.Prices.PeerBandwidth > 0 {
+		d += time.Duration(float64(bytes) / s.Prices.PeerBandwidth * float64(time.Second))
 	}
 	return d
 }

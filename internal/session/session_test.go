@@ -60,7 +60,7 @@ func TestDecodeRejectsBadScripts(t *testing.T) {
 
 func newRuntime(v vclock.Clock) *core.Runtime {
 	cfg := core.DefaultConfig(2)
-	cfg.Cost = core.ZeroCostModel()
+	cfg.Model = core.Model{}
 	rt := core.NewRuntime(v, cfg)
 	rt.RegisterDataset(dataset.Tiny())
 	dev := storage.NewDevice("disk", &storage.GenBackend{Desc: dataset.Tiny()}, v, time.Millisecond, 10e6, 1)

@@ -3,61 +3,44 @@ package viracocha
 import (
 	"bytes"
 	"testing"
-	"time"
 
+	"viracocha/internal/bench"
 	"viracocha/internal/core"
+	"viracocha/internal/dataset"
 	"viracocha/internal/dms"
-	"viracocha/internal/vclock"
 )
 
-// TestPricesFollowClockKind: the modelled compute, read and fabric prices
-// exist to advance the virtual clock; a real-clock system charges none of
-// them, and a virtual one charges exactly what the recorded experiments were
-// run with.
+// TestPricesFollowClockKind: the modelled compute, fabric and read prices
+// exist to advance the virtual clock. A real-clock system charges none of
+// them; a virtual one and the figures' environment (bench.NewEnv) both charge
+// core.Paper(), the one calibration.
 func TestPricesFollowClockKind(t *testing.T) {
-	realRT := New(Options{}).Runtime
-	if realRT.Cost != (core.CostModel{}) {
-		t.Errorf("real clock: compute prices = %+v, want none", realRT.Cost)
+	paper := core.Paper()
+	if paper.PerIsoCell == 0 || paper.NetLatency == 0 || paper.Read.DecideCost == 0 {
+		t.Fatalf("core.Paper() leaves a price family unpriced: %+v", paper)
 	}
-	if realRT.DMS.Config.Prices != (dms.Prices{}) {
-		t.Errorf("real clock: read prices = %+v, want none", realRT.DMS.Config.Prices)
-	}
-
-	virtRT := New(Options{VirtualTime: true}).Runtime
-	wantCost := core.CostModel{
-		PerIsoCell:       550 * time.Nanosecond,
-		PerTriangle:      2 * time.Microsecond,
-		PerLambda2Node:   5500 * time.Nanosecond,
-		PerBSPCell:       300 * time.Nanosecond,
-		PerVelocityEval:  9 * time.Microsecond,
-		PerMergeTriangle: 600 * time.Nanosecond,
-	}
-	if virtRT.Cost != wantCost {
-		t.Errorf("virtual clock: compute prices = %+v, want %+v", virtRT.Cost, wantCost)
-	}
-	wantRead := dms.Prices{
-		DecideCost:         200 * time.Microsecond,
-		NameCost:           200 * time.Microsecond,
-		PeerLatency:        100 * time.Microsecond,
-		PeerBandwidth:      400e6,
-		LocalDiskBandwidth: 80e6,
-	}
-	if virtRT.DMS.Config.Prices != wantRead {
-		t.Errorf("virtual clock: read prices = %+v, want %+v", virtRT.DMS.Config.Prices, wantRead)
-	}
-
-	if virtRT.Net.Latency != 50*time.Microsecond || virtRT.Net.Bandwidth != 1e9 {
-		t.Errorf("virtual clock: fabric price = %v + bytes/%v, want 50µs + bytes/1e9", virtRT.Net.Latency, virtRT.Net.Bandwidth)
-	}
-	if realRT.Net.Latency != 0 || realRT.Net.Bandwidth != 0 {
-		t.Errorf("real clock: fabric price = %v + bytes/%v, want none", realRT.Net.Latency, realRT.Net.Bandwidth)
-	}
-	realCfg, virtCfg := core.ConfigFor(vclock.NewReal(), 2), core.ConfigFor(vclock.NewVirtual(), 2)
-	if realCfg.NetLatency != 0 || realCfg.NetBandwidth != 0 {
-		t.Errorf("real clock: configured fabric price = %v + bytes/%v, want none", realCfg.NetLatency, realCfg.NetBandwidth)
-	}
-	if virtCfg.NetLatency != 50*time.Microsecond || virtCfg.NetBandwidth != 1e9 {
-		t.Errorf("virtual clock: configured fabric price = %v + bytes/%v, want 50µs + bytes/1e9", virtCfg.NetLatency, virtCfg.NetBandwidth)
+	env := bench.NewEnv(bench.EnvConfig{DS: dataset.Tiny(), Workers: 1})
+	env.Session(func(*core.Client) {})
+	for _, tc := range []struct {
+		name string
+		rt   *core.Runtime
+		want core.Model
+	}{
+		{"real clock", New(Options{}).Runtime, core.Model{}},
+		{"virtual clock", New(Options{VirtualTime: true}).Runtime, paper},
+		{"bench.NewEnv", env.RT, paper},
+	} {
+		rt := tc.rt
+		if rt.Model != tc.want {
+			t.Errorf("%s: model = %+v, want %+v", tc.name, rt.Model, tc.want)
+		}
+		if rt.DMS.Prices != tc.want.Read {
+			t.Errorf("%s: read prices = %+v, want %+v", tc.name, rt.DMS.Prices, tc.want.Read)
+		}
+		if rt.Net.Latency != tc.want.NetLatency || rt.Net.Bandwidth != tc.want.NetBandwidth {
+			t.Errorf("%s: fabric price = %v + bytes/%v, want %v + bytes/%v", tc.name,
+				rt.Net.Latency, rt.Net.Bandwidth, tc.want.NetLatency, tc.want.NetBandwidth)
+		}
 	}
 }
 
@@ -130,35 +113,48 @@ func TestFabricChargesWhoTheClockSays(t *testing.T) {
 }
 
 // TestIndexedPathIsSelected serves one real-clock system over loopback and
-// checks the selection end to end: with no "index" parameter the viewer takes
-// the cached-tree path and returns the bytes the paper's uncached algorithm
-// returns; with the shared DMS budget held at the shed threshold it returns
-// those bytes again and leaves no derived entity behind. The vortex commands
-// take one path whatever "index" says, and cache no derived entity on any.
+// checks the tree path end to end against a virtual-clock system, which
+// rebuilds every tree as the paper's algorithm does: the viewer caches its
+// BSP trees, serves the second request from them, and returns the rebuilt
+// bytes both times; the vortex commands cache no derived entity. With the
+// shared DMS budget held at the prefetch-shed threshold the bytes are the
+// same again and the budget is never exceeded: there the DMS refuses a tree
+// rather than evict a demand block for it.
 func TestIndexedPathIsSelected(t *testing.T) {
 	requests := []struct {
 		cmd    string
 		params map[string]string
-		caches bool // the default path caches derived entities
+		caches bool // the real clock's path caches derived entities
 	}{
 		{"iso.viewer", streamParams(), true},
 		{"vortex.streamed", Params("dataset", "engine", "workers", "2", "lambda2", "-1000", "redistribute", "1"), false},
 	}
-	run := func(rc *RemoteClient, cmd string, params map[string]string, index string) []byte {
+	refs := make([][]byte, len(requests))
+	virt := New(Options{Workers: 2, VirtualTime: true})
+	if _, err := virt.AddDataset("engine", 1); err != nil {
+		t.Fatal(err)
+	}
+	virt.Session(func(c *Client) {
+		for i, r := range requests {
+			res, err := c.Run(r.cmd, r.params)
+			if err != nil {
+				t.Fatalf("%s: %v", r.cmd, err)
+			}
+			if res.Merged.NumTriangles() == 0 {
+				t.Fatalf("%s: no triangles — comparison degenerate", r.cmd)
+			}
+			refs[i] = res.Merged.EncodeBinary()
+		}
+	})
+	if _, ps := virt.Runtime.DMS.AggregateStats(); ps.DerivedPuts != 0 {
+		t.Fatalf("virtual clock cached %d derived entities", ps.DerivedPuts)
+	}
+
+	run := func(rc *RemoteClient, cmd string, params map[string]string) []byte {
 		t.Helper()
-		p := Params()
-		for k, v := range params {
-			p[k] = v
-		}
-		if index != "" {
-			p["index"] = index
-		}
-		m, err := rc.Run(cmd, p, nil)
+		m, err := rc.Run(cmd, params, nil)
 		if err != nil {
-			t.Fatalf("%s index=%q: %v", cmd, index, err)
-		}
-		if m.NumTriangles() == 0 {
-			t.Fatalf("%s index=%q: no triangles — comparison degenerate", cmd, index)
+			t.Fatalf("%s: %v", cmd, err)
 		}
 		return m.EncodeBinary()
 	}
@@ -173,51 +169,45 @@ func TestIndexedPathIsSelected(t *testing.T) {
 		t.Cleanup(func() { rc.Close() })
 		return sys, rc
 	}
-	derivedPuts := func(sys *System) int64 {
+	derived := func(sys *System) dms.ProxyStats {
 		_, ps := sys.Runtime.DMS.AggregateStats()
-		return ps.DerivedPuts
+		return ps
 	}
 
 	sys, rc := serve(Options{Workers: 2})
-	refs := make([][]byte, len(requests))
 	for i, r := range requests {
-		refs[i] = run(rc, r.cmd, r.params, "0")
-		if n := derivedPuts(sys); n != 0 {
-			t.Fatalf("%s index=0 cached %d derived entities", r.cmd, n)
+		before := derived(sys)
+		if got := run(rc, r.cmd, r.params); !bytes.Equal(got, refs[i]) {
+			t.Errorf("%s: cached path differs from the rebuilding one", r.cmd)
 		}
-	}
-	for i, r := range requests {
-		before := derivedPuts(sys)
-		if got := run(rc, r.cmd, r.params, ""); !bytes.Equal(got, refs[i]) {
-			t.Errorf("%s: default path differs from index=0", r.cmd)
+		cold := derived(sys)
+		if cached := cold.DerivedPuts != before.DerivedPuts; cached != r.caches {
+			t.Errorf("%s: cached derived entities: %v, want %v", r.cmd, cached, r.caches)
 		}
-		if cached := derivedPuts(sys) != before; cached != r.caches {
-			t.Errorf("%s: default path cached derived entities: %v, want %v", r.cmd, cached, r.caches)
+		if got := run(rc, r.cmd, r.params); !bytes.Equal(got, refs[i]) {
+			t.Errorf("%s, warm: cached path differs from the rebuilding one", r.cmd)
 		}
-		if !r.caches {
-			run(rc, r.cmd, r.params, "1")
-			if n := derivedPuts(sys); n != before {
-				t.Errorf("%s index=1 cached %d derived entities", r.cmd, n-before)
-			}
+		if warm := derived(sys); warm.DerivedMisses != cold.DerivedMisses || warm.DerivedPuts != cold.DerivedPuts {
+			t.Errorf("%s, warm: %d tree lookups missed, want none", r.cmd, warm.DerivedMisses-cold.DerivedMisses)
 		}
 	}
 
-	// A budget of eleven of the step's 23 blocks: the un-indexed warm-up
-	// fills it to within one block (a twelfth) of the limit, so from then on
-	// every rank starts at or above the shed threshold.
+	// A budget of eleven of the step's 23 blocks: the warm-up fills it to
+	// within one block (a twelfth) of the limit, so from then on every rank
+	// starts at or above the shed threshold.
 	ov := DefaultOverloadConfig()
 	ov.MemBudget = 256 << 10
 	tight, rc2 := serve(Options{Workers: 2, Overload: &ov})
 	for i, r := range requests {
-		run(rc2, r.cmd, r.params, "0")
+		run(rc2, r.cmd, r.params)
 		if b := tight.DMSBudget(); float64(b.Used) < 0.9*float64(b.Limit) {
 			t.Fatalf("budget at %d of %d bytes after the warm-up: pressure below the shed threshold, test degenerate", b.Used, b.Limit)
 		}
-		if got := run(rc2, r.cmd, r.params, ""); !bytes.Equal(got, refs[i]) {
-			t.Errorf("%s under budget pressure: default path differs from index=0", r.cmd)
+		if got := run(rc2, r.cmd, r.params); !bytes.Equal(got, refs[i]) {
+			t.Errorf("%s under budget pressure: cached path differs from the rebuilding one", r.cmd)
 		}
-		if n := derivedPuts(tight); n != 0 {
-			t.Errorf("%s under budget pressure: default path cached %d derived entities", r.cmd, n)
+		if b := tight.DMSBudget(); b.Peak > b.Limit {
+			t.Errorf("%s under budget pressure: budget peaked at %d of %d bytes", r.cmd, b.Peak, b.Limit)
 		}
 	}
 }

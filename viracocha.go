@@ -95,7 +95,9 @@ type Options struct {
 	// Workers is the worker pool size (default 4).
 	Workers int
 	// VirtualTime runs the system under the deterministic virtual clock
-	// instead of the wall clock. TCP serving requires wall time.
+	// instead of the wall clock, charging the figures' prices
+	// (core.Paper()); the wall clock charges none. TCP serving requires wall
+	// time.
 	VirtualTime bool
 	// Prefetcher selects the system prefetch policy for worker proxies:
 	// "none" (default), "obl", "onmiss", "markov".
