@@ -68,9 +68,9 @@ bench:
 
 # One-iteration smoke pass over the headline benchmarks: catches a broken or
 # wildly regressed hot path in seconds without recording numbers. Part of
-# `make check`.
+# `make check` and of CI.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Lambda2Field|StreamedVortexScan|StreamedFrames|SliderStormMemoN4|AssembleStream|DMSColdStep' -benchtime 1x -count=1 .
+	$(GO) test -run '^$$' -bench 'Lambda2Field|StreamedVortexScan|StreamedFrames|SliderStormMemoN4|AssembleStream|DMSColdStep|ExtractRangeReuse|SliderSweepViewer' -benchtime 1x -count=1 .
 
 # Real-clock end-to-end benchmark over loopback TCP (benchmark/README.md): all
 # four workloads, appended as one report to benchmark/out/$(E2E_OUT).json.

@@ -2,6 +2,7 @@ package iso
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"viracocha/internal/grid"
@@ -17,24 +18,27 @@ import (
 // decomposition is consistent across faces. The edge→vertex cache therefore
 // makes the output welded by construction, with no post-hoc Weld pass and
 // roughly 6× fewer vertex bytes than triangle-soup emission. The cache is a
-// table indexed directly by edge (see edgeDir); it costs 56 bytes per node
+// table indexed directly by edge (see cellEdge); it costs 56 bytes per node
 // of the largest block the extractor has seen.
 //
 // The range scan (Range) classifies cells from a bitmap of the nodes below
-// iso, so only active cells load corner values and touch the coordinate
+// iso, so only active cells load corner values. An active cell is
+// triangulated from the case table (cellCases) of its corner mask, which
+// names the edges it cuts, so only their corners touch the coordinate
 // array. Interpolation is oriented from the lower to the higher global node
 // index, so a vertex's position does not depend on which cell reached its
 // edge first.
 type Extractor struct {
-	b   *grid.Block
-	m   *mesh.Mesh
-	off [8]int // linear corner offsets, hoisted out of the scan
+	b    *grid.Block
+	m    *mesh.Mesh
+	off  [8]int            // linear corner offsets, hoisted out of the scan
+	slot [numCellEdges]int // edge-table slot of each cell edge, relative to 7·i0
 
 	// edges maps an edge to the mesh vertex index of the iso crossing on it:
-	// the edge from global node lo in direction edgeDir owns slot
-	// 7·lo+edgeDir, which holds gen<<32 | vertex index. A slot stamped with
-	// another generation is empty, so Reset and Rebind forget every cached
-	// vertex by bumping gen, and the table is cleared only when gen wraps.
+	// the edge from global node lo in direction dir owns slot 7·lo+dir,
+	// which holds gen<<32 | vertex index. A slot stamped with another
+	// generation is empty, so Reset and Rebind forget every cached vertex by
+	// bumping gen, and the table is cleared only when gen wraps.
 	edges []uint64
 	gen   uint32
 
@@ -42,9 +46,8 @@ type Extractor struct {
 	// across calls.
 	below []uint64
 
-	g [8]int        // global node index per corner of the current cell
-	v [8]float64    // corner values
-	p [8]mathx.Vec3 // corner coordinates, loaded for active cells only
+	v [8]float64    // corner values of the current cell
+	p [8]mathx.Vec3 // its corner coordinates, loaded for the cut edges' corners only
 }
 
 // extractorPool keeps extractor scratch (most importantly the edge table)
@@ -59,16 +62,83 @@ const edgeDirs = 7
 // i | j<<1 | k<<2.
 var cornerBits = [8]uint8{0, 1, 3, 2, 4, 5, 7, 6}
 
-// edgeDir numbers the direction of the edge between two corners of a cell.
-// Every edge of the 6-tet decomposition joins a corner to one whose offset
-// contains its own — the three axes, the three face diagonals and the body
-// diagonal — so the XOR of the two offsets is one of edgeDirs non-zero
-// patterns, numbered from 0. The table is symmetric; pairs no tetrahedron
-// joins are never looked up.
-var edgeDir = func() (t [8][8]uint8) {
-	for a := range t {
-		for c := range t[a] {
-			t[a][c] = (cornerBits[a] ^ cornerBits[c]) - 1
+// cellEdge is one edge of the 6-tet decomposition. Every such edge joins a
+// corner to one whose offset bits contain its own — the three axes, the
+// three face diagonals and the body diagonal — so lo, the contained corner,
+// has the lower global node index in every block and every cell, and the
+// XOR of the two offsets is one of edgeDirs non-zero patterns: dir is that
+// pattern less one. The orientation is static, so nothing is compared at
+// run time to pick the edge's owner.
+type cellEdge struct{ lo, hi, dir uint8 }
+
+// numCellEdges counts the distinct cell edges the six tetrahedra use: the
+// 12 cube edges, 6 face diagonals and the main diagonal.
+const numCellEdges = 19
+
+// orient returns the cell edge between corners a and c, from its lower
+// corner.
+func orient(a, c int) cellEdge {
+	if cornerBits[a]&^cornerBits[c] != 0 {
+		a, c = c, a
+	}
+	return cellEdge{lo: uint8(a), hi: uint8(c), dir: cornerBits[a] ^ cornerBits[c] - 1}
+}
+
+// cellEdges numbers the cell edges in the order tets × tetEdges first
+// reaches them.
+var cellEdges = func() (es [numCellEdges]cellEdge) {
+	n := 0
+	for _, tet := range tets {
+		for _, te := range tetEdges {
+			if ed := orient(tet[te[0]], tet[te[1]]); !slices.Contains(es[:n], ed) {
+				es[n] = ed
+				n++
+			}
+		}
+	}
+	return es
+}()
+
+// cellCase is the triangulation of a cell with one corner mask: the cell
+// edges it cuts, the corners those edges touch, and its triangles as
+// indices into the cut edges.
+type cellCase struct {
+	nEdges, nTris uint8
+	corners       uint8 // bit n set when a cut edge touches corner n
+	edges         [numCellEdges]uint8
+	tris          [3 * 2 * len(tets)]uint8
+}
+
+// cellCases maps each corner mask (bit n set when corner n is below iso, by
+// the kernel's own test, so a NaN is not below) to its case. It is derived
+// from tets and tetTriangles by walking the six tetrahedra in order, so a
+// case's triangles are theirs, in their order, and its cut edges are listed
+// in the order the triangles first reach them: emitting a case creates
+// vertices in the order the per-tetrahedron loop did.
+var cellCases = func() (t [256]cellCase) {
+	for mask := range t {
+		cs := &t[mask]
+		for _, tet := range tets {
+			tm := 0
+			for i, n := range tet {
+				tm |= (mask >> n & 1) << i
+			}
+			tri := &tetTriangles[tm]
+			for k := 0; k+2 < len(tri) && tri[k] >= 0; k += 3 {
+				for j, te := range tri[k : k+3] {
+					ed := orient(tet[tetEdges[te][0]], tet[tetEdges[te][1]])
+					id := uint8(slices.Index(cellEdges[:], ed))
+					at := slices.Index(cs.edges[:cs.nEdges], id)
+					if at < 0 {
+						at = int(cs.nEdges)
+						cs.edges[at] = id
+						cs.nEdges++
+						cs.corners |= 1<<ed.lo | 1<<ed.hi
+					}
+					cs.tris[3*int(cs.nTris)+j] = uint8(at)
+				}
+				cs.nTris++
+			}
 		}
 	}
 	return t
@@ -88,6 +158,9 @@ func NewExtractor(b *grid.Block, m *mesh.Mesh) *Extractor {
 func (e *Extractor) Reset(b *grid.Block, m *mesh.Mesh) {
 	e.b, e.m = b, m
 	e.off = b.CellOffsets()
+	for i, ed := range cellEdges {
+		e.slot[i] = edgeDirs*e.off[ed.lo] + int(ed.dir)
+	}
 	if n := edgeDirs * b.NumNodes(); n > len(e.edges) {
 		e.edges = make([]uint64, n)
 	}
@@ -120,29 +193,17 @@ func (e *Extractor) Close() {
 }
 
 // Cell runs the fused active-test-and-extract on cell (ci,cj,ck): corner
-// values are loaded once, and triangulation happens only when they straddle
-// iso. It returns the number of triangles added (0 means the cell is not
-// active — an active cell always yields at least one triangle, since every
-// tetrahedron contains the main diagonal).
+// values are loaded once into the corner mask, and triangulation happens
+// only when they straddle iso. It returns the number of triangles added (0
+// means the cell is not active — an active cell always yields at least one
+// triangle, since every tetrahedron contains the main diagonal).
 func (e *Extractor) Cell(vals []float32, iso float64, ci, cj, ck int) int {
 	i0 := e.b.Index(ci, cj, ck)
-	below, above := false, false
-	for n := 0; n < 8; n++ {
-		gi := i0 + e.off[n]
-		val := float64(vals[gi])
-		e.g[n] = gi
-		e.v[n] = val
-		if val < iso {
-			below = true
-		} else {
-			above = true
-		}
-	}
-	if !below || !above {
+	mask := e.load(vals, iso, i0)
+	if mask == 0 || mask == 0xff {
 		return 0
 	}
-	e.loadCorners()
-	return e.emit(iso)
+	return e.emit(iso, i0, mask)
 }
 
 // Range triangulates every active cell of the half-open cell range, in
@@ -196,9 +257,9 @@ func (e *Extractor) Range(vals []float32, iso float64, r grid.CellRange) Result 
 					active &= 1<<uint(n) - 1
 				}
 				for ; active != 0; active &= active - 1 {
-					e.loadCell(vals, i0+64*wi+bits.TrailingZeros64(active))
+					c0 := i0 + 64*wi + bits.TrailingZeros64(active)
 					res.ActiveCells++
-					res.Triangles += e.emit(iso)
+					res.Triangles += e.emit(iso, c0, e.load(vals, iso, c0))
 				}
 			}
 		}
@@ -222,74 +283,53 @@ func classify(dst []uint64, vals []float32, iso float64) {
 	}
 }
 
-// loadCell loads the corner indices, values and coordinates of the cell
-// whose corner 0 has linear index i0.
-func (e *Extractor) loadCell(vals []float32, i0 int) {
-	for n := 0; n < 8; n++ {
-		gi := i0 + e.off[n]
-		e.g[n] = gi
-		e.v[n] = float64(vals[gi])
+// load loads the corner values of the cell whose corner 0 has linear index
+// i0 and returns its corner mask.
+func (e *Extractor) load(vals []float32, iso float64, i0 int) uint8 {
+	var mask uint8
+	for n, off := range e.off {
+		v := float64(vals[i0+off])
+		e.v[n] = v
+		if v < iso {
+			mask |= 1 << n
+		}
 	}
-	e.loadCorners()
+	return mask
 }
 
-// loadCorners fills the corner coordinates of the current cell. Only active
-// cells pay for this — the scan itself touches nothing but values.
-func (e *Extractor) loadCorners() {
+// emit triangulates the loaded cell whose corner 0 has linear index i0 and
+// whose corner mask is mask, returning the number of triangles appended. It
+// loads the coordinates of the corners the cut edges touch, looks each cut
+// edge up in the edge table once, and interpolates and appends the vertex
+// of an edge no earlier cell reached.
+func (e *Extractor) emit(iso float64, i0 int, mask uint8) int {
+	cs := &cellCases[mask]
 	pts := e.b.Points
-	for n := 0; n < 8; n++ {
-		i3 := 3 * e.g[n]
-		e.p[n] = mathx.Vec3{
-			X: float64(pts[i3]),
-			Y: float64(pts[i3+1]),
-			Z: float64(pts[i3+2]),
+	for c := cs.corners; c != 0; c &= c - 1 {
+		n := bits.TrailingZeros8(c)
+		i3 := 3 * (i0 + e.off[n])
+		e.p[n] = mathx.Vec3{X: float64(pts[i3]), Y: float64(pts[i3+1]), Z: float64(pts[i3+2])}
+	}
+	var ids [numCellEdges]uint32
+	base := edgeDirs * i0
+	for k, id := range cs.edges[:cs.nEdges] {
+		slot := &e.edges[base+e.slot[id]]
+		if uint32(*slot>>32) == e.gen {
+			ids[k] = uint32(*slot)
+			continue
 		}
-	}
-}
-
-// emit triangulates the six tetrahedra of the loaded cell, returning the
-// number of triangles appended.
-func (e *Extractor) emit(iso float64) int {
-	added := 0
-	for ti := range tets {
-		tet := &tets[ti]
-		mask := 0
-		for i, c := range tet {
-			if e.v[c] < iso {
-				mask |= 1 << i
-			}
+		ed := cellEdges[id]
+		va, vc := e.v[ed.lo], e.v[ed.hi]
+		f := 0.5
+		if denom := vc - va; denom != 0 {
+			f = mathx.Clamp((iso-va)/denom, 0, 1)
 		}
-		tri := &tetTriangles[mask]
-		for t := 0; t+2 < len(tri) && tri[t] >= 0; t += 3 {
-			a := e.edgeVertex(iso, tet[tetEdges[tri[t]][0]], tet[tetEdges[tri[t]][1]])
-			b := e.edgeVertex(iso, tet[tetEdges[tri[t+1]][0]], tet[tetEdges[tri[t+1]][1]])
-			c := e.edgeVertex(iso, tet[tetEdges[tri[t+2]][0]], tet[tetEdges[tri[t+2]][1]])
-			e.m.AddTriangle(a, b, c)
-			added++
-		}
+		ids[k] = e.m.AddVertex(e.p[ed.lo].Lerp(e.p[ed.hi], f))
+		*slot = uint64(e.gen)<<32 | uint64(ids[k])
 	}
-	return added
-}
-
-// edgeVertex returns the mesh vertex on the cell edge between corners a and
-// c, interpolating and appending it on first encounter and serving every
-// later tetrahedron or cell from the cache.
-func (e *Extractor) edgeVertex(iso float64, a, c int) uint32 {
-	lo := e.g[a]
-	if lo > e.g[c] {
-		lo = e.g[c]
-		a, c = c, a
+	tris := cs.tris[:3*int(cs.nTris)]
+	for t := 0; t < len(tris); t += 3 {
+		e.m.AddTriangle(ids[tris[t]], ids[tris[t+1]], ids[tris[t+2]])
 	}
-	slot := &e.edges[edgeDirs*lo+int(edgeDir[a][c])]
-	if uint32(*slot>>32) == e.gen {
-		return uint32(*slot)
-	}
-	va, vc := e.v[a], e.v[c]
-	f := 0.5
-	if denom := vc - va; denom != 0 {
-		f = mathx.Clamp((iso-va)/denom, 0, 1)
-	}
-	id := e.m.AddVertex(e.p[a].Lerp(e.p[c], f))
-	*slot = uint64(e.gen)<<32 | uint64(id)
-	return id
+	return int(cs.nTris)
 }

@@ -192,7 +192,7 @@ func TestExtractorWeldedByConstruction(t *testing.T) {
 
 // TestExtractorCellMatchesRange checks that the per-cell entry point
 // (progressive refinement, streamed vortex) produces the same surface as the
-// slab scan, including across the face-reuse fast path.
+// bit-parallel range scan.
 func TestExtractorCellMatchesRange(t *testing.T) {
 	b := jitteredBlock(9, 7)
 	vals := b.Scalars["s"]

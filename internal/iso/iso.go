@@ -6,11 +6,13 @@
 // triangulates stored fields (pressure) and lazily computed ones (λ2).
 //
 // The kernel is the Extractor (extract.go): a bit-parallel scan that
-// classifies each node once and loads only active cells, welding vertices by
-// construction through a direct-indexed edge table, so shared vertices are
-// emitted exactly once per block.
+// classifies each node once and loads only active cells, triangulates each
+// from a 256-case table derived from the six tetrahedra, and welds vertices
+// by construction through a direct-indexed edge table, so shared vertices
+// are emitted exactly once per block.
 // The equivalence tests check it against the seed's per-cell reference
-// kernels, which live with them (reference_test.go).
+// kernels and against the per-tetrahedron welded loop the table replaced,
+// which live with them (reference_test.go).
 package iso
 
 import (
@@ -35,7 +37,8 @@ var tetEdges = [6][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
 
 // tetTriangles maps the 16 inside/outside corner masks (bit i set ⇔ corner i
 // below iso) to fans of edge indices; -1 terminates. Derived from the
-// classic marching-tetrahedra case analysis.
+// classic marching-tetrahedra case analysis. With tets and tetEdges it is
+// the one hand-written source of the per-cell case table (cellCases).
 var tetTriangles = [16][7]int{
 	{-1},                   // 0000
 	{0, 1, 2, -1},          // 0001: corner 0
