@@ -113,8 +113,10 @@ alloc-guard:
 	$(GO) test -count=1 -run 'TestDeliveryAllocationGuard|TestFlowParkAllocatesNothing|TestExtractorResetAllocatesNothing|TestConnRecvAllocatesOnlyParams' -v . ./internal/core/ ./internal/iso/ ./internal/comm/
 
 # Short fuzz pass over every decoder and parser that takes bytes from outside:
-# the message codec (plain, fault-plan-mutated frames and the message batches
-# of WAL checkpoints), the frame and parameter parsers, the memo-key float
+# the message codec (plain frames, also with their checksum made good so
+# mutations reach the parser; fault-plan-mutated frames and the message
+# batches of WAL checkpoints), the frame (checksum made good too) and
+# parameter parsers, the memo-key float
 # canonicalizer, the mesh wire decoder every client runs on its socket, the
 # stored-block parser (each input's CRC-32C re-sealed, so mutations get past
 # the checksum), the WAL frame parser (torn/corrupt tails must truncate, never
@@ -125,17 +127,17 @@ alloc-guard:
 # the admission parser every decoded command goes through (no panic, one
 # memo key for equal number spellings), and the
 # client's session-script parser (no panic; an accepted script has steps,
-# each with a command and no negative think time). The block
+# each with a command and no negative think time). The message, block
 # and checkpoint targets cap the minimizer, whose default minute per new input
 # would leave a short pass no time to execute. FUZZTIME is each target's run
 # time.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzDecodeMutated -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzDecodeBatchMutated -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzCanonicalFloat -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzFrameIsEncode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzFrameIsEncode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 	$(GO) test ./internal/comm/ -run=^$$ -fuzz=FuzzParamParsing -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mesh/ -run=^$$ -fuzz=FuzzDecodeBinary -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/storage/ -run=^$$ -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
@@ -149,7 +151,8 @@ fuzz:
 # outside benchmark/ (tracked files), the server's flag definitions, the
 # declared fields (names, not lines) of the config structs a library caller
 # can set and of the one price list, and the non-test lines outside
-# internal/comm that index a message's Params by a literal key.
+# internal/comm that index a message's Params by a literal key or parse one
+# of its parameters with IntParam.
 SIZE_STRUCTS = viracocha.go:viracocha.Options internal/core/runtime.go:core.Config \
 	internal/core/runtime.go:core.FTConfig internal/core/overload.go:core.OverloadConfig \
 	internal/dms/server.go:dms.Config internal/core/cost.go:core.Model
@@ -166,6 +169,8 @@ size:
 	done
 	@n=$$(git grep -c 'Params\["' -- '*.go' ':!*_test.go' ':!internal/comm' | awk -F: '{ n += $$2 } END { print n + 0 }'); \
 		echo "Params[\"...\"] lines outside internal/comm: $$n"
+	@n=$$(git grep -c 'IntParam(' -- '*.go' ':!*_test.go' ':!internal/comm' | awk -F: '{ n += $$2 } END { print n + 0 }'); \
+		echo "IntParam( lines outside internal/comm: $$n"
 
 # The virtual figures, checked by the machine: regenerate every table of the
 # paper's evaluation at scale 2 on one P (about half a minute) and diff each

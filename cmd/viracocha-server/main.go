@@ -48,7 +48,6 @@ func main() {
 		datasets  = flag.String("dataset", "engine", "comma-separated data sets to host (engine, propfan, tiny)")
 		scale     = flag.Int("scale", 2, "synthetic grid scale")
 		dir       = flag.String("dir", "", "serve pre-generated block files from this directory instead of on-demand synthesis")
-		latency   = flag.Duration("storage-latency", 0, "sleep this long per block read: paces requests so fault drills (-fault, kill/restart, drain) can land mid-request; 0 = reads cost what the files take")
 		failAfter = flag.Duration("fail-after", 0, "declare a silent worker dead after this; workers heartbeat every eighth of it (0 = default 2s, heartbeat 250ms)")
 		memBudget = flag.Int64("mem-budget", 0, "DMS byte budget across all cache tiers (0 = unlimited)")
 		memo      = flag.Bool("memo", false, "enable cross-session result memoization: identical requests are served from a content-addressed result cache, and concurrent identical requests coalesce onto one multicast extraction (requests override with memo=0/1)")
@@ -59,18 +58,17 @@ func main() {
 		fsyncPol  = flag.String("fsync", "always", "WAL fsync policy: always (every acknowledged record durable), interval (bounded loss window), off (the OS decides)")
 		faultSpec faultList
 	)
-	flag.Var(&faultSpec, "fault", "inject a fault rule (repeatable): crash:NODE@DUR, recover:NODE@DUR, flap:NODE:PERIOD, drop:FROM>TO:KIND:PROB, dup:..., delay:FROM>TO:KIND:DUR, read:DATASET:STEP:BLOCK:N, corrupt:DATASET:STEP:BLOCK:N, slow:ENDPOINT@DUR, discon:SESSION:AFTER_MSGS, hang:SESSION")
+	flag.Var(&faultSpec, "fault", "inject a fault rule (repeatable): crash:NODE@DUR, recover:NODE@DUR, flap:NODE:PERIOD, drop:FROM>TO:KIND:PROB, dup:..., delay:FROM>TO:KIND:DUR, read:DATASET:STEP:BLOCK:N, corrupt:DATASET:STEP:BLOCK:N, slow:ENDPOINT@DUR, discon:SESSION:AFTER_MSGS, hang:SESSION, torn:PATH:N, fsyncfail:PATH, pace:DATASET@DUR (every read of DATASET sleeps DUR, so a drill lands mid-request)")
 	flag.Parse()
 
 	opts := viracocha.Options{
-		Workers:        *workers,
-		Prefetcher:     "obl",
-		StorageLatency: *latency,
-		Memo:           *memo,
-		SessionLease:   *lease,
-		DrainTimeout:   *drainTmo,
-		WALDir:         *walDir,
-		WALFsync:       *fsyncPol,
+		Workers:      *workers,
+		Prefetcher:   "obl",
+		Memo:         *memo,
+		SessionLease: *lease,
+		DrainTimeout: *drainTmo,
+		WALDir:       *walDir,
+		WALFsync:     *fsyncPol,
 	}
 	ft := viracocha.DefaultFTConfig()
 	if *failAfter > 0 {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"testing"
 	"time"
 
@@ -108,9 +107,7 @@ func captureStream(tb testing.TB, rc *RemoteClient, command string, params map[s
 			continue
 		}
 		if m.Kind == "partial" {
-			ack := comm.Message{Kind: "ack", ReqID: reqID, Params: map[string]string{
-				"rank": m.Params["rank"], "sseq": m.Params["sseq"],
-			}}
+			ack := comm.Message{Kind: "ack", ReqID: reqID, Rank: m.Rank, SSeq: m.SSeq}
 			if err := rc.send(ack); err != nil {
 				tb.Fatal(err)
 			}
@@ -142,18 +139,18 @@ func TestRankPartialsArriveInSeqOrder(t *testing.T) {
 	defer rc.Close()
 	whole := Params("dataset", "engine", "step", "0", "workers", "2", "iso", "500")
 	for _, params := range []map[string]string{whole, whole, plainParams(), plainParams()} {
-		last := map[string]int{}
+		last := map[int]int{}
 		partials := 0
 		for _, m := range captureStream(t, rc, "iso.viewer", params) {
 			if m.Kind != "partial" {
 				continue
 			}
-			if _, tagged := m.Params["block"]; tagged {
-				t.Fatalf("a tagged partial in a stream without redistribute: %v", m.Params)
+			if m.Block.OK {
+				t.Fatalf("a tagged partial in a stream without redistribute: block %d", m.Block.V)
 			}
-			rank := m.Params["rank"]
+			rank := m.Rank.V
 			if prev, ok := last[rank]; ok && m.Seq <= prev {
-				t.Fatalf("rank %s: partial seq %d arrived after seq %d", rank, m.Seq, prev)
+				t.Fatalf("rank %d: partial seq %d arrived after seq %d", rank, m.Seq, prev)
 			}
 			last[rank] = m.Seq
 			partials++
@@ -249,11 +246,9 @@ func TestWALFrameRecordBytes(t *testing.T) {
 	}
 	var want [][]byte
 	for i, payload := range [][]byte{bytes.Repeat([]byte{9}, 5000), nil, []byte("x")} {
-		sseq := strconv.Itoa(i + 1)
 		m := comm.Message{Kind: "partial", Command: "iso.viewer", ReqID: 7, Seq: i, Payload: payload,
-			Params: Params("rank", "1", "attempt", "0", "block", "3", "bseq", "0")}
-		w.Frame("sess-1", 7, comm.StampFrame(m, "sseq", sseq))
-		m.Params["sseq"] = sseq
+			Rank: comm.Some(1), Attempt: comm.Some(0), Block: comm.Some(3), BSeq: comm.Some(0), SSeq: comm.Some(i + 1)}
+		w.Frame("sess-1", 7, comm.NewFrame(m))
 		want = append(want, comm.Encode(frameRecord("sess-1", 7, comm.Encode(m))))
 	}
 	w.kill() // no closing checkpoint: the records stay in their segment

@@ -182,9 +182,9 @@ func (b *sessionBridge) deliver(m comm.Message) (outbound, bool) {
 	out.ReqID = lr.clientReq
 	// Only the bridge, under its lock, advances a live log's head.
 	sseq := lr.log.head() + 1
-	wire := comm.StampFrame(out, "sseq", strconv.Itoa(sseq))
-	f := newLogFrame(m, nil)
-	f.sseq = sseq
+	out.SSeq = comm.Some(sseq)
+	wire := comm.NewFrame(out)
+	f := newLogFrame(out, nil)
 	if sess.durable {
 		f.wire, f.payload, f.sum = wire.Head, wire.Payload, wire.Sum
 	}
@@ -196,7 +196,7 @@ func (b *sessionBridge) deliver(m comm.Message) (outbound, bool) {
 		lsn = b.sys.wal.Frame(sess.id, lr.clientReq, wire)
 	}
 	isPartial := out.Kind == "partial"
-	rank := out.IntParam("rank", 0)
+	rank := out.Rank.Or(0)
 	credit := func() {
 		// The frame never reached (or will never reach) the client: return
 		// its stream credit on the client's behalf so producers keep moving.
@@ -607,8 +607,8 @@ func (b *sessionBridge) handleFrame(sess *liveSession, conn *comm.Conn, m comm.M
 			// Route the failure through deliver so it is stamped, logged
 			// and replayable like any other terminal frame.
 			o, send := b.deliver(comm.Message{
-				Kind: "error", ReqID: rid, Final: true,
-				Params: map[string]string{"error": err.Error(), "attempt": "0"},
+				Kind: "error", ReqID: rid, Final: true, Attempt: comm.Some(0),
+				Params: map[string]string{"error": err.Error()},
 			})
 			if send {
 				b.sys.wal.flush(o.lsn)
@@ -622,8 +622,8 @@ func (b *sessionBridge) handleFrame(sess *liveSession, conn *comm.Conn, m comm.M
 			b.mu.Unlock()
 			return true
 		}
-		sseq := m.IntParam("sseq", -1)
-		rank := m.IntParam("rank", 0)
+		sseq := m.SSeq.Or(-1)
+		rank := m.Rank.Or(0)
 		forward := true
 		if sseq >= 0 {
 			if sseq <= lr.selfAcked {

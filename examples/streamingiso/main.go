@@ -19,14 +19,14 @@ import (
 
 func main() {
 	// Back end: what viracocha-server runs (OBL prefetching, the overload
-	// defaults), plus a per-read storage latency so streaming visibly outpaces
-	// the full computation.
+	// defaults), plus the server's pace rule (-fault pace:engine@3ms) so
+	// streaming visibly outpaces the full computation.
 	overload := viracocha.DefaultOverloadConfig()
 	sys := viracocha.New(viracocha.Options{
-		Workers:        4,
-		Prefetcher:     "obl",
-		StorageLatency: 3 * time.Millisecond,
-		Overload:       &overload,
+		Workers:    4,
+		Prefetcher: "obl",
+		Faults:     new(viracocha.FaultPlan).Pace("engine", 3*time.Millisecond),
+		Overload:   &overload,
 	})
 	if _, err := sys.AddDataset("engine", 2); err != nil {
 		log.Fatal(err)

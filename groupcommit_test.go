@@ -219,7 +219,7 @@ func TestJournalRecordsRideTheNextCommit(t *testing.T) {
 			t.Fatalf("%s made %d fsyncs", hook.name, n)
 		}
 	}
-	frame := comm.StampFrame(comm.Message{Kind: "partial", ReqID: 7, Params: Params("rank", "0")}, "sseq", "1")
+	frame := comm.NewFrame(comm.Message{Kind: "partial", ReqID: 7, Rank: comm.Some(0), SSeq: comm.Some(1)})
 	w.flush(w.Frame("sess-1", 7, frame))
 	if n := h.count() - base; n != 1 {
 		t.Fatalf("the frame's commit made %d fsyncs, want 1", n)

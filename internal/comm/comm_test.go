@@ -2,10 +2,15 @@ package comm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -20,6 +25,9 @@ func sampleMessage() Message {
 		ReqID:   42,
 		Seq:     7,
 		Final:   true,
+		Worker:  Some("w3"),
+		Rank:    Some(2),
+		SSeq:    Some(-11),
 		Params:  map[string]string{"iso": "0.5", "field": "pressure"},
 		Payload: []byte{1, 2, 3, 4, 5},
 	}
@@ -69,6 +77,75 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	}
 }
 
+// rawFrame is an ack frame carrying the key=value pairs kv as given, in
+// order, duplicates and all: what a hostile peer can put on the wire.
+func rawFrame(kv ...string) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, frameMagic)
+	put := func(s string) { b = append(le.AppendUint32(b, uint32(len(s))), s...) }
+	put("ack")
+	put("")
+	b = le.AppendUint64(b, 3)
+	b = le.AppendUint32(b, 0)
+	b = append(b, 0)
+	b = le.AppendUint32(b, uint32(len(kv)/2))
+	for _, s := range kv {
+		put(s)
+	}
+	b = le.AppendUint32(b, 0)
+	return le.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// TestDecodeRejectsNonCanonicalStreamKeys: a typed key is what strconv.Itoa
+// writes, once, or the frame is rejected at the boundary; what Itoa writes is
+// accepted into the field and re-encodes to the same bytes.
+func TestDecodeRejectsNonCanonicalStreamKeys(t *testing.T) {
+	for _, kv := range [][]string{
+		{"rank", "07"}, {"rank", " 3"}, {"rank", "x"}, {"rank", ""}, {"rank", "+3"},
+		{"rank", "-0"}, {"sseq", "3 "}, {"attempt", "1e3"}, {"block", "99999999999999999999"},
+		{"rank", "1", "rank", "1"}, {"bseq", "0", "bseq", "1"}, {"worker", "w1", "worker", "w1"},
+	} {
+		if m, err := Decode(rawFrame(kv...)); err == nil {
+			t.Errorf("%q accepted as %+v", kv, m)
+		}
+	}
+	for _, c := range []struct {
+		kv   []string
+		want Message
+	}{
+		{[]string{"rank", "0"}, Message{Rank: Some(0)}},
+		{[]string{"attempt", "1073741824", "sseq", "-5"}, Message{Attempt: Some(1 << 30), SSeq: Some(-5)}},
+		{[]string{"block", strconv.Itoa(math.MinInt), "bseq", strconv.Itoa(math.MaxInt)},
+			Message{Block: Some(math.MinInt), BSeq: Some(math.MaxInt)}},
+		{[]string{"span", "07", "worker", ""}, Message{Worker: Some(""), Params: map[string]string{"span": "07"}}},
+	} {
+		data := rawFrame(c.kv...)
+		m, err := Decode(data)
+		c.want.Kind, c.want.ReqID = "ack", 3
+		if err != nil || !reflect.DeepEqual(m, c.want) {
+			t.Errorf("%q decoded to %+v, %v; want %+v", c.kv, m, err, c.want)
+		}
+		if !bytes.Equal(Encode(m), data) {
+			t.Errorf("%q does not re-encode to its own bytes", c.kv)
+		}
+	}
+}
+
+// TestDecodeParamsSizedByFrame: a frame that claims 65,535 parameters but
+// holds one is rejected without allocating for the 65,535 its count claims.
+func TestDecodeParamsSizedByFrame(t *testing.T) {
+	data := rawFrame("a", "b")
+	binary.LittleEndian.PutUint32(data[4+4+3+4+8+4+1:], 65535)
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.Checksum(data[:len(data)-4], castagnoli))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(data)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; err == nil || grew > 4096 {
+		t.Fatalf("a %d-byte frame claiming 65535 parameters: err %v, %d bytes allocated", len(data), err, grew)
+	}
+}
+
 func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -84,6 +161,14 @@ func TestEncodeDecodeProperty(t *testing.T) {
 			for i := 0; i < n; i++ {
 				m.Params[randStr(rng, 5)] = randStr(rng, 9)
 			}
+		}
+		for _, p := range []*Opt[int]{&m.Attempt, &m.Block, &m.BSeq, &m.Rank, &m.SSeq} {
+			if rng.Intn(2) == 0 {
+				*p = Some(int(rng.Int63()>>rng.Intn(63)) * (1 - 2*rng.Intn(2)))
+			}
+		}
+		if rng.Intn(2) == 0 {
+			m.Worker = Some(randStr(rng, 4))
 		}
 		if rng.Intn(2) == 0 {
 			m.Payload = make([]byte, rng.Intn(256))

@@ -18,7 +18,9 @@ func corruptibleFrame() []byte {
 		ReqID:   77,
 		Seq:     3,
 		Final:   true,
-		Params:  map[string]string{"worker": "w2", "rank": "1", "attempt": "0"},
+		Worker:  comm.Some("w2"),
+		Rank:    comm.Some(1),
+		Attempt: comm.Some(0),
 		Payload: []byte("payload bytes that a link fault may corrupt"),
 	})
 }
@@ -49,12 +51,12 @@ func corruptibleBatch() []byte {
 	return comm.EncodeBatch([]comm.Message{
 		{
 			Kind: "partial", Command: "vortex.streamed", ReqID: 12, Seq: 1,
-			Params:  map[string]string{"worker": "w1", "rank": "1", "attempt": "0"},
+			Worker: comm.Some("w1"), Rank: comm.Some(1), Attempt: comm.Some(0),
 			Payload: []byte("packet one of a batch"),
 		},
 		{
 			Kind: "partial", Command: "vortex.streamed", ReqID: 12, Seq: 2,
-			Params:  map[string]string{"worker": "w1", "rank": "1", "attempt": "0", "block": "5", "bseq": "1"},
+			Worker: comm.Some("w1"), Rank: comm.Some(1), Attempt: comm.Some(0), Block: comm.Some(5), BSeq: comm.Some(1),
 			Payload: []byte("packet two, block-tagged"),
 		},
 	})

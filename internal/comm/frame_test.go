@@ -10,17 +10,17 @@ func batchMessages() []Message {
 	return []Message{
 		{
 			Kind: "partial", Command: "vortex.streamed", ReqID: 9, Seq: 1,
-			Params:  map[string]string{"worker": "w0", "rank": "0", "attempt": "0"},
+			Worker: Some("w0"), Rank: Some(0), Attempt: Some(0),
 			Payload: []byte("first packet"),
 		},
 		{
 			Kind: "partial", Command: "vortex.streamed", ReqID: 9, Seq: 2,
-			Params:  map[string]string{"worker": "w0", "rank": "0", "attempt": "0", "block": "3", "bseq": "0"},
+			Worker: Some("w0"), Rank: Some(0), Attempt: Some(0), Block: Some(3), BSeq: Some(0),
 			Payload: []byte{},
 		},
 		{
 			Kind: "partial", Command: "vortex.streamed", ReqID: 9, Seq: 3,
-			Params:  map[string]string{"worker": "w0", "rank": "0", "attempt": "0"},
+			Worker: Some("w0"), Rank: Some(0), Attempt: Some(0),
 			Payload: bytes.Repeat([]byte{0xAB, 0x00, 0x7F}, 513),
 		},
 	}

@@ -24,7 +24,7 @@ import (
 // client, the scheduler and the workers.
 type Message struct {
 	// Kind discriminates the protocol role: "command", "partial", "result",
-	// "progress", "error", "ack", "shutdown".
+	// "error", "ack", "shutdown".
 	Kind string
 	// Command names the post-processing command this message belongs to.
 	Command string
@@ -34,7 +34,15 @@ type Message struct {
 	Seq int
 	// Final marks the last message of a request.
 	Final bool
-	// Params carries string-encoded command parameters and annotations.
+	// Worker, Rank, Attempt, Block, BSeq and SSeq are a streamed packet's
+	// identity: producing node and group rank, request attempt, block tag and
+	// index in the block, and the bridge's stream sequence. Each travels as
+	// the parameter of its name in lower case, an integer as strconv.Itoa
+	// writes it; an absent one is absent from the wire too.
+	Worker                           Opt[string]
+	Rank, Attempt, Block, BSeq, SSeq Opt[int]
+	// Params carries the other string-encoded parameters. A typed key set
+	// here as well is written from its field.
 	Params map[string]string
 	// Payload carries binary data (encoded meshes, blocks).
 	Payload []byte
@@ -47,6 +55,53 @@ type Message struct {
 	// seal holds Payload's CRC-32C once SealPayload took it, so that every
 	// framing of a payload sent many times reads only its own head.
 	seal payloadSeal
+}
+
+// Opt is one typed key of a message: its value, and whether the message
+// carries the key at all. The zero Opt is absent.
+type Opt[T int | string] struct {
+	V  T
+	OK bool
+}
+
+// Some is the present key v.
+func Some[T int | string](v T) Opt[T] { return Opt[T]{V: v, OK: true} }
+
+// Or is the key's value, or def when it is absent.
+func (o Opt[T]) Or(def T) T {
+	if o.OK {
+		return o.V
+	}
+	return def
+}
+
+// streamKeys are the typed keys' wire names.
+var streamKeys = [...]string{"attempt", "block", "bseq", "rank", "sseq", "worker"}
+
+// streamInt is the typed integer field whose wire name is k, or nil.
+func (m *Message) streamInt(k string) *Opt[int] {
+	switch k {
+	case "attempt":
+		return &m.Attempt
+	case "block":
+		return &m.Block
+	case "bseq":
+		return &m.BSeq
+	case "rank":
+		return &m.Rank
+	case "sseq":
+		return &m.SSeq
+	}
+	return nil
+}
+
+// carries reports whether k is a typed key m carries: its field, not a
+// Params entry of the same name, is what the wire gets.
+func (m *Message) carries(k string) bool {
+	if p := m.streamInt(k); p != nil {
+		return p.OK
+	}
+	return k == "worker" && m.Worker.OK
 }
 
 // payloadSeal is a sealed payload's CRC-32C and its crcShift.
@@ -68,7 +123,18 @@ func (m *Message) SealPayload() {
 func (m *Message) WireSize() int64 {
 	n := 4 + 4 + len(m.Kind) + 4 + len(m.Command) + 8 + 4 + 1 + 4 + 4 + len(m.Payload) + 4
 	for k, v := range m.Params {
-		n += 8 + len(k) + len(v)
+		if !m.carries(k) {
+			n += 8 + len(k) + len(v)
+		}
+	}
+	var digits [20]byte
+	for _, k := range streamKeys {
+		if p := m.streamInt(k); p != nil && p.OK {
+			n += 8 + len(k) + len(strconv.AppendInt(digits[:0], int64(p.V), 10))
+		}
+	}
+	if m.Worker.OK {
+		n += 8 + len("worker") + len(m.Worker.V)
 	}
 	return int64(n)
 }
@@ -91,15 +157,14 @@ func Encode(m Message) []byte { return appendEncoded(make([]byte, 0, m.WireSize(
 
 func appendEncoded(buf []byte, m Message) []byte {
 	at := len(buf)
-	buf = append(AppendHead(buf, m, len(m.Payload), "", ""), m.Payload...)
+	buf = append(AppendHead(buf, m, len(m.Payload)), m.Payload...)
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[at:], castagnoli))
 }
 
 // AppendHead appends what Encode writes ahead of the payload bytes — magic
-// through the payload length — for a payload of plen bytes held elsewhere. A
-// non-empty key stamps the parameter key=val in (over any value m has for it)
-// without a second Params map.
-func AppendHead(buf []byte, m Message, plen int, key, val string) []byte {
+// through the payload length — for a payload of plen bytes held elsewhere.
+// The parameters go out sorted by key, each typed key m carries among them.
+func AppendHead(buf []byte, m Message, plen int) []byte {
 	le := binary.LittleEndian
 	putStr := func(x string) {
 		buf = append(le.AppendUint32(buf, uint32(len(x))), x...)
@@ -116,20 +181,27 @@ func AppendHead(buf []byte, m Message, plen int, key, val string) []byte {
 	var scratch [16]string // keeps the sort off the heap for the runtime's messages
 	keys := scratch[:0]
 	for k := range m.Params {
-		if k != key {
+		if !m.carries(k) {
 			keys = append(keys, k)
 		}
 	}
-	if key != "" {
-		keys = append(keys, key)
+	for _, k := range streamKeys {
+		if m.carries(k) {
+			keys = append(keys, k)
+		}
 	}
 	slices.Sort(keys)
 	buf = le.AppendUint32(buf, uint32(len(keys)))
 	for _, k := range keys {
 		putStr(k)
-		if k == key {
-			putStr(val)
-		} else {
+		switch p := m.streamInt(k); {
+		case p != nil && p.OK:
+			at := len(buf)
+			buf = strconv.AppendInt(append(buf, 0, 0, 0, 0), int64(p.V), 10)
+			le.PutUint32(buf[at:], uint32(len(buf)-at-4))
+		case k == "worker" && m.Worker.OK:
+			putStr(m.Worker.V)
+		default:
 			putStr(m.Params[k])
 		}
 	}
@@ -146,12 +218,8 @@ type Frame struct {
 }
 
 // NewFrame encodes m around its payload.
-func NewFrame(m Message) Frame { return StampFrame(m, "", "") }
-
-// StampFrame is NewFrame with key=val stamped in as by AppendHead.
-func StampFrame(m Message, key, val string) Frame {
-	n := int(m.WireSize()) - len(m.Payload) + 8 + len(key) + len(val) // room for the stamp
-	head := AppendHead(make([]byte, 0, n), m, len(m.Payload), key, val)
+func NewFrame(m Message) Frame {
+	head := AppendHead(make([]byte, 0, int(m.WireSize())-len(m.Payload)), m, len(m.Payload))
 	var sum uint32
 	if m.seal.ok {
 		sum = mulModP(m.seal.shift, crc32.Checksum(head, castagnoli)) ^ m.seal.sum
@@ -197,21 +265,29 @@ func Decode(data []byte) (Message, error) {
 	if magic := c.u32(); magic != frameMagic {
 		return m, fmt.Errorf("comm: bad magic %#x", magic)
 	}
-	m.Kind, m.Command = c.name(), c.str()
+	m.Kind, m.Command = intern(c.field()), string(c.field())
 	m.ReqID = uint64(c.u32()) | uint64(c.u32())<<32
 	m.Seq = int(int32(c.u32()))
 	if b := c.take(1); b != nil {
+		if b[0] > 1 {
+			return m, fmt.Errorf("comm: bad final flag %d", b[0])
+		}
 		m.Final = b[0] == 1
 	}
 	np := c.u32()
 	if np > 1<<16 {
 		return m, fmt.Errorf("comm: implausible param count %d", np)
 	}
-	if np > 0 {
-		m.Params = make(map[string]string, np)
-		for i := uint32(0); i < np && !c.short; i++ {
-			k := c.name()
-			m.Params[k] = c.str()
+	// A parameter takes at least its two 4-byte lengths: the count alone
+	// must not size the map a short hostile frame makes.
+	hint := min(np, uint32(len(c.data)/8))
+	for i := uint32(0); i < np && !c.short; i++ {
+		k, v := c.field(), c.field()
+		if c.short {
+			break
+		}
+		if err := m.decodeParam(k, v, hint); err != nil {
+			return m, err
 		}
 	}
 	plen := c.u32()
@@ -225,6 +301,37 @@ func Decode(data []byte) (Message, error) {
 		m.Payload = c.data[:plen:plen]
 	}
 	return m, nil
+}
+
+// decodeParam files one decoded parameter: a typed key into its field, once,
+// an integer only as strconv.Itoa writes it; any other key into Params, made
+// for n on the first.
+func (m *Message) decodeParam(k, v []byte, n uint32) error {
+	switch p := m.streamInt(string(k)); {
+	case m.carries(string(k)):
+		return fmt.Errorf("comm: duplicate %s key", k)
+	case string(k) == "worker":
+		m.Worker = Some(string(v))
+	case p != nil:
+		x, ok := canonicalInt(v)
+		if !ok {
+			return fmt.Errorf("comm: %s key %q is not an integer as strconv.Itoa writes it", k, v)
+		}
+		*p = Some(x)
+	default:
+		if m.Params == nil {
+			m.Params = make(map[string]string, n)
+		}
+		m.Params[intern(k)] = string(v)
+	}
+	return nil
+}
+
+// canonicalInt parses v if it is what strconv.Itoa writes.
+func canonicalInt(v []byte) (int, bool) {
+	x, err := strconv.Atoi(string(v))
+	var b [20]byte
+	return x, err == nil && string(strconv.AppendInt(b[:0], int64(x), 10)) == string(v)
 }
 
 // cursor reads an encoded message's fields in order. A read past the end
@@ -251,70 +358,26 @@ func (c *cursor) u32() uint32 {
 	return 0
 }
 
-func (c *cursor) str() string { return string(c.take(int(c.u32()))) }
+// field reads a length-prefixed string field.
+func (c *cursor) field() []byte { return c.take(int(c.u32())) }
 
-// name is str for a message kind or parameter key: the ones the runtime
-// writes come back as constants, without an allocation.
-func (c *cursor) name() string {
-	b := c.take(int(c.u32()))
-	switch string(b) {
-	case "partial":
-		return "partial"
-	case "result":
-		return "result"
-	case "ack":
-		return "ack"
-	case "error":
-		return "error"
-	case "command":
-		return "command"
-	case "wframe":
-		return "wframe"
-	case "rank":
-		return "rank"
-	case "sseq":
-		return "sseq"
-	case "attempt":
-		return "attempt"
-	case "worker":
-		return "worker"
-	case "block":
-		return "block"
-	case "bseq":
-		return "bseq"
-	case "sess":
-		return "sess"
-	case "session":
-		return "session"
-	case "epoch":
-		return "epoch"
-	case "span":
-		return "span"
-	case "streamed":
-		return "streamed"
-	case "final":
-		return "final"
-	case "blocks":
-		return "blocks"
-	case "counts":
-		return "counts"
-	case "bframes":
-		return "bframes"
-	case "item":
-		return "item"
-	case "rid":
-		return "rid"
-	case "want":
-		return "want"
-	case "dataset":
-		return "dataset"
-	case "step":
-		return "step"
-	case "workers":
-		return "workers"
+// intern is string(b) for a message kind or parameter key: the ones the
+// runtime writes come back as constants, without an allocation.
+func intern(b []byte) string {
+	if s, ok := runtimeNames[string(b)]; ok {
+		return s
 	}
 	return string(b)
 }
+
+var runtimeNames = func() map[string]string {
+	names := map[string]string{}
+	for _, s := range strings.Fields(`partial result ack error command wframe sess session epoch
+		span streamed final blocks counts bframes item rid want dataset step workers`) {
+		names[s] = s
+	}
+	return names
+}()
 
 // frameWriter is the one way a frame reaches a writer: length prefix and parts
 // in a single vectored write (writev on a TCP connection, consecutive Writes on

@@ -16,49 +16,33 @@ func partialMessage(n int, seed byte) Message {
 	for i := range payload {
 		payload[i] = byte(i*7) + seed
 	}
-	return Message{Kind: "partial", Command: "iso.viewer", ReqID: 3, Seq: 17, Params: map[string]string{
-		"worker": "w1", "rank": "1", "attempt": "0", "block": "12", "bseq": "3", "sseq": "17",
-	}, Payload: payload}
+	return Message{Kind: "partial", Command: "iso.viewer", ReqID: 3, Seq: 17,
+		Worker: Some("w1"), Rank: Some(1), Attempt: Some(0), Block: Some(12), BSeq: Some(3), SSeq: Some(17),
+		Payload: payload}
 }
 
 func ackMessage() Message {
-	return Message{Kind: "ack", ReqID: 3, Params: map[string]string{"rank": "1", "sseq": "17"}}
+	return Message{Kind: "ack", ReqID: 3, Rank: Some(1), SSeq: Some(17)}
 }
 
-var sinkParams map[string]string
-
-// paramsAllocs is what a Params map of m's keys costs to build with values
-// that need no allocation: the map itself.
-func paramsAllocs(m Message) float64 {
-	return testing.AllocsPerRun(100, func() {
-		p := make(map[string]string, len(m.Params))
-		for k := range m.Params {
-			p[k] = "1"
-		}
-		sinkParams = p
-	})
-}
-
-// TestDecodeInternsRuntimeKeys: decoding a partial or an ack allocates its
-// Params map and the values longer than one byte ("w1", "12", "17"; a
-// one-byte string is the runtime's own) and a partial's command name — no
-// string for its kind or for any key the runtime writes.
+// TestDecodeInternsRuntimeKeys: decoding a partial allocates its worker name
+// ("w1") and its command name, and an ack nothing: neither has a Params map,
+// the typed keys parse in place, and no kind is a fresh string.
 func TestDecodeInternsRuntimeKeys(t *testing.T) {
 	for _, tc := range []struct {
 		m    Message
-		want float64 // allocations beyond the map
+		want float64
 	}{
-		{partialMessage(35000, 0), 3 + 1},
-		{ackMessage(), 1},
+		{partialMessage(35000, 0), 2},
+		{ackMessage(), 0},
 	} {
 		data := Encode(tc.m)
 		got, err := Decode(data)
 		if err != nil || !reflect.DeepEqual(got, tc.m) {
 			t.Fatalf("%s: decoded %+v, %v", tc.m.Kind, got, err)
 		}
-		want := paramsAllocs(tc.m) + tc.want
-		if n := testing.AllocsPerRun(100, func() { Decode(data) }); n != want {
-			t.Errorf("decoding the %s frame allocates %v times, want %v", tc.m.Kind, n, want)
+		if n := testing.AllocsPerRun(100, func() { Decode(data) }); n != tc.want {
+			t.Errorf("decoding the %s frame allocates %v times, want %v", tc.m.Kind, n, tc.want)
 		}
 	}
 }
@@ -143,9 +127,8 @@ func (l *loopConn) Read(p []byte) (int, error) {
 }
 
 // TestConnRecvAllocatesOnlyParams: in the steady state, receiving a 35 KB
-// partial allocates what decoding its fields does — the Params map, the
-// values longer than a byte and the command name — and nothing of its
-// payload's size.
+// partial allocates what decoding its fields does — the worker and command
+// names — and nothing of its payload's size.
 func TestConnRecvAllocatesOnlyParams(t *testing.T) {
 	m := partialMessage(35000, 0)
 	data := Encode(m)

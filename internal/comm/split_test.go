@@ -19,9 +19,9 @@ import (
 // concat is a frame's whole-buffer form.
 func (f Frame) concat() []byte { return slices.Concat(f.Head, f.Payload, f.Sum) }
 
-// checkFrameIsEncode: the split form concatenates to Encode's bytes, aliases
-// the payload, and a stamp equals the same parameter set in a map.
-func checkFrameIsEncode(t *testing.T, m Message, key, val string) {
+// checkFrameIsEncode: the split form concatenates to Encode's bytes and
+// aliases the payload, and its checksum sits behind its head.
+func checkFrameIsEncode(t *testing.T, m Message) {
 	t.Helper()
 	f := NewFrame(m)
 	if !bytes.Equal(f.concat(), Encode(m)) {
@@ -33,23 +33,6 @@ func checkFrameIsEncode(t *testing.T, m Message, key, val string) {
 	if len(m.Payload) > 0 && &f.Payload[0] != &m.Payload[0] {
 		t.Fatal("frame copied the payload")
 	}
-	if key == "" {
-		return
-	}
-	stamped := m
-	stamped.Params = map[string]string{key: val}
-	for k, v := range m.Params {
-		if k != key {
-			stamped.Params[k] = v
-		}
-	}
-	s := StampFrame(m, key, val)
-	if !bytes.Equal(s.concat(), Encode(stamped)) {
-		t.Fatalf("stamping %q=%q differs from setting it in Params", key, val)
-	}
-	if &s.Head[:len(s.Head)+1][len(s.Head)] != &s.Sum[0] {
-		t.Fatal("the stamped head outgrew its allocation: the checksum went elsewhere")
-	}
 }
 
 func TestFrameIsEncodeInParts(t *testing.T) {
@@ -58,27 +41,48 @@ func TestFrameIsEncodeInParts(t *testing.T) {
 		many.Params[fmt.Sprintf("k%02d", i)] = strconv.Itoa(i)
 	}
 	for _, m := range []Message{sampleMessage(), {}, {Kind: "ack"}, many,
-		{Kind: "partial", Params: map[string]string{"sseq": "3", "rank": "1"}, Payload: []byte("xyz")}} {
-		checkFrameIsEncode(t, m, "", "")
-		checkFrameIsEncode(t, m, "sseq", "1048577") // absent, or overriding the one m carries
-		checkFrameIsEncode(t, m, "a", "")           // sorts first
-		checkFrameIsEncode(t, m, "zz", "last")      // sorts last
+		{Kind: "partial", Rank: Some(1), Payload: []byte("xyz")}} {
+		checkFrameIsEncode(t, m)
+		m.SSeq = Some(1048577) // the bridge's stamp: new, or over the one m carries
+		checkFrameIsEncode(t, m)
 	}
 }
 
-// FuzzFrameIsEncode seeds from the decoder's corpus: whatever decodes must
-// split into parts that concatenate to its encoding, stamped or not.
+// TestTypedFieldOverridesParams: a typed key set in Params as well as in its
+// field goes out once, with the field's value; absent from the field, the
+// Params entry goes out as it is.
+func TestTypedFieldOverridesParams(t *testing.T) {
+	typed := Message{Kind: "ack", Rank: Some(1), SSeq: Some(12)}
+	both := typed
+	both.Params = map[string]string{"rank": "9", "sseq": "x", "z": "last"}
+	want := typed
+	want.Params = map[string]string{"z": "last"}
+	if !bytes.Equal(Encode(both), Encode(want)) || both.WireSize() != want.WireSize() {
+		t.Fatal("a field and a Params entry of the same key both reached the wire")
+	}
+	only := Message{Kind: "ack", Params: map[string]string{"rank": "1", "sseq": "12"}}
+	if !bytes.Equal(Encode(only), Encode(typed)) || only.WireSize() != typed.WireSize() {
+		t.Fatal("a typed key held only in Params is not written as the field would be")
+	}
+}
+
+// FuzzFrameIsEncode seeds from the decoder's corpus: whatever decodes, its
+// checksum made good, must split into parts that concatenate to its encoding,
+// with the bridge's sseq set over it (sseq >= 0) or not.
 func FuzzFrameIsEncode(f *testing.F) {
-	f.Add(Encode(sampleMessage()), "sseq", "7")
-	f.Add(Encode(Message{}), "", "")
-	f.Add([]byte{}, "k", "v")
-	f.Add(EncodeBatch(batchMessages())[4:], "field", "")
-	f.Fuzz(func(t *testing.T, data []byte, key, val string) {
-		m, err := Decode(data)
+	f.Add(Encode(sampleMessage()), 7)
+	f.Add(Encode(Message{}), -1)
+	f.Add([]byte{}, 0)
+	f.Add(EncodeBatch(batchMessages())[4:], 1048577)
+	f.Fuzz(func(t *testing.T, data []byte, sseq int) {
+		m, err := Decode(resealed(data))
 		if err != nil {
 			return
 		}
-		checkFrameIsEncode(t, m, key, val)
+		if sseq >= 0 {
+			m.SSeq = Some(sseq)
+		}
+		checkFrameIsEncode(t, m)
 	})
 }
 

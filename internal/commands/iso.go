@@ -84,7 +84,6 @@ func (IsoDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 		}
 		res := iso.ExtractBlock(b, field, isoVal, out)
 		ctx.Charge(ctx.Model.IsoCost(res.CellsVisited, res.Triangles))
-		ctx.Progress(i+1, len(blocks))
 	}
 	return out, nil
 }

@@ -78,7 +78,6 @@ func (VortexDataMan) Run(ctx *core.Ctx) (*mesh.Mesh, error) {
 			return nil, err
 		}
 		extractVortex(ctx, b, thresh, out)
-		ctx.Progress(i+1, len(blocks))
 	}
 	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strconv"
 	"time"
 
 	"viracocha/internal/comm"
@@ -67,13 +66,13 @@ func NewStreamAssembler() *StreamAssembler {
 
 // admit applies the attempt and dedupe rules to one message and reports
 // whether it belongs to the canonical stream.
-func (a *StreamAssembler) admit(m comm.Message) (key packetKey, ok bool, err error) {
-	att := m.IntParam("attempt", a.Attempt)
+func (a *StreamAssembler) admit(m comm.Message) (key packetKey, ok bool) {
+	att := m.Attempt.Or(a.Attempt)
 	if att < a.Attempt {
 		if m.Kind == "partial" {
 			a.Duplicates++
 		}
-		return key, false, nil
+		return key, false
 	}
 	if att > a.Attempt {
 		a.Attempt = att
@@ -83,32 +82,28 @@ func (a *StreamAssembler) admit(m comm.Message) (key packetKey, ok bool, err err
 		a.untagged, a.tagged = nil, nil
 	}
 	if m.Kind != "partial" {
-		return key, true, nil
+		return key, true
 	}
-	if bv, tagged := m.Params["block"]; tagged {
-		block, cerr := strconv.Atoi(bv)
-		if cerr != nil {
-			return key, false, fmt.Errorf("core: bad block tag %q", bv)
-		}
-		key = packetKey{tagged: true, a: block, b: m.IntParam("bseq", 0)}
+	if m.Block.OK {
+		key = packetKey{tagged: true, a: m.Block.V, b: m.BSeq.Or(0)}
 	} else {
-		key = packetKey{a: m.IntParam("rank", 0), b: m.Seq}
+		key = packetKey{a: m.Rank.Or(0), b: m.Seq}
 	}
 	if a.seen[key] {
 		a.Duplicates++
-		return key, false, nil
+		return key, false
 	}
 	a.seen[key] = true
-	return key, true, nil
+	return key, true
 }
 
 // Add folds one message of the stream in. ok reports that the message was
 // admitted (not stale, not a duplicate); part is the decoded geometry of an
 // admitted partial. Once Done, Merged and Err are complete.
 func (a *StreamAssembler) Add(m comm.Message) (part *mesh.Mesh, ok bool, err error) {
-	key, ok, err := a.admit(m)
-	if !ok || err != nil {
-		return nil, false, err
+	key, ok := a.admit(m)
+	if !ok {
+		return nil, false, nil
 	}
 	switch m.Kind {
 	case "partial":

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"strconv"
 	"testing"
 
 	"viracocha/internal/comm"
@@ -23,24 +22,23 @@ func tri(x float64) *mesh.Mesh {
 
 func untaggedPacket(attempt, rank, seq int, x float64) comm.Message {
 	return comm.Message{Kind: "partial", ReqID: 1, Seq: seq, Payload: tri(x).EncodeBinary(),
-		Params: map[string]string{"rank": strconv.Itoa(rank), "attempt": strconv.Itoa(attempt)}}
+		Rank: comm.Some(rank), Attempt: comm.Some(attempt)}
 }
 
 func taggedPacket(attempt, block, bseq int, x float64) comm.Message {
 	m := untaggedPacket(attempt, 0, 1, x) // redistribution restarts seq: only the tag is stable
-	m.Params["block"] = strconv.Itoa(block)
-	m.Params["bseq"] = strconv.Itoa(bseq)
+	m.Block, m.BSeq = comm.Some(block), comm.Some(bseq)
 	return m
 }
 
 func resultFinal(attempt int, x float64) comm.Message {
 	return comm.Message{Kind: "result", ReqID: 1, Final: true, Payload: tri(x).EncodeBinary(),
-		Params: map[string]string{"attempt": strconv.Itoa(attempt)}}
+		Attempt: comm.Some(attempt)}
 }
 
 func errorFinal(attempt int, kv ...string) comm.Message {
 	m := comm.Message{Kind: "error", ReqID: 1, Final: true,
-		Params: map[string]string{"attempt": strconv.Itoa(attempt)}}
+		Attempt: comm.Some(attempt), Params: map[string]string{}}
 	for i := 0; i+1 < len(kv); i += 2 {
 		m.Params[kv[i]] = kv[i+1]
 	}
@@ -176,9 +174,11 @@ func TestStreamAssembler(t *testing.T) {
 }
 
 func TestStreamAssemblerRejectsCorruptInput(t *testing.T) {
-	bad := taggedPacket(0, 0, 0, 1)
-	bad.Params["block"] = "x"
-	if _, _, err := NewStreamAssembler().Add(bad); err == nil {
+	// A block tag that is not an integer never reaches an assembler: the
+	// frame carrying it is rejected where it is decoded.
+	bad := untaggedPacket(0, 0, 1, 1)
+	bad.Params = map[string]string{"block": "x"}
+	if _, err := comm.Decode(comm.Encode(bad)); err == nil {
 		t.Error("bad block tag accepted")
 	}
 	torn := untaggedPacket(0, 0, 1, 1)

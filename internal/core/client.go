@@ -58,18 +58,8 @@ type RunResult struct {
 	// SubmittedAt, FirstAt and FinalAt are clock times of submission, first
 	// received geometry and final message.
 	SubmittedAt, FirstAt, FinalAt time.Duration
-	// Progress holds per-worker progress reports in arrival order (only
-	// when the request set progress=1).
-	Progress []ProgressReport
 	// Err is set when the request failed server-side.
 	Err error
-}
-
-// ProgressReport is one progress message from one worker.
-type ProgressReport struct {
-	Worker      string
-	Done, Total int
-	At          time.Duration
 }
 
 // Latency is the paper's latency metric: time until the first visualizable
@@ -126,15 +116,6 @@ func (c *Client) Collect(reqID uint64) (*RunResult, error) {
 			res.Attempt = asm.Attempt
 			res.Packets = nil
 		}
-		if m.Kind == "progress" {
-			res.Progress = append(res.Progress, ProgressReport{
-				Worker: m.Params["worker"],
-				Done:   m.IntParam("done", 0),
-				Total:  m.IntParam("total", 0),
-				At:     sm.at,
-			})
-			return false, nil
-		}
 		if part != nil {
 			res.Packets = append(res.Packets, part)
 		}
@@ -188,7 +169,7 @@ func (c *Client) ackPartial(m comm.Message) {
 	if d := c.rt.faults.ConsumerDelay(c.ep.Name()); d > 0 {
 		c.rt.Clock.Sleep(d)
 	}
-	c.rt.flow.Ack(m.ReqID, m.IntParam("rank", 0))
+	c.rt.flow.Ack(m.ReqID, m.Rank.Or(0))
 }
 
 // Cancel asks the scheduler to cancel a running request. The request still

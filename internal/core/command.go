@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"viracocha/internal/comm"
@@ -193,7 +192,7 @@ func (c *Ctx) BSPTree(b *grid.Block, field string) *grid.BSPTree {
 // sender's rank, per-rank sequence number and attempt, so the client can
 // discard the duplicates a rank retry re-streams.
 func (c *Ctx) StreamPartial(m *mesh.Mesh) error {
-	return c.streamPartial(m, 0, 0, false)
+	return c.streamPartial(m, comm.Opt[int]{}, comm.Opt[int]{})
 }
 
 // StreamBlock ships one block's partial result with a (block, bseq) tag, the
@@ -211,10 +210,10 @@ func (c *Ctx) StreamBlock(item int, m *mesh.Mesh) error {
 	}
 	bseq := c.blockSeq[item]
 	c.blockSeq[item] = bseq + 1
-	return c.streamPartial(m, item, bseq, true)
+	return c.streamPartial(m, comm.Some(item), comm.Some(bseq))
 }
 
-func (c *Ctx) streamPartial(m *mesh.Mesh, block, bseq int, tagged bool) error {
+func (c *Ctx) streamPartial(m *mesh.Mesh, block, bseq comm.Opt[int]) error {
 	c.worker.checkCrashed()
 	// Backpressure: take a stream credit before sending. A producer whose
 	// window is exhausted parks here until the client acks a packet; one
@@ -243,16 +242,12 @@ func (c *Ctx) streamPartial(m *mesh.Mesh, block, bseq int, tagged bool) error {
 		Command: c.Req.Command,
 		ReqID:   c.Req.ReqID,
 		Seq:     c.seq,
-		Params: map[string]string{
-			"worker":  c.worker.node,
-			"rank":    strconv.Itoa(c.Rank),
-			"attempt": strconv.Itoa(c.attempt),
-		},
+		Worker:  comm.Some(c.worker.node),
+		Rank:    comm.Some(c.Rank),
+		Attempt: comm.Some(c.attempt),
+		Block:   block,
+		BSeq:    bseq,
 		Payload: m.EncodeBinary(),
-	}
-	if tagged {
-		msg.Params["block"] = strconv.Itoa(block)
-		msg.Params["bseq"] = strconv.Itoa(bseq)
 	}
 	start := c.rt.Clock.Now()
 	err := c.ep.Send(c.ClientEndpoint(), msg)
@@ -263,34 +258,6 @@ func (c *Ctx) streamPartial(m *mesh.Mesh, block, bseq int, tagged bool) error {
 
 // ClientEndpoint is the fabric name of the client that issued this request.
 func (c *Ctx) ClientEndpoint() string { return c.Req.Client }
-
-// Progress reports completion of done-of-total work units to the client
-// when the request opted in with progress=1 — the paper's future-work
-// progress bar for the virtual environment (§9). Progress messages are
-// small and fire-and-forget; they do not count as partial results.
-func (c *Ctx) Progress(done, total int) {
-	if !c.Req.Progress || total <= 0 {
-		return
-	}
-	c.worker.checkCrashed()
-	msg := comm.Message{
-		Kind:    "progress",
-		Command: c.Req.Command,
-		ReqID:   c.Req.ReqID,
-		Params: map[string]string{
-			"worker":  c.worker.node,
-			"attempt": strconv.Itoa(c.attempt),
-			"done":    strconv.Itoa(done),
-			"total":   strconv.Itoa(total),
-		},
-	}
-	start := c.rt.Clock.Now()
-	if err := c.ep.Send(c.ClientEndpoint(), msg); err != nil {
-		c.rt.Trace.Eventf(c.rt.Clock.Now(), "worker:"+c.worker.node,
-			"req %d: progress send failed: %v", c.Req.ReqID, err)
-	}
-	c.probes.Send += c.rt.Clock.Now() - start
-}
 
 // AssignedBlocks splits the block list of one time step round-robin across
 // the group: block b goes to rank b mod GroupSize. order, when non-nil,

@@ -533,47 +533,6 @@ func TestClientAddsOneEndpoint(t *testing.T) {
 	v.Wait()
 }
 
-// progressCmd reports progress over 5 units with charged compute.
-type progressCmd struct{}
-
-func (progressCmd) Name() string { return "test.progress" }
-func (progressCmd) Run(ctx *Ctx) (*mesh.Mesh, error) {
-	for i := 1; i <= 5; i++ {
-		ctx.Charge(time.Second)
-		ctx.Progress(i, 5)
-	}
-	return &mesh.Mesh{}, nil
-}
-
-func TestProgressReports(t *testing.T) {
-	v := vclock.NewVirtual()
-	rt := newTestRuntime(t, v, 1)
-	rt.Register(progressCmd{})
-	var with, without *RunResult
-	v.Go(func() {
-		cl := NewClient(rt)
-		with, _ = cl.Run("test.progress", map[string]string{"dataset": "tiny", "progress": "1"})
-		without, _ = cl.Run("test.progress", map[string]string{"dataset": "tiny"})
-		rt.Shutdown()
-	})
-	v.Wait()
-	if len(with.Progress) != 5 {
-		t.Fatalf("progress reports = %d, want 5", len(with.Progress))
-	}
-	for i, p := range with.Progress {
-		if p.Done != i+1 || p.Total != 5 || p.Worker == "" {
-			t.Fatalf("report %d = %+v", i, p)
-		}
-	}
-	// Reports arrive spread over the computation, not all at the end.
-	if with.Progress[0].At >= with.FinalAt {
-		t.Fatal("first progress report arrived after the final result")
-	}
-	if len(without.Progress) != 0 {
-		t.Fatalf("progress reported without opt-in: %d", len(without.Progress))
-	}
-}
-
 // claimCmd claims rank-agnostic work items dynamically, charging per-item
 // compute proportional to the item index (deliberately imbalanced).
 type claimCmd struct {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -376,7 +375,7 @@ func (s *Scheduler) runMemoRelay(e *memoEntry, ep *comm.Endpoint) {
 			break
 		}
 		if m.Kind == "partial" {
-			s.rt.flow.Ack(e.prodID, m.IntParam("rank", 0))
+			s.rt.flow.Ack(e.prodID, m.Rank.Or(0))
 		}
 		e.append(m)
 		if m.Final {
@@ -433,7 +432,7 @@ func canonicalMemoLog(log []comm.Message) ([]comm.Message, int64) {
 	var size int64
 	attempt := 0
 	for _, m := range log {
-		if _, ok, err := asm.admit(m); !ok || err != nil {
+		if _, ok := asm.admit(m); !ok {
 			continue
 		}
 		if asm.Attempt != attempt {
@@ -475,14 +474,10 @@ func (s *Scheduler) runMemoForwarder(e *memoEntry, sub *memoSub) {
 			break
 		}
 		pos++
-		// Every subscriber shares the cached message's Params map: whoever
-		// receives a delivered message only reads it (the bridge stamps its
-		// sseq into the encoded frame, not into the map).
 		out := m
 		out.ReqID = id
 		if m.Kind == "partial" {
-			rank := m.IntParam("rank", 0)
-			if err := rt.flow.Acquire(id, rank, sub.req.StreamWindow,
+			if err := rt.flow.Acquire(id, m.Rank.Or(0), sub.req.StreamWindow,
 				rt.cfg.Overload.SlowConsumerAfter, cancelled); err != nil {
 				rt.markCancelled(id)
 				rt.Trace.Eventf(rt.Clock.Now(), "memo",
@@ -505,13 +500,7 @@ func (s *Scheduler) runMemoForwarder(e *memoEntry, sub *memoSub) {
 	if failed && !sentFinal {
 		// Best-effort synthesized final so an in-process Collect returns. The
 		// huge attempt stamp keeps it from being dropped as stale.
-		ep.Send(sub.req.Client, comm.Message{
-			Kind: "error", Command: sub.req.Command, ReqID: id, Final: true,
-			Params: map[string]string{
-				"error":   "core: cancelled: memo subscriber cut off",
-				"attempt": strconv.Itoa(1 << 30),
-			},
-		})
+		ep.Send(sub.req.Client, sub.req.failed(1<<30, "core: cancelled: memo subscriber cut off"))
 	}
 	s.memoSubDone(e, sub, streams, failed)
 }

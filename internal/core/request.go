@@ -34,8 +34,6 @@ type Request struct {
 	Memo bool
 	// StreamWindow is the stream credit window per rank (<= 0: unwindowed).
 	StreamWindow int
-	// Progress asks every rank for progress messages.
-	Progress bool
 
 	// MemoKey is the canonical content address of the result (set only when
 	// Memo is on).
@@ -76,7 +74,6 @@ func parseRequest(m comm.Message, cfg *Config) *Request {
 		Journal:      m.IntParam("redistribute", 0) != 0,
 		Memo:         m.IntParam("memo", boolInt(cfg.Memo)) != 0,
 		StreamWindow: m.IntParam("stream_window", cfg.Overload.StreamWindow),
-		Progress:     m.IntParam("progress", 0) != 0,
 		msg:          m,
 	}
 	if r.Client == "" {
@@ -107,6 +104,12 @@ func parseRequest(m comm.Message, cfg *Config) *Request {
 	}
 	r.MemoKey = b.String()
 	return r
+}
+
+// failed is the final message that fails r under attempt with the error text.
+func (r *Request) failed(attempt int, text string) comm.Message {
+	return comm.Message{Kind: "error", Command: r.Command, ReqID: r.ReqID, Final: true,
+		Attempt: comm.Some(attempt), Params: map[string]string{"error": text}}
 }
 
 func boolInt(b bool) int {

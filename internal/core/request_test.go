@@ -38,7 +38,6 @@ func TestParseRequestKeys(t *testing.T) {
 		{"redistribute", "1", func(r *Request) any { return r.Journal }, false, true},
 		{"memo", "0", func(r *Request) any { return r.Memo }, true, false},
 		{"stream_window", "4", func(r *Request) any { return r.StreamWindow }, 16, 4},
-		{"progress", "1", func(r *Request) any { return r.Progress }, false, true},
 	} {
 		if got := tc.field(parse(&cfg)); got != tc.def {
 			t.Errorf("%s: default %v, want %v", tc.key, got, tc.def)

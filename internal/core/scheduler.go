@@ -357,20 +357,11 @@ func (s *Scheduler) admitGate(r *Request) bool {
 	ra := s.retryAfterLocked()
 	s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler",
 		"req %d rejected: %s: %s, retry after %v", r.ReqID, flag, reason, ra)
-	rej := outMsg{to: r.Client, msg: comm.Message{
-		Kind:    "error",
-		Command: r.Command,
-		ReqID:   r.ReqID,
-		Final:   true,
-		Params: map[string]string{
-			"error":          prefix + reason,
-			flag:             "1",
-			"retry_after_ms": strconv.FormatInt(ra.Milliseconds(), 10),
-			"attempt":        "0",
-		},
-	}}
+	rej := r.failed(0, prefix+reason)
+	rej.Params[flag] = "1"
+	rej.Params["retry_after_ms"] = strconv.FormatInt(ra.Milliseconds(), 10)
 	s.mu.Unlock()
-	s.send(rej)
+	s.send(outMsg{to: r.Client, msg: rej})
 	return false
 }
 
@@ -495,13 +486,7 @@ func (s *Scheduler) dispatchLocked(sends *[]outMsg) {
 				Errors:   1,
 			})
 			s.rt.Trace.Eventf(now, "scheduler", "req %d rejected: no live workers", req.ReqID)
-			*sends = append(*sends, outMsg{to: req.Client, msg: comm.Message{
-				Kind:    "error",
-				Command: req.Command,
-				ReqID:   req.ReqID,
-				Final:   true,
-				Params:  map[string]string{"error": "core: no live workers", "attempt": "0"},
-			}})
+			*sends = append(*sends, outMsg{to: req.Client, msg: req.failed(0, "core: no live workers")})
 			continue
 		}
 		if len(s.free) < want {
@@ -1008,16 +993,7 @@ func (s *Scheduler) failRequestLocked(reqID uint64, ar *activeReq, reason string
 	s.rt.Trace.Eventf(s.rt.Clock.Now(), "scheduler", "req %d failed: %s", reqID, reason)
 	s.unblockMasterLocked(reqID, ar, ar.attempt, sends)
 	s.finishLocked(reqID, ar)
-	*sends = append(*sends, outMsg{to: ar.req.Client, msg: comm.Message{
-		Kind:    "error",
-		Command: ar.req.Command,
-		ReqID:   reqID,
-		Final:   true,
-		Params: map[string]string{
-			"error":   "core: " + reason,
-			"attempt": strconv.Itoa(ar.attempt),
-		},
-	}})
+	*sends = append(*sends, outMsg{to: ar.req.Client, msg: ar.req.failed(ar.attempt, "core: "+reason)})
 }
 
 // drainRedispatchLocked services queued recovery actions that can proceed

@@ -397,14 +397,12 @@ func (w *Worker) masterGather(ctx *Ctx, own *mesh.Mesh, ownErr error) {
 		Command: ctx.Req.Command,
 		ReqID:   ctx.Req.ReqID,
 		Final:   true,
-		Params: map[string]string{
-			"worker":  w.node,
-			"attempt": strconv.Itoa(ctx.attempt),
-		},
+		Worker:  comm.Some(w.node),
+		Attempt: comm.Some(ctx.attempt),
 	}
 	if firstErr != nil {
 		out.Kind = "error"
-		out.Params["error"] = firstErr.Error()
+		out.Params = map[string]string{"error": firstErr.Error()}
 	} else {
 		out.Kind = "result"
 		out.Payload = merged.EncodeBinary()

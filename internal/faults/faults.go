@@ -113,6 +113,10 @@ type Plan struct {
 	// FsyncFails are WAL file paths (or base names, or Any) whose next
 	// fsync fails with an injected error; each entry burns after one use.
 	FsyncFails []string
+	// Paces maps data set names (or Any) to a sleep every read of the data
+	// set's device takes, where the device charges its latency: it paces
+	// real-clock requests so a drill's crash, kill or drain lands mid-request.
+	Paces map[string]time.Duration
 }
 
 // CrashAt registers a worker crash and returns the plan for chaining.
@@ -182,6 +186,25 @@ func (p *Plan) TearAppend(path string, n int) *Plan {
 	return p
 }
 
+// Pace registers a per-read sleep for the device of a data set (or Any) and
+// returns the plan for chaining.
+func (p *Plan) Pace(dataset string, d time.Duration) *Plan {
+	if p.Paces == nil {
+		p.Paces = map[string]time.Duration{}
+	}
+	p.Paces[dataset] = d
+	return p
+}
+
+// ReadPace is the planned per-read sleep for a data set's device (exact name
+// first, then the Any wildcard); a nil plan paces nothing.
+func (p *Plan) ReadPace(dataset string) time.Duration {
+	if p == nil {
+		return 0
+	}
+	return named(p.Paces, dataset)
+}
+
 // FailFsync registers a one-shot fsync failure for WAL files matching path
 // (or Any) and returns the plan for chaining.
 func (p *Plan) FailFsync(path string) *Plan {
@@ -205,6 +228,7 @@ func (p *Plan) FailFsync(path string) *Plan {
 //	flap:NODE:PERIOD         crash/rejoin NODE every PERIOD ("flap:w1:500ms")
 //	torn:PATH:N              tear the Nth WAL append to PATH mid-record ("torn:*:5")
 //	fsyncfail:PATH           fail PATH's next WAL fsync once ("fsyncfail:*")
+//	pace:DATASET@DUR         every read of DATASET sleeps DUR ("pace:engine@150ms")
 //
 // FROM, TO, KIND, DATASET, ENDPOINT, NODE and PATH accept "*" as a wildcard.
 func (p *Plan) ParseRule(spec string) error {
@@ -236,13 +260,19 @@ func (p *Plan) ParseRule(spec string) error {
 		}
 		return d, nil
 	}
-	switch kind {
-	case "crash":
-		node, at, ok := strings.Cut(rest, "@")
-		if !ok {
-			return fmt.Errorf("faults: rule %q: crash must be crash:NODE@DUR", spec)
+	// nameAt parses the NAME@DUR rules (form spells the kind's), refusing an
+	// empty NAME when named.
+	nameAt := func(form string, named bool) (string, time.Duration, error) {
+		name, at, ok := strings.Cut(rest, "@")
+		if !ok || named && name == "" {
+			return "", 0, fmt.Errorf("faults: rule %q: %s must be %s", spec, kind, form)
 		}
 		d, err := dur(at)
+		return name, d, err
+	}
+	switch kind {
+	case "crash":
+		node, d, err := nameAt("crash:NODE@DUR", false)
 		if err != nil {
 			return err
 		}
@@ -291,11 +321,7 @@ func (p *Plan) ParseRule(spec string) error {
 			p.Corrupts = append(p.Corrupts, r)
 		}
 	case "slow":
-		ep, at, ok := strings.Cut(rest, "@")
-		if !ok {
-			return fmt.Errorf("faults: rule %q: slow must be slow:ENDPOINT@DUR", spec)
-		}
-		d, err := dur(at)
+		ep, d, err := nameAt("slow:ENDPOINT@DUR", false)
 		if err != nil {
 			return err
 		}
@@ -316,11 +342,7 @@ func (p *Plan) ParseRule(spec string) error {
 		}
 		p.Hang(rest)
 	case "recover":
-		node, at, ok := strings.Cut(rest, "@")
-		if !ok || node == "" {
-			return fmt.Errorf("faults: rule %q: recover must be recover:NODE@DUR", spec)
-		}
-		d, err := dur(at)
+		node, d, err := nameAt("recover:NODE@DUR", true)
 		if err != nil {
 			return err
 		}
@@ -356,6 +378,12 @@ func (p *Plan) ParseRule(spec string) error {
 			return fmt.Errorf("faults: rule %q: fsyncfail must be fsyncfail:PATH", spec)
 		}
 		p.FailFsync(rest)
+	case "pace":
+		dataset, d, err := nameAt("pace:DATASET@DUR", true)
+		if err != nil {
+			return err
+		}
+		p.Pace(dataset, d)
 	default:
 		return fmt.Errorf("faults: rule %q: unknown kind %q", spec, kind)
 	}
@@ -500,13 +528,18 @@ func (in *Injector) OnCorrupt(id grid.BlockID) bool {
 // ConsumerDelay reports the planned per-packet consumption delay for a
 // client endpoint (exact name first, then the Any wildcard).
 func (in *Injector) ConsumerDelay(endpoint string) time.Duration {
-	if in == nil || len(in.plan.Consumers) == 0 {
+	if in == nil {
 		return 0
 	}
-	if d, ok := in.plan.Consumers[endpoint]; ok {
+	return named(in.plan.Consumers, endpoint)
+}
+
+// named is the duration m holds for name, or else for Any.
+func named(m map[string]time.Duration, name string) time.Duration {
+	if d, ok := m[name]; ok {
 		return d
 	}
-	return in.plan.Consumers[Any]
+	return m[Any]
 }
 
 // OnConnFrame advances the delivered-frame counter of the connection named

@@ -10,7 +10,7 @@ import (
 func ruleCount(p *Plan) int {
 	return len(p.Links) + len(p.Crashes) + len(p.Reads) + len(p.Corrupts) +
 		len(p.Consumers) + len(p.Disconnects) + len(p.Hangs) + len(p.Recovers) +
-		len(p.Flaps) + len(p.Torns) + len(p.FsyncFails)
+		len(p.Flaps) + len(p.Torns) + len(p.FsyncFails) + len(p.Paces)
 }
 
 // checkAccepted asserts what an accepted rule may leave in a fresh plan:
@@ -31,7 +31,7 @@ func checkAccepted(t *testing.T, spec string, p *Plan) {
 			t.Fatalf("ParseRule(%q) accepted negative delay %v", spec, r.Delay)
 		}
 	}
-	for _, m := range []map[string]time.Duration{p.Crashes, p.Recovers, p.Consumers} {
+	for _, m := range []map[string]time.Duration{p.Crashes, p.Recovers, p.Consumers, p.Paces} {
 		for node, d := range m {
 			if d < 0 {
 				t.Fatalf("ParseRule(%q) accepted negative duration %v for %q", spec, d, node)
@@ -66,6 +66,7 @@ func FuzzParseRule(f *testing.F) {
 		"drop:w1>scheduler:wdone:1", "dup:*>client:partial:0.5", "delay:w0>w1:wpartial:250ms",
 		"read:tiny:-1:-1:2", "corrupt:engine:0:3:1", "slow:client1@2s",
 		"discon:sess-1:5", "hang:sess-1", "torn:*:5", "torn:/var/wal/seg-0001:3", "fsyncfail:*",
+		"pace:engine@150ms", "pace:*@4ms", "pace:@1s", "pace:tiny@-1ms",
 		"drop:w1>s:wdone:NaN", "discon:s:9223372036854775807", "read:d:0:0:-9223372036854775808",
 	} {
 		f.Add(spec)
@@ -106,6 +107,7 @@ func TestParseRuleRejectsHostileValues(t *testing.T) {
 		"crash:w1@-3s",
 		"recover:w1@-1s",
 		"slow:client1@-2s",
+		"pace:engine@-4ms",
 	} {
 		var p Plan
 		if err := p.ParseRule(spec); err == nil {

@@ -176,12 +176,12 @@ func TestMemoNotInWAL(t *testing.T) {
 func TestMemoHardKillRestartsDirect(t *testing.T) {
 	ref := referenceMesh(t)
 	opts := Options{
-		Workers:        2,
-		Memo:           true,
-		SessionLease:   20 * time.Second,
-		WALDir:         t.TempDir(),
-		WALFsync:       "always",
-		StorageLatency: 4 * time.Millisecond, // pace the extraction so the kill lands mid-stream
+		Workers:      2,
+		Memo:         true,
+		SessionLease: 20 * time.Second,
+		WALDir:       t.TempDir(),
+		WALFsync:     "always",
+		Faults:       pacedReads(), // pace the extraction so the kill lands mid-stream
 	}
 	sys1, ln1 := serveWALSystem(t, opts, "")
 	addr := ln1.Addr().String()

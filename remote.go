@@ -471,7 +471,7 @@ func (rc *RemoteClient) runOnce(command string, params map[string]string, onPart
 		if m.ReqID != reqID {
 			continue // stale message from an abandoned request
 		}
-		if s := m.IntParam("sseq", 0); s > mark {
+		if s := m.SSeq.Or(0); s > mark {
 			mark = s
 		}
 		if m.Kind == "partial" {
@@ -479,9 +479,7 @@ func (rc *RemoteClient) runOnce(command string, params map[string]string, onPart
 			// duplicates were consumed off the wire. The echoed sseq lets the
 			// server tell a fresh frame's ack from a replayed frame's (whose
 			// credit it already returned itself). Both go back as they came.
-			rc.send(comm.Message{Kind: "ack", ReqID: reqID, Params: map[string]string{
-				"rank": m.Params["rank"], "sseq": m.Params["sseq"],
-			}})
+			rc.send(comm.Message{Kind: "ack", ReqID: reqID, Rank: m.Rank, SSeq: m.SSeq})
 		}
 		part, _, err := asm.Add(m)
 		if err != nil {

@@ -19,6 +19,10 @@ import (
 // recovered (a no-op on a fresh directory), listener bound. Pass addr "" for
 // an ephemeral port, or a previous listener's address to model a restarted
 // process rebinding the same endpoint.
+// pacedReads is the fault plan that makes every engine block read sleep 4 ms,
+// pacing an extraction so a kill lands mid-run.
+func pacedReads() *FaultPlan { return new(FaultPlan).Pace("engine", 4*time.Millisecond) }
+
 func serveWALSystem(t *testing.T, opts Options, addr string) (*System, net.Listener) {
 	t.Helper()
 	sys := New(opts)
@@ -91,7 +95,7 @@ func killInWindow(t *testing.T, sys *System, ln net.Listener, done chan runResul
 	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(time.Millisecond) {
 		select {
 		case r := <-done:
-			t.Fatalf("run finished before the kill (err=%v) — raise StorageLatency to pace it", r.err)
+			t.Fatalf("run finished before the kill (err=%v) — raise the pace rule's sleep", r.err)
 		default:
 		}
 		b.mu.Lock() // stream logs grow under the bridge's lock; it orders before the WAL's
@@ -117,7 +121,7 @@ func killInWindow(t *testing.T, sys *System, ln net.Listener, done chan runResul
 		w.mu.Unlock()
 		b.mu.Unlock()
 		if marks >= total {
-			t.Fatalf("kill window missed: all %d blocks journaled before the window was observed — raise StorageLatency to pace the run", total)
+			t.Fatalf("kill window missed: all %d blocks journaled before the window was observed — raise the pace rule's sleep", total)
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("no kill window in 15s: %d marks (want %d), %d blocks provably unfinished", marks, want, unfinished)
@@ -153,11 +157,11 @@ func blocksRecomputed(t *testing.T, sys *System) int {
 func TestHardKillRestartResume(t *testing.T) {
 	ref := referenceMesh(t)
 	opts := Options{
-		Workers:        2,
-		SessionLease:   20 * time.Second,
-		WALDir:         t.TempDir(),
-		WALFsync:       "always",
-		StorageLatency: 4 * time.Millisecond, // pace the extraction so the kill lands mid-run
+		Workers:      2,
+		SessionLease: 20 * time.Second,
+		WALDir:       t.TempDir(),
+		WALFsync:     "always",
+		Faults:       pacedReads(), // pace the extraction so the kill lands mid-run
 	}
 	sys1, ln1 := serveWALSystem(t, opts, "")
 	addr := ln1.Addr().String()
@@ -217,13 +221,14 @@ func TestHardKillTornTailRecovery(t *testing.T) {
 	// The 20th append lands mid-extraction: after the lease, admission,
 	// dispatch and span records, a handful of blocks' frame+mark pairs have
 	// gone through and plenty remain.
-	plan := (&FaultPlan{Seed: 5}).TearAppend("*", 20)
+	plan := pacedReads().TearAppend("*", 20)
+	plan.Seed = 5
 	opts := Options{
-		Workers:        2,
-		SessionLease:   20 * time.Second,
-		WALDir:         walDir,
-		WALFsync:       "always",
-		StorageLatency: 4 * time.Millisecond,
+		Workers:      2,
+		SessionLease: 20 * time.Second,
+		WALDir:       walDir,
+		WALFsync:     "always",
+		Faults:       pacedReads(),
 	}
 	withFault := opts
 	withFault.Faults = plan
@@ -310,11 +315,11 @@ func TestRestartSoak(t *testing.T) {
 				fsync = "interval" // the admission barrier still syncs the lease + admit records
 			}
 			opts := Options{
-				Workers:        2,
-				SessionLease:   20 * time.Second,
-				WALDir:         t.TempDir(),
-				WALFsync:       fsync,
-				StorageLatency: 4 * time.Millisecond,
+				Workers:      2,
+				SessionLease: 20 * time.Second,
+				WALDir:       t.TempDir(),
+				WALFsync:     fsync,
+				Faults:       pacedReads(),
 			}
 			sys1, ln1 := serveWALSystem(t, opts, "")
 			addr := ln1.Addr().String()

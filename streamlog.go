@@ -2,7 +2,6 @@ package viracocha
 
 import (
 	"slices"
-	"strconv"
 	"sync"
 
 	"viracocha/internal/comm"
@@ -26,9 +25,9 @@ type logFrame struct {
 // newLogFrame reads a stamped frame's log facts off the message it encodes.
 func newLogFrame(m comm.Message, wire []byte) logFrame {
 	return logFrame{
-		sseq:    m.IntParam("sseq", 0),
-		block:   m.IntParam("block", -1),
-		attempt: m.IntParam("attempt", -1),
+		sseq:    m.SSeq.Or(0),
+		block:   m.Block.Or(-1),
+		attempt: m.Attempt.Or(-1),
 		partial: m.Kind == "partial",
 		final:   m.Final,
 		wire:    wire,
@@ -165,11 +164,11 @@ func (l *streamLog) records(sessID string, clientReq uint64) []comm.Message {
 	if l.done {
 		final = "1"
 	}
-	return append(recs, comm.Message{Kind: "wstream", ReqID: clientReq, Params: map[string]string{
-		"sess": sessID, "sseq": strconv.Itoa(l.sseq), "final": final,
-		"attempt": strconv.Itoa(l.attempt),
-		"blocks":  comm.EncodeIntList(blocks), "counts": comm.EncodeIntList(counts),
-	}})
+	return append(recs, comm.Message{Kind: "wstream", ReqID: clientReq,
+		SSeq: comm.Some(l.sseq), Attempt: comm.Some(l.attempt), Params: map[string]string{
+			"sess": sessID, "final": final,
+			"blocks": comm.EncodeIntList(blocks), "counts": comm.EncodeIntList(counts),
+		}})
 }
 
 // restore applies a wstream record on top of the retained frames replayed
@@ -178,12 +177,12 @@ func (l *streamLog) restore(m comm.Message) {
 	blocks, counts := comm.ParseIntList(m.Params["blocks"]), comm.ParseIntList(m.Params["counts"])
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if s := m.IntParam("sseq", 0); s > l.sseq {
+	if s := m.SSeq.Or(0); s > l.sseq {
 		l.sseq = s
 	}
 	l.done = l.done || m.Params["final"] == "1"
 	// Disk input: a damaged list pair proves nothing about any block.
-	if attempt := m.IntParam("attempt", -1); attempt >= l.attempt && len(blocks) == len(counts) {
+	if attempt := m.Attempt.Or(-1); attempt >= l.attempt && len(blocks) == len(counts) {
 		l.attempt, l.logged = attempt, make(map[int]int, len(blocks))
 		for i, b := range blocks {
 			l.logged[b] = counts[i]

@@ -3,7 +3,6 @@ package viracocha
 import (
 	"bytes"
 	"reflect"
-	"strconv"
 	"testing"
 	"time"
 
@@ -14,10 +13,10 @@ import (
 
 // stampedFrame builds a durable frame the way deliver stamps one.
 func stampedFrame(kind string, sseq, block, attempt int, final bool) logFrame {
-	m := comm.Message{Kind: kind, ReqID: 7, Seq: sseq, Final: final, Params: Params(
-		"sseq", strconv.Itoa(sseq), "attempt", strconv.Itoa(attempt), "rank", "0")}
+	m := comm.Message{Kind: kind, ReqID: 7, Seq: sseq, Final: final,
+		SSeq: comm.Some(sseq), Attempt: comm.Some(attempt), Rank: comm.Some(0)}
 	if block >= 0 {
-		m.Params["block"] = strconv.Itoa(block)
+		m.Block = comm.Some(block)
 	}
 	m.Payload = bytes.Repeat([]byte{byte(sseq)}, 64)
 	return newLogFrame(m, comm.Encode(m))
@@ -121,8 +120,8 @@ func TestCheckpointIgnoresMemoRecords(t *testing.T) {
 		spanRecord(11, 1, 1, []int{1, 3}),
 		markRecord(11, 1, 0, 1),
 		frameRecord("sess-3", 7, f.wire),
-		{Kind: "wstream", ReqID: 7, Params: Params("sess", "sess-3", "sseq", "1",
-			"final", "0", "attempt", "1", "blocks", "0", "counts", "1")},
+		{Kind: "wstream", ReqID: 7, SSeq: comm.Some(1), Attempt: comm.Some(1),
+			Params: Params("sess", "sess-3", "final", "0", "blocks", "0", "counts", "1")},
 	}
 	tail := []comm.Message{markRecord(11, 1, 1, 1), frameRecord("sess-3", 7, stampedFrame("partial", 2, 1, 1, false).wire)}
 	load := func(checkpoint, tail []comm.Message) *walSink {
@@ -175,9 +174,10 @@ func recoverState(w *walSink) {
 }
 
 // TestCheckpointRejectsMalformed feeds the checkpoint reader damaged disk
-// input: bytes that are no record batch are refused whole, and records whose
-// framing is intact but whose fields are nonsense must not panic or invent
-// delivery proofs.
+// input: bytes that are no record batch are refused whole, as is a batch
+// holding a record whose typed key (sseq, attempt) is not an integer as
+// strconv.Itoa writes it, and records whose framing is intact but whose other
+// fields are nonsense must not panic or invent delivery proofs.
 func TestCheckpointRejectsMalformed(t *testing.T) {
 	good := stampedFrame("partial", 1, 0, 0, false).wire
 	valid := checkpointRequest("1", "1", "0", "0", "1", comm.Encode(comm.Message{Kind: "command"}), good)
@@ -188,6 +188,8 @@ func TestCheckpointRejectsMalformed(t *testing.T) {
 		"flipped bit":     append(append([]byte{}, valid[:40]...), append([]byte{valid[40] ^ 1}, valid[41:]...)...),
 		"headerless":      comm.EncodeBatch([]comm.Message{leaseRecord("issue", "sess-1", 0, "a")}),
 		"oversize length": {0xff, 0xff, 0xff, 0x7f, 1, 2, 3},
+		"non-numeric":     checkpointRequest("x", "y", "z", "a,b", "c,d", []byte("junk"), good),
+		"overflowing int": checkpointRequest("99999999999999999999999", "99999999999999999999999", "0", "0", "99999999999999999999999", nil, good),
 	} {
 		var warned bool
 		w := newWALSink("")
@@ -199,11 +201,11 @@ func TestCheckpointRejectsMalformed(t *testing.T) {
 	}
 	for name, data := range map[string][]byte{
 		"list mismatch":   checkpointRequest("1", "1", "0", "0,1,2", "1", nil, good),
-		"non-numeric":     checkpointRequest("x", "y", "z", "a,b", "c,d", []byte("junk"), good),
+		"non-numeric":     checkpointRequest("x", "1", "0", "a,b", "c,d", []byte("junk"), good),
 		"negative":        checkpointRequest("-1", "-5", "-2", "-1,-2", "-3,-4", nil, good),
 		"frame not wire":  checkpointRequest("1", "1", "0", "0", "1", nil, []byte("junk")),
 		"frame is nil":    checkpointRequest("1", "1", "0", "0", "1", nil, nil),
-		"overflowing int": checkpointRequest("99999999999999999999999", "99999999999999999999999", "0", "0", "99999999999999999999999", nil, good),
+		"overflowing int": checkpointRequest("99999999999999999999999", "1", "0", "0", "99999999999999999999999", nil, good),
 	} {
 		w := loadedSink(data)
 		recoverState(w)
@@ -286,11 +288,11 @@ func streamProgress(sys *System) (stamped, retained int) {
 func TestCheckpointAfterAcksThenHardKill(t *testing.T) {
 	ref := referenceMesh(t)
 	opts := Options{
-		Workers:        2,
-		SessionLease:   20 * time.Second,
-		WALDir:         t.TempDir(),
-		WALFsync:       "always",
-		StorageLatency: 4 * time.Millisecond,
+		Workers:      2,
+		SessionLease: 20 * time.Second,
+		WALDir:       t.TempDir(),
+		WALFsync:     "always",
+		Faults:       pacedReads(),
 	}
 	sys1, ln1 := serveWALSystem(t, opts, "")
 	addr := ln1.Addr().String()
@@ -328,7 +330,7 @@ func TestCheckpointAfterAcksThenHardKill(t *testing.T) {
 		case "wframe":
 			frames++
 		case "wstream":
-			stamped += m.IntParam("sseq", 0)
+			stamped += m.SSeq.Or(0)
 		}
 	}
 	if frames > stamped-acked {

@@ -102,10 +102,6 @@ type Options struct {
 	// Prefetcher selects the system prefetch policy for worker proxies:
 	// "none" (default), "obl", "onmiss", "markov".
 	Prefetcher string
-	// StorageLatency is slept per block read on the device backing registered
-	// data sets; zero means reads cost what the backend takes. It paces
-	// real-clock requests so fault drills can land mid-request.
-	StorageLatency time.Duration
 	// Memo turns cross-session result memoization on: identical requests
 	// (canonicalized, so "0.5" and "0.50" collide) are served from a
 	// content-addressed result cache, and concurrent identical requests
@@ -124,7 +120,7 @@ type Options struct {
 	Overload *OverloadConfig
 	// Faults injects a deterministic failure scenario — per-link message
 	// drop/duplication/delay, worker crashes at given virtual times,
-	// storage read errors. Nil means a fault-free system.
+	// storage read errors, paced reads. Nil means a fault-free system.
 	Faults *FaultPlan
 	// SessionLease is how long a durable TCP session survives without a
 	// connection (or a renewal) before it is purged; zero means the 30s
@@ -221,7 +217,7 @@ func (s *System) AddDataset(name string, scale int) (*DatasetDesc, error) {
 	s.registerPrefetcher(d)
 	s.Runtime.RegisterDataset(d)
 	dev := storage.NewDevice("store:"+d.Name, &storage.GenBackend{Desc: d}, s.Clock,
-		s.opts.StorageLatency, 0, 2)
+		s.opts.Faults.ReadPace(d.Name), 0, 2)
 	s.Runtime.RegisterDevice(dev, nil)
 	return d, nil
 }
@@ -236,7 +232,7 @@ func (s *System) AddDatasetDir(desc *DatasetDesc, dir string) error {
 	s.registerPrefetcher(desc)
 	s.Runtime.RegisterDataset(desc)
 	dev := storage.NewDevice("dir:"+desc.Name, &storage.DirBackend{Root: dir}, s.Clock,
-		s.opts.StorageLatency, 0, 2)
+		s.opts.Faults.ReadPace(desc.Name), 0, 2)
 	s.Runtime.RegisterDevice(dev, nil)
 	return nil
 }

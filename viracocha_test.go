@@ -35,7 +35,7 @@ func TestSessionQuickstart(t *testing.T) {
 }
 
 func TestVirtualTimeSession(t *testing.T) {
-	sys := New(Options{Workers: 2, VirtualTime: true, StorageLatency: time.Millisecond})
+	sys := New(Options{Workers: 2, VirtualTime: true, Faults: new(FaultPlan).Pace("tiny", time.Millisecond)})
 	if _, err := sys.AddDataset("tiny", 1); err != nil {
 		t.Fatal(err)
 	}

@@ -112,9 +112,10 @@ type walSink struct {
 	// resolves to the liveReq — delivery state of every session kind, guarded
 	// by bridge.mu, which a hook firing under scheduler.mu must not take.
 	byRuntime map[uint64]*walReq
-	bytes     int64  // appended since the last checkpoint
-	written   uint64 // lsn of the last record the sink wrote
-	head      []byte // scratch for a wframe record's head (Frame)
+	bytes     int64             // appended since the last checkpoint
+	written   uint64            // lsn of the last record the sink wrote
+	head      []byte            // scratch for a wframe record's head (Frame)
+	headSess  map[string]string // that record's parameters, reused
 	closed    bool
 	err       error // first write/sync/checkpoint failure; logging is best-effort after
 }
@@ -124,6 +125,7 @@ func newWALSink(dir string) *walSink {
 		dir:       dir,
 		state:     newWALState(),
 		byRuntime: map[uint64]*walReq{},
+		headSess:  map[string]string{},
 	}
 }
 
@@ -327,22 +329,19 @@ func admitRecord(sessID string, clientReq, runtimeID uint64, cmd []byte) comm.Me
 }
 
 func dispatchRecord(reqID uint64, attempt, want int) comm.Message {
-	return comm.Message{Kind: "wdispatch", ReqID: reqID, Params: map[string]string{
-		"attempt": strconv.Itoa(attempt), "want": strconv.Itoa(want),
+	return comm.Message{Kind: "wdispatch", ReqID: reqID, Attempt: comm.Some(attempt), Params: map[string]string{
+		"want": strconv.Itoa(want),
 	}}
 }
 
 func spanRecord(reqID uint64, attempt, rank int, items []int) comm.Message {
-	return comm.Message{Kind: "wspan", ReqID: reqID, Params: map[string]string{
-		"attempt": strconv.Itoa(attempt), "rank": strconv.Itoa(rank),
-		"span": comm.EncodeIntList(items),
-	}}
+	return comm.Message{Kind: "wspan", ReqID: reqID, Attempt: comm.Some(attempt), Rank: comm.Some(rank),
+		Params: map[string]string{"span": comm.EncodeIntList(items)}}
 }
 
 func markRecord(reqID uint64, attempt, item, bframes int) comm.Message {
-	return comm.Message{Kind: "wmark", ReqID: reqID, Params: map[string]string{
-		"attempt": strconv.Itoa(attempt),
-		"item":    strconv.Itoa(item), "bframes": strconv.Itoa(bframes),
+	return comm.Message{Kind: "wmark", ReqID: reqID, Attempt: comm.Some(attempt), Params: map[string]string{
+		"item": strconv.Itoa(item), "bframes": strconv.Itoa(bframes),
 	}}
 }
 
@@ -400,7 +399,8 @@ func (w *walSink) Frame(sessID string, clientReq uint64, f comm.Frame) uint64 {
 	if w.log == nil || w.closed {
 		return 0
 	}
-	w.head = comm.AppendHead(w.head[:0], comm.Message{Kind: "wframe", ReqID: clientReq}, f.Len(), "sess", sessID)
+	w.headSess["sess"] = sessID
+	w.head = comm.AppendHead(w.head[:0], comm.Message{Kind: "wframe", ReqID: clientReq, Params: w.headSess}, f.Len())
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], f.SumAfter(w.head))
 	lsn, err := w.log.Write(w.head, f.Head, f.Payload, f.Sum, sum[:])
@@ -536,7 +536,7 @@ func (w *walSink) applyLocked(m comm.Message) {
 		if r == nil {
 			return
 		}
-		attempt := m.IntParam("attempt", 0)
+		attempt := m.Attempt.Or(0)
 		if attempt < r.Attempt {
 			return
 		}
@@ -549,17 +549,17 @@ func (w *walSink) applyLocked(m comm.Message) {
 		r := w.byRuntime[m.ReqID]
 		// streamed=0 is a gathered span, which WALs of older servers still
 		// hold: its results died with the process, so it declares nothing.
-		if r == nil || m.IntParam("attempt", 0) != r.Attempt || m.Params["streamed"] == "0" {
+		if r == nil || m.Attempt.Or(0) != r.Attempt || m.Params["streamed"] == "0" {
 			return
 		}
 		if r.Spans == nil {
 			r.Spans = map[int][]int{}
 		}
-		rank := m.IntParam("rank", 0)
+		rank := m.Rank.Or(0)
 		r.Spans[rank] = unionInts(r.Spans[rank], comm.ParseIntList(m.Params["span"]))
 	case "wmark":
 		r := w.byRuntime[m.ReqID]
-		if r == nil || m.IntParam("attempt", 0) != r.Attempt {
+		if r == nil || m.Attempt.Or(0) != r.Attempt {
 			return
 		}
 		item := m.IntParam("item", -1)
