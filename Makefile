@@ -17,12 +17,15 @@ test:
 # Race-check the concurrency-heavy packages: the actor runtime, the fabric
 # and the virtual clock (plus the fault machinery, the DMS caches, the
 # storage device, the pooled kernel scratch in iso/mesh/vortex that workers
-# share through sync.Pool, the session-lease registry, and the root package's
-# durable TCP bridge with its reconnect/drain scenarios). The WAL's group
-# commit is a concurrency primitive of its own: its tests run twenty times.
+# share through sync.Pool, the session scripts, and the root package's
+# durable TCP bridge with its reconnect/drain scenarios). Two concurrency
+# primitives run twenty times: the WAL's group commit, and the bridge's
+# session leases, whose resume fencing rests on the bridge's lock.
+LEASE_TESTS = TestExpiredResumePurgesSession|TestRacingResumesOneWins|TestAttachedSessionHoldsNoLease|TestRestoredLeaseResumesAtRecordedEpoch|TestResumeOfEphemeralSessionDenied
 race:
 	$(GO) test -race ./internal/core/ ./internal/comm/ ./internal/vclock/ ./internal/faults/ ./internal/dms/ ./internal/storage/ ./internal/grid/ ./internal/iso/ ./internal/mesh/ ./internal/vortex/ ./internal/commands/ ./internal/session/ ./internal/wal/ .
 	$(GO) test -race -count=20 -run 'TestGroupCommit' ./internal/wal/
+	$(GO) test -race -count=20 -run '$(LEASE_TESTS)' .
 
 # The seeded overload-resilience suite under the race detector: admission
 # control, session quotas, stream backpressure, slow-consumer culling, the
@@ -113,9 +116,9 @@ alloc-guard:
 	$(GO) test -count=1 -run 'TestDeliveryAllocationGuard|TestFlowParkAllocatesNothing|TestExtractorResetAllocatesNothing|TestConnRecvAllocatesOnlyParams' -v . ./internal/core/ ./internal/iso/ ./internal/comm/
 
 # Short fuzz pass over every decoder and parser that takes bytes from outside:
-# the message codec (plain frames, also with their checksum made good so
-# mutations reach the parser; fault-plan-mutated frames and the message
-# batches of WAL checkpoints), the frame (checksum made good too) and
+# the message codec (plain frames and fault-plan-mutated frames, both also
+# with their checksum made good so mutations reach the parser; and the
+# message batches of WAL checkpoints), the frame (checksum made good too) and
 # parameter parsers, the memo-key float
 # canonicalizer, the mesh wire decoder every client runs on its socket, the
 # stored-block parser (each input's CRC-32C re-sealed, so mutations get past

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"viracocha/internal/comm"
-	"viracocha/internal/session"
 	"viracocha/internal/vclock"
 )
 
@@ -19,11 +18,17 @@ import (
 // proceeds anyway.
 const defaultDrainTimeout = 10 * time.Second
 
-// sessionBridge is the durable TCP↔fabric bridge: it owns the lease
-// registry, routes fabric replies to connections, appends each durable
-// request's outbound frames to its stream log for replay, and re-attaches
-// reconnecting clients to their live sessions. One bridge serves every
-// listener of a System.
+// defaultSessionLease is how long a detached durable session awaits a resume
+// when Options.SessionLease is unset: long enough to ride out a WAN reconnect
+// storm, short enough that an abandoned session releases its quota within
+// one operator sigh.
+const defaultSessionLease = 30 * time.Second
+
+// sessionBridge is the durable TCP↔fabric bridge: it issues and fences the
+// durable sessions' leases, routes fabric replies to connections, appends
+// each durable request's outbound frames to its stream log for replay, and
+// re-attaches reconnecting clients to their live sessions. One bridge serves
+// every listener of a System.
 //
 // Stream-credit invariant: every partial frame a producer emits consumed one
 // flow-control credit, and exactly one credit must return per frame — from
@@ -33,11 +38,12 @@ const defaultDrainTimeout = 10 * time.Second
 // apart from acks for fresh frames).
 type sessionBridge struct {
 	sys  *System
-	reg  *session.Registry
-	name string // fabric endpoint name ("tcp-bridge1")
+	ttl  time.Duration // the lease a durable session holds while detached
+	name string        // fabric endpoint name ("tcp-bridge1")
 	ep   *comm.Endpoint
 
 	mu       sync.Mutex
+	counter  uint64                  // N of the last issued "sess-N"
 	sessions map[string]*liveSession // session ID → state
 	routes   map[uint64]*liveReq     // runtime reqID → request
 	stop     chan struct{}           // non-nil while started; closed when dispatch ends
@@ -48,11 +54,12 @@ type sessionBridge struct {
 // never sent a hello — keep the old purge-on-disconnect contract.
 type liveSession struct {
 	id        string // lease ID, or the admission name for ephemeral sessions
-	epoch     int
+	epoch     int    // fences resumes: each one bumps it
 	admission string // scheduler admission-control session name
 	durable   bool
-	conn      *comm.Conn // nil while detached
-	connGen   int        // bumped per attach; fences stale conn-death cleanup
+	conn      *comm.Conn    // nil while detached
+	expiry    time.Duration // clock time the lease lapses at; only a detached session holds one
+	connGen   int           // bumped per attach; fences stale conn-death cleanup
 	reqs      map[uint64]*liveReq
 }
 
@@ -70,11 +77,20 @@ type liveReq struct {
 	selfAcked int         // highest sseq the bridge credited on the client's behalf
 }
 
-func newSessionBridge(sys *System, reg *session.Registry) *sessionBridge {
+// lapsed reports whether a durable session's lease ran out at now.
+func (s *liveSession) lapsed(now time.Duration) bool {
+	return s.durable && s.conn == nil && now > s.expiry
+}
+
+func newSessionBridge(sys *System) *sessionBridge {
 	name := fmt.Sprintf("tcp-bridge%d", sys.Runtime.NextClientID())
+	ttl := sys.opts.SessionLease
+	if ttl <= 0 {
+		ttl = defaultSessionLease
+	}
 	return &sessionBridge{
 		sys:      sys,
-		reg:      reg,
+		ttl:      ttl,
 		name:     name,
 		ep:       sys.Runtime.Net.Endpoint(name),
 		sessions: map[string]*liveSession{},
@@ -283,7 +299,7 @@ func (b *sessionBridge) detachLocked(sess *liveSession, why string) {
 		lr.selfAcked = lr.log.head()
 	}
 	if sess.durable {
-		b.reg.Touch(sess.id)
+		sess.expiry = b.sys.Clock.Now() + b.ttl
 		rt.Trace.Eventf(rt.Clock.Now(), "bridge",
 			"session %s detached (%s): %d requests retained for resume", sess.id, why, len(sess.reqs))
 	}
@@ -293,9 +309,18 @@ func (b *sessionBridge) detachLocked(sess *liveSession, why string) {
 // queued requests discarded, running ones cancelled, quota released.
 func (b *sessionBridge) purge(sess *liveSession) {
 	b.mu.Lock()
+	dropped := b.dropLocked(sess)
+	b.mu.Unlock()
+	if dropped {
+		b.release(sess)
+	}
+}
+
+// dropLocked removes a session and its routes from the bridge; false means
+// another path already purged it (sweeper vs reader vs resume).
+func (b *sessionBridge) dropLocked(sess *liveSession) bool {
 	if b.sessions[sess.id] != sess {
-		b.mu.Unlock()
-		return // already purged (sweeper vs reader race)
+		return false
 	}
 	delete(b.sessions, sess.id)
 	for _, lr := range sess.reqs {
@@ -303,25 +328,24 @@ func (b *sessionBridge) purge(sess *liveSession) {
 			delete(b.routes, lr.runtimeID)
 		}
 	}
-	b.mu.Unlock()
+	return true
+}
+
+// release tells the WAL and the scheduler that a dropped session is gone.
+func (b *sessionBridge) release(sess *liveSession) {
 	if sess.durable {
 		b.sys.wal.LeaseDrop(sess.id)
 	}
-	b.reg.Drop(sess.id)
 	b.ep.Send("scheduler", comm.Message{
 		Kind:   "disconnect",
 		Params: map[string]string{"session": sess.admission},
 	})
 }
 
-// sweep purges durable sessions whose lease expired while detached and keeps
-// attached ones renewed, until stop closes (not a tick later: it holds the system).
+// sweep purges the durable sessions whose lease lapsed while detached, until
+// stop closes (not a tick later: it holds the system).
 func (b *sessionBridge) sweep(stop <-chan struct{}) {
-	every := b.reg.TTL() / 4
-	if every < 5*time.Millisecond {
-		every = 5 * time.Millisecond
-	}
-	t := time.NewTicker(every)
+	t := time.NewTicker(max(b.ttl/4, 5*time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
@@ -330,30 +354,20 @@ func (b *sessionBridge) sweep(stop <-chan struct{}) {
 		case <-t.C:
 		}
 		b.mu.Lock()
-		var attached []string
-		for id, sess := range b.sessions {
-			if sess.durable && sess.conn != nil {
-				attached = append(attached, id)
+		now := b.sys.Clock.Now()
+		var lapsed []*liveSession
+		for _, sess := range b.sessions {
+			if sess.lapsed(now) {
+				b.dropLocked(sess)
+				lapsed = append(lapsed, sess)
 			}
 		}
 		b.mu.Unlock()
-		for _, id := range attached {
-			b.reg.Touch(id)
-		}
-		for _, id := range b.reg.Expired() {
-			b.mu.Lock()
-			sess := b.sessions[id]
-			detached := sess != nil && sess.conn == nil
-			b.mu.Unlock()
-			switch {
-			case sess == nil:
-				b.reg.Drop(id)
-			case detached:
-				rt := b.sys.Runtime
-				rt.Trace.Eventf(rt.Clock.Now(), "bridge",
-					"session %s lease expired while detached: purging", id)
-				b.purge(sess)
-			}
+		rt := b.sys.Runtime
+		for _, sess := range lapsed {
+			rt.Trace.Eventf(rt.Clock.Now(), "bridge",
+				"session %s lease expired while detached: purging", sess.id)
+			b.release(sess)
 		}
 	}
 }
@@ -361,7 +375,7 @@ func (b *sessionBridge) sweep(stop <-chan struct{}) {
 // serveConn owns one accepted connection: handshake (or legacy first
 // frame), then the read loop until the peer goes away.
 func (b *sessionBridge) serveConn(conn *comm.Conn) {
-	conn.SetWriteTimeout(b.reg.TTL())
+	conn.SetWriteTimeout(b.ttl)
 	first, ok := recvKept(conn)
 	if !ok {
 		conn.Close()
@@ -400,9 +414,6 @@ func (b *sessionBridge) serveConn(conn *comm.Conn) {
 		if !ok {
 			b.connClosed(sess, gen, conn)
 			return
-		}
-		if sess.durable {
-			b.reg.Touch(sess.id)
 		}
 		if !b.handleFrame(sess, conn, m) {
 			b.connClosed(sess, gen, conn)
@@ -445,60 +456,27 @@ func (b *sessionBridge) connClosed(sess *liveSession, gen int, conn *comm.Conn) 
 // handshake was denied (the denial frame has been sent).
 func (b *sessionBridge) attach(conn *comm.Conn, hello comm.Message) (*liveSession, int) {
 	rt := b.sys.Runtime
-	deny := func(err error) {
-		conn.Send(comm.Message{Kind: "lease", Params: map[string]string{
-			"denied": "1", "error": err.Error(),
-		}})
-	}
 	id := hello.Params["session"]
+	resumed := id != ""
 	var sess *liveSession
-	var lease session.Lease
-	resumed := false
-	if id == "" {
-		lease = b.reg.Issue()
-		sess = &liveSession{
-			id:        lease.ID,
-			epoch:     lease.Epoch,
-			admission: fmt.Sprintf("%s/s%d", b.name, rt.NextClientID()),
-			durable:   true,
-			reqs:      map[uint64]*liveReq{},
-		}
-		b.mu.Lock()
-		b.sessions[sess.id] = sess
-		b.mu.Unlock()
-		b.sys.wal.LeaseIssue(lease.ID, lease.Epoch, sess.admission)
+	var epoch int
+	if !resumed {
+		sess = b.issue()
+		b.sys.wal.LeaseIssue(sess.id, 0, sess.admission)
 	} else {
 		var err error
-		lease, err = b.reg.Resume(id, hello.IntParam("epoch", 0))
-		if err != nil {
-			deny(err)
+		if sess, epoch, err = b.resume(id, hello.IntParam("epoch", 0)); err != nil {
+			conn.Send(comm.Message{Kind: "lease", Params: map[string]string{
+				"denied": "1", "error": err.Error(),
+			}})
 			return nil, 0
 		}
-		b.mu.Lock()
-		sess = b.sessions[id]
-		if sess == nil {
-			// Lease known but state gone (purged between sweep and resume):
-			// treat like an unknown session.
-			b.mu.Unlock()
-			b.reg.Drop(id)
-			deny(fmt.Errorf("%w: %q (state purged)", session.ErrUnknownSession, id))
-			return nil, 0
-		}
-		if old := sess.conn; old != nil {
-			// A zombie connection still attached: the resume's bumped epoch
-			// has fenced it; hand the session to the newcomer.
-			b.detachLocked(sess, "superseded by resumed connection")
-			old.Close()
-		}
-		sess.epoch = lease.Epoch
-		b.mu.Unlock()
-		b.sys.wal.LeaseResume(id, lease.Epoch)
-		resumed = true
+		b.sys.wal.LeaseResume(id, epoch)
 	}
 	reply := comm.Message{Kind: "lease", Params: map[string]string{
 		"session":   sess.id,
-		"epoch":     strconv.Itoa(sess.epoch),
-		"expiry_ms": strconv.FormatInt(b.reg.TTL().Milliseconds(), 10),
+		"epoch":     strconv.Itoa(epoch),
+		"expiry_ms": strconv.FormatInt(b.ttl.Milliseconds(), 10),
 	}}
 	if resumed {
 		reply.Params["resumed"] = "1"
@@ -542,7 +520,7 @@ func (b *sessionBridge) attach(conn *comm.Conn, hello comm.Message) (*liveSessio
 			b.mu.Unlock()
 			if resumed {
 				rt.Trace.Eventf(rt.Clock.Now(), "bridge",
-					"session %s resumed at epoch %d: %d frames replayed", sess.id, sess.epoch, replayed)
+					"session %s resumed at epoch %d: %d frames replayed", sess.id, epoch, replayed)
 			}
 			return sess, gen
 		}
@@ -555,6 +533,58 @@ func (b *sessionBridge) attach(conn *comm.Conn, hello comm.Message) (*liveSessio
 			replayed++
 		}
 	}
+}
+
+// issue opens a fresh durable session at epoch 0, detached until attach wires
+// its connection in, so it holds a full lease meanwhile.
+func (b *sessionBridge) issue() *liveSession {
+	admission := fmt.Sprintf("%s/s%d", b.name, b.sys.Runtime.NextClientID())
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.counter++
+	sess := &liveSession{
+		id:        fmt.Sprintf("sess-%d", b.counter),
+		admission: admission,
+		durable:   true,
+		expiry:    b.sys.Clock.Now() + b.ttl,
+		reqs:      map[uint64]*liveReq{},
+	}
+	b.sessions[sess.id] = sess
+	return sess
+}
+
+// resume validates a resume handshake: the session must be a durable one the
+// bridge holds, at the client's epoch, and not lapsed — a lapsed one is purged
+// on the spot. Success bumps the epoch, which fences every connection holding
+// the old one, hands the session over detached with a full lease for the
+// replay, and returns the new epoch.
+func (b *sessionBridge) resume(id string, epoch int) (*liveSession, int, error) {
+	b.mu.Lock()
+	sess := b.sessions[id]
+	if sess == nil || !sess.durable {
+		b.mu.Unlock()
+		return nil, 0, fmt.Errorf("session: unknown or expired session: %q", id)
+	}
+	now := b.sys.Clock.Now()
+	if sess.lapsed(now) {
+		b.mu.Unlock()
+		b.sys.Runtime.Trace.Eventf(now, "bridge", "session %s lease expired while detached: purging on resume", id)
+		b.purge(sess)
+		return nil, 0, fmt.Errorf("session: unknown or expired session: %q (lease expired)", id)
+	}
+	defer b.mu.Unlock()
+	if epoch != sess.epoch {
+		return nil, 0, fmt.Errorf("session: stale epoch: lease already resumed: %q epoch %d, current %d", id, epoch, sess.epoch)
+	}
+	if old := sess.conn; old != nil {
+		// A zombie connection still attached: the bumped epoch fences it;
+		// hand the session to the newcomer.
+		b.detachLocked(sess, "superseded by resumed connection")
+		old.Close()
+	}
+	sess.epoch++
+	sess.expiry = now + b.ttl
+	return sess, sess.epoch, nil
 }
 
 // routed is a client command as the scheduler sees it: under its runtime
@@ -700,7 +730,7 @@ func (s *System) bridge() *sessionBridge {
 	s.bmu.Lock()
 	defer s.bmu.Unlock()
 	if s.br == nil {
-		s.br = newSessionBridge(s, session.NewRegistry(s.Clock, s.opts.SessionLease))
+		s.br = newSessionBridge(s)
 	}
 	return s.br
 }

@@ -4,6 +4,7 @@
 package comm_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -26,17 +27,23 @@ func corruptibleFrame() []byte {
 }
 
 // TestDecodeSurvivesMutatedFrames replays a spread of seeded fault-plan
-// mutations over a valid frame: the decoder must never panic, and anything
-// it accepts must round-trip.
+// mutations over a valid frame. As mutated, a changed frame fails its
+// checksum; with the checksum made good, the mutation reaches the parser,
+// which must never panic, and anything it accepts must round-trip.
 func TestDecodeSurvivesMutatedFrames(t *testing.T) {
 	base := corruptibleFrame()
+	accepted := 0
 	for seed := uint64(0); seed < 512; seed++ {
 		data := append([]byte(nil), base...)
 		faults.Mutate(seed, data, int(seed%9)+1)
-		m, err := comm.Decode(data)
+		if _, err := comm.Decode(data); err == nil && !bytes.Equal(data, base) {
+			t.Fatalf("seed %d: a mutated frame passed its checksum", seed)
+		}
+		m, err := comm.Decode(comm.Resealed(data))
 		if err != nil {
 			continue
 		}
+		accepted++
 		back, err := comm.Decode(comm.Encode(m))
 		if err != nil {
 			t.Fatalf("seed %d: accepted frame failed to re-decode: %v", seed, err)
@@ -44,6 +51,10 @@ func TestDecodeSurvivesMutatedFrames(t *testing.T) {
 		if !reflect.DeepEqual(m, back) {
 			t.Fatalf("seed %d: accepted corrupted frame does not round-trip", seed)
 		}
+	}
+	t.Logf("Decode accepted %d of 512 resealed mutated frames", accepted)
+	if accepted == 0 {
+		t.Fatal("Decode accepted no resealed mutated frame: the round-trip check never ran")
 	}
 }
 
@@ -113,7 +124,8 @@ func FuzzDecodeBatchMutated(f *testing.F) {
 	})
 }
 
-// FuzzDecodeMutated lets the fuzzer drive the mutation parameters directly.
+// FuzzDecodeMutated lets the fuzzer drive the mutation parameters directly,
+// over the frame as mutated and with its checksum made good.
 func FuzzDecodeMutated(f *testing.F) {
 	f.Add(uint64(1), 1)
 	f.Add(uint64(42), 4)
@@ -125,12 +137,14 @@ func FuzzDecodeMutated(f *testing.F) {
 		n %= 64
 		data := corruptibleFrame()
 		faults.Mutate(seed, data, n)
-		m, err := comm.Decode(data)
-		if err != nil {
-			return
-		}
-		if back, err := comm.Decode(comm.Encode(m)); err != nil || !reflect.DeepEqual(m, back) {
-			t.Fatalf("accepted mutated frame does not round-trip (err %v)", err)
+		for _, frame := range [][]byte{data, comm.Resealed(data)} {
+			m, err := comm.Decode(frame)
+			if err != nil {
+				continue
+			}
+			if back, err := comm.Decode(comm.Encode(m)); err != nil || !reflect.DeepEqual(m, back) {
+				t.Fatalf("accepted mutated frame does not round-trip (err %v)", err)
+			}
 		}
 	})
 }

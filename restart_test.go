@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"viracocha/internal/comm"
 	"viracocha/internal/dataset"
 	"viracocha/internal/wal"
 )
@@ -207,6 +208,60 @@ func TestHardKillRestartResume(t *testing.T) {
 	recomputed := blocksRecomputed(t, sys2)
 	if recomputed <= 0 || recomputed >= total {
 		t.Fatalf("BlocksRecomputed = %d, want in (0, %d): recovery should re-issue only the journal-unfinished blocks", recomputed, total)
+	}
+}
+
+// TestFinishedRequestNotReadmitted: a durable request that streamed its final
+// frame is not re-run by a recovery, even though its client never sent "done"
+// (so its log is still held for a resume): a hard kill and RecoverWAL leave
+// it restored but routed to nothing.
+func TestFinishedRequestNotReadmitted(t *testing.T) {
+	opts := Options{Workers: 1, WALDir: t.TempDir(), WALFsync: "always"}
+	boot := func() *System {
+		sys := New(opts)
+		if _, err := sys.AddDataset("tiny", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.RecoverWAL(); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	sys1 := boot()
+	rc, err := pipeHello(sys1.bridge(), "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.closeConn()
+	if err := rc.send(comm.Message{Kind: "command", Command: "iso.dataman", ReqID: 1,
+		Params: Params("dataset", "tiny", "workers", "1", "iso", "0.5")}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		m, ok := rc.recv()
+		if !ok {
+			t.Fatal("connection lost before the final frame")
+		}
+		if m.Final {
+			if m.Kind == "error" {
+				t.Fatalf("request failed: %s", m.Params["error"])
+			}
+			break
+		}
+	}
+	sys1.Kill()
+
+	sys2 := boot()
+	defer sys2.Kill()
+	b := sys2.bridge()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	sess := b.sessions[rc.SessionID()]
+	if sess == nil || len(sess.reqs) != 1 || !sess.reqs[1].log.final() {
+		t.Fatalf("the finished request's log was not restored for a resume: %+v", sess)
+	}
+	if len(b.routes) != 0 {
+		t.Fatalf("recovery re-admitted %d finished requests", len(b.routes))
 	}
 }
 

@@ -221,6 +221,37 @@ func TestCheckpointRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestLeaseDropForgetsRuntimeIDs: a purged session's requests leave the
+// sink's scheduler-side index with it, so the index of a long-running server
+// holds only the durable requests still live.
+func TestLeaseDropForgetsRuntimeIDs(t *testing.T) {
+	w := newWALSink("")
+	w.LeaseIssue("sess-1", 0, "tcp-bridge1/s1")
+	w.Admit("sess-1", 1, 11, comm.Message{Kind: "command", ReqID: 1}, &streamLog{})
+	w.Admit("sess-1", 2, 12, comm.Message{Kind: "command", ReqID: 2}, &streamLog{})
+	if len(w.byRuntime) != 2 {
+		t.Fatalf("%d runtime IDs indexed after two admissions, want 2", len(w.byRuntime))
+	}
+	w.LeaseDrop("sess-1")
+	if len(w.byRuntime) != 0 || len(w.state.Sessions) != 0 {
+		t.Fatalf("after the drop: %d runtime IDs, %d sessions left, want none", len(w.byRuntime), len(w.state.Sessions))
+	}
+}
+
+// TestRebindKeepsNewestRuntimeID: replaying two admissions of one request
+// under different runtime IDs — a recovery rebinds an unfinished request to a
+// fresh one — leaves it indexed under the newest ID only.
+func TestRebindKeepsNewestRuntimeID(t *testing.T) {
+	w := loadedSink(nil,
+		leaseRecord("issue", "sess-1", 0, "a"),
+		admitRecord("sess-1", 1, 5, nil),
+		admitRecord("sess-1", 1, 9, nil))
+	r := w.state.Sessions["sess-1"].Reqs[1]
+	if len(w.byRuntime) != 1 || w.byRuntime[9] != r || r.RuntimeID != 9 {
+		t.Fatalf("runtime IDs indexed: %v (request bound to %d), want only 9", w.byRuntime, r.RuntimeID)
+	}
+}
+
 // TestGatheredSpanRecordPlansNoRecovery: WALs of older servers hold wspan
 // records with streamed=0 from gathered commands, whose completed items died
 // with the process. Such a span and its marks yield no recovery plan, so the

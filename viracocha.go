@@ -123,8 +123,9 @@ type Options struct {
 	// storage read errors, paced reads. Nil means a fault-free system.
 	Faults *FaultPlan
 	// SessionLease is how long a durable TCP session survives without a
-	// connection (or a renewal) before it is purged; zero means the 30s
-	// default. Only meaningful for served systems.
+	// connection before it is purged, counted from the moment it lost the
+	// connection; zero means the 30s default. Only meaningful for served
+	// systems.
 	SessionLease time.Duration
 	// DrainTimeout bounds System.Drain (and the remote drain trigger): how
 	// long in-flight requests get to finish before the drain gives up; zero

@@ -46,7 +46,7 @@ import (
 // walState is the recoverable control-plane state: what a restarted server
 // needs to honor resume handshakes and finish interrupted work.
 type walState struct {
-	// Counter continues the lease registry's ID sequence across restarts.
+	// Counter continues the bridge's session ID sequence across restarts.
 	Counter uint64
 	// Sessions maps lease ID → durable session state.
 	Sessions map[string]*walSession
@@ -478,7 +478,7 @@ func (w *walSink) applyLocked(m comm.Message) {
 				sess.Epoch = epoch
 			}
 			// Lease IDs are "sess-N": fold N into the counter so a restarted
-			// registry never re-issues a live ID.
+			// bridge never re-issues a live ID.
 			if n, err := strconv.ParseUint(strings.TrimPrefix(id, "sess-"), 10, 64); err == nil && n > st.Counter {
 				st.Counter = n
 			}
@@ -690,17 +690,19 @@ func (w *walSink) open(policy wal.Policy, hooks wal.FaultHooks) error {
 }
 
 // restoreWAL rebuilds the bridge from the recovered state in one walk: the
-// lease registry (full-TTL leases), the sessions, and each request's liveReq
-// around the same stream log the state holds. Every unfinished request is
-// bound to a fresh runtime ID, routed, and returned as a re-admission plan
-// carrying — when the journals prove full coverage — exactly the items not
-// yet streamed.
+// session ID counter, the sessions — detached, each with a full lease, since
+// the restart itself may have eaten most of the old one — and each request's
+// liveReq around the same stream log the state holds. Every unfinished
+// request is bound to a fresh runtime ID, routed, and returned as a
+// re-admission plan carrying — when the journals prove full coverage —
+// exactly the items not yet streamed.
 func (b *sessionBridge) restoreWAL(w *walSink) []walPlan {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	epochs := map[string]int{}
+	b.counter = w.state.Counter
+	expiry := b.sys.Clock.Now() + b.ttl
 	sids := make([]string, 0, len(w.state.Sessions))
 	for id := range w.state.Sessions {
 		sids = append(sids, id)
@@ -709,12 +711,12 @@ func (b *sessionBridge) restoreWAL(w *walSink) []walPlan {
 	var plans []walPlan
 	for _, sid := range sids {
 		ws := w.state.Sessions[sid]
-		epochs[sid] = ws.Epoch
 		sess := &liveSession{
 			id:        sid,
 			epoch:     ws.Epoch,
 			admission: ws.Admission,
 			durable:   true,
+			expiry:    expiry,
 			reqs:      map[uint64]*liveReq{},
 		}
 		b.sessions[sid] = sess
@@ -767,13 +769,12 @@ func (b *sessionBridge) restoreWAL(w *walSink) []walPlan {
 			plans = append(plans, p)
 		}
 	}
-	b.reg.Restore(w.state.Counter, epochs)
 	return plans
 }
 
 // RecoverWAL restores control-plane state from the WAL directory and starts
 // the system: recover checkpoint + tail (tolerating a torn final record),
-// rebuild the session registry and retained streams, cut a fresh checkpoint,
+// rebuild the durable sessions and retained streams, cut a fresh checkpoint,
 // then re-admit every unfinished request — with, when its journals survived,
 // only the blocks not yet streamed to the client. A WAL-less system (no
 // Options.WALDir) returns nil immediately. Call it on a fresh System, before
@@ -838,11 +839,13 @@ func (s *System) Kill() {
 	if br != nil {
 		var conns []*comm.Conn
 		br.mu.Lock()
+		expiry := s.Clock.Now() + br.ttl
 		for _, sess := range br.sessions {
 			if sess.conn != nil {
 				conns = append(conns, sess.conn)
 				sess.conn = nil
 				sess.connGen++ // fence the reader's cleanup: a crash credits nothing
+				sess.expiry = expiry
 			}
 		}
 		br.mu.Unlock()
