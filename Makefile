@@ -18,13 +18,17 @@ test:
 # and the virtual clock (plus the fault machinery, the DMS caches, the
 # storage device, the pooled kernel scratch in iso/mesh/vortex that workers
 # share through sync.Pool, the session scripts, and the root package's
-# durable TCP bridge with its reconnect/drain scenarios). Two concurrency
-# primitives run twenty times: the WAL's group commit, and the bridge's
-# session leases, whose resume fencing rests on the bridge's lock.
+# durable TCP bridge with its reconnect/drain scenarios). Three concurrency
+# primitives run twenty times: the WAL's group commit and staged writes, the
+# WAL writer that writes, syncs and checkpoints outside the bridge and sink
+# locks, and the bridge's session leases, whose resume fencing rests on the
+# bridge's lock.
 LEASE_TESTS = TestExpiredResumePurgesSession|TestRacingResumesOneWins|TestAttachedSessionHoldsNoLease|TestRestoredLeaseResumesAtRecordedEpoch|TestResumeOfEphemeralSessionDenied
+WRITER_TESTS = TestFsyncOutsideBridgeLock|TestSealOutsideBridgeLock|TestJournalRecordsRideTheNextCommit|TestWALWriterExits
 race:
 	$(GO) test -race ./internal/core/ ./internal/comm/ ./internal/vclock/ ./internal/faults/ ./internal/dms/ ./internal/storage/ ./internal/grid/ ./internal/iso/ ./internal/mesh/ ./internal/vortex/ ./internal/commands/ ./internal/session/ ./internal/wal/ .
-	$(GO) test -race -count=20 -run 'TestGroupCommit' ./internal/wal/
+	$(GO) test -race -count=20 -run 'TestGroupCommit|TestStagedBatchIsOneWrite|TestCutCheckpointsAtItsPlace' ./internal/wal/
+	$(GO) test -race -count=20 -run '$(WRITER_TESTS)' .
 	$(GO) test -race -count=20 -run '$(LEASE_TESTS)' .
 
 # The seeded overload-resilience suite under the race detector: admission
@@ -38,7 +42,12 @@ overload:
 # equivalence against its fault-free reference, plus the targeted recovery
 # and tagged-stream suites under the race detector. RESTART_SEEDS
 # hard-kill-restart timelines (varying kill point and WAL fsync policy) each
-# verify the recovered stream stays byte-identical to a crash-free run.
+# verify the recovered stream stays byte-identical to a crash-free run. The
+# crash-cut sweep restarts on every record boundary and one torn cut inside
+# every record of one durable request's WAL, under fsync always and interval,
+# and resumes a client holding what it acknowledged, every logged frame, or
+# frames past the log (CRASHCUT_STRIDE=1: every state; plain go test visits
+# every sixth).
 SOAK_SEEDS ?= 24
 RESTART_SEEDS ?= 8
 soak:
@@ -46,6 +55,7 @@ soak:
 	$(GO) test -race -count=1 -run 'TestSpan|TestDuplicateRedispatch|TestTagged|TestRedistributeOff|TestWatermark' ./internal/core/
 	SOAK_SEEDS=$(SOAK_SEEDS) $(GO) test -race -count=1 -v -run 'TestReconnectStorm' .
 	RESTART_SEEDS=$(RESTART_SEEDS) $(GO) test -race -count=1 -v -run 'TestRestartSoak' .
+	CRASHCUT_STRIDE=1 $(GO) test -race -count=1 -v -run 'TestCrashCutSweep' .
 
 # Membership soak under the race detector: CHURN_SEEDS seeded churn
 # timelines (mid-request crash with a planned reboot, optional flapper, one
@@ -118,7 +128,8 @@ alloc-guard:
 # Short fuzz pass over every decoder and parser that takes bytes from outside:
 # the message codec (plain frames and fault-plan-mutated frames, both also
 # with their checksum made good so mutations reach the parser; and the
-# message batches of WAL checkpoints), the frame (checksum made good too) and
+# message batches of WAL checkpoints, mutated with every sub-record's
+# checksum made good too), the frame (checksum made good too) and
 # parameter parsers, the memo-key float
 # canonicalizer, the mesh wire decoder every client runs on its socket, the
 # stored-block parser (each input's CRC-32C re-sealed, so mutations get past

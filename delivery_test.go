@@ -248,7 +248,7 @@ func TestWALFrameRecordBytes(t *testing.T) {
 	for i, payload := range [][]byte{bytes.Repeat([]byte{9}, 5000), nil, []byte("x")} {
 		m := comm.Message{Kind: "partial", Command: "iso.viewer", ReqID: 7, Seq: i, Payload: payload,
 			Rank: comm.Some(1), Attempt: comm.Some(0), Block: comm.Some(3), BSeq: comm.Some(0), SSeq: comm.Some(i + 1)}
-		w.Frame("sess-1", 7, comm.NewFrame(m))
+		w.Frame("sess-1", 7, comm.NewFrame(m), false)
 		want = append(want, comm.Encode(frameRecord("sess-1", 7, comm.Encode(m))))
 	}
 	w.kill() // no closing checkpoint: the records stay in their segment

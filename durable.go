@@ -115,13 +115,12 @@ func (b *sessionBridge) start() {
 }
 
 // dispatch routes fabric messages to client connections until the runtime
-// shuts the network down; the sweeper stops with it. A frame whose WAL record
-// must be durable before it reaches the socket is held: the loop delivers
-// every message already queued, commits the highest lsn once — with no bridge
-// or sink lock held, so acks, admissions and other sessions never wait on the
-// disk — and then sends the held frames in delivery order, which is sseq
-// order within each request. A frame with nothing to wait for goes out at
-// once while nothing is held.
+// shuts the network down; the sweeper stops with it. A delivered frame goes
+// to its socket at once: a durable frame's WAL record is only staged (the
+// sink's writer writes and syncs it later, with no bridge or sink lock held),
+// because a frame a crash loses is recomputed byte for byte. The one
+// exception is a durable request's final frame under fsync always, which
+// waits for its fsync (walSink.Frame says why), also with no lock held.
 func (b *sessionBridge) dispatch() {
 	defer func() {
 		b.mu.Lock()
@@ -129,36 +128,15 @@ func (b *sessionBridge) dispatch() {
 		b.stop = nil
 		b.mu.Unlock()
 	}()
-	var held []outbound
 	for {
 		m, ok := b.ep.Recv()
 		if !ok {
 			return
 		}
-		var lsn uint64
-		for ok {
-			if o, send := b.deliver(m); send {
-				if o.lsn == 0 && len(held) == 0 {
-					b.send(o)
-				} else {
-					held = append(held, o)
-					lsn = max(lsn, o.lsn)
-				}
-			}
-			if len(held) == 0 {
-				break
-			}
-			m, ok = b.ep.TryRecv()
+		if o, send := b.deliver(m); send {
+			b.sys.wal.commit(o.lsn)
+			b.send(o)
 		}
-		if len(held) == 0 {
-			continue
-		}
-		b.sys.wal.flush(lsn)
-		for i := range held {
-			b.send(held[i])
-			held[i] = outbound{}
-		}
-		held = held[:0]
 	}
 }
 
@@ -204,12 +182,13 @@ func (b *sessionBridge) deliver(m comm.Message) (outbound, bool) {
 	if sess.durable {
 		f.wire, f.payload, f.sum = wire.Head, wire.Payload, wire.Sum
 	}
-	// Log before the WAL write: a checkpoint may then fold the frame in ahead
-	// of its record, never prune the record of a frame it missed.
+	// Log before the WAL record is staged: a checkpoint may then fold the
+	// frame in ahead of its record, never prune the record of a frame it
+	// missed.
 	lr.log.append(f)
 	var lsn uint64
 	if sess.durable {
-		lsn = b.sys.wal.Frame(sess.id, lr.clientReq, wire)
+		lsn = b.sys.wal.Frame(sess.id, lr.clientReq, wire, out.Final)
 	}
 	isPartial := out.Kind == "partial"
 	rank := out.Rank.Or(0)
@@ -525,7 +504,6 @@ func (b *sessionBridge) attach(conn *comm.Conn, hello comm.Message) (*liveSessio
 			return sess, gen
 		}
 		b.mu.Unlock()
-		b.sys.wal.flushAll()
 		for _, f := range pending {
 			if err := conn.SendFrame(f); err != nil {
 				return nil, 0 // peer died mid-replay; session stays detached
@@ -641,7 +619,7 @@ func (b *sessionBridge) handleFrame(sess *liveSession, conn *comm.Conn, m comm.M
 				Params: map[string]string{"error": err.Error()},
 			})
 			if send {
-				b.sys.wal.flush(o.lsn)
+				b.sys.wal.commit(o.lsn)
 				b.send(o)
 			}
 		}

@@ -5,6 +5,8 @@ package comm_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -73,34 +75,68 @@ func corruptibleBatch() []byte {
 	})
 }
 
-// TestDecodeBatchSurvivesMutatedFrames replays seeded fault-plan mutations
-// over a valid batch (the WAL checkpoint / wmemo record encoding):
-// DecodeBatch must never panic, and any batch it accepts must consist of
-// messages that individually round-trip — corruption can cost the whole batch
-// but can never smuggle a corrupt message through the per-message CRC.
-func TestDecodeBatchSurvivesMutatedFrames(t *testing.T) {
-	base := corruptibleBatch()
-	for seed := uint64(0); seed < 512; seed++ {
-		data := append([]byte(nil), base...)
-		faults.Mutate(seed, data, int(seed%9)+1)
-		msgs, err := comm.DecodeBatch(data)
-		if err != nil {
-			continue
+// resealedBatch is data with every sub-record's checksum made good: each
+// length prefix that still fits is followed and the record it frames is
+// resealed, so a mutation reaches DecodeBatch's parser instead of failing the
+// first checksum it meets. Bytes past a length prefix that no longer fits
+// are kept as they are.
+func resealedBatch(data []byte) []byte {
+	out := make([]byte, 0, len(data))
+	for len(data) >= 4 {
+		n := binary.LittleEndian.Uint32(data)
+		if uint64(n) > uint64(len(data)-4) {
+			break
 		}
-		for i, m := range msgs {
-			back, err := comm.Decode(comm.Encode(m))
-			if err != nil {
-				t.Fatalf("seed %d: accepted sub-message %d failed to re-decode: %v", seed, i, err)
-			}
-			if !reflect.DeepEqual(m, back) {
-				t.Fatalf("seed %d: accepted sub-message %d does not round-trip", seed, i)
-			}
+		out = append(out, data[:4]...)
+		out = append(out, comm.Resealed(data[4:4+n])...)
+		data = data[4+n:]
+	}
+	return append(out, data...)
+}
+
+// checkBatch fails unless every message of an accepted batch round-trips.
+func checkBatch(t *testing.T, what string, msgs []comm.Message) {
+	t.Helper()
+	for i, m := range msgs {
+		back, err := comm.Decode(comm.Encode(m))
+		if err != nil {
+			t.Fatalf("%s: accepted sub-message %d failed to re-decode: %v", what, i, err)
+		}
+		if !reflect.DeepEqual(m, back) {
+			t.Fatalf("%s: accepted sub-message %d does not round-trip", what, i)
 		}
 	}
 }
 
+// TestDecodeBatchSurvivesMutatedFrames replays seeded fault-plan mutations
+// over a valid batch (the WAL checkpoint encoding). As mutated, a changed
+// batch fails a sub-record's checksum; with every sub-record's checksum made
+// good, the mutation reaches the parser, which must never panic, and any
+// batch it accepts must consist of messages that individually round-trip.
+func TestDecodeBatchSurvivesMutatedFrames(t *testing.T) {
+	base := corruptibleBatch()
+	accepted := 0
+	for seed := uint64(0); seed < 512; seed++ {
+		data := append([]byte(nil), base...)
+		faults.Mutate(seed, data, int(seed%9)+1)
+		if _, err := comm.DecodeBatch(data); err == nil && !bytes.Equal(data, base) {
+			t.Fatalf("seed %d: a mutated batch passed its checksums", seed)
+		}
+		msgs, err := comm.DecodeBatch(resealedBatch(data))
+		if err != nil {
+			continue
+		}
+		accepted++
+		checkBatch(t, fmt.Sprintf("seed %d", seed), msgs)
+	}
+	t.Logf("DecodeBatch accepted %d of 512 resealed mutated batches", accepted)
+	if accepted == 0 {
+		t.Fatal("DecodeBatch accepted no resealed mutated batch: the round-trip check never ran")
+	}
+}
+
 // FuzzDecodeBatchMutated lets the fuzzer drive mutations over a batch
-// directly.
+// directly, as mutated and with every sub-record's checksum made good.
 func FuzzDecodeBatchMutated(f *testing.F) {
 	f.Add(uint64(1), 1)
 	f.Add(uint64(42), 4)
@@ -112,13 +148,9 @@ func FuzzDecodeBatchMutated(f *testing.F) {
 		n %= 64
 		data := corruptibleBatch()
 		faults.Mutate(seed, data, n)
-		msgs, err := comm.DecodeBatch(data)
-		if err != nil {
-			return
-		}
-		for _, m := range msgs {
-			if back, err := comm.Decode(comm.Encode(m)); err != nil || !reflect.DeepEqual(m, back) {
-				t.Fatalf("accepted mutated sub-message does not round-trip (err %v)", err)
+		for _, batch := range [][]byte{data, resealedBatch(data)} {
+			if msgs, err := comm.DecodeBatch(batch); err == nil {
+				checkBatch(t, "mutated batch", msgs)
 			}
 		}
 	})

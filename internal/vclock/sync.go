@@ -65,13 +65,6 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	}
 }
 
-// TryPop is Pop without the parking: ok is false when nothing is queued.
-func (q *Queue[T]) TryPop() (v T, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.popLocked()
-}
-
 func (q *Queue[T]) popLocked() (v T, ok bool) {
 	if q.head == len(q.items) {
 		return v, false

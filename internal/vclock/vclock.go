@@ -309,17 +309,23 @@ func (h *sleepHeap) pop() sleeper {
 // no-ops and Wait may be called at most once.
 type Waiter struct {
 	v      *Virtual // nil when backed by a real clock
-	once   sync.Once
-	mu     sync.Mutex
 	parked bool
 	woken  bool
-	ch     chan struct{}
+	ch     chan struct{} // virtual clock: closed by Wake
+	// Real clock: Wake sets woken under mu and signals cond, so a waiter is
+	// one allocation.
+	mu   sync.Mutex
+	cond sync.Cond
 }
 
 // Wait parks the calling actor until Wake is called.
 func (w *Waiter) Wait() {
 	if w.v == nil {
-		<-w.ch
+		w.mu.Lock()
+		for !w.woken {
+			w.cond.Wait()
+		}
+		w.mu.Unlock()
 		return
 	}
 	v := w.v
@@ -340,7 +346,10 @@ func (w *Waiter) Wait() {
 // Wake releases the waiter. The first call wins; subsequent calls are no-ops.
 func (w *Waiter) Wake() {
 	if w.v == nil {
-		w.once.Do(func() { close(w.ch) })
+		w.mu.Lock()
+		w.woken = true
+		w.cond.Signal()
+		w.mu.Unlock()
 		return
 	}
 	v := w.v
@@ -499,8 +508,12 @@ func (r *Real) Go(fn func()) {
 	}()
 }
 
-// NewWaiter returns a waiter backed by a plain channel.
-func (r *Real) NewWaiter() *Waiter { return &Waiter{ch: make(chan struct{})} }
+// NewWaiter returns a waiter backed by a condition variable.
+func (r *Real) NewWaiter() *Waiter {
+	w := &Waiter{}
+	w.cond.L = &w.mu
+	return w
+}
 
 // NewParker returns a parker backed by a channel and, once it parks with a
 // deadline, one reusable timer.

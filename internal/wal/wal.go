@@ -5,14 +5,19 @@
 //
 // The log is deliberately ignorant of record semantics: callers append opaque
 // byte records (in practice comm.Encode'd messages) and recover them in
-// order. Appending is split in two. Write frames a record and writes it to
-// the active segment, returning its log sequence number (lsn); Commit(lsn)
-// makes that record and every record written before it durable. Commit is a
-// group commit: one caller — the leader — fsyncs outside the log's lock on
-// behalf of every record written so far, and callers that arrive during that
-// fsync wait for it (when it covers their record) or lead the next one, so a
-// burst of concurrent commits costs one or two fsyncs, not one each. A failed
-// fsync reaches every waiter of its batch; the next Commit retries.
+// order. Appending is split in three. Stage frames a record into the log's
+// staging buffer and returns its log sequence number (lsn) without a syscall;
+// a write turn (WriteStaged) writes everything staged with one write, and
+// carries out the checkpoints queued behind it (Cut); Commit(lsn) makes that
+// record and every record written before it durable. One caller at a time
+// runs a write turn, outside the log's lock, so a stager never waits on the
+// disk. Commit is a group commit: one caller — the leader — fsyncs outside
+// the log's lock on behalf of every record written so far, and callers that
+// arrive during that fsync wait for it (when it covers their record) or lead
+// the next, so a burst of concurrent commits costs one or two fsyncs, not one
+// each. A failed fsync reaches every waiter of its batch; the next Commit
+// retries. A log driven by one writer goroutine lets other callers wait for
+// its fsyncs (WaitDurable) instead of leading their own.
 //
 // Durability is a policy choice — PolicyAlways commits every Append before it
 // returns, PolicyInterval bounds the unsynced window, PolicyOff leaves
@@ -36,6 +41,7 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -130,8 +136,9 @@ const (
 	// maxRecord bounds a single record so a corrupt length prefix cannot
 	// drive recovery into allocating gigabytes.
 	maxRecord = 1 << 28
-	// maxStage is the largest staging buffer the log keeps between appends.
-	maxStage = 1 << 20
+	// maxStage is the largest staging buffer the log keeps between write
+	// turns: twice what Stage lets it hold before it waits.
+	maxStage = 2 * DefaultSegmentBytes
 
 	checkpointName = "checkpoint"
 	segmentPrefix  = "wal-"
@@ -148,11 +155,13 @@ var ErrTorn = errors.New("wal: append torn mid-record (injected)")
 // ErrClosed reports an append, commit or sync on a closed log.
 var ErrClosed = errors.New("wal: log closed")
 
-// Stats counts a log's work since Open: records written, fsyncs of its
-// segments (group commits, seals on rotation and close, failed ones
-// included) and checkpoints cut. Records per fsync is what group commit buys.
+// Stats counts a log's work since Open: records written, the write syscalls
+// that carried them, fsyncs of its segments (group commits, seals on rotation
+// and close, failed ones included) and checkpoints cut. Records per write is
+// what staging buys; records per fsync is what group commit buys.
 type Stats struct {
 	Records     uint64 `json:"records"`
+	Writes      uint64 `json:"writes"`
 	Fsyncs      uint64 `json:"fsyncs"`
 	Checkpoints uint64 `json:"checkpoints"`
 }
@@ -164,26 +173,47 @@ type Log struct {
 	opts Options
 
 	mu       sync.Mutex
-	ended    sync.Cond // broadcast on mu whenever an fsync ends
+	ended    sync.Cond // broadcast on mu whenever a write turn or an fsync ends, a turn takes the stage, or the log closes
 	f        *os.File  // active segment
 	path     string    // active segment path
 	seq      int       // active segment number
 	size     int64     // bytes written to active segment
 	lastSync time.Time
 	closed   bool
-	torn     bool
-	stage    []byte // a record is framed here before its one write; reused
+	dead     error // ErrTorn, or the failed write that left the segment unreadable past it
+
+	// Staging. stage holds the framed records not yet written, staged is the
+	// lsn of the last of them, and cuts are the checkpoints queued behind
+	// them; pendingCuts counts those not yet done, a turn's included. A write
+	// turn swaps stage with spare and writes it outside mu; writing is set
+	// while one runs.
+	stage, spare []byte
+	staged       uint64
+	cuts         []cut
+	pendingCuts  int
+	writing      bool
 
 	// Group commit. written is the lsn of the last record written, durable
 	// the highest lsn an fsync has covered. While syncing, a leader fsyncs
 	// outside mu on behalf of every record up to target; syncs counts the
-	// fsyncs that ended, syncErr is the latest one's failure.
+	// fsyncs that ended, syncErr is the latest one's failure and failedAt
+	// the target it failed for.
 	written, durable uint64
 	syncing          bool
 	target           uint64
 	syncs            uint64
 	syncErr          error
+	failedAt         uint64
 	stats            Stats
+}
+
+// cut is a checkpoint queued behind the staged records it folds in: state
+// replaces the checkpoint file once the records up to lsn, whose frames end
+// at off in the stage, are written and sealed.
+type cut struct {
+	lsn   uint64
+	off   int
+	state []byte
 }
 
 // Open creates or reopens the write side of a WAL directory. Existing
@@ -210,9 +240,11 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l := &Log{dir: dir, opts: opts}
 	l.ended.L = &l.mu
-	if err := l.openSegmentLocked(next); err != nil {
+	f, path, err := openSegment(dir, next)
+	if err != nil {
 		return nil, err
 	}
+	l.f, l.path, l.seq = f, path, next
 	return l, nil
 }
 
@@ -249,25 +281,13 @@ func listSegments(dir string) ([]segment, error) {
 	return segs, nil
 }
 
-// openSegmentLocked makes segment seq the active one. The outgoing segment is
-// sealed first — fsynced, so a commit never has to reach back into it — and a
-// failed seal leaves it active. Callers wait out any fsync in flight first.
-func (l *Log) openSegmentLocked(seq int) error {
-	if l.f != nil {
-		if err := l.sealLocked(); err != nil {
-			return err
-		}
-	}
-	path := filepath.Join(l.dir, segmentName(seq))
+func openSegment(dir string, seq int) (*os.File, string, error) {
+	path := filepath.Join(dir, segmentName(seq))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return nil, "", fmt.Errorf("wal: %w", err)
 	}
-	if l.f != nil {
-		l.f.Close()
-	}
-	l.f, l.path, l.seq, l.size = f, path, seq, 0
-	return nil
+	return f, path, nil
 }
 
 // appendFrame appends the on-disk framing of the record whose bytes are the
@@ -296,12 +316,13 @@ func (l *Log) AppendParts(parts ...[]byte) error {
 	return l.Flush(lsn)
 }
 
-// Write frames one record (the concatenation of parts), writes it to the
-// active segment without syncing, and returns its lsn: the record's position
-// in the log's write order, counted from 1. Commit(lsn) makes it durable.
-// Write rotates to a fresh segment once the active one has grown past
-// Options.SegmentBytes.
-func (l *Log) Write(parts ...[]byte) (uint64, error) {
+// Stage frames one record, the concatenation of parts, into the log's
+// staging buffer and returns its lsn: the record's position in the log's
+// write order, counted from 1. It makes no syscall; the record reaches the
+// file with the next write turn (WriteStaged, or a Write, Commit or
+// Checkpoint that needs it), in lsn order. While a full segment is staged,
+// Stage waits for a turn to take it.
+func (l *Log) Stage(parts ...[]byte) (uint64, error) {
 	n := 0
 	for _, p := range parts {
 		n += len(p)
@@ -311,46 +332,302 @@ func (l *Log) Write(parts ...[]byte) (uint64, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for !l.closed && !l.torn && l.size >= l.opts.SegmentBytes {
-		if l.syncing {
-			l.ended.Wait() // the leader's fsync is on the outgoing segment
+	for !l.closed && l.dead == nil && len(l.stage) >= DefaultSegmentBytes {
+		l.ended.Wait()
+	}
+	if err := l.refusesLocked(); err != nil {
+		return 0, err
+	}
+	l.stage = appendFrame(l.stage, n, parts...)
+	l.staged++
+	return l.staged, nil
+}
+
+// Write stages one record and writes it, with everything staged before it,
+// without syncing, and returns its lsn. Commit(lsn) makes it durable.
+func (l *Log) Write(parts ...[]byte) (uint64, error) {
+	lsn, err := l.Stage(parts...)
+	if err != nil {
+		return 0, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.writtenLocked(lsn); err != nil {
+		return 0, err
+	}
+	return lsn, nil
+}
+
+// WriteStaged runs a write turn for everything staged, once any turn in
+// flight has ended, and returns the lsn written through. A log with nothing
+// staged and no checkpoint queued makes no syscall.
+func (l *Log) WriteStaged() (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.writing {
+		l.ended.Wait()
+	}
+	if len(l.stage) == 0 && len(l.cuts) == 0 {
+		return l.written, l.refusesLocked()
+	}
+	err := l.turnLocked()
+	return l.written, err
+}
+
+// Cut queues a checkpoint behind every record staged so far: the next write
+// turn writes those records, seals the segment, atomically replaces the
+// checkpoint file with state and prunes every segment it folds in. The
+// caller asserts that state folds in every record staged before the call.
+func (l *Log) Cut(state []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.refusesLocked(); err != nil {
+		return err
+	}
+	l.cuts = append(l.cuts, cut{lsn: l.staged, off: len(l.stage), state: state})
+	l.pendingCuts++
+	return nil
+}
+
+// Cutting reports whether a checkpoint is queued or being written.
+func (l *Log) Cutting() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.pendingCuts > 0
+}
+
+// Checkpoint is Cut followed by the write turns that carry it out: the
+// checkpoint is on disk, and the segments it folds in are pruned, when it
+// returns. Appends continue in a fresh segment. The write is crash-safe
+// (temp file + fsync + rename); a crash after the rename but before the prune
+// merely leaves old segments whose records the caller must re-apply
+// idempotently.
+func (l *Log) Checkpoint(state []byte) error {
+	if err := l.Cut(state); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.turnsLocked(func() bool { return l.pendingCuts == 0 }); err != nil {
+		return err
+	}
+	return l.refusesLocked()
+}
+
+// refusesLocked is the error a closed or dead log answers every append with.
+func (l *Log) refusesLocked() error {
+	if l.closed {
+		return ErrClosed
+	}
+	return l.dead
+}
+
+// turnsLocked returns once done holds, waiting out the write turn in flight
+// or leading the next one until it does, with the error of the last turn it
+// led.
+func (l *Log) turnsLocked(done func() bool) error {
+	var err error
+	for !done() {
+		if refused := l.refusesLocked(); refused != nil {
+			return refused
+		}
+		if l.writing {
+			l.ended.Wait()
 			continue
 		}
-		if err := l.openSegmentLocked(l.seq + 1); err != nil {
-			return 0, err
+		if err = l.turnLocked(); err != nil && !done() {
+			return err
 		}
 	}
+	return err
+}
+
+// writtenLocked returns once the record at lsn is written.
+func (l *Log) writtenLocked(lsn uint64) error {
+	if err := l.turnsLocked(func() bool { return lsn <= l.written }); err != nil && lsn > l.written {
+		return err
+	}
+	return nil
+}
+
+// turnLocked runs one write turn: it takes everything staged and the
+// checkpoints queued behind it and carries them out with mu released — one
+// write per run of records between cuts. The caller holds mu, and no turn is
+// in flight.
+func (l *Log) turnLocked() error {
+	buf, cuts, from, to := l.stage, l.cuts, l.written, l.staged
+	l.stage, l.spare, l.cuts = l.spare[:0], nil, nil
+	l.writing = true
+	l.ended.Broadcast() // the stage has room again
+	l.mu.Unlock()
+	err := l.writeOut(buf, cuts, from, to)
+	l.mu.Lock()
+	if cap(buf) <= maxStage {
+		l.spare = buf[:0]
+	}
+	l.pendingCuts -= len(cuts)
+	l.writing = false
+	l.ended.Broadcast()
+	return err
+}
+
+// writeOut writes buf, the framed records after lsn from up to lsn to, and
+// carries out each cut in its place. A failed checkpoint does not stop the
+// records behind it; a dead log stops everything.
+func (l *Log) writeOut(buf []byte, cuts []cut, from, to uint64) error {
+	var first error
+	off := 0
+	for _, c := range cuts {
+		if err := l.writeRun(buf[off:c.off], from, c.lsn); err != nil {
+			return err
+		}
+		off, from = c.off, c.lsn
+		if err := l.checkpoint(c.state); err != nil {
+			l.mu.Lock()
+			fatal := l.refusesLocked() != nil
+			l.mu.Unlock()
+			if fatal {
+				return err
+			}
+			first = cmp.Or(first, err)
+		}
+	}
+	if err := l.writeRun(buf[off:], from, to); err != nil {
+		return err
+	}
+	return first
+}
+
+// writeRun writes the framed records after lsn from up to lsn to with one
+// write, rotating first when the active segment is full. Fault hooks see
+// each record first: a tear writes the records before it and half of it,
+// then kills the log the way a power loss mid-write would.
+func (l *Log) writeRun(run []byte, from, to uint64) error {
+	if len(run) == 0 {
+		return nil
+	}
+	l.mu.Lock()
+	if err := l.refusesLocked(); err != nil {
+		l.mu.Unlock()
+		return err
+	}
+	full := l.size >= l.opts.SegmentBytes
+	l.mu.Unlock()
+	var rotErr error
+	if full {
+		_, rotErr = l.rotate() // a failed seal leaves the segment active, and the run goes there
+	}
+	l.mu.Lock()
+	if err := l.refusesLocked(); err != nil {
+		l.mu.Unlock()
+		return err
+	}
+	f, path := l.f, l.path
+	l.mu.Unlock()
+
+	n, tear := to-from, -1
+	if l.opts.Hooks != nil {
+		for i, off := uint64(0), 0; off < len(run); i++ {
+			size := int(binary.LittleEndian.Uint32(run[off:]))
+			if l.opts.Hooks.OnWALAppend(path) {
+				n, tear = i, off+4+size/2
+				break
+			}
+			off += 4 + size + 4
+		}
+	}
+	var err error
+	if tear >= 0 {
+		f.Write(run[:tear])
+		f.Sync()
+		run = run[:tear]
+	} else if _, err = f.Write(run); err != nil {
+		err = fmt.Errorf("wal: %w", err)
+	}
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.stats.Writes++
+	switch {
+	case l.closed:
+		return ErrClosed
+	case tear >= 0:
+		l.dead = ErrTorn
+	case err != nil:
+		// Part of the run may be on disk: nothing can follow it safely.
+		l.dead = err
+		return err
+	}
+	l.size += int64(len(run))
+	l.written = from + n
+	l.stats.Records += n
+	if l.dead != nil {
+		return l.dead
+	}
+	return rotErr
+}
+
+// rotate seals the active segment — an fsync covering every record written,
+// so a commit never has to reach back into it — and makes the next one
+// active, returning the sealed segment's number. A failed seal leaves it
+// active.
+func (l *Log) rotate() (int, error) {
+	l.mu.Lock()
+	if err := l.commitLocked(l.written); err != nil {
+		l.mu.Unlock()
+		return 0, err
+	}
+	for l.syncing {
+		l.ended.Wait() // a leader's fsync is on the outgoing segment
+	}
+	sealed := l.seq
+	l.mu.Unlock()
+	f, path, err := openSegment(l.dir, sealed+1)
+	if err != nil {
+		return 0, err
+	}
+	l.mu.Lock()
 	if l.closed {
+		l.mu.Unlock()
+		f.Close()
 		return 0, ErrClosed
 	}
-	if l.torn {
-		return 0, ErrTorn
+	old := l.f
+	l.f, l.path, l.seq, l.size = f, path, sealed+1, 0
+	l.mu.Unlock()
+	old.Close()
+	return sealed, nil
+}
+
+// checkpoint seals the active segment, replaces the checkpoint file with
+// state and prunes every sealed segment: all with mu released.
+func (l *Log) checkpoint(state []byte) error {
+	sealed, err := l.rotate()
+	if err != nil {
+		return err
 	}
-	buf := appendFrame(l.stage[:0], n, parts...)
-	if cap(buf) <= maxStage {
-		l.stage = buf
+	if err := WriteFileAtomic(filepath.Join(l.dir, checkpointName), appendFrame(nil, len(state), state), 0o644); err != nil {
+		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
-	if l.opts.Hooks != nil && l.opts.Hooks.OnWALAppend(l.path) {
-		// Tear mid-record: header plus half the payload hits the disk,
-		// then the "process" dies. The log refuses further appends so
-		// the torn tail stays exactly as the crash left it.
-		l.f.Write(buf[:4+n/2])
-		l.f.Sync()
-		l.torn = true
-		return 0, ErrTorn
+	l.mu.Lock()
+	l.stats.Checkpoints++
+	l.mu.Unlock()
+	segs, err := listSegments(l.dir)
+	if err != nil {
+		return err
 	}
-	if _, err := l.f.Write(buf); err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
+	for _, s := range segs {
+		if s.seq <= sealed {
+			os.Remove(s.path)
+		}
 	}
-	l.size += int64(len(buf))
-	l.written++
-	l.stats.Records++
-	return l.written, nil
+	return nil
 }
 
 // Commit returns once an fsync covers the record at lsn and every record
-// written before it, whatever the policy. It is a group commit: when no fsync
-// is in flight the caller leads one, outside the log's lock, for every record
+// written before it, whatever the policy, leading the write turn first when
+// the record is still staged. It is a group commit: when no fsync is in
+// flight the caller leads one, outside the log's lock, for every record
 // written so far; a caller arriving while one is in flight waits for it when
 // it covers lsn, and otherwise leads the next. A failed fsync is returned to
 // every caller of its batch, and the next Commit tries again. A closed or
@@ -358,12 +635,22 @@ func (l *Log) Write(parts ...[]byte) (uint64, error) {
 func (l *Log) Commit(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.commitLocked(lsn)
+}
+
+func (l *Log) commitLocked(lsn uint64) error {
 	for {
 		if l.closed {
 			return ErrClosed
 		}
 		if lsn <= l.durable {
 			return nil
+		}
+		if lsn > l.written {
+			if err := l.writtenLocked(lsn); err != nil {
+				return err
+			}
+			continue
 		}
 		if !l.syncing {
 			return l.leadLocked()
@@ -375,6 +662,29 @@ func (l *Log) Commit(lsn uint64) error {
 		if covered && !l.closed && lsn > l.durable {
 			return l.syncErr // our batch's fsync failed
 		}
+	}
+}
+
+// WaitDurable waits, leading no disk work, until an fsync covers the record
+// at lsn: the side of a commit that a log's one writer serves. It returns the
+// failure of an fsync that covered lsn, the error that kept lsn from being
+// written, or ErrClosed.
+func (l *Log) WaitDurable(lsn uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	syncs := l.syncs
+	for {
+		switch {
+		case l.closed:
+			return ErrClosed
+		case lsn <= l.durable:
+			return nil
+		case l.dead != nil && lsn > l.written:
+			return l.dead
+		case l.syncs != syncs && l.syncErr != nil && l.failedAt >= lsn:
+			return l.syncErr
+		}
+		l.ended.Wait()
 	}
 }
 
@@ -419,17 +729,6 @@ func (l *Log) leadLocked() error {
 	return err
 }
 
-// sealLocked fsyncs the active segment without releasing mu: rotation and
-// close, which must not race a leader, have waited out any fsync in flight.
-func (l *Log) sealLocked() error {
-	if l.durable == l.written {
-		return nil
-	}
-	err := l.fsync(l.f, l.path)
-	l.syncEndedLocked(l.written, err)
-	return err
-}
-
 func (l *Log) fsync(f *os.File, path string) error {
 	if l.opts.Hooks != nil {
 		if err := l.opts.Hooks.OnWALSync(path); err != nil {
@@ -448,7 +747,7 @@ func (l *Log) syncEndedLocked(target uint64, err error) {
 	l.syncs++
 	l.stats.Fsyncs++
 	if err != nil {
-		l.syncErr = err
+		l.syncErr, l.failedAt = err, target
 	} else {
 		l.durable = max(l.durable, target)
 		l.lastSync = time.Now()
@@ -456,68 +755,28 @@ func (l *Log) syncEndedLocked(target uint64, err error) {
 	l.ended.Broadcast()
 }
 
-// waitSyncLocked waits out an fsync in flight, so the caller may replace or
-// close the active segment.
-func (l *Log) waitSyncLocked() {
-	for l.syncing {
-		l.ended.Wait()
-	}
-}
-
-// Checkpoint atomically replaces the checkpoint file with the given compacted
-// state and prunes every segment written so far: the caller asserts that
-// state already folds in every record appended before the call. Appends
-// continue in a fresh segment. The write is crash-safe (temp file + fsync +
-// rename); a crash after the rename but before the prune merely leaves old
-// segments whose records the caller must re-apply idempotently.
-func (l *Log) Checkpoint(state []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.waitSyncLocked()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.torn {
-		// A torn log is a dead process: compacting post-tear state into the
-		// checkpoint would un-lose records the crash is supposed to lose.
-		return ErrTorn
-	}
-	if err := WriteFileAtomic(filepath.Join(l.dir, checkpointName), appendFrame(nil, len(state), state), 0o644); err != nil {
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	l.stats.Checkpoints++
-	sealed := l.seq
-	if err := l.openSegmentLocked(sealed + 1); err != nil {
-		return err
-	}
-	segs, err := listSegments(l.dir)
-	if err != nil {
-		return err
-	}
-	for _, s := range segs {
-		if s.seq <= sealed {
-			os.Remove(s.path)
-		}
-	}
-	return nil
-}
-
-// Close flushes per policy and closes the active segment. A closed log
-// swallows nothing: further appends fail with ErrClosed.
+// Close writes what is staged, seals per policy and closes the active
+// segment. A closed log swallows nothing: further appends fail with
+// ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.waitSyncLocked()
+	var err error
+	for !l.closed && (l.writing || l.syncing || (l.dead == nil && (len(l.stage) > 0 || len(l.cuts) > 0))) {
+		if l.writing || l.syncing {
+			l.ended.Wait()
+			continue
+		}
+		err = cmp.Or(err, l.turnLocked())
+	}
 	if l.closed {
 		return nil
 	}
 	l.closed = true
-	if l.f == nil {
-		return nil
-	}
-	var err error
-	if l.opts.Policy != PolicyOff && !l.torn {
-		err = l.sealLocked()
+	l.ended.Broadcast()
+	if l.opts.Policy != PolicyOff && l.dead == nil && l.durable < l.written {
+		err = cmp.Or(err, l.fsync(l.f, l.path))
+		l.syncEndedLocked(l.written, err)
 	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
@@ -526,14 +785,15 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Kill closes the log file handles without any final flush: the hard-kill
-// teardown path, leaving on-disk state exactly as the last policy-driven
-// sync left it. It does not wait for an fsync in flight; that fsync's callers
-// get ErrClosed.
+// Kill closes the log file handles without writing what is staged or any
+// final flush: the hard-kill teardown path, leaving on-disk state exactly as
+// the writes so far left it. It does not wait for an fsync in flight; that
+// fsync's callers get ErrClosed.
 func (l *Log) Kill() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.closed = true
+	l.ended.Broadcast()
 	if l.f != nil {
 		l.f.Close()
 		l.f = nil

@@ -685,3 +685,98 @@ func TestGroupCommitAfterKill(t *testing.T) {
 		t.Fatalf("commit after kill made %d fsyncs", syncs)
 	}
 }
+
+// TestStagedBatchIsOneWrite: records staged before a write turn cost one
+// write syscall between them, make no syscall while staged, and recover in
+// lsn order.
+func TestStagedBatchIsOneWrite(t *testing.T) {
+	const n = 16
+	dir := t.TempDir()
+	h := &syncHooks{}
+	l, err := Open(dir, Options{Policy: PolicyOff, Hooks: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i := 0; i < n; i++ {
+		rec := fmt.Sprintf("staged-%02d", i)
+		lsn, err := l.Stage([]byte(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lsn != uint64(i+1) {
+			t.Fatalf("record %d staged at lsn %d", i, lsn)
+		}
+		want = append(want, rec)
+	}
+	if st := l.Stats(); st.Records != 0 || st.Writes != 0 {
+		t.Fatalf("staging wrote: %+v", st)
+	}
+	if through, err := l.WriteStaged(); err != nil || through != n {
+		t.Fatalf("WriteStaged = %d, %v; want %d", through, err, n)
+	}
+	if appends, _ := h.counts(); appends != n {
+		t.Fatalf("the fault hooks saw %d records, want %d", appends, n)
+	}
+	if st := l.Stats(); st.Records != n || st.Writes != 1 || st.Fsyncs != 0 {
+		t.Fatalf("stats = %+v, want %d records in one write and no fsync", st, n)
+	}
+	if err := l.Commit(n); err != nil {
+		t.Fatal(err)
+	}
+	l.Kill()
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recordStrings(rec); !equalStrings(got, want) {
+		t.Fatalf("recovered %q, want %q", got, want)
+	}
+}
+
+// TestCutCheckpointsAtItsPlace: a checkpoint cut between staged records
+// folds in the records before it only — the segment holding them is sealed
+// and pruned, and the records staged after the cut are the recovered tail.
+func TestCutCheckpointsAtItsPlace(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Policy: PolicyOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{"a", "b", "c"} {
+		if _, err := l.Stage([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Cut([]byte("STATE-abc")); err != nil {
+		t.Fatal(err)
+	}
+	if !l.Cutting() {
+		t.Fatal("a queued cut is not reported")
+	}
+	for _, rec := range []string{"d", "e"} {
+		if _, err := l.Stage([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := l.WriteStaged(); err != nil {
+		t.Fatal(err)
+	}
+	if l.Cutting() {
+		t.Fatal("the cut is still reported after its write turn")
+	}
+	if st := l.Stats(); st.Records != 5 || st.Writes != 2 || st.Checkpoints != 1 || st.Fsyncs != 1 {
+		t.Fatalf("stats = %+v, want 5 records in two writes, one checkpoint and its seal", st)
+	}
+	l.Kill()
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(rec.Checkpoint) != "STATE-abc" {
+		t.Fatalf("checkpoint = %q", rec.Checkpoint)
+	}
+	if got := recordStrings(rec); !equalStrings(got, []string{"d", "e"}) || rec.Segments != 1 {
+		t.Fatalf("tail = %q in %d segments, want [d e] in one", got, rec.Segments)
+	}
+}

@@ -129,7 +129,7 @@ func TestMemoNotInWAL(t *testing.T) {
 	run("500")
 	run("500.0")
 	sys.wal.mu.Lock()
-	err = sys.wal.checkpointLocked()
+	err = sys.wal.cutLocked()
 	sys.wal.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

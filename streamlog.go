@@ -109,14 +109,22 @@ func (l *streamLog) after(mark int) []comm.Frame {
 }
 
 // trim drops the leading partials up to the acknowledged sseq: resume marks
-// are monotonic, so they can never be replayed again.
+// are monotonic, so they can never be replayed again. The survivors move
+// down, so the retained frames keep their backing array: a client that acks
+// as frames arrive retains only its window, and appends stop allocating.
 func (l *streamLog) trim(acked int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for len(l.frames) > 0 && l.frames[0].partial && l.frames[0].sseq <= acked {
-		l.frames[0] = logFrame{}
-		l.frames = l.frames[1:]
+	k := 0
+	for k < len(l.frames) && l.frames[k].partial && l.frames[k].sseq <= acked {
+		k++
 	}
+	if k == 0 {
+		return
+	}
+	n := copy(l.frames, l.frames[k:])
+	clear(l.frames[n:])
+	l.frames = l.frames[:n]
 }
 
 // skip moves the head past gap unused sequence numbers (see walSseqGap).

@@ -342,7 +342,7 @@ func TestCheckpointAfterAcksThenHardKill(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	killInWindow(t, sys1, ln1, done, 2, true, func(w *walSink) { err = w.checkpointLocked() })
+	killInWindow(t, sys1, ln1, done, 2, true, func(w *walSink) { err = w.cutLocked() })
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}

@@ -55,8 +55,8 @@ type (
 	BudgetStats = dms.BudgetStats
 	// MemoStats aggregates the result-memoization counters (Options.Memo).
 	MemoStats = core.MemoStats
-	// WALStats counts the control-plane WAL's records, fsyncs and
-	// checkpoints (Options.WALDir).
+	// WALStats counts the control-plane WAL's records, write syscalls, fsyncs
+	// and checkpoints (Options.WALDir).
 	WALStats = wal.Stats
 	// OverloadCounters is the scheduler's admission-control activity record.
 	OverloadCounters = core.OverloadCounters
@@ -343,8 +343,9 @@ func (s *System) OverloadStats() core.OverloadCounters { return s.Runtime.Sched.
 func (s *System) MemoStats() MemoStats { return s.Runtime.Sched.MemoStats() }
 
 // WALStats reports the write-ahead log's counters since RecoverWAL opened it
-// (all zero on a WAL-less system): records per fsync is what the bridge's
-// group commit buys under fsync always.
+// (all zero on a WAL-less system): records per write is what the writer's
+// batching buys, records per fsync what its group commit buys under fsync
+// always.
 func (s *System) WALStats() WALStats { return s.wal.stats() }
 
 // AllStats returns the retained finished requests' server-side records (the

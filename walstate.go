@@ -3,27 +3,30 @@ package viracocha
 // Control-plane crash durability, root side. The walSink below is the glue
 // between the runtime's event streams and internal/wal: every durable-session
 // admission, lease transition, dispatch and journal span/mark is (a) applied
-// to the in-memory recoverable state and (b) written to the write-ahead log
-// — in that order, under one sink lock, so the state is at all times exactly
-// what a replay of the log would rebuild. Outbound frames skip (a): the
-// bridge already appended them to the request's streamLog, which the state
-// shares rather than mirrors. A checkpoint is that state compacted into the
-// records that rebuild it, read back through the same applyLocked as the
+// to the in-memory recoverable state and (b) staged for the write-ahead log —
+// in that order, under one sink lock, so the state is at all times exactly
+// what a replay of the staged records would rebuild. Outbound frames skip
+// (a): the bridge already appended them to the request's streamLog, which the
+// state shares rather than mirrors. A checkpoint is that state compacted into
+// the records that rebuild it, read back through the same applyLocked as the
 // tail, so checkpointing never chases the scheduler or the bridge across
 // their own locks.
 //
 // Lock order: bridge.mu or scheduler.mu may be held when a sink method is
-// called; the sink takes its own mu and, below it, a streamLog's leaf mu —
-// never the other direction.
+// called; the sink takes its own mu and, below it, a streamLog's leaf mu and
+// the log's — never the other direction.
 //
-// The sink only writes; it never fsyncs under those locks. A write returns
-// the record's lsn, and the callers commit outside every lock: the bridge's
-// dispatch loop once per batch of frames before any of them reaches a socket
-// (flush), attach before it replays retained frames, and the lease and
-// admission barrier before the lease reply or the routed command goes out
-// (commit). Scheduler-side records and retirements ride the next commit. The
-// one synchronous disk write left under the locks is the checkpoint, about
-// once per segment.
+// No syscall runs under those locks. Staging frames a record into the log's
+// buffer and gives it its lsn; one writer goroutine, the sink's, does all the
+// disk work with no bridge or sink lock held: one write per batch of staged
+// records, the policy's fsync, and the checkpoints — whose records are taken
+// under the sink lock, about once per segment, and cut the segment at their
+// lsn, while the file write, its fsyncs, the rename and the prune happen on
+// the writer. No frame waits for its record but a request's final frame
+// under fsync always (Frame says why): a frame a crash loses is recomputed
+// byte for byte, and the client dedupes it. The other wait is the admission
+// barrier (commit), for the lease and admission records, before the lease
+// reply or the routed command goes out.
 //
 // Replay is idempotent and monotonic (frames at or below a log's head are
 // dropped, epochs and attempts only move forward, marks are unioned) because
@@ -38,6 +41,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"viracocha/internal/comm"
 	"viracocha/internal/wal"
@@ -102,6 +106,9 @@ func (st *walState) sessionFor(id string) *walSession {
 type walSink struct {
 	dir  string
 	warn func(format string, args ...any) // trace adapter, may be nil
+	// segBytes is the log's segment size and the checkpoint cadence:
+	// wal.DefaultSegmentBytes, smaller in tests that need many of both.
+	segBytes int64
 
 	mu     sync.Mutex
 	log    *wal.Log // nil until RecoverWAL opens the directory
@@ -112,17 +119,32 @@ type walSink struct {
 	// resolves to the liveReq — delivery state of every session kind, guarded
 	// by bridge.mu, which a hook firing under scheduler.mu must not take.
 	byRuntime map[uint64]*walReq
-	bytes     int64             // appended since the last checkpoint
-	written   uint64            // lsn of the last record the sink wrote
+	bytes     int64             // staged since the last checkpoint was cut
+	staged    uint64            // lsn of the last record the sink staged
 	head      []byte            // scratch for a wframe record's head (Frame)
 	headSess  map[string]string // that record's parameters, reused
 	closed    bool
-	err       error // first write/sync/checkpoint failure; logging is best-effort after
+
+	// The writer: one goroutine, started by open, that alone writes, syncs
+	// and checkpoints. wake holds a token whenever something was staged or a
+	// commit waits; want is the highest lsn a commit waits for; retired is
+	// set while the last record staged is a retirement; stop ends the
+	// writer, which closes exited.
+	wake     chan struct{}
+	want     atomic.Uint64
+	retired  atomic.Bool
+	stop     chan struct{}
+	stopOnce sync.Once
+	exited   chan struct{}
+
+	errMu sync.Mutex
+	err   error // first write/sync/checkpoint failure; logging is best-effort after
 }
 
 func newWALSink(dir string) *walSink {
 	return &walSink{
 		dir:       dir,
+		segBytes:  wal.DefaultSegmentBytes,
 		state:     newWALState(),
 		byRuntime: map[uint64]*walReq{},
 		headSess:  map[string]string{},
@@ -135,8 +157,8 @@ func (w *walSink) warnf(format string, args ...any) {
 	}
 }
 
-// record applies one record to the state and writes it to the log,
-// returning its lsn (0 when nothing was written).
+// record applies one record to the state and stages it, returning its lsn
+// (0 when nothing was staged).
 func (w *walSink) record(m comm.Message) uint64 {
 	if w == nil {
 		return 0
@@ -152,55 +174,85 @@ func (w *walSink) appendLocked(m comm.Message) uint64 {
 		return 0
 	}
 	data := comm.Encode(m)
-	lsn, err := w.log.Write(data)
-	return w.appendedLocked(lsn, len(data), err)
+	lsn, err := w.log.Stage(data)
+	return w.stagedLocked(lsn, len(data), m.Kind == "wretire", err)
 }
 
-// appendedLocked follows up the write of an n-byte record: count, checkpoint.
-// It returns the lsn to commit for it — the last good one when the write
-// failed, so a caller never sends ahead of an earlier record.
-func (w *walSink) appendedLocked(lsn uint64, n int, err error) uint64 {
+// stagedLocked follows up the staging of an n-byte record: count, note a
+// retirement, cut a checkpoint about once per segment, wake the writer. It
+// returns the lsn to commit for it — the last good one when staging failed,
+// so a commit never waits on a record that will not come.
+func (w *walSink) stagedLocked(lsn uint64, n int, retire bool, err error) uint64 {
 	if err != nil {
-		w.noteErrLocked("append", err)
-		return w.written
+		w.noteErr("append", err)
+		return w.staged
 	}
-	w.written = lsn
+	w.staged = lsn
+	w.retired.Store(retire)
 	w.bytes += int64(n) + 8
-	if w.bytes >= wal.DefaultSegmentBytes { // a checkpoint about once per segment
-		if err := w.checkpointLocked(); err != nil {
-			w.noteErrLocked("checkpoint", err)
-		}
+	if w.bytes >= w.segBytes && !w.log.Cutting() {
+		w.cutLocked()
 	}
+	w.poke()
 	return lsn
 }
 
-// commit is the admission barrier: leases and admissions are rare and
-// load-bearing — losing one denies the client's resume outright — so the
-// record at lsn, and everything written before it, is fsynced regardless of
-// policy. Frames and journal records, which recovery can afford to lose (the
-// blocks are just recomputed and the client dedupes), ride the policy's loss
-// window through flush. Neither is called with a bridge or scheduler lock
-// held.
-func (w *walSink) commit(lsn uint64) { w.sync(lsn, (*wal.Log).Commit) }
-
-// flush makes the records up to lsn as durable as the policy promises before
-// the frames they carry reach a socket.
-func (w *walSink) flush(lsn uint64) { w.sync(lsn, (*wal.Log).Flush) }
-
-// flushAll is flush for every record written so far: attach runs it before
-// replaying retained frames, some of which may not be committed yet.
-func (w *walSink) flushAll() {
-	if w == nil {
-		return
+// cutLocked queues a checkpoint of the state behind every record staged so
+// far. Its records are taken here, under the sink's lock, so they fold in
+// exactly the records before the cut; the writer seals the segment at the
+// cut, writes the file and prunes, with no lock of the sink's held.
+func (w *walSink) cutLocked() error {
+	if err := w.log.Cut(comm.EncodeBatch(w.checkpointRecordsLocked())); err != nil {
+		w.noteErr("checkpoint", err)
+		return err
 	}
-	w.mu.Lock()
-	lsn := w.written
-	w.mu.Unlock()
-	w.flush(lsn)
+	w.bytes = 0
+	return nil
 }
 
-// sync runs how on the log for lsn; lsn 0 is no record at all.
-func (w *walSink) sync(lsn uint64, how func(*wal.Log, uint64) error) {
+// poke hands the writer a token, unless it already holds one.
+func (w *walSink) poke() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
+
+// run is the writer. Each turn writes everything staged with one write per
+// batch (and carries out a queued checkpoint), commits the lsn a commit waits
+// for, then runs the policy's fsync — unless the batch ends in a retirement:
+// the client that sent its "done" sends its next command right behind it,
+// and that command's admission barrier syncs both with one fsync instead of
+// queueing behind a second. Records staged meanwhile leave a token, so they
+// form the next turn's batch.
+func (w *walSink) run(l *wal.Log) {
+	defer close(w.exited)
+	for {
+		select {
+		case <-w.stop:
+			return
+		case <-w.wake:
+		}
+		lsn, err := l.WriteStaged()
+		w.noteErr("write", err)
+		if want := w.want.Load(); want > 0 {
+			w.noteErr("sync", l.Commit(want))
+		}
+		if !w.retired.Load() {
+			w.noteErr("sync", l.Flush(lsn))
+		}
+	}
+}
+
+// commit is the admission barrier: leases and admissions are rare and
+// load-bearing — losing one denies the client's resume outright — so commit
+// returns only once the writer has written and fsynced the record at lsn, and
+// everything staged before it, regardless of policy. Frames and journal
+// records, which recovery can afford to lose (the blocks are just recomputed
+// and the client dedupes), only get the writer's policy fsync, and nothing
+// waits for it but a request's final frame under fsync always (Frame). commit
+// is never called with a bridge or scheduler lock held.
+func (w *walSink) commit(lsn uint64) {
 	if w == nil || lsn == 0 {
 		return
 	}
@@ -210,11 +262,13 @@ func (w *walSink) sync(lsn uint64, how func(*wal.Log, uint64) error) {
 	if l == nil || closed {
 		return
 	}
-	if err := how(l, lsn); err != nil {
-		w.mu.Lock()
-		w.noteErrLocked("sync", err)
-		w.mu.Unlock()
+	for cur := w.want.Load(); lsn > cur; cur = w.want.Load() {
+		if w.want.CompareAndSwap(cur, lsn) {
+			break
+		}
 	}
+	w.poke()
+	w.noteErr("sync", l.WaitDurable(lsn))
 }
 
 // stats reports the log's counters (zero on a WAL-less system).
@@ -229,19 +283,6 @@ func (w *walSink) stats() wal.Stats {
 		return wal.Stats{}
 	}
 	return l.Stats()
-}
-
-// checkpointLocked compacts the state into the checkpoint file and lets the
-// log prune every folded-in segment.
-func (w *walSink) checkpointLocked() error {
-	if w.log == nil || w.closed {
-		return nil
-	}
-	if err := w.log.Checkpoint(comm.EncodeBatch(w.checkpointRecordsLocked())); err != nil {
-		return err
-	}
-	w.bytes = 0
-	return nil
 }
 
 // checkpointRecordsLocked is the state as the records that rebuild it, each
@@ -271,17 +312,26 @@ func (w *walSink) checkpointRecordsLocked() []comm.Message {
 	return recs
 }
 
-func (w *walSink) noteErrLocked(op string, err error) {
-	if w.closed {
-		return // post-kill stragglers are expected, not failures
+// noteErr keeps the first failure and traces each; a closed log's refusals
+// are the expected stragglers of a kill, not failures.
+func (w *walSink) noteErr(op string, err error) {
+	if err == nil || errors.Is(err, wal.ErrClosed) {
+		return
 	}
+	w.errMu.Lock()
 	if w.err == nil {
 		w.err = err
 	}
+	w.errMu.Unlock()
 	w.warnf("wal %s failed: %v", op, err)
 }
 
-// kill closes the log file handles without a final flush: the hard-kill path.
+// stopWriter ends the writer goroutine after its turn in flight.
+func (w *walSink) stopWriter() { w.stopOnce.Do(func() { close(w.stop) }) }
+
+// kill is the hard-kill path: nothing is staged after it, what was staged
+// reaches the file as the writes the process had made, nothing more is
+// synced, and the log's file handles close.
 func (w *walSink) kill() {
 	if w == nil {
 		return
@@ -290,26 +340,36 @@ func (w *walSink) kill() {
 	w.closed = true
 	l := w.log
 	w.mu.Unlock()
-	if l != nil {
-		l.Kill()
+	if l == nil {
+		return
 	}
+	l.WriteStaged()
+	l.Kill()
+	w.stopWriter()
 }
 
 // close checkpoints once more and closes the log: the graceful path, leaving
-// a restart nothing to replay.
+// a restart nothing to replay. The writer stops first; the final checkpoint
+// is written on the caller's goroutine.
 func (w *walSink) close() error {
 	if w == nil {
 		return nil
 	}
 	w.mu.Lock()
-	err := w.checkpointLocked()
-	w.closed = true
 	l := w.log
+	if l == nil || w.closed {
+		w.closed = true
+		w.mu.Unlock()
+		return nil
+	}
+	state := comm.EncodeBatch(w.checkpointRecordsLocked())
+	w.closed = true
 	w.mu.Unlock()
-	if l != nil {
-		if cerr := l.Close(); err == nil {
-			err = cerr
-		}
+	w.stopWriter()
+	<-w.exited
+	err := l.Checkpoint(state)
+	if cerr := l.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -383,14 +443,19 @@ func (w *walSink) Admit(sessID string, clientReq, runtimeID uint64, cmd comm.Mes
 	return w.appendLocked(m)
 }
 
-// Frame writes one stamped outbound frame and returns the lsn the frame must
-// wait for before it reaches a socket: 0 under PolicyOff, which promises
-// nothing to wait for. The bridge appended it to the shared stream log before
-// calling, so a checkpoint racing this write already folds the frame in and
-// replay drops the record as a duplicate. The record is frameRecord's byte for
-// byte, never assembled here: its head in the sink's scratch, the frame's
-// parts as its payload, the log staging both.
-func (w *walSink) Frame(sessID string, clientReq uint64, f comm.Frame) uint64 {
+// Frame stages one stamped outbound frame's wframe record and returns the
+// lsn the frame must wait for before it reaches a socket: none, except for a
+// request's final frame under PolicyAlways. Every other frame leaves at once,
+// since a frame a crash loses is recomputed byte for byte; the final one
+// waits for its fsync so that a request its client saw finish is never run
+// again after a crash — and so that the client's next command finds the
+// writer idle, its admission barrier one small fsync. The bridge appended
+// the frame to the shared stream log before calling, so a checkpoint cut
+// ahead of this record already folds the frame in and replay drops the
+// record as a duplicate. The record is frameRecord's byte for byte, never
+// assembled here: its head in the sink's scratch, the frame's parts as its
+// payload, the log framing both.
+func (w *walSink) Frame(sessID string, clientReq uint64, f comm.Frame, final bool) uint64 {
 	if w == nil {
 		return 0
 	}
@@ -403,9 +468,9 @@ func (w *walSink) Frame(sessID string, clientReq uint64, f comm.Frame) uint64 {
 	w.head = comm.AppendHead(w.head[:0], comm.Message{Kind: "wframe", ReqID: clientReq, Params: w.headSess}, f.Len())
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], f.SumAfter(w.head))
-	lsn, err := w.log.Write(w.head, f.Head, f.Payload, f.Sum, sum[:])
-	lsn = w.appendedLocked(lsn, len(w.head)+f.Len()+len(sum), err)
-	if w.policy == wal.PolicyOff {
+	lsn, err := w.log.Stage(w.head, f.Head, f.Payload, f.Sum, sum[:])
+	lsn = w.stagedLocked(lsn, len(w.head)+f.Len()+len(sum), false, err)
+	if !final || w.policy != wal.PolicyAlways {
 		return 0
 	}
 	return lsn
@@ -676,17 +741,21 @@ func unfinishedSpan(r *walReq) ([]int, bool) {
 	return miss, true
 }
 
-// open attaches the write side of the WAL directory and cuts an immediate
-// checkpoint, so recovery replay is never needed twice for the same records.
+// open attaches the write side of the WAL directory, starts the writer and
+// cuts an immediate checkpoint, so recovery replay is never needed twice for
+// the same records.
 func (w *walSink) open(policy wal.Policy, hooks wal.FaultHooks) error {
-	l, err := wal.Open(w.dir, wal.Options{Policy: policy, Hooks: hooks})
+	l, err := wal.Open(w.dir, wal.Options{Policy: policy, Hooks: hooks, SegmentBytes: w.segBytes})
 	if err != nil {
 		return err
 	}
+	w.wake, w.stop, w.exited = make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
+	go w.run(l)
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.log, w.policy = l, policy
-	return w.checkpointLocked()
+	state := comm.EncodeBatch(w.checkpointRecordsLocked())
+	w.mu.Unlock()
+	return l.Checkpoint(state)
 }
 
 // restoreWAL rebuilds the bridge from the recovered state in one walk: the
@@ -828,7 +897,8 @@ func (s *System) recoverWAL(hooks wal.FaultHooks) error {
 // Kill tears the whole system down as a crash would: the WAL stops first (so
 // post-mortem activity cannot reach the disk), client connections drop
 // without detach courtesies, workers crash, the scheduler dies. What survives
-// is exactly what the WAL's fsync policy had already made durable.
+// is every record the WAL had staged, written out as the writes a dying
+// process had made, and nothing more is synced.
 func (s *System) Kill() {
 	if s.wal != nil {
 		s.wal.kill()
@@ -869,7 +939,7 @@ func (s *System) WALErr() error {
 	if s.wal == nil {
 		return nil
 	}
-	s.wal.mu.Lock()
-	defer s.wal.mu.Unlock()
+	s.wal.errMu.Lock()
+	defer s.wal.errMu.Unlock()
 	return s.wal.err
 }
