@@ -19,15 +19,17 @@ test:
 # storage device, the pooled kernel scratch in iso/mesh/vortex that workers
 # share through sync.Pool, the session scripts, and the root package's
 # durable TCP bridge with its reconnect/drain scenarios). Three concurrency
-# primitives run twenty times: the WAL's group commit and staged writes, the
-# WAL writer that writes, syncs and checkpoints outside the bridge and sink
-# locks, and the bridge's session leases, whose resume fencing rests on the
-# bridge's lock.
+# primitives run twenty times: the WAL log's one writer goroutine (shared
+# fsyncs, staged writes, cuts, the interval deadline, Kill and its exit), the
+# same writer seen from the bridge — writing, syncing and checkpointing
+# outside the bridge and sink locks — and the bridge's session leases, whose
+# resume fencing rests on the bridge's lock.
+WAL_TESTS = TestGroupCommitSharesFsync|TestSyncFailureReachesEveryWaiter|TestSyncAfterKill|TestStagedBatchIsOneWrite|TestCutCheckpointsAtItsPlace|TestIntervalSyncsIdleTail|TestKillWritesStagedWithoutWaitingForFsync|TestWriterExitsWithLog
 LEASE_TESTS = TestExpiredResumePurgesSession|TestRacingResumesOneWins|TestAttachedSessionHoldsNoLease|TestRestoredLeaseResumesAtRecordedEpoch|TestResumeOfEphemeralSessionDenied
 WRITER_TESTS = TestFsyncOutsideBridgeLock|TestSealOutsideBridgeLock|TestJournalRecordsRideTheNextCommit|TestWALWriterExits
 race:
 	$(GO) test -race ./internal/core/ ./internal/comm/ ./internal/vclock/ ./internal/faults/ ./internal/dms/ ./internal/storage/ ./internal/grid/ ./internal/iso/ ./internal/mesh/ ./internal/vortex/ ./internal/commands/ ./internal/session/ ./internal/wal/ .
-	$(GO) test -race -count=20 -run 'TestGroupCommit|TestStagedBatchIsOneWrite|TestCutCheckpointsAtItsPlace' ./internal/wal/
+	$(GO) test -race -count=20 -run '$(WAL_TESTS)' ./internal/wal/
 	$(GO) test -race -count=20 -run '$(WRITER_TESTS)' .
 	$(GO) test -race -count=20 -run '$(LEASE_TESTS)' .
 
@@ -55,7 +57,7 @@ soak:
 	$(GO) test -race -count=1 -run 'TestSpan|TestDuplicateRedispatch|TestTagged|TestRedistributeOff|TestWatermark' ./internal/core/
 	SOAK_SEEDS=$(SOAK_SEEDS) $(GO) test -race -count=1 -v -run 'TestReconnectStorm' .
 	RESTART_SEEDS=$(RESTART_SEEDS) $(GO) test -race -count=1 -v -run 'TestRestartSoak' .
-	CRASHCUT_STRIDE=1 $(GO) test -race -count=1 -v -run 'TestCrashCutSweep' .
+	CRASHCUT_STRIDE=1 $(GO) test -race -count=1 -v -run 'TestCrashCut' .
 
 # Membership soak under the race detector: CHURN_SEEDS seeded churn
 # timelines (mid-request crash with a planned reboot, optional flapper, one

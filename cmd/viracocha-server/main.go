@@ -55,7 +55,7 @@ func main() {
 		lease     = flag.Duration("lease", 30*time.Second, "durable-session lease: how long a disconnected client's session (and its in-flight streams) survives awaiting resume")
 		drainTmo  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown: how long in-flight requests get to finish after SIGTERM (or a remote drain) before exiting anyway")
 		walDir    = flag.String("wal", "", "control-plane write-ahead log directory: admissions, leases, streamed frames and journal progress are logged continuously, so a bounced or even hard-killed (SIGKILL, power-cut) server restarts with exact client resume; add -fsync off when only graceful bounces need to survive")
-		fsyncPol  = flag.String("fsync", "always", "WAL fsync policy: always (the WAL writer fsyncs every batch; a request's final frame waits for its fsync), interval (at most one fsync per 100ms), off (the OS decides); streamed partials never wait for it, and lease and admission records are fsynced before their reply under every policy")
+		fsyncPol  = flag.String("fsync", "always", "WAL fsync policy: always (the WAL writer fsyncs every batch; a request's final frame waits for its fsync), interval (every written record is fsynced within 100ms, by at most one fsync per 100ms), off (the OS decides); streamed partials never wait for it, and lease and admission records are fsynced before their reply under every policy")
 		faultSpec faultList
 	)
 	flag.Var(&faultSpec, "fault", "inject a fault rule (repeatable): crash:NODE@DUR, recover:NODE@DUR, flap:NODE:PERIOD, drop:FROM>TO:KIND:PROB, dup:..., delay:FROM>TO:KIND:DUR, read:DATASET:STEP:BLOCK:N, corrupt:DATASET:STEP:BLOCK:N, slow:ENDPOINT@DUR, discon:SESSION:AFTER_MSGS, hang:SESSION, torn:PATH:N, fsyncfail:PATH, pace:DATASET@DUR (every read of DATASET sleeps DUR, so a drill lands mid-request)")

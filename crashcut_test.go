@@ -26,7 +26,9 @@ import (
 // a client resumes holding only what it had acknowledged (nothing, before an
 // acknowledgement first trims the log), holding every frame the cut logged,
 // or holding frames past the cut — which is what a client holds once frames
-// leave before their records are written. Each resumed mesh must equal the
+// leave before their records are written. A client holding frames past the
+// cut detaches once more after its first new partial and resumes again, with
+// the watermark those frames left it. Each resumed mesh must equal the
 // crash-free one byte for byte.
 
 // crashCutSegment is the segment size and checkpoint cadence of the recorded
@@ -119,9 +121,10 @@ func recordSpans(seg []byte) [][2]int {
 }
 
 // photographer wraps the system's fault injector: before every record write
-// and every fsync it copies the WAL directory. The writer is the only
-// goroutine that writes the directory and it is inside the hook, so each copy
-// is exactly what a crash at that instant leaves on disk.
+// and every fsync it copies the WAL directory. The log's writer is the only
+// goroutine that writes the directory until Kill writes out the stage, and it
+// is inside the hook, so each copy is exactly what a crash at that instant
+// leaves on disk.
 type photographer struct {
 	wal.FaultHooks
 	t     *testing.T
@@ -213,10 +216,11 @@ func crashStates(shots []walFiles) (states []crashState, checkpoints, rotations 
 	return states, checkpoints, rotations
 }
 
-// recordCanonical runs the canonical durable request on a fresh WAL server
-// under policy, photographing the directory, and returns the photographs, the
-// session ID and every frame the client received, in order.
-func recordCanonical(t *testing.T, policy string) ([]walFiles, string, []comm.Message) {
+// recordCanonical runs the canonical durable request, iso.viewer with params,
+// on a fresh WAL server under policy, photographing the directory, and
+// returns the photographs, the session ID and every frame the client
+// received, in order.
+func recordCanonical(t *testing.T, policy string, params map[string]string) ([]walFiles, string, []comm.Message) {
 	t.Helper()
 	dir := t.TempDir()
 	// Paced reads spread the frames over many write turns, so checkpoints
@@ -240,7 +244,7 @@ func recordCanonical(t *testing.T, policy string) ([]walFiles, string, []comm.Me
 	if err := rc.handshake(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := rc.send(comm.Message{Kind: "command", Command: "iso.viewer", ReqID: 1, Params: streamParams()}); err != nil {
+	if err := rc.send(comm.Message{Kind: "command", Command: "iso.viewer", ReqID: 1, Params: params}); err != nil {
 		t.Fatal(err)
 	}
 	var frames []comm.Message
@@ -323,13 +327,24 @@ func recoveredHead(t *testing.T, files walFiles, sid string) (session, request b
 	return true, true, acked, head
 }
 
-// resumeCut restarts a server on a crash state and resumes the session with
-// held already received; it returns the merged mesh's bytes.
-func resumeCut(t *testing.T, files walFiles, policy, sid string, held []comm.Message) ([]byte, error) {
+// cutClient is a client resuming from a crash state: the server's fsync
+// policy, its session, the params of the iso.viewer command it sent, the
+// frames it holds, and whether it detaches after the first partial the
+// resumed stream delivers and resumes once more.
+type cutClient struct {
+	policy, sid string
+	params      map[string]string
+	held        []comm.Message
+	again       bool
+}
+
+// resumeCut restarts a server on a crash state and resumes c's session; it
+// returns the merged mesh's bytes.
+func resumeCut(t *testing.T, files walFiles, c cutClient) ([]byte, error) {
 	t.Helper()
 	asm := core.NewStreamAssembler()
 	mark := 0
-	for _, m := range held {
+	for _, m := range c.held {
 		if _, _, err := asm.Add(m); err != nil {
 			return nil, err
 		}
@@ -343,7 +358,7 @@ func resumeCut(t *testing.T, files walFiles, policy, sid string, held []comm.Mes
 	}
 	dir := t.TempDir()
 	files.write(t, dir)
-	sys := New(Options{Workers: 2, SessionLease: time.Minute, WALDir: dir, WALFsync: policy})
+	sys := New(Options{Workers: 2, SessionLease: time.Minute, WALDir: dir, WALFsync: c.policy})
 	if _, err := sys.AddDataset("engine", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -359,13 +374,14 @@ func resumeCut(t *testing.T, files walFiles, policy, sid string, held []comm.Mes
 		return nil, err
 	}
 	defer rc.closeConn()
-	rc.Resume, rc.sessionID = true, sid
+	rc.Resume, rc.sessionID = true, c.sid
 	if err := rc.handshake(map[uint64]int{1: mark}); err != nil {
 		return nil, err
 	}
 	// As a resuming client does: send the command again in case it never
 	// arrived; a request the server knows is deduplicated.
-	if err := rc.send(comm.Message{Kind: "command", Command: "iso.viewer", ReqID: 1, Params: streamParams()}); err != nil {
+	cmd := comm.Message{Kind: "command", Command: "iso.viewer", ReqID: 1, Params: c.params}
+	if err := rc.send(cmd); err != nil {
 		return nil, err
 	}
 	deadline := time.AfterFunc(20*time.Second, rc.closeConn)
@@ -384,6 +400,16 @@ func resumeCut(t *testing.T, files walFiles, policy, sid string, held []comm.Mes
 		if _, _, err := asm.Add(m); err != nil {
 			return nil, err
 		}
+		mark = max(mark, m.SSeq.Or(0))
+		if c.again && m.Kind == "partial" && !asm.Done {
+			c.again = false
+			if err := rc.reconnectResume(1, mark); err != nil {
+				return nil, fmt.Errorf("second resume: %w", err)
+			}
+			if err := rc.send(cmd); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if asm.Err != nil {
 		return nil, asm.Err
@@ -392,80 +418,119 @@ func resumeCut(t *testing.T, files walFiles, policy, sid string, held []comm.Mes
 }
 
 // saveCut writes a failing crash state where it outlives the test, with the
-// frames its client held, and returns the directory.
-func saveCut(t *testing.T, files walFiles, policy, sid string, held []comm.Message) string {
+// client resuming from it, and returns the directory.
+func saveCut(t *testing.T, files walFiles, c cutClient) string {
 	t.Helper()
 	dir, err := os.MkdirTemp("", "crashcut-")
 	if err != nil {
 		t.Fatal(err)
 	}
 	files.write(t, filepath.Join(dir, "wal"))
-	meta := comm.Message{Kind: "crashcut", Params: map[string]string{"policy": policy, "session": sid}}
-	if err := os.WriteFile(filepath.Join(dir, "held"), comm.EncodeBatch(append([]comm.Message{meta}, held...)), 0o644); err != nil {
+	meta := comm.Message{Kind: "crashcut", Params: map[string]string{"policy": c.policy, "session": c.sid, "again": strconv.FormatBool(c.again)}}
+	cmd := comm.Message{Kind: "command", Params: c.params}
+	if err := os.WriteFile(filepath.Join(dir, "held"), comm.EncodeBatch(append([]comm.Message{meta, cmd}, c.held...)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir
 }
 
-// TestCrashCutSweep runs the sweep under fsync always and interval. Every
-// stride-th crash state is visited (CRASHCUT_STRIDE, default 6; make soak
-// visits all of them). A failing state is saved and replays alone with
-// CRASHCUT_REPLAY=DIR.
+// sweepCuts records the canonical request under policy with params and
+// resumes every stride-th crash state (and the last) from each client state
+// in names; a client holding frames past the log detaches and resumes once
+// more. Every resumed mesh must equal ref byte for byte; a failing state is
+// saved for CRASHCUT_REPLAY. It returns the crash states, the checkpoints
+// and rotations between them, the cuts a client resumes from and the
+// resumes.
+func sweepCuts(t *testing.T, ref []byte, policy string, params map[string]string, stride int, names ...string) (states []crashState, checkpoints, rotations, cuts, visited int) {
+	t.Helper()
+	shots, sid, frames := recordCanonical(t, policy, params)
+	states, checkpoints, rotations = crashStates(shots)
+	for i, st := range states {
+		if i%stride != 0 && i != len(states)-1 {
+			continue
+		}
+		session, request, acked, head := recoveredHead(t, st.files, sid)
+		if !session {
+			continue // the lease reply waits for its record: no client holds this session
+		}
+		cuts++
+		clients := clientStates(frames, acked, head)
+		if !request {
+			clients = map[string][]comm.Message{"acked": nil} // nor a frame before the admission is durable
+		}
+		for _, name := range names {
+			held, ok := clients[name]
+			if !ok {
+				continue
+			}
+			visited++
+			c := cutClient{policy: policy, sid: sid, params: params, held: held, again: name == "past"}
+			got, err := resumeCut(t, st.files, c)
+			if err == nil && bytes.Equal(got, ref) {
+				continue
+			}
+			if err == nil {
+				err = fmt.Errorf("the resumed mesh differs from the crash-free one")
+			}
+			dir := saveCut(t, st.files, c)
+			t.Fatalf("crash cut (k=%d, %s, client holding %s: %d frames, head %d): %v; replay alone with CRASHCUT_REPLAY=%s go test -run '%s$' .",
+				st.k, st.cut, name, len(held), head, err, dir, strings.Split(t.Name(), "/")[0])
+		}
+	}
+	return states, checkpoints, rotations, cuts, visited
+}
+
+// crashCutStride is how many crash states a sweep steps over per visit:
+// CRASHCUT_STRIDE, default 6 (make soak visits all of them).
+func crashCutStride() int {
+	if n, err := strconv.Atoi(os.Getenv("CRASHCUT_STRIDE")); err == nil && n > 0 {
+		return n
+	}
+	return 6
+}
+
+// TestCrashCutSweep runs the sweep under fsync always and interval, visiting
+// every crashCutStride-th crash state. A failing state is saved and replays
+// alone with CRASHCUT_REPLAY=DIR.
 func TestCrashCutSweep(t *testing.T) {
 	ref := referenceMesh(t)
 	if dir := os.Getenv("CRASHCUT_REPLAY"); dir != "" {
 		replayCut(t, dir, ref)
 		return
 	}
-	stride := 6
-	if s := os.Getenv("CRASHCUT_STRIDE"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			stride = n
-		}
-	}
+	stride := crashCutStride()
 	for _, policy := range []string{"always", "interval"} {
 		t.Run(policy, func(t *testing.T) {
-			shots, sid, frames := recordCanonical(t, policy)
-			states, checkpoints, rotations := crashStates(shots)
+			states, checkpoints, rotations, cuts, visited := sweepCuts(t, ref, policy, streamParams(), stride, "acked", "logged", "past")
 			if checkpoints < 2 || rotations < 2 {
 				t.Fatalf("the recorded log crossed %d checkpoints and %d segment rotations, want at least 2 of each", checkpoints, rotations)
-			}
-			visited, cuts := 0, 0
-			for i, st := range states {
-				if i%stride != 0 && i != len(states)-1 {
-					continue
-				}
-				session, request, acked, head := recoveredHead(t, st.files, sid)
-				if !session {
-					continue // the lease reply waits for its record: no client holds this session
-				}
-				cuts++
-				clients := clientStates(frames, acked, head)
-				if !request {
-					clients = map[string][]comm.Message{"acked": nil} // nor a frame before the admission is durable
-				}
-				for _, name := range []string{"acked", "logged", "past"} {
-					held, ok := clients[name]
-					if !ok {
-						continue
-					}
-					visited++
-					got, err := resumeCut(t, st.files, policy, sid, held)
-					if err == nil && bytes.Equal(got, ref) {
-						continue
-					}
-					if err == nil {
-						err = fmt.Errorf("the resumed mesh differs from the crash-free one")
-					}
-					dir := saveCut(t, st.files, policy, sid, held)
-					t.Fatalf("crash cut (k=%d, %s, client holding %s: %d frames, head %d): %v; replay alone with CRASHCUT_REPLAY=%s go test -run 'TestCrashCutSweep$' .",
-						st.k, st.cut, name, len(held), head, err, dir)
-				}
 			}
 			t.Logf("fsync %s: %d crash states (%d checkpoints, %d rotations), %d cuts a client resumes from, %d resumes byte-identical (stride %d)",
 				policy, len(states), checkpoints, rotations, cuts, visited, stride)
 		})
 	}
+}
+
+// TestCrashCutRestartsWhole: a memoized request journals its blocks under
+// its producer's ID, so recovery restarts it whole one attempt up and its
+// client discards every frame it held. A client holding frames past the log
+// then needs every post-restart frame stamped past its watermark
+// (walSseqGap): on the resume, and on a second detach and resume after it.
+// Every crashCutStride-th crash state with such a client resumes to the
+// crash-free mesh.
+func TestCrashCutRestartsWhole(t *testing.T) {
+	ref := referenceMesh(t)
+	if dir := os.Getenv("CRASHCUT_REPLAY"); dir != "" {
+		replayCut(t, dir, ref)
+		return
+	}
+	params := streamParams()
+	params["memo"] = "1"
+	_, _, _, cuts, visited := sweepCuts(t, ref, "interval", params, crashCutStride(), "past")
+	if visited == 0 {
+		t.Fatalf("none of %d cuts leaves a client holding frames past the log", cuts)
+	}
+	t.Logf("%d cuts a client resumes from, %d resumes past the log byte-identical", cuts, visited)
 }
 
 // replayCut resumes one saved crash state.
@@ -475,14 +540,15 @@ func replayCut(t *testing.T, dir string, ref []byte) {
 		t.Fatal(err)
 	}
 	msgs, err := comm.DecodeBatch(data)
-	if err != nil || len(msgs) == 0 || msgs[0].Kind != "crashcut" {
+	if err != nil || len(msgs) < 2 || msgs[0].Kind != "crashcut" {
 		t.Fatalf("%s is not a saved crash cut (%v)", dir, err)
 	}
 	files, err := readWALFiles(filepath.Join(dir, "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := resumeCut(t, files, msgs[0].Params["policy"], msgs[0].Params["session"], msgs[1:])
+	got, err := resumeCut(t, files, cutClient{policy: msgs[0].Params["policy"], sid: msgs[0].Params["session"],
+		params: msgs[1].Params, held: msgs[2:], again: msgs[0].Params["again"] == "true"})
 	if err != nil {
 		t.Fatal(err)
 	}

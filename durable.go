@@ -117,10 +117,11 @@ func (b *sessionBridge) start() {
 // dispatch routes fabric messages to client connections until the runtime
 // shuts the network down; the sweeper stops with it. A delivered frame goes
 // to its socket at once: a durable frame's WAL record is only staged (the
-// sink's writer writes and syncs it later, with no bridge or sink lock held),
-// because a frame a crash loses is recomputed byte for byte. The one
-// exception is a durable request's final frame under fsync always, which
-// waits for its fsync (walSink.Frame says why), also with no lock held.
+// log's writer goroutine writes and syncs it later, with no bridge or sink
+// lock held), because a frame a crash loses is recomputed byte for byte. The
+// one exception is a durable request's final frame under fsync always: the
+// lsn walSink.Frame returns for it, which commit Syncs before the send, with
+// no lock held (walSink.Frame says why).
 func (b *sessionBridge) dispatch() {
 	defer func() {
 		b.mu.Lock()

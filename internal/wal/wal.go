@@ -5,25 +5,23 @@
 //
 // The log is deliberately ignorant of record semantics: callers append opaque
 // byte records (in practice comm.Encode'd messages) and recover them in
-// order. Appending is split in three. Stage frames a record into the log's
-// staging buffer and returns its log sequence number (lsn) without a syscall;
-// a write turn (WriteStaged) writes everything staged with one write, and
-// carries out the checkpoints queued behind it (Cut); Commit(lsn) makes that
-// record and every record written before it durable. One caller at a time
-// runs a write turn, outside the log's lock, so a stager never waits on the
-// disk. Commit is a group commit: one caller — the leader — fsyncs outside
-// the log's lock on behalf of every record written so far, and callers that
-// arrive during that fsync wait for it (when it covers their record) or lead
-// the next, so a burst of concurrent commits costs one or two fsyncs, not one
-// each. A failed fsync reaches every waiter of its batch; the next Commit
-// retries. A log driven by one writer goroutine lets other callers wait for
-// its fsyncs (WaitDurable) instead of leading their own.
+// order. Each open log has one writer goroutine, and it alone writes, fsyncs
+// and checkpoints; callers only stage and wait. Stage frames a record into
+// the log's staging buffer and returns its log sequence number (lsn) without
+// a syscall; Cut queues a checkpoint behind the records staged so far;
+// Sync(lsn) asks for an fsync covering the record at lsn and waits for it.
+// Each writer turn writes everything staged with one write per run between
+// cuts, carries out the cuts, then runs at most one fsync — for the Syncs
+// waiting and the policy together — so a burst of concurrent Syncs costs one
+// fsync, not one each. A failed fsync reaches every Sync it covered; the next
+// Sync retries.
 //
-// Durability is a policy choice — PolicyAlways commits every Append before it
-// returns, PolicyInterval bounds the unsynced window, PolicyOff leaves
-// flushing to the OS — because the right trade between append latency and
-// loss window is the operator's, not the library's. Whatever the policy, a
-// crash leaves a record-boundary prefix of the write order.
+// Durability is a policy choice — PolicyAlways fsyncs every batch the writer
+// writes, PolicyInterval fsyncs every written record within syncInterval,
+// PolicyOff leaves flushing to the OS — because the right trade between
+// append latency and loss window is the operator's, not the library's.
+// Whatever the policy, a crash leaves a record-boundary prefix of the write
+// order.
 //
 // On-disk layout inside the WAL directory:
 //
@@ -59,14 +57,15 @@ import (
 type Policy int
 
 const (
-	// PolicyAlways commits every append: Append returns once an fsync
-	// covers the record and every record written before it, so no
+	// PolicyAlways fsyncs every batch the writer writes: Append returns once
+	// an fsync covers the record and every record written before it, so no
 	// acknowledged record is ever lost. Concurrent appenders share their
-	// fsyncs (group commit): the cost is one disk flush per batch of records
-	// in flight, not one per record.
+	// fsyncs: the cost is one disk flush per batch of records in flight, not
+	// one per record.
 	PolicyAlways Policy = iota
-	// PolicyInterval fsyncs at most once per interval: a crash loses at
-	// most the records appended since the last flush.
+	// PolicyInterval fsyncs at most once per syncInterval, and every written
+	// record within it: a crash loses at most the records written in the
+	// last interval.
 	PolicyInterval
 	// PolicyOff never fsyncs: the OS flushes when it pleases. Fastest,
 	// and exactly as durable as that sounds.
@@ -117,9 +116,6 @@ type FaultHooks interface {
 type Options struct {
 	// Policy selects the fsync policy (default PolicyAlways).
 	Policy Policy
-	// Interval bounds the unsynced window under PolicyInterval
-	// (default 100ms).
-	Interval time.Duration
 	// SegmentBytes rotates the active segment once it grows past this
 	// (default 4 MiB). Rotation bounds how much a recovery replays and is
 	// the unit the checkpoint compactor prunes.
@@ -132,11 +128,13 @@ const (
 	// DefaultSegmentBytes is the rotation size when Options.SegmentBytes is
 	// unset; the control-plane sink checkpoints at the same cadence.
 	DefaultSegmentBytes = 4 << 20
-	defaultSyncInterval = 100 * time.Millisecond
+	// syncInterval bounds how long a written record stays unsynced under
+	// PolicyInterval, and so how often that policy fsyncs.
+	syncInterval = 100 * time.Millisecond
 	// maxRecord bounds a single record so a corrupt length prefix cannot
 	// drive recovery into allocating gigabytes.
 	maxRecord = 1 << 28
-	// maxStage is the largest staging buffer the log keeps between write
+	// maxStage is the largest staging buffer the log keeps between writer
 	// turns: twice what Stage lets it hold before it waits.
 	maxStage = 2 * DefaultSegmentBytes
 
@@ -152,13 +150,13 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // appends (the real process would be dead).
 var ErrTorn = errors.New("wal: append torn mid-record (injected)")
 
-// ErrClosed reports an append, commit or sync on a closed log.
+// ErrClosed reports an append, cut or sync on a closed log.
 var ErrClosed = errors.New("wal: log closed")
 
 // Stats counts a log's work since Open: records written, the write syscalls
-// that carried them, fsyncs of its segments (group commits, seals on rotation
-// and close, failed ones included) and checkpoints cut. Records per write is
-// what staging buys; records per fsync is what group commit buys.
+// that carried them, fsyncs of its segments (batches, seals on rotation and
+// close, failed ones included) and checkpoints cut. Records per write is what
+// staging buys; records per fsync is what sharing an fsync buys.
 type Stats struct {
 	Records     uint64 `json:"records"`
 	Writes      uint64 `json:"writes"`
@@ -167,65 +165,70 @@ type Stats struct {
 }
 
 // Log is an append-only record log in a directory. All methods are safe for
-// concurrent use.
+// concurrent use; the disk work behind them runs on the log's writer.
 type Log struct {
 	dir  string
 	opts Options
 
+	wake   chan struct{} // holds a token while the writer has something to look at
+	exited chan struct{} // closed when the writer returns
+
 	mu       sync.Mutex
-	ended    sync.Cond // broadcast on mu whenever a write turn or an fsync ends, a turn takes the stage, or the log closes
+	ended    sync.Cond // broadcast on mu whenever the writer takes the stage, ends a write or an fsync, or the log closes
 	f        *os.File  // active segment
 	path     string    // active segment path
 	seq      int       // active segment number
 	size     int64     // bytes written to active segment
 	lastSync time.Time
-	closed   bool
+	closing  bool  // Close asked: the writer's last turn writes, seals and closes
+	closed   bool  // the writer is done: closed by its last turn, or killed
+	closeErr error // what the last turn failed with
 	dead     error // ErrTorn, or the failed write that left the segment unreadable past it
+	err      error // the first failure: a write, an fsync, a checkpoint or a refused record
 
 	// Staging. stage holds the framed records not yet written, staged is the
-	// lsn of the last of them, and cuts are the checkpoints queued behind
-	// them; pendingCuts counts those not yet done, a turn's included. A write
-	// turn swaps stage with spare and writes it outside mu; writing is set
-	// while one runs.
+	// lsn of the last of them, lazy is set while that record asked for no
+	// fsync of its own (StageLazy), and cuts are the checkpoints queued behind
+	// them; pendingCuts counts those not yet done, the writer's included. The
+	// writer swaps stage with spare and writes it outside mu; writing is set
+	// while it does.
 	stage, spare []byte
 	staged       uint64
+	lazy         bool
 	cuts         []cut
 	pendingCuts  int
 	writing      bool
 
-	// Group commit. written is the lsn of the last record written, durable
-	// the highest lsn an fsync has covered. While syncing, a leader fsyncs
-	// outside mu on behalf of every record up to target; syncs counts the
-	// fsyncs that ended, syncErr is the latest one's failure and failedAt
-	// the target it failed for.
-	written, durable uint64
-	syncing          bool
-	target           uint64
-	syncs            uint64
-	syncErr          error
-	failedAt         uint64
-	stats            Stats
+	// Durability. written is the lsn of the last record written, durable the
+	// highest lsn an fsync has covered and want the highest lsn a Sync waits
+	// for; syncs counts the fsyncs that ended, and syncErr is the latest
+	// failure: the failedSync-th fsync, for the records up to failedAt.
+	written, durable, want uint64
+	syncs                  uint64
+	syncErr                error
+	failedSync, failedAt   uint64
+	stats                  Stats
 }
 
 // cut is a checkpoint queued behind the staged records it folds in: state
 // replaces the checkpoint file once the records up to lsn, whose frames end
-// at off in the stage, are written and sealed.
+// at off in the stage, are written and sealed. err, when set, receives the
+// outcome (Checkpoint waits for it).
 type cut struct {
 	lsn   uint64
 	off   int
 	state []byte
+	err   *error
 }
 
-// Open creates or reopens the write side of a WAL directory. Existing
-// segments are left untouched (recover them first with Recover); appends go
-// to a fresh segment numbered after the highest present, so a recovered tail
-// and new records never interleave in one file.
+// Open creates or reopens the write side of a WAL directory and starts its
+// writer, which Close or Kill ends. Existing segments are left untouched
+// (recover them first with Recover); appends go to a fresh segment numbered
+// after the highest present, so a recovered tail and new records never
+// interleave in one file.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.Interval <= 0 {
-		opts.Interval = defaultSyncInterval
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -238,13 +241,14 @@ func Open(dir string, opts Options) (*Log, error) {
 	if n := len(segs); n > 0 {
 		next = segs[n-1].seq + 1
 	}
-	l := &Log{dir: dir, opts: opts}
+	l := &Log{dir: dir, opts: opts, wake: make(chan struct{}, 1), exited: make(chan struct{})}
 	l.ended.L = &l.mu
 	f, path, err := openSegment(dir, next)
 	if err != nil {
 		return nil, err
 	}
 	l.f, l.path, l.seq = f, path, next
+	go l.run()
 	return l, nil
 }
 
@@ -300,39 +304,59 @@ func appendFrame(dst []byte, n int, parts ...[]byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[len(dst)-n:], crcTable))
 }
 
-// Append writes one record and flushes it per policy. The record is durable
-// on return only under PolicyAlways (and then only if no error came back);
-// under the other policies the loss window is the policy's.
+// Append stages one record and returns once the writer has written it —
+// under PolicyAlways, once an fsync covers it too, and then only if no error
+// came back; under the other policies the loss window is the policy's.
 func (l *Log) Append(rec []byte) error { return l.AppendParts(rec) }
 
 // AppendParts is Append for a record the caller holds in pieces (a head, a
 // payload it shares with a socket, a checksum): their concatenation is framed
 // in the log's staging buffer and written once.
 func (l *Log) AppendParts(parts ...[]byte) error {
-	lsn, err := l.Write(parts...)
+	l.mu.Lock()
+	syncs := l.syncs // the policy's fsync may fail before the wait begins
+	lsn, err := l.stageLocked(false, parts)
+	l.mu.Unlock()
+	l.poke()
 	if err != nil {
 		return err
 	}
-	return l.Flush(lsn)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.waitLocked(lsn, l.opts.Policy == PolicyAlways, syncs)
 }
 
 // Stage frames one record, the concatenation of parts, into the log's
 // staging buffer and returns its lsn: the record's position in the log's
-// write order, counted from 1. It makes no syscall; the record reaches the
-// file with the next write turn (WriteStaged, or a Write, Commit or
-// Checkpoint that needs it), in lsn order. While a full segment is staged,
-// Stage waits for a turn to take it.
-func (l *Log) Stage(parts ...[]byte) (uint64, error) {
+// write order, counted from 1. It makes no syscall; the writer writes the
+// record with its next turn, in lsn order. While a full segment is staged,
+// Stage waits for the writer to take it.
+func (l *Log) Stage(parts ...[]byte) (uint64, error) { return l.stageRecord(false, parts) }
+
+// StageLazy is Stage for a record that asks for no fsync of its own: under
+// PolicyAlways, a writer turn whose batch ends in it runs no policy fsync,
+// and the record waits for the next fsync — a Sync's or a later batch's.
+func (l *Log) StageLazy(parts ...[]byte) (uint64, error) { return l.stageRecord(true, parts) }
+
+// stageRecord stages a record and pokes the writer once mu is released, so the
+// writer does not wake into a held lock.
+func (l *Log) stageRecord(lazy bool, parts [][]byte) (uint64, error) {
+	l.mu.Lock()
+	lsn, err := l.stageLocked(lazy, parts)
+	l.mu.Unlock()
+	l.poke()
+	return lsn, err
+}
+
+func (l *Log) stageLocked(lazy bool, parts [][]byte) (uint64, error) {
 	n := 0
 	for _, p := range parts {
 		n += len(p)
 	}
 	if n > maxRecord {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit", n)
+		return 0, l.failLocked(fmt.Errorf("wal: record of %d bytes exceeds limit", n))
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for !l.closed && l.dead == nil && len(l.stage) >= DefaultSegmentBytes {
+	for l.refusesLocked() == nil && len(l.stage) >= DefaultSegmentBytes {
 		l.ended.Wait()
 	}
 	if err := l.refusesLocked(); err != nil {
@@ -340,52 +364,27 @@ func (l *Log) Stage(parts ...[]byte) (uint64, error) {
 	}
 	l.stage = appendFrame(l.stage, n, parts...)
 	l.staged++
+	l.lazy = lazy
 	return l.staged, nil
 }
 
-// Write stages one record and writes it, with everything staged before it,
-// without syncing, and returns its lsn. Commit(lsn) makes it durable.
-func (l *Log) Write(parts ...[]byte) (uint64, error) {
-	lsn, err := l.Stage(parts...)
-	if err != nil {
-		return 0, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.writtenLocked(lsn); err != nil {
-		return 0, err
-	}
-	return lsn, nil
-}
-
-// WriteStaged runs a write turn for everything staged, once any turn in
-// flight has ended, and returns the lsn written through. A log with nothing
-// staged and no checkpoint queued makes no syscall.
-func (l *Log) WriteStaged() (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.writing {
-		l.ended.Wait()
-	}
-	if len(l.stage) == 0 && len(l.cuts) == 0 {
-		return l.written, l.refusesLocked()
-	}
-	err := l.turnLocked()
-	return l.written, err
-}
-
-// Cut queues a checkpoint behind every record staged so far: the next write
-// turn writes those records, seals the segment, atomically replaces the
+// Cut queues a checkpoint behind every record staged so far: the writer
+// writes those records, seals the segment, atomically replaces the
 // checkpoint file with state and prunes every segment it folds in. The
 // caller asserts that state folds in every record staged before the call.
 func (l *Log) Cut(state []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.cutLocked(state, nil)
+}
+
+func (l *Log) cutLocked(state []byte, outcome *error) error {
 	if err := l.refusesLocked(); err != nil {
 		return err
 	}
-	l.cuts = append(l.cuts, cut{lsn: l.staged, off: len(l.stage), state: state})
+	l.cuts = append(l.cuts, cut{lsn: l.staged, off: len(l.stage), state: state, err: outcome})
 	l.pendingCuts++
+	l.poke()
 	return nil
 }
 
@@ -396,65 +395,167 @@ func (l *Log) Cutting() bool {
 	return l.pendingCuts > 0
 }
 
-// Checkpoint is Cut followed by the write turns that carry it out: the
+// Checkpoint is Cut followed by a wait for the writer to carry it out: the
 // checkpoint is on disk, and the segments it folds in are pruned, when it
 // returns. Appends continue in a fresh segment. The write is crash-safe
 // (temp file + fsync + rename); a crash after the rename but before the prune
 // merely leaves old segments whose records the caller must re-apply
 // idempotently.
 func (l *Log) Checkpoint(state []byte) error {
-	if err := l.Cut(state); err != nil {
-		return err
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.turnsLocked(func() bool { return l.pendingCuts == 0 }); err != nil {
+	var outcome error
+	if err := l.cutLocked(state, &outcome); err != nil {
 		return err
 	}
-	return l.refusesLocked()
+	for l.pendingCuts > 0 && !l.closed {
+		l.ended.Wait()
+	}
+	return cmp.Or(outcome, l.refusesLocked())
 }
 
-// refusesLocked is the error a closed or dead log answers every append with.
+// Sync asks the writer for an fsync covering the record at lsn and every
+// record before it, whatever the policy, and waits for it. Syncs waiting
+// together share one fsync; a failed fsync is returned to every Sync it
+// covered, and the next Sync tries again. A closed or killed log returns
+// ErrClosed without syncing.
+func (l *Log) Sync(lsn uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.waitLocked(lsn, true, l.syncs)
+}
+
+// waitLocked returns once the record at lsn is written and, when durable, an
+// fsync covers it — or with the error that kept it from either: the failure
+// of an fsync that covered lsn and ended after the syncs-th.
+func (l *Log) waitLocked(lsn uint64, durable bool, syncs uint64) error {
+	if durable {
+		l.want = max(l.want, lsn)
+		l.poke()
+	}
+	for {
+		switch {
+		case l.closed:
+			return ErrClosed
+		case durable && l.failedSync > syncs && l.failedAt >= lsn:
+			return l.syncErr // an fsync that covered lsn failed while we waited
+		case lsn <= l.durable, !durable && lsn <= l.written:
+			return nil
+		case l.dead != nil && lsn > l.written:
+			return l.dead
+		}
+		l.ended.Wait()
+	}
+}
+
+// refusesLocked is the error a closed or dead log answers every new record
+// with.
 func (l *Log) refusesLocked() error {
-	if l.closed {
+	if l.closing || l.closed {
 		return ErrClosed
 	}
 	return l.dead
 }
 
-// turnsLocked returns once done holds, waiting out the write turn in flight
-// or leading the next one until it does, with the error of the last turn it
-// led.
-func (l *Log) turnsLocked(done func() bool) error {
-	var err error
-	for !done() {
-		if refused := l.refusesLocked(); refused != nil {
-			return refused
-		}
-		if l.writing {
-			l.ended.Wait()
-			continue
-		}
-		if err = l.turnLocked(); err != nil && !done() {
-			return err
-		}
+// failLocked keeps the first failure for Err and returns err.
+func (l *Log) failLocked(err error) error {
+	if l.err == nil && err != nil && !errors.Is(err, ErrClosed) {
+		l.err = err
 	}
 	return err
 }
 
-// writtenLocked returns once the record at lsn is written.
-func (l *Log) writtenLocked(lsn uint64) error {
-	if err := l.turnsLocked(func() bool { return lsn <= l.written }); err != nil && lsn > l.written {
-		return err
-	}
-	return nil
+// Err reports the log's first failure — a write, an fsync, a checkpoint or a
+// refused record — or nil while there has been none. The writer meets most of
+// them with no caller waiting.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
 }
 
-// turnLocked runs one write turn: it takes everything staged and the
-// checkpoints queued behind it and carries them out with mu released — one
-// write per run of records between cuts. The caller holds mu, and no turn is
-// in flight.
-func (l *Log) turnLocked() error {
+// Stats reports the log's counters.
+func (l *Log) Stats() Stats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.stats
+}
+
+// poke hands the writer a token, unless it already holds one.
+func (l *Log) poke() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
+// run is the log's writer, the one goroutine that writes, fsyncs and
+// checkpoints. It takes a turn whenever it is poked — a record staged, a cut
+// queued, a Sync, an interval fsync falling due, Close or Kill — until the
+// log is closed.
+func (l *Log) run() {
+	defer close(l.exited)
+	due := time.AfterFunc(syncInterval, l.poke)
+	due.Stop()
+	defer due.Stop()
+	for range l.wake {
+		wait, open := l.turn()
+		if !open {
+			return
+		}
+		if wait > 0 {
+			due.Reset(wait)
+		}
+	}
+}
+
+// turn writes everything staged and carries out the cuts queued in it —
+// taking the stage again while a Sync waits for a record staged meanwhile,
+// or Close for the last of them — then runs at most one fsync, through every
+// record written: when a Sync waits, when Close seals, under PolicyAlways
+// unless the batch ends in a lazy record, and under PolicyInterval once the
+// interval since the last fsync has passed. It returns how long until an
+// interval fsync falls due (0 when none is pending) and false once the log
+// is closed.
+func (l *Log) turn() (time.Duration, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var err error
+	lazy := l.lazy
+	for first := true; !l.closed && (len(l.stage) > 0 || len(l.cuts) > 0) &&
+		(first || l.want > l.written || l.closing); first = false {
+		lazy = l.lazy
+		err = cmp.Or(err, l.writeLocked())
+	}
+	var wait time.Duration
+	if !l.closed && l.written > l.durable {
+		sync := l.want > l.durable || (l.closing && l.opts.Policy != PolicyOff) ||
+			(l.opts.Policy == PolicyAlways && !lazy)
+		if !sync && l.opts.Policy == PolicyInterval {
+			wait = syncInterval - time.Since(l.lastSync)
+			sync = wait <= 0
+		}
+		if sync {
+			wait, err = 0, cmp.Or(err, l.syncLocked())
+		}
+	}
+	if l.closed {
+		return 0, false // killed: Kill writes what is left
+	}
+	l.failLocked(err)
+	if !l.closing || len(l.stage) > 0 || len(l.cuts) > 0 {
+		return wait, true // staged during the fsync: Close's token brings the writer back
+	}
+	l.closeErr = cmp.Or(err, l.f.Close())
+	l.f, l.closed = nil, true
+	l.ended.Broadcast()
+	return 0, false
+}
+
+// writeLocked takes everything staged and the cuts queued behind it and
+// carries them out with mu released: one write per run of records between
+// cuts.
+func (l *Log) writeLocked() error {
 	buf, cuts, from, to := l.stage, l.cuts, l.written, l.staged
 	l.stage, l.spare, l.cuts = l.spare[:0], nil, nil
 	l.writing = true
@@ -482,10 +583,14 @@ func (l *Log) writeOut(buf []byte, cuts []cut, from, to uint64) error {
 			return err
 		}
 		off, from = c.off, c.lsn
-		if err := l.checkpoint(c.state); err != nil {
-			l.mu.Lock()
-			fatal := l.refusesLocked() != nil
-			l.mu.Unlock()
+		err := l.checkpoint(c.state)
+		l.mu.Lock()
+		if c.err != nil {
+			*c.err = err
+		}
+		fatal := l.dead != nil
+		l.mu.Unlock()
+		if err != nil {
 			if fatal {
 				return err
 			}
@@ -507,9 +612,9 @@ func (l *Log) writeRun(run []byte, from, to uint64) error {
 		return nil
 	}
 	l.mu.Lock()
-	if err := l.refusesLocked(); err != nil {
+	if l.dead != nil {
 		l.mu.Unlock()
-		return err
+		return l.dead
 	}
 	full := l.size >= l.opts.SegmentBytes
 	l.mu.Unlock()
@@ -518,10 +623,6 @@ func (l *Log) writeRun(run []byte, from, to uint64) error {
 		_, rotErr = l.rotate() // a failed seal leaves the segment active, and the run goes there
 	}
 	l.mu.Lock()
-	if err := l.refusesLocked(); err != nil {
-		l.mu.Unlock()
-		return err
-	}
 	f, path := l.f, l.path
 	l.mu.Unlock()
 
@@ -549,8 +650,6 @@ func (l *Log) writeRun(run []byte, from, to uint64) error {
 	defer l.mu.Unlock()
 	l.stats.Writes++
 	switch {
-	case l.closed:
-		return ErrClosed
 	case tear >= 0:
 		l.dead = ErrTorn
 	case err != nil:
@@ -561,6 +660,7 @@ func (l *Log) writeRun(run []byte, from, to uint64) error {
 	l.size += int64(len(run))
 	l.written = from + n
 	l.stats.Records += n
+	l.ended.Broadcast()
 	if l.dead != nil {
 		return l.dead
 	}
@@ -568,17 +668,15 @@ func (l *Log) writeRun(run []byte, from, to uint64) error {
 }
 
 // rotate seals the active segment — an fsync covering every record written,
-// so a commit never has to reach back into it — and makes the next one
-// active, returning the sealed segment's number. A failed seal leaves it
-// active.
+// so a Sync never has to reach back into it — and makes the next one active,
+// returning the sealed segment's number. A failed seal leaves it active.
 func (l *Log) rotate() (int, error) {
 	l.mu.Lock()
-	if err := l.commitLocked(l.written); err != nil {
-		l.mu.Unlock()
-		return 0, err
-	}
-	for l.syncing {
-		l.ended.Wait() // a leader's fsync is on the outgoing segment
+	if l.durable < l.written {
+		if err := l.syncLocked(); err != nil {
+			l.mu.Unlock()
+			return 0, err
+		}
 	}
 	sealed := l.seq
 	l.mu.Unlock()
@@ -587,11 +685,6 @@ func (l *Log) rotate() (int, error) {
 		return 0, err
 	}
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		f.Close()
-		return 0, ErrClosed
-	}
 	old := l.f
 	l.f, l.path, l.seq, l.size = f, path, sealed+1, 0
 	l.mu.Unlock()
@@ -624,108 +717,23 @@ func (l *Log) checkpoint(state []byte) error {
 	return nil
 }
 
-// Commit returns once an fsync covers the record at lsn and every record
-// written before it, whatever the policy, leading the write turn first when
-// the record is still staged. It is a group commit: when no fsync is in
-// flight the caller leads one, outside the log's lock, for every record
-// written so far; a caller arriving while one is in flight waits for it when
-// it covers lsn, and otherwise leads the next. A failed fsync is returned to
-// every caller of its batch, and the next Commit tries again. A closed or
-// killed log returns ErrClosed without syncing.
-func (l *Log) Commit(lsn uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.commitLocked(lsn)
-}
-
-func (l *Log) commitLocked(lsn uint64) error {
-	for {
-		if l.closed {
-			return ErrClosed
-		}
-		if lsn <= l.durable {
-			return nil
-		}
-		if lsn > l.written {
-			if err := l.writtenLocked(lsn); err != nil {
-				return err
-			}
-			continue
-		}
-		if !l.syncing {
-			return l.leadLocked()
-		}
-		covered, syncs := l.target >= lsn, l.syncs
-		for l.syncs == syncs {
-			l.ended.Wait()
-		}
-		if covered && !l.closed && lsn > l.durable {
-			return l.syncErr // our batch's fsync failed
-		}
-	}
-}
-
-// WaitDurable waits, leading no disk work, until an fsync covers the record
-// at lsn: the side of a commit that a log's one writer serves. It returns the
-// failure of an fsync that covered lsn, the error that kept lsn from being
-// written, or ErrClosed.
-func (l *Log) WaitDurable(lsn uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	syncs := l.syncs
-	for {
-		switch {
-		case l.closed:
-			return ErrClosed
-		case lsn <= l.durable:
-			return nil
-		case l.dead != nil && lsn > l.written:
-			return l.dead
-		case l.syncs != syncs && l.syncErr != nil && l.failedAt >= lsn:
-			return l.syncErr
-		}
-		l.ended.Wait()
-	}
-}
-
-// Flush makes the record at lsn as durable as the policy promises: Commit
-// under PolicyAlways, Commit once the interval since the last fsync has
-// passed under PolicyInterval, nothing under PolicyOff.
-func (l *Log) Flush(lsn uint64) error {
-	switch l.opts.Policy {
-	case PolicyAlways:
-		return l.Commit(lsn)
-	case PolicyInterval:
-		l.mu.Lock()
-		due := time.Since(l.lastSync) >= l.opts.Interval
-		l.mu.Unlock()
-		if due {
-			return l.Commit(lsn)
-		}
-	}
-	return nil
-}
-
-// Stats reports the log's counters.
-func (l *Log) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats
-}
-
-// leadLocked runs one group commit: it fsyncs the active segment on behalf of
-// every record written so far, with mu released for the fsync itself.
-func (l *Log) leadLocked() error {
-	f, path := l.f, l.path
-	l.syncing, l.target = true, l.written
+// syncLocked fsyncs the active segment through every record written, with mu
+// released for the fsync itself, and publishes the outcome to every Sync
+// waiting on it.
+func (l *Log) syncLocked() error {
+	f, path, target := l.f, l.path, l.written
 	l.mu.Unlock()
 	err := l.fsync(f, path)
 	l.mu.Lock()
-	l.syncing = false
-	l.syncEndedLocked(l.target, err)
-	if l.closed {
-		return ErrClosed // killed mid-fsync
+	l.syncs++
+	l.stats.Fsyncs++
+	if err != nil {
+		l.syncErr, l.failedSync, l.failedAt = err, l.syncs, target
+	} else {
+		l.durable = max(l.durable, target)
+		l.lastSync = time.Now()
 	}
+	l.ended.Broadcast()
 	return err
 }
 
@@ -741,63 +749,52 @@ func (l *Log) fsync(f *os.File, path string) error {
 	return nil
 }
 
-// syncEndedLocked publishes the outcome of an fsync that covered records up
-// to target and wakes every caller waiting on it.
-func (l *Log) syncEndedLocked(target uint64, err error) {
-	l.syncs++
-	l.stats.Fsyncs++
-	if err != nil {
-		l.syncErr, l.failedAt = err, target
-	} else {
-		l.durable = max(l.durable, target)
-		l.lastSync = time.Now()
-	}
-	l.ended.Broadcast()
-}
-
-// Close writes what is staged, seals per policy and closes the active
-// segment. A closed log swallows nothing: further appends fail with
-// ErrClosed.
+// Close ends the log gracefully and returns once its writer has: the last
+// turn writes what is staged, carries out the queued cuts, seals per policy
+// and closes the active segment. A closed log swallows nothing: further
+// appends fail with ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	var err error
-	for !l.closed && (l.writing || l.syncing || (l.dead == nil && (len(l.stage) > 0 || len(l.cuts) > 0))) {
-		if l.writing || l.syncing {
-			l.ended.Wait()
-			continue
-		}
-		err = cmp.Or(err, l.turnLocked())
-	}
-	if l.closed {
+	if l.closing || l.closed {
+		l.mu.Unlock()
 		return nil
 	}
-	l.closed = true
-	l.ended.Broadcast()
-	if l.opts.Policy != PolicyOff && l.dead == nil && l.durable < l.written {
-		err = cmp.Or(err, l.fsync(l.f, l.path))
-		l.syncEndedLocked(l.written, err)
-	}
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
-	return err
+	l.closing = true
+	l.poke()
+	l.mu.Unlock()
+	<-l.exited
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.closeErr
 }
 
-// Kill closes the log file handles without writing what is staged or any
-// final flush: the hard-kill teardown path, leaving on-disk state exactly as
-// the writes so far left it. It does not wait for an fsync in flight; that
-// fsync's callers get ErrClosed.
+// Kill ends the log as a crash would: what is staged is written out, as the
+// writes a dying process had made — the checkpoints queued in it included,
+// with the fsyncs of their seals and files — nothing else is synced, and the
+// file handles close. It waits out a write or a checkpoint in flight, never
+// an fsync: the writer exits once that returns, and every Sync gets
+// ErrClosed.
 func (l *Log) Kill() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.closed = true
-	l.ended.Broadcast()
-	if l.f != nil {
-		l.f.Close()
-		l.f = nil
+	if l.closed {
+		return
 	}
+	l.closed = true
+	l.poke()
+	l.ended.Broadcast()
+	for l.writing {
+		l.ended.Wait()
+	}
+	if buf, cuts, from, to := l.stage, l.cuts, l.written, l.staged; (len(buf) > 0 || len(cuts) > 0) && l.dead == nil {
+		l.stage, l.cuts = nil, nil
+		l.mu.Unlock()
+		l.writeOut(buf, cuts, from, to)
+		l.mu.Lock()
+		l.pendingCuts -= len(cuts)
+	}
+	l.f.Close()
+	l.f = nil
 }
 
 // Recovered is the result of reading a WAL directory back.

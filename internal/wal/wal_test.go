@@ -510,21 +510,26 @@ func TestAppendPartsIsAppend(t *testing.T) {
 	}
 }
 
-// syncHooks counts appends and fsyncs; gate, when set, holds the first fsync
-// until it is closed (or a deadline passes, so a log that syncs under its own
-// lock fails the test instead of deadlocking it), and fail fails that fsync.
+// syncHooks counts appends and fsyncs. gate, when set, holds the first
+// fsync until it is closed, and fail fails that fsync; appendGate, when set,
+// holds the first append the same way. A held hook gives up after a deadline,
+// so a log that waits on itself fails the test instead of deadlocking it.
 type syncHooks struct {
-	mu      sync.Mutex
-	appends int
-	syncs   int
-	gate    chan struct{}
-	fail    error
+	mu         sync.Mutex
+	appends    int
+	syncs      int
+	gate       chan struct{}
+	fail       error
+	appendGate chan struct{}
 }
 
 func (h *syncHooks) OnWALAppend(string) bool {
 	h.mu.Lock()
 	h.appends++
+	gate := h.appendGate
+	h.appendGate = nil
 	h.mu.Unlock()
+	hold(gate)
 	return false
 }
 
@@ -534,13 +539,17 @@ func (h *syncHooks) OnWALSync(string) error {
 	gate, err := h.gate, h.fail
 	h.gate, h.fail = nil, nil
 	h.mu.Unlock()
+	hold(gate)
+	return err
+}
+
+func hold(gate chan struct{}) {
 	if gate != nil {
 		select {
 		case <-gate:
 		case <-time.After(2 * time.Second):
 		}
 	}
-	return err
 }
 
 func (h *syncHooks) counts() (appends, syncs int) {
@@ -549,15 +558,15 @@ func (h *syncHooks) counts() (appends, syncs int) {
 	return h.appends, h.syncs
 }
 
-// waitCommitters waits until n goroutines are parked inside Commit waiting
-// for an fsync in flight.
-func waitCommitters(t *testing.T, n int) {
+// waitSyncers waits until n goroutines are parked inside Sync waiting for an
+// fsync.
+func waitSyncers(t *testing.T, n int) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		parked := 0
 		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "wal.(*Log).Commit") {
+			if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "wal.(*Log).Sync") {
 				parked++
 			}
 		}
@@ -565,7 +574,7 @@ func waitCommitters(t *testing.T, n int) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d committers parked on the fsync in flight, want %d", parked, n)
+			t.Fatalf("%d callers parked in Sync, want %d", parked, n)
 		}
 	}
 }
@@ -620,10 +629,11 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFailureReachesBatch: a failed fsync is returned to its
-// leader and to every caller waiting on it, and the next Commit fsyncs again.
-func TestGroupCommitFailureReachesBatch(t *testing.T) {
-	const followers = 4
+// TestSyncFailureReachesEveryWaiter: a failed fsync is returned to every
+// Sync it covered — the one that asked for it and those that arrived while it
+// was held — and the next Sync fsyncs again.
+func TestSyncFailureReachesEveryWaiter(t *testing.T) {
+	const latecomers = 4
 	boom := errors.New("injected fsync failure")
 	release := make(chan struct{})
 	h := &syncHooks{gate: release, fail: boom}
@@ -631,33 +641,26 @@ func TestGroupCommitFailureReachesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lsns []uint64
-	for i := 0; i < followers; i++ {
-		lsn, err := l.Write([]byte{byte(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lsns = append(lsns, lsn)
-	}
-	errs := make(chan error, followers+1)
-	go func() { errs <- l.Commit(lsns[0]) }() // leads: its fsync covers all four
+	appendAll(t, l, "0", "1", "2", "3") // written, lsns 1 to 4, not synced
+	errs := make(chan error, latecomers+1)
+	go func() { errs <- l.Sync(1) }() // its fsync covers all four
 	for {
 		if _, syncs := h.counts(); syncs == 1 {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	for _, lsn := range lsns {
-		go func() { errs <- l.Commit(lsn) }()
+	for lsn := uint64(1); lsn <= latecomers; lsn++ {
+		go func() { errs <- l.Sync(lsn) }()
 	}
-	waitCommitters(t, followers)
+	waitSyncers(t, latecomers+1)
 	close(release)
-	for i := 0; i <= followers; i++ {
+	for i := 0; i <= latecomers; i++ {
 		if err := <-errs; !errors.Is(err, boom) {
-			t.Fatalf("committer %d: want the injected failure, got %v", i, err)
+			t.Fatalf("waiter %d: want the injected failure, got %v", i, err)
 		}
 	}
-	if err := l.Commit(lsns[followers-1]); err != nil {
+	if err := l.Sync(latecomers); err != nil {
 		t.Fatalf("retry after the failed fsync: %v", err)
 	}
 	if _, syncs := h.counts(); syncs != 2 {
@@ -666,45 +669,52 @@ func TestGroupCommitFailureReachesBatch(t *testing.T) {
 	l.Close()
 }
 
-// TestGroupCommitAfterKill: a killed log refuses to commit and does not sync.
-func TestGroupCommitAfterKill(t *testing.T) {
+// TestSyncAfterKill: a killed log refuses to sync, and does not fsync.
+func TestSyncAfterKill(t *testing.T) {
 	h := &syncHooks{}
 	l, err := Open(t.TempDir(), Options{Policy: PolicyOff, Hooks: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn, err := l.Write([]byte("x"))
+	lsn, err := l.Stage([]byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	l.Kill()
-	if err := l.Commit(lsn); !errors.Is(err, ErrClosed) {
-		t.Fatalf("commit after kill: want ErrClosed, got %v", err)
+	if err := l.Sync(lsn); !errors.Is(err, ErrClosed) {
+		t.Fatalf("sync after kill: want ErrClosed, got %v", err)
 	}
 	if _, syncs := h.counts(); syncs != 0 {
-		t.Fatalf("commit after kill made %d fsyncs", syncs)
+		t.Fatalf("sync after kill made %d fsyncs", syncs)
 	}
 }
 
-// TestStagedBatchIsOneWrite: records staged before a write turn cost one
-// write syscall between them, make no syscall while staged, and recover in
-// lsn order.
+// TestStagedBatchIsOneWrite: records staged while the writer is held inside
+// the append hook of an earlier record make no syscall, cost one write
+// between them once it goes on, and recover in lsn order.
 func TestStagedBatchIsOneWrite(t *testing.T) {
 	const n = 16
 	dir := t.TempDir()
-	h := &syncHooks{}
+	release := make(chan struct{})
+	h := &syncHooks{appendGate: release}
 	l, err := Open(dir, Options{Policy: PolicyOff, Hooks: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []string
+	if _, err := l.Stage([]byte("held")); err != nil {
+		t.Fatal(err)
+	}
+	for appends, _ := h.counts(); appends == 0; appends, _ = h.counts() {
+		time.Sleep(time.Millisecond)
+	}
+	want := []string{"held"}
 	for i := 0; i < n; i++ {
 		rec := fmt.Sprintf("staged-%02d", i)
 		lsn, err := l.Stage([]byte(rec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lsn != uint64(i+1) {
+		if lsn != uint64(i+2) {
 			t.Fatalf("record %d staged at lsn %d", i, lsn)
 		}
 		want = append(want, rec)
@@ -712,19 +722,16 @@ func TestStagedBatchIsOneWrite(t *testing.T) {
 	if st := l.Stats(); st.Records != 0 || st.Writes != 0 {
 		t.Fatalf("staging wrote: %+v", st)
 	}
-	if through, err := l.WriteStaged(); err != nil || through != n {
-		t.Fatalf("WriteStaged = %d, %v; want %d", through, err, n)
-	}
-	if appends, _ := h.counts(); appends != n {
-		t.Fatalf("the fault hooks saw %d records, want %d", appends, n)
-	}
-	if st := l.Stats(); st.Records != n || st.Writes != 1 || st.Fsyncs != 0 {
-		t.Fatalf("stats = %+v, want %d records in one write and no fsync", st, n)
-	}
-	if err := l.Commit(n); err != nil {
+	close(release)
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l.Kill()
+	if appends, _ := h.counts(); appends != n+1 {
+		t.Fatalf("the fault hooks saw %d records, want %d", appends, n+1)
+	}
+	if st := l.Stats(); st.Records != n+1 || st.Writes != 2 || st.Fsyncs != 0 {
+		t.Fatalf("stats = %+v, want the held record's write, then %d records in one write, and no fsync", st, n)
+	}
 	rec, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -737,38 +744,40 @@ func TestStagedBatchIsOneWrite(t *testing.T) {
 // TestCutCheckpointsAtItsPlace: a checkpoint cut between staged records
 // folds in the records before it only — the segment holding them is sealed
 // and pruned, and the records staged after the cut are the recovered tail.
+// The test holds the log's lock while it stages, so the writer takes the
+// records and the cut in one turn.
 func TestCutCheckpointsAtItsPlace(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Policy: PolicyOff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range []string{"a", "b", "c"} {
-		if _, err := l.Stage([]byte(rec)); err != nil {
-			t.Fatal(err)
+	l.mu.Lock()
+	stage := func(recs ...string) {
+		for _, rec := range recs {
+			if _, err := l.stageLocked(false, [][]byte{[]byte(rec)}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if err := l.Cut([]byte("STATE-abc")); err != nil {
+	stage("a", "b", "c")
+	if err := l.cutLocked([]byte("STATE-abc"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if !l.Cutting() {
-		t.Fatal("a queued cut is not reported")
+	if l.pendingCuts != 1 {
+		t.Fatal("a queued cut is not counted")
 	}
-	for _, rec := range []string{"d", "e"} {
-		if _, err := l.Stage([]byte(rec)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := l.WriteStaged(); err != nil {
+	stage("d", "e")
+	l.mu.Unlock()
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if l.Cutting() {
-		t.Fatal("the cut is still reported after its write turn")
+		t.Fatal("the cut is still reported after the writer's turn")
 	}
 	if st := l.Stats(); st.Records != 5 || st.Writes != 2 || st.Checkpoints != 1 || st.Fsyncs != 1 {
 		t.Fatalf("stats = %+v, want 5 records in two writes, one checkpoint and its seal", st)
 	}
-	l.Kill()
 	rec, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -778,5 +787,102 @@ func TestCutCheckpointsAtItsPlace(t *testing.T) {
 	}
 	if got := recordStrings(rec); !equalStrings(got, []string{"d", "e"}) || rec.Segments != 1 {
 		t.Fatalf("tail = %q in %d segments, want [d e] in one", got, rec.Segments)
+	}
+}
+
+// TestIntervalSyncsIdleTail: under PolicyInterval a written record is fsynced
+// within the interval even when nothing follows it. The second append lands
+// inside the interval of the first one's fsync; a quiet log must still sync
+// it once the interval has passed.
+func TestIntervalSyncsIdleTail(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{Policy: PolicyInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendAll(t, l, "first", "second")
+	time.Sleep(3 * syncInterval)
+	l.mu.Lock()
+	durable, fsyncs := l.durable, l.stats.Fsyncs
+	l.mu.Unlock()
+	if durable != 2 || fsyncs != 2 {
+		t.Fatalf("after %v of quiet: %d of 2 records durable in %d fsyncs, want both in 2", 3*syncInterval, durable, fsyncs)
+	}
+}
+
+// TestKillWritesStagedWithoutWaitingForFsync: Kill returns while the writer
+// is held inside an fsync, having written what was staged, and the writer
+// goroutine ends once the fsync returns.
+func TestKillWritesStagedWithoutWaitingForFsync(t *testing.T) {
+	dir := t.TempDir()
+	release := make(chan struct{})
+	h := &syncHooks{gate: release}
+	before := runtime.NumGoroutine()
+	l, err := Open(dir, Options{Policy: PolicyAlways, Hooks: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	synced := make(chan error, 1)
+	go func() { synced <- l.Append([]byte("synced")) }()
+	for _, syncs := h.counts(); syncs == 0; _, syncs = h.counts() {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := l.Stage([]byte("staged")); err != nil {
+		t.Fatal(err)
+	}
+	killed := make(chan struct{})
+	go func() {
+		l.Kill()
+		close(killed)
+	}()
+	select {
+	case <-killed:
+	case <-time.After(time.Second):
+		t.Fatal("Kill waited for the fsync in flight")
+	}
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recordStrings(rec); !equalStrings(got, []string{"synced", "staged"}) {
+		t.Fatalf("recovered %q after Kill, want both records", got)
+	}
+	close(release)
+	if err := <-synced; !errors.Is(err, ErrClosed) {
+		t.Fatalf("append whose fsync outlived Kill: want ErrClosed, got %v", err)
+	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to n
+// within a second.
+func waitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines, %d before the log opened:\n%s", runtime.NumGoroutine(), n, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestWriterExitsWithLog: Open starts one writer goroutine, and both Close
+// and Kill end it, whatever the policy.
+func TestWriterExitsWithLog(t *testing.T) {
+	for _, p := range []Policy{PolicyAlways, PolicyInterval, PolicyOff} {
+		for _, kill := range []bool{false, true} {
+			before := runtime.NumGoroutine()
+			l, err := Open(t.TempDir(), Options{Policy: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, l, "a", "b")
+			if kill {
+				l.Kill()
+			} else if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			waitGoroutines(t, before)
+		}
 	}
 }

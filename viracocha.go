@@ -343,9 +343,9 @@ func (s *System) OverloadStats() core.OverloadCounters { return s.Runtime.Sched.
 func (s *System) MemoStats() MemoStats { return s.Runtime.Sched.MemoStats() }
 
 // WALStats reports the write-ahead log's counters since RecoverWAL opened it
-// (all zero on a WAL-less system): records per write is what the writer's
-// batching buys, records per fsync what its group commit buys under fsync
-// always.
+// (all zero on a WAL-less system): records per write is what the log
+// writer's batching buys, records per fsync what sharing an fsync buys under
+// fsync always.
 func (s *System) WALStats() WALStats { return s.wal.stats() }
 
 // AllStats returns the retained finished requests' server-side records (the

@@ -16,17 +16,17 @@ package viracocha
 // called; the sink takes its own mu and, below it, a streamLog's leaf mu and
 // the log's — never the other direction.
 //
-// No syscall runs under those locks. Staging frames a record into the log's
-// buffer and gives it its lsn; one writer goroutine, the sink's, does all the
-// disk work with no bridge or sink lock held: one write per batch of staged
-// records, the policy's fsync, and the checkpoints — whose records are taken
-// under the sink lock, about once per segment, and cut the segment at their
-// lsn, while the file write, its fsyncs, the rename and the prune happen on
-// the writer. No frame waits for its record but a request's final frame
-// under fsync always (Frame says why): a frame a crash loses is recomputed
-// byte for byte, and the client dedupes it. The other wait is the admission
-// barrier (commit), for the lease and admission records, before the lease
-// reply or the routed command goes out.
+// No syscall runs under those locks. The sink only stages: wal.Log frames a
+// record into its buffer and gives it its lsn, and the log's own writer
+// goroutine does all the disk work with no bridge or sink lock held — one
+// write per batch of staged records, the policy's fsync, and the checkpoints,
+// whose records are taken under the sink lock, about once per segment, and
+// cut the segment at their lsn. No frame waits for its record but a request's
+// final frame under fsync always (Frame says why): a frame a crash loses is
+// recomputed byte for byte, and the client dedupes it. The other wait is the
+// admission barrier (commit), for the lease and admission records, before
+// the lease reply or the routed command goes out. A retirement is staged
+// lazily: it asks for no fsync of its own (Retire says why).
 //
 // Replay is idempotent and monotonic (frames at or below a log's head are
 // dropped, epochs and attempts only move forward, marks are unioned) because
@@ -41,7 +41,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"viracocha/internal/comm"
 	"viracocha/internal/wal"
@@ -124,21 +123,6 @@ type walSink struct {
 	head      []byte            // scratch for a wframe record's head (Frame)
 	headSess  map[string]string // that record's parameters, reused
 	closed    bool
-
-	// The writer: one goroutine, started by open, that alone writes, syncs
-	// and checkpoints. wake holds a token whenever something was staged or a
-	// commit waits; want is the highest lsn a commit waits for; retired is
-	// set while the last record staged is a retirement; stop ends the
-	// writer, which closes exited.
-	wake     chan struct{}
-	want     atomic.Uint64
-	retired  atomic.Bool
-	stop     chan struct{}
-	stopOnce sync.Once
-	exited   chan struct{}
-
-	errMu sync.Mutex
-	err   error // first write/sync/checkpoint failure; logging is best-effort after
 }
 
 func newWALSink(dir string) *walSink {
@@ -174,33 +158,37 @@ func (w *walSink) appendLocked(m comm.Message) uint64 {
 		return 0
 	}
 	data := comm.Encode(m)
-	lsn, err := w.log.Stage(data)
-	return w.stagedLocked(lsn, len(data), m.Kind == "wretire", err)
+	var lsn uint64
+	var err error
+	if m.Kind == "wretire" {
+		lsn, err = w.log.StageLazy(data)
+	} else {
+		lsn, err = w.log.Stage(data)
+	}
+	return w.stagedLocked(lsn, len(data), err)
 }
 
-// stagedLocked follows up the staging of an n-byte record: count, note a
-// retirement, cut a checkpoint about once per segment, wake the writer. It
-// returns the lsn to commit for it — the last good one when staging failed,
-// so a commit never waits on a record that will not come.
-func (w *walSink) stagedLocked(lsn uint64, n int, retire bool, err error) uint64 {
+// stagedLocked follows up the staging of an n-byte record: count it, and cut
+// a checkpoint about once per segment. It returns the lsn to commit for it —
+// the last good one when staging failed, so a commit never waits on a record
+// that will not come.
+func (w *walSink) stagedLocked(lsn uint64, n int, err error) uint64 {
 	if err != nil {
 		w.noteErr("append", err)
 		return w.staged
 	}
 	w.staged = lsn
-	w.retired.Store(retire)
 	w.bytes += int64(n) + 8
 	if w.bytes >= w.segBytes && !w.log.Cutting() {
 		w.cutLocked()
 	}
-	w.poke()
 	return lsn
 }
 
 // cutLocked queues a checkpoint of the state behind every record staged so
 // far. Its records are taken here, under the sink's lock, so they fold in
-// exactly the records before the cut; the writer seals the segment at the
-// cut, writes the file and prunes, with no lock of the sink's held.
+// exactly the records before the cut; the log's writer seals the segment at
+// the cut, writes the file and prunes, with no lock of the sink's held.
 func (w *walSink) cutLocked() error {
 	if err := w.log.Cut(comm.EncodeBatch(w.checkpointRecordsLocked())); err != nil {
 		w.noteErr("checkpoint", err)
@@ -210,48 +198,14 @@ func (w *walSink) cutLocked() error {
 	return nil
 }
 
-// poke hands the writer a token, unless it already holds one.
-func (w *walSink) poke() {
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
-}
-
-// run is the writer. Each turn writes everything staged with one write per
-// batch (and carries out a queued checkpoint), commits the lsn a commit waits
-// for, then runs the policy's fsync — unless the batch ends in a retirement:
-// the client that sent its "done" sends its next command right behind it,
-// and that command's admission barrier syncs both with one fsync instead of
-// queueing behind a second. Records staged meanwhile leave a token, so they
-// form the next turn's batch.
-func (w *walSink) run(l *wal.Log) {
-	defer close(w.exited)
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-w.wake:
-		}
-		lsn, err := l.WriteStaged()
-		w.noteErr("write", err)
-		if want := w.want.Load(); want > 0 {
-			w.noteErr("sync", l.Commit(want))
-		}
-		if !w.retired.Load() {
-			w.noteErr("sync", l.Flush(lsn))
-		}
-	}
-}
-
 // commit is the admission barrier: leases and admissions are rare and
 // load-bearing — losing one denies the client's resume outright — so commit
-// returns only once the writer has written and fsynced the record at lsn, and
-// everything staged before it, regardless of policy. Frames and journal
-// records, which recovery can afford to lose (the blocks are just recomputed
-// and the client dedupes), only get the writer's policy fsync, and nothing
-// waits for it but a request's final frame under fsync always (Frame). commit
-// is never called with a bridge or scheduler lock held.
+// returns only once the log's writer has written and fsynced the record at
+// lsn, and everything staged before it, regardless of policy. Frames and
+// journal records, which recovery can afford to lose (the blocks are just
+// recomputed and the client dedupes), only get the policy's fsync, and
+// nothing waits for it but a request's final frame under fsync always
+// (Frame). commit is never called with a bridge or scheduler lock held.
 func (w *walSink) commit(lsn uint64) {
 	if w == nil || lsn == 0 {
 		return
@@ -262,27 +216,25 @@ func (w *walSink) commit(lsn uint64) {
 	if l == nil || closed {
 		return
 	}
-	for cur := w.want.Load(); lsn > cur; cur = w.want.Load() {
-		if w.want.CompareAndSwap(cur, lsn) {
-			break
-		}
+	w.noteErr("sync", l.Sync(lsn))
+}
+
+// opened returns the log, nil on a WAL-less system or before RecoverWAL.
+func (w *walSink) opened() *wal.Log {
+	if w == nil {
+		return nil
 	}
-	w.poke()
-	w.noteErr("sync", l.WaitDurable(lsn))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.log
 }
 
 // stats reports the log's counters (zero on a WAL-less system).
 func (w *walSink) stats() wal.Stats {
-	if w == nil {
-		return wal.Stats{}
+	if l := w.opened(); l != nil {
+		return l.Stats()
 	}
-	w.mu.Lock()
-	l := w.log
-	w.mu.Unlock()
-	if l == nil {
-		return wal.Stats{}
-	}
-	return l.Stats()
+	return wal.Stats{}
 }
 
 // checkpointRecordsLocked is the state as the records that rebuild it, each
@@ -312,26 +264,18 @@ func (w *walSink) checkpointRecordsLocked() []comm.Message {
 	return recs
 }
 
-// noteErr keeps the first failure and traces each; a closed log's refusals
-// are the expected stragglers of a kill, not failures.
+// noteErr traces a failure a sink call met; the log keeps the first one
+// (WALErr). A closed log's refusals are the expected stragglers of a kill,
+// not failures.
 func (w *walSink) noteErr(op string, err error) {
-	if err == nil || errors.Is(err, wal.ErrClosed) {
-		return
+	if err != nil && !errors.Is(err, wal.ErrClosed) {
+		w.warnf("wal %s failed: %v", op, err)
 	}
-	w.errMu.Lock()
-	if w.err == nil {
-		w.err = err
-	}
-	w.errMu.Unlock()
-	w.warnf("wal %s failed: %v", op, err)
 }
-
-// stopWriter ends the writer goroutine after its turn in flight.
-func (w *walSink) stopWriter() { w.stopOnce.Do(func() { close(w.stop) }) }
 
 // kill is the hard-kill path: nothing is staged after it, what was staged
 // reaches the file as the writes the process had made, nothing more is
-// synced, and the log's file handles close.
+// synced, and the log's file handles close (wal.Log.Kill).
 func (w *walSink) kill() {
 	if w == nil {
 		return
@@ -340,17 +284,13 @@ func (w *walSink) kill() {
 	w.closed = true
 	l := w.log
 	w.mu.Unlock()
-	if l == nil {
-		return
+	if l != nil {
+		l.Kill()
 	}
-	l.WriteStaged()
-	l.Kill()
-	w.stopWriter()
 }
 
 // close checkpoints once more and closes the log: the graceful path, leaving
-// a restart nothing to replay. The writer stops first; the final checkpoint
-// is written on the caller's goroutine.
+// a restart nothing to replay.
 func (w *walSink) close() error {
 	if w == nil {
 		return nil
@@ -365,8 +305,6 @@ func (w *walSink) close() error {
 	state := comm.EncodeBatch(w.checkpointRecordsLocked())
 	w.closed = true
 	w.mu.Unlock()
-	w.stopWriter()
-	<-w.exited
 	err := l.Checkpoint(state)
 	if cerr := l.Close(); err == nil {
 		err = cerr
@@ -445,11 +383,12 @@ func (w *walSink) Admit(sessID string, clientReq, runtimeID uint64, cmd comm.Mes
 
 // Frame stages one stamped outbound frame's wframe record and returns the
 // lsn the frame must wait for before it reaches a socket: none, except for a
-// request's final frame under PolicyAlways. Every other frame leaves at once,
-// since a frame a crash loses is recomputed byte for byte; the final one
-// waits for its fsync so that a request its client saw finish is never run
-// again after a crash — and so that the client's next command finds the
-// writer idle, its admission barrier one small fsync. The bridge appended
+// request's final frame under PolicyAlways, which the bridge Syncs (commit)
+// before sending. Every other frame leaves at once, since a frame a crash
+// loses is recomputed byte for byte; the final one waits for its fsync so
+// that a request its client saw finish is never run again after a crash —
+// and so that the client's next command finds the log's writer idle, its
+// admission barrier one small fsync. The bridge appended
 // the frame to the shared stream log before calling, so a checkpoint cut
 // ahead of this record already folds the frame in and replay drops the
 // record as a duplicate. The record is frameRecord's byte for byte, never
@@ -469,7 +408,7 @@ func (w *walSink) Frame(sessID string, clientReq uint64, f comm.Frame, final boo
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], f.SumAfter(w.head))
 	lsn, err := w.log.Stage(w.head, f.Head, f.Payload, f.Sum, sum[:])
-	lsn = w.stagedLocked(lsn, len(w.head)+f.Len()+len(sum), false, err)
+	lsn = w.stagedLocked(lsn, len(w.head)+f.Len()+len(sum), err)
 	if !final || w.policy != wal.PolicyAlways {
 		return 0
 	}
@@ -477,7 +416,10 @@ func (w *walSink) Frame(sessID string, clientReq uint64, f comm.Frame, final boo
 }
 
 // Retire records that the client fully consumed a finished request. The
-// record rides the next commit.
+// record is staged lazily and rides the next commit: the client that sent
+// its "done" sends its next command right behind it, and that command's
+// admission barrier syncs both with one fsync instead of queueing behind a
+// second.
 func (w *walSink) Retire(sessID string, clientReq uint64) {
 	w.record(comm.Message{Kind: "wretire", ReqID: clientReq, Params: map[string]string{
 		"sess": sessID,
@@ -741,16 +683,13 @@ func unfinishedSpan(r *walReq) ([]int, bool) {
 	return miss, true
 }
 
-// open attaches the write side of the WAL directory, starts the writer and
-// cuts an immediate checkpoint, so recovery replay is never needed twice for
-// the same records.
+// open attaches the write side of the WAL directory and cuts an immediate
+// checkpoint, so recovery replay is never needed twice for the same records.
 func (w *walSink) open(policy wal.Policy, hooks wal.FaultHooks) error {
 	l, err := wal.Open(w.dir, wal.Options{Policy: policy, Hooks: hooks, SegmentBytes: w.segBytes})
 	if err != nil {
 		return err
 	}
-	w.wake, w.stop, w.exited = make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
-	go w.run(l)
 	w.mu.Lock()
 	w.log, w.policy = l, policy
 	state := comm.EncodeBatch(w.checkpointRecordsLocked())
@@ -932,14 +871,13 @@ func (s *System) Kill() {
 // alone. Safe on a WAL-less system.
 func (s *System) CloseWAL() error { return s.wal.close() }
 
-// WALErr reports the first write-ahead-log append or checkpoint failure, if
-// any: logging is best-effort after one (the mirror stays correct, but
-// durability is degraded) and operators should want to know.
+// WALErr reports the first write-ahead-log write, fsync, checkpoint or
+// refused-record failure, if any: logging is best-effort after one (the
+// mirror stays correct, but durability is degraded) and operators should want
+// to know.
 func (s *System) WALErr() error {
-	if s.wal == nil {
-		return nil
+	if l := s.wal.opened(); l != nil {
+		return l.Err()
 	}
-	s.wal.errMu.Lock()
-	defer s.wal.errMu.Unlock()
-	return s.wal.err
+	return nil
 }
